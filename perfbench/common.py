@@ -42,6 +42,16 @@ def child_env() -> dict:
     Call after :func:`bootstrap`, so the thread pins are inherited.
     """
     env = dict(os.environ)
+    # A fault plan left in the environment would inject faults into the
+    # sweep's workers; the benchmark measures fault-free runs.
+    env.pop("REPRO_FAULT_PLAN", None)
+    # Temporary directories (the sweep's socket directory) stay inside
+    # the checkout, unless that would overflow the unix-socket path
+    # limit of about 107 bytes.
+    tmp = WORK / "tmp"
+    if len(str(tmp)) <= 60:
+        tmp.mkdir(parents=True, exist_ok=True)
+        env["TMPDIR"] = str(tmp)
     path = env.get("PYTHONPATH")
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + path if path else "")
     return env

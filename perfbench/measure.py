@@ -4,13 +4,13 @@ Run by ``run.py``; prints one JSON object as its last line.  Usage::
 
     python3 perfbench/measure.py WORKLOAD SEED SECONDS TRACE SIZE
 
-With TRACE 0 every iteration is checked outside its timed region and
-timed with no wrapper installed; its time is converted to
-reference-host seconds by the host-speed probes around it
-(``hostspeed.py``) and the run reports the median.  With TRACE 1 untraced and traced iterations
-alternate: the traced ones give the per-layer split, the untraced ones
-the tracing overhead, and the count invariants must agree across both.
-Every iteration passes the correctness gate outside its timed region.
+With TRACE 0 no wrapper is installed; each iteration's wall time is
+converted to reference-host seconds by the host-speed probes around it
+(``hostspeed.py``) and the run reports medians.  With TRACE 1 untraced
+and traced passes alternate: the traced ones give the per-layer split,
+the untraced ones the tracing overhead, and the count invariants must
+agree across both.  Every iteration passes the correctness gate
+outside its timed region.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.service.shard import KIND_FAILURE  # noqa: E402
 from repro.service.stream import submit_sweep  # noqa: E402
 from spans import ROOT, TracedAttack, Tracer  # noqa: E402
 
-#: Untraced iterations per run at least (the medians need a few).
+#: Untraced passes per run at least (the medians need a few).
 MIN_ITERATIONS = 3
 #: Traced/untraced cycles per traced run at least.
 MIN_CYCLES = 2
@@ -175,7 +175,7 @@ class Run:
         self.attempted = 0
         self.failed = 0
         self.problems: List[str] = []
-        self.counts: Dict[str, int] = {}
+        self.counts: Dict[tuple, int] = {}
 
     def problem(self, message: str) -> None:
         self.problems.append(message)

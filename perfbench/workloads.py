@@ -110,8 +110,8 @@ class Prepared:
         devices = self.population.build()[0].devices
         lo = index * self.block_size
         hi = min(lo + self.block_size, len(devices))
-        fleet = Fleet.from_arrays(devices[lo:hi], seed=np.random.default_rng(
-            [self.population.seed, index]))
+        rng = np.random.default_rng([self.population.seed, index])
+        fleet = Fleet.from_arrays(devices[lo:hi], seed=rng)
         whole = self.enrollment
         return fleet, FleetEnrollment(whole.keygens[lo:hi],
                                       whole.helpers[lo:hi],
