@@ -19,21 +19,30 @@ decision — asserted in-bench before any timing is reported, alongside
 a ≥5× regression canary for lock-step vs the scalar loop.  A
 group-based (§VI-C, Fig. 6a) campaign section repeats the equivalence
 check on the comparison-sort attack.
+
+A last section times the group-based fleet campaign of
+``repro fleet --attack group-based --devices 32`` (8x16 arrays, groups
+of up to ~17 oscillators), where key assembly used to dominate: every
+key must be recovered, and the full run asserts the campaign finishes
+in under 10 s (it took ~87 s on 2 CPUs before key assembly was
+vectorised by group-size class).
 """
 
+import functools
 import time
 
 import numpy as np
 
 from _report import record, table
 
+from repro._rng import spawn
 from repro.core import (
     BatchOracle,
     GroupBasedAttack,
     HelperDataOracle,
     SequentialPairingAttack,
 )
-from repro.fleet import run_campaign
+from repro.fleet import Fleet, GroupAttackFactory, run_campaign
 from repro.keygen import GroupBasedKeyGen, SequentialPairingKeyGen
 from repro.puf import FIG6_PARAMS, ROArray, ROArrayParams
 
@@ -41,6 +50,10 @@ DEVICES = 16
 QUICK_DEVICES = 4
 GROUP_DEVICES = 3
 QUICK_GROUP_DEVICES = 1
+FLEET_GROUP_DEVICES = 32
+QUICK_FLEET_GROUP_DEVICES = 2
+#: Wall-time ceiling of the 32-device group-based fleet campaign.
+FLEET_GROUP_BUDGET_S = 10.0
 
 SEQ_PARAMS = ROArrayParams(rows=8, cols=16)
 
@@ -128,6 +141,20 @@ def run_group_campaign(devices=GROUP_DEVICES):
     return scalar_results, lockstep_results, keys, scalar_s, lockstep_s
 
 
+def run_group_fleet_campaign(devices=FLEET_GROUP_DEVICES, seed=1):
+    """The CLI's group-based fleet campaign; results and wall time."""
+    manufacture_rng, enroll_rng = spawn(seed, 2)
+    fleet = Fleet(SEQ_PARAMS, size=devices, seed=manufacture_rng)
+    enrollment = fleet.enroll(
+        functools.partial(GroupBasedKeyGen, group_threshold=120e3),
+        seed=enroll_rng)
+    start = time.perf_counter()
+    results = fleet.attack_results(
+        enrollment, GroupAttackFactory(SEQ_PARAMS.rows, SEQ_PARAMS.cols),
+        lockstep=True, workers=1)
+    return results, enrollment.keys, time.perf_counter() - start
+
+
 def test_attack_lockstep_campaign(benchmark, quick):
     devices = QUICK_DEVICES if quick else DEVICES
     (scalar_results, batched_results, lockstep_results, keys,
@@ -182,8 +209,23 @@ def test_attack_lockstep_campaign(benchmark, quick):
             f"lock-step campaign:     {grp_lockstep_s:.2f} s",
             f"speedup: {grp_speedup:.1f}x"])
 
+    fleet_devices = (QUICK_FLEET_GROUP_DEVICES if quick
+                     else FLEET_GROUP_DEVICES)
+    fleet_results, fleet_keys, fleet_s = run_group_fleet_campaign(
+        fleet_devices)
+    for result, key in zip(fleet_results, fleet_keys):
+        assert result.confirmed
+        assert np.array_equal(result.key, key)
+    record(f"E18 / §VI-C — group-based fleet campaign ({fleet_devices} "
+           "devices, 8x16, workers=1, every key recovered)",
+           [f"campaign: {fleet_s:.2f} s "
+            f"({fleet_devices / fleet_s:.2f} devices/s)"])
+
     if not quick:
         # Regression canary: the lock-step campaign must hold a wide
         # margin over the scalar reference loop on a real fleet.
         assert devices >= 16
         assert speedup_lockstep >= 5.0
+        # Key assembly canary: vectorised packing keeps the 32-device
+        # group-based campaign under its budget.
+        assert fleet_s < FLEET_GROUP_BUDGET_S

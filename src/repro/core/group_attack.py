@@ -39,10 +39,10 @@ from repro.core.injection import (
     symmetric_quadratic,
 )
 from repro.core.oracle import HelperDataOracle
-from repro.keygen.base import key_check_digest
+from repro.keygen.base import key_check_digest, key_check_digests
 from repro.keygen.group_based import GroupBasedKeyGen, GroupBasedKeyHelper
 from repro.grouping.kendall import kendall_encode
-from repro.grouping.packing import pack_key
+from repro.grouping.packing import pack_key, pack_key_batch
 
 
 @dataclass(frozen=True)
@@ -119,20 +119,23 @@ class GroupBasedAttack:
                              "error injection")
         seed = np.zeros(sketch.code.k, dtype=np.uint8)
 
-        helpers = []
-        for hypothesis in (0, 1):
-            stream = np.array([hypothesis] + forced_bits, dtype=np.uint8)
-            # Deterministic injection: invert reference bits of the
-            # first `injected` forced groups ("we just compute the ECC
-            # redundancy given some inverted bit values").
-            stream[1:1 + injected] ^= 1
-            key = pack_key(stream, [2] * len(groups))
-            helpers.append(GroupBasedKeyHelper(
-                distiller=self._helper.distiller.with_added(payload),
-                grouping=grouping,
+        # One stream per hypothesis about the target bit.
+        streams = np.array([[0] + forced_bits, [1] + forced_bits],
+                           dtype=np.uint8)
+        # Deterministic injection: invert reference bits of the first
+        # `injected` forced groups ("we just compute the ECC redundancy
+        # given some inverted bit values").
+        streams[:, 1:1 + injected] ^= 1
+        # Every group is a pair, so packing is the identity fast path.
+        keys, _ = pack_key_batch(streams, (2,) * len(groups))
+        distiller = self._helper.distiller.with_added(payload)
+        helper0, helper1 = (
+            GroupBasedKeyHelper(
+                distiller=distiller, grouping=grouping,
                 sketch=sketch.helper_for_response(stream, seed),
-                key_check=key_check_digest(key)))
-        return helpers[0], helpers[1]
+                key_check=digest)
+            for stream, digest in zip(streams, key_check_digests(keys)))
+        return helper0, helper1
 
     def compare_ros(self, u: int, v: int) -> bool:
         """Oracle-driven comparison: is ``residual(u) > residual(v)``?

@@ -29,6 +29,8 @@ from repro.grouping.kendall import (
 from repro.grouping.packing import (
     pack_group,
     pack_key,
+    pack_key_batch,
+    pack_layout,
     packed_length,
     packing_loss_bits,
     split_blocks,
@@ -56,6 +58,8 @@ __all__ = [
     "table1_rows",
     "pack_group",
     "pack_key",
+    "pack_key_batch",
+    "pack_layout",
     "packed_length",
     "packing_loss_bits",
     "split_blocks",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import abc
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -143,6 +143,21 @@ def key_check_digest(key_bits: np.ndarray) -> bytes:
     bits = as_bits(key_bits)
     payload = np.packbits(bits).tobytes() + len(bits).to_bytes(4, "big")
     return hashlib.sha256(payload).digest()[:16]
+
+
+def key_check_digests(keys: np.ndarray) -> List[bytes]:
+    """Row-wise :func:`key_check_digest` of a ``(U, K)`` 0/1 key block.
+
+    The bits are packed for the whole block at once; only the hash runs
+    per row.  Like :func:`~repro.ecc.base.as_bit_matrix`, the batch form
+    trusts its internal producers and skips the per-element 0/1 scan.
+    """
+    keys = np.asarray(keys, dtype=np.uint8)
+    if keys.ndim != 2:
+        raise ValueError("key blocks must be two-dimensional")
+    suffix = keys.shape[1].to_bytes(4, "big")
+    return [hashlib.sha256(row.tobytes() + suffix).digest()[:16]
+            for row in np.packbits(keys, axis=1)]
 
 
 class KeyGenerator(abc.ABC):

@@ -42,7 +42,7 @@ from repro._dedup import iter_unique_rows
 from repro.ecc.base import DecodingFailure
 from repro.ecc.kernel import KernelWorkload, run_kernels
 from repro.ecc.sketch import SecureSketch, SketchData
-from repro.keygen.base import key_check_digest
+from repro.keygen.base import key_check_digest, key_check_digests
 
 #: Completion: response-bit vector -> reconstruction success.
 CompletionFn = Callable[[np.ndarray], bool]
@@ -157,10 +157,12 @@ class SketchCompletion(Completion):
     sketch: SecureSketch
     helper: SketchData
     key_check: bytes
-    #: Optional key assembly: recovered response -> key bits.  May
-    #: raise ``ValueError`` for observably-invalid recoveries (e.g. a
-    #: mis-corrected stream that is not a valid Kendall word).  Must be
-    #: picklable (a module-level callable or small dataclass).
+    #: Optional key assembly.  Calling it maps one recovered response
+    #: to key bits and may raise ``ValueError`` for an observably
+    #: invalid recovery (e.g. a mis-corrected stream that is not a
+    #: valid Kendall word); its ``batch`` method maps a ``(U, bits)``
+    #: block to ``(keys, valid)`` in one pass, row-wise equal to the
+    #: call.  Must be picklable (a small module-level dataclass).
     assemble: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def kernel_key(self) -> "tuple | None":
@@ -211,16 +213,18 @@ class SketchCompletion(Completion):
 
     def _check(self, recovered: np.ndarray, ok: np.ndarray
                ) -> np.ndarray:
-        """Assemble keys for recovered rows and verify the digest."""
+        """Assemble keys for the recovered block and verify digests."""
         out = np.zeros(ok.shape[0], dtype=bool)
-        for i in np.flatnonzero(ok):
-            key = recovered[i]
-            if self.assemble is not None:
-                try:
-                    key = self.assemble(key)
-                except ValueError:
-                    continue
-            out[i] = key_check_digest(key) == self.key_check
+        rows = np.flatnonzero(ok)
+        keys = recovered[rows]
+        if self.assemble is not None:
+            try:
+                keys, valid = self.assemble.batch(keys)
+            except ValueError:
+                return out
+            rows, keys = rows[valid], keys[valid]
+        out[rows] = [digest == self.key_check
+                     for digest in key_check_digests(keys)]
         return out
 
 

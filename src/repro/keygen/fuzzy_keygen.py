@@ -62,6 +62,12 @@ class _ToeplitzAssembler:
         """Hash a recovered response down to the extracted key."""
         return self.hasher(recovered)
 
+    def batch(self, recovered: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Hash a ``(U, bits)`` block: ``(keys, valid)``, all valid."""
+        return (self.hasher.hash_batch(recovered),
+                np.ones(recovered.shape[0], dtype=bool))
+
 
 class FuzzyExtractorKeyGen(KeyGenerator):
     """Device model of the Fig. 7 reference solution."""

@@ -13,7 +13,8 @@ all of them at once to *reprogram* the device key.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from itertools import chain
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -22,12 +23,11 @@ from repro.distiller.distiller import DistillerHelper, EntropyDistiller
 from repro.ecc.sketch import SketchData
 from repro.grouping.algorithm import GroupingHelper, GroupingScheme
 from repro.grouping.kendall import (
-    kendall_bit_count,
     kendall_encode,
     order_from_frequencies,
     pair_table,
 )
-from repro.grouping.packing import pack_key
+from repro.grouping.packing import pack_key, pack_key_batch, pack_layout
 from repro.keygen.base import (
     CodeProvider,
     KeyGenerator,
@@ -91,41 +91,59 @@ def kendall_stream(residuals: np.ndarray,
     return np.concatenate(chunks)
 
 
-def kendall_stream_batch(residuals: np.ndarray,
-                         grouping: GroupingHelper) -> np.ndarray:
-    """Kendall streams for a ``(B, n)`` residual batch, ``(B, bits)``.
+class KendallPairs:
+    """Batched Kendall extraction for one group map, by size class.
 
-    Row ``i`` equals ``kendall_stream(residuals[i], grouping)``.  Per
-    group, the batch of descending-residual orders comes from one
-    stable axis-1 argsort; the discordance bit of label pair ``(x, y)``
-    is then just a rank comparison, so no per-row Python work remains.
+    Every label pair ``(x, y)`` of every group is resolved to its two
+    member oscillators once, one gather table per group size, so a
+    ``(B, n)`` residual batch becomes its ``(B, bits)`` Kendall streams
+    in two gathers and one comparison per class.
     """
-    residuals = np.asarray(residuals, dtype=float)
-    if residuals.ndim != 2:
-        raise ValueError("batch evaluation needs a (B, n) matrix")
-    chunks: List[np.ndarray] = []
-    for group in grouping.groups:
-        members = list(group)
-        if not members:
+
+    def __init__(self, groups: Sequence[Sequence[int]]):
+        sizes = tuple(map(len, groups))
+        if 0 in sizes:
             raise ValueError("empty group in helper data")
-        values = residuals[:, members]
-        order = np.argsort(-values, axis=1, kind="stable")
-        # rank[b, label] = position of the label in row b's order.
-        rank = np.argsort(order, axis=1, kind="stable")
-        xs, ys = pair_table(len(members))
-        chunks.append((rank[:, ys] < rank[:, xs]).astype(np.uint8))
-    if not chunks:
-        return np.zeros((residuals.shape[0], 0), dtype=np.uint8)
-    return np.concatenate(chunks, axis=1)
+        layout = pack_layout(sizes)
+        members = np.fromiter(chain.from_iterable(groups), dtype=np.intp,
+                              count=sum(sizes))
+        self.stream_bits = layout.stream_bits
+        self._classes = []
+        for group_class in layout.classes:
+            xs, ys = pair_table(group_class.size)
+            cols = group_class.member_cols
+            self._classes.append((members[cols[:, xs]],
+                                  members[cols[:, ys]],
+                                  group_class.kendall_cols))
+
+    def __call__(self, residuals: np.ndarray) -> np.ndarray:
+        """Kendall streams of a ``(B, n)`` residual batch, ``(B, bits)``.
+
+        Row ``i`` equals the scalar reference :func:`kendall_stream` of
+        ``residuals[i]``.  Label ``y`` precedes ``x < y`` in the stable descending order
+        exactly when its residual is larger, or when only ``x``'s is
+        NaN (the sort places NaN last), so no sort is needed.
+        """
+        residuals = np.asarray(residuals, dtype=float)
+        if residuals.ndim != 2:
+            raise ValueError("batch evaluation needs a (B, n) matrix")
+        out = np.empty((residuals.shape[0], self.stream_bits),
+                       dtype=np.uint8)
+        for x_members, y_members, columns in self._classes:
+            first = residuals[:, x_members]
+            second = residuals[:, y_members]
+            out[:, columns] = (second > first) | (np.isnan(first)
+                                                  & ~np.isnan(second))
+        return out
 
 
 @dataclass(frozen=True)
 class _PackKeyAssembler:
     """Picklable key assembly: Kendall stream → packed key bits.
 
-    Raises ``ValueError`` when a mis-corrected stream is not a valid
-    Kendall word — an observable reconstruction failure, handled by
-    the completion.
+    A mis-corrected stream that is not a valid Kendall word is an
+    observable reconstruction failure: the scalar call raises
+    ``ValueError`` and :meth:`batch` marks the row invalid.
     """
 
     sizes: Tuple[int, ...]
@@ -133,6 +151,11 @@ class _PackKeyAssembler:
     def __call__(self, stream: np.ndarray) -> np.ndarray:
         """Pack a corrected Kendall stream into key bits."""
         return pack_key(stream, self.sizes)
+
+    def batch(self, streams: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Pack a ``(U, bits)`` block: ``(keys, valid)``."""
+        return pack_key_batch(streams, self.sizes)
 
 
 class GroupBasedKeyGen(KeyGenerator):
@@ -207,10 +230,8 @@ class GroupBasedKeyGen(KeyGenerator):
         """Vectorized evaluator: one decode per distinct pattern."""
         grouping = helper.grouping
         try:
-            bits = sum(kendall_bit_count(len(g))
-                       for g in grouping.groups)
-            if any(len(g) == 0 for g in grouping.groups):
-                raise ValueError("empty group in helper data")
+            pairs = KendallPairs(grouping.groups)
+            bits = pairs.stream_bits
             sketch = self.sketch_for(bits) if bits else None
         except ValueError:
             return ConstantEvaluator(False)
@@ -223,9 +244,8 @@ class GroupBasedKeyGen(KeyGenerator):
         distiller_helper = helper.distiller
 
         def extract(freqs: np.ndarray) -> np.ndarray:
-            residuals = distiller.residuals_batch(x, y, freqs,
-                                                  distiller_helper)
-            return kendall_stream_batch(residuals, grouping)
+            return pairs(distiller.residuals_batch(x, y, freqs,
+                                                   distiller_helper))
 
         completion = SketchCompletion(
             sketch, helper.sketch, helper.key_check,

@@ -8,9 +8,12 @@ import pytest
 
 from repro.grouping import (
     compact_encode,
+    kendall_bit_count,
     kendall_encode,
     pack_group,
     pack_key,
+    pack_key_batch,
+    pack_layout,
     packed_length,
     packing_loss_bits,
     split_blocks,
@@ -62,6 +65,106 @@ class TestPackKey:
 
     def test_empty_input(self):
         assert pack_key(np.zeros(0, dtype=np.uint8), []).shape == (0,)
+
+
+def _scalar_or_none(stream, sizes):
+    try:
+        return pack_key(stream, sizes)
+    except ValueError:
+        return None
+
+
+def assert_pinned_to_scalar(block, sizes):
+    """Every row of ``pack_key_batch`` equals the scalar reference."""
+    keys, valid = pack_key_batch(block, sizes)
+    assert keys.dtype == np.uint8
+    assert keys.shape == (block.shape[0], packed_length(sizes))
+    for row, key, ok in zip(block, keys, valid):
+        expected = _scalar_or_none(row, sizes)
+        assert ok == (expected is not None)
+        np.testing.assert_array_equal(key, expected if ok else 0)
+
+
+def all_words(size):
+    width = kendall_bit_count(size)
+    shifts = np.arange(width)
+    return ((np.arange(1 << width)[:, None] >> shifts) & 1).astype(np.uint8)
+
+
+def streams_for(sizes, rows, rng):
+    """Valid streams of random orders, a third of rows with flipped bits."""
+    block = np.stack([
+        np.concatenate([kendall_encode(rng.permutation(size))
+                        for size in sizes])
+        for _ in range(rows)])
+    flips = rng.random(block.shape) < 0.05
+    flips[: 2 * rows // 3] = False
+    return block ^ flips
+
+
+class TestPackKeyBatch:
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5])
+    def test_every_word_of_a_table_size(self, size):
+        # Sizes up to 5 go through the lookup table; every Kendall word,
+        # valid or not, must match the scalar path.
+        assert_pinned_to_scalar(all_words(size), [size])
+
+    @pytest.mark.parametrize("size", [6, 7, 9])
+    def test_arithmetic_rank_sizes(self, size):
+        rng = np.random.default_rng(size)
+        assert_pinned_to_scalar(streams_for([size], 60, rng), [size])
+
+    def test_rank_beyond_int64(self):
+        # 21! > 2^63: ranks fall back to exact Python integers.
+        rng = np.random.default_rng(21)
+        assert_pinned_to_scalar(streams_for([21, 2], 6, rng), [21, 2])
+
+    def test_mixed_size_classes_keep_group_order(self):
+        sizes = [3, 2, 7, 2, 5, 1, 4, 12, 3, 2]
+        rng = np.random.default_rng(5)
+        assert_pinned_to_scalar(streams_for(sizes, 90, rng), sizes)
+
+    def test_size_two_is_the_identity(self):
+        block = np.random.default_rng(0).integers(0, 2, (8, 6),
+                                                  dtype=np.uint8)
+        keys, valid = pack_key_batch(block, [2] * 6)
+        assert valid.all()
+        np.testing.assert_array_equal(keys, block)
+
+    def test_non_binary_entries_invalidate_the_row(self):
+        block = np.array([[0, 1, 1, 0], [0, 2, 1, 0], [1, 0, 0, 1]])
+        assert_pinned_to_scalar(block, [2, 3])
+        keys, valid = pack_key_batch(block, [2, 3])
+        assert valid.tolist() == [True, False, True]
+
+    def test_bool_and_float_blocks(self):
+        block = all_words(4)
+        expected = pack_key_batch(block, [4])
+        for kind in (bool, float):
+            got = pack_key_batch(block.astype(kind), [4])
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
+
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            pack_key_batch(np.zeros((2, 5), dtype=np.uint8), [2, 3])
+        with pytest.raises(ValueError):
+            pack_key_batch(np.zeros(4, dtype=np.uint8), [2, 3])
+
+    def test_empty_layout(self):
+        keys, valid = pack_key_batch(np.zeros((3, 0), dtype=np.uint8), [])
+        assert keys.shape == (3, 0) and valid.all()
+
+    def test_layout_covers_every_column_once(self):
+        sizes = (4, 2, 6, 2, 3)
+        layout = pack_layout(sizes)
+        assert [c.size for c in layout.classes] == [2, 3, 4, 6]
+        for name, total in (("member_cols", sum(sizes)),
+                            ("kendall_cols", layout.stream_bits),
+                            ("compact_cols", layout.key_bits)):
+            columns = np.concatenate([getattr(c, name).ravel()
+                                      for c in layout.classes])
+            assert sorted(columns.tolist()) == list(range(total))
 
 
 class TestPackingLoss:

@@ -14,6 +14,7 @@ from repro.grouping import (
     kendall_encode,
     order_from_frequencies,
     pack_key,
+    pack_key_batch,
     packed_length,
     verify_grouping,
 )
@@ -71,6 +72,32 @@ class TestGroupingProperties:
         sizes = [3] * len(orders)
         key = pack_key(stream, sizes)
         assert key.shape == (packed_length(sizes),)
+
+    @given(sizes=st.lists(st.integers(1, 8), max_size=6), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pack_key_batch_pinned_to_scalar(self, sizes, data):
+        # Rows mix valid streams with arbitrary (mostly invalid) words.
+        width = sum(size * (size - 1) // 2 for size in sizes)
+        rows = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.booleans()):
+                rows.append(np.concatenate(
+                    [kendall_encode(data.draw(permutations_of(size)))
+                     for size in sizes] + [np.zeros(0, np.uint8)]))
+            else:
+                rows.append(np.array(data.draw(st.lists(
+                    st.integers(0, 1), min_size=width, max_size=width)),
+                    dtype=np.uint8))
+        block = np.stack(rows)
+        keys, valid = pack_key_batch(block, sizes)
+        for row, key, ok in zip(block, keys, valid):
+            try:
+                expected = pack_key(row, sizes)
+            except ValueError:
+                assert not ok
+                continue
+            assert ok
+            np.testing.assert_array_equal(key, expected)
 
 
 class TestParityUnionFindProperties:
