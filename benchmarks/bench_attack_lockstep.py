@@ -213,6 +213,7 @@ def test_attack_lockstep_campaign(benchmark, quick):
                      else FLEET_GROUP_DEVICES)
     fleet_results, fleet_keys, fleet_s = run_group_fleet_campaign(
         fleet_devices)
+    assert len(fleet_results) == fleet_devices
     for result, key in zip(fleet_results, fleet_keys):
         assert result.confirmed
         assert np.array_equal(result.key, key)
