@@ -2,10 +2,10 @@
 
 Manufactures many IC samples from one seed and sweeps reliability,
 entropy and attack-success statistics across the population with
-chunked, vectorized execution — optionally split across a process pool
-(``workers=N``) with shared-memory result buffers and bitwise
-worker-count-invariant results (see ``docs/fleet.md``).  Attack
-campaigns run through the round-based lock-step engine
+chunked, vectorized execution — optionally split across a pool of
+long-lived worker processes (``workers=N``, :mod:`repro.fleet.pool`)
+with bitwise worker-count-invariant results (see ``docs/fleet.md``).
+Attack campaigns run through the round-based lock-step engine
 (:mod:`repro.fleet.campaign`): one attack advanced across a whole
 device batch per distinguisher round, bitwise-identical to the
 per-device scalar loop (see ``docs/attacks.md``).
@@ -40,12 +40,12 @@ from repro.fleet.fleet import (
     KeyGenFactory,
 )
 from repro.fleet.parallel import (
-    SharedResultBuffer,
     chunk_indices,
     resolve_workers,
     run_collected,
     run_scattered,
 )
+from repro.fleet.pool import WorkerDiedError
 from repro.fleet.resilience import (
     ChunkFailure,
     PoisonedSweepError,
@@ -73,9 +73,9 @@ __all__ = [
     "SequentialAttackFactory",
     "Supervisor",
     "TempAwareAttackFactory",
+    "WorkerDiedError",
     "run_campaign",
     "sequential_attack_factory",
-    "SharedResultBuffer",
     "chunk_indices",
     "resolve_workers",
     "run_collected",

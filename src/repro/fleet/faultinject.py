@@ -9,12 +9,12 @@ raised), and on which attempts — so every retry, quarantine and
 poison path has a reproducible test, and CI can run whole sweeps
 under injected crashes and still demand bitwise-identical results.
 
-Activation is an **environment hook**: the supervised worker
-entrypoint reads :data:`ENV_VAR` (inline JSON or a path to a JSON
-file) and fires the spec targeting its ``(chunk, attempt)``
-coordinate, if any.  The hook lives in the *supervised* entrypoint
-only — the plain (unsupervised) pool never consults a plan, because
-without a supervisor there is nothing to catch the fault.
+Activation is an **environment hook**: a pool worker running a
+*supervised* task reads :data:`ENV_VAR` (inline JSON or a path to a
+JSON file) and fires the spec targeting the task's ``(chunk,
+attempt)`` coordinate, if any.  Unsupervised tasks never consult a
+plan, because without a supervisor there is nothing to catch the
+fault.
 
 Fault modes:
 
@@ -82,8 +82,8 @@ class FaultSpec:
         *every* attempt — a poison chunk when the mode is ``raise``.
     after_items:
         Fire after this many chunk items completed (``None`` fires
-        on chunk entry).  Lets tests prove that a retry fully
-        rewrites a partially-written shared-memory chunk.
+        on chunk entry).  Lets tests prove that a chunk dying
+        part-way contributes only its retry's results.
     """
 
     chunk: int

@@ -14,8 +14,8 @@ Two knobs bound resources and scale the sweeps:
 * ``chunk`` bounds peak memory: a sweep over ``trials`` reconstructions
   materialises at most ``chunk × n`` measurement floats at a time,
   whatever the requested trial count.
-* ``workers`` splits the device population across a process pool with
-  shared-memory result buffers (see :mod:`repro.fleet.parallel`).
+* ``workers`` splits the device population across a pool of
+  long-lived worker processes (see :mod:`repro.fleet.parallel`).
 
 Sweeps follow a strict seeding discipline — population seed → per-sweep
 device substreams, all derived in the parent before any dispatch — so a
@@ -194,7 +194,7 @@ def _run_chunk_attacks(job: _AttackChunkJob
                        ) -> Tuple[List[object], List[BatchOracle]]:
     """Shared chunk body: build oracles/attacks, run the campaign.
 
-    The chunk is also the supervised executor's retry unit: because
+    The chunk is also the supervised pool's retry unit: because
     the job only consumes streams handed to it (derived parent-side)
     and runs against payload copies, re-executing a chunk from
     scratch reproduces it bitwise.
@@ -347,7 +347,7 @@ class Fleet:
         factory must be picklable (module-level, not a lambda).
         *supervision* (a
         :class:`repro.fleet.resilience.Supervisor`) runs the
-        enrollment under the fault-tolerant executor.
+        enrollment under the supervised pool.
         """
         jobs = [_EnrollJob(array, keygen_factory, child)
                 for array, child in zip(self._arrays,
@@ -400,7 +400,7 @@ class Fleet:
             returned rates are bitwise-identical for every value.
         supervision:
             Optional :class:`repro.fleet.resilience.Supervisor`: the
-            sweep runs under the fault-tolerant executor (watchdog,
+            sweep runs under the supervised pool (watchdog,
             seeded retry, quarantine) with unchanged results.
         trajectory:
             Optional
@@ -556,7 +556,7 @@ class Fleet:
             it, aging drift excepted.
         supervision:
             Optional :class:`repro.fleet.resilience.Supervisor`: the
-            campaign runs under the fault-tolerant executor with
+            campaign runs under the supervised pool with
             chunk-level retry of each :class:`_AttackChunkJob`; the
             per-device results contract is unchanged.
         """
@@ -668,8 +668,8 @@ class Fleet:
         the stepwise protocol and fuses exactly when lock-stepping.
         The default ``workers=1`` without supervision keeps the
         historical single-process path (results built in this
-        process); otherwise chunks dispatch through the pool or the
-        supervised executor, and result objects must be picklable.
+        process); otherwise chunks dispatch through the worker pool,
+        supervised or not, and result objects must be picklable.
         """
         count = len(self._arrays)
         if lockstep is None:

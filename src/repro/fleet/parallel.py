@@ -1,17 +1,19 @@
-"""Process-pool execution layer for fleet sweeps.
+"""Fleet sweep execution: in-process, or through the worker pool.
 
 Fleet sweeps are embarrassingly parallel across devices: each device's
 Monte-Carlo outcome is a pure function of (a) the device/keygen/helper
 state captured when the sweep starts and (b) a noise substream derived
 from the population seed.  This module exploits that shape:
 
-* :func:`run_scattered` executes one job per device and scatters each
-  job's fixed-width numeric outputs into **shared-memory result
-  buffers** — workers write their chunk of the result vector in place,
-  nothing is serialised on the way back.
-* :func:`run_collected` executes one job per device and collects
-  arbitrary Python results (used for enrollment, whose outputs are
-  keygen/helper objects).
+* :func:`run_collected` executes one job per device and collects its
+  Python result, in payload order;
+* :func:`run_scattered` is :func:`run_collected` plus one column
+  array per output dtype, for jobs returning fixed-width numbers.
+
+With ``workers=1`` and no supervision the jobs run in this process.
+Everything else splits the payloads into contiguous chunks and runs
+them on the long-lived worker pool of :mod:`repro.fleet.pool`, results
+returned by value.
 
 Both entry points guarantee **worker-count invariance**: results are
 bitwise-identical whatever ``workers`` is, including 1.  Two mechanisms
@@ -28,25 +30,24 @@ lambdas).  ``workers=1`` relaxes this to deep-copyability, which keeps
 lambda factories working for in-process sweeps.
 
 Both entry points also accept ``supervision=`` — a
-:class:`repro.fleet.resilience.Supervisor` — which reroutes the sweep
-through the fault-tolerant supervised executor (per-chunk watchdog,
-seeded retry/backoff, quarantine, in-process degradation) with the
-same bitwise results contract.  See :mod:`repro.fleet.resilience` and
+:class:`repro.fleet.resilience.Supervisor` — which runs the chunks
+under the pool's supervision (watchdog, seeded retry/backoff,
+quarantine, in-process degradation) with the same bitwise results
+contract.  Supervised chunks always leave the calling process, even
+at ``workers=1``.  See :mod:`repro.fleet.resilience` and
 ``docs/resilience.md``.
 """
 
 from __future__ import annotations
 
-import copy
-import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from multiprocessing import shared_memory
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.fleet.pool import Task, execute, run_tasks
+from repro.fleet.resilience import payload_digest
 
 #: A job maps one device's payload to a tuple of numeric outputs.
 JobFn = Callable[[object], Tuple]
@@ -109,9 +110,8 @@ def _ensure_picklable(run_job: JobFn,
 def chunk_indices(count: int, chunks: int) -> List[np.ndarray]:
     """Split ``range(count)`` into at most *chunks* contiguous blocks.
 
-    Chunks are the unit of work handed to a pool worker and the unit of
-    shared-memory writeback; contiguity keeps each worker's writes in
-    one cache-friendly slice.  Empty blocks are dropped.
+    Chunks are the unit of work handed to a pool worker, and the unit
+    a supervised sweep retries.  Empty blocks are dropped.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -119,121 +119,6 @@ def chunk_indices(count: int, chunks: int) -> List[np.ndarray]:
         raise ValueError("need at least one chunk")
     return [block for block in np.array_split(np.arange(count), chunks)
             if block.size]
-
-
-def _pool_context():
-    """The platform-default multiprocessing start method.
-
-    Deliberately not forced to ``fork``: CPython picks per platform
-    and version (fork on Linux ≤ 3.13, forkserver on Linux 3.14+,
-    spawn on macOS/Windows) precisely because forking a multi-threaded
-    parent can deadlock children.  Sweep payloads are picklable, so
-    every start method works; under spawn/forkserver, scripts calling
-    parallel sweeps at module level need the standard
-    ``if __name__ == "__main__":`` guard.
-    """
-    return multiprocessing.get_context()
-
-
-@dataclass(frozen=True)
-class _BufferSlot:
-    """Attach handle for one shared-memory result vector."""
-
-    name: str
-    length: int
-    dtype: str
-
-
-class SharedResultBuffer:
-    """A 1-D result vector in shared memory, filled chunk-by-chunk.
-
-    The parent allocates the buffer and passes :attr:`slot` to workers;
-    each worker attaches, writes the entries of its device chunk, and
-    detaches.  :meth:`read` copies the vector out so the segment can be
-    unlinked as soon as the sweep completes.
-    """
-
-    def __init__(self, length: int, dtype) -> None:
-        self._dtype = np.dtype(dtype)
-        self._length = int(length)
-        size = max(1, self._length * self._dtype.itemsize)
-        self._shm = shared_memory.SharedMemory(create=True, size=size)
-        self.view()[:] = 0
-
-    @property
-    def slot(self) -> _BufferSlot:
-        """Pickle-friendly handle workers use to attach."""
-        return _BufferSlot(self._shm.name, self._length,
-                           self._dtype.str)
-
-    def view(self) -> np.ndarray:
-        """The parent's live view of the shared vector."""
-        return np.ndarray((self._length,), dtype=self._dtype,
-                          buffer=self._shm.buf)
-
-    def read(self) -> np.ndarray:
-        """A private copy of the current buffer contents."""
-        return self.view().copy()
-
-    def dispose(self) -> None:
-        """Release and unlink the shared segment."""
-        self._shm.close()
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-def _write_chunk(run_job: JobFn, slots: Sequence[_BufferSlot],
-                 indices: Sequence[int],
-                 payloads: Sequence[object]) -> None:
-    """Worker body: run a chunk of jobs, scatter outputs into shm."""
-    segments = [shared_memory.SharedMemory(name=slot.name)
-                for slot in slots]
-    try:
-        views = [np.ndarray((slot.length,), dtype=slot.dtype,
-                            buffer=segment.buf)
-                 for slot, segment in zip(slots, segments)]
-        try:
-            for index, payload in zip(indices, payloads):
-                for view, value in zip(views, run_job(payload)):
-                    view[index] = value
-        finally:
-            # Drop the buffer exports before closing; a propagating
-            # job exception must not be masked by close() complaints.
-            views.clear()
-            del views
-    finally:
-        for segment in segments:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - interpreter-
-                pass             # version dependent export tracking
-
-
-def _collect_chunk(run_job: JobFn,
-                   payloads: Sequence[object]) -> List[object]:
-    """Worker body: run a chunk of jobs, return results by value."""
-    return [run_job(payload) for payload in payloads]
-
-
-def _run_inprocess(run_job: JobFn, payloads: Sequence[object],
-                   shared: Sequence[object] = ()) -> list:
-    """Single-worker path: same mutation semantics as the pool path.
-
-    Jobs run against deep copies so parent-side keygen streams stay
-    untouched, exactly as they do when the payload is pickled to
-    another process.  Objects in *shared* are kept by reference
-    instead of copied — the caller guarantees jobs never mutate them
-    (fleet sweeps treat device models as read-only: all noise comes
-    from explicit job streams), which skips duplicating the device
-    physics on every in-process sweep.
-    """
-    results = []
-    for payload in payloads:
-        memo = {id(obj): obj for obj in shared}
-        results.append(run_job(copy.deepcopy(payload, memo)))
-    return results
 
 
 def run_scattered(run_job: JobFn, payloads: Sequence[object],
@@ -246,51 +131,19 @@ def run_scattered(run_job: JobFn, payloads: Sequence[object],
     payload.  Returns one 1-D array per dtype, each of length
     ``len(payloads)``, with entry ``i`` produced by ``payloads[i]`` —
     bitwise-independent of *workers* and of how devices were chunked.
-    *shared* lists read-only payload constituents exempt from the
-    in-process defensive copy (see :func:`_run_inprocess`).
-    *supervision* (a :class:`repro.fleet.resilience.Supervisor`)
-    reroutes the sweep through the fault-tolerant executor; it always
-    isolates chunks in watched child processes, so payloads must then
-    be picklable even with ``workers=1``.
+    Everything else, *supervision* included, is
+    :func:`run_collected`; poisoned entries of an ``allow_partial``
+    sweep stay zero.
     """
-    if supervision is not None:
-        from repro.fleet.resilience import run_supervised_scattered
-        return run_supervised_scattered(run_job, payloads, dtypes,
-                                        workers, shared, supervision)
-    count = len(payloads)
-    resolved = resolve_workers(workers, count)
-    if resolved == 1 or count <= 1:
-        outputs = [np.zeros(count, dtype=dt) for dt in dtypes]
-        for index, values in enumerate(
-                _run_inprocess(run_job, payloads, shared)):
+    dtypes = [np.dtype(dt) for dt in dtypes]
+    results = run_collected(run_job, payloads, workers, shared,
+                            supervision)
+    outputs = [np.zeros(len(payloads), dtype=dt) for dt in dtypes]
+    for index, values in enumerate(results):
+        if values is not None:
             for output, value in zip(outputs, values):
                 output[index] = value
-        return tuple(outputs)
-
-    _ensure_picklable(run_job, payloads)
-    # Buffers are allocated inside the try so that a failure while
-    # allocating buffer k still disposes buffers 0..k-1 — a
-    # list-comprehension outside it would orphan those segments.
-    buffers: List[SharedResultBuffer] = []
-    try:
-        for dt in dtypes:
-            buffers.append(SharedResultBuffer(count, dt))
-        slots = [buffer.slot for buffer in buffers]
-        chunks = chunk_indices(count, min(count, 4 * resolved))
-        with ProcessPoolExecutor(
-                max_workers=min(resolved, len(chunks)),
-                mp_context=_pool_context()) as pool:
-            futures = [
-                pool.submit(_write_chunk, run_job, slots,
-                            block.tolist(),
-                            [payloads[i] for i in block])
-                for block in chunks]
-            for future in futures:
-                future.result()
-        return tuple(buffer.read() for buffer in buffers)
-    finally:
-        for buffer in buffers:
-            buffer.dispose()
+    return tuple(outputs)
 
 
 def run_collected(run_job: JobFn, payloads: Sequence[object],
@@ -299,31 +152,33 @@ def run_collected(run_job: JobFn, payloads: Sequence[object],
                   supervision=None) -> list:
     """Run one job per payload; collect Python results in order.
 
-    Like :func:`run_scattered` but for jobs whose outputs are objects
-    (enrollment produces keygens and helper data); results travel back
-    through the future machinery instead of shared memory.  *shared*
-    lists read-only payload constituents exempt from the in-process
-    defensive copy.  *supervision* reroutes through the fault-tolerant
-    executor exactly as in :func:`run_scattered`.
+    *shared* lists read-only payload constituents exempt from the
+    in-process defensive copy (fleet sweeps treat device models as
+    read-only, so the device physics is not duplicated per job).
+    *supervision* (a :class:`repro.fleet.resilience.Supervisor`) runs
+    the chunks supervised and appends the sweep's report to it;
+    poisoned entries of an ``allow_partial`` sweep are ``None``.
     """
-    if supervision is not None:
-        from repro.fleet.resilience import run_supervised_collected
-        return run_supervised_collected(run_job, payloads, workers,
-                                        shared, supervision)
     count = len(payloads)
     resolved = resolve_workers(workers, count)
-    if resolved == 1 or count <= 1:
-        return _run_inprocess(run_job, payloads, shared)
+    if supervision is None and (resolved == 1 or count <= 1):
+        return execute(run_job, payloads, shared=tuple(shared))[0]
     _ensure_picklable(run_job, payloads)
-    chunks = chunk_indices(count, min(count, 4 * resolved))
+    blocks = chunk_indices(count, min(count, 4 * resolved)) if count \
+        else []
+    policy = report = None
+    if supervision is not None:
+        policy = supervision.policy
+        report = supervision.new_report(len(blocks))
+    tasks = []
+    for index, block in enumerate(blocks):
+        chunk = [payloads[i] for i in block]
+        digest = payload_digest(chunk) if supervision is not None else ""
+        tasks.append(Task(index, run_job, chunk, digest))
     results: list = [None] * count
-    with ProcessPoolExecutor(max_workers=min(resolved, len(chunks)),
-                             mp_context=_pool_context()) as pool:
-        futures = [(block,
-                    pool.submit(_collect_chunk, run_job,
-                                [payloads[i] for i in block]))
-                   for block in chunks]
-        for block, future in futures:
-            for index, result in zip(block, future.result()):
-                results[index] = result
+    for done in run_tasks(tasks, resolved, policy, report,
+                          shared=shared):
+        if not done.poisoned:
+            for index, value in zip(blocks[done.index], done.results):
+                results[index] = value
     return results

@@ -1,9 +1,9 @@
-"""Supervised, fault-tolerant execution of fleet sweep chunks.
+"""Supervision policy and failure taxonomy of the worker pool.
 
-The plain pool in :mod:`repro.fleet.parallel` assumes every worker
-finishes: one crashed, hung or OOM-killed process aborts the whole
-sweep.  This module adds a **supervised** execution mode in which each
-dispatch chunk runs in its own watched child process under a
+An unsupervised pool run assumes every worker finishes: one crashed,
+hung or OOM-killed process aborts the whole sweep.  A **supervised**
+run (a :class:`Supervisor` passed as ``supervision=``) drives its
+chunks through the scheduling loop of :mod:`repro.fleet.pool` under a
 :class:`RetryPolicy`:
 
 * a **watchdog** kills chunks that exceed ``chunk_timeout``;
@@ -38,26 +38,8 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import time
 from dataclasses import dataclass, field
-from multiprocessing import connection
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-import numpy as np
-
-from repro.fleet import faultinject
-
-#: Granularity of the supervisor's poll loop (seconds).  Bounds how
-#: late a watchdog kill or a backed-off relaunch can be; failure
-#: *semantics* never depend on it.
-_POLL_SECONDS = 0.05
+from typing import Dict, List, Optional, Sequence
 
 
 class PoisonedSweepError(RuntimeError):
@@ -315,371 +297,9 @@ class Supervisor:
         return target
 
 
-# ----------------------------------------------------------------------
-# supervised child entrypoints (module level so every start method can
-# pickle them)
-
-
-def _send_outcome(conn, message: Tuple[str, object]) -> None:
-    """Best-effort result/error send; the parent survives a lost
-    pipe either way (it reads EOF as a crash)."""
-    try:
-        conn.send(message)
-    except Exception:  # pragma: no cover - torn pipe during shutdown
-        pass
-
-
-def _scattered_entry(conn, run_job, payloads, indices, slots,
-                     chunk: int, attempt: int) -> None:
-    """Child body: run one chunk, scatter outputs into shared memory.
-
-    This is the supervised worker entrypoint — the fault-injection
-    environment hook (:func:`repro.fleet.faultinject.active_spec`)
-    fires here, keyed on ``(chunk, attempt)``.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        tripwire = faultinject.entry_fire(
-            faultinject.active_spec(chunk, attempt))
-        segments = [shared_memory.SharedMemory(name=slot.name)
-                    for slot in slots]
-        try:
-            views = [np.ndarray((slot.length,), dtype=slot.dtype,
-                                buffer=segment.buf)
-                     for slot, segment in zip(slots, segments)]
-            try:
-                for index, payload in zip(indices, payloads):
-                    for view, value in zip(views, run_job(payload)):
-                        view[index] = value
-                    tripwire.step()
-            finally:
-                views.clear()
-                del views
-        finally:
-            for segment in segments:
-                try:
-                    segment.close()
-                except BufferError:  # pragma: no cover
-                    pass
-        _send_outcome(conn, ("ok", None))
-    except BaseException as error:
-        _send_outcome(conn,
-                      ("error", f"{type(error).__name__}: {error}"))
-    finally:
-        conn.close()
-
-
-def _collected_entry(conn, run_job, payloads, chunk: int,
-                     attempt: int) -> None:
-    """Child body: run one chunk, send results back by value."""
-    try:
-        tripwire = faultinject.entry_fire(
-            faultinject.active_spec(chunk, attempt))
-        results = []
-        for payload in payloads:
-            results.append(run_job(payload))
-            tripwire.step()
-        _send_outcome(conn, ("ok", results))
-    except BaseException as error:
-        _send_outcome(conn,
-                      ("error", f"{type(error).__name__}: {error}"))
-    finally:
-        conn.close()
-
-
-# ----------------------------------------------------------------------
-# the supervisor loop
-
-
-@dataclass
-class _ChunkTask:
-    """Parent-side state of one chunk across its attempts."""
-
-    index: int
-    indices: List[int]
-    digest: str
-    attempt: int = 0
-    ready_at: float = 0.0
-
-
-@dataclass
-class _Active:
-    """One launched chunk attempt under watch."""
-
-    proc: object
-    conn: object
-    deadline: Optional[float]
-    task: _ChunkTask
-
-
 def payload_digest(payloads: Sequence[object]) -> str:
     """Short stable digest identifying a chunk's payload content."""
     digest = hashlib.sha256()
     for payload in payloads:
         digest.update(pickle.dumps(payload))
     return digest.hexdigest()[:16]
-
-
-def _reap(entry: _Active) -> None:
-    """Join a finished/killed child and release its pipe end."""
-    entry.proc.join()
-    try:
-        entry.conn.close()
-    except OSError:  # pragma: no cover - already closed
-        pass
-
-
-def _supervise(tasks: List[_ChunkTask], policy: RetryPolicy,
-               width: int, report: ResilienceReport,
-               start: Callable[[_ChunkTask], Tuple[object, object]],
-               on_success: Callable[[_ChunkTask, object], None],
-               run_quarantined: Callable[[_ChunkTask], None]) -> None:
-    """Drive every chunk to success, quarantine, or poison.
-
-    *start* launches one watched child for a task and returns
-    ``(process, parent_conn)``; *on_success* consumes a child's
-    ``ok`` payload; *run_quarantined* re-executes a quarantined
-    chunk in the parent process (the graceful-degradation pass).
-    """
-    pending: List[_ChunkTask] = list(tasks)
-    active: Dict[int, _Active] = {}
-    quarantined: List[_ChunkTask] = []
-
-    while pending or active:
-        now = time.monotonic()
-        launchable = [task for task in pending
-                      if task.ready_at <= now]
-        while launchable and len(active) < width:
-            task = launchable.pop(0)
-            pending.remove(task)
-            proc, conn = start(task)
-            deadline = (now + policy.chunk_timeout
-                        if policy.chunk_timeout is not None else None)
-            active[task.index] = _Active(proc, conn, deadline, task)
-        if not active:
-            # Every remaining chunk is backing off; sleep to the
-            # earliest relaunch.
-            wake = min(task.ready_at for task in pending)
-            time.sleep(max(0.0, wake - time.monotonic()))
-            continue
-
-        timeout = _POLL_SECONDS
-        deadlines = [entry.deadline for entry in active.values()
-                     if entry.deadline is not None]
-        if deadlines:
-            timeout = min(timeout,
-                          max(0.0, min(deadlines) - time.monotonic()))
-        ready = connection.wait(
-            [entry.conn for entry in active.values()], timeout)
-
-        now = time.monotonic()
-        for index, entry in list(active.items()):
-            failure: Optional[Tuple[str, str]] = None
-            if entry.conn in ready:
-                try:
-                    message = entry.conn.recv()
-                except (EOFError, OSError):
-                    message = None
-                _reap(entry)
-                if (isinstance(message, tuple) and len(message) == 2
-                        and message[0] == "ok"):
-                    on_success(entry.task, message[1])
-                    del active[index]
-                    continue
-                if message is None:
-                    code = entry.proc.exitcode
-                    failure = ("crash",
-                               f"worker died without a message "
-                               f"(exit code {code})")
-                else:
-                    failure = ("exception", str(message[1]))
-            elif entry.deadline is not None and now >= entry.deadline:
-                entry.proc.kill()
-                _reap(entry)
-                failure = ("timeout",
-                           f"chunk exceeded the "
-                           f"{policy.chunk_timeout:g}s watchdog")
-            if failure is None:
-                continue
-            del active[index]
-            kind, detail = failure
-            task = entry.task
-            report.failures.append(ChunkFailure(
-                kind=kind, chunk=task.index, attempt=task.attempt,
-                pid=entry.proc.pid, payload_digest=task.digest,
-                detail=detail))
-            if task.attempt < policy.max_retries:
-                delay = policy.backoff_delay(task.digest,
-                                             task.attempt)
-                task.attempt += 1
-                task.ready_at = time.monotonic() + delay
-                report.retried += 1
-                pending.append(task)
-            else:
-                quarantined.append(task)
-
-    # Graceful degradation: one in-process retry per quarantined
-    # chunk before the sweep admits defeat.  Only ``raise``-mode
-    # injected faults fire here (crash/hang would take the
-    # supervisor down), so genuinely poisonous chunks stay poisoned.
-    for task in sorted(quarantined, key=lambda item: item.index):
-        attempt = policy.max_retries + 1
-        try:
-            faultinject.fire(
-                faultinject.active_spec(task.index, attempt),
-                inprocess=True)
-            run_quarantined(task)
-            report.degraded.append(task.index)
-        except Exception as error:
-            report.failures.append(ChunkFailure(
-                kind="poison", chunk=task.index, attempt=attempt,
-                pid=None, payload_digest=task.digest,
-                detail=f"{type(error).__name__}: {error}"))
-            report.poisoned.append(task.index)
-
-    if report.poisoned and not policy.allow_partial:
-        raise PoisonedSweepError(report)
-
-
-def _build_tasks(payloads: Sequence[object],
-                 blocks: Sequence[np.ndarray]) -> List[_ChunkTask]:
-    """One parent-side task per dispatch chunk."""
-    return [
-        _ChunkTask(index=index, indices=[int(i) for i in block],
-                   digest=payload_digest(
-                       [payloads[int(i)] for i in block]))
-        for index, block in enumerate(blocks)]
-
-
-def run_supervised_scattered(run_job, payloads: Sequence[object],
-                             dtypes: Sequence,
-                             workers: Optional[int],
-                             shared: Sequence[object],
-                             supervisor: Supervisor
-                             ) -> Tuple[np.ndarray, ...]:
-    """Supervised twin of :func:`repro.fleet.parallel.run_scattered`.
-
-    Same contract — one scalar per dtype per payload, entry ``i``
-    from ``payloads[i]``, results bitwise-independent of *workers*
-    and of which attempts faulted — plus the recovery semantics of
-    the module docstring.  Poisoned chunks leave zeros in their
-    entries when the policy allows partial results.
-    """
-    from repro.fleet.parallel import (
-        SharedResultBuffer,
-        _ensure_picklable,
-        _pool_context,
-        _run_inprocess,
-        chunk_indices,
-        resolve_workers,
-    )
-
-    count = len(payloads)
-    resolved = resolve_workers(workers, count)
-    if count == 0:
-        supervisor.new_report(0)
-        return tuple(np.zeros(0, dtype=dt) for dt in dtypes)
-    _ensure_picklable(run_job, payloads)
-    blocks = chunk_indices(count, min(count, 4 * resolved))
-    report = supervisor.new_report(len(blocks))
-    tasks = _build_tasks(payloads, blocks)
-    ctx = _pool_context()
-
-    buffers: List[SharedResultBuffer] = []
-    try:
-        for dt in dtypes:
-            buffers.append(SharedResultBuffer(count, dt))
-        slots = [buffer.slot for buffer in buffers]
-
-        def start(task: _ChunkTask):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_scattered_entry,
-                args=(send, run_job,
-                      [payloads[i] for i in task.indices],
-                      task.indices, slots, task.index, task.attempt),
-                daemon=True)
-            proc.start()
-            send.close()
-            return proc, recv
-
-        def on_success(task: _ChunkTask, payload: object) -> None:
-            pass  # the child already scattered into shared memory
-
-        def run_quarantined(task: _ChunkTask) -> None:
-            results = _run_inprocess(
-                run_job, [payloads[i] for i in task.indices], shared)
-            views = [buffer.view() for buffer in buffers]
-            try:
-                for index, values in zip(task.indices, results):
-                    for view, value in zip(views, values):
-                        view[index] = value
-            finally:
-                views.clear()
-                del views
-
-        _supervise(tasks, supervisor.policy,
-                   min(resolved, len(blocks)), report, start,
-                   on_success, run_quarantined)
-        return tuple(buffer.read() for buffer in buffers)
-    finally:
-        for buffer in buffers:
-            buffer.dispose()
-
-
-def run_supervised_collected(run_job, payloads: Sequence[object],
-                             workers: Optional[int],
-                             shared: Sequence[object],
-                             supervisor: Supervisor) -> list:
-    """Supervised twin of :func:`repro.fleet.parallel.run_collected`.
-
-    Results travel back over the watched child's pipe; poisoned
-    chunks leave ``None`` in their entries when the policy allows
-    partial results.
-    """
-    from repro.fleet.parallel import (
-        _ensure_picklable,
-        _pool_context,
-        _run_inprocess,
-        chunk_indices,
-        resolve_workers,
-    )
-
-    count = len(payloads)
-    resolved = resolve_workers(workers, count)
-    if count == 0:
-        supervisor.new_report(0)
-        return []
-    _ensure_picklable(run_job, payloads)
-    blocks = chunk_indices(count, min(count, 4 * resolved))
-    report = supervisor.new_report(len(blocks))
-    tasks = _build_tasks(payloads, blocks)
-    ctx = _pool_context()
-    results: list = [None] * count
-
-    def start(task: _ChunkTask):
-        recv, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_collected_entry,
-            args=(send, run_job,
-                  [payloads[i] for i in task.indices],
-                  task.index, task.attempt),
-            daemon=True)
-        proc.start()
-        send.close()
-        return proc, recv
-
-    def on_success(task: _ChunkTask, payload: object) -> None:
-        for index, value in zip(task.indices, payload):
-            results[index] = value
-
-    def run_quarantined(task: _ChunkTask) -> None:
-        values = _run_inprocess(
-            run_job, [payloads[i] for i in task.indices], shared)
-        for index, value in zip(task.indices, values):
-            results[index] = value
-
-    _supervise(tasks, supervisor.policy, min(resolved, len(blocks)),
-               report, start, on_success, run_quarantined)
-    return results

@@ -4,10 +4,11 @@ The service layers three pieces over the fleet engine:
 
 * :mod:`repro.service.shard` / :mod:`repro.service.dispatcher` — a
   deterministic :class:`ShardPlan` over a seeded population, executed
-  by long-lived worker processes over a length-prefixed pipe/TCP
-  protocol, with the PR-8 retry/quarantine taxonomy
-  (:class:`~repro.fleet.resilience.RetryPolicy`) for crashes,
-  timeouts and poison shards;
+  as tasks of the fleet's supervised worker pool
+  (:mod:`repro.fleet.pool`: long-lived workers over a length-prefixed
+  pipe/TCP protocol, with the
+  :class:`~repro.fleet.resilience.RetryPolicy` retry/quarantine
+  taxonomy for crashes, timeouts and poison shards);
 * :mod:`repro.service.stream` — :func:`submit_sweep` returning a
   lazy :class:`SweepHandle` that yields typed :class:`ShardResult`
   chunks in completion order, replays them in order, and merges them
@@ -23,11 +24,8 @@ sweep call order — never from worker count, shard count, transport or
 completion order.
 """
 
-from repro.service.dispatcher import (
-    Dispatcher,
-    ServiceProtocolError,
-    WorkerHandshakeError,
-)
+from repro.fleet.pool import ServiceProtocolError, WorkerHandshakeError
+from repro.service.dispatcher import Dispatcher
 from repro.service.registry import (
     EnrollmentRegistry,
     RegistryError,
@@ -39,6 +37,7 @@ from repro.service.shard import (
     KIND_FAILURE,
     KINDS,
     ShardPlan,
+    ShardResult,
     ShardSpec,
     execute_shard,
     merge_attack,
@@ -48,7 +47,6 @@ from repro.service.shard import (
 )
 from repro.service.stream import (
     PopulationSpec,
-    ShardResult,
     SweepHandle,
     submit_sweep,
 )

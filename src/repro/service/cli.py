@@ -41,6 +41,7 @@ from repro.fleet import (
     SequentialAttackFactory,
     TempAwareAttackFactory,
 )
+from repro.fleet.pool import WorkerHandshakeError
 from repro.fleet.resilience import PoisonedSweepError, RetryPolicy
 from repro.keygen import (
     DistillerPairingKeyGen,
@@ -50,7 +51,6 @@ from repro.keygen import (
     TempAwareKeyGen,
 )
 from repro.puf import ROArrayParams
-from repro.service.dispatcher import WorkerHandshakeError
 from repro.service.registry import (
     EnrollmentRegistry,
     RegistryError,

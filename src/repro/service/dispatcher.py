@@ -1,269 +1,40 @@
-"""Long-lived shard workers driven over a length-prefixed protocol.
+"""The service's shard adapter over the fleet worker pool.
 
-The fleet's process pool (PR 2) and supervised executor (PR 8) spawn
-one child per chunk attempt.  The service dispatcher instead keeps a
-small set of **long-lived worker processes**, each connected back to
-the dispatcher over a stream socket, and feeds them shards one at a
-time — the shape a shard-per-host deployment takes, exercised here
-with local processes.
-
-Wire protocol (both directions)::
-
-    offset  size  field
-    0       4     frame length n (u32, little-endian)
-    4       n     pickled message
-
-Messages are ``(type, payload)`` tuples:
-
-* ``("hello", {"worker", "pid", "protocol"})`` — worker → dispatcher,
-  once, immediately after connecting.  A worker that dies before its
-  hello surfaces as a :class:`WorkerHandshakeError` naming the worker
-  and its exit code — never a hang.
-* ``("task", {"kind", "shard", "jobs", "attempt"})`` — dispatcher →
-  worker: execute one shard.
-* ``("result", {"shard", "attempt", "data", "seconds", "kernel",
-  "pid"})`` — worker → dispatcher on success.
-* ``("error", {"shard", "attempt", "detail"})`` — worker →
-  dispatcher when the shard body raised; the worker stays alive and
-  accepts further tasks.
-* ``("shutdown", None)`` — dispatcher → worker: exit the loop.
-
-Two transports bind the same protocol: ``"pipe"`` (an
-``AF_UNIX`` stream socket in a private temporary directory) and
-``"tcp"`` (loopback TCP, port chosen by the OS).  Results are
-bitwise-identical across transports — the transport moves bytes, the
-substreams were all derived before dispatch.
-
-Failure handling reuses the PR 8 taxonomy: a worker death mid-shard
-is a ``crash``, a watchdog overrun a ``timeout``, an in-band error
-frame an ``exception``; retries back off on the seeded
-:meth:`~repro.fleet.resilience.RetryPolicy.backoff_delay` schedule
-keyed by the shard digest, exhausted shards run degraded in the
-dispatcher process, and shards that still fail poison the sweep
-(:class:`~repro.fleet.resilience.PoisonedSweepError`) unless the
-policy allows partial results.
+:class:`Dispatcher` turns a :class:`~repro.service.shard.ShardPlan`
+and its per-shard job lists into pool tasks — one task per shard,
+calling :func:`~repro.service.shard.execute_shard` on every job — and
+runs them through :func:`repro.fleet.pool.run_tasks`: the same
+long-lived framed workers, watchdog, seeded backoff, quarantine and
+poison handling that supervised fleet sweeps use.  The shard index is
+the fault-injection coordinate and the shard digest seeds the backoff
+jitter, so a ``REPRO_FAULT_PLAN`` drives shards exactly as it drives
+fleet chunks, and a faulted sweep replays the same schedule run over
+run.
 """
 
 from __future__ import annotations
 
-import copy
-import os
-import pickle
-import selectors
-import socket
-import struct
-import tempfile
-import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+import functools
+from typing import Iterator, Optional, Sequence
 
-from repro.fleet import faultinject
-from repro.fleet.parallel import _pool_context, resolve_workers
+from repro.fleet.parallel import resolve_workers
+from repro.fleet.pool import TRANSPORTS, Task, run_tasks
 from repro.fleet.resilience import (
-    ChunkFailure,
-    PoisonedSweepError,
     ResilienceReport,
     RetryPolicy,
     Supervisor,
 )
-from repro.service.shard import ShardPlan, ShardSpec, execute_shard
-
-#: Protocol version carried in every hello frame; a mismatch is a
-#: deployment error and fails the handshake loudly.
-PROTOCOL_VERSION = 1
-
-#: Supported worker transports.
-TRANSPORTS = ("pipe", "tcp")
-
-#: Granularity of the dispatcher's poll loop (seconds); bounds how
-#: late a watchdog kill or backed-off relaunch can be, never what the
-#: results are.
-_POLL_SECONDS = 0.05
-
-#: Frames beyond this are a protocol violation, not a huge payload.
-_MAX_FRAME = 1 << 31
-
-
-class ServiceProtocolError(RuntimeError):
-    """A peer sent bytes violating the framed message protocol."""
-
-
-class WorkerHandshakeError(RuntimeError):
-    """A shard worker failed to complete the service handshake.
-
-    Raised by the dispatcher instead of blocking on ``accept()``
-    forever when a worker process dies (or stalls) before sending its
-    hello frame — the ``resolve_workers``/dispatcher interaction fix:
-    worker counts are resolved against the shard count up front, and
-    every resolved worker must check in within the handshake timeout
-    or name the reason it could not.
-    """
-
-
-# ----------------------------------------------------------------------
-# framing
-
-
-def send_frame(sock: socket.socket, message: Tuple[str, object]
-               ) -> None:
-    """Send one length-prefixed pickled message."""
-    payload = pickle.dumps(message)
-    sock.sendall(struct.pack("<I", len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining > 0:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise EOFError("peer closed the connection mid-frame"
-                           if chunks or remaining < count
-                           else "peer closed the connection")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: socket.socket) -> Tuple[str, object]:
-    """Receive one length-prefixed pickled message.
-
-    Raises :class:`EOFError` on a cleanly closed peer and
-    :class:`ServiceProtocolError` on malformed framing.
-    """
-    header = _recv_exact(sock, 4)
-    (length,) = struct.unpack("<I", header)
-    if length > _MAX_FRAME:
-        raise ServiceProtocolError(
-            f"frame length {length} exceeds the protocol bound")
-    message = pickle.loads(_recv_exact(sock, length))
-    if not (isinstance(message, tuple) and len(message) == 2
-            and isinstance(message[0], str)):
-        raise ServiceProtocolError(
-            "message is not a (type, payload) tuple")
-    return message
-
-
-# ----------------------------------------------------------------------
-# transports
-
-
-def _make_listener(transport: str, tmpdir: str
-                   ) -> Tuple[socket.socket, Tuple]:
-    """Bind a listening socket; returns ``(listener, address)``.
-
-    The address tuple is what workers receive (picklable under every
-    multiprocessing start method): ``("unix", path)`` or
-    ``("tcp", host, port)``.
-    """
-    if transport == "pipe":
-        path = os.path.join(tmpdir, "dispatch.sock")
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(path)
-        listener.listen()
-        return listener, ("unix", path)
-    if transport == "tcp":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen()
-        host, port = listener.getsockname()
-        return listener, ("tcp", host, port)
-    raise ValueError(f"unknown transport {transport!r}; expected one "
-                     f"of {TRANSPORTS}")
-
-
-def _connect(address: Tuple) -> socket.socket:
-    """Worker-side connect to a dispatcher address tuple."""
-    if address[0] == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.connect(address[1])
-    elif address[0] == "tcp":
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.connect((address[1], address[2]))
-    else:
-        raise ValueError(f"unknown address family {address[0]!r}")
-    return sock
-
-
-# ----------------------------------------------------------------------
-# worker process
-
-
-def worker_main(address: Tuple, worker_id: int) -> None:
-    """Entry point of one long-lived shard worker process.
-
-    Connects back to the dispatcher, introduces itself, then serves
-    tasks until told to shut down.  The fault-injection environment
-    hook (:func:`repro.fleet.faultinject.active_spec`) fires at task
-    receipt, keyed on ``(shard index, attempt)`` — so the chaos plans
-    driving the supervised pool tests drive the service identically.
-    """
-    sock = _connect(address)
-    try:
-        send_frame(sock, ("hello", {"worker": int(worker_id),
-                                    "pid": os.getpid(),
-                                    "protocol": PROTOCOL_VERSION}))
-        while True:
-            try:
-                kind, payload = recv_frame(sock)
-            except EOFError:
-                return
-            if kind == "shutdown":
-                return
-            if kind != "task":
-                raise ServiceProtocolError(
-                    f"worker expected a task frame, got {kind!r}")
-            spec: ShardSpec = payload["shard"]
-            attempt = int(payload["attempt"])
-            try:
-                tripwire = faultinject.entry_fire(
-                    faultinject.active_spec(spec.index, attempt))
-                outcome = execute_shard(payload["kind"],
-                                        payload["jobs"],
-                                        tripwire=tripwire)
-            except Exception as error:
-                send_frame(sock, ("error", {
-                    "shard": spec.index, "attempt": attempt,
-                    "detail": f"{type(error).__name__}: {error}"}))
-                continue
-            outcome.update({"shard": spec.index, "attempt": attempt,
-                            "pid": os.getpid()})
-            send_frame(sock, ("result", outcome))
-    finally:
-        sock.close()
-
-
-# ----------------------------------------------------------------------
-# dispatcher
-
-
-@dataclass
-class _ShardTask:
-    """Dispatcher-side state of one shard across its attempts."""
-
-    spec: ShardSpec
-    kind: str
-    jobs: List[object]
-    attempt: int = 0
-    ready_at: float = 0.0
-
-
-@dataclass(eq=False)
-class _Worker:
-    """One connected long-lived worker (identity-hashed: lives in
-    the drive loop's ready set)."""
-
-    worker_id: int
-    proc: object
-    sock: socket.socket
-    pid: int
-    task: Optional[_ShardTask] = None
-    deadline: Optional[float] = None
-    buffer: bytes = field(default=b"", repr=False)
+from repro.service.shard import (
+    KINDS,
+    ShardPlan,
+    ShardResult,
+    execute_shard,
+    shard_data,
+)
 
 
 class Dispatcher:
-    """Drives a sharded sweep over long-lived protocol workers.
+    """Drives a sharded sweep over the long-lived worker pool.
 
     Parameters
     ----------
@@ -276,14 +47,14 @@ class Dispatcher:
     policy:
         :class:`~repro.fleet.resilience.RetryPolicy` governing
         watchdog timeouts, retry counts and backoff; defaults to the
-        supervised executor's defaults.
+        supervised pool's defaults.
     supervisor:
         Optional :class:`~repro.fleet.resilience.Supervisor` to
         collect the run's :class:`ResilienceReport` into; one is
         created on demand otherwise (exposed as :attr:`supervisor`).
     handshake_timeout:
-        Seconds each spawned worker gets to check in before the
-        dispatcher raises :class:`WorkerHandshakeError`.
+        Seconds each spawned worker gets to check in before the pool
+        raises :class:`~repro.fleet.pool.WorkerHandshakeError`.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -310,335 +81,33 @@ class Dispatcher:
         """The active retry policy."""
         return self.supervisor.policy
 
-    # ------------------------------------------------------------------
-
     def run(self, plan: ShardPlan, kind: str,
             shard_jobs: Sequence[Sequence[object]]
-            ) -> Iterator[Dict[str, object]]:
-        """Execute every shard; yield raw outcome dicts as they land.
+            ) -> Iterator[ShardResult]:
+        """Execute every shard; yield results as they land.
 
         *shard_jobs* is the per-shard job payload list, aligned with
-        ``plan.shards``.  Outcomes arrive in completion order (not
-        shard order) and carry ``shard`` (the :class:`ShardSpec`),
-        ``kind``, ``data``, ``seconds``, ``kernel``, ``attempt``,
-        ``worker`` (pid) and ``degraded``/``poisoned`` flags.  The
-        run's :class:`ResilienceReport` is on :attr:`report` once the
-        iterator is exhausted.
+        ``plan.shards``.  Results arrive in completion order (not
+        shard order).  The run's :class:`ResilienceReport` is on
+        :attr:`report` once the iterator is exhausted.
         """
+        if kind not in KINDS:
+            raise ValueError(f"unknown sweep kind {kind!r}; expected "
+                             f"one of {KINDS}")
         if len(shard_jobs) != len(plan.shards):
             raise ValueError("one job list per shard required")
         self.report = self.supervisor.new_report(len(plan.shards))
-        resolved = resolve_workers(self._workers_arg,
-                                   len(plan.shards))
-        tasks = [_ShardTask(spec, kind, list(jobs))
+        job = functools.partial(execute_shard, kind)
+        tasks = [Task(spec.index, job, list(jobs), spec.digest)
                  for spec, jobs in zip(plan.shards, shard_jobs)]
-        ctx = _pool_context()
-        workers: Dict[int, _Worker] = {}
-        self._next_worker_id = 0
-        with tempfile.TemporaryDirectory(
-                prefix="repro-service-") as tmpdir:
-            listener, address = _make_listener(self.transport, tmpdir)
-            try:
-                for _ in range(resolved):
-                    worker = self._spawn_worker(ctx, listener, address)
-                    workers[worker.worker_id] = worker
-                yield from self._drive(tasks, workers, ctx, listener,
-                                       address)
-            finally:
-                self._shutdown(workers, listener)
-
-    # ------------------------------------------------------------------
-
-    def _spawn_worker(self, ctx, listener: socket.socket,
-                      address: Tuple) -> _Worker:
-        """Start one worker process and complete its handshake."""
-        worker_id = self._next_worker_id
-        self._next_worker_id += 1
-        proc = ctx.Process(target=worker_main,
-                           args=(address, worker_id), daemon=True)
-        proc.start()
-        deadline = time.monotonic() + self.handshake_timeout
-        listener.settimeout(_POLL_SECONDS)
-        while True:
-            if not proc.is_alive():
-                code = proc.exitcode
-                proc.join()
-                raise WorkerHandshakeError(
-                    f"service worker {worker_id} (pid {proc.pid}) "
-                    f"exited with code {code} before completing the "
-                    f"handshake")
-            if time.monotonic() >= deadline:
-                proc.kill()
-                proc.join()
-                raise WorkerHandshakeError(
-                    f"service worker {worker_id} (pid {proc.pid}) "
-                    f"did not complete the handshake within "
-                    f"{self.handshake_timeout:g}s")
-            try:
-                sock, _ = listener.accept()
-            except socket.timeout:
-                continue
-            sock.settimeout(self.handshake_timeout)
-            try:
-                kind, payload = recv_frame(sock)
-            except (EOFError, OSError):
-                sock.close()
-                continue  # a dying worker's half-open connection
-            if kind != "hello":
-                sock.close()
-                raise ServiceProtocolError(
-                    f"expected a hello frame, got {kind!r}")
-            if payload.get("protocol") != PROTOCOL_VERSION:
-                sock.close()
-                raise WorkerHandshakeError(
-                    f"service worker {payload.get('worker')} speaks "
-                    f"protocol {payload.get('protocol')}, dispatcher "
-                    f"speaks {PROTOCOL_VERSION}")
-            sock.settimeout(None)
-            sock.setblocking(False)
-            return _Worker(int(payload["worker"]), proc, sock,
-                           int(payload["pid"]))
-
-    def _drive(self, tasks: List[_ShardTask],
-               workers: Dict[int, _Worker], ctx,
-               listener: socket.socket, address: Tuple
-               ) -> Iterator[Dict[str, object]]:
-        """The select loop: assign, collect, retry, degrade."""
-        report = self.report
-        policy = self.policy
-        pending: List[_ShardTask] = list(tasks)
-        quarantined: List[_ShardTask] = []
-        selector = selectors.DefaultSelector()
-        for worker in workers.values():
-            selector.register(worker.sock, selectors.EVENT_READ,
-                              worker)
-
-        def idle() -> List[_Worker]:
-            return [w for w in workers.values() if w.task is None]
-
-        def fail(worker: _Worker, kind: str, detail: str,
-                 respawn: bool) -> None:
-            task = worker.task
-            worker.task = None
-            worker.deadline = None
-            report.failures.append(ChunkFailure(
-                kind=kind, chunk=task.spec.index,
-                attempt=task.attempt, pid=worker.pid,
-                payload_digest=task.spec.digest, detail=detail))
-            if task.attempt < policy.max_retries:
-                delay = policy.backoff_delay(task.spec.digest,
-                                             task.attempt)
-                task.attempt += 1
-                task.ready_at = time.monotonic() + delay
-                report.retried += 1
-                pending.append(task)
-            else:
-                quarantined.append(task)
-            if respawn:
-                selector.unregister(worker.sock)
-                worker.sock.close()
-                worker.proc.kill()
-                worker.proc.join()
-                del workers[worker.worker_id]
-                if pending or any(w.task for w in workers.values()):
-                    fresh = self._spawn_worker(ctx, listener, address)
-                    workers[fresh.worker_id] = fresh
-                    selector.register(fresh.sock,
-                                      selectors.EVENT_READ, fresh)
-
-        while pending or any(w.task for w in workers.values()):
-            now = time.monotonic()
-            launchable = [task for task in pending
-                          if task.ready_at <= now]
-            free = idle()
-            while launchable and free:
-                task = launchable.pop(0)
-                pending.remove(task)
-                worker = free.pop(0)
-                worker.task = task
-                worker.deadline = (
-                    now + policy.chunk_timeout
-                    if policy.chunk_timeout is not None else None)
-                try:
-                    send_frame(worker.sock, ("task", {
-                        "kind": task.kind, "shard": task.spec,
-                        "jobs": task.jobs,
-                        "attempt": task.attempt}))
-                except (BrokenPipeError, ConnectionError, OSError):
-                    fail(worker, "crash",
-                         "worker connection lost while sending the "
-                         "task", respawn=True)
-
-            busy = [w for w in workers.values() if w.task is not None]
-            if not busy:
-                if pending:
-                    wake = min(task.ready_at for task in pending)
-                    time.sleep(min(_POLL_SECONDS,
-                                   max(0.0,
-                                       wake - time.monotonic())))
-                continue
-
-            timeout = _POLL_SECONDS
-            deadlines = [w.deadline for w in busy
-                         if w.deadline is not None]
-            if deadlines:
-                timeout = min(timeout,
-                              max(0.0,
-                                  min(deadlines) - time.monotonic()))
-            ready = {key.data for key, _ in selector.select(timeout)}
-
-            now = time.monotonic()
-            for worker in list(workers.values()):
-                if worker.task is None:
-                    if worker in ready:
-                        # An idle worker only "speaks" by dying
-                        # (EOF); replace it if work remains.
-                        selector.unregister(worker.sock)
-                        worker.sock.close()
-                        worker.proc.kill()
-                        worker.proc.join()
-                        del workers[worker.worker_id]
-                        if pending or any(w.task
-                                          for w in workers.values()):
-                            fresh = self._spawn_worker(ctx, listener,
-                                                       address)
-                            workers[fresh.worker_id] = fresh
-                            selector.register(
-                                fresh.sock, selectors.EVENT_READ,
-                                fresh)
-                    continue
-                if worker in ready:
-                    try:
-                        kind, payload = self._read_frame(worker)
-                    except (EOFError, ConnectionError, OSError,
-                            ServiceProtocolError) as error:
-                        fail(worker, "crash",
-                             f"worker died without a message "
-                             f"({type(error).__name__}: {error}; "
-                             f"exit code {worker.proc.exitcode})",
-                             respawn=True)
-                        continue
-                    if kind is None:
-                        continue  # partial frame, keep waiting
-                    if kind == "result":
-                        task = worker.task
-                        worker.task = None
-                        worker.deadline = None
-                        yield {
-                            "shard": task.spec, "kind": task.kind,
-                            "data": payload["data"],
-                            "seconds": payload["seconds"],
-                            "kernel": payload["kernel"],
-                            "attempt": int(payload["attempt"]),
-                            "worker": int(payload["pid"]),
-                            "degraded": False, "poisoned": False}
-                    elif kind == "error":
-                        fail(worker, "exception",
-                             str(payload["detail"]), respawn=False)
-                    else:
-                        fail(worker, "crash",
-                             f"worker sent unexpected frame "
-                             f"{kind!r}", respawn=True)
-                elif (worker.deadline is not None
-                      and now >= worker.deadline):
-                    fail(worker, "timeout",
-                         f"shard exceeded the "
-                         f"{policy.chunk_timeout:g}s watchdog",
-                         respawn=True)
-
-        yield from self._degrade(quarantined)
-        if report.poisoned and not policy.allow_partial:
-            raise PoisonedSweepError(report)
-
-    def _read_frame(self, worker: _Worker):
-        """Drain one frame from a non-blocking worker socket.
-
-        Returns ``(None, None)`` while the frame is still partial —
-        the select loop will call again when more bytes arrive.
-        """
-        while True:
-            if len(worker.buffer) >= 4:
-                (length,) = struct.unpack("<I", worker.buffer[:4])
-                if length > _MAX_FRAME:
-                    raise ServiceProtocolError(
-                        f"frame length {length} exceeds the protocol "
-                        f"bound")
-                if len(worker.buffer) >= 4 + length:
-                    payload = worker.buffer[4:4 + length]
-                    worker.buffer = worker.buffer[4 + length:]
-                    message = pickle.loads(payload)
-                    if not (isinstance(message, tuple)
-                            and len(message) == 2):
-                        raise ServiceProtocolError(
-                            "message is not a (type, payload) tuple")
-                    return message
-            try:
-                chunk = worker.sock.recv(1 << 20)
-            except (BlockingIOError, InterruptedError):
-                return None, None
-            if not chunk:
-                raise EOFError("worker closed the connection")
-            worker.buffer += chunk
-
-    def _degrade(self, quarantined: List[_ShardTask]
-                 ) -> Iterator[Dict[str, object]]:
-        """In-dispatcher retry of shards that exhausted the workers.
-
-        Jobs run against deep copies (the submitting process owns the
-        originals' stream state), mirroring the supervised executor's
-        graceful-degradation pass.  Only ``raise``-mode injected
-        faults fire here, so genuinely poisonous shards stay
-        poisoned.
-        """
-        report = self.report
-        for task in sorted(quarantined, key=lambda t: t.spec.index):
-            attempt = self.policy.max_retries + 1
-            try:
-                faultinject.fire(
-                    faultinject.active_spec(task.spec.index, attempt),
-                    inprocess=True)
-                outcome = execute_shard(task.kind,
-                                        copy.deepcopy(task.jobs))
-                report.degraded.append(task.spec.index)
-                yield {
-                    "shard": task.spec, "kind": task.kind,
-                    "data": outcome["data"],
-                    "seconds": outcome["seconds"],
-                    "kernel": outcome["kernel"], "attempt": attempt,
-                    "worker": os.getpid(), "degraded": True,
-                    "poisoned": False}
-            except Exception as error:
-                report.failures.append(ChunkFailure(
-                    kind="poison", chunk=task.spec.index,
-                    attempt=attempt, pid=None,
-                    payload_digest=task.spec.digest,
-                    detail=f"{type(error).__name__}: {error}"))
-                report.poisoned.append(task.spec.index)
-                if self.policy.allow_partial:
-                    yield {
-                        "shard": task.spec, "kind": task.kind,
-                        "data": None, "seconds": 0.0,
-                        "kernel": {"calls": 0, "rows": 0,
-                                   "seconds": 0.0},
-                        "attempt": attempt, "worker": None,
-                        "degraded": False, "poisoned": True}
-
-    def _shutdown(self, workers: Dict[int, _Worker],
-                  listener: socket.socket) -> None:
-        """Stop every worker and release the listener."""
-        for worker in workers.values():
-            try:
-                worker.sock.setblocking(True)
-                send_frame(worker.sock, ("shutdown", None))
-            except OSError:
-                pass
-            try:
-                worker.sock.close()
-            except OSError:
-                pass
-        for worker in workers.values():
-            worker.proc.join(timeout=5.0)
-            if worker.proc.is_alive():  # pragma: no cover - stuck
-                worker.proc.kill()
-                worker.proc.join()
-        listener.close()
+        for done in run_tasks(
+                tasks, resolve_workers(self._workers_arg, len(tasks)),
+                self.policy, self.report, transport=self.transport,
+                handshake_timeout=self.handshake_timeout):
+            yield ShardResult(
+                shard=plan.shards[done.index], kind=kind,
+                data=(None if done.poisoned
+                      else shard_data(kind, done.results)),
+                seconds=done.seconds, kernel=done.kernel,
+                attempt=done.attempt, worker=done.worker,
+                degraded=done.degraded, poisoned=done.poisoned)

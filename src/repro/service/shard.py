@@ -18,13 +18,11 @@ faulted streamed sweep replays the exact schedule run over run.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ecc.kernel import kernel_stats
 from repro.fleet.fleet import (
     _attack_chunk_job,
     _attack_results_chunk_job,
@@ -124,61 +122,100 @@ class ShardPlan:
 
 
 # ----------------------------------------------------------------------
-# shard execution (runs inside a service worker, or in the dispatcher
-# for the degraded quarantine pass)
+# shard execution: a shard is one pool task calling execute_shard on
+# every job of the shard (in a pool worker, or in the dispatcher for
+# the degraded quarantine pass)
 
 
-def execute_shard(kind: str, jobs: Sequence[object],
-                  tripwire=None) -> Dict[str, object]:
-    """Run one shard's job list; returns the typed result payload.
+def execute_shard(kind: str, job: object) -> object:
+    """Run one job of a shard of sweep *kind* (the pool task function).
 
-    For :data:`KIND_FAILURE` *jobs* is the shard's slice of the
-    per-device :meth:`~repro.fleet.Fleet.failure_rate_jobs` list; for
-    the attack kinds it is a single-element list holding the shard's
-    :meth:`~repro.fleet.Fleet.attack_chunk_jobs` chunk.  The payload
-    carries the wall-clock seconds and the ECC kernel-stats delta of
-    the execution.  *tripwire* (a fault-injection item tripwire) is
-    stepped after each completed job.
+    For :data:`KIND_FAILURE` *job* is one entry of the per-device
+    :meth:`~repro.fleet.Fleet.failure_rate_jobs` list; for the attack
+    kinds it is the shard's
+    :meth:`~repro.fleet.Fleet.attack_chunk_jobs` chunk.
+    :func:`shard_data` types the per-job results of a shard.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown sweep kind {kind!r}; expected one "
-                         f"of {KINDS}")
-    before = (kernel_stats.calls, kernel_stats.rows,
-              kernel_stats.seconds)
-    begin = time.perf_counter()
     if kind == KIND_FAILURE:
-        rates = []
-        for job in jobs:
-            rates.append(_failure_rate_job(job)[0])
-            if tripwire is not None:
-                tripwire.step()
-        data: Dict[str, object] = {
-            "rates": np.array(rates, dtype=np.float64)}
-    elif kind == KIND_ATTACK:
-        (job,) = jobs
-        report = _attack_chunk_job(job)
-        if tripwire is not None:
-            tripwire.step()
-        data = {
+        return _failure_rate_job(job)
+    if kind == KIND_ATTACK:
+        return _attack_chunk_job(job)
+    if kind == KIND_ATTACK_RESULTS:
+        return _attack_results_chunk_job(job)
+    raise ValueError(f"unknown sweep kind {kind!r}; expected one "
+                     f"of {KINDS}")
+
+
+def shard_data(kind: str, results: Sequence[object]
+               ) -> Dict[str, object]:
+    """The typed result payload of one shard from its job results."""
+    if kind == KIND_FAILURE:
+        return {"rates": np.array([result[0] for result in results],
+                                  dtype=np.float64)}
+    (report,) = results
+    if kind == KIND_ATTACK:
+        return {
             "recovered": np.array([entry[0] for entry in report],
                                   dtype=np.bool_),
             "queries": np.array([entry[1] for entry in report],
                                 dtype=np.int64)}
-    else:
-        (job,) = jobs
-        results = _attack_results_chunk_job(job)
-        if tripwire is not None:
-            tripwire.step()
-        data = {"results": list(results)}
-    return {
-        "data": data,
-        "seconds": time.perf_counter() - begin,
-        "kernel": {
-            "calls": kernel_stats.calls - before[0],
-            "rows": kernel_stats.rows - before[1],
-            "seconds": kernel_stats.seconds - before[2],
-        },
-    }
+    return {"results": list(report)}
+
+
+@dataclass(frozen=True)
+class ShardResult:
+    """One shard's completed contribution to a streamed sweep.
+
+    ``data`` is the kind-typed payload (``rates`` /
+    ``recovered``+``queries`` / ``results``), or ``None`` for a
+    poisoned shard under an ``allow_partial`` policy.  ``kernel`` is
+    the ECC kernel-stats delta measured around the shard's execution
+    in whatever process ran it.
+    """
+
+    shard: ShardSpec
+    kind: str
+    data: Optional[Dict[str, object]]
+    seconds: float
+    kernel: Dict[str, object]
+    attempt: int
+    worker: Optional[int]
+    degraded: bool
+    poisoned: bool
+
+    def to_json(self) -> Dict[str, object]:
+        """JSON-serialisable chunk line (the ``--stream`` NDJSON)."""
+        payload: Dict[str, object] = {
+            "shard": int(self.shard.index),
+            "start": int(self.shard.start),
+            "stop": int(self.shard.stop),
+            "digest": self.shard.digest,
+            "kind": self.kind,
+            "attempt": int(self.attempt),
+            "worker": self.worker,
+            "degraded": bool(self.degraded),
+            "poisoned": bool(self.poisoned),
+            "seconds": float(self.seconds),
+            "kernel": {
+                "calls": int(self.kernel["calls"]),
+                "rows": int(self.kernel["rows"]),
+                "seconds": float(self.kernel["seconds"]),
+            },
+        }
+        if self.data is None:
+            return payload
+        if self.kind == KIND_FAILURE:
+            payload["rates"] = [float(rate)
+                                for rate in self.data["rates"]]
+        elif self.kind == KIND_ATTACK:
+            payload["recovered"] = [bool(hit) for hit
+                                    in self.data["recovered"]]
+            payload["queries"] = [int(bill) for bill
+                                  in self.data["queries"]]
+        else:
+            payload["results"] = [type(result).__name__
+                                  for result in self.data["results"]]
+        return payload
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +228,7 @@ def merge_failure_rates(plan: ShardPlan,
 
     ``datas[i]`` is shard *i*'s result ``data`` dict (or ``None`` for
     a poisoned shard under ``allow_partial``, which contributes the
-    supervised executor's zero fill).
+    supervised pool's zero fill).
     """
     parts = []
     for spec, data in zip(plan.shards, datas):

@@ -38,7 +38,7 @@ from repro.service.shard import (
     KIND_FAILURE,
     KINDS,
     ShardPlan,
-    ShardSpec,
+    ShardResult,
     merge_attack,
     merge_attack_results,
     merge_failure_rates,
@@ -71,62 +71,6 @@ class PopulationSpec:
                       seed=manufacture_rng), enroll_rng)
 
 
-@dataclass(frozen=True)
-class ShardResult:
-    """One shard's completed contribution to a streamed sweep.
-
-    ``data`` is the kind-typed payload (``rates`` /
-    ``recovered``+``queries`` / ``results``), or ``None`` for a
-    poisoned shard under an ``allow_partial`` policy.  ``kernel`` is
-    the ECC kernel-stats delta measured around the shard's execution
-    in whatever process ran it.
-    """
-
-    shard: ShardSpec
-    kind: str
-    data: Optional[Dict[str, object]]
-    seconds: float
-    kernel: Dict[str, object]
-    attempt: int
-    worker: Optional[int]
-    degraded: bool
-    poisoned: bool
-
-    def to_json(self) -> Dict[str, object]:
-        """JSON-serialisable chunk line (the ``--stream`` NDJSON)."""
-        payload: Dict[str, object] = {
-            "shard": int(self.shard.index),
-            "start": int(self.shard.start),
-            "stop": int(self.shard.stop),
-            "digest": self.shard.digest,
-            "kind": self.kind,
-            "attempt": int(self.attempt),
-            "worker": self.worker,
-            "degraded": bool(self.degraded),
-            "poisoned": bool(self.poisoned),
-            "seconds": float(self.seconds),
-            "kernel": {
-                "calls": int(self.kernel["calls"]),
-                "rows": int(self.kernel["rows"]),
-                "seconds": float(self.kernel["seconds"]),
-            },
-        }
-        if self.data is None:
-            return payload
-        if self.kind == KIND_FAILURE:
-            payload["rates"] = [float(rate)
-                                for rate in self.data["rates"]]
-        elif self.kind == KIND_ATTACK:
-            payload["recovered"] = [bool(hit) for hit
-                                    in self.data["recovered"]]
-            payload["queries"] = [int(bill) for bill
-                                  in self.data["queries"]]
-        else:
-            payload["results"] = [type(result).__name__
-                                  for result in self.data["results"]]
-        return payload
-
-
 class SweepHandle:
     """Iterator/callback surface over one streamed sharded sweep.
 
@@ -138,7 +82,8 @@ class SweepHandle:
     """
 
     def __init__(self, plan: ShardPlan, kind: str,
-                 dispatcher: Dispatcher, outcomes: Iterator[Dict],
+                 dispatcher: Dispatcher,
+                 outcomes: Iterator[ShardResult],
                  fleet: Fleet, enrollment: FleetEnrollment,
                  enrollment_source: str):
         self.plan = plan
@@ -174,13 +119,7 @@ class SweepHandle:
         return self
 
     def __next__(self) -> ShardResult:
-        outcome = next(self._outcomes)
-        result = ShardResult(
-            shard=outcome["shard"], kind=outcome["kind"],
-            data=outcome["data"], seconds=outcome["seconds"],
-            kernel=outcome["kernel"], attempt=outcome["attempt"],
-            worker=outcome["worker"], degraded=outcome["degraded"],
-            poisoned=outcome["poisoned"])
+        result = next(self._outcomes)
         self.results.append(result)
         for callback in self._callbacks:
             callback(result)
