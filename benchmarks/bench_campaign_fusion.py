@@ -11,10 +11,10 @@ This bench runs the §VI-A sequential-pairing campaign over a fleet
 whose devices share one BCH code (the fleet-provisioning scenario:
 one reliability design, many ICs) twice at ``workers=1``:
 
-* **per-device rounds** — the lock-step engine with ``fused=False``:
-  one kernel chain per device per round (the PR 4 behaviour);
-* **fused rounds** — ``fused=True``: the frontier's kernel workloads
-  are grouped by kernel key and answered by one
+* **per-device rounds** — the scalar loop, each attack's ``run()``
+  alone: one kernel chain per device per distinguisher block;
+* **fused rounds** — the lock-step campaign: the frontier's kernel
+  workloads are grouped by kernel key and answered by one
   ``BCHCode.decode_batch`` call per distinct code per round.
 
 Twin fleets are identically seeded, so both executions must agree
@@ -66,7 +66,7 @@ def run_fusion_campaign(devices=DEVICES):
     """The same fleet campaign with per-device and fused rounds."""
     measurements = {}
     results = {}
-    for mode, fused in (("per-device", False), ("fused", True)):
+    for mode in ("per-device", "fused"):
         oracles, attacks, keys = [], [], []
         for seed in range(devices):
             array, keygen, helper, key = _device(seed)
@@ -77,7 +77,9 @@ def run_fusion_campaign(devices=DEVICES):
             keys.append(key)
         kernel_stats.reset()
         start = time.perf_counter()
-        results[mode] = run_campaign(oracles, attacks, fused=fused)
+        results[mode] = (run_campaign(oracles, attacks)
+                         if mode == "fused" else
+                         [attack.run() for attack in attacks])
         measurements[mode] = (time.perf_counter() - start,
                               kernel_stats.calls, kernel_stats.rows,
                               kernel_stats.seconds)

@@ -21,10 +21,7 @@ Subcommands
     (``--workers N``); results are bitwise-identical for every worker
     count.  With ``--attack CONSTRUCTION`` the sweep becomes a
     fleet-wide helper-data attack campaign executed by the lock-step
-    engine (``--scalar-loop`` falls back to the per-device reference
-    loop; ``--fused/--no-fused`` toggles cross-device kernel fusion
-    inside the lock-step rounds; per-device results are identical
-    either way).
+    engine, one fused ECC kernel call per code per round.
 ``warehouse``
     The attack × scheme × countermeasure results warehouse:
     ``run`` executes the (quick or full) matrix at fleet scale and
@@ -154,21 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run a fleet-wide helper-data attack "
                             "campaign instead of the failure-rate "
                             "sweep")
-    fleet.add_argument("--batch", type=int, default=None,
-                       help="devices per lock-step campaign chunk "
-                            "(default: one chunk per worker)")
-    fleet.add_argument("--scalar-loop", action="store_true",
-                       help="drive the campaign with the per-device "
-                            "scalar loop instead of the lock-step "
-                            "engine (identical results, slower)")
-    fleet.add_argument("--fused", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="cross-device completion fusion in "
-                            "lock-step rounds: one ECC kernel call "
-                            "per distinct code across the whole "
-                            "frontier (default: on whenever the "
-                            "lock-step engine runs; identical "
-                            "results either way)")
     fleet.add_argument("--max-retries", type=int, default=None,
                        metavar="N",
                        help="run the sweep supervised: retry failed "
@@ -375,23 +357,16 @@ def _cmd_fleet_attack(args: argparse.Namespace) -> int:
                                   workers=args.workers)
         return fleet.attack_success(
             enrollment, attack_factory, workers=args.workers,
-            lockstep=not args.scalar_loop, batch=args.batch,
-            fused=args.fused, supervision=supervision)
+            lockstep=True, supervision=supervision)
 
     supervision = _fleet_supervision(args)
     start = time.perf_counter()
     recovered, queries = campaign(supervision)
     elapsed = time.perf_counter() - start
-    if args.scalar_loop:
-        engine = "scalar per-device loop"
-    else:
-        fused = args.fused if args.fused is not None else True
-        engine = ("lock-step campaign (fused kernels)" if fused
-                  else "lock-step campaign (per-device kernels)")
     print(f"fleet attack campaign: {args.attack} x {args.devices} "
           f"devices ({rows}x{cols}, seed {args.seed})")
-    print(f"  engine              : {engine} "
-          f"(workers={args.workers})")
+    print(f"  engine              : lock-step campaign (fused "
+          f"kernels) (workers={args.workers})")
     print(f"  keys recovered      : {int(recovered.sum())}/"
           f"{args.devices}")
     print(f"  oracle queries      : {int(queries.sum())} total, "

@@ -212,36 +212,13 @@ class BatchOracle:
 
         A thin driver over the two-phase evaluator protocol:
         :meth:`plan_rows`, this plan's own kernel, finalize.  The
-        lock-step campaign bypasses this method to fuse the kernel
-        step across devices (:mod:`repro.fleet.campaign`); results are
-        bitwise-identical either way, and identical to the one-shot
-        :meth:`evaluate_rows_oneshot` reference.
+        lock-step lane engines (:mod:`repro.core.lockstep`) run the
+        same three phases with the kernel step fused across devices;
+        results are bitwise-identical either way, and identical to
+        per-row :class:`~repro.core.oracle.HelperDataOracle` queries
+        on an identically seeded twin device.
         """
         return self.plan_rows(helper, rows, op).execute()
-
-    def evaluate_rows_oneshot(self, helper, rows: np.ndarray,
-                              op: Optional[OperatingPoint] = None
-                              ) -> np.ndarray:
-        """Legacy one-shot evaluation (executable equivalence reference).
-
-        Runs the evaluator's monolithic ``outcomes`` path — extraction,
-        dedup and completion in one call, no plan/kernel split.  Kept
-        executable so tests and benches can pin the two-phase driver
-        against it.
-        """
-        resolved = op if op is not None else self._op
-        if self._trajectory is not None:
-            freqs, env = self._trajectory_frequencies(rows, op)
-            evaluator = self._evaluator_for(helper, resolved)
-            if evaluator is not None:
-                return evaluator.outcomes_env(freqs, env)
-            return self._reconstruct_rows_env(helper, freqs, env,
-                                              resolved)
-        freqs = self._base_frequencies(resolved)[None, :] + rows
-        evaluator = self._evaluator_for(helper, resolved)
-        if evaluator is not None:
-            return evaluator.outcomes(freqs)
-        return self._reconstruct_rows(helper, freqs, resolved)
 
     def plan_rows(self, helper, rows: np.ndarray,
                   op: Optional[OperatingPoint] = None) -> EvalPlan:

@@ -242,27 +242,25 @@ class LaneEngine:
     bitwise-identical to :func:`execute_request` on the same oracle
     stream.
 
-    With ``fused=True`` the engine evaluates its round through the
-    two-phase protocol: one :meth:`~repro.core.batch_oracle.BatchOracle.
-    plan_rows` per (lane, helper) in the legacy evaluation order, then
-    **one fused kernel call per distinct kernel key across the whole
-    frontier** (:func:`repro.ecc.kernel.run_kernels`), then per-plan
-    finalize.  ``fused=False`` keeps the per-device
-    ``evaluate_rows`` path.  Outcomes are bitwise-identical either
-    way — fusion only regroups row-local kernel work.
+    Every round evaluates through the two-phase protocol: one
+    :meth:`~repro.core.batch_oracle.BatchOracle.plan_rows` per (lane,
+    helper) in request order, then **one fused kernel call per
+    distinct kernel key across the whole frontier**
+    (:func:`repro.ecc.kernel.run_kernels`), then per-plan finalize.
+    With a single lane this is exactly
+    :meth:`~repro.core.batch_oracle.BatchOracle.evaluate_rows`;
+    fusion only regroups row-local kernel work, so outcomes are
+    bitwise-identical for every frontier composition.
     """
 
     #: request type handled by the engine
     request_type: type = object
 
-    def __init__(self, fused: bool = False):
-        self.fused = bool(fused)
-
     def evaluate_many(self, items: Sequence[Tuple[BatchOracle, object,
                                                   np.ndarray,
                                                   Optional[OperatingPoint]]]
                       ) -> List[np.ndarray]:
-        """Evaluate ``(oracle, helper, rows, op)`` items, fused or not.
+        """Evaluate ``(oracle, helper, rows, op)`` items in one round.
 
         Plans are created in item order (matching the per-device
         evaluation order, so transient streams like the temp-aware
@@ -270,9 +268,6 @@ class LaneEngine:
         across all items sharing a kernel key, and each item's
         outcomes come back in order.
         """
-        if not self.fused:
-            return [oracle.evaluate_rows(helper, rows, op)
-                    for oracle, helper, rows, op in items]
         plans = [oracle.plan_rows(helper, rows, op)
                  for oracle, helper, rows, op in items]
         outputs = run_kernels([plan.workload for plan in plans])
@@ -567,12 +562,7 @@ class QueryBlockEngine(LaneEngine):
             lane.outcome = outcomes
 
 
-def lane_engines(fused: bool = False) -> Tuple[LaneEngine, ...]:
-    """Fresh engine set covering every protocol request type.
-
-    *fused* turns on cross-device kernel fusion inside every engine's
-    evaluation step (see :class:`LaneEngine`); per-device outcomes are
-    bitwise-identical either way.
-    """
-    return (ComparisonEngine(fused), SPRTEngine(fused),
-            SelectionEngine(fused), QueryBlockEngine(fused))
+def lane_engines() -> Tuple[LaneEngine, ...]:
+    """Fresh engine set covering every protocol request type."""
+    return (ComparisonEngine(), SPRTEngine(), SelectionEngine(),
+            QueryBlockEngine())

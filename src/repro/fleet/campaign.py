@@ -44,30 +44,27 @@ from repro.core.temp_aware_attack import TempAwareAttack
 class LockstepCampaign:
     """Drives a batch of stepwise attacks in shared rounds.
 
+    Each round, the frontier's evaluation requests are taken through
+    the two-phase protocol — per-device ``plan_rows``, then **one ECC
+    kernel call per distinct kernel key across every device in the
+    round** (:func:`repro.ecc.kernel.run_kernels`), then per-device
+    finalize.  Fusion only amortizes the per-call fixed cost of many
+    tiny completions, the measured hot spot of campaign rounds
+    (``benchmarks/bench_campaign_fusion.py``); per-device results are
+    bitwise-identical to each attack's scalar ``run()``
+    (``docs/evaluators.md``).
+
     Parameters
     ----------
     lanes:
         One ``(oracle, steps)`` pair per device: the device's batched
         oracle and the attack's :meth:`steps` generator.  Oracles must
         be distinct objects — each lane owns its noise stream.
-    fused:
-        Cross-device completion fusion (default on).  Each round, the
-        frontier's evaluation requests are taken through the
-        two-phase protocol — per-device ``plan_rows``, then **one ECC
-        kernel call per distinct kernel key across every device in
-        the round** (:func:`repro.ecc.kernel.run_kernels`), then
-        per-device finalize — instead of one kernel chain per device.
-        Per-device decisions, query bills and recovered keys are
-        bitwise-identical either way (``docs/evaluators.md``); fusion
-        only amortizes the per-call fixed cost of many tiny
-        completions, the measured hot spot of campaign rounds
-        (``benchmarks/bench_campaign_fusion.py``).
     """
 
-    def __init__(self, lanes: Sequence[Tuple[BatchOracle, AttackSteps]],
-                 fused: bool = True) -> None:
+    def __init__(self, lanes: Sequence[Tuple[BatchOracle, AttackSteps]]
+                 ) -> None:
         self._entries = list(lanes)
-        self._fused = bool(fused)
 
     def run(self) -> List[object]:
         """Execute every attack to completion; results in lane order.
@@ -77,7 +74,7 @@ class LockstepCampaign:
         progress; devices whose request completed are resumed
         immediately so their next request joins the very next round.
         """
-        engines = lane_engines(fused=self._fused)
+        engines = lane_engines()
         results: List[object] = [None] * len(self._entries)
         active: List[Tuple[int, AttackSteps, Lane]] = []
         for index, (oracle, steps) in enumerate(self._entries):
@@ -123,16 +120,12 @@ class LockstepCampaign:
 
 
 def run_campaign(oracles: Sequence[BatchOracle],
-                 attacks: Sequence[object],
-                 fused: bool = True) -> List[object]:
+                 attacks: Sequence[object]) -> List[object]:
     """Lock-step a batch of constructed attack drivers.
 
     Convenience wrapper pairing each attack's ``steps()`` generator
     with its device's oracle; returns the attack results in device
     order, bitwise-identical to calling each ``run()`` alone.
-    *fused* selects cross-device completion fusion (see
-    :class:`LockstepCampaign`); it changes execution grouping only,
-    never results.
     """
     if len(oracles) != len(attacks):
         raise ValueError("need exactly one oracle per attack")
@@ -144,8 +137,7 @@ def run_campaign(oracles: Sequence[BatchOracle],
             "stepwise protocol (steps())")
     return LockstepCampaign(
         [(oracle, attack.steps())
-         for oracle, attack in zip(oracles, attacks)],
-        fused=fused).run()
+         for oracle, attack in zip(oracles, attacks)]).run()
 
 
 # ----------------------------------------------------------------------

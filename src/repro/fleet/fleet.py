@@ -185,7 +185,6 @@ class _AttackChunkJob:
     attack_factory: AttackFactory
     streams: List[Tuple[np.random.Generator, np.random.Generator]]
     lockstep: bool
-    fused: bool = True
     #: Built per-device environment trajectories (or ``None``).
     trajectories: Optional[List[object]] = None
 
@@ -212,7 +211,7 @@ def _run_chunk_attacks(job: _AttackChunkJob
         oracles.append(oracle)
         attacks.append(job.attack_factory(oracle, keygen, helper))
     if job.lockstep:
-        results = run_campaign(oracles, attacks, fused=job.fused)
+        results = run_campaign(oracles, attacks)
     else:
         results = [attack.run() for attack in attacks]
     return results, oracles
@@ -505,8 +504,6 @@ class Fleet:
                        op: OperatingPoint = OperatingPoint(),
                        workers: Optional[int] = 1,
                        lockstep: Optional[bool] = None,
-                       batch: Optional[int] = None,
-                       fused: Optional[bool] = None,
                        trajectory=None,
                        supervision=None
                        ) -> Tuple[np.ndarray, np.ndarray]:
@@ -524,27 +521,17 @@ class Fleet:
         lockstep:
             ``True`` runs the round-based lock-step campaign engine
             (:mod:`repro.fleet.campaign`): each worker advances its
-            whole device chunk together, one fused oracle round per
-            distinguisher block.  ``False`` keeps the per-device
+            whole device chunk together, one oracle round per
+            distinguisher block with the ECC kernel work of every
+            device sharing a code fused into one call
+            (:mod:`repro.ecc.kernel`).  ``False`` keeps the per-device
             scalar loop.  ``None`` (default) auto-detects: lock-step
             whenever the driver exposes the stepwise ``steps()``
             protocol.  Either way the per-device results are
             **bitwise-identical** — lock-stepping only reorders work
             across devices, never within one device's oracle stream.
-        batch:
-            Devices per lock-step chunk (and per worker dispatch).
-            Defaults to an even split over the resolved worker count,
-            i.e. the widest batch the pool allows.  Lock-step within a
-            worker composes with processes across chunks.
-        fused:
-            Cross-device completion fusion inside each lock-step
-            round: the frontier's ECC kernel work is grouped by
-            kernel key and run as one call per distinct code
-            (:mod:`repro.ecc.kernel`).  ``None`` (default) turns
-            fusion on exactly when lock-step is active; it has no
-            effect on the scalar loop.  Like *lockstep*, it changes
-            execution grouping only — per-device results stay
-            bitwise-identical.
+            Chunks split the fleet evenly over the resolved worker
+            count; :meth:`attack_chunk_jobs` takes explicit spans.
         trajectory:
             Optional
             :class:`~repro.scenario.trajectory.TrajectorySpec`: the
@@ -560,17 +547,8 @@ class Fleet:
             chunk-level retry of each :class:`_AttackChunkJob`; the
             per-device results contract is unchanged.
         """
-        count = len(self._arrays)
-        spans = None
-        if batch is not None:
-            width = int(batch)
-            if width < 1:
-                raise ValueError("batch must be a positive integer")
-            spans = [(begin, min(begin + width, count))
-                     for begin in range(0, count, width)]
         jobs = self.attack_chunk_jobs(enrollment, attack_factory,
-                                      spans=spans, op=op,
-                                      lockstep=lockstep, fused=fused,
+                                      op=op, lockstep=lockstep,
                                       trajectory=trajectory,
                                       workers=workers)
         reports = run_collected(_attack_chunk_job, jobs,
@@ -589,7 +567,6 @@ class Fleet:
                           = None,
                           op: OperatingPoint = OperatingPoint(),
                           lockstep: Optional[bool] = None,
-                          fused: Optional[bool] = None,
                           trajectory=None,
                           workers: Optional[int] = 1
                           ) -> List[_AttackChunkJob]:
@@ -598,7 +575,7 @@ class Fleet:
         This is the shard-aware entry point behind
         :meth:`attack_success` / :meth:`attack_results`: it derives
         the sweep substreams (advancing the population root exactly as
-        a direct campaign would), resolves the lock-step/fusion knobs,
+        a direct campaign would), resolves the lock-step knob,
         and returns one self-contained, picklable
         :class:`_AttackChunkJob` per *span* — a ``(start, stop)``
         device range in fleet order.  *spans* default to the even
@@ -614,8 +591,6 @@ class Fleet:
         if lockstep is None:
             lockstep = self._supports_lockstep(enrollment,
                                                attack_factory, op)
-        if fused is None:
-            fused = bool(lockstep)
         if spans is None:
             resolved = resolve_workers(workers, count)
             chunks = max(1, min(count,
@@ -637,7 +612,6 @@ class Fleet:
                 [enrollment.keys[i] for i in indices],
                 op, attack_factory,
                 [streams[i] for i in indices], bool(lockstep),
-                bool(fused),
                 None if trajectories is None
                 else [trajectories[i] for i in indices]))
         return jobs
@@ -646,7 +620,6 @@ class Fleet:
                        attack_factory: AttackFactory,
                        op: OperatingPoint = OperatingPoint(),
                        lockstep: Optional[bool] = None,
-                       fused: Optional[bool] = None,
                        trajectory=None,
                        workers: Optional[int] = 1,
                        supervision=None) -> List[object]:
@@ -663,43 +636,21 @@ class Fleet:
         call observes — whatever *workers* is, and whether or not a
         supervised run had to retry chunks.
 
-        *lockstep* / *fused* / *trajectory* / *supervision* mean what
-        they mean on :meth:`attack_success`; ``None`` auto-detects
-        the stepwise protocol and fuses exactly when lock-stepping.
-        The default ``workers=1`` without supervision keeps the
-        historical single-process path (results built in this
-        process); otherwise chunks dispatch through the worker pool,
-        supervised or not, and result objects must be picklable.
+        *lockstep* / *trajectory* / *supervision* mean what they mean
+        on :meth:`attack_success`.  The default ``workers=1`` without
+        supervision runs one whole-fleet chunk in this process
+        (results built here, nothing copied); otherwise chunks
+        dispatch through the worker pool, supervised or not, and
+        result objects must be picklable.
         """
         count = len(self._arrays)
-        if lockstep is None:
-            lockstep = self._supports_lockstep(enrollment,
-                                               attack_factory, op)
-        if fused is None:
-            fused = bool(lockstep)
-        resolved = resolve_workers(workers, count)
-        if resolved == 1 and supervision is None:
-            streams = self._sweep_streams()
-            trajectories = self._build_trajectories(trajectory)
-            built = ([None] * count if trajectories is None
-                     else trajectories)
-            oracles: List[BatchOracle] = []
-            attacks: List[object] = []
-            for array, keygen, helper, (stream, transient), traj in \
-                    zip(self._arrays, enrollment.keygens,
-                        enrollment.helpers, streams, built):
-                keygen.reseed_transient_streams(transient)
-                oracle = BatchOracle(array, keygen, op=op, rng=stream,
-                                     trajectory=traj)
-                oracles.append(oracle)
-                attacks.append(attack_factory(oracle, keygen, helper))
-            if lockstep:
-                return run_campaign(oracles, attacks,
-                                    fused=bool(fused))
-            return [attack.run() for attack in attacks]
+        if resolve_workers(workers, count) == 1 and supervision is None:
+            (job,) = self.attack_chunk_jobs(
+                enrollment, attack_factory, spans=[(0, count)], op=op,
+                lockstep=lockstep, trajectory=trajectory)
+            return _attack_results_chunk_job(job)
         jobs = self.attack_chunk_jobs(enrollment, attack_factory,
                                       op=op, lockstep=lockstep,
-                                      fused=fused,
                                       trajectory=trajectory,
                                       workers=workers)
         reports = run_collected(_attack_results_chunk_job, jobs,

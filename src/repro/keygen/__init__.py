@@ -12,13 +12,10 @@ from repro.keygen.base import (
 )
 from repro.keygen.batch import (
     BatchEvaluator,
-    CallableCompletion,
-    Completion,
     ConstantEvaluator,
     EvalPlan,
     MaskedBitEvaluator,
     ResponseBitEvaluator,
-    RowwiseBitEvaluator,
     SketchCompletion,
 )
 from repro.keygen.sequential import (
@@ -59,13 +56,10 @@ __all__ = [
     "fixed_code",
     "key_check_digest",
     "BatchEvaluator",
-    "CallableCompletion",
-    "Completion",
     "ConstantEvaluator",
     "EvalPlan",
     "MaskedBitEvaluator",
     "ResponseBitEvaluator",
-    "RowwiseBitEvaluator",
     "SketchCompletion",
     "SequentialKeyHelper",
     "SequentialPairingKeyGen",

@@ -230,13 +230,11 @@ class KeyGenerator(abc.ABC):
         measurements would observe.  ``None`` means callers must fall
         back to row-wise :meth:`reconstruct_from_frequencies`.
 
-        Evaluators speak two equivalent protocols (see
-        ``docs/evaluators.md``): the one-shot ``outcomes(freqs)``
-        reference call, and the two-phase ``plan(freqs)`` →
-        fused-kernel → ``EvalPlan.finalize(outputs)`` split that lets
-        a lock-step campaign stack the ECC kernel work of every
-        device sharing a code into one call.  All shipped schemes
-        return two-phase-capable evaluators built on
+        Evaluators speak one protocol (see ``docs/evaluators.md``):
+        ``plan(freqs)`` → kernel → ``EvalPlan.finalize(outputs)``, a
+        split that lets a lock-step campaign stack the ECC kernel
+        work of every device sharing a code into one call.  Every
+        shipped evaluator completes patterns through
         :class:`repro.keygen.batch.SketchCompletion`.
         """
         return None

@@ -188,7 +188,6 @@ def submit_sweep(population: PopulationSpec,
                  chunk: int = 1024,
                  attack_factory: Optional[AttackFactory] = None,
                  lockstep: Optional[bool] = None,
-                 fused: Optional[bool] = None,
                  trajectory=None,
                  shards: int = 2,
                  workers: Optional[int] = None,
@@ -245,7 +244,7 @@ def submit_sweep(population: PopulationSpec,
         chunk_jobs = fleet.attack_chunk_jobs(
             enrollment, attack_factory, spans=plan.spans,
             op=op if op is not None else OperatingPoint(),
-            lockstep=lockstep, fused=fused, trajectory=trajectory)
+            lockstep=lockstep, trajectory=trajectory)
         shard_jobs = [[job] for job in chunk_jobs]
     dispatcher = Dispatcher(workers=workers, transport=transport,
                             policy=policy,

@@ -226,20 +226,20 @@ class TestTempAwareBatch:
 
 
 class TestTwoPhaseProtocol:
-    """plan → kernel → finalize vs the one-shot reference path."""
+    """plan → kernel → finalize vs the scalar reference oracle."""
 
     def drive_paths(self, make_keygen, params=NOISY, manipulate=None,
                     queries=120):
-        """Twin devices: one-shot reference vs the two-phase driver."""
+        """Twin devices: per-row scalar queries vs the two-phase driver."""
         seq_array, batch_array, keygen, h_seq, h_batch, _ = \
             enroll_twins(make_keygen, params, device_seed=91,
                          enroll_seed=3)
         if manipulate is not None:
             h_seq, h_batch = manipulate(h_seq), manipulate(h_batch)
-        reference = BatchOracle(seq_array, keygen)
+        reference = HelperDataOracle(seq_array, keygen)
         two_phase = BatchOracle(batch_array, keygen)
-        expected = reference.evaluate_rows_oneshot(
-            h_seq, reference.take_rows(queries))
+        expected = np.array([reference.query(h_seq)
+                             for _ in range(queries)])
         observed = two_phase.evaluate_rows(
             h_batch, two_phase.take_rows(queries))
         np.testing.assert_array_equal(expected, observed)

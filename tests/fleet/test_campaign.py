@@ -23,9 +23,12 @@ from repro.fleet import (
     Fleet,
     GroupAttackFactory,
     LockstepCampaign,
+    Supervisor,
     run_campaign,
+    run_collected,
     sequential_attack_factory,
 )
+from repro.fleet.fleet import _attack_chunk_job
 from repro.keygen import (
     DistillerPairingKeyGen,
     GroupBasedKeyGen,
@@ -191,10 +194,11 @@ class TestCampaignEquivalence:
     def test_fused_rounds_match_per_device_rounds(self, family, build,
                                                   attack):
         # Cross-device completion fusion is an execution regrouping
-        # only: keys, query bills and comparer outcomes must be
-        # bitwise-identical with and without it.
+        # only: keys, query bills and comparer outcomes of fused
+        # lock-step rounds must be bitwise-identical to the scalar
+        # run() loop on twin devices.
         outcomes = {}
-        for fused in (False, True):
+        for lockstep in (False, True):
             devices = 3 if family == "sequential" else 2
             oracles, attacks = [], []
             for seed in range(devices):
@@ -202,8 +206,9 @@ class TestCampaignEquivalence:
                 oracle = BatchOracle(array, keygen)
                 oracles.append(oracle)
                 attacks.append(attack(oracle, keygen, helper))
-            outcomes[fused] = run_campaign(oracles, attacks,
-                                           fused=fused)
+            outcomes[lockstep] = (run_campaign(oracles, attacks)
+                                  if lockstep else
+                                  [a.run() for a in attacks])
         for reference, observed in zip(outcomes[False],
                                        outcomes[True]):
             np.testing.assert_array_equal(reference.key, observed.key)
@@ -225,7 +230,8 @@ class TestCampaignEquivalence:
 
 
 class TestFleetLockstep:
-    """attack_success: lock-step x batch x workers invariance."""
+    """attack_success: lock-step x chunk composition x workers x
+    supervision invariance."""
 
     @pytest.fixture(scope="class")
     def reference(self):
@@ -235,22 +241,41 @@ class TestFleetLockstep:
                                     sequential_attack_factory,
                                     workers=1, lockstep=False)
 
-    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("supervised", [True, False])
     @pytest.mark.parametrize("batch", [1, 3, 8])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_lockstep_invariance(self, reference, batch, workers,
-                                 fused):
-        # The acceptance matrix of the fusion PR: fused and per-device
-        # lock-step rounds must both reproduce the scalar-loop
-        # reference for every batch composition and worker count.
+                                 supervised):
+        # Fused lock-step rounds over chunks of *batch* devices must
+        # reproduce the scalar-loop reference for every chunk
+        # composition and worker count, supervised pool or not.
         fleet = Fleet(PARAMS, size=8, seed=31)
         enrollment = fleet.enroll(sequential_factory, seed=6)
-        recovered, queries = fleet.attack_success(
-            enrollment, sequential_attack_factory, workers=workers,
-            lockstep=True, batch=batch, fused=fused)
+        spans = [(start, min(start + batch, 8))
+                 for start in range(0, 8, batch)]
+        jobs = fleet.attack_chunk_jobs(enrollment,
+                                       sequential_attack_factory,
+                                       spans=spans, lockstep=True)
+        assert all(job.lockstep for job in jobs)
+        reports = run_collected(
+            _attack_chunk_job, jobs, workers=workers,
+            supervision=Supervisor() if supervised else None)
+        flat = [entry for report in reports for entry in report]
+        recovered = np.array([entry[0] for entry in flat])
+        queries = np.array([entry[1] for entry in flat])
         np.testing.assert_array_equal(recovered, reference[0])
         np.testing.assert_array_equal(queries, reference[1])
         assert recovered.all()
+
+    def test_attack_success_matches_reference(self, reference):
+        # The default chunking of attack_success at two workers.
+        fleet = Fleet(PARAMS, size=8, seed=31)
+        enrollment = fleet.enroll(sequential_factory, seed=6)
+        recovered, queries = fleet.attack_success(
+            enrollment, sequential_attack_factory, workers=2,
+            lockstep=True)
+        np.testing.assert_array_equal(recovered, reference[0])
+        np.testing.assert_array_equal(queries, reference[1])
 
     def test_auto_detection_uses_lockstep(self):
         # The stepwise drivers are auto-detected; results match the
@@ -297,10 +322,3 @@ class TestFleetLockstep:
             lockstep=True)
         assert recovered.all()
         assert (queries > 0).all()
-
-    def test_invalid_batch_rejected(self):
-        fleet = Fleet(PARAMS, size=2, seed=35)
-        enrollment = fleet.enroll(sequential_factory, seed=1)
-        with pytest.raises(ValueError):
-            fleet.attack_success(enrollment,
-                                 sequential_attack_factory, batch=0)

@@ -284,7 +284,7 @@ class TestTwoPhasePickling:
             fleet, enrollment = fresh_fleet(size=4, seed=23)
             outcomes.append(fleet.attack_success(
                 enrollment, attack_factory, workers=workers,
-                lockstep=True, fused=True))
+                lockstep=True))
         np.testing.assert_array_equal(outcomes[0][0], outcomes[1][0])
         np.testing.assert_array_equal(outcomes[0][1], outcomes[1][1])
         assert outcomes[0][0].all()

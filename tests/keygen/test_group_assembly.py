@@ -94,7 +94,6 @@ class TestPackKeyCompletion:
         stream, completion = enrolled_completion(identity)
         patterns = patterns_around(stream)
         expected = [completion.complete(row) for row in patterns]
-        assert completion.complete_batch(patterns).tolist() == expected
         workload, state = completion.prepare(patterns)
         (outputs,) = run_kernels([workload])
         assert completion.finish(state, outputs).tolist() == expected

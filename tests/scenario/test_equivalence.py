@@ -4,9 +4,8 @@ Satellite of the scenario-engine PR: for all five keygen
 constructions, a ``BatchOracle`` driven by a constant
 :class:`TrajectorySpec` pinned at ``(T, V)`` must produce outcomes
 byte-for-byte equal to a twin device queried the historical way at
-``OperatingPoint(T, V)`` — through both the one-shot batch evaluator
-and the two-phase plan/finalize driver — and the fleet sweeps must
-preserve the same identity.
+``OperatingPoint(T, V)`` — through the two-phase plan/finalize
+driver — and the fleet sweeps must preserve the same identity.
 """
 
 import numpy as np
@@ -73,19 +72,6 @@ def oracle_pair(params, make_keygen, trajectory_spec,
 
 class TestConstantTrajectoryEquivalence:
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    def test_oneshot_outcomes_bitwise_equal(self, scheme):
-        params, make_keygen = SCHEMES[scheme]
-        spec = TrajectorySpec.constant(temperature=TEMP, voltage=VOLT)
-        scalar, h_s, trajectory, h_t = oracle_pair(
-            params, make_keygen, spec,
-            op=OperatingPoint(TEMP, VOLT))
-        expected = scalar.evaluate_rows_oneshot(
-            h_s, scalar.take_rows(96))
-        observed = trajectory.evaluate_rows_oneshot(
-            h_t, trajectory.take_rows(96))
-        np.testing.assert_array_equal(expected, observed)
-
-    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_two_phase_driver_bitwise_equal(self, scheme):
         params, make_keygen = SCHEMES[scheme]
         spec = TrajectorySpec.constant(temperature=TEMP, voltage=VOLT)
@@ -102,9 +88,8 @@ class TestConstantTrajectoryEquivalence:
         scalar, h_s, trajectory, h_t = oracle_pair(
             params, make_keygen, TrajectorySpec())
         np.testing.assert_array_equal(
-            scalar.evaluate_rows_oneshot(h_s, scalar.take_rows(64)),
-            trajectory.evaluate_rows_oneshot(
-                h_t, trajectory.take_rows(64)))
+            scalar.evaluate_rows(h_s, scalar.take_rows(64)),
+            trajectory.evaluate_rows(h_t, trajectory.take_rows(64)))
 
     def test_blocking_invariance_under_trajectory(self):
         params, make_keygen = SCHEMES["sequential"]
@@ -114,8 +99,7 @@ class TestConstantTrajectoryEquivalence:
             _, _, oracle, helper = oracle_pair(params, make_keygen,
                                                spec)
             outcomes.append(np.concatenate(
-                [oracle.evaluate_rows_oneshot(
-                    helper, oracle.take_rows(block))
+                [oracle.evaluate_rows(helper, oracle.take_rows(block))
                  for block in blocks]))
         for observed in outcomes[1:]:
             np.testing.assert_array_equal(outcomes[0], observed)
@@ -129,9 +113,9 @@ class TestExplicitOpOverride:
         scalar, h_s, trajectory, h_t = oracle_pair(
             params, make_keygen, hot)
         chamber = OperatingPoint(temperature=25.0)
-        expected = scalar.evaluate_rows_oneshot(
-            h_s, scalar.take_rows(64), op=chamber)
-        observed = trajectory.evaluate_rows_oneshot(
+        expected = scalar.evaluate_rows(h_s, scalar.take_rows(64),
+                                        op=chamber)
+        observed = trajectory.evaluate_rows(
             h_t, trajectory.take_rows(64), op=chamber)
         np.testing.assert_array_equal(expected, observed)
 
@@ -144,10 +128,10 @@ class TestExplicitOpOverride:
         scalar, h_s, aged, h_t = oracle_pair(params, make_keygen,
                                              aged_spec)
         chamber = OperatingPoint(temperature=25.0)
-        fresh = scalar.evaluate_rows_oneshot(
-            h_s, scalar.take_rows(64), op=chamber)
-        drifted = aged.evaluate_rows_oneshot(
-            h_t, aged.take_rows(64), op=chamber)
+        fresh = scalar.evaluate_rows(h_s, scalar.take_rows(64),
+                                     op=chamber)
+        drifted = aged.evaluate_rows(h_t, aged.take_rows(64),
+                                     op=chamber)
         assert fresh.mean() > drifted.mean()
 
 

@@ -69,24 +69,21 @@ class TestFleet:
 
         assert stats(sequential) == stats(parallel)
 
-    def test_fused_knob_does_not_change_the_campaign(self, capsys):
-        # --fused / --no-fused select cross-device kernel fusion in
-        # the lock-step rounds; recovered keys and query bills must be
-        # identical, and the engine line must name the mode.
+    def test_attack_campaign_is_worker_invariant(self, capsys):
+        # Recovered keys and query bills of the fleet attack campaign
+        # must not depend on the process-pool width.
         base_args = ["fleet", "--devices", "2", "--attack",
                      "sequential", "--seed", "3"]
-        assert main(base_args + ["--fused"]) == 0
-        fused = capsys.readouterr().out
-        assert "fused kernels" in fused
-        assert main(base_args + ["--no-fused"]) == 0
-        per_device = capsys.readouterr().out
-        assert "per-device kernels" in per_device
+        assert main(base_args + ["--workers", "1"]) == 0
+        sequential = capsys.readouterr().out
+        assert main(base_args + ["--workers", "2"]) == 0
+        parallel = capsys.readouterr().out
 
         def stats(report):
             return [line for line in report.splitlines()
-                    if "time" not in line and "engine" not in line]
+                    if "time" not in line and "workers" not in line]
 
-        assert stats(fused) == stats(per_device)
+        assert stats(sequential) == stats(parallel)
 
 
 class TestParser:
