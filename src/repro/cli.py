@@ -70,6 +70,11 @@ from repro.analysis import (
     pairwise_comparisons,
     permutation_entropy,
 )
+from repro.cli_options import (
+    add_supervision_options,
+    report_supervision,
+    supervision_from_args,
+)
 from repro.core import (
     DistillerPairingAttack,
     GroupBasedAttack,
@@ -151,19 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run a fleet-wide helper-data attack "
                             "campaign instead of the failure-rate "
                             "sweep")
-    fleet.add_argument("--max-retries", type=int, default=None,
-                       metavar="N",
-                       help="run the sweep supervised: retry failed "
-                            "chunks up to N times (see "
-                            "docs/resilience.md)")
-    fleet.add_argument("--chunk-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="supervised watchdog timeout per chunk "
-                            "(implies supervision)")
-    fleet.add_argument("--failure-report", default=None,
-                       metavar="PATH",
-                       help="write the supervised failure-taxonomy "
-                            "report (JSON) here")
+    add_supervision_options(fleet)
     fleet.add_argument("--check-reproducible", action="store_true",
                        help="rerun the sweep unsupervised on a "
                             "fresh same-seed fleet and fail unless "
@@ -307,26 +300,6 @@ def _fleet_build(args: argparse.Namespace):
                  seed=manufacture_rng), enroll_rng
 
 
-def _fleet_supervision(args: argparse.Namespace):
-    """A supervisor when any resilience knob was set, else ``None``."""
-    if args.max_retries is None and args.chunk_timeout is None:
-        return None
-    from repro.fleet import RetryPolicy, Supervisor
-    retries = 2 if args.max_retries is None else args.max_retries
-    return Supervisor(RetryPolicy(max_retries=retries,
-                                  chunk_timeout=args.chunk_timeout))
-
-
-def _fleet_wrapup(args: argparse.Namespace, supervision) -> None:
-    """Shared supervised-run reporting for both fleet branches."""
-    if supervision is not None and supervision.failures:
-        for line in supervision.summary_lines():
-            print(f"  supervised {line}")
-    if args.failure_report and supervision is not None:
-        path = supervision.write_report(args.failure_report)
-        print(f"  failure report      : {path}")
-
-
 def _cmd_fleet_attack(args: argparse.Namespace) -> int:
     """Fleet-wide attack campaign branch of the ``fleet`` subcommand."""
     from repro.fleet import (
@@ -359,7 +332,7 @@ def _cmd_fleet_attack(args: argparse.Namespace) -> int:
             enrollment, attack_factory, workers=args.workers,
             lockstep=True, supervision=supervision)
 
-    supervision = _fleet_supervision(args)
+    supervision = supervision_from_args(args)
     start = time.perf_counter()
     recovered, queries = campaign(supervision)
     elapsed = time.perf_counter() - start
@@ -374,7 +347,7 @@ def _cmd_fleet_attack(args: argparse.Namespace) -> int:
     throughput = args.devices / elapsed if elapsed else 0.0
     print(f"  campaign time       : {elapsed:.2f} s "
           f"({throughput:.2f} devices/s)")
-    _fleet_wrapup(args, supervision)
+    report_supervision(args, supervision)
     if args.check_reproducible:
         reference_recovered, reference_queries = campaign(None)
         if not (np.array_equal(recovered, reference_recovered)
@@ -408,7 +381,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                                     supervision=supervision)
         return enrollment, rates
 
-    supervision = _fleet_supervision(args)
+    supervision = supervision_from_args(args)
     start = time.perf_counter()
     enrollment, rates = sweep(supervision)
     elapsed = time.perf_counter() - start
@@ -424,7 +397,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
           f"{rates.max():.4f}")
     print(f"  sweep time          : {elapsed:.2f} s "
           f"({throughput:,.0f} reconstructions/s)")
-    _fleet_wrapup(args, supervision)
+    report_supervision(args, supervision)
     if args.check_reproducible:
         _, reference = sweep(None)
         if not np.array_equal(rates, reference):

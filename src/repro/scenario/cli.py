@@ -6,18 +6,13 @@ CLI::
     repro scenario run --scheme S --family F [--perturbation P] ...
     repro scenario corpus generate [--out DIR] [--seed N] [--quick]
     repro scenario conformance [--corpus DIR] [--quick]
-                               [--check-reproducible]
-                               [--store PATH] [--summary PATH]
-                               [--report PATH] [--resume]
-                               [--stop-after N]
+                               [--report PATH] [checkpoint options]
 
-``conformance`` checkpoints like ``warehouse run``: with ``--store``,
-each case's record is appended the moment the case finishes, and
-``--resume`` skips cases already recorded for this ``(commit,
-config_hash, schema)`` — the configuration hash always covers the
-full (quick-sliced) corpus, so an interrupted run and its completion
-share the key.  ``--stop-after N`` is the deterministic interruption
-(exit 3) used by tests and CI.
+``conformance`` runs the corpus on the checkpointed cell driver of
+``warehouse run`` (:func:`repro.warehouse.runner.run_cells`, via
+:func:`repro.scenario.conformance.run_conformance`) with the same
+checkpoint options (:mod:`repro.cli_options`); without ``--store``
+its records stay in memory.
 
 Kept separate from :mod:`repro.cli` so the argument surface and the
 handlers live next to the subsystem they drive; the top-level parser
@@ -30,14 +25,11 @@ import argparse
 import json
 from pathlib import Path
 
+from repro.cli_options import add_checkpoint_options, detect_commit
 from repro.scenario.conformance import (
     DEFAULT_CORPUS_DIR,
     CorpusFormatError,
-    case_record,
-    corpus_config,
-    load_corpus,
     run_conformance,
-    summary_entry,
 )
 from repro.scenario.corpus import (
     FAMILIES,
@@ -50,9 +42,8 @@ from repro.scenario.corpus import (
     quick_corpus,
     run_case,
 )
-from repro.warehouse.cli import detect_commit
-from repro.warehouse.store import WarehouseStore, config_hash
-from repro.warehouse.summary import append_entry
+from repro.warehouse.store import WarehouseStore
+from repro.warehouse.summary import append_entry, build_entry
 
 
 def add_scenario_parser(sub: argparse._SubParsersAction) -> None:
@@ -104,34 +95,10 @@ def add_scenario_parser(sub: argparse._SubParsersAction) -> None:
     conformance.add_argument("--quick", action="store_true",
                              help="only cells marked quick "
                                   "(CI smoke profile)")
-    conformance.add_argument("--check-reproducible",
-                             action="store_true",
-                             help="run every cell twice and fail "
-                                  "unless identity fingerprints "
-                                  "match bitwise")
-    conformance.add_argument("--store", default=None, metavar="PATH",
-                             help="append warehouse records to this "
-                                  "JSONL store")
-    conformance.add_argument("--summary", default=None,
-                             metavar="PATH",
-                             help="append this run's entry to a "
-                                  "BENCH_*.json trajectory file")
     conformance.add_argument("--report", default=None, metavar="PATH",
                              help="write the full JSON report "
                                   "(CI artifact)")
-    conformance.add_argument("--commit", default=None,
-                             help="record key commit (default: "
-                                  "$GITHUB_SHA or git rev-parse "
-                                  "HEAD)")
-    conformance.add_argument("--resume", action="store_true",
-                             help="skip cases already recorded in "
-                                  "--store for this (commit, "
-                                  "config, schema)")
-    conformance.add_argument("--stop-after", type=int, default=None,
-                             metavar="N",
-                             help="checkpoint and stop after N "
-                                  "executed cases (exit 3; rerun "
-                                  "with --resume)")
+    add_checkpoint_options(conformance, None)
 
 
 def run_scenario(args: argparse.Namespace) -> int:
@@ -184,83 +151,34 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
         print("scenario conformance: --resume needs --store (the "
               "checkpoint lives in the warehouse store)")
         return 2
-    try:
-        seed, entries = load_corpus(args.corpus)
-    except CorpusFormatError as error:
-        print(f"scenario conformance: {error}")
-        return 2
-    if args.quick:
-        entries = [entry for entry in entries if entry.case.quick]
-    case_ids = [entry.case.case_id for entry in entries]
-    cfg = config_hash(corpus_config(seed, case_ids, args.quick))
-    commit = args.commit if args.commit is not None \
-        else detect_commit()
+    commit = detect_commit(args.commit)
     store = WarehouseStore(args.store) if args.store else None
-    skip = []
-    if args.resume:
-        done = store.recorded_cells(commit, cfg)
-        skip = [case_id for case_id in case_ids
-                if f"scenario/{case_id}" in done]
-    profile = "quick" if args.quick else "full"
-    print(f"scenario conformance: profile={profile} seed={seed} "
-          f"commit={commit[:12]} config={cfg} ({len(case_ids)} "
-          f"cells" + (f", {len(skip)} already recorded"
-                      if args.resume else "") + ")")
-
-    appended = 0
-
-    def _checkpoint(check) -> None:
-        nonlocal appended
-        if store is not None:
-            store.append([case_record(check, seed, commit, cfg,
-                                      args.quick)])
-            appended += 1
-
     try:
         report = run_conformance(
             args.corpus, quick=args.quick,
             check_reproducible=args.check_reproducible,
-            progress=print, skip=skip,
-            stop_after=args.stop_after, on_check=_checkpoint)
+            progress=print, commit=commit, store=store,
+            resume=args.resume, stop_after=args.stop_after)
     except CorpusFormatError as error:
         print(f"scenario conformance: {error}")
         return 2
-    if store is not None and appended:
-        print(f"appended {appended} records to {store.path} "
-              f"(config {cfg})")
+    run = report.run
+    if store is not None and run.executed:
+        print(f"appended {len(run.executed)} records to {store.path}")
     if args.report:
         path = Path(args.report)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(report.to_payload(), indent=1)
                         + "\n", encoding="utf-8")
         print(f"report written to {path}")
-    interrupted = (args.stop_after is not None
-                   and len(skip) + len(report.checks)
-                   < len(case_ids))
-    if interrupted:
-        print(f"scenario conformance: stopped after "
-              f"{len(report.checks)} case(s) as requested - "
-              f"checkpoint saved, rerun with --resume to complete "
-              f"the corpus")
+    if run.interrupted:
         return 3
     if args.summary:
-        # The summary covers the whole corpus: on a resumed run the
-        # checkpointed records come back out of the store.
-        if store is not None:
-            stored = store.matrix(commit, cfg)
-            records = [stored[f"scenario/{case_id}"]
-                       for case_id in case_ids
-                       if f"scenario/{case_id}" in stored]
-        else:
-            records = [case_record(check, seed, commit, cfg,
-                                   args.quick)
-                       for check in report.checks]
-        if records:
-            entry = summary_entry(records, commit, args.quick)
-            payload = append_entry(args.summary, entry)
-            print(f"summary entry "
-                  f"#{payload['history'][-1]['sequence']} appended "
-                  f"to {args.summary}")
+        entry = build_entry(run.records, commit,
+                            "quick" if args.quick else "full")
+        payload = append_entry(args.summary, entry)
+        print(f"summary entry #{payload['history'][-1]['sequence']} "
+              f"appended to {args.summary}")
     if not report.ok:
         print(f"scenario conformance: {len(report.failures)} "
               f"cell(s) out of band or not reproducible")

@@ -6,22 +6,22 @@ re-runs its seeded campaign and must land inside its committed
 failure-rate / key-recovery pass-band.  Two further gates harden the
 suite:
 
-* **Reproducibility** — ``--check-reproducible`` runs every checked
-  cell twice and requires bitwise-identical identity fingerprints
-  *within the run* (never against the committed baseline, so benign
-  refactors that legitimately re-order stream consumption remain
-  shippable; the committed fingerprint is informational).
-* **Warehouse wiring** — conformance runs condense into warehouse
-  records and a ``BENCH_scenarios.json`` summary entry, so the
-  longitudinal trajectory (``tools/bench_compare.py --trajectory``)
-  tracks scenario envelopes commit over commit alongside the attack
-  matrix.
+* **Reproducibility** — ``--check-reproducible`` re-runs every
+  cell and requires a bitwise-identical record identity *within the
+  run* (never against the committed baseline, so benign refactors
+  that legitimately re-order stream consumption remain shippable;
+  the committed fingerprint is informational).
+* **Warehouse wiring** — cells run on the warehouse's checkpointed
+  cell driver (:func:`repro.warehouse.runner.run_cells`) as records
+  ``scenario/<case id>``, which also feed a ``BENCH_scenarios.json``
+  summary entry, so the longitudinal trajectory tracks scenario
+  envelopes alongside the attack matrix.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -32,7 +32,12 @@ from repro.scenario.corpus import (
     ScenarioCase,
     run_case,
 )
-from repro.warehouse.store import SCHEMA_VERSION, config_hash
+from repro.warehouse.runner import CellRun, measured, run_cells
+from repro.warehouse.store import (
+    SCHEMA_VERSION,
+    WarehouseStore,
+    config_hash,
+)
 
 #: Default location of the committed corpus, relative to the repo
 #: root.
@@ -107,22 +112,13 @@ class CaseCheck:
     entry: CorpusEntry
     result: CaseResult
     violations: Tuple[str, ...]
-    #: Second-run fingerprint under ``--check-reproducible``
-    #: (``None`` when the replay was skipped).
-    replay_fingerprint: Optional[str] = None
+    #: Whether the replay (if any) reproduced the record identity.
+    reproducible: bool = True
 
     @property
     def ok(self) -> bool:
         """In-band and (when replayed) bitwise-reproducible."""
         return not self.violations and self.reproducible
-
-    @property
-    def reproducible(self) -> bool:
-        """Whether the replay (if any) reproduced the identity."""
-        return (self.replay_fingerprint is None
-                or self.replay_fingerprint
-                == self.result.fingerprint)
-
 
 @dataclass
 class ConformanceReport:
@@ -133,6 +129,8 @@ class ConformanceReport:
     #: Case ids skipped by checkpoint/resume (already recorded for
     #: this run key in the warehouse store).
     skipped: List[str] = field(default_factory=list)
+    #: The cell driver's account of the run (records, interruption).
+    run: Optional[CellRun] = None
 
     @property
     def ok(self) -> bool:
@@ -158,8 +156,8 @@ class ConformanceReport:
             for violation in check.violations:
                 out.append(f"        out-of-band: {violation}")
             if not check.reproducible:
-                out.append("        NOT REPRODUCIBLE: identity "
-                           "fingerprint drifted between two "
+                out.append("        NOT REPRODUCIBLE: record "
+                           "identity drifted between two "
                            "same-seed runs")
         return out
 
@@ -201,57 +199,64 @@ def band_violations(entry: CorpusEntry,
     return violations
 
 
-def check_entry(entry: CorpusEntry, seed: int,
-                check_reproducible: bool = False) -> CaseCheck:
+def check_entry(entry: CorpusEntry, seed: int) -> CaseCheck:
     """Re-run one committed cell and compare against its envelope."""
     result = run_case(entry.case, seed)
-    replay = (run_case(entry.case, seed).fingerprint
-              if check_reproducible else None)
     return CaseCheck(entry, result,
-                     tuple(band_violations(entry, result.observed)),
-                     replay)
+                     tuple(band_violations(entry, result.observed)))
 
 
 def run_conformance(directory, quick: bool = False,
                     check_reproducible: bool = False,
                     progress: Optional[Callable[[str], None]] = None,
-                    skip: Optional[Sequence[str]] = None,
-                    stop_after: Optional[int] = None,
-                    on_check: Optional[
-                        Callable[[CaseCheck], None]] = None
+                    commit: str = "unknown",
+                    store: Optional[WarehouseStore] = None,
+                    resume: bool = False,
+                    stop_after: Optional[int] = None
                     ) -> ConformanceReport:
     """Check (the quick slice of) the committed corpus.
 
-    *skip* lists case ids to leave out (checkpoint/resume: cases
-    already recorded in the warehouse store for this run key); they
-    appear in the report's ``skipped`` list.  *stop_after* ends the
-    run after that many executed cases — the deterministic
-    interruption used to test resume.  *on_check* receives each
-    verdict as soon as its case finishes (the incremental-append
-    checkpoint hook).
+    Each case runs on :func:`repro.warehouse.runner.run_cells` as
+    cell ``scenario/<case id>`` under the run key ``(commit,``
+    :func:`corpus_config` ``hash)``; *store*, *resume*, *stop_after*
+    and *check_reproducible* are the driver's.  *progress* receives
+    the run header and each case's report lines.
     """
     seed, entries = load_corpus(directory)
     if quick:
         entries = [entry for entry in entries if entry.case.quick]
-    skipped = frozenset(skip) if skip is not None else frozenset()
-    report = ConformanceReport(seed)
-    executed = 0
-    for entry in entries:
-        if entry.case.case_id in skipped:
-            report.skipped.append(entry.case.case_id)
-            continue
-        if stop_after is not None and executed >= stop_after:
-            break
-        check = check_entry(entry, seed, check_reproducible)
-        report.checks.append(check)
-        executed += 1
-        if on_check is not None:
-            on_check(check)
+    by_cell = {f"scenario/{entry.case.case_id}": entry
+               for entry in entries}
+    cfg = config_hash(corpus_config(
+        seed, [entry.case.case_id for entry in entries], quick))
+    if progress is not None:
+        progress(f"scenario conformance: "
+                 f"profile={'quick' if quick else 'full'} seed={seed} "
+                 f"commit={commit[:12]} config={cfg} "
+                 f"({len(entries)} cells)")
+    checks: Dict[str, CaseCheck] = {}
+
+    def run_one(cell: str) -> Dict[str, object]:
+        with measured() as perf:
+            check = check_entry(by_cell[cell], seed)
+        checks.setdefault(cell, check)
+        return case_record(check, seed, commit, cfg, perf)
+
+    def on_record(record: Dict[str, object],
+                  reproducible: bool) -> None:
+        cell = str(record["cell"])
+        checks[cell] = replace(checks[cell], reproducible=reproducible)
         if progress is not None:
-            for line in ConformanceReport(
-                    seed, [check]).lines():
+            for line in ConformanceReport(seed, [checks[cell]]).lines():
                 progress(line)
-    return report
+
+    run = run_cells(list(by_cell), run_one, commit, cfg, store=store,
+                    resume=resume, stop_after=stop_after,
+                    check_reproducible=check_reproducible,
+                    on_record=on_record, log=progress)
+    return ConformanceReport(seed, list(checks.values()),
+                             [cell.split("/", 1)[1]
+                              for cell in run.skipped], run)
 
 
 def _timestamp() -> str:
@@ -276,17 +281,8 @@ def corpus_config(seed: int, case_ids: Sequence[str],
     }
 
 
-def conformance_config(report: ConformanceReport,
-                       quick: bool) -> Dict[str, object]:
-    """Run-key configuration derived from a completed report."""
-    return corpus_config(
-        report.seed,
-        [check.entry.case.case_id for check in report.checks],
-        quick)
-
-
 def case_record(check: CaseCheck, seed: int, commit: str,
-                cfg: str, quick: bool) -> Dict[str, object]:
+                cfg: str, perf: Dict[str, float]) -> Dict[str, object]:
     """One case verdict as a warehouse store record.
 
     Cells are namespaced ``scenario/<case id>`` so they live beside
@@ -294,6 +290,9 @@ def case_record(check: CaseCheck, seed: int, commit: str,
     reuses the summary vocabulary (``recovery_rate`` is the
     key-regeneration success rate for failure cells) so the
     longitudinal trajectory renders scenario envelopes unchanged.
+    *perf* is the :func:`~repro.warehouse.runner.measured` timing and
+    kernel work of the check.  ``status`` is the band verdict;
+    reproducibility is the driver's verdict on the record itself.
     """
     case = check.entry.case
     observed = check.result.observed
@@ -312,7 +311,7 @@ def case_record(check: CaseCheck, seed: int, commit: str,
         "attack": case.kind,
         "countermeasure": "none",
         "variant": case.family,
-        "status": "ok" if check.ok else "out-of-band",
+        "status": "out-of-band" if check.violations else "ok",
         "reason": "; ".join(check.violations),
         "engine": "trajectory",
         "config": dict(case.to_dict(), seed=int(seed)),
@@ -323,63 +322,6 @@ def case_record(check: CaseCheck, seed: int, commit: str,
             "observed": dict(observed),
             "outcome_fingerprint": check.result.fingerprint,
         },
-        "perf": {
-            "attack_seconds": float(check.result.seconds),
-            "kernel_seconds": 0.0,
-            "kernel_calls": 0,
-        },
+        "perf": perf,
         "meta": {"created": _timestamp()},
-    }
-
-
-def warehouse_records(report: ConformanceReport, commit: str,
-                      quick: bool,
-                      cfg: Optional[str] = None
-                      ) -> List[Dict[str, object]]:
-    """Condense a conformance run into warehouse store records.
-
-    *cfg* overrides the configuration hash — resumable runs pass the
-    full-corpus hash (:func:`corpus_config`) so partial runs key
-    identically; without it the hash derives from the report's own
-    case list (a complete, non-resumed run).
-    """
-    if cfg is None:
-        cfg = config_hash(conformance_config(report, quick))
-    return [case_record(check, report.seed, commit, cfg, quick)
-            for check in report.checks]
-
-
-def summary_entry(records: List[Dict[str, object]], commit: str,
-                  quick: bool) -> Dict[str, object]:
-    """A ``BENCH_scenarios.json`` history entry for this run.
-
-    Mirrors :func:`repro.warehouse.summary.build_entry`'s shape
-    (benchmark means + security outcomes per cell) but keeps
-    out-of-band cells visible — an envelope miss *is* the signal the
-    trajectory should carry.
-    """
-    benchmarks: Dict[str, object] = {}
-    security: Dict[str, object] = {}
-    cfg = records[0]["config_hash"] if records else ""
-    for record in records:
-        cell = str(record["cell"])
-        benchmarks[cell] = {
-            "mean": float(record["perf"]["attack_seconds"]),
-            "kernel_seconds": 0.0,
-            "kernel_calls": 0,
-        }
-        outcome = record["security"]
-        security[cell] = {
-            "recovery_rate": float(outcome["recovery_rate"]),
-            "queries_mean": float(outcome["queries_mean"]),
-            "outcome_fingerprint": str(
-                outcome["outcome_fingerprint"]),
-        }
-    return {
-        "commit": str(commit),
-        "date": datetime.now(timezone.utc).date().isoformat(),
-        "config_hash": str(cfg),
-        "profile": "quick" if quick else "full",
-        "benchmarks": benchmarks,
-        "security": security,
     }

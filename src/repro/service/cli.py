@@ -35,6 +35,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.cli_options import add_supervision_options, retry_policy
 from repro.fleet import (
     DistillerAttackFactory,
     GroupAttackFactory,
@@ -42,7 +43,7 @@ from repro.fleet import (
     TempAwareAttackFactory,
 )
 from repro.fleet.pool import WorkerHandshakeError
-from repro.fleet.resilience import PoisonedSweepError, RetryPolicy
+from repro.fleet.resilience import PoisonedSweepError
 from repro.keygen import (
     DistillerPairingKeyGen,
     FuzzyExtractorKeyGen,
@@ -182,11 +183,7 @@ def add_service_parser(sub: argparse._SubParsersAction) -> None:
     sweep.add_argument("--check-single-host", action="store_true",
                        help="also run the single-host Fleet sweep "
                             "and fail unless results match bitwise")
-    sweep.add_argument("--max-retries", type=int, default=2,
-                       help="per-shard retry budget")
-    sweep.add_argument("--chunk-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="per-shard watchdog timeout")
+    add_supervision_options(sweep, failure_report=False)
     sweep.add_argument("--allow-partial", action="store_true",
                        help="zero-fill shards that exhaust retries "
                             "instead of failing the sweep")
@@ -264,9 +261,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     attack_factory = None
     if kind != KIND_FAILURE:
         attack_factory = scheme_attack_factory(scheme, rows, cols)
-    policy = RetryPolicy(max_retries=args.max_retries,
-                         chunk_timeout=args.chunk_timeout,
-                         allow_partial=args.allow_partial)
+    policy = retry_policy(args, allow_partial=args.allow_partial)
 
     print(f"service sweep: kind={args.kind} scheme={scheme} "
           f"devices={population.devices} seed={population.seed} "

@@ -2,20 +2,21 @@
 
 Wires the warehouse subsystem into the top-level CLI::
 
-    repro warehouse run [--quick] [--store PATH] [--summary PATH]
-                        [--resume] [--stop-after N] [--workers N]
-                        [--max-retries N] [--chunk-timeout S]
+    repro warehouse run [--quick] [--seed N] [--devices N]
+                        [--cells PATTERN] [--workers N]
+                        [--enrollment-registry DIR]
+                        [checkpoint options] [supervision options]
     repro warehouse verify --store PATH [--matrix quick|full]
                            [--commit SHA] [--once]
     repro warehouse diff BASE CURRENT --store PATH
     repro warehouse trajectory [BENCH_*.json ...]
 
-``run`` checkpoints: every cell record is appended to the store the
-moment its cell finishes, so a killed run resumes with ``--resume``
-(cells already recorded for this ``(commit, config_hash, schema)``
-are skipped; the configuration hash covers the *full* matrix, so the
-resumed records land under the same key).  ``--stop-after N`` is the
-deterministic interruption used by tests and the CI chaos-smoke job.
+``run`` selects the matrix cells and hands them to the checkpointed
+cell driver shared with ``scenario conformance``
+(:func:`repro.warehouse.runner.run_cells`): records are appended as
+cells finish, ``--resume`` skips recorded cells, ``--stop-after N``
+exits 3, ``--check-reproducible`` replays each cell.  Checkpoint and
+supervision options are the shared groups of :mod:`repro.cli_options`.
 
 ``verify`` exit codes are disjoint so CI can assert on them: 0 ok,
 1 identity mismatch between same-key records, 2 missing store or
@@ -30,12 +31,17 @@ only delegates.
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import subprocess
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
+from repro.cli_options import (
+    add_checkpoint_options,
+    add_supervision_options,
+    detect_commit,
+    positive_int,
+    report_supervision,
+    supervision_from_args,
+)
 from repro.warehouse.diff import diff_matrices
 from repro.warehouse.matrix import (
     full_matrix,
@@ -43,35 +49,17 @@ from repro.warehouse.matrix import (
     select_cells,
 )
 from repro.warehouse.runner import (
+    cell_line,
     matrix_config,
-    run_matrix,
+    run_cell,
+    run_cells,
 )
-from repro.warehouse.store import (
-    WarehouseStore,
-    canonical_json,
-    config_hash,
-    record_identity,
-)
+from repro.warehouse.store import WarehouseStore, config_hash
 from repro.warehouse.summary import append_entry, build_entry
 from repro.warehouse.trajectory import build_report
 
 #: Default store location, relative to the invocation directory.
 DEFAULT_STORE = "warehouse/results.jsonl"
-
-
-def detect_commit() -> str:
-    """This run's commit: ``$GITHUB_SHA``, ``git rev-parse``, or
-    ``"unknown"`` outside both."""
-    commit = os.environ.get("GITHUB_SHA", "").strip()
-    if commit:
-        return commit
-    try:
-        probe = subprocess.run(["git", "rev-parse", "HEAD"],
-                               capture_output=True, text=True,
-                               check=True, timeout=10)
-        return probe.stdout.strip() or "unknown"
-    except Exception:
-        return "unknown"
 
 
 def add_warehouse_parser(sub: argparse._SubParsersAction) -> None:
@@ -86,51 +74,23 @@ def add_warehouse_parser(sub: argparse._SubParsersAction) -> None:
         "run", help="execute the matrix and append records")
     run.add_argument("--quick", action="store_true",
                      help="reduced matrix (CI smoke profile)")
-    run.add_argument("--devices", type=int, default=None,
+    run.add_argument("--devices", type=positive_int, default=None,
                      help="fleet size per runnable cell "
                           "(default: 2 quick / 4 full)")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--store", default=DEFAULT_STORE,
-                     help=f"JSONL store path (default "
-                          f"{DEFAULT_STORE})")
-    run.add_argument("--commit", default=None,
-                     help="record key commit (default: $GITHUB_SHA "
-                          "or git rev-parse HEAD)")
-    run.add_argument("--summary", default=None, metavar="PATH",
-                     help="append this run's entry to a repo-root "
-                          "BENCH_*.json trajectory file")
     run.add_argument("--cells", default=None, metavar="PATTERN",
                      help="fnmatch filter on cell ids, e.g. "
                           "'group-based/*'")
-    run.add_argument("--check-reproducible", action="store_true",
-                     help="run the matrix twice and fail unless "
-                          "record identities match bitwise")
-    run.add_argument("--resume", action="store_true",
-                     help="skip cells already recorded for this "
-                          "(commit, config, schema) in the store")
-    run.add_argument("--stop-after", type=int, default=None,
-                     metavar="N",
-                     help="checkpoint and stop after N executed "
-                          "cells (exit 3; rerun with --resume)")
     run.add_argument("--workers", type=int, default=1,
                      help="process-pool width for the attack "
                           "campaigns (0/None = all CPUs)")
-    run.add_argument("--max-retries", type=int, default=None,
-                     metavar="N",
-                     help="run campaigns supervised: retry failed "
-                          "chunks up to N times")
-    run.add_argument("--chunk-timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="supervised watchdog timeout per campaign "
-                          "chunk (implies supervision)")
-    run.add_argument("--failure-report", default=None, metavar="PATH",
-                     help="write the supervised failure-taxonomy "
-                          "report (JSON) here")
     run.add_argument("--enrollment-registry", default=None,
                      metavar="DIR",
                      help="persist per-cell enrollments under DIR "
                           "and reuse them on later runs (identity "
                           "is bitwise-unchanged)")
+    add_checkpoint_options(run, DEFAULT_STORE)
+    add_supervision_options(run)
 
     verify = wsub.add_parser(
         "verify", help="assert same-key records agree bitwise")
@@ -195,31 +155,6 @@ def run_warehouse(args: argparse.Namespace) -> int:
     return handler(args)
 
 
-def _build_supervision(args: argparse.Namespace):
-    """A :class:`~repro.fleet.resilience.Supervisor` when any
-    resilience knob was set, else ``None`` (plain execution)."""
-    if args.max_retries is None and args.chunk_timeout is None:
-        return None
-    from repro.fleet.resilience import RetryPolicy, Supervisor
-    retries = 2 if args.max_retries is None else args.max_retries
-    return Supervisor(RetryPolicy(max_retries=retries,
-                                  chunk_timeout=args.chunk_timeout))
-
-
-def _write_failure_report(path: str, supervision) -> None:
-    """Persist the failure-taxonomy artifact for CI."""
-    payload = (supervision.to_payload() if supervision is not None
-               else {"sweeps": 0, "failures": 0, "counts": {},
-                     "reports": []})
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                      + "\n", encoding="ascii")
-    print(f"failure report ({payload['failures']} failure(s) over "
-          f"{payload['sweeps']} supervised sweep(s)) written to "
-          f"{target}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     profile = "quick" if args.quick else "full"
     cells = select_cells(quick_matrix() if args.quick
@@ -229,82 +164,54 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     devices = args.devices if args.devices is not None \
         else (2 if args.quick else 4)
-    commit = args.commit if args.commit is not None \
-        else detect_commit()
+    commit = detect_commit(args.commit)
     cfg = config_hash(matrix_config(cells, profile, args.seed,
                                     devices))
     store = WarehouseStore(args.store)
-    skip: List[str] = []
-    if args.resume:
-        done = store.recorded_cells(commit, cfg)
-        skip = [cell.cell_id for cell in cells
-                if cell.cell_id in done]
     print(f"warehouse run: profile={profile} seed={args.seed} "
           f"devices={devices} commit={commit[:12]} config={cfg} "
-          f"({len(cells)} cells"
-          + (f", {len(skip)} already recorded" if args.resume
-             else "") + ")")
-    supervision = _build_supervision(args)
-    # Checkpoint discipline: append each record the moment its cell
-    # finishes, so a killed run loses at most the in-flight cell and
-    # --resume picks up from the store.
-    records: List[Dict[str, object]] = []
+          f"({len(cells)} cells)")
+    supervision = supervision_from_args(args)
+    by_id = {cell.cell_id: cell for cell in cells}
 
-    def _checkpoint(record: Dict[str, object]) -> None:
-        store.append([record])
-        records.append(record)
+    def run_one(cell_id: str):
+        return run_cell(by_id[cell_id], devices, args.seed, commit,
+                        cfg, profile, workers=args.workers,
+                        supervision=supervision,
+                        registry_dir=args.enrollment_registry)
 
-    run_matrix(cells, profile, args.seed, devices, commit,
-               progress=print, skip=skip, on_record=_checkpoint,
-               stop_after=args.stop_after, workers=args.workers,
-               supervision=supervision,
-               registry_dir=args.enrollment_registry)
-    if supervision is not None and supervision.failures:
-        for line in supervision.summary_lines():
-            print(f"  supervised {line}")
-    if args.failure_report:
-        _write_failure_report(args.failure_report, supervision)
-    print(f"appended {len(records)} records to {store.path} "
+    def progress(record, _reproducible: bool) -> None:
+        line = cell_line(record)
+        if line is not None:
+            print(line)
+
+    run = run_cells(list(by_id), run_one, commit, cfg, store=store,
+                    resume=args.resume, stop_after=args.stop_after,
+                    check_reproducible=args.check_reproducible,
+                    on_record=progress, log=print)
+    report_supervision(args, supervision)
+    print(f"appended {len(run.executed)} records to {store.path} "
           f"(config {cfg})")
-    interrupted = (args.stop_after is not None
-                   and len(skip) + len(records) < len(cells))
-    if interrupted:
-        print(f"warehouse run: stopped after {len(records)} cell(s) "
-              f"as requested - checkpoint saved, rerun with "
-              f"--resume to complete the matrix")
+    if run.interrupted:
         return 3
     if args.check_reproducible:
-        replay = run_matrix(cells, profile, args.seed, devices,
-                            commit, skip=skip, workers=args.workers,
-                            supervision=supervision,
-                            registry_dir=args.enrollment_registry)
-        drifted = [
-            str(first["cell"])
-            for first, second in zip(records, replay)
-            if canonical_json(record_identity(first))
-            != canonical_json(record_identity(second))]
-        if drifted:
+        if run.drifted:
             print(f"warehouse run: NOT REPRODUCIBLE - "
-                  f"{len(drifted)} cell(s) drifted between two "
-                  f"same-seed runs: {', '.join(drifted)}")
+                  f"{len(run.drifted)} cell(s) drifted between two "
+                  f"same-seed runs: {', '.join(run.drifted)}")
             return 1
         print("warehouse run: reproducibility check ok "
               "(two same-seed runs, identical record identities)")
-    # Status tally and summary cover the whole matrix: on a resumed
-    # run that means this run's records plus the checkpointed ones.
-    stored = store.matrix(commit, cfg)
-    full_records = [stored[cell.cell_id] for cell in cells
-                    if cell.cell_id in stored]
-    by_status = {status: sum(1 for r in full_records
+    by_status = {status: sum(1 for r in run.records
                              if r["status"] == status)
                  for status in ("ok", "n/a", "error")}
     print(f"matrix complete: {by_status['ok']} ok / "
           f"{by_status['n/a']} n/a / {by_status['error']} error")
-    for record in full_records:
+    for record in run.records:
         if record["status"] == "error":
             print(f"  ERROR {record['cell']}: {record['reason']}")
     if args.summary:
-        entry = build_entry(full_records, commit, profile)
+        entry = build_entry(run.records, commit, profile)
         payload = append_entry(args.summary, entry)
         print(f"summary entry #{payload['history'][-1]['sequence']} "
               f"appended to {args.summary}")
@@ -335,8 +242,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                              else full_matrix(), args.cells)
         devices = args.devices if args.devices is not None \
             else (2 if quick else 4)
-        commit = args.commit if args.commit is not None \
-            else detect_commit()
+        commit = detect_commit(args.commit)
         cfg = config_hash(matrix_config(
             cells, "quick" if quick else "full", args.seed, devices))
         counts = store.recorded_cells(commit, cfg)

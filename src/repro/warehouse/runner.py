@@ -7,7 +7,9 @@ for every stepwise attack, the per-device scalar loop for the
 temperature-aware family — then condenses the outcome into one record:
 per-device key-recovery mask and query bills, a comparer-decisions
 fingerprint, an enrollment fingerprint through the specified storage
-format, and wall/kernel timings.
+format, and wall/kernel timings.  :func:`run_cells` is the
+checkpointed cell driver that ``warehouse run`` and ``scenario
+conformance`` share.
 
 Determinism contract: the record *identity* (everything except the
 ``perf``/``meta`` layers) is a pure function of ``(cell, seed,
@@ -21,10 +23,11 @@ from __future__ import annotations
 
 import functools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -50,11 +53,17 @@ from repro.puf import ROArrayParams
 from repro.warehouse.matrix import MatrixCell
 from repro.warehouse.store import (
     SCHEMA_VERSION,
+    WarehouseStore,
+    canonical_json,
     config_hash,
     enrollment_fingerprint,
     fingerprint_bits,
+    record_identity,
     sha256_hex,
 )
+
+#: One warehouse store record (see :mod:`repro.warehouse.store`).
+Record = Dict[str, object]
 
 
 @dataclass(frozen=True)
@@ -190,6 +199,22 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+@contextmanager
+def measured() -> Iterator[Dict[str, float]]:
+    """Yield a record ``perf`` dict, filled on exit with the block's
+    wall time and :data:`~repro.ecc.kernel.kernel_stats` delta (pool
+    workers' kernel work included)."""
+    perf: Dict[str, float] = {}
+    calls, rows, seconds = (kernel_stats.calls, kernel_stats.rows,
+                            kernel_stats.seconds)
+    start = time.perf_counter()
+    yield perf
+    perf.update(attack_seconds=time.perf_counter() - start,
+                kernel_seconds=kernel_stats.seconds - seconds,
+                kernel_calls=kernel_stats.calls - calls,
+                kernel_rows=kernel_stats.rows - rows)
+
+
 def matrix_config(cells: Sequence[MatrixCell], profile: str,
                   seed: int, devices: int) -> Dict[str, object]:
     """The configuration dict whose hash keys a run's records."""
@@ -319,17 +344,10 @@ def _run_runnable(cell: MatrixCell, devices: int, seed: int,
                                    supervision=supervision)
 
     lockstep = cell.attack != "temp-aware"
-    kernel_before = (kernel_stats.calls, kernel_stats.rows,
-                     kernel_stats.seconds)
-    start = time.perf_counter()
-    results = fleet.attack_results(enrollment, _attack_factory(cell),
-                                   lockstep=lockstep,
-                                   workers=workers,
-                                   supervision=supervision)
-    attack_seconds = time.perf_counter() - start
-    kernel_calls = kernel_stats.calls - kernel_before[0]
-    kernel_rows = kernel_stats.rows - kernel_before[1]
-    kernel_seconds = kernel_stats.seconds - kernel_before[2]
+    with measured() as perf:
+        results = fleet.attack_results(
+            enrollment, _attack_factory(cell), lockstep=lockstep,
+            workers=workers, supervision=supervision)
 
     check = _recovery_check(cell)
     payloads: List[Dict[str, object]] = []
@@ -353,15 +371,9 @@ def _run_runnable(cell: MatrixCell, devices: int, seed: int,
         "enrollment_fingerprint": enrollment_fingerprint(
             enrollment.helpers, enrollment.keys),
     }
-    perf = {
-        "enroll_seconds": enroll_seconds,
-        "attack_seconds": attack_seconds,
-        "kernel_seconds": kernel_seconds,
-        "kernel_calls": int(kernel_calls),
-        "kernel_rows": int(kernel_rows),
-    }
     engine = "lockstep-fused" if lockstep else "scalar"
-    return {"engine": engine, "security": security, "perf": perf}
+    return {"engine": engine, "security": security,
+            "perf": dict(perf, enroll_seconds=enroll_seconds)}
 
 
 def _run_reconstruction(fleet: Fleet, enrollment, enroll_seconds,
@@ -375,13 +387,10 @@ def _run_reconstruction(fleet: Fleet, enrollment, enroll_seconds,
     layers so summaries and diffs treat the cell uniformly
     (``queries`` counts noisy readouts consumed — one per trial).
     """
-    kernel_before = (kernel_stats.calls, kernel_stats.rows,
-                     kernel_stats.seconds)
-    start = time.perf_counter()
-    rates = fleet.failure_rates(enrollment, RECONSTRUCTION_TRIALS,
-                                workers=workers,
-                                supervision=supervision)
-    attack_seconds = time.perf_counter() - start
+    with measured() as perf:
+        rates = fleet.failure_rates(enrollment, RECONSTRUCTION_TRIALS,
+                                    workers=workers,
+                                    supervision=supervision)
     payloads = [{"recovered": bool(rate == 0.0),
                  "queries": int(RECONSTRUCTION_TRIALS),
                  "failure_rate": float(rate)} for rate in rates]
@@ -401,67 +410,132 @@ def _run_reconstruction(fleet: Fleet, enrollment, enroll_seconds,
         "enrollment_fingerprint": enrollment_fingerprint(
             enrollment.helpers, enrollment.keys),
     }
-    perf = {
-        "enroll_seconds": enroll_seconds,
-        "attack_seconds": attack_seconds,
-        "kernel_seconds": kernel_stats.seconds - kernel_before[2],
-        "kernel_calls": int(kernel_stats.calls - kernel_before[0]),
-        "kernel_rows": int(kernel_stats.rows - kernel_before[1]),
-    }
     return {"engine": "reconstruction-sweep", "security": security,
-            "perf": perf}
+            "perf": dict(perf, enroll_seconds=enroll_seconds)}
+
+
+@dataclass
+class CellRun:
+    """What one :func:`run_cells` run did."""
+
+    #: Cells skipped on resume: already recorded for the run key.
+    skipped: List[str]
+    #: Records of the cells this run executed, in execution order.
+    executed: List[Record]
+    #: Whole-run records in cell order (after a resume, read back
+    #: from the store).
+    records: List[Record]
+    #: Cells whose replay drifted from their record's identity.
+    drifted: List[str]
+    #: ``stop_after`` ended the run before every cell was recorded.
+    interrupted: bool
+
+
+def run_cells(cell_ids: Sequence[str],
+              run_one: Callable[[str], Record], commit: str,
+              cfg: str, store: Optional[WarehouseStore] = None,
+              resume: bool = False,
+              stop_after: Optional[int] = None,
+              check_reproducible: bool = False,
+              on_record: Optional[
+                  Callable[[Record, bool], None]] = None,
+              log: Optional[Callable[[str], None]] = None) -> CellRun:
+    """The checkpointed cell driver of ``warehouse run`` and
+    ``scenario conformance``.
+
+    ``run_one(cell_id)`` returns the cell's record, keyed ``(commit,
+    cfg)``; *cfg* hashes the **full** cell list, so an interrupted
+    run and its *resume* share the key.  Each record is appended to
+    *store* as soon as its cell finishes; *resume* skips cells
+    already recorded there; *stop_after* ends the run after that many
+    executed cells; *check_reproducible* re-runs each cell (never
+    storing the replay) and compares record identities bitwise.
+    *on_record* gets each executed record and whether it reproduced;
+    *log* gets the resume and interruption lines.
+    """
+    if resume and store is None:
+        raise ValueError("resume needs a store to find the checkpoint")
+    done = store.recorded_cells(commit, cfg) if resume else {}
+    skipped = [cell for cell in cell_ids if cell in done]
+    if resume and log is not None:
+        log(f"  resume: {len(skipped)} already recorded, "
+            f"{len(cell_ids) - len(skipped)} to run")
+    executed: List[Record] = []
+    drifted: List[str] = []
+    for cell in cell_ids:
+        if cell in done:
+            continue
+        if stop_after is not None and len(executed) >= stop_after:
+            break
+        record = run_one(cell)
+        if store is not None:
+            store.append([record])
+        executed.append(record)
+        reproducible = not check_reproducible or (
+            canonical_json(record_identity(run_one(cell)))
+            == canonical_json(record_identity(record)))
+        if not reproducible:
+            drifted.append(cell)
+        if on_record is not None:
+            on_record(record, reproducible)
+    interrupted = len(skipped) + len(executed) < len(cell_ids)
+    if interrupted and log is not None:
+        log(f"  stopped after {len(executed)} cell(s) as requested - "
+            f"checkpoint saved, rerun with --resume to complete the "
+            f"run")
+    records = executed
+    if skipped:
+        stored = store.matrix(commit, cfg)
+        records = [stored[cell] for cell in cell_ids if cell in stored]
+    return CellRun(skipped, executed, records, drifted, interrupted)
+
+
+def cell_line(record: Record) -> Optional[str]:
+    """Progress line of an executed matrix cell (``None`` for ``n/a``
+    and ``error`` cells)."""
+    if record["status"] != "ok":
+        return None
+    security = record["security"]
+    return (f"  {record['cell']}: {security['recovered']}/"
+            f"{security['devices']} recovered, "
+            f"{security['queries_total']} queries, "
+            f"{record['perf']['attack_seconds']:.2f}s")
 
 
 def run_matrix(cells: Sequence[MatrixCell], profile: str, seed: int,
                devices: int, commit: str,
                progress: Optional[Callable[[str], None]] = None,
                skip: Optional[Sequence[str]] = None,
-               on_record: Optional[
-                   Callable[[Dict[str, object]], None]] = None,
+               on_record: Optional[Callable[[Record], None]] = None,
                stop_after: Optional[int] = None,
                workers: Optional[int] = 1,
                supervision=None,
-               registry_dir: Optional[str] = None
-               ) -> List[Dict[str, object]]:
-    """Execute a matrix; returns one record per executed cell.
+               registry_dir: Optional[str] = None) -> List[Record]:
+    """Execute a matrix without a store; returns the executed records.
 
-    Every record of the run shares the same ``(commit, config_hash,
-    schema_version)`` key prefix.  The configuration hash is computed
-    over the **full** *cells* list before any skipping, so a resumed
-    run (``skip=`` the already-recorded cell ids) produces records
-    under the same key as the interrupted one.
-
-    *progress* (if given) receives one line per completed cell for
-    live CLI output; *on_record* receives each record as soon as its
-    cell finishes — the checkpoint hook that makes a mid-matrix kill
-    resumable when the callback appends to the store incrementally.
-    *stop_after* aborts the run after that many executed cells (the
-    deterministic interruption used to test resume).  *workers* /
-    *supervision* / *registry_dir* pass through to :func:`run_cell`.
+    The configuration hash covers the **full** *cells* list, also
+    when *skip* leaves cell ids out.  *progress* receives each
+    :func:`cell_line`, *on_record* each record as its cell finishes;
+    *stop_after* is :func:`run_cells`'.  *workers* / *supervision* /
+    *registry_dir* pass through to :func:`run_cell`.
     """
     cfg_hash = config_hash(matrix_config(cells, profile, seed,
                                          devices))
-    skipped = frozenset(skip) if skip is not None else frozenset()
-    records: List[Dict[str, object]] = []
-    executed = 0
-    for cell in cells:
-        if cell.cell_id in skipped:
-            continue
-        if stop_after is not None and executed >= stop_after:
-            break
-        record = run_cell(cell, devices, seed, commit, cfg_hash,
-                          profile, workers=workers,
-                          supervision=supervision,
-                          registry_dir=registry_dir)
-        records.append(record)
-        executed += 1
+    by_id = {cell.cell_id: cell for cell in cells}
+
+    def run_one(cell_id: str) -> Record:
+        return run_cell(by_id[cell_id], devices, seed, commit,
+                        cfg_hash, profile, workers=workers,
+                        supervision=supervision,
+                        registry_dir=registry_dir)
+
+    def report(record: Record, _reproducible: bool) -> None:
+        line = cell_line(record)
+        if progress is not None and line is not None:
+            progress(line)
         if on_record is not None:
             on_record(record)
-        if progress is not None and record["status"] == "ok":
-            security = record["security"]
-            progress(
-                f"  {cell.cell_id}: {security['recovered']}/"
-                f"{security['devices']} recovered, "
-                f"{security['queries_total']} queries, "
-                f"{record['perf']['attack_seconds']:.2f}s")
-    return records
+
+    todo = [cell_id for cell_id in by_id if cell_id not in (skip or ())]
+    return run_cells(todo, run_one, commit, cfg_hash,
+                     stop_after=stop_after, on_record=report).executed

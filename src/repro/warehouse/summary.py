@@ -54,14 +54,18 @@ def build_entry(records: Sequence[Dict[str, object]], commit: str,
                 sequence: Optional[int] = None) -> Dict[str, object]:
     """Condense one run's records into a history entry.
 
-    Only ``ok`` cells contribute; *sequence* is normally left to
-    :func:`append_entry`, which numbers entries monotonically.
+    Every executed record contributes (``perf`` is set): ``ok``
+    attack-matrix cells — ``n/a`` and ``error`` records carry no
+    ``perf`` — and every conformance cell, out-of-band ones included,
+    since an envelope miss is the signal the trajectory should carry.
+    *sequence* is normally left to :func:`append_entry`, which
+    numbers entries monotonically.
     """
     benchmarks: Dict[str, object] = {}
     security: Dict[str, object] = {}
     config_hash = ""
     for record in records:
-        if record.get("status") != "ok":
+        if record.get("perf") is None:
             continue
         cell = str(record["cell"])
         config_hash = str(record["config_hash"])

@@ -19,11 +19,8 @@ from repro.scenario.conformance import (
     ConformanceReport,
     CorpusFormatError,
     band_violations,
-    check_entry,
     load_corpus,
     run_conformance,
-    summary_entry,
-    warehouse_records,
 )
 from repro.scenario.corpus import (
     CORPUS_SCHEMA_VERSION,
@@ -33,6 +30,7 @@ from repro.scenario.corpus import (
     run_case,
 )
 from repro.warehouse.store import WarehouseStore
+from repro.warehouse.summary import build_entry
 from repro.warehouse.trajectory import build_report
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -102,11 +100,14 @@ class TestTamperDetection:
 class TestReproducibility:
     def test_same_seed_runs_bitwise_identical(self, corpus):
         seed, entries = corpus
+        report = run_conformance(CORPUS_DIR, quick=True,
+                                 check_reproducible=True)
+        checks = {check.entry.case.case_id: check
+                  for check in report.checks}
         for entry in entries:
             if not entry.case.quick:
                 continue
-            check = check_entry(entry, seed,
-                                check_reproducible=True)
+            check = checks[entry.case.case_id]
             assert check.reproducible, entry.case.case_id
             assert check.ok, entry.case.case_id
 
@@ -122,8 +123,7 @@ class TestReproducibility:
         seed, entries = corpus
         entry = next(e for e in entries if e.case.quick)
         result = run_case(entry.case, seed)
-        drifted = CaseCheck(entry, result, (),
-                            replay_fingerprint="deadbeef")
+        drifted = CaseCheck(entry, result, (), reproducible=False)
         assert not drifted.reproducible
         assert not drifted.ok
 
@@ -184,11 +184,11 @@ class TestCorpusFormat:
 class TestWarehouseWiring:
     @pytest.fixture(scope="class")
     def quick_report(self):
-        return run_conformance(CORPUS_DIR, quick=True)
+        return run_conformance(CORPUS_DIR, quick=True,
+                               commit="abc123")
 
     def test_records_shape_and_keying(self, quick_report):
-        records = warehouse_records(quick_report, "abc123",
-                                    quick=True)
+        records = quick_report.run.records
         assert len(records) == len(quick_report.checks)
         hashes = {record["config_hash"] for record in records}
         assert len(hashes) == 1
@@ -199,17 +199,15 @@ class TestWarehouseWiring:
             assert record["security"]["outcome_fingerprint"]
 
     def test_records_append_to_store(self, quick_report, tmp_path):
-        records = warehouse_records(quick_report, "abc123",
-                                    quick=True)
+        records = quick_report.run.records
         store = WarehouseStore(tmp_path / "store.jsonl")
         assert store.append(records) == len(records)
         assert store.verify_reproducible() == []
 
     def test_summary_entry_renders_in_trajectory(self, quick_report,
                                                  tmp_path):
-        records = warehouse_records(quick_report, "abc123",
-                                    quick=True)
-        entry = summary_entry(records, "abc123", quick=True)
+        records = quick_report.run.records
+        entry = build_entry(records, "abc123", "quick")
         assert set(entry["benchmarks"]) == set(entry["security"])
         summary = tmp_path / "BENCH_scenarios.json"
         summary.write_text(json.dumps(
@@ -217,6 +215,14 @@ class TestWarehouseWiring:
              "history": [dict(entry, sequence=1)]}))
         report = build_report([summary])
         assert any("scenario/" in line for line in report.lines)
+
+    def test_records_report_kernel_work(self, quick_report):
+        """Kernel counters are measured, not hard-coded zeros."""
+        perf = {record["cell"]: record["perf"]
+                for record in quick_report.run.records}
+        attack = perf["scenario/attack/sequential/constant/base"]
+        assert attack["kernel_calls"] > 0
+        assert attack["kernel_rows"] >= attack["kernel_calls"]
 
     def test_failure_report_lines_and_exitworthiness(self,
                                                      quick_report):

@@ -304,6 +304,15 @@ class TestFleetSupervised:
         assert "supervised sweep" in out
         assert "reproducibility" in out
 
+    def test_unsupervised_failure_report_is_an_empty_tally(
+            self, tmp_path, capsys):
+        report = tmp_path / "failures.json"
+        assert main(["fleet", "--devices", "2", "--trials", "10",
+                     "--failure-report", str(report)]) == 0
+        assert "failure report" in capsys.readouterr().out
+        assert json.loads(report.read_text()) == {
+            "sweeps": 0, "failures": 0, "counts": {}, "reports": []}
+
     def test_unsupervised_fleet_ignores_plan(self, capsys,
                                              monkeypatch):
         # Without a supervision knob the plain pool runs and never
@@ -321,3 +330,39 @@ class TestFleetSupervised:
                     if "time" not in line]
 
         assert stats(clean) == stats(faulted)
+
+
+class TestSharedOptions:
+    WAREHOUSE = ["warehouse", "run", "--quick", "--cells",
+                 TestWarehouse.CELL, "--commit", "c1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--max-retries", "-1"],
+        ["fleet", "--chunk-timeout", "0"],
+        [*WAREHOUSE, "--chunk-timeout", "0"],
+        [*WAREHOUSE, "--devices", "0"],
+        [*WAREHOUSE, "--stop-after", "-1"],
+        ["scenario", "conformance", "--quick", "--stop-after", "-1"],
+        ["service", "sweep", "--scheme", "sequential",
+         "--max-retries", "-1"],
+    ])
+    def test_bad_values_are_usage_errors(self, argv, tmp_path,
+                                         monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # any default store lands here
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_library_imports_skip_the_cli_options(self):
+        import subprocess
+        import sys
+
+        probe = ("import sys, repro, repro.fleet, repro.service, "
+                 "repro.warehouse; "
+                 "print('repro.cli_options' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe],
+                             capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "False"

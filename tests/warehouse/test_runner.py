@@ -10,6 +10,7 @@ import pytest
 
 from repro.warehouse import (
     SCHEMA_VERSION,
+    WarehouseStore,
     build_entry,
     canonical_json,
     config_hash,
@@ -21,6 +22,7 @@ from repro.warehouse import (
     run_matrix,
     select_cells,
 )
+from repro.warehouse.runner import run_cells
 
 DISTILLER = "distiller[masking]/distiller/baseline"
 
@@ -187,3 +189,59 @@ class TestSummaryAndDiff:
         record, _ = distiller_records
         result = diff_matrices({}, {DISTILLER: record})
         assert any("ADDED" in line for line in result.lines)
+
+
+class TestRunCells:
+    """The checkpointed cell driver, on synthetic records."""
+
+    CELLS = ["a", "b", "c"]
+
+    @staticmethod
+    def record(cell, value=0):
+        return {"schema_version": SCHEMA_VERSION, "commit": "c",
+                "config_hash": "h", "cell": cell, "status": "ok",
+                "security": {"value": value},
+                "perf": {"attack_seconds": 0.0}}
+
+    def test_stop_then_resume_reads_back_the_whole_run(self,
+                                                        tmp_path):
+        store = WarehouseStore(tmp_path / "store.jsonl")
+        lines = []
+        first = run_cells(self.CELLS, self.record, "c", "h",
+                          store=store, stop_after=1, log=lines.append)
+        assert first.interrupted
+        assert [r["cell"] for r in first.executed] == ["a"]
+        assert any("rerun with --resume" in line for line in lines)
+        second = run_cells(self.CELLS, self.record, "c", "h",
+                           store=store, resume=True)
+        assert not second.interrupted
+        assert second.skipped == ["a"]
+        assert [r["cell"] for r in second.executed] == ["b", "c"]
+        assert [r["cell"] for r in second.records] == self.CELLS
+        assert store.recorded_cells("c", "h") == {
+            "a": 1, "b": 1, "c": 1}
+
+    def test_replay_drift_is_flagged_and_never_stored(self, tmp_path):
+        calls = []
+
+        def run_one(cell):
+            calls.append(cell)
+            # cell "b" draws a fresh outcome on every call
+            return self.record(cell, calls.count(cell)
+                               if cell == "b" else 0)
+
+        store = WarehouseStore(tmp_path / "store.jsonl")
+        verdicts = {}
+        run = run_cells(self.CELLS, run_one, "c", "h", store=store,
+                        check_reproducible=True,
+                        on_record=lambda record, ok: verdicts.update(
+                            {record["cell"]: ok}))
+        assert calls == ["a", "a", "b", "b", "c", "c"]
+        assert run.drifted == ["b"]
+        assert verdicts == {"a": True, "b": False, "c": True}
+        assert [r["security"]["value"] for r in store.records()] == \
+            [0, 1, 0]
+
+    def test_resume_needs_a_store(self):
+        with pytest.raises(ValueError):
+            run_cells(self.CELLS, self.record, "c", "h", resume=True)
