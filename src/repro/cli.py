@@ -58,13 +58,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import time
 from typing import List, Optional
 
 import numpy as np
 
+from repro import schemes
 from repro.analysis import (
     inter_device_distances,
     pairwise_comparisons,
@@ -72,31 +72,26 @@ from repro.analysis import (
 )
 from repro.cli_options import (
     add_supervision_options,
+    non_negative_int,
+    positive_int,
     report_supervision,
     supervision_from_args,
 )
-from repro.core import (
-    DistillerPairingAttack,
-    GroupBasedAttack,
-    BatchOracle,
-    SequentialPairingAttack,
-    TempAwareAttack,
-)
+from repro.core import BatchOracle
 from repro.grouping import table1_rows
-from repro.keygen import (
-    DistillerPairingKeyGen,
-    GroupBasedKeyGen,
-    SequentialPairingKeyGen,
-    TempAwareKeyGen,
-)
 from repro.fleet import Fleet
 from repro.pairing import PairClass, TempAwareCooperative
 from repro.puf import ROArray, ROArrayParams
 from repro._rng import spawn
 
-#: Constructions the ``attack`` subcommand understands.
-CONSTRUCTIONS = ("sequential", "temp-aware", "group-based", "masking",
-                 "neighbor-overlap")
+#: Constructions of ``attack`` and ``fleet --attack``: scheme presets.
+CONSTRUCTIONS = {
+    "sequential": "sequential",
+    "temp-aware": "temp-aware",
+    "group-based": "group-based",
+    "masking": "distiller[masking]",
+    "neighbor-overlap": "distiller[neighbor-overlap]",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,19 +126,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze", help="population entropy and uniqueness statistics")
     analyze.add_argument("--rows", type=int, default=4)
     analyze.add_argument("--cols", type=int, default=10)
-    analyze.add_argument("--devices", type=int, default=8)
+    analyze.add_argument("--devices", type=positive_int, default=8)
     analyze.add_argument("--seed", type=int, default=0)
 
     fleet = sub.add_parser(
         "fleet", help="population Monte-Carlo failure-rate sweep")
     fleet.add_argument("--rows", type=int, default=8)
     fleet.add_argument("--cols", type=int, default=16)
-    fleet.add_argument("--devices", type=int, default=16)
-    fleet.add_argument("--trials", type=int, default=200)
+    fleet.add_argument("--devices", type=positive_int, default=16)
+    fleet.add_argument("--trials", type=positive_int, default=200)
     fleet.add_argument("--threshold", type=float, default=300e3)
-    fleet.add_argument("--chunk", type=int, default=512,
+    fleet.add_argument("--chunk", type=positive_int, default=512,
                        help="trial block size (memory bound)")
-    fleet.add_argument("--workers", type=int, default=1,
+    fleet.add_argument("--workers", type=non_negative_int, default=1,
                        help="process-pool width; 0 = one per CPU "
                             "(results are identical for every value)")
     fleet.add_argument("--temperature", type=float, default=None,
@@ -200,12 +195,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     construction = args.construction
-    default_geometry = {"sequential": (8, 16), "temp-aware": (8, 16),
-                        "group-based": (4, 10), "masking": (4, 10),
-                        "neighbor-overlap": (4, 10)}
-    rows, cols = default_geometry[construction]
-    rows = args.rows if args.rows is not None else rows
-    cols = args.cols if args.cols is not None else cols
+    preset = schemes.preset(CONSTRUCTIONS[construction])
+    rows = args.rows if args.rows is not None else preset.rows
+    cols = args.cols if args.cols is not None else preset.cols
+    # --method picks the sequential distinguisher: paired or sprt
+    family = schemes.ATTACKS[args.method if preset.attack == "paired"
+                             else preset.attack]
 
     if construction == "temp-aware":
         params = ROArrayParams(rows=rows, cols=cols,
@@ -213,48 +208,19 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     else:
         params = ROArrayParams(rows=rows, cols=cols)
     array = ROArray(params, rng=1000 + args.seed)
-
-    if construction == "sequential":
-        keygen = SequentialPairingKeyGen(threshold=300e3)
-        helper, key = keygen.enroll(array, rng=args.seed)
-        oracle = BatchOracle(array, keygen)
-        result = SequentialPairingAttack(oracle, keygen, helper).run(
-            method=args.method)
-        recovered = (result.key is not None
-                     and np.array_equal(result.key, key))
-    elif construction == "temp-aware":
-        keygen = TempAwareKeyGen(t_min=-10, t_max=80, threshold=150e3)
-        helper, key = keygen.enroll(array, rng=args.seed)
-        oracle = BatchOracle(array, keygen)
-        outcome = TempAwareAttack(oracle, keygen, helper).run()
-        n_good = len(helper.scheme.good_indices)
-        truth = key[n_good:]
-        recovered = (outcome.resolved_fraction == 1.0
-                     and np.array_equal(outcome.coop_relations,
-                                        truth ^ truth[0]))
-        result = outcome
-        key = truth
-    elif construction == "group-based":
-        keygen = GroupBasedKeyGen(group_threshold=120e3)
-        helper, key = keygen.enroll(array, rng=args.seed)
-        oracle = BatchOracle(array, keygen)
-        result = GroupBasedAttack(oracle, keygen, helper, rows,
-                                  cols).run()
-        recovered = bool(np.array_equal(result.key, key))
-    else:
-        mode = ("masking" if construction == "masking"
-                else "neighbor-overlap")
-        keygen = DistillerPairingKeyGen(rows, cols, pairing_mode=mode,
-                                        k=5)
-        helper, key = keygen.enroll(array, rng=args.seed)
-        oracle = BatchOracle(array, keygen)
-        result = DistillerPairingAttack(oracle, keygen, helper, rows,
-                                        cols).run()
-        recovered = bool(np.array_equal(result.key, key))
+    keygen = preset.keygen_factory(rows, cols)()
+    # per-query transient noise (the §VI-B temperature sensor) is
+    # seeded too, so the report is a function of --seed alone
+    keygen.reseed_transient_streams(spawn(args.seed, 1)[0])
+    helper, key = keygen.enroll(array, rng=args.seed)
+    oracle = BatchOracle(array, keygen)
+    result = family.factory(rows, cols)(oracle, keygen, helper).run()
+    recovered = family.check(result, key, helper)
+    secret = key if family.secret is None else family.secret(key, helper)
 
     print(f"construction : {construction} ({rows}x{cols}, "
           f"seed {args.seed})")
-    print(f"secret bits  : {key.size}")
+    print(f"secret bits  : {secret.size}")
     print(f"recovered    : {'yes' if recovered else 'NO'}")
     print(f"oracle calls : {result.queries}")
     return 0 if recovered else 1
@@ -262,8 +228,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     params = ROArrayParams(rows=args.rows, cols=args.cols)
-    keygen = DistillerPairingKeyGen(args.rows, args.cols,
-                                    pairing_mode="neighbor-disjoint")
+    keygen = schemes.preset("distiller[neighbor-disjoint]"
+                            ).keygen_factory(args.rows, args.cols)()
     keys = []
     for child in spawn(args.seed, args.devices):
         device = ROArray(params, rng=child)
@@ -283,51 +249,52 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_build(args: argparse.Namespace):
-    """A fresh fleet + enrollment stream for one ``fleet`` run.
+def _fleet_enroll(args: argparse.Namespace, name: str):
+    """A fresh fleet and its enrollment under the preset *name*.
 
-    Factored out so ``--check-reproducible`` can rebuild an identical
-    same-seed population for the unsupervised reference run (sweep
-    substreams are consumed per call, so re-sweeping the same
-    ``Fleet`` object would draw different noise).
+    Called once per run so ``--check-reproducible`` rebuilds an
+    identical same-seed population for the unsupervised reference run
+    (sweep substreams are consumed per call, so re-sweeping the same
+    ``Fleet`` object would draw different noise).  ``--threshold``
+    sets the sequential keygen's threshold.
     """
-    params = ROArrayParams(rows=args.rows, cols=args.cols)
+    overrides = ({"threshold": args.threshold}
+                 if name == "sequential" else {})
+    factory = schemes.preset(name).keygen_factory(args.rows, args.cols,
+                                                   **overrides)
     # One user-facing seed, two independent purposes: split it so the
     # enrollment streams can never collide with the manufacturing
     # streams (identical seeds spawn identical children).
     manufacture_rng, enroll_rng = spawn(args.seed, 2)
-    return Fleet(params, size=args.devices,
-                 seed=manufacture_rng), enroll_rng
+    fleet = Fleet(ROArrayParams(rows=args.rows, cols=args.cols),
+                  size=args.devices, seed=manufacture_rng)
+    return fleet, fleet.enroll(factory, seed=enroll_rng,
+                               workers=args.workers)
+
+
+def _drifted(args: argparse.Namespace, rerun, result, what: str
+             ) -> bool:
+    """``--check-reproducible``: whether ``rerun(None)`` (the
+    unsupervised reference) differs bitwise from *result*."""
+    if not args.check_reproducible:
+        return False
+    if not np.array_equal(result, rerun(None)):
+        print(f"  reproducibility     : FAIL - {what} drifted from "
+              f"the fault-free reference run")
+        return True
+    print("  reproducibility     : ok (bitwise-identical to "
+          "the fault-free reference run)")
+    return False
 
 
 def _cmd_fleet_attack(args: argparse.Namespace) -> int:
     """Fleet-wide attack campaign branch of the ``fleet`` subcommand."""
-    from repro.fleet import (
-        DistillerAttackFactory,
-        GroupAttackFactory,
-        sequential_attack_factory,
-    )
-
     rows, cols = args.rows, args.cols
-    if args.attack == "sequential":
-        keygen_factory = functools.partial(SequentialPairingKeyGen,
-                                           threshold=args.threshold)
-        attack_factory = sequential_attack_factory
-    elif args.attack == "group-based":
-        keygen_factory = functools.partial(GroupBasedKeyGen,
-                                           group_threshold=120e3)
-        attack_factory = GroupAttackFactory(rows, cols)
-    else:
-        keygen_factory = functools.partial(DistillerPairingKeyGen,
-                                           rows, cols,
-                                           pairing_mode=args.attack,
-                                           k=5)
-        attack_factory = DistillerAttackFactory(rows, cols)
+    name = CONSTRUCTIONS[args.attack]
+    attack_factory = schemes.preset(name).attack_factory(rows, cols)
 
     def campaign(supervision):
-        fleet, enroll_rng = _fleet_build(args)
-        enrollment = fleet.enroll(keygen_factory, seed=enroll_rng,
-                                  workers=args.workers)
+        fleet, enrollment = _fleet_enroll(args, name)
         return fleet.attack_success(
             enrollment, attack_factory, workers=args.workers,
             lockstep=True, supervision=supervision)
@@ -348,15 +315,9 @@ def _cmd_fleet_attack(args: argparse.Namespace) -> int:
     print(f"  campaign time       : {elapsed:.2f} s "
           f"({throughput:.2f} devices/s)")
     report_supervision(args, supervision)
-    if args.check_reproducible:
-        reference_recovered, reference_queries = campaign(None)
-        if not (np.array_equal(recovered, reference_recovered)
-                and np.array_equal(queries, reference_queries)):
-            print("  reproducibility     : FAIL - campaign results "
-                  "drifted from the fault-free reference run")
-            return 1
-        print("  reproducibility     : ok (bitwise-identical to "
-              "the fault-free reference run)")
+    if _drifted(args, campaign, (recovered, queries),
+                "campaign results"):
+        return 1
     return 0 if recovered.all() else 1
 
 
@@ -365,21 +326,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     if args.attack is not None:
         return _cmd_fleet_attack(args)
-    # functools.partial keeps the factory picklable for --workers > 1.
-    factory = functools.partial(SequentialPairingKeyGen,
-                                threshold=args.threshold)
     op = (OperatingPoint(temperature=args.temperature)
           if args.temperature is not None else None)
 
     def sweep(supervision):
-        fleet, enroll_rng = _fleet_build(args)
-        enrollment = fleet.enroll(factory, seed=enroll_rng,
-                                  workers=args.workers)
-        rates = fleet.failure_rates(enrollment, trials=args.trials,
-                                    op=op, chunk=args.chunk,
-                                    workers=args.workers,
-                                    supervision=supervision)
-        return enrollment, rates
+        fleet, enrollment = _fleet_enroll(args, "sequential")
+        return enrollment, fleet.failure_rates(
+            enrollment, trials=args.trials, op=op, chunk=args.chunk,
+            workers=args.workers, supervision=supervision)
 
     supervision = supervision_from_args(args)
     start = time.perf_counter()
@@ -398,15 +352,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     print(f"  sweep time          : {elapsed:.2f} s "
           f"({throughput:,.0f} reconstructions/s)")
     report_supervision(args, supervision)
-    if args.check_reproducible:
-        _, reference = sweep(None)
-        if not np.array_equal(rates, reference):
-            print("  reproducibility     : FAIL - failure rates "
-                  "drifted from the fault-free reference run")
-            return 1
-        print("  reproducibility     : ok (bitwise-identical to "
-              "the fault-free reference run)")
-    return 0
+    return int(_drifted(args, lambda supervision: sweep(supervision)[1],
+                        rates, "failure rates"))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -25,7 +25,6 @@ from repro.fleet.campaign import (
     SequentialAttackFactory,
     TempAwareAttackFactory,
     run_campaign,
-    sequential_attack_factory,
 )
 from repro.fleet.faultinject import (
     FaultPlan,
@@ -75,7 +74,6 @@ __all__ = [
     "TempAwareAttackFactory",
     "WorkerDiedError",
     "run_campaign",
-    "sequential_attack_factory",
     "chunk_indices",
     "resolve_workers",
     "run_collected",

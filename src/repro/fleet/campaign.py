@@ -144,12 +144,6 @@ def run_campaign(oracles: Sequence[BatchOracle],
 # picklable attack factories (module-level, for workers > 1)
 
 
-def sequential_attack_factory(oracle, keygen, helper
-                              ) -> SequentialPairingAttack:
-    """Build a §VI-A sequential-pairing attack driver for one device."""
-    return SequentialPairingAttack(oracle, keygen, helper)
-
-
 @dataclass
 class _BoundSequentialAttack:
     """A sequential attack with the distinguisher pre-selected.

@@ -19,7 +19,6 @@ seeded world.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import time
@@ -28,20 +27,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.fleet import (
-    Fleet,
-    GroupAttackFactory,
-    SequentialAttackFactory,
-)
-from repro.keygen import (
-    DistillerPairingKeyGen,
-    FuzzyExtractorKeyGen,
-    GroupBasedKeyGen,
-    HardenedSequentialKeyGen,
-    HardenedTempAwareKeyGen,
-    SequentialPairingKeyGen,
-    TempAwareKeyGen,
-)
+from repro import schemes
+from repro.fleet import Fleet
 from repro.puf import ROArrayParams
 from repro.scenario.trajectory import (
     AgingDrift,
@@ -56,68 +43,27 @@ from repro.warehouse.store import enrollment_fingerprint, sha256_hex
 #: or band encoding.
 CORPUS_SCHEMA_VERSION = 1
 
-#: Scheme geometry: (rows, cols, base sigma_noise).  Small arrays keep
-#: every cell fast enough for the CI smoke slice; sigmas are tuned so
-#: baseline failure rates sit near (but mostly off) zero while the
-#: ``noise_scale=4`` tamper probe saturates well outside every band.
-_GEOMETRY: Dict[str, tuple] = {
-    "sequential": (8, 16, 150e3),
-    "sequential-hardened": (8, 16, 40e3),
-    "temp-aware": (8, 16, 90e3),
-    "temp-aware-hardened": (8, 16, 90e3),
-    "group-based": (4, 10, 64e3),
-    "distiller": (4, 10, 80e3),
-    "fuzzy": (4, 10, 120e3),
+#: Corpus scheme label -> :mod:`repro.schemes` preset.  Small arrays
+#: keep every cell fast enough for the CI smoke slice; the presets'
+#: sigmas keep baseline failure rates near (but mostly off) zero while
+#: the ``noise_scale=4`` tamper probe saturates well outside every
+#: band.  The distiller cells run neighbor-disjoint pairing: the
+#: masked construction never fails at any plausible noise level,
+#: which would blind the tamper probe.
+SCHEME_PRESETS: Dict[str, str] = {
+    "sequential": "sequential",
+    "sequential-hardened": "sequential-hardened",
+    "temp-aware": "temp-aware",
+    "temp-aware-hardened": "temp-aware-hardened",
+    "group-based": "group-based[250k]",
+    "distiller": "distiller[neighbor-disjoint]",
+    "fuzzy": "fuzzy-extractor[4x10]",
 }
 
-SCHEMES = tuple(_GEOMETRY)
+SCHEMES = tuple(SCHEME_PRESETS)
 FAMILIES = ("constant", "ramp", "cycle", "vnoise", "aging")
 #: Noise perturbation applied to the device model, by label.
 PERTURBATIONS: Dict[str, float] = {"base": 1.0, "noisy": 1.5}
-
-
-def _keygen_factory(scheme: str) -> Callable[[], object]:
-    """Picklable keygen factory for one corpus scheme."""
-    if scheme == "sequential":
-        return functools.partial(SequentialPairingKeyGen,
-                                 threshold=300e3)
-    if scheme == "sequential-hardened":
-        # sigma 40e3 with tolerance 0.25 keeps the honest-device
-        # false-reject rate near zero while the device-side pair
-        # check still fires on manipulated helper data.
-        return functools.partial(HardenedSequentialKeyGen,
-                                 threshold=300e3,
-                                 threshold_tolerance=0.25)
-    if scheme == "temp-aware":
-        return functools.partial(TempAwareKeyGen, t_min=-10, t_max=80,
-                                 threshold=150e3)
-    if scheme == "temp-aware-hardened":
-        return functools.partial(HardenedTempAwareKeyGen, t_min=-10,
-                                 t_max=80, threshold=150e3)
-    if scheme == "group-based":
-        return functools.partial(GroupBasedKeyGen,
-                                 group_threshold=250e3)
-    if scheme == "distiller":
-        # neighbor-disjoint (not masking): the masked construction
-        # discards unreliable bits outright and never fails at any
-        # plausible noise level, which would blind the tamper probe.
-        return functools.partial(DistillerPairingKeyGen, 4, 10,
-                                 pairing_mode="neighbor-disjoint",
-                                 k=5)
-    if scheme == "fuzzy":
-        return functools.partial(FuzzyExtractorKeyGen, 4, 10,
-                                 out_bits=16)
-    raise ValueError(f"unknown corpus scheme {scheme!r}")
-
-
-def _attack_factory(scheme: str) -> Callable:
-    """Picklable attack factory for the corpus attack cells."""
-    if scheme == "sequential":
-        return SequentialAttackFactory("paired")
-    if scheme == "group-based":
-        rows, cols, _ = _GEOMETRY["group-based"]
-        return GroupAttackFactory(rows, cols)
-    raise ValueError(f"no corpus attack for scheme {scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -157,12 +103,16 @@ class ScenarioCase:
         return [int(seed),
                 int.from_bytes(self._digest()[:8], "little")]
 
+    @property
+    def preset(self) -> schemes.Preset:
+        """The case's :mod:`repro.schemes` preset."""
+        return schemes.preset(SCHEME_PRESETS[self.scheme])
+
     def array_params(self) -> ROArrayParams:
         """The case's device model parameters."""
-        rows, cols, sigma_noise = _GEOMETRY[self.scheme]
-        return ROArrayParams(rows=rows, cols=cols,
-                             sigma_noise=sigma_noise
-                             * float(self.noise_scale))
+        return self.preset.array_params(
+            sigma_noise=self.preset.sigma_noise
+            * float(self.noise_scale))
 
     def trajectory_spec(self) -> TrajectorySpec:
         """The case's trajectory family, seeded from its identifier."""
@@ -186,11 +136,11 @@ class ScenarioCase:
 
     def keygen_factory(self) -> Callable[[], object]:
         """Picklable keygen factory for this case."""
-        return _keygen_factory(self.scheme)
+        return self.preset.keygen_factory()
 
     def attack_factory(self) -> Callable:
         """Picklable attack factory (attack cells only)."""
-        return _attack_factory(self.scheme)
+        return self.preset.attack_factory()
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable case configuration."""

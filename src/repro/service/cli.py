@@ -28,30 +28,20 @@ handlers live next to the subsystem they drive (same split as
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.cli_options import add_supervision_options, retry_policy
-from repro.fleet import (
-    DistillerAttackFactory,
-    GroupAttackFactory,
-    SequentialAttackFactory,
-    TempAwareAttackFactory,
+from repro import schemes
+from repro.cli_options import (
+    add_supervision_options,
+    positive_int,
+    retry_policy,
 )
 from repro.fleet.pool import WorkerHandshakeError
 from repro.fleet.resilience import PoisonedSweepError
-from repro.keygen import (
-    DistillerPairingKeyGen,
-    FuzzyExtractorKeyGen,
-    GroupBasedKeyGen,
-    SequentialPairingKeyGen,
-    TempAwareKeyGen,
-)
-from repro.puf import ROArrayParams
 from repro.service.registry import (
     EnrollmentRegistry,
     RegistryError,
@@ -64,61 +54,22 @@ from repro.service.shard import (
 )
 from repro.service.stream import PopulationSpec, submit_sweep
 
-#: Per-scheme service defaults: (rows, cols, sigma_noise).  Geometry
-#: mirrors the conformance corpus so service populations exercise the
-#: same regimes the pass-bands were tuned on.
-SCHEME_DEFAULTS: Dict[str, Tuple[int, int, float]] = {
-    "sequential": (8, 16, 150e3),
-    "temp-aware": (8, 16, 90e3),
-    "group-based": (4, 10, 64e3),
-    "distiller": (4, 10, 80e3),
-    "fuzzy": (4, 10, 120e3),
+#: ``--scheme`` label -> :mod:`repro.schemes` preset.  Geometry and
+#: sigma mirror the conformance corpus so service populations
+#: exercise the regimes the pass-bands were tuned on.
+SCHEMES = {
+    "sequential": "sequential",
+    "temp-aware": "temp-aware",
+    "group-based": "group-based",
+    "distiller": "distiller[neighbor-disjoint]",
+    "fuzzy": "fuzzy-extractor[4x10]",
 }
-
-SCHEMES = tuple(SCHEME_DEFAULTS)
 
 _KIND_BY_LABEL = {
     "failure": KIND_FAILURE,
     "attack": KIND_ATTACK,
     "attack-results": KIND_ATTACK_RESULTS,
 }
-
-
-def scheme_keygen_factory(scheme: str, rows: int,
-                          cols: int) -> Callable[[], object]:
-    """Picklable keygen factory for one service scheme."""
-    if scheme == "sequential":
-        return functools.partial(SequentialPairingKeyGen,
-                                 threshold=300e3)
-    if scheme == "temp-aware":
-        return functools.partial(TempAwareKeyGen, t_min=-10, t_max=80,
-                                 threshold=150e3)
-    if scheme == "group-based":
-        return functools.partial(GroupBasedKeyGen,
-                                 group_threshold=120e3)
-    if scheme == "distiller":
-        return functools.partial(DistillerPairingKeyGen, rows, cols,
-                                 pairing_mode="neighbor-disjoint",
-                                 k=5)
-    if scheme == "fuzzy":
-        return functools.partial(FuzzyExtractorKeyGen, rows, cols,
-                                 out_bits=16)
-    raise ValueError(f"unknown service scheme {scheme!r}")
-
-
-def scheme_attack_factory(scheme: str, rows: int, cols: int
-                          ) -> Callable:
-    """Picklable attack factory for one service scheme."""
-    if scheme == "sequential":
-        return SequentialAttackFactory("paired")
-    if scheme == "temp-aware":
-        return TempAwareAttackFactory()
-    if scheme == "group-based":
-        return GroupAttackFactory(rows, cols)
-    if scheme == "distiller":
-        return DistillerAttackFactory(rows, cols)
-    raise ValueError(
-        f"no attack campaign is defined for scheme {scheme!r}")
 
 
 def add_service_parser(sub: argparse._SubParsersAction) -> None:
@@ -133,7 +84,8 @@ def add_service_parser(sub: argparse._SubParsersAction) -> None:
     def _population_args(parser, require_scheme: bool) -> None:
         parser.add_argument("--scheme", required=require_scheme,
                             choices=SCHEMES, default=None)
-        parser.add_argument("--devices", type=int, default=None,
+        parser.add_argument("--devices", type=positive_int,
+                            default=None,
                             help="population size (default 4)")
         parser.add_argument("--seed", type=int, default=None,
                             help="population seed (default 0)")
@@ -166,10 +118,10 @@ def add_service_parser(sub: argparse._SubParsersAction) -> None:
     sweep.add_argument("--kind", default="failure",
                        choices=sorted(_KIND_BY_LABEL),
                        help="sweep kind")
-    sweep.add_argument("--trials", type=int, default=256,
+    sweep.add_argument("--trials", type=positive_int, default=256,
                        help="reconstruction attempts per device "
                             "(failure sweeps)")
-    sweep.add_argument("--shards", type=int, default=2,
+    sweep.add_argument("--shards", type=positive_int, default=2,
                        help="shard count")
     sweep.add_argument("--workers", type=int, default=None,
                        help="service worker processes (default: "
@@ -202,15 +154,16 @@ def run_service(args: argparse.Namespace) -> int:
         return 2
 
 
+def _preset(label: str) -> schemes.Preset:
+    """The preset of a ``--scheme`` choice or a registry label."""
+    return schemes.preset(SCHEMES.get(label, label))
+
+
 def _resolve_population(args: argparse.Namespace, scheme: str
                         ) -> PopulationSpec:
     """Population spec from CLI arguments and scheme defaults."""
-    rows, cols, sigma = SCHEME_DEFAULTS[scheme]
-    rows = args.rows if args.rows is not None else rows
-    cols = args.cols if args.cols is not None else cols
-    sigma = (args.sigma_noise if args.sigma_noise is not None
-             else sigma)
-    params = ROArrayParams(rows=rows, cols=cols, sigma_noise=sigma)
+    params = _preset(scheme).array_params(args.rows, args.cols,
+                                          args.sigma_noise)
     devices = args.devices if args.devices is not None else 4
     seed = args.seed if args.seed is not None else 0
     return PopulationSpec(params=params, devices=devices, seed=seed)
@@ -218,8 +171,8 @@ def _resolve_population(args: argparse.Namespace, scheme: str
 
 def _cmd_enroll(args: argparse.Namespace) -> int:
     population = _resolve_population(args, args.scheme)
-    factory = scheme_keygen_factory(
-        args.scheme, population.params.rows, population.params.cols)
+    factory = _preset(args.scheme).keygen_factory(
+        population.params.rows, population.params.cols)
     print(f"service enroll: scheme={args.scheme} "
           f"devices={population.devices} seed={population.seed} "
           f"geometry={population.params.rows}x"
@@ -256,11 +209,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         population = _resolve_population(args, scheme)
 
     rows, cols = population.params.rows, population.params.cols
-    factory = scheme_keygen_factory(scheme, rows, cols)
+    preset = _preset(scheme)
+    factory = preset.keygen_factory(rows, cols)
     kind = _KIND_BY_LABEL[args.kind]
     attack_factory = None
     if kind != KIND_FAILURE:
-        attack_factory = scheme_attack_factory(scheme, rows, cols)
+        if preset.attack is None:
+            raise ValueError(f"no attack campaign is defined for "
+                             f"scheme {scheme!r}")
+        attack_factory = preset.attack_factory(rows, cols)
     policy = retry_policy(args, allow_partial=args.allow_partial)
 
     print(f"service sweep: kind={args.kind} scheme={scheme} "

@@ -61,7 +61,8 @@ class MatrixCell:
     cells carry the ``reason`` they produce ``n/a`` records instead.
     ``variant`` disambiguates scheme sub-configurations (the two
     distiller pairing modes, the ML-decoded sequential code) and is
-    part of the cell identifier.
+    part of the cell identifier.  ``preset`` names the
+    :mod:`repro.schemes` preset a runnable cell enrolls.
     """
 
     scheme: str
@@ -74,13 +75,13 @@ class MatrixCell:
     rows: int = 0
     cols: int = 0
     temp_slope_sigma: float = 0.0
+    preset: str = ""
 
     @property
     def cell_id(self) -> str:
         """Stable identifier: ``scheme[variant]/attack/cm``."""
-        scheme = (f"{self.scheme}[{self.variant}]" if self.variant
-                  else self.scheme)
-        return f"{scheme}/{self.attack}/{self.countermeasure}"
+        return (f"{_label(self.scheme, self.variant)}/{self.attack}/"
+                f"{self.countermeasure}")
 
     def seed_material(self, seed: int) -> List[int]:
         """Entropy for this cell's RNG root, stable across registry
@@ -88,13 +89,32 @@ class MatrixCell:
         digest = hashlib.sha256(self.cell_id.encode("ascii")).digest()
         return [int(seed), int.from_bytes(digest[:8], "little")]
 
+    def population_seed(self, seed: int) -> int:
+        """:meth:`seed_material` packed into one integer seed.
+
+        NumPy splits an integer seed into 32-bit words, so this seeds
+        the same RNG root as the material list (exact while the
+        digest's top word is non-zero, as for every registered cell).
+        A registry manifest records it, so ``repro service`` rebuilds
+        the cell's fleet from the manifest.
+        """
+        seed, digest = self.seed_material(seed)
+        return seed | digest << 32 * max(1, -(-seed.bit_length() // 32))
+
+
+def _label(scheme: str, variant: str) -> str:
+    return f"{scheme}[{variant}]" if variant else scheme
+
 
 def _runnable(scheme: str, attack: str, countermeasure: str,
               variant: str, quick: bool, rows: int, cols: int,
-              temp_slope_sigma: float = 0.0) -> MatrixCell:
+              temp_slope_sigma: float = 0.0,
+              preset: str = "") -> MatrixCell:
+    """A runnable cell; its preset defaults to ``scheme[variant]``."""
     return MatrixCell(scheme, attack, countermeasure, variant,
                       runnable=True, quick=quick, rows=rows,
-                      cols=cols, temp_slope_sigma=temp_slope_sigma)
+                      cols=cols, temp_slope_sigma=temp_slope_sigma,
+                      preset=preset or _label(scheme, variant))
 
 
 #: Runnable cells, keyed by (scheme, attack, countermeasure).  A value
@@ -120,13 +140,14 @@ _RUNNABLE: Dict[Tuple[str, str, str], Tuple[MatrixCell, ...]] = {
                   4, 10),),
     ("group-based", "group", "hardened"): (
         _runnable("group-based", "group", "hardened", "", True,
-                  4, 10),),
+                  4, 10, preset="group-based-hardened"),),
     ("temp-aware", "temp-aware", "baseline"): (
         _runnable("temp-aware", "temp-aware", "baseline", "", True,
                   8, 16, temp_slope_sigma=8e3),),
     ("temp-aware", "temp-aware", "hardened"): (
         _runnable("temp-aware", "temp-aware", "hardened", "", False,
-                  8, 16, temp_slope_sigma=8e3),),
+                  8, 16, temp_slope_sigma=8e3,
+                  preset="temp-aware-hardened"),),
     ("distiller", "distiller", "baseline"): (
         _runnable("distiller", "distiller", "baseline", "masking",
                   True, 4, 10),

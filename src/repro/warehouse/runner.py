@@ -21,7 +21,6 @@ perturbs existing cells, and the per-device substream discipline of
 
 from __future__ import annotations
 
-import functools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,25 +30,11 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.ecc import BlockwiseCode, ReedMullerCode
+from repro._rng import spawn
 from repro.ecc.kernel import kernel_stats
-from repro.fleet import (
-    DistillerAttackFactory,
-    Fleet,
-    GroupAttackFactory,
-    SequentialAttackFactory,
-    TempAwareAttackFactory,
-)
-from repro.keygen import (
-    DistillerPairingKeyGen,
-    FuzzyExtractorKeyGen,
-    GroupBasedKeyGen,
-    HardenedGroupBasedKeyGen,
-    HardenedTempAwareKeyGen,
-    SequentialPairingKeyGen,
-    TempAwareKeyGen,
-)
+from repro.fleet import Fleet
 from repro.puf import ROArrayParams
+from repro.schemes import ATTACKS, preset
 from repro.warehouse.matrix import MatrixCell
 from repro.warehouse.store import (
     SCHEMA_VERSION,
@@ -66,99 +51,10 @@ from repro.warehouse.store import (
 Record = Dict[str, object]
 
 
-@dataclass(frozen=True)
-class _ReedMullerProvider:
-    """Picklable provider of blockwise Reed–Muller codes (ML-decoded).
-
-    First-order RM decoding never fails — it is the matrix's
-    maximum-likelihood column: the §VI-A bounded-distance calculus
-    does not apply and the attack switches to its online-calibration
-    variant automatically.
-    """
-
-    m: int = 5
-
-    def __call__(self, bits: int) -> BlockwiseCode:
-        """Smallest blockwise RM(1, m) covering *bits* data bits."""
-        inner = ReedMullerCode(self.m)
-        blocks = max(1, -(-bits // inner.k))
-        if blocks == 1:
-            return inner
-        return BlockwiseCode(inner, blocks)
-
-
-def _keygen_factory(cell: MatrixCell) -> Callable[[], object]:
-    """Picklable keygen factory for one runnable cell."""
-    if cell.scheme == "sequential":
-        provider = (_ReedMullerProvider(5) if cell.variant == "rm5"
-                    else None)
-        return functools.partial(SequentialPairingKeyGen,
-                                 threshold=300e3,
-                                 code_provider=provider)
-    if cell.scheme == "group-based":
-        if cell.countermeasure == "hardened":
-            return functools.partial(
-                HardenedGroupBasedKeyGen, rows=cell.rows,
-                cols=cell.cols, max_polynomial_span=20e6,
-                group_threshold=120e3)
-        return functools.partial(GroupBasedKeyGen,
-                                 group_threshold=120e3)
-    if cell.scheme == "temp-aware":
-        cls = (HardenedTempAwareKeyGen
-               if cell.countermeasure == "hardened"
-               else TempAwareKeyGen)
-        return functools.partial(cls, t_min=-10, t_max=80,
-                                 threshold=150e3)
-    if cell.scheme == "distiller":
-        return functools.partial(DistillerPairingKeyGen, cell.rows,
-                                 cell.cols,
-                                 pairing_mode=cell.variant, k=5)
-    if cell.scheme == "fuzzy-extractor":
-        out_bits = 48 if cell.variant == "8x16" else 16
-        return functools.partial(FuzzyExtractorKeyGen, cell.rows,
-                                 cell.cols, out_bits=out_bits)
-    raise ValueError(f"no keygen factory for scheme {cell.scheme!r}")
-
-
-def _attack_factory(cell: MatrixCell) -> Callable:
-    """Picklable attack factory for one runnable cell."""
-    if cell.attack in ("sequential", "ml"):
-        return SequentialAttackFactory("paired")
-    if cell.attack == "sprt":
-        return SequentialAttackFactory("sprt")
-    if cell.attack == "group":
-        return GroupAttackFactory(cell.rows, cell.cols)
-    if cell.attack == "distiller":
-        return DistillerAttackFactory(cell.rows, cell.cols)
-    if cell.attack == "temp-aware":
-        return TempAwareAttackFactory()
-    raise ValueError(f"no attack factory for family {cell.attack!r}")
-
-
-def _check_key(result: object, key: np.ndarray,
-               helper: object) -> bool:
-    """Key-carrying families: the recovered key must match enrolled."""
-    recovered = getattr(result, "key", None)
-    return recovered is not None and bool(
-        np.array_equal(recovered, key))
-
-
-def _check_temp_aware(result: object, key: np.ndarray,
-                      helper: object) -> bool:
-    """§VI-B recovers relations of the cooperating-pair bits only."""
-    n_good = len(helper.scheme.good_indices)
-    truth = key[n_good:]
-    if truth.size == 0 or result.resolved_fraction != 1.0:
-        return False
-    return bool(np.array_equal(result.coop_relations,
-                               truth ^ truth[0]))
-
-
-def _recovery_check(cell: MatrixCell) -> Callable:
-    """Per-family predicate deciding whether an attack recovered."""
-    if cell.attack == "temp-aware":
-        return _check_temp_aware
-    return _check_key
+#: Matrix attack-axis label -> :data:`repro.schemes.ATTACKS` family.
+_FAMILIES = {"sequential": "paired", "ml": "paired", "sprt": "sprt",
+             "group": "group", "distiller": "distiller",
+             "temp-aware": "temp-aware"}
 
 
 def _device_payload(result: object, recovered: bool
@@ -280,16 +176,19 @@ RECONSTRUCTION_TRIALS = 64
 
 
 def _cell_enrollment(cell: MatrixCell, fleet: Fleet, enroll_rng,
-                     devices: int, seed: int,
+                     devices: int, population_seed: int,
                      registry_dir: Optional[str]):
     """Enroll a cell's fleet, through the registry when one is given.
 
     Returns ``(enrollment, enroll_seconds)``; a registry hit costs
     no enrollment measurements (``enroll_seconds`` is the load
     time).  The enrollment stream is an independent spawn of the
-    cell root, so skipping it never shifts the sweep streams.
+    cell root, so skipping it never shifts the sweep streams.  The
+    registry manifest records the cell's preset name and
+    *population_seed* (:meth:`MatrixCell.population_seed`), so
+    ``repro service sweep --registry`` rebuilds the same population.
     """
-    factory = _keygen_factory(cell)
+    factory = preset(cell.preset).keygen_factory(cell.rows, cell.cols)
     if registry_dir is None:
         start = time.perf_counter()
         enrollment = fleet.enroll(factory, seed=enroll_rng)
@@ -301,18 +200,19 @@ def _cell_enrollment(cell: MatrixCell, fleet: Fleet, enroll_rng,
     start = time.perf_counter()
     if (cell_dir / "manifest.json").exists():
         registry = EnrollmentRegistry.open(cell_dir)
-        if (registry.population_seed != seed
+        if (registry.population_seed != population_seed
                 or registry.devices != devices):
             raise ValueError(
                 f"registry at {cell_dir} was enrolled for "
                 f"seed={registry.population_seed} "
                 f"devices={registry.devices}, run wants "
-                f"seed={seed} devices={devices}")
+                f"seed={population_seed} devices={devices}")
         enrollment = registry.load_enrollment(factory)
     else:
         enrollment = fleet.enroll(factory, seed=enroll_rng)
         registry = EnrollmentRegistry.create(
-            cell_dir, seed, cell.scheme, fleet.params, devices)
+            cell_dir, population_seed, cell.preset, fleet.params,
+            devices)
         for helper, key in zip(enrollment.helpers,
                                enrollment.keys):
             registry.append(helper, key)
@@ -325,9 +225,8 @@ def _run_runnable(cell: MatrixCell, devices: int, seed: int,
                   registry_dir: Optional[str] = None
                   ) -> Dict[str, object]:
     """The fleet-scale body of :func:`run_cell` for runnable cells."""
-    root = np.random.default_rng(
-        np.random.SeedSequence(cell.seed_material(seed)))
-    manufacture_rng, enroll_rng = root.spawn(2)
+    population_seed = cell.population_seed(seed)
+    manufacture_rng, enroll_rng = spawn(population_seed, 2)
     if cell.temp_slope_sigma > 0:
         params = ROArrayParams(rows=cell.rows, cols=cell.cols,
                                temp_slope_sigma=cell.temp_slope_sigma)
@@ -336,82 +235,63 @@ def _run_runnable(cell: MatrixCell, devices: int, seed: int,
     fleet = Fleet(params, size=devices, seed=manufacture_rng)
 
     enrollment, enroll_seconds = _cell_enrollment(
-        cell, fleet, enroll_rng, devices, seed, registry_dir)
+        cell, fleet, enroll_rng, devices, population_seed, registry_dir)
 
     if cell.attack == "reconstruction":
-        return _run_reconstruction(fleet, enrollment, enroll_seconds,
-                                   devices, workers=workers,
-                                   supervision=supervision)
+        # §VII-C: no attack.  The cell times the key-regeneration
+        # sweep the fuzzy extractor trades its attack surface for, and
+        # records per-device reconstruction success through the same
+        # security/perf layers (``queries`` counts noisy readouts
+        # consumed, one per trial).
+        with measured() as perf:
+            rates = fleet.failure_rates(
+                enrollment, RECONSTRUCTION_TRIALS, workers=workers,
+                supervision=supervision)
+        payloads = [{"recovered": bool(rate == 0.0),
+                     "queries": int(RECONSTRUCTION_TRIALS),
+                     "failure_rate": float(rate)} for rate in rates]
+        return _cell_body("reconstruction-sweep", payloads,
+                          [[] for _ in payloads], enrollment,
+                          dict(perf, enroll_seconds=enroll_seconds))
 
+    family = ATTACKS[_FAMILIES[cell.attack]]
     lockstep = cell.attack != "temp-aware"
     with measured() as perf:
         results = fleet.attack_results(
-            enrollment, _attack_factory(cell), lockstep=lockstep,
-            workers=workers, supervision=supervision)
+            enrollment, family.factory(cell.rows, cell.cols),
+            lockstep=lockstep, workers=workers,
+            supervision=supervision)
+    payloads = [_device_payload(result,
+                                family.check(result, key, helper))
+                for result, key, helper in zip(
+                    results, enrollment.keys, enrollment.helpers)]
+    return _cell_body("lockstep-fused" if lockstep else "scalar",
+                      payloads, [p["decisions"] for p in payloads],
+                      enrollment,
+                      dict(perf, enroll_seconds=enroll_seconds))
 
-    check = _recovery_check(cell)
-    payloads: List[Dict[str, object]] = []
-    for result, key, helper in zip(results, enrollment.keys,
-                                   enrollment.helpers):
-        payloads.append(_device_payload(
-            result, check(result, key, helper)))
+
+def _cell_body(engine: str, payloads: List[Dict[str, object]],
+               decisions: list, enrollment,
+               perf: Dict[str, float]) -> Dict[str, object]:
+    """A runnable record's engine/security/perf layers."""
+    devices = len(payloads)
     recovered = sum(1 for p in payloads if p["recovered"])
     queries = [int(p["queries"]) for p in payloads]
     security = {
-        "devices": int(devices),
+        "devices": devices,
         "recovered": int(recovered),
         "recovery_rate": recovered / devices,
         "recovered_mask": [bool(p["recovered"]) for p in payloads],
         "queries": queries,
         "queries_total": int(sum(queries)),
         "queries_mean": sum(queries) / devices,
-        "decisions_fingerprint": sha256_hex(
-            [p["decisions"] for p in payloads]),
+        "decisions_fingerprint": sha256_hex(decisions),
         "outcome_fingerprint": sha256_hex(payloads),
         "enrollment_fingerprint": enrollment_fingerprint(
             enrollment.helpers, enrollment.keys),
     }
-    engine = "lockstep-fused" if lockstep else "scalar"
-    return {"engine": engine, "security": security,
-            "perf": dict(perf, enroll_seconds=enroll_seconds)}
-
-
-def _run_reconstruction(fleet: Fleet, enrollment, enroll_seconds,
-                        devices: int, workers: Optional[int] = 1,
-                        supervision=None) -> Dict[str, object]:
-    """The §VII-C reconstruction-timing body (fuzzy-extractor cells).
-
-    There is no attack: the cell times the key-regeneration sweep
-    the fuzzy extractor trades its attack surface for, and records
-    per-device reconstruction success through the same security/perf
-    layers so summaries and diffs treat the cell uniformly
-    (``queries`` counts noisy readouts consumed — one per trial).
-    """
-    with measured() as perf:
-        rates = fleet.failure_rates(enrollment, RECONSTRUCTION_TRIALS,
-                                    workers=workers,
-                                    supervision=supervision)
-    payloads = [{"recovered": bool(rate == 0.0),
-                 "queries": int(RECONSTRUCTION_TRIALS),
-                 "failure_rate": float(rate)} for rate in rates]
-    recovered = sum(1 for p in payloads if p["recovered"])
-    queries = [int(p["queries"]) for p in payloads]
-    security = {
-        "devices": int(devices),
-        "recovered": int(recovered),
-        "recovery_rate": recovered / devices,
-        "recovered_mask": [bool(p["recovered"]) for p in payloads],
-        "queries": queries,
-        "queries_total": int(sum(queries)),
-        "queries_mean": sum(queries) / devices,
-        "decisions_fingerprint": sha256_hex(
-            [[] for _ in payloads]),
-        "outcome_fingerprint": sha256_hex(payloads),
-        "enrollment_fingerprint": enrollment_fingerprint(
-            enrollment.helpers, enrollment.keys),
-    }
-    return {"engine": "reconstruction-sweep", "security": security,
-            "perf": dict(perf, enroll_seconds=enroll_seconds)}
+    return {"engine": engine, "security": security, "perf": perf}
 
 
 @dataclass
@@ -504,20 +384,13 @@ def cell_line(record: Record) -> Optional[str]:
 
 def run_matrix(cells: Sequence[MatrixCell], profile: str, seed: int,
                devices: int, commit: str,
-               progress: Optional[Callable[[str], None]] = None,
-               skip: Optional[Sequence[str]] = None,
-               on_record: Optional[Callable[[Record], None]] = None,
-               stop_after: Optional[int] = None,
                workers: Optional[int] = 1,
                supervision=None,
                registry_dir: Optional[str] = None) -> List[Record]:
-    """Execute a matrix without a store; returns the executed records.
+    """Execute a matrix without a store; returns its records.
 
-    The configuration hash covers the **full** *cells* list, also
-    when *skip* leaves cell ids out.  *progress* receives each
-    :func:`cell_line`, *on_record* each record as its cell finishes;
-    *stop_after* is :func:`run_cells`'.  *workers* / *supervision* /
-    *registry_dir* pass through to :func:`run_cell`.
+    The configuration hash covers the full *cells* list.  *workers* /
+    *supervision* / *registry_dir* pass through to :func:`run_cell`.
     """
     cfg_hash = config_hash(matrix_config(cells, profile, seed,
                                          devices))
@@ -529,13 +402,4 @@ def run_matrix(cells: Sequence[MatrixCell], profile: str, seed: int,
                         supervision=supervision,
                         registry_dir=registry_dir)
 
-    def report(record: Record, _reproducible: bool) -> None:
-        line = cell_line(record)
-        if progress is not None and line is not None:
-            progress(line)
-        if on_record is not None:
-            on_record(record)
-
-    todo = [cell_id for cell_id in by_id if cell_id not in (skip or ())]
-    return run_cells(todo, run_one, commit, cfg_hash,
-                     stop_after=stop_after, on_record=report).executed
+    return run_cells(list(by_id), run_one, commit, cfg_hash).executed

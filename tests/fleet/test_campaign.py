@@ -23,10 +23,10 @@ from repro.fleet import (
     Fleet,
     GroupAttackFactory,
     LockstepCampaign,
+    SequentialAttackFactory,
     Supervisor,
     run_campaign,
     run_collected,
-    sequential_attack_factory,
 )
 from repro.fleet.fleet import _attack_chunk_job
 from repro.keygen import (
@@ -238,7 +238,7 @@ class TestFleetLockstep:
         fleet = Fleet(PARAMS, size=8, seed=31)
         enrollment = fleet.enroll(sequential_factory, seed=6)
         return fleet.attack_success(enrollment,
-                                    sequential_attack_factory,
+                                    SequentialAttackFactory(),
                                     workers=1, lockstep=False)
 
     @pytest.mark.parametrize("supervised", [True, False])
@@ -254,7 +254,7 @@ class TestFleetLockstep:
         spans = [(start, min(start + batch, 8))
                  for start in range(0, 8, batch)]
         jobs = fleet.attack_chunk_jobs(enrollment,
-                                       sequential_attack_factory,
+                                       SequentialAttackFactory(),
                                        spans=spans, lockstep=True)
         assert all(job.lockstep for job in jobs)
         reports = run_collected(
@@ -272,7 +272,7 @@ class TestFleetLockstep:
         fleet = Fleet(PARAMS, size=8, seed=31)
         enrollment = fleet.enroll(sequential_factory, seed=6)
         recovered, queries = fleet.attack_success(
-            enrollment, sequential_attack_factory, workers=2,
+            enrollment, SequentialAttackFactory(), workers=2,
             lockstep=True)
         np.testing.assert_array_equal(recovered, reference[0])
         np.testing.assert_array_equal(queries, reference[1])
@@ -283,11 +283,11 @@ class TestFleetLockstep:
         fleet = Fleet(PARAMS, size=3, seed=32)
         enrollment = fleet.enroll(sequential_factory, seed=7)
         auto = fleet.attack_success(enrollment,
-                                    sequential_attack_factory)
+                                    SequentialAttackFactory())
         fleet = Fleet(PARAMS, size=3, seed=32)
         enrollment = fleet.enroll(sequential_factory, seed=7)
         forced = fleet.attack_success(enrollment,
-                                      sequential_attack_factory,
+                                      SequentialAttackFactory(),
                                       lockstep=True)
         np.testing.assert_array_equal(auto[0], forced[0])
         np.testing.assert_array_equal(auto[1], forced[1])

@@ -24,16 +24,20 @@ from repro.service import (
     enroll_population,
     submit_sweep,
 )
-from repro.service.cli import SCHEME_DEFAULTS, scheme_keygen_factory
+from repro.schemes import preset
+from repro.service.cli import SCHEMES
 
 SEED = 17
 DEVICES = 3
 
 
 def _population(scheme):
-    rows, cols, sigma = SCHEME_DEFAULTS[scheme]
-    params = ROArrayParams(rows=rows, cols=cols, sigma_noise=sigma)
+    params = preset(SCHEMES[scheme]).array_params()
     return PopulationSpec(params=params, devices=DEVICES, seed=SEED)
+
+
+def _keygen_factory(scheme, rows, cols):
+    return preset(SCHEMES[scheme]).keygen_factory(rows, cols)
 
 
 def _fresh_enrollment(population, factory):
@@ -44,12 +48,12 @@ def _fresh_enrollment(population, factory):
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("scheme", sorted(SCHEME_DEFAULTS))
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_all_schemes_round_trip_bitwise(self, scheme, tmp_path):
         population = _population(scheme)
         rows, cols = (population.params.rows,
                       population.params.cols)
-        factory = scheme_keygen_factory(scheme, rows, cols)
+        factory = _keygen_factory(scheme, rows, cols)
         registry = enroll_population(tmp_path / scheme, population,
                                      factory, scheme)
         assert registry.enrolled == DEVICES
@@ -64,7 +68,7 @@ class TestRoundTrips:
 
     def test_manifest_identity_survives_reopen(self, tmp_path):
         population = _population("sequential")
-        factory = scheme_keygen_factory("sequential", 8, 16)
+        factory = _keygen_factory("sequential", 8, 16)
         enroll_population(tmp_path / "reg", population, factory,
                           "sequential")
         reopened = EnrollmentRegistry.open(tmp_path / "reg")
@@ -79,7 +83,7 @@ class TestTampering:
     @pytest.fixture()
     def registry_path(self, tmp_path):
         population = _population("sequential")
-        factory = scheme_keygen_factory("sequential", 8, 16)
+        factory = _keygen_factory("sequential", 8, 16)
         enroll_population(tmp_path / "reg", population, factory,
                           "sequential")
         return tmp_path / "reg"
@@ -118,7 +122,7 @@ class TestPopulationMismatch:
     @pytest.fixture()
     def registry(self, tmp_path):
         population = _population("sequential")
-        factory = scheme_keygen_factory("sequential", 8, 16)
+        factory = _keygen_factory("sequential", 8, 16)
         return enroll_population(tmp_path / "reg", population,
                                  factory, "sequential")
 
@@ -159,7 +163,7 @@ class TestLifecycleErrors:
 
     def test_incomplete_registry_refuses_load(self, tmp_path):
         population = _population("sequential")
-        factory = scheme_keygen_factory("sequential", 8, 16)
+        factory = _keygen_factory("sequential", 8, 16)
         enrollment = _fresh_enrollment(population, factory)
         registry = EnrollmentRegistry.create(
             tmp_path / "reg", SEED, "sequential", population.params,
@@ -170,7 +174,7 @@ class TestLifecycleErrors:
 
     def test_append_beyond_population_refused(self, tmp_path):
         population = _population("sequential")
-        factory = scheme_keygen_factory("sequential", 8, 16)
+        factory = _keygen_factory("sequential", 8, 16)
         registry = enroll_population(tmp_path / "reg", population,
                                      factory, "sequential")
         enrollment = _fresh_enrollment(population, factory)
@@ -180,7 +184,7 @@ class TestLifecycleErrors:
 
     def test_load_out_of_range_device(self, tmp_path):
         population = _population("sequential")
-        factory = scheme_keygen_factory("sequential", 8, 16)
+        factory = _keygen_factory("sequential", 8, 16)
         registry = enroll_population(tmp_path / "reg", population,
                                      factory, "sequential")
         with pytest.raises(RegistryError, match="not in the"):
@@ -192,7 +196,7 @@ class TestSkipEnrollment:
             self, tmp_path, monkeypatch):
         """Registry sweeps skip enrollment, bitwise-identically."""
         population = _population("sequential")
-        factory = scheme_keygen_factory("sequential", 8, 16)
+        factory = _keygen_factory("sequential", 8, 16)
         registry = enroll_population(tmp_path / "reg", population,
                                      factory, "sequential")
 

@@ -37,6 +37,25 @@ class TestEnrollAndSweep:
         assert "enrollment source: enrolled" in out
         assert "failure rates:" in out
 
+    def test_warehouse_registry_sweeps_through_its_preset(
+            self, tmp_path, capsys):
+        # A warehouse cell's registry carries the cell's preset name,
+        # so a registry sweep re-enrolls the same keygen for the
+        # single-host check.
+        cell = "distiller[masking]/distiller/baseline"
+        assert main(["warehouse", "run", "--cells", cell, "--commit",
+                     "c1", "--store", str(tmp_path / "s.jsonl"),
+                     "--enrollment-registry", str(tmp_path)]) == 0
+        registry = tmp_path / cell.replace("/", "__")
+        manifest = json.loads((registry / "manifest.json").read_text())
+        assert manifest["scheme"] == "distiller[masking]"
+        capsys.readouterr()
+        assert main(["service", "sweep", "--registry", str(registry),
+                     "--trials", "32", "--workers", "1",
+                     "--check-single-host"]) == 0
+        assert "single-host check: bitwise-identical" in \
+            capsys.readouterr().out
+
     def test_attack_sweep_reports_recoveries(self, capsys):
         assert main(["service", "sweep", "--scheme", "group-based",
                      "--devices", "2", "--kind", "attack",
@@ -65,6 +84,21 @@ class TestArgumentErrors:
         assert main(["service", "sweep", "--registry",
                      str(tmp_path / "nope")]) == 2
         assert "no registry manifest" in capsys.readouterr().out
+
+    def test_registry_label_must_be_a_preset(self, tmp_path, capsys):
+        registry = tmp_path / "reg"
+        assert main(["service", "enroll", "--scheme", "fuzzy",
+                     "--devices", "2",
+                     "--registry", str(registry)]) == 0
+        path = registry / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["scheme"] = "fuzzy-extractor"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["service", "sweep", "--registry",
+                     str(registry)]) == 2
+        assert "'fuzzy-extractor' is not a scheme preset" in \
+            capsys.readouterr().out
 
     def test_fuzzy_attack_sweep_rejected(self, capsys):
         assert main(["service", "sweep", "--scheme", "fuzzy",

@@ -35,6 +35,26 @@ class TestAttack:
         out = capsys.readouterr().out
         assert "recovered    : yes" in out
 
+    #: construction -> (geometry, secret bits, oracle calls) at seed 0
+    REPORTS = {
+        "sequential": ("8x16", 64, 583),
+        "temp-aware": ("8x16", 29, 234),
+        "group-based": ("4x10", 66, 390),
+        "masking": ("4x10", 4, 36),
+        "neighbor-overlap": ("4x10", 39, 348),
+    }
+
+    @pytest.mark.parametrize("construction", REPORTS)
+    def test_every_construction_report(self, construction, capsys):
+        geometry, bits, calls = self.REPORTS[construction]
+        assert main(["attack", construction, "--seed", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"construction : {construction} ({geometry}, seed 0)",
+            f"secret bits  : {bits}",
+            "recovered    : yes",
+            f"oracle calls : {calls}",
+        ]
+
     def test_unknown_construction_rejected(self):
         with pytest.raises(SystemExit):
             main(["attack", "bogus"])
@@ -143,6 +163,13 @@ class TestWarehouse:
                               extra=["--summary", str(summary)]) == 0
         assert self.run_quick(store, "c2",
                               extra=["--summary", str(summary)]) == 0
+        # Pin the perf layer: two ~10 ms wall times are too noisy to
+        # compare against the 20% drift threshold.
+        payload = json.loads(summary.read_text())
+        for entry in payload["history"]:
+            for perf in entry["benchmarks"].values():
+                perf["mean"] = 0.5
+        summary.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["warehouse", "trajectory", str(summary)]) == 0
         out = capsys.readouterr().out
@@ -345,6 +372,16 @@ class TestSharedOptions:
         ["scenario", "conformance", "--quick", "--stop-after", "-1"],
         ["service", "sweep", "--scheme", "sequential",
          "--max-retries", "-1"],
+        ["fleet", "--devices", "0"],
+        ["fleet", "--trials", "0"],
+        ["fleet", "--chunk", "0"],
+        ["fleet", "--workers", "-1"],
+        ["analyze", "--devices", "0"],
+        ["service", "enroll", "--scheme", "sequential", "--registry",
+         "reg", "--devices", "0"],
+        ["service", "sweep", "--scheme", "sequential", "--devices", "0"],
+        ["service", "sweep", "--scheme", "sequential", "--trials", "0"],
+        ["service", "sweep", "--scheme", "sequential", "--shards", "0"],
     ])
     def test_bad_values_are_usage_errors(self, argv, tmp_path,
                                          monkeypatch, capsys):
