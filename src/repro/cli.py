@@ -297,7 +297,7 @@ def _cmd_fleet_attack(args: argparse.Namespace) -> int:
         fleet, enrollment = _fleet_enroll(args, name)
         return fleet.attack_success(
             enrollment, attack_factory, workers=args.workers,
-            lockstep=True, supervision=supervision)
+            supervision=supervision)
 
     supervision = supervision_from_args(args)
     start = time.perf_counter()

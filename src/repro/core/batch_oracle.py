@@ -29,13 +29,12 @@ The scalar :meth:`query` interface is preserved, so attack drivers run
 unchanged — handing them a :class:`BatchOracle` silently upgrades every
 distinguisher to the block path.
 
-The bitwise guarantee covers every scheme whose reconstruction takes
-one measurement per query (all standard constructions; for temp-aware
-the per-query sensor reads are stream-exact too, so twin runs sharing
-a ``sensor_seed`` match bitwise).  The hardened group-based
-model draws a *separate* validation readout on the scalar path and is
-only statistically equivalent here — see
-:class:`repro.keygen.validation.HardenedGroupBasedKeyGen`.
+The bitwise guarantee covers every scheme.  A query consumes the
+keygen's :attr:`~repro.keygen.base.KeyGenerator.readouts` noise rows,
+drawn as one ``(readouts * n)``-wide row per query, so multi-readout
+devices stay stream-exact; for temp-aware the per-query sensor reads
+are stream-exact too, so twin runs sharing a ``sensor_seed`` match
+bitwise.
 """
 
 from __future__ import annotations
@@ -45,11 +44,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro._rng import RNGLike, ensure_rng
-from repro.keygen.base import (
-    KeyGenerator,
-    OperatingPoint,
-    ReconstructionFailure,
-)
+from repro.keygen.base import KeyGenerator, OperatingPoint
 from repro.keygen.batch import BatchEvaluator, EvalPlan
 from repro.puf.ro_array import ROArray
 
@@ -93,13 +88,16 @@ class BatchOracle:
         self._rng = None if rng is None else ensure_rng(rng)
         self._queries = 0
         self._trajectory = trajectory
-        # With a trajectory, each noise row carries one extra tag
-        # column: the absolute index of its draw, which survives any
+        # One noise row per query holds all of its readouts.  With a
+        # trajectory, each row carries one extra tag column: the
+        # absolute index of its draw, which survives any
         # slicing/unwinding a consumer performs.
-        width = array.n + (1 if trajectory is not None else 0)
+        self._readouts = keygen.readouts
+        width = (self._readouts * array.n
+                 + (1 if trajectory is not None else 0))
         self._buffer = np.empty((0, width))
         self._cursor = 0
-        # Noise-free frequency vector per operating point.
+        # Noise-free frequencies per operating point, tiled per readout.
         self._base: Dict[Tuple[Optional[float], Optional[float]],
                          np.ndarray] = {}
         # Evaluator per live helper object (bounded, keyed by id with a
@@ -178,8 +176,8 @@ class BatchOracle:
         buffered = self._buffer.shape[0]
         if buffered < count:
             fresh = count - buffered
-            drawn = self._array.measurement_noise(fresh,
-                                                  rng=self._rng)
+            drawn = self._array.measurement_noise(
+                fresh * self._readouts, rng=self._rng).reshape(fresh, -1)
             if self._trajectory is not None:
                 tags = np.arange(self._cursor, self._cursor + fresh,
                                  dtype=float)
@@ -227,56 +225,15 @@ class BatchOracle:
         Returns the helper evaluator's :class:`EvalPlan`, declaring
         this block's kernel workload (keyed by the shared code/sketch)
         for the caller to run — alone or fused with other devices' —
-        before :meth:`EvalPlan.finalize`.  Schemes without a
-        vectorized evaluator resolve eagerly through the row-wise
-        reconstruction fallback and return an already-final plan.
+        before :meth:`EvalPlan.finalize`.
         """
         resolved = op if op is not None else self._op
-        if self._trajectory is not None:
-            freqs, env = self._trajectory_frequencies(rows, op)
-            evaluator = self._evaluator_for(helper, resolved)
-            if evaluator is not None:
-                return evaluator.plan_env(freqs, env)
-            return EvalPlan.resolved(self._reconstruct_rows_env(
-                helper, freqs, env, resolved))
-        freqs = self._base_frequencies(resolved)[None, :] + rows
         evaluator = self._evaluator_for(helper, resolved)
-        if evaluator is not None:
-            return evaluator.plan(freqs)
-        return EvalPlan.resolved(
-            self._reconstruct_rows(helper, freqs, resolved))
-
-    def _reconstruct_rows(self, helper, freqs: np.ndarray,
-                          op: OperatingPoint) -> np.ndarray:
-        """Row-wise reconstruction fallback (no vectorized evaluator)."""
-        outcomes = np.empty(freqs.shape[0], dtype=bool)
-        for i in range(freqs.shape[0]):
-            try:
-                self._keygen.reconstruct_from_frequencies(
-                    self._array, freqs[i], helper, op)
-            except ReconstructionFailure:
-                outcomes[i] = False
-            else:
-                outcomes[i] = True
-        return outcomes
-
-    def _reconstruct_rows_env(self, helper, freqs: np.ndarray, env,
-                              op: OperatingPoint) -> np.ndarray:
-        """Row-wise fallback with per-row ambient operating points."""
-        if env is None:
-            return self._reconstruct_rows(helper, freqs, op)
-        outcomes = np.empty(freqs.shape[0], dtype=bool)
-        for i in range(freqs.shape[0]):
-            row_op = OperatingPoint(float(env.temperatures[i]),
-                                    float(env.voltages[i]))
-            try:
-                self._keygen.reconstruct_from_frequencies(
-                    self._array, freqs[i], helper, row_op)
-            except ReconstructionFailure:
-                outcomes[i] = False
-            else:
-                outcomes[i] = True
-        return outcomes
+        if self._trajectory is not None:
+            return evaluator.plan_env(
+                *self._trajectory_frequencies(rows, op))
+        return evaluator.plan(self._base_frequencies(resolved)[None, :]
+                              + rows)
 
     # ------------------------------------------------------------------
     # internals
@@ -297,35 +254,35 @@ class BatchOracle:
             env = None
         else:
             env = self._trajectory.sample(indices)
-            base = self._array.true_frequencies_batch(
-                env.temperatures, env.voltages)
+            base = np.tile(self._array.true_frequencies_batch(
+                env.temperatures, env.voltages), self._readouts)
         shift = self._trajectory.oscillator_shift(self._array.n)
         if shift is not None:
-            base = base + shift[None, :]
+            base = base + np.tile(shift, self._readouts)[None, :]
         return base + noise, env
 
     def _base_frequencies(self, op: OperatingPoint) -> np.ndarray:
         key = (op.temperature, op.voltage)
         base = self._base.get(key)
         if base is None:
-            base = self._array.true_frequencies(op.temperature,
-                                                op.voltage)
+            base = np.tile(self._array.true_frequencies(op.temperature,
+                                                        op.voltage),
+                           self._readouts)
             self._base[key] = base
         return base
 
-    def _evaluator_for(self, helper, op: OperatingPoint
-                       ) -> Optional[BatchEvaluator]:
+    def _evaluator_for(self, helper,
+                       op: OperatingPoint) -> BatchEvaluator:
         key = id(helper)
         hit = self._evaluators.get(key)
         if hit is not None and hit[0] is helper and hit[1] == op:
             return hit[2]
         evaluator = self._keygen.batch_evaluator(self._array, helper,
                                                  op)
-        if evaluator is not None:
-            if len(self._evaluators) >= self._evaluator_cap:
-                # Evict the oldest entry only: clearing everything
-                # would drop the completion memos of helpers still in
-                # use mid-comparison.
-                self._evaluators.pop(next(iter(self._evaluators)))
-            self._evaluators[key] = (helper, op, evaluator)
+        if len(self._evaluators) >= self._evaluator_cap:
+            # Evict the oldest entry only: clearing everything would
+            # drop the completion memos of helpers still in use
+            # mid-comparison.
+            self._evaluators.pop(next(iter(self._evaluators)))
+        self._evaluators[key] = (helper, op, evaluator)
         return evaluator

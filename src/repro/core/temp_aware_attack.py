@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.batch_oracle import BatchOracle
 from repro.core.framework import ComparisonOutcome, FailureRateComparer
 from repro.core.injection import break_inversions
+from repro.core.lockstep import AttackSteps, ComparisonRequest, drive
 from repro.core.oracle import HelperDataOracle
 from repro.keygen.base import OperatingPoint
 from repro.keygen.temp_aware import TempAwareKeyGen, TempAwareKeyHelper
@@ -112,7 +113,8 @@ class TempAwareAttack:
     assistance in NumPy), while decisions and query counts stay
     bitwise-identical to scalar simulation.  A scalar
     :class:`~repro.core.oracle.HelperDataOracle` is still accepted and
-    drives the same comparisons one query at a time.
+    drives the same comparisons one query at a time.  :meth:`steps`
+    exposes the attack to lock-step fleet campaigns.
     """
 
     def __init__(self, oracle: Union[BatchOracle, HelperDataOracle],
@@ -201,15 +203,9 @@ class TempAwareAttack:
             return temperature
         return None
 
-    def test_candidate(self, target: int, candidate: int,
-                       temperature: Optional[float] = None
-                       ) -> Tuple[int, ComparisonOutcome]:
-        """Recover ``r_candidate XOR r_assist(target)``.
-
-        Bakes the device into the target's crossover interval, rewrites
-        the assistant index, and compares failure rates against the
-        injection-only reference.
-        """
+    def _candidate_steps(self, target: int, candidate: int,
+                         temperature: Optional[float]) -> AttackSteps:
+        """Stepwise :meth:`test_candidate`: one comparison request."""
         scheme = self._helper.scheme
         entry = scheme.cooperation[target]
         cand_entry = scheme.cooperation[candidate]
@@ -232,24 +228,37 @@ class TempAwareAttack:
         reference = self._helper.with_scheme(injected_scheme)
         test = self._helper.with_scheme(injected_scheme.replace_entry(
             target, entry.with_assist(cand_entry.pair_index)))
-        outcome = self._comparer.compare(self._oracle, reference, test,
-                                         op)
+        outcome = yield ComparisonRequest(reference, test,
+                                          self._comparer, op)
         relation = 1 if outcome.decision == "a" else 0
         return relation, outcome
 
+    def test_candidate(self, target: int, candidate: int,
+                       temperature: Optional[float] = None
+                       ) -> Tuple[int, ComparisonOutcome]:
+        """Recover ``r_candidate XOR r_assist(target)``.
+
+        Bakes the device into the target's crossover interval, rewrites
+        the assistant index, and compares failure rates against the
+        injection-only reference.
+        """
+        return drive(self._candidate_steps(target, candidate,
+                                           temperature), self._oracle)
+
     # ------------------------------------------------------------------
 
-    def run(self) -> TempAwareAttackResult:
-        """Recover all cooperating-pair bit relations.
+    def steps(self) -> AttackSteps:
+        """Stepwise protocol of the full attack (lock-step entry).
 
         Iterates over target entries, testing only candidates whose
         relation to the target's assistant is not already implied by the
-        union-find — no redundant oracle queries.
+        union-find — no redundant oracle queries.  Each test yields one
+        :class:`ComparisonRequest` at the attack temperature; returns
+        the :class:`TempAwareAttackResult`.
         """
         scheme = self._helper.scheme
         entries = scheme.cooperation
         count = len(entries)
-        start = self._oracle.queries
         outcomes: List[ComparisonOutcome] = []
         if count == 0:
             return TempAwareAttackResult(np.zeros(0, dtype=np.int8), {},
@@ -271,7 +280,7 @@ class TempAwareAttack:
                 temperature = self._attack_temperature(target, candidate)
                 if temperature is None:
                     continue
-                relation, outcome = self.test_candidate(
+                relation, outcome = yield from self._candidate_steps(
                     target, candidate, temperature)
                 outcomes.append(outcome)
                 graph.union(candidate, assist_position, relation)
@@ -299,5 +308,14 @@ class TempAwareAttack:
         return TempAwareAttackResult(
             coop_relations=relations,
             good_bits=good_bits,
-            queries=self._oracle.queries - start,
+            queries=sum(outcome.queries for outcome in outcomes),
             comparisons=tuple(outcomes))
+
+    def run(self) -> TempAwareAttackResult:
+        """Recover all cooperating-pair bit relations.
+
+        Drives :meth:`steps` against the attack's own oracle — the
+        scalar per-device reference the lock-step campaign engine is
+        asserted bitwise-equal against.
+        """
+        return drive(self.steps(), self._oracle)

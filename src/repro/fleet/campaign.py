@@ -187,13 +187,7 @@ class SequentialAttackFactory:
 
 @dataclass(frozen=True)
 class TempAwareAttackFactory:
-    """Picklable §VI-B temperature-aware attack factory.
-
-    The temperature-aware attack does not expose the stepwise
-    protocol, so fleets fall back to the per-device scalar loop for
-    it; the factory exists so warehouse/fleet call sites treat every
-    attack family uniformly.
-    """
+    """Picklable §VI-B temperature-aware attack factory."""
 
     def __call__(self, oracle, keygen, helper) -> TempAwareAttack:
         """Build the attack driver for one enrolled device."""

@@ -503,33 +503,33 @@ class Fleet:
                        attack_factory: AttackFactory,
                        op: OperatingPoint = OperatingPoint(),
                        workers: Optional[int] = 1,
-                       lockstep: Optional[bool] = None,
+                       lockstep: bool = True,
                        trajectory=None,
                        supervision=None
                        ) -> Tuple[np.ndarray, np.ndarray]:
         """Run a full helper-data attack against every device.
 
         *attack_factory(oracle, keygen, helper)* builds an attack
-        driver exposing ``run()`` with a ``key`` attribute on its
-        result; with ``workers > 1`` it must be picklable
-        (module-level).  Returns ``(recovered, queries)``: a boolean
-        key-recovery mask and the per-device ``int64`` oracle query
-        bill.
+        driver exposing the stepwise ``steps()`` protocol and
+        ``run()``, with a ``key`` attribute on its result; with
+        ``workers > 1`` it must be picklable (module-level).  Returns
+        ``(recovered, queries)``: a boolean key-recovery mask and the
+        per-device ``int64`` oracle query bill.
 
         Parameters
         ----------
         lockstep:
-            ``True`` runs the round-based lock-step campaign engine
-            (:mod:`repro.fleet.campaign`): each worker advances its
-            whole device chunk together, one oracle round per
+            ``True`` (default) runs the round-based lock-step campaign
+            engine (:mod:`repro.fleet.campaign`): each worker advances
+            its whole device chunk together, one oracle round per
             distinguisher block with the ECC kernel work of every
             device sharing a code fused into one call
             (:mod:`repro.ecc.kernel`).  ``False`` keeps the per-device
-            scalar loop.  ``None`` (default) auto-detects: lock-step
-            whenever the driver exposes the stepwise ``steps()``
-            protocol.  Either way the per-device results are
-            **bitwise-identical** — lock-stepping only reorders work
-            across devices, never within one device's oracle stream.
+            ``run()`` loop, the equivalence reference (and the only
+            way to run a driver without ``steps()``).  Either way the
+            per-device results are **bitwise-identical** —
+            lock-stepping only reorders work across devices, never
+            within one device's oracle stream.
             Chunks split the fleet evenly over the resolved worker
             count; :meth:`attack_chunk_jobs` takes explicit spans.
         trajectory:
@@ -566,7 +566,7 @@ class Fleet:
                           spans: Optional[Sequence[Tuple[int, int]]]
                           = None,
                           op: OperatingPoint = OperatingPoint(),
-                          lockstep: Optional[bool] = None,
+                          lockstep: bool = True,
                           trajectory=None,
                           workers: Optional[int] = 1
                           ) -> List[_AttackChunkJob]:
@@ -575,9 +575,8 @@ class Fleet:
         This is the shard-aware entry point behind
         :meth:`attack_success` / :meth:`attack_results`: it derives
         the sweep substreams (advancing the population root exactly as
-        a direct campaign would), resolves the lock-step knob,
-        and returns one self-contained, picklable
-        :class:`_AttackChunkJob` per *span* — a ``(start, stop)``
+        a direct campaign would) and returns one self-contained,
+        picklable :class:`_AttackChunkJob` per *span* — a ``(start, stop)``
         device range in fleet order.  *spans* default to the even
         split :meth:`attack_success` would use for *workers*; pass
         explicit contiguous ranges (e.g. a
@@ -585,12 +584,12 @@ class Fleet:
         Per-device results are bitwise-invariant to the chunking, so
         any span partition merges to the same outcome.
         """
+        if not isinstance(lockstep, bool):
+            raise TypeError(f"lockstep must be True or False, not "
+                            f"{lockstep!r}")
         count = len(self._arrays)
         streams = self._sweep_streams()
         trajectories = self._build_trajectories(trajectory)
-        if lockstep is None:
-            lockstep = self._supports_lockstep(enrollment,
-                                               attack_factory, op)
         if spans is None:
             resolved = resolve_workers(workers, count)
             chunks = max(1, min(count,
@@ -611,7 +610,7 @@ class Fleet:
                 [enrollment.helpers[i] for i in indices],
                 [enrollment.keys[i] for i in indices],
                 op, attack_factory,
-                [streams[i] for i in indices], bool(lockstep),
+                [streams[i] for i in indices], lockstep,
                 None if trajectories is None
                 else [trajectories[i] for i in indices]))
         return jobs
@@ -619,7 +618,7 @@ class Fleet:
     def attack_results(self, enrollment: FleetEnrollment,
                        attack_factory: AttackFactory,
                        op: OperatingPoint = OperatingPoint(),
-                       lockstep: Optional[bool] = None,
+                       lockstep: bool = True,
                        trajectory=None,
                        workers: Optional[int] = 1,
                        supervision=None) -> List[object]:
@@ -657,18 +656,3 @@ class Fleet:
                                 workers=workers, shared=self._arrays,
                                 supervision=supervision)
         return [result for report in reports for result in report]
-
-    def _supports_lockstep(self, enrollment: FleetEnrollment,
-                           attack_factory: AttackFactory,
-                           op: OperatingPoint) -> bool:
-        """Probe whether the factory's drivers speak the stepwise
-        protocol (a throwaway driver build; no oracle queries)."""
-        try:
-            probe = attack_factory(
-                BatchOracle(self._arrays[0], enrollment.keygens[0],
-                            op=op),
-                enrollment.keygens[0], enrollment.helpers[0])
-        except Exception:
-            # Let the real dispatch surface construction errors.
-            return False
-        return hasattr(probe, "steps")

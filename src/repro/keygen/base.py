@@ -163,6 +163,12 @@ def key_check_digests(keys: np.ndarray) -> List[bytes]:
 class KeyGenerator(abc.ABC):
     """Enroll/reconstruct interface shared by all constructions."""
 
+    #: Measurements one reconstruction takes.  :meth:`reconstruct`
+    #: hands their concatenation, ``(readouts * n,)``, to
+    #: :meth:`reconstruct_from_frequencies`, and the batched oracle
+    #: draws ``readouts`` noise rows per query to match.
+    readouts = 1
+
     @abc.abstractmethod
     def enroll(self, array: ROArray, rng: RNGLike = None):
         """One-time enrollment; returns ``(helper, key_bits)``."""
@@ -186,12 +192,15 @@ class KeyGenerator(abc.ABC):
 
     def reconstruct(self, array: ROArray, helper,
                     op: OperatingPoint = OperatingPoint()) -> np.ndarray:
-        """Regenerate the key from a fresh noisy measurement.
+        """Regenerate the key from fresh noisy measurements.
 
-        Raises :class:`ReconstructionFailure` when the device observably
+        Takes :attr:`readouts` measurements in a row.  Raises
+        :class:`ReconstructionFailure` when the device observably
         fails (ECC failure or key-check mismatch).
         """
-        freqs = array.measure_frequencies(op.temperature, op.voltage)
+        freqs = np.concatenate([
+            array.measure_frequencies(op.temperature, op.voltage)
+            for _ in range(self.readouts)])
         return self.reconstruct_from_frequencies(array, freqs, helper,
                                                  op)
 
@@ -199,12 +208,11 @@ class KeyGenerator(abc.ABC):
     def reconstruct_from_frequencies(
             self, array: ROArray, freqs: np.ndarray, helper,
             op: OperatingPoint = OperatingPoint()) -> np.ndarray:
-        """Regenerate the key from an already-taken measurement vector.
+        """Regenerate the key from already-taken measurements.
 
-        This is the measurement-free tail of :meth:`reconstruct`; the
-        batched simulation engine draws many measurement rows in one
-        vectorized pass and feeds them through this path (or through the
-        faster :meth:`batch_evaluator` when the scheme provides one).
+        This is the measurement-free tail of :meth:`reconstruct`:
+        *freqs* holds :attr:`readouts` concatenated measurement
+        vectors.  :meth:`batch_evaluator` is its vectorized twin.
         """
 
     def reseed_transient_streams(self, rng: RNGLike = None) -> None:
@@ -219,16 +227,15 @@ class KeyGenerator(abc.ABC):
         reproducible and worker-count invariant.
         """
 
+    @abc.abstractmethod
     def batch_evaluator(self, array: ROArray, helper,
                         op: OperatingPoint = OperatingPoint()):
-        """Vectorized success evaluator for this helper, or ``None``.
+        """Vectorized success evaluator for this helper.
 
-        Schemes with a vectorizable response-bit extraction return a
-        :class:`repro.keygen.batch.BatchEvaluator` mapping a ``(B, n)``
-        measurement batch to ``B`` success booleans, matching what
-        *B* sequential :meth:`reconstruct` calls on the same
-        measurements would observe.  ``None`` means callers must fall
-        back to row-wise :meth:`reconstruct_from_frequencies`.
+        Returns a :class:`repro.keygen.batch.BatchEvaluator` mapping a
+        ``(B, readouts * n)`` measurement batch to ``B`` success
+        booleans, matching what *B* sequential :meth:`reconstruct`
+        calls on the same measurements would observe.
 
         Evaluators speak one protocol (see ``docs/evaluators.md``):
         ``plan(freqs)`` → kernel → ``EvalPlan.finalize(outputs)``, a
@@ -237,7 +244,6 @@ class KeyGenerator(abc.ABC):
         shipped evaluator completes patterns through
         :class:`repro.keygen.batch.SketchCompletion`.
         """
-        return None
 
     def _finish(self, recovered_key: np.ndarray,
                 key_check: bytes) -> np.ndarray:

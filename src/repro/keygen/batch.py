@@ -308,6 +308,21 @@ class ResponseBitEvaluator(BatchEvaluator):
         return _build_plan(bits, None, self._completion, self._memo,
                            bits.shape[0])
 
+    def masked(self, accept: Callable[[np.ndarray], np.ndarray],
+               columns: slice = slice(None)) -> "MaskedBitEvaluator":
+        """This extraction and completion behind a per-row check.
+
+        *accept* maps the measurement block to the ``(B,)`` mask of
+        rows a device-side check lets through; refused rows fail
+        without completion.  Bits are extracted from *columns* of the
+        block, so a multi-readout device can validate one readout and
+        regenerate from another.
+        """
+        extract = self._extract
+        return MaskedBitEvaluator(
+            lambda freqs: (extract(freqs[:, columns]), accept(freqs)),
+            self._completion)
+
 
 class MaskedBitEvaluator(BatchEvaluator):
     """Vectorized extraction with per-row observable refusals.

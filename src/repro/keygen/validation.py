@@ -23,20 +23,22 @@ bench ``bench_countermeasures.py`` quantifies what each check stops.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import combinations
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.distiller.distiller import DistillerHelper
 from repro.grouping.algorithm import GroupingHelper
 from repro.keygen.base import OperatingPoint, ReconstructionFailure
+from repro.keygen.batch import ConstantEvaluator
 from repro.keygen.group_based import GroupBasedKeyGen, GroupBasedKeyHelper
 from repro.keygen.sequential import (
     SequentialKeyHelper,
     SequentialPairingKeyGen,
 )
 from repro.keygen.temp_aware import TempAwareKeyGen, TempAwareKeyHelper
-from repro.pairing.base import Pair
+from repro.pairing.base import Pair, pair_index_arrays, validate_pairs
 from repro.pairing.temp_aware import TempAwareHelper
 
 
@@ -80,16 +82,36 @@ def validate_group_thresholds(residuals: np.ndarray,
     separation to an injected surface fails this check as soon as the
     injection itself is rejected or absent.
     """
-    residuals = np.asarray(residuals, dtype=float)
-    floor = threshold * tolerance
-    for group in grouping.groups:
-        members = list(group)
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if abs(residuals[a] - residuals[b]) <= floor:
-                    raise HelperDataRejected(
-                        f"group pair ({a}, {b}) violates the measured "
-                        f"threshold")
+    _check_gaps(residuals, _group_pairs(grouping), threshold * tolerance,
+                "group pair")
+
+
+def _group_pairs(grouping: GroupingHelper) -> List[Pair]:
+    """Every intra-group oscillator pair, in group and member order."""
+    return [pair for group in grouping.groups
+            for pair in combinations(group, 2)]
+
+
+def _gap_violations(values: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    floor: float) -> np.ndarray:
+    """Which ``(a, b)`` gaps of *values* (last axis) sit at or below *floor*.
+
+    The one definition of the measured-threshold predicate, shared by
+    the scalar checks and the batch evaluators' per-row masks.  A NaN
+    gap is no violation.
+    """
+    return np.abs(values[..., a] - values[..., b]) <= floor
+
+
+def _check_gaps(values: np.ndarray, pairs: Sequence[Pair], floor: float,
+                what: str) -> None:
+    """Reject the first pair whose measured gap violates *floor*."""
+    bad = np.flatnonzero(_gap_violations(
+        np.asarray(values, dtype=float), *pair_index_arrays(pairs), floor))
+    if bad.size:
+        a, b = pairs[bad[0]]
+        raise HelperDataRejected(
+            f"{what} ({a}, {b}) violates the measured threshold")
 
 
 def validate_group_membership(grouping: GroupingHelper, n: int) -> None:
@@ -118,12 +140,7 @@ def validate_pair_thresholds(freqs: np.ndarray,
     measurement noise).  A substituted pair list whose gaps do not stem
     from the physical array fails the check.
     """
-    freqs = np.asarray(freqs, dtype=float)
-    floor = threshold * tolerance
-    for a, b in pairs:
-        if abs(freqs[a] - freqs[b]) <= floor:
-            raise HelperDataRejected(
-                f"pair ({a}, {b}) violates the measured threshold")
+    _check_gaps(freqs, pairs, threshold * tolerance, "pair")
 
 
 def validate_cooperation_records(scheme: TempAwareHelper) -> None:
@@ -155,12 +172,29 @@ def validate_cooperation_records(scheme: TempAwareHelper) -> None:
                 "assistant interval intersects the requester's")
 
 
+def _with_check(evaluator, reject, columns: slice = slice(None)):
+    """*evaluator* behind a per-row check; *reject* flags refused pairs.
+
+    A base scheme's constant evaluator refuses the helper outright,
+    which no further check can overturn.
+    """
+    if isinstance(evaluator, ConstantEvaluator):
+        return evaluator
+    return evaluator.masked(lambda freqs: ~reject(freqs).any(axis=1),
+                            columns)
+
+
 class HardenedGroupBasedKeyGen(GroupBasedKeyGen):
     """Group-based device that validates helper data before use.
 
     Enforces the distiller amplitude bound, group-map structure and the
-    measured-threshold property on every reconstruction.
+    measured-threshold property on every reconstruction.  Validation
+    runs on its own readout, as a real device would sanity-check
+    incoming helper data before the regeneration readout: every
+    reconstruction takes both readouts, rejected or not.
     """
+
+    readouts = 2
 
     def __init__(self, rows: int, cols: int,
                  max_polynomial_span: float,
@@ -171,51 +205,45 @@ class HardenedGroupBasedKeyGen(GroupBasedKeyGen):
         self._max_span = float(max_polynomial_span)
         self._tolerance = float(threshold_tolerance)
 
-    def _validate(self, array, freqs,
-                  helper: GroupBasedKeyHelper) -> None:
+    def _validate_structure(self, array,
+                            helper: GroupBasedKeyHelper) -> None:
         validate_distiller_amplitude(helper.distiller, self._rows,
                                      self._cols, self._max_span)
         validate_group_membership(helper.grouping, array.n)
-        residuals = self.distiller.residuals(array.x, array.y, freqs,
-                                             helper.distiller)
-        validate_group_thresholds(residuals, helper.grouping,
-                                  self.grouping.threshold,
-                                  self._tolerance)
-
-    def reconstruct(self, array, helper: GroupBasedKeyHelper,
-                    op: OperatingPoint = OperatingPoint()) -> np.ndarray:
-        # Validation runs on its own measurement, as a real device
-        # would sanity-check incoming helper data before the actual
-        # regeneration readout; only the second readout regenerates.
-        """Validate helper data on its own readout, then regenerate."""
-        freqs = array.measure_frequencies(op.temperature, op.voltage)
-        self._validate(array, freqs, helper)
-        regen = array.measure_frequencies(op.temperature, op.voltage)
-        return super().reconstruct_from_frequencies(array, regen,
-                                                    helper, op)
 
     def reconstruct_from_frequencies(
             self, array, freqs, helper: GroupBasedKeyHelper,
             op: OperatingPoint = OperatingPoint()) -> np.ndarray:
-        # Single-readout variant used by the batched fallback path:
-        # validation and regeneration share the one measurement, i.e.
-        # it models a device that sanity-checks the readout it is
-        # about to use.  Statistically close to, but not
-        # query-for-query identical with, the two-readout
-        # :meth:`reconstruct` — the batch engine's bitwise-equivalence
-        # guarantee therefore does not extend to this hardened model.
-        """Single-readout variant for the batched fallback path."""
-        self._validate(array, freqs, helper)
-        return super().reconstruct_from_frequencies(array, freqs,
+        """Validate on the first readout, regenerate from the second."""
+        check, regen = np.split(np.asarray(freqs, dtype=float), 2)
+        self._validate_structure(array, helper)
+        residuals = self.distiller.residuals(array.x, array.y, check,
+                                             helper.distiller)
+        validate_group_thresholds(residuals, helper.grouping,
+                                  self.grouping.threshold,
+                                  self._tolerance)
+        return super().reconstruct_from_frequencies(array, regen,
                                                     helper, op)
 
     def batch_evaluator(self, array, helper: GroupBasedKeyHelper,
                         op: OperatingPoint = OperatingPoint()):
-        # The measured-threshold check depends on each query's own
-        # residuals, so the bit-level fast path would skip it; fall
-        # back to row-wise reconstruction.
-        """Always ``None``: residual checks resist vectorization."""
-        return None
+        """Structure checked once; the residual check masks each row."""
+        try:
+            self._validate_structure(array, helper)
+        except HelperDataRejected:
+            return ConstantEvaluator(False)
+        a, b = pair_index_arrays(_group_pairs(helper.grouping))
+        floor = self.grouping.threshold * self._tolerance
+        n, x, y = array.n, array.x, array.y
+        distiller, trend = self.distiller, helper.distiller
+
+        def reject(freqs: np.ndarray) -> np.ndarray:
+            residuals = distiller.residuals_batch(x, y, freqs[:, :n],
+                                                  trend)
+            return _gap_violations(residuals, a, b, floor)
+
+        return _with_check(super().batch_evaluator(array, helper, op),
+                           reject, slice(n, None))
 
 
 class HardenedSequentialKeyGen(SequentialPairingKeyGen):
@@ -236,20 +264,26 @@ class HardenedSequentialKeyGen(SequentialPairingKeyGen):
     def reconstruct_from_frequencies(
             self, array, freqs, helper: SequentialKeyHelper,
             op: OperatingPoint = OperatingPoint()) -> np.ndarray:
-        """Reject pairs failing the measured threshold, then regenerate."""
-        validate_pair_thresholds(freqs, helper.pairing.pairs,
-                                 self.pairing.threshold,
+        """Reject malformed or sub-threshold pairs, then regenerate."""
+        pairs = helper.pairing.pairs
+        try:
+            validate_pairs(pairs, array.n,
+                           allow_reuse=not self.pairing.enforce_disjoint)
+        except ValueError as exc:
+            raise HelperDataRejected(str(exc)) from exc
+        validate_pair_thresholds(freqs, pairs, self.pairing.threshold,
                                  self._tolerance)
         return super().reconstruct_from_frequencies(array, freqs,
                                                     helper, op)
 
     def batch_evaluator(self, array, helper: SequentialKeyHelper,
                         op: OperatingPoint = OperatingPoint()):
-        # The measured-threshold check depends on each query's own
-        # frequencies, so the bit-level fast path would skip it; fall
-        # back to row-wise reconstruction.
-        """Always ``None``: per-readout checks resist vectorization."""
-        return None
+        """The base evaluator behind the per-row threshold check."""
+        a, b = pair_index_arrays(helper.pairing.pairs)
+        floor = self.pairing.threshold * self._tolerance
+        return _with_check(
+            super().batch_evaluator(array, helper, op),
+            lambda freqs: _gap_violations(freqs, a, b, floor))
 
 
 class HardenedTempAwareKeyGen(TempAwareKeyGen):
@@ -269,7 +303,5 @@ class HardenedTempAwareKeyGen(TempAwareKeyGen):
         try:
             validate_cooperation_records(helper.scheme)
         except HelperDataRejected:
-            from repro.keygen.batch import ConstantEvaluator
-
             return ConstantEvaluator(False)
         return super().batch_evaluator(array, helper, op)

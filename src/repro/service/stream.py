@@ -187,7 +187,7 @@ def submit_sweep(population: PopulationSpec,
                  helpers: Optional[Sequence[object]] = None,
                  chunk: int = 1024,
                  attack_factory: Optional[AttackFactory] = None,
-                 lockstep: Optional[bool] = None,
+                 lockstep: bool = True,
                  trajectory=None,
                  shards: int = 2,
                  workers: Optional[int] = None,

@@ -2,9 +2,8 @@
 
 Each runnable cell manufactures a seeded device fleet, enrolls its
 scheme, and drives its attack family across the whole population
-through the existing engines — the lock-step/fused campaign scheduler
-for every stepwise attack, the per-device scalar loop for the
-temperature-aware family — then condenses the outcome into one record:
+through the lock-step/fused campaign scheduler, then condenses the
+outcome into one record:
 per-device key-recovery mask and query bills, a comparer-decisions
 fingerprint, an enrollment fingerprint through the specified storage
 format, and wall/kernel timings.  :func:`run_cells` is the
@@ -255,19 +254,16 @@ def _run_runnable(cell: MatrixCell, devices: int, seed: int,
                           dict(perf, enroll_seconds=enroll_seconds))
 
     family = ATTACKS[_FAMILIES[cell.attack]]
-    lockstep = cell.attack != "temp-aware"
     with measured() as perf:
         results = fleet.attack_results(
             enrollment, family.factory(cell.rows, cell.cols),
-            lockstep=lockstep, workers=workers,
-            supervision=supervision)
+            workers=workers, supervision=supervision)
     payloads = [_device_payload(result,
                                 family.check(result, key, helper))
                 for result, key, helper in zip(
                     results, enrollment.keys, enrollment.helpers)]
-    return _cell_body("lockstep-fused" if lockstep else "scalar",
-                      payloads, [p["decisions"] for p in payloads],
-                      enrollment,
+    return _cell_body("lockstep-fused", payloads,
+                      [p["decisions"] for p in payloads], enrollment,
                       dict(perf, enroll_seconds=enroll_seconds))
 
 

@@ -10,14 +10,17 @@ query-for-query, not merely in distribution.
 import numpy as np
 import pytest
 
-from repro.core import BatchOracle, HelperDataOracle
+from repro.core import BatchOracle, GroupBasedAttack, HelperDataOracle
 from repro.core.injection import flip_orientations
 from repro.keygen import (
     DistillerPairingKeyGen,
     FuzzyExtractorKeyGen,
     GroupBasedKeyGen,
     HardenedGroupBasedKeyGen,
+    HardenedSequentialKeyGen,
+    HelperDataRejected,
     OperatingPoint,
+    ReconstructionFailure,
     SequentialPairingKeyGen,
     TempAwareKeyGen,
 )
@@ -54,9 +57,14 @@ class TestQueryForQueryEquivalence:
         batched = BatchOracle(batch_array, keygen)
         expected = np.array([sequential.query(h_seq)
                              for _ in range(queries)])
-        observed = batched.query_block(h_batch, queries)
+        observed = np.concatenate([batched.query_block(h_batch, 7),
+                                   batched.query_block(h_batch,
+                                                       queries - 7)])
         np.testing.assert_array_equal(expected, observed)
         assert sequential.queries == batched.queries == queries
+        # Both devices end at the same noise-stream position.
+        np.testing.assert_array_equal(seq_array.measurement_noise(),
+                                      batch_array.measurement_noise())
 
     def test_sequential_scheme_nominal(self):
         self.check(lambda: SequentialPairingKeyGen(threshold=250e3))
@@ -88,14 +96,53 @@ class TestQueryForQueryEquivalence:
         self.check(lambda: FuzzyExtractorKeyGen(8, 16, out_bits=48))
 
     def test_hardened_scheme_falls_back_row_wise(self):
-        # No vectorized evaluator: the generic fallback must still be
-        # stream-exact (single measurement per query).
-        keygen = HardenedGroupBasedKeyGen(
-            rows=4, cols=10, max_polynomial_span=20e6,
-            group_threshold=120e3)
-        assert keygen.batch_evaluator(
-            ROArray(SMALL, rng=1),
-            keygen.enroll(ROArray(SMALL, rng=1), rng=2)[0]) is None
+        # The hardened schemes evaluate through masked batch
+        # evaluators, with no row-wise fallback left: query for query
+        # equal to the scalar device (the group variant takes two
+        # readouts per query), for nominal and manipulated helpers,
+        # in regimes where the device-side check both accepts and
+        # rejects rows.
+        def group():
+            return HardenedGroupBasedKeyGen(
+                rows=4, cols=10, max_polynomial_span=20e6,
+                group_threshold=120e3)
+
+        def sequential():
+            return HardenedSequentialKeyGen(threshold=250e3)
+
+        def attack_helper(helper):
+            attack = GroupBasedAttack(None, group(), helper, 4, 10)
+            return attack._attack_helpers(0, 1)[0]
+
+        def flipped(helper):
+            return helper.with_pairing(
+                flip_orientations(helper.pairing, [1, 2, 3]))
+
+        for make, params in ((group, SMALL), (sequential, NOISY)):
+            self.check(make, params=params)
+            assert 0 < self.rejections(make, params, None) < 200
+        self.check(group, params=SMALL, manipulate=attack_helper)
+        assert self.rejections(group, SMALL, attack_helper) == 200
+        self.check(sequential, params=NOISY, manipulate=flipped,
+                   queries=100)
+
+    @staticmethod
+    def rejections(make_keygen, params, manipulate, queries=200):
+        """Device-side rejections over *queries* on a third twin."""
+        array = ROArray(params, rng=77)
+        keygen = make_keygen()
+        helper, _ = keygen.enroll(array, rng=5)
+        if manipulate is not None:
+            helper = manipulate(helper)
+        rejected = 0
+        for _ in range(queries):
+            try:
+                keygen.reconstruct(array, helper)
+            except HelperDataRejected:
+                rejected += 1
+            except ReconstructionFailure:
+                pass
+        return rejected
 
     def test_scalar_and_block_queries_interleave(self):
         seq_array, batch_array, keygen, h_seq, h_batch, _ = \

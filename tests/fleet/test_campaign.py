@@ -18,6 +18,7 @@ from repro.core import (
     GroupBasedAttack,
     HelperDataOracle,
     SequentialPairingAttack,
+    TempAwareAttack,
 )
 from repro.fleet import (
     Fleet,
@@ -32,13 +33,16 @@ from repro.fleet.fleet import _attack_chunk_job
 from repro.keygen import (
     DistillerPairingKeyGen,
     GroupBasedKeyGen,
+    HardenedSequentialKeyGen,
     SequentialPairingKeyGen,
+    TempAwareKeyGen,
 )
 from repro.puf import FIG6_PARAMS, ROArray, ROArrayParams
 
 # Small geometries keep the scalar reference loops cheap; the engine
 # paths exercised are identical to the full-size arrays'.
 PARAMS = ROArrayParams(rows=4, cols=12)
+THERMAL_PARAMS = ROArrayParams(rows=8, cols=16, temp_slope_sigma=8e3)
 
 
 def sequential_factory():
@@ -59,6 +63,24 @@ def build_group(seed):
     keygen = GroupBasedKeyGen(distiller_degree=2,
                               group_threshold=120e3)
     helper, key = keygen.enroll(array, rng=seed)
+    return array, keygen, helper, key
+
+
+def build_sequential_hardened(seed):
+    """One enrolled hardened sequential-pairing device."""
+    array = ROArray(PARAMS, rng=700 + seed)
+    keygen = HardenedSequentialKeyGen(threshold=300e3,
+                                      threshold_tolerance=0.25)
+    helper, key = keygen.enroll(array, rng=seed)
+    return array, keygen, helper, key
+
+
+def build_temp_aware(seed):
+    """One enrolled temperature-aware device with a seeded sensor."""
+    array = ROArray(THERMAL_PARAMS, rng=7 + seed)
+    keygen = TempAwareKeyGen(t_min=-10, t_max=80, threshold=150e3,
+                             sensor_seed=seed)
+    helper, key = keygen.enroll(array, rng=6)
     return array, keygen, helper, key
 
 
@@ -190,6 +212,9 @@ class TestCampaignEquivalence:
         ("group", build_group,
          lambda oracle, keygen, helper: GroupBasedAttack(
              oracle, keygen, helper, 4, 10)),
+        ("temp-aware", build_temp_aware, TempAwareAttack),
+        ("sequential-hardened", build_sequential_hardened,
+         SequentialPairingAttack),
     ])
     def test_fused_rounds_match_per_device_rounds(self, family, build,
                                                   attack):
@@ -211,7 +236,9 @@ class TestCampaignEquivalence:
                                   [a.run() for a in attacks])
         for reference, observed in zip(outcomes[False],
                                        outcomes[True]):
-            np.testing.assert_array_equal(reference.key, observed.key)
+            for name in ("key", "coop_relations", "good_bits"):
+                np.testing.assert_equal(getattr(reference, name, None),
+                                        getattr(observed, name, None))
             assert reference.queries == observed.queries
             assert (getattr(reference, "comparisons", None)
                     == getattr(observed, "comparisons", None))
@@ -278,23 +305,26 @@ class TestFleetLockstep:
         np.testing.assert_array_equal(queries, reference[1])
 
     def test_auto_detection_uses_lockstep(self):
-        # The stepwise drivers are auto-detected; results match the
-        # forced settings either way.
+        # The default is the lock-step campaign, bitwise equal to the
+        # per-device run() reference; only booleans select the engine.
         fleet = Fleet(PARAMS, size=3, seed=32)
         enrollment = fleet.enroll(sequential_factory, seed=7)
-        auto = fleet.attack_success(enrollment,
-                                    SequentialAttackFactory())
+        default = fleet.attack_success(enrollment,
+                                       SequentialAttackFactory())
         fleet = Fleet(PARAMS, size=3, seed=32)
         enrollment = fleet.enroll(sequential_factory, seed=7)
-        forced = fleet.attack_success(enrollment,
-                                      SequentialAttackFactory(),
-                                      lockstep=True)
-        np.testing.assert_array_equal(auto[0], forced[0])
-        np.testing.assert_array_equal(auto[1], forced[1])
+        reference = fleet.attack_success(enrollment,
+                                         SequentialAttackFactory(),
+                                         lockstep=False)
+        np.testing.assert_array_equal(default[0], reference[0])
+        np.testing.assert_array_equal(default[1], reference[1])
+        with pytest.raises(TypeError):
+            fleet.attack_success(enrollment, SequentialAttackFactory(),
+                                 lockstep=None)
 
     def test_legacy_run_only_driver_falls_back(self):
-        # A driver without steps() still works through the scalar path
-        # under auto detection.
+        # A driver without steps() runs only on the per-device run()
+        # loop; the lock-step default refuses it.
         class RunOnly:
             def __init__(self, attack):
                 self._attack = attack
@@ -308,9 +338,12 @@ class TestFleetLockstep:
 
         fleet = Fleet(PARAMS, size=2, seed=33)
         enrollment = fleet.enroll(sequential_factory, seed=8)
-        recovered, queries = fleet.attack_success(enrollment, factory)
+        recovered, queries = fleet.attack_success(enrollment, factory,
+                                                  lockstep=False)
         assert recovered.all()
         assert (queries > 0).all()
+        with pytest.raises(TypeError):
+            fleet.attack_success(enrollment, factory)
 
     def test_group_attack_factory_through_fleet(self):
         fleet = Fleet(FIG6_PARAMS, size=2, seed=34)

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import HelperDataOracle, symmetric_quadratic
+from repro.core import BatchOracle, HelperDataOracle, symmetric_quadratic
 from repro.core.group_attack import GroupBasedAttack
 from repro.keygen import (
     GroupBasedKeyGen,
     HardenedGroupBasedKeyGen,
+    HardenedSequentialKeyGen,
     HardenedTempAwareKeyGen,
     HelperDataRejected,
     ReconstructionFailure,
@@ -18,6 +19,7 @@ from repro.keygen import (
     validate_group_thresholds,
 )
 from repro.grouping import GroupingHelper
+from repro.pairing import SequentialPairingHelper
 
 
 class TestDistillerAmplitudeCheck:
@@ -120,6 +122,20 @@ class TestHardenedDevices:
         helper0, helper1 = attack._attack_helpers(0, 1)
         assert oracle.failure_rate(helper0, 5) == 1.0
         assert oracle.failure_rate(helper1, 5) == 1.0
+
+    def test_hardened_sequential_refuses_out_of_range_pairs(
+            self, medium_array):
+        # The structural pair check runs before the measured-threshold
+        # check, so an out-of-range index is an observable refusal on
+        # both oracles, as on the unhardened scheme, not an IndexError.
+        keygen = HardenedSequentialKeyGen(threshold=300e3)
+        helper, _ = keygen.enroll(medium_array, rng=2)
+        pairs = helper.pairing.pairs
+        broken = helper.with_pairing(SequentialPairingHelper(
+            ((pairs[0][0], 500),) + pairs[1:]))
+        assert HelperDataOracle(medium_array, keygen).query(broken) \
+            is False
+        assert BatchOracle(medium_array, keygen).query(broken) is False
 
     def test_hardened_temp_aware_blocks_interval_injection(
             self, thermal_array):
