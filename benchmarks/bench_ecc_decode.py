@@ -16,15 +16,21 @@ references on the same kind of workload: the batched-Hadamard
 Reed–Muller decoder and the syndrome-sketch recovery (batched
 syndrome-difference solve).  Equivalence is asserted for all of them;
 the canary guards the BCH engine, where the decode cost lives.
+
+A last section times the two row-grouping regimes of ``repro._dedup``
+(hashed ``tobytes`` keys vs one 1-D ``np.unique`` over ``np.void`` row
+keys) across block sizes; its crossover is where ``SMALL_BLOCK`` sits.
 """
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
 from _report import record, table
 
-from repro._dedup import iter_unique_rows
+import repro._dedup as dedup
+from repro._dedup import iter_unique_rows, unique_rows
 from repro.ecc import DecodingFailure, ReedMullerCode, design_bch
 from repro.ecc.sketch import SyndromeSketch
 
@@ -33,6 +39,10 @@ T = 5
 WORDS = 2000
 QUICK_WORDS = 150
 RM_M = 5
+CROSSOVER_ROWS = (8, 32, 64, 128, 256, 1024)
+CROSSOVER_BITS = 127
+# Distinct patterns per 1000-row block of the reconstruction sweep.
+CROSSOVER_PATTERNS = 56
 
 
 def noisy_codewords(code, count, rng, max_errors=None):
@@ -70,7 +80,7 @@ def run_experiment(count):
     # -- BCH: the canary workload --------------------------------------
     code = design_bch(CODE_BITS, T)
     words = noisy_codewords(code, count, rng)
-    distinct = np.unique(words, axis=0).shape[0]
+    distinct = unique_rows(words)[0].shape[0]
     start = time.perf_counter()
     expected, expected_ok = scalar_decode_batch(code, words)
     scalar_s = time.perf_counter() - start
@@ -101,7 +111,7 @@ def run_experiment(count):
     rm_speedup = rm_scalar_s / rm_batch_s if rm_batch_s > 0 \
         else float("inf")
     rows.append((repr(rm), count,
-                 np.unique(rm_words, axis=0).shape[0],
+                 unique_rows(rm_words)[0].shape[0],
                  f"{count}/{count}", f"{rm_scalar_s * 1e3:.1f}",
                  f"{rm_batch_s * 1e3:.1f}", f"{rm_speedup:.1f}x"))
 
@@ -134,7 +144,7 @@ def run_experiment(count):
     sk_speedup = sk_scalar_s / sk_batch_s if sk_batch_s > 0 \
         else float("inf")
     rows.append((f"SyndromeSketch({CODE_BITS} bits, t={T})", count,
-                 np.unique(readings, axis=0).shape[0],
+                 unique_rows(readings)[0].shape[0],
                  f"{int(sk_ok.sum())}/{count}",
                  f"{sk_scalar_s * 1e3:.1f}",
                  f"{sk_batch_s * 1e3:.1f}", f"{sk_speedup:.1f}x"))
@@ -155,3 +165,63 @@ def test_ecc_decode_engine(benchmark, quick):
     if not quick:
         # Regression canary only (typically 30x+ on this workload).
         assert bch_speedup >= 5.0
+
+
+@contextmanager
+def grouping_regime(small_block):
+    """Force ``repro._dedup`` onto one regime: hashed iff rows <= bound."""
+    saved = dedup.SMALL_BLOCK
+    dedup.SMALL_BLOCK = small_block
+    try:
+        yield
+    finally:
+        dedup.SMALL_BLOCK = saved
+
+
+def grouping_us(matrix, repeats):
+    """Best-of-*repeats* microseconds for one full group iteration."""
+    number = max(1, 4096 // matrix.shape[0])
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(number):
+            for _ in iter_unique_rows(matrix):
+                pass
+        best = min(best, (time.perf_counter() - start) / number)
+    return best * 1e6
+
+
+def run_crossover(repeats):
+    rng = np.random.default_rng(1818)
+    patterns = rng.integers(0, 2, size=(CROSSOVER_PATTERNS,
+                                        CROSSOVER_BITS)).astype(np.uint8)
+    rows = []
+    for count in CROSSOVER_ROWS:
+        matrix = patterns[rng.integers(0, CROSSOVER_PATTERNS,
+                                       size=count)]
+        timings = {}
+        groups = {}
+        for regime, small_block in (("hashed", count), ("keyed", 0)):
+            with grouping_regime(small_block):
+                groups[regime] = {
+                    pattern.tobytes(): indices.tolist()
+                    for pattern, indices in iter_unique_rows(matrix)}
+                timings[regime] = grouping_us(matrix, repeats)
+        assert groups["hashed"] == groups["keyed"], \
+            f"hashed and keyed grouping disagree at {count} rows"
+        faster = min(timings, key=timings.get)
+        rows.append((count, len(groups["keyed"]),
+                     f"{timings['hashed']:.1f}",
+                     f"{timings['keyed']:.1f}", faster))
+    return rows
+
+
+def test_dedup_crossover(benchmark, quick):
+    rows = benchmark.pedantic(run_crossover, args=(2 if quick else 7,),
+                              rounds=1, iterations=1)
+    record(f"Dedup crossover — hashed vs keyed row grouping "
+           f"({CROSSOVER_BITS}-bit rows, {CROSSOVER_PATTERNS}-pattern "
+           f"pool, equal groups asserted; SMALL_BLOCK = "
+           f"{dedup.SMALL_BLOCK})",
+           table(("rows", "distinct", "hashed us", "keyed us",
+                  "faster"), rows))

@@ -1,20 +1,23 @@
 """Row-deduplication shared by every batch evaluation path.
 
 Failure-rate workloads concentrate on few distinct discrete patterns
-(response bits, received words, noisy readings), so each batch layer
-applies its expensive scalar completion once per *distinct* row and
-broadcasts the result.  This module holds the grouping primitives they
-all share.
+(response bits, received words, noisy readings, BCH syndromes), so each
+batch layer applies its expensive scalar completion once per *distinct*
+row and broadcasts the result.  This module holds the grouping
+primitives they all share.
 
-Two regimes, one contract.  Large blocks (Monte-Carlo sweeps, the
-decode-engine benches) group via ``np.unique(axis=0)``; small blocks —
-the adaptive-distinguisher rounds of the attack engine, typically
-≤ 16 rows — use hashed ``tobytes`` grouping instead, which skips the
-structured-dtype sort machinery that dominates tiny batches.  Group
-*contents* are identical either way; only the group iteration order
-differs (lexicographic vs first occurrence), which no consumer depends
-on: every caller computes a per-pattern result and scatters it back to
-the pattern's row indices.
+Row identity is byte equality: two rows are the same pattern iff their
+raw bytes are equal (so float ``0.0`` and ``-0.0`` are distinct
+patterns).  Two regimes share that one definition.  Large blocks
+(Monte-Carlo sweeps, the decode-engine benches) view each row as one
+opaque ``np.void`` key and group with a 1-D ``np.unique`` over those
+keys, with no structured-dtype sort; small blocks — the
+adaptive-distinguisher rounds of the attack engine, typically 8 rows —
+hash ``tobytes`` keys instead, which beats the fixed cost of the
+vectorised calls.  Group *contents* (pattern → ascending row indices)
+are identical either way; the group order is unspecified, and no
+consumer depends on it: every caller computes a per-pattern result and
+scatters it back to the pattern's row indices.
 """
 
 from __future__ import annotations
@@ -23,8 +26,31 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-#: Below this row count the hashed grouping beats the vectorized sort.
-SMALL_BLOCK = 128
+#: Blocks of at most this many rows take the hashed grouping.  The
+#: "dedup crossover" table of ``benchmarks/bench_ecc_decode.py``
+#: (127-bit rows, 2-vCPU x86 host) has hashed ahead up to 32 rows
+#: (8 rows: 22 µs vs 48 µs keyed), the two within noise at 64, and
+#: keyed ahead from 128 rows on (1024 rows: 0.62 ms vs 0.86 ms).
+SMALL_BLOCK = 64
+
+
+def _keyed_groups(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """First-occurrence row per distinct pattern and the row → group map.
+
+    Each row is viewed as one opaque byte key, so the grouping is a
+    1-D ``np.unique`` over ``matrix.shape[0]`` keys whatever the dtype.
+    """
+    data = np.ascontiguousarray(matrix)
+    count = data.shape[0]
+    width = data.dtype.itemsize * data.shape[1]
+    if width == 0:
+        # Zero-byte rows are all the same (empty) pattern.
+        return np.zeros(min(count, 1), dtype=np.intp), \
+            np.zeros(count, dtype=np.intp)
+    keys = data.view(np.dtype((np.void, width))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 def iter_unique_rows(matrix: np.ndarray,
@@ -33,7 +59,9 @@ def iter_unique_rows(matrix: np.ndarray,
     """Yield ``(pattern, indices)`` per distinct row of a 2-D array.
 
     *rows* restricts the scan to a subset of row indices; the yielded
-    ``indices`` are always positions in the original *matrix*.
+    ``indices`` are always positions in the original *matrix*, in the
+    order they appear in *rows* (ascending when *rows* is omitted).
+    Groups come in unspecified order.
     """
     if rows is None:
         rows = np.arange(matrix.shape[0])
@@ -49,10 +77,13 @@ def iter_unique_rows(matrix: np.ndarray,
         for positions in groups.values():
             yield subset[positions[0]], rows[np.array(positions)]
         return
-    unique, inverse = np.unique(subset, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    for index in range(unique.shape[0]):
-        yield unique[index], rows[inverse == index]
+    first, inverse = _keyed_groups(subset)
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.searchsorted(inverse, np.arange(first.size + 1),
+                             sorter=order)
+    for group, position in enumerate(first):
+        yield (subset[position],
+               rows[order[bounds[group]:bounds[group + 1]]])
 
 
 def unique_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -60,10 +91,9 @@ def unique_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     The allocation-light sibling of :func:`iter_unique_rows` for
     callers that solve all distinct rows in one vectorized kernel and
-    scatter with ``distinct_result[inverse]``.  Same contract as
-    ``np.unique(matrix, axis=0, return_inverse=True)`` except that the
-    distinct rows of a small block come back in first-occurrence order
-    rather than sorted — immaterial to scatter-back consumers.
+    scatter with ``distinct_result[inverse]``: ``distinct[inverse]``
+    reproduces *matrix* byte for byte.  Rows are grouped by byte
+    identity and the distinct rows come back in unspecified order.
     """
     count = matrix.shape[0]
     if count <= SMALL_BLOCK:
@@ -79,5 +109,5 @@ def unique_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
                 order.append(position)
             inverse[position] = slot
         return matrix[order], inverse
-    distinct, inverse = np.unique(matrix, axis=0, return_inverse=True)
-    return distinct, inverse.reshape(-1)
+    positions, inverse = _keyed_groups(matrix)
+    return matrix[positions], inverse

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+import repro._dedup as dedup
 from repro.core import SequentialPairingAttack
+from repro.ecc.kernel import kernel_stats
 from repro.fleet import Fleet
-from repro.keygen import SequentialPairingKeyGen, bch_provider
+from repro.keygen import (
+    FuzzyExtractorKeyGen,
+    SequentialPairingKeyGen,
+    bch_provider,
+)
 from repro.puf import ROArray, ROArrayParams
 
 PARAMS = ROArrayParams(rows=8, cols=16)
@@ -119,6 +125,25 @@ class TestSweeps:
         assert curve.shape == (2, 3)
         assert curve[0].mean() >= curve[1].mean()
         assert curve[0].mean() >= 0.9
+
+    def test_dedup_regimes_give_identical_sweeps(self, monkeypatch):
+        # Chunks above SMALL_BLOCK take the keyed grouping; forcing the
+        # hashed one instead must change neither the rates nor the
+        # kernel work (one row per distinct pattern either way).
+        chunk = 300
+        observed = []
+        for small_block in (0, chunk + 1):
+            monkeypatch.setattr(dedup, "SMALL_BLOCK", small_block)
+            fleet = Fleet(PARAMS, size=3, seed=5)
+            enrollment = fleet.enroll(
+                lambda: FuzzyExtractorKeyGen(8, 16, out_bits=48), seed=2)
+            calls, rows = kernel_stats.calls, kernel_stats.rows
+            rates = fleet.failure_rates(enrollment, trials=600,
+                                        chunk=chunk)
+            observed.append((rates.tobytes(), kernel_stats.calls - calls,
+                             kernel_stats.rows - rows))
+        assert observed[0] == observed[1]
+        assert observed[0][2] > 0
 
 
 class TestAttackCampaign:

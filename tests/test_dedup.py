@@ -1,12 +1,15 @@
-"""Row-dedup primitives: edge cases and strategy-crossover equality.
+"""Row-dedup primitives: edge cases, regime equality, byte identity.
 
-``_dedup`` switches between hashed ``tobytes`` grouping (small blocks)
-and the structured-sort ``np.unique(axis=0)`` path at
-``SMALL_BLOCK = 128`` rows.  Consumers scatter per-pattern results
-back by index, so the two strategies must agree on group *contents*
-(patterns and index partitions) even though their iteration order
-differs — pinned here across the crossover on randomized inputs,
-together with the degenerate shapes (empty input, single row).
+``_dedup`` switches between hashed ``tobytes`` grouping (blocks of at
+most ``SMALL_BLOCK`` rows) and keyed grouping (one 1-D ``np.unique``
+over ``np.void`` row keys) above it.  Consumers scatter per-pattern
+results back by index, so the two regimes must agree on group
+*contents* (patterns and ascending index sets) even though their
+iteration order differs.  Pinned here: both regimes against each other
+and against a ``np.unique(axis=0)`` reference grouping on randomized
+inputs of every dtype the program feeds them, memory layouts and row
+subsets, together with the degenerate shapes (empty input, single row,
+zero-width rows) and byte identity of float rows.
 """
 
 import numpy as np
@@ -16,13 +19,17 @@ import repro._dedup as dedup
 from repro._dedup import SMALL_BLOCK, iter_unique_rows, unique_rows
 
 
+def as_indices(indices):
+    return [int(i) for i in indices]
+
+
 def groups_as_dict(matrix, rows=None):
     """Map pattern bytes -> sorted original indices for one iteration."""
     out = {}
     for pattern, indices in iter_unique_rows(matrix, rows):
         key = pattern.tobytes()
         assert key not in out, "pattern yielded twice"
-        out[key] = sorted(int(i) for i in indices)
+        out[key] = sorted(as_indices(indices))
     return out
 
 
@@ -59,11 +66,9 @@ class TestEdgeCases:
 
 
 class TestStrategyCrossover:
-    """Hashed vs structured-sort grouping around the 128-row switch."""
+    """Hashed vs keyed grouping of the same block, regime forced."""
 
-    @pytest.mark.parametrize("count", [SMALL_BLOCK - 1, SMALL_BLOCK,
-                                       SMALL_BLOCK + 1,
-                                       2 * SMALL_BLOCK])
+    @pytest.mark.parametrize("count", [127, 128, 129, 256])
     def test_unique_rows_strategies_bitwise_equal(self, count,
                                                   monkeypatch):
         rng = np.random.default_rng(1000 + count)
@@ -76,7 +81,7 @@ class TestStrategyCrossover:
         monkeypatch.setattr(dedup, "SMALL_BLOCK", 0)
         sorted_distinct, sorted_inverse = unique_rows(matrix)
 
-        # Orders differ (first-occurrence vs lexicographic); the
+        # Orders differ (first-occurrence vs sorted keys); the
         # scatter-back reconstruction must be bitwise-identical.
         np.testing.assert_array_equal(
             hashed_distinct[hashed_inverse],
@@ -86,7 +91,7 @@ class TestStrategyCrossover:
         assert sorted(d.tobytes() for d in hashed_distinct) \
             == sorted(d.tobytes() for d in sorted_distinct)
 
-    @pytest.mark.parametrize("count", [SMALL_BLOCK, SMALL_BLOCK + 1])
+    @pytest.mark.parametrize("count", [128, 129])
     def test_iter_unique_rows_strategies_group_identically(
             self, count, monkeypatch):
         rng = np.random.default_rng(2000 + count)
@@ -101,3 +106,106 @@ class TestStrategyCrossover:
         # Groups partition the row indices exactly once.
         assert sorted(i for idx in hashed.values() for i in idx) \
             == list(range(count))
+
+
+def reference_groups(matrix, rows=None):
+    """Pattern bytes -> row indices via ``np.unique(axis=0)``."""
+    if rows is None:
+        rows = np.arange(matrix.shape[0])
+    subset = matrix[rows]
+    unique, inverse = np.unique(subset, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    return {unique[g].tobytes(): as_indices(rows[inverse == g])
+            for g in range(unique.shape[0])}
+
+
+def pooled(dtype, count, seed, cols=127, pool=40):
+    """*count* rows drawn from a pool of few distinct *dtype* rows."""
+    rng = np.random.default_rng(seed)
+    if dtype == np.int64:
+        # Syndrome-like values spanning several bytes, with negatives.
+        patterns = rng.integers(-2 ** 40, 2 ** 40, size=(pool, 10))
+    else:
+        patterns = rng.integers(0, 2, size=(pool, cols)).astype(dtype)
+    return patterns[rng.integers(0, pool, size=count)]
+
+
+@pytest.fixture(params=["hashed", "keyed"])
+def regime(request, monkeypatch):
+    """Force every block onto one grouping regime."""
+    monkeypatch.setattr(dedup, "SMALL_BLOCK",
+                        10 ** 9 if request.param == "hashed" else 0)
+    return request.param
+
+
+class TestKeyedRegime:
+    """The large-block regime against a ``np.unique(axis=0)`` reference."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64],
+                             ids=["uint8", "bool", "int64"])
+    @pytest.mark.parametrize("count", [129, 1000, 4096])
+    def test_groups_match_reference(self, dtype, count):
+        assert count > SMALL_BLOCK
+        matrix = pooled(dtype, count, seed=count)
+        assert groups_as_dict(matrix) == reference_groups(matrix)
+
+    @pytest.mark.parametrize("layout", ["column-slice", "fortran"])
+    def test_non_contiguous_input(self, layout):
+        wide = pooled(np.uint8, 1000, seed=11, cols=200)
+        matrix = (wide[:, 3:130] if layout == "column-slice"
+                  else np.asfortranarray(wide[:, :127]))
+        assert not matrix.flags.c_contiguous
+        assert groups_as_dict(matrix) == reference_groups(matrix)
+        distinct, inverse = unique_rows(matrix)
+        np.testing.assert_array_equal(distinct[inverse], matrix)
+
+    def test_row_subset(self):
+        matrix = pooled(np.uint8, 1000, seed=12)
+        mask = np.random.default_rng(13).random(1000) < 0.6
+        rows = np.flatnonzero(mask)
+        assert rows.size > SMALL_BLOCK
+        observed = groups_as_dict(matrix, rows)
+        assert observed == reference_groups(matrix, rows)
+        # Groups partition exactly the selected rows.
+        assert sorted(i for idx in observed.values() for i in idx) \
+            == as_indices(rows)
+
+    @pytest.mark.parametrize("count", [129, 1000])
+    def test_indices_ascending_within_groups(self, count):
+        matrix = pooled(np.uint8, count, seed=20 + count)
+        for pattern, indices in iter_unique_rows(matrix):
+            assert np.all(np.diff(indices) > 0)
+            assert np.all(matrix[indices] == pattern)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64],
+                             ids=["uint8", "bool", "int64"])
+    @pytest.mark.parametrize("count", [129, 1000, 4096])
+    def test_unique_rows_scatter_back(self, dtype, count):
+        matrix = pooled(dtype, count, seed=30 + count)
+        distinct, inverse = unique_rows(matrix)
+        np.testing.assert_array_equal(distinct[inverse], matrix)
+        assert len({row.tobytes() for row in distinct}) \
+            == distinct.shape[0] == len(reference_groups(matrix))
+
+
+class TestByteIdentity:
+    """Both regimes share one row identity: raw byte equality."""
+
+    def test_zero_width_rows_form_one_group(self, regime):
+        matrix = np.zeros((300, 0), dtype=np.uint8)
+        ((pattern, indices),) = list(iter_unique_rows(matrix))
+        assert pattern.shape == (0,)
+        np.testing.assert_array_equal(indices, np.arange(300))
+        distinct, inverse = unique_rows(matrix)
+        assert distinct.shape == (1, 0)
+        np.testing.assert_array_equal(inverse, np.zeros(300))
+
+    def test_signed_zero_floats_are_distinct_patterns(self, regime):
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0]])
+        matrix = rows[np.arange(300) % 2]
+        groups = groups_as_dict(matrix)
+        assert sorted(groups.values()) == [list(range(0, 300, 2)),
+                                           list(range(1, 300, 2))]
+        distinct, inverse = unique_rows(matrix)
+        assert distinct.shape == (2, 2)
+        assert distinct[inverse].tobytes() == matrix.tobytes()
