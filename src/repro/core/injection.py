@@ -38,12 +38,10 @@ def flip_orientations(helper: SequentialPairingHelper,
     Each flip inverts exactly one response bit, deterministically and
     regardless of its secret value: *k* flips put exactly *k* errors at
     the ECC input (plus noise).  This is the attacker's precision
-    throttle for the Fig. 5 offset.
+    throttle for the Fig. 5 offset.  All flips land on one copy of the
+    pair array; a position listed twice is flipped back.
     """
-    result = helper
-    for position in positions:
-        result = result.with_flipped_orientation(position)
-    return result
+    return helper.with_flipped_orientations(positions)
 
 
 def swap_positions(helper: SequentialPairingHelper,
@@ -55,12 +53,10 @@ def swap_positions(helper: SequentialPairingHelper,
     differ — the paper's original accelerator ("initially, the
     additional pairs can be chosen at random; after revealing some
     response bit relations, one can select these pairs which will
-    introduce a pair of erroneous bits for sure").
+    introduce a pair of erroneous bits for sure").  The swaps apply in
+    list order, on one copy of the pair array.
     """
-    result = helper
-    for i, j in swaps:
-        result = result.with_swapped_positions(i, j)
-    return result
+    return helper.with_swaps(swaps)
 
 
 # ----------------------------------------------------------------------

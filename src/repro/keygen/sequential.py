@@ -28,7 +28,7 @@ from repro.keygen.batch import (
     ResponseBitEvaluator,
     SketchCompletion,
 )
-from repro.pairing.base import response_bits_batch, validate_pairs
+from repro.pairing.base import response_bits_batch
 from repro.pairing.sequential import (
     SequentialPairing,
     SequentialPairingHelper,
@@ -112,17 +112,18 @@ class SequentialPairingKeyGen(KeyGenerator):
         lock-step campaign can fuse this device's decode workload with
         every other device sharing the code (``docs/evaluators.md``).
         """
-        pairs = helper.pairing.pairs
+        pairing = helper.pairing
         try:
-            validate_pairs(pairs, array.n,
-                           allow_reuse=not self._pairing.enforce_disjoint)
+            pairing.check(array.n,
+                          allow_reuse=not self._pairing.enforce_disjoint)
         except ValueError:
             # Rejected pair list: every query fails observably.
             return ConstantEvaluator(False)
-        sketch = self.sketch_for(len(pairs))
+        sketch = self.sketch_for(pairing.bits)
+        index = pairing.index
 
         def extract(freqs: np.ndarray) -> np.ndarray:
-            return response_bits_batch(freqs, pairs)
+            return response_bits_batch(freqs, index)
 
         return ResponseBitEvaluator(
             extract, SketchCompletion(sketch, helper.sketch,

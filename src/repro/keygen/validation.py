@@ -38,7 +38,7 @@ from repro.keygen.sequential import (
     SequentialPairingKeyGen,
 )
 from repro.keygen.temp_aware import TempAwareKeyGen, TempAwareKeyHelper
-from repro.pairing.base import Pair, pair_index_arrays, validate_pairs
+from repro.pairing.base import Pair, pair_index_arrays
 from repro.pairing.temp_aware import TempAwareHelper
 
 
@@ -265,21 +265,21 @@ class HardenedSequentialKeyGen(SequentialPairingKeyGen):
             self, array, freqs, helper: SequentialKeyHelper,
             op: OperatingPoint = OperatingPoint()) -> np.ndarray:
         """Reject malformed or sub-threshold pairs, then regenerate."""
-        pairs = helper.pairing.pairs
+        pairing = helper.pairing
         try:
-            validate_pairs(pairs, array.n,
-                           allow_reuse=not self.pairing.enforce_disjoint)
+            pairing.check(array.n,
+                          allow_reuse=not self.pairing.enforce_disjoint)
         except ValueError as exc:
             raise HelperDataRejected(str(exc)) from exc
-        validate_pair_thresholds(freqs, pairs, self.pairing.threshold,
-                                 self._tolerance)
+        validate_pair_thresholds(freqs, pairing.index,
+                                 self.pairing.threshold, self._tolerance)
         return super().reconstruct_from_frequencies(array, freqs,
                                                     helper, op)
 
     def batch_evaluator(self, array, helper: SequentialKeyHelper,
                         op: OperatingPoint = OperatingPoint()):
         """The base evaluator behind the per-row threshold check."""
-        a, b = pair_index_arrays(helper.pairing.pairs)
+        a, b = helper.pairing.columns
         floor = self.pairing.threshold * self._tolerance
         return _with_check(
             super().batch_evaluator(array, helper, op),

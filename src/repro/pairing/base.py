@@ -51,8 +51,13 @@ def pair_index_arrays(pairs: Sequence[Pair]) -> Tuple[np.ndarray,
 
     The vectors drive batched comparator evaluation: for a frequency
     matrix ``F`` of shape ``(B, n)``, ``F[:, a] >= F[:, b]`` yields all
-    ``B`` response-bit vectors in one NumPy pass.
+    ``B`` response-bit vectors in one NumPy pass.  A ``(P, 2)`` ``intp``
+    array (e.g. :attr:`SequentialPairingHelper.index`) is split into
+    column views without a copy.
     """
+    if (isinstance(pairs, np.ndarray) and pairs.dtype == np.intp
+            and pairs.ndim == 2 and pairs.shape[1] == 2):
+        return pairs[:, 0], pairs[:, 1]
     if len(pairs) == 0:
         empty = np.zeros(0, dtype=np.intp)
         return empty, empty.copy()

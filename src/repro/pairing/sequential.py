@@ -19,8 +19,9 @@ shows the choice is security-critical:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+import operator
+from dataclasses import FrozenInstanceError
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -59,7 +60,6 @@ def run_sequential_pairing(frequencies: np.ndarray,
     return pairs
 
 
-@dataclass(frozen=True)
 class SequentialPairingHelper:
     """Public helper data: the stored pair list, in stored order.
 
@@ -67,19 +67,77 @@ class SequentialPairingHelper:
     and the *orientation within each pair* (which oscillator is "first")
     are attacker-writable, which is precisely what the §VI-A attack
     manipulates.
+
+    The pairs live in a read-only ``(P, 2)`` ``intp`` array
+    (:attr:`index`).  The facts :meth:`check` needs (lowest and highest
+    endpoint, any self-pair, any reused oscillator) are computed once,
+    at construction.  A flip or a swap only moves pairs and the two
+    endpoints within a pair, so a derived helper inherits its parent's
+    facts unchanged: helper data is validated once per lineage, not once
+    per query.  Equality, hashing, ``repr`` and pickling go through
+    :attr:`pairs` and keep the value semantics of a frozen dataclass
+    with that one field.
     """
 
-    pairs: Tuple[Pair, ...]
+    __slots__ = ("_index", "_facts", "_pairs")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "pairs",
-            tuple((int(a), int(b)) for a, b in self.pairs))
+    def __init__(self, pairs: Iterable[Pair]) -> None:
+        coerced = tuple((int(a), int(b)) for a, b in pairs)
+        index = np.array(coerced, dtype=np.intp).reshape(-1, 2)
+        index.flags.writeable = False
+        flat = np.sort(index, axis=None)
+        # (lowest endpoint or 0, highest endpoint or -1, any self-pair,
+        #  any oscillator in two places)
+        facts = (int(flat.min(initial=0)), int(flat.max(initial=-1)),
+                 bool(np.any(index[:, 0] == index[:, 1])),
+                 bool(np.any(flat[1:] == flat[:-1])))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_facts", facts)
+        object.__setattr__(self, "_pairs", coerced)
+
+    def _derive(self, index: np.ndarray) -> "SequentialPairingHelper":
+        """Helper over *index*, a flip/swap rearrangement of ours."""
+        index.flags.writeable = False
+        child = object.__new__(SequentialPairingHelper)
+        object.__setattr__(child, "_index", index)
+        object.__setattr__(child, "_facts", self._facts)
+        object.__setattr__(child, "_pairs", None)
+        return child
+
+    @property
+    def pairs(self) -> Tuple[Pair, ...]:
+        """The pair list as ``int`` tuples (built on first use)."""
+        if self._pairs is None:
+            object.__setattr__(self, "_pairs",
+                               tuple(map(tuple, self._index.tolist())))
+        return self._pairs
+
+    @property
+    def index(self) -> np.ndarray:
+        """Read-only ``(bits, 2)`` ``intp`` array of the stored pairs."""
+        return self._index
+
+    @property
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Fancy-index vectors ``(a, b)``: read-only column views."""
+        return self._index[:, 0], self._index[:, 1]
 
     @property
     def bits(self) -> int:
         """Number of response bits (= number of pairs)."""
-        return len(self.pairs)
+        return self._index.shape[0]
+
+    def check(self, n: int, allow_reuse: bool = False) -> None:
+        """Raise ``ValueError`` iff ``validate_pairs(pairs, n, ...)`` does.
+
+        Constant time on clean helper data.  Otherwise the scalar
+        validator runs on :attr:`pairs`, so the rejection message is
+        exactly its message.
+        """
+        low, high, self_paired, reused = self._facts
+        if (low < 0 or high >= n or self_paired
+                or (reused and not allow_reuse)):
+            validate_pairs(self.pairs, n, allow_reuse=allow_reuse)
 
     def with_swapped_positions(self, i: int, j: int
                                ) -> "SequentialPairingHelper":
@@ -88,9 +146,18 @@ class SequentialPairingHelper:
         This is the §VI-A manipulation: response bits swap key positions,
         introducing two bit errors iff ``r_i != r_j``.
         """
-        pairs = list(self.pairs)
-        pairs[i], pairs[j] = pairs[j], pairs[i]
-        return SequentialPairingHelper(tuple(pairs))
+        return self.with_swaps(((i, j),))
+
+    def with_swaps(self, swaps: Iterable[Tuple[int, int]]
+                   ) -> "SequentialPairingHelper":
+        """Apply position swaps in list order, on one copy."""
+        swaps = [(operator.index(i), operator.index(j)) for i, j in swaps]
+        if not swaps:
+            return self
+        index = self._index.copy()
+        for i, j in swaps:
+            index[[i, j]] = index[[j, i]]
+        return self._derive(index)
 
     def with_flipped_orientation(self, i: int) -> "SequentialPairingHelper":
         """Reverse the stored index order of pair ``i``.
@@ -99,10 +166,44 @@ class SequentialPairingHelper:
         attacker's precision error-injection tool once some bit
         relations are known.
         """
-        pairs = list(self.pairs)
-        a, b = pairs[i]
-        pairs[i] = (b, a)
-        return SequentialPairingHelper(tuple(pairs))
+        return self.with_flipped_orientations((i,))
+
+    def with_flipped_orientations(self, positions: Iterable[int]
+                                  ) -> "SequentialPairingHelper":
+        """Flip the pairs at *positions* in turn, on one copy.
+
+        A position listed twice is flipped back.
+        """
+        positions = [operator.index(p) for p in positions]
+        if not positions:
+            return self
+        index = self._index.copy()
+        for i in positions:
+            index[i] = index[i, ::-1]
+        return self._derive(index)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self._index, other._index)
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(pairs={self.pairs!r})"
+
+    def __getstate__(self) -> dict:
+        return {"pairs": self.pairs}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["pairs"])
 
 
 class SequentialPairing:
@@ -157,16 +258,15 @@ class SequentialPairing:
                               "randomized" if
                               self._storage_order == "randomized"
                               else "sorted", gen)
-        helper = SequentialPairingHelper(tuple(stored))
-        return helper, response_bits(frequencies, helper.pairs)
+        helper = SequentialPairingHelper(stored)
+        return helper, response_bits(frequencies, helper.index)
 
     def evaluate(self, frequencies: np.ndarray,
                  helper: SequentialPairingHelper) -> np.ndarray:
         """Device-side response bits under (possibly modified) helper data."""
-        n = np.asarray(frequencies).shape[0]
-        validate_pairs(helper.pairs, n,
-                       allow_reuse=not self._enforce_disjoint)
-        return response_bits(frequencies, helper.pairs)
+        helper.check(np.asarray(frequencies).shape[0],
+                     allow_reuse=not self._enforce_disjoint)
+        return response_bits(frequencies, helper.index)
 
     def evaluate_batch(self, frequencies: np.ndarray,
                        helper: SequentialPairingHelper) -> np.ndarray:
@@ -178,6 +278,6 @@ class SequentialPairing:
         freqs = np.asarray(frequencies, dtype=float)
         if freqs.ndim != 2:
             raise ValueError("batch evaluation needs a (B, n) matrix")
-        validate_pairs(helper.pairs, freqs.shape[1],
-                       allow_reuse=not self._enforce_disjoint)
-        return response_bits_batch(freqs, helper.pairs)
+        helper.check(freqs.shape[1],
+                     allow_reuse=not self._enforce_disjoint)
+        return response_bits_batch(freqs, helper.index)

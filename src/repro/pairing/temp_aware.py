@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._rng import RNGLike, ensure_rng
-from repro.pairing.base import Pair
+from repro.pairing.base import Pair, pair_index_arrays
 from repro.pairing.neighbor import neighbor_chain_pairs
 from repro.puf.ro_array import ROArray
 from repro.puf.measurement import enroll_frequencies
@@ -439,10 +439,7 @@ class TempAwareCooperative:
         if temps.shape != (count,):
             raise ValueError("need one sensed temperature per row")
 
-        first = np.fromiter((p[0] for p in helper.pairs), dtype=np.intp,
-                            count=len(helper.pairs))
-        second = np.fromiter((p[1] for p in helper.pairs), dtype=np.intp,
-                             count=len(helper.pairs))
+        first, second = pair_index_arrays(helper.pairs)
         # (B, P) comparator outcomes, matching the scalar tie policy
         # (``>=``) bit for bit.
         measured = freqs[:, first] >= freqs[:, second]
