@@ -215,7 +215,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     helper, key = keygen.enroll(array, rng=args.seed)
     oracle = BatchOracle(array, keygen)
     result = family.factory(rows, cols)(oracle, keygen, helper).run()
-    recovered = family.check(result, key, helper)
+    recovered = result.recovered(key, helper)
     secret = key if family.secret is None else family.secret(key, helper)
 
     print(f"construction : {construction} ({rows}x{cols}, "

@@ -53,6 +53,10 @@ class DistillerAttackResult:
     queries: int
     hypothesis_rounds: Tuple[int, ...]
 
+    def recovered(self, key: np.ndarray, helper: object) -> bool:
+        """Whether the recovered bits equal the enrolled *key*."""
+        return bool(np.array_equal(self.key, key))
+
 
 class DistillerPairingAttack:
     """Drives the §VI-D attacks against an oracle-wrapped device."""

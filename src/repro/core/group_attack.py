@@ -61,6 +61,10 @@ class GroupAttackResult:
     queries: int
     comparisons: int
 
+    def recovered(self, key: np.ndarray, helper: object) -> bool:
+        """Whether the reassembled key equals the enrolled *key*."""
+        return bool(np.array_equal(self.key, key))
+
 
 class GroupBasedAttack:
     """Drives the §VI-C attack against an oracle-wrapped device."""

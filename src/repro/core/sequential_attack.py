@@ -68,6 +68,11 @@ class SequentialAttackResult:
         first = self.relations.astype(np.uint8)
         return first, (first ^ 1).astype(np.uint8)
 
+    def recovered(self, key: np.ndarray, helper: object) -> bool:
+        """Whether the resolved key equals the enrolled *key*."""
+        return self.key is not None and bool(
+            np.array_equal(self.key, key))
+
 
 class SequentialPairingAttack:
     """Drives the §VI-A attack against an oracle-wrapped device."""

@@ -76,6 +76,12 @@ class ParityUnionFind:
         return self.find(a)[0] == self.find(b)[0]
 
 
+def coop_bits(key: np.ndarray,
+              helper: TempAwareKeyHelper) -> np.ndarray:
+    """The cooperating-pair bits of *key*, the part §VI-B targets."""
+    return key[len(helper.scheme.good_indices):]
+
+
 @dataclass(frozen=True)
 class TempAwareAttackResult:
     """Outcome of the §VI-B attack.
@@ -101,6 +107,16 @@ class TempAwareAttackResult:
         if total == 0:
             return 1.0
         return float(np.sum(self.coop_relations >= 0)) / total
+
+    def recovered(self, key: np.ndarray,
+                  helper: TempAwareKeyHelper) -> bool:
+        """Whether every relation of the enrolled cooperating-pair
+        bits (:func:`coop_bits`) was recovered correctly."""
+        truth = coop_bits(key, helper)
+        if truth.size == 0 or self.resolved_fraction != 1.0:
+            return False
+        return bool(np.array_equal(self.coop_relations,
+                                   truth ^ truth[0]))
 
 
 class TempAwareAttack:

@@ -25,7 +25,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro._dedup import iter_unique_rows
 from repro._rng import RNGLike, ensure_rng
 from repro.ecc.base import (
     BlockCode,
@@ -34,7 +33,7 @@ from repro.ecc.base import (
     as_bits,
 )
 from repro.ecc.bch import BCHCode
-from repro.ecc.kernel import KernelWorkload
+from repro.ecc.kernel import KernelWorkload, run_kernels
 
 
 @dataclass(frozen=True)
@@ -125,23 +124,16 @@ class SecureSketch(abc.ABC):
         """Recover a batch of noisy readings; failures become data.
 
         Returns ``(recovered, ok)`` where failed rows are all-zero with
-        ``ok = False``.  Implementations must match :meth:`recover` row
-        for row (the batch contract of ``docs/ecc.md``).  Both shipped
-        constructions override this with a path into the vectorized
-        decode engine; the base implementation is the fallback for
-        external sketches — it deduplicates distinct readings and
-        recovers each once through the scalar path.
+        ``ok = False``; successful rows match :meth:`recover` bit for
+        bit (the batch contract of ``docs/ecc.md``).  This is one
+        device's run of the two-phase route: :meth:`plan_recover`,
+        the declared kernel alone through
+        :func:`~repro.ecc.kernel.run_kernels`, then
+        :meth:`finish_recover`.
         """
-        batch = as_bit_matrix(noisy_responses, self.response_length)
-        recovered = np.zeros_like(batch)
-        ok = np.zeros(batch.shape[0], dtype=bool)
-        for response, rows in iter_unique_rows(batch):
-            try:
-                recovered[rows] = self.recover(response, helper)
-            except DecodingFailure:
-                continue
-            ok[rows] = True
-        return recovered, ok
+        workload, state = self.plan_recover(noisy_responses, helper)
+        (outputs,) = run_kernels([workload])
+        return self.finish_recover(state, outputs)
 
     # -- two-phase recovery (plan → fused kernel → finish) -------------
 
@@ -150,12 +142,12 @@ class SecureSketch(abc.ABC):
 
         Recovery workloads of sketches with equal (non-``None``) keys
         may be fused into one kernel call across devices (see
-        :mod:`repro.ecc.kernel` and ``docs/evaluators.md``).  The base
-        implementation returns ``None``: external sketches run
-        un-fused through :meth:`recover_batch`.
+        :mod:`repro.ecc.kernel` and ``docs/evaluators.md``); ``None``
+        (the default) makes every workload run alone.
         """
         return None
 
+    @abc.abstractmethod
     def plan_recover(self, noisy_responses: np.ndarray,
                      helper: SketchData
                      ) -> "tuple[Optional[KernelWorkload], object]":
@@ -166,15 +158,10 @@ class SecureSketch(abc.ABC):
         :func:`repro.ecc.kernel.run_kernels` — possibly stacked with
         same-key workloads of other devices — and the opaque *state*
         plus the kernel outputs reproduce the full result through
-        :meth:`finish_recover`.  The contract:
-        ``finish_recover(state, outputs)`` must be bitwise-identical
-        to ``recover_batch(noisy_responses, helper)``.  The base
-        implementation declares no kernel and completes everything in
-        the finish phase.
+        :meth:`finish_recover`, row for row equal to :meth:`recover`.
         """
-        batch = as_bit_matrix(noisy_responses, self.response_length)
-        return None, (batch, helper)
 
+    @abc.abstractmethod
     def finish_recover(self, state: object,
                        outputs: "Optional[tuple]"
                        ) -> "tuple[np.ndarray, np.ndarray]":
@@ -183,8 +170,6 @@ class SecureSketch(abc.ABC):
         See :meth:`plan_recover`; returns ``(recovered, ok)`` exactly
         like :meth:`recover_batch`.
         """
-        batch, helper = state
-        return self.recover_batch(batch, helper)
 
 
 class CodeOffsetSketch(SecureSketch):
@@ -242,27 +227,6 @@ class CodeOffsetSketch(SecureSketch):
         recovered = payload ^ codeword
         return recovered[:self._length]
 
-    def recover_batch(self, noisy_responses: np.ndarray,
-                      helper: SketchData
-                      ) -> "tuple[np.ndarray, np.ndarray]":
-        """Recover a ``(B, response_length)`` batch of noisy readings.
-
-        Returns ``(recovered, ok)``; rows failing to decode are all-zero
-        with ``ok = False``.  Successful rows match :meth:`recover`
-        bit-for-bit: the shifted words go through the code's vectorized
-        ``decode_batch`` (for BCH, the batched Berlekamp–Massey + Chien
-        engine), which carries the same equivalence guarantee.
-        """
-        batch = as_bit_matrix(noisy_responses, self._length)
-        payload = as_bits(helper.payload, self._code.n)
-        padded = np.zeros((batch.shape[0], self._code.n), dtype=np.uint8)
-        padded[:, :self._length] = batch
-        shifted = padded ^ payload[None, :]
-        codewords, ok = self._code.decode_batch(shifted)
-        recovered = (payload[None, :] ^ codewords)[:, :self._length]
-        recovered[~ok] = 0
-        return recovered, ok
-
     def kernel_key(self) -> "tuple | None":
         """Recovery-kernel identity: the underlying decode kernel.
 
@@ -281,10 +245,11 @@ class CodeOffsetSketch(SecureSketch):
                      ) -> "tuple[Optional[KernelWorkload], object]":
         """Declare the decode workload; keep the payload as state.
 
-        The kernel input is the payload-shifted word matrix; the
-        payload itself rides in the state so :meth:`finish_recover`
-        can XOR the decoded codewords back and truncate, matching
-        :meth:`recover_batch` bit for bit.
+        The kernel input is the payload-shifted word matrix, decoded
+        by the code's vectorized ``decode_batch`` (for BCH, the
+        batched Berlekamp–Massey + Chien engine); the payload itself
+        rides in the state so :meth:`finish_recover` can XOR the
+        decoded codewords back and truncate.
         """
         batch = as_bit_matrix(noisy_responses, self._length)
         payload = as_bits(helper.payload, self._code.n)
@@ -394,42 +359,6 @@ class SyndromeSketch(SecureSketch):
         """Helper data: the serialised response syndromes."""
         return SketchData(self._serialise(self._syndromes(response)))
 
-    def recover_batch(self, noisy_responses: np.ndarray,
-                      helper: SketchData
-                      ) -> "tuple[np.ndarray, np.ndarray]":
-        """Vectorized syndrome-difference recovery of a whole batch.
-
-        The reference syndromes are XOR-subtracted from one
-        ``syndromes_batch`` pass over the readings; the distinct
-        non-zero differences then go through the code's
-        ``solve_syndromes_batch`` kernel with ``max_position`` bound to
-        the response length — the same constraint the scalar
-        :meth:`recover` enforces ("correction lands outside the
-        response bits").  Returns ``(recovered, ok)`` with failed rows
-        all-zero; successful rows match :meth:`recover` bit-for-bit.
-        """
-        batch = as_bit_matrix(noisy_responses, self._length)
-        reference = np.array(self._deserialise(helper.payload),
-                             dtype=np.int64)
-        padded = np.zeros((batch.shape[0], self._code.n),
-                          dtype=np.uint8)
-        padded[:, :self._length] = batch
-        difference = self._code.syndromes_batch(padded) \
-            ^ reference[None, :]
-        clean = ~difference.any(axis=1)
-        recovered = np.zeros_like(batch)
-        recovered[clean] = batch[clean]
-        ok = clean.copy()
-        dirty = np.flatnonzero(~clean)
-        if dirty.size:
-            errors, solved = self._code.solve_syndromes_batch(
-                difference[dirty], max_position=self._length)
-            good = dirty[solved]
-            recovered[good] = batch[good] \
-                ^ errors[solved][:, :self._length]
-            ok[good] = True
-        return recovered, ok
-
     def kernel_key(self) -> "tuple | None":
         """Recovery-kernel identity: solve kernel plus position bound.
 
@@ -451,9 +380,11 @@ class SyndromeSketch(SecureSketch):
 
         The syndrome differences are computed per device (they depend
         on this helper's reference syndromes); only rows with a
-        non-zero difference contribute kernel work, exactly as in
-        :meth:`recover_batch`.  Clean rows resolve in the finish
-        phase without touching the kernel.
+        non-zero difference contribute kernel work, solved with
+        ``max_position`` bound to the response length — the same
+        constraint the scalar :meth:`recover` enforces ("correction
+        lands outside the response bits").  Clean rows resolve in the
+        finish phase without touching the kernel.
         """
         batch = as_bit_matrix(noisy_responses, self._length)
         reference = np.array(self._deserialise(helper.payload),

@@ -37,6 +37,7 @@ from repro.fleet.fleet import (
     Fleet,
     FleetEnrollment,
     KeyGenFactory,
+    recovery_summary,
 )
 from repro.fleet.parallel import (
     chunk_indices,
@@ -73,6 +74,7 @@ __all__ = [
     "Supervisor",
     "TempAwareAttackFactory",
     "WorkerDiedError",
+    "recovery_summary",
     "run_campaign",
     "chunk_indices",
     "resolve_workers",

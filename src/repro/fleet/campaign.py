@@ -18,7 +18,7 @@ Because every lane consumes only its own oracle's stream, in request
 order, with speculative tails unwound, per-device decisions, query
 bills and recovered keys are **bitwise-identical** to driving each
 attack alone — the property that lets the lock-step path slot under
-``Fleet.attack_success`` (lock-step within a worker, processes across
+``Fleet.attack_results`` (lock-step within a worker, processes across
 chunks) without changing a single reported number.
 
 The same property makes the campaign chunk the natural **retry unit**
@@ -152,7 +152,7 @@ class _BoundSequentialAttack:
     ``steps()`` argument, but the campaign engine and the fleet drive
     attacks through the no-argument protocol.  This wrapper binds the
     method once so SPRT (and explicit paired) campaigns compose with
-    ``run_campaign`` and ``Fleet.attack_success`` unchanged.
+    ``run_campaign`` and ``Fleet.attack_results`` unchanged.
     """
 
     attack: SequentialPairingAttack

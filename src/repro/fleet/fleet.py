@@ -189,14 +189,12 @@ class _AttackChunkJob:
     trajectories: Optional[List[object]] = None
 
 
-def _run_chunk_attacks(job: _AttackChunkJob
-                       ) -> Tuple[List[object], List[BatchOracle]]:
-    """Shared chunk body: build oracles/attacks, run the campaign.
+def _attack_chunk_job(job: _AttackChunkJob) -> List[object]:
+    """Run one chunk's attacks; the raw result object per device.
 
     The chunk is also the supervised pool's retry unit: because
-    the job only consumes streams handed to it (derived parent-side)
-    and runs against payload copies, re-executing a chunk from
-    scratch reproduces it bitwise.
+    the job only consumes streams handed to it (derived parent-side),
+    re-executing a chunk from scratch reproduces it bitwise.
     """
     oracles: List[BatchOracle] = []
     attacks: List[object] = []
@@ -211,30 +209,29 @@ def _run_chunk_attacks(job: _AttackChunkJob
         oracles.append(oracle)
         attacks.append(job.attack_factory(oracle, keygen, helper))
     if job.lockstep:
-        results = run_campaign(oracles, attacks)
-    else:
-        results = [attack.run() for attack in attacks]
-    return results, oracles
+        return run_campaign(oracles, attacks)
+    return [attack.run() for attack in attacks]
 
 
-def _attack_chunk_job(job: _AttackChunkJob) -> List[Tuple[bool, int]]:
-    """Run one chunk's attacks; ``(recovered, queries)`` per device."""
-    results, oracles = _run_chunk_attacks(job)
-    report: List[Tuple[bool, int]] = []
-    for result, oracle, key in zip(results, oracles, job.keys):
-        recovered_key = getattr(result, "key", None)
-        recovered = (recovered_key is not None
-                     and bool(np.array_equal(recovered_key, key)))
-        report.append((recovered,
-                       int(getattr(result, "queries",
-                                   oracle.queries))))
-    return report
+def recovery_summary(results: Sequence[object],
+                     keys: Sequence[np.ndarray],
+                     helpers: Sequence[object]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(recovered, queries)`` of per-device attack results.
 
-
-def _attack_results_chunk_job(job: _AttackChunkJob) -> List[object]:
-    """Run one chunk's attacks; raw result objects per device."""
-    results, _ = _run_chunk_attacks(job)
-    return results
+    Recovery is the result's own ``recovered(key, helper)`` verdict
+    against the enrolled key and helper; ``queries`` is its oracle
+    bill.  A ``None`` result (a poisoned chunk of an
+    ``allow_partial`` sweep) counts as not recovered, zero queries.
+    Returns a boolean mask and an ``int64`` bill vector.
+    """
+    recovered = np.array(
+        [result is not None and result.recovered(key, helper)
+         for result, key, helper in zip(results, keys, helpers)],
+        dtype=np.bool_)
+    queries = np.array([0 if result is None else result.queries
+                        for result in results], dtype=np.int64)
+    return recovered, queries
 
 
 class Fleet:
@@ -476,23 +473,15 @@ class Fleet:
         ``rows × devices`` jobs run through one dispatch (one pool,
         one payload serialisation) instead of one pool per row.
         """
-        if trials < 1:
-            raise ValueError("need at least one trial")
-        if chunk < 1:
-            raise ValueError("chunk must be positive")
         devices = len(self._arrays)
         temps = [float(t) for t in temperatures]
         if not temps:
             return np.empty((0, devices))
-        jobs = []
-        for temperature in temps:
-            point = OperatingPoint(temperature=temperature)
-            jobs.extend(
-                _FailureRateJob(array, keygen, helper, point, trials,
-                                chunk, stream, transient)
-                for array, keygen, helper, (stream, transient) in zip(
-                    self._arrays, enrollment.keygens,
-                    enrollment.helpers, self._sweep_streams()))
+        jobs = [job for temperature in temps
+                for job in self.failure_rate_jobs(
+                    enrollment, trials,
+                    op=OperatingPoint(temperature=temperature),
+                    chunk=chunk)]
         (rates,) = run_scattered(_failure_rate_job, jobs,
                                  (np.float64,), workers=workers,
                                  shared=self._arrays,
@@ -509,57 +498,18 @@ class Fleet:
                        ) -> Tuple[np.ndarray, np.ndarray]:
         """Run a full helper-data attack against every device.
 
-        *attack_factory(oracle, keygen, helper)* builds an attack
-        driver exposing the stepwise ``steps()`` protocol and
-        ``run()``, with a ``key`` attribute on its result; with
-        ``workers > 1`` it must be picklable (module-level).  Returns
-        ``(recovered, queries)``: a boolean key-recovery mask and the
-        per-device ``int64`` oracle query bill.
-
-        Parameters
-        ----------
-        lockstep:
-            ``True`` (default) runs the round-based lock-step campaign
-            engine (:mod:`repro.fleet.campaign`): each worker advances
-            its whole device chunk together, one oracle round per
-            distinguisher block with the ECC kernel work of every
-            device sharing a code fused into one call
-            (:mod:`repro.ecc.kernel`).  ``False`` keeps the per-device
-            ``run()`` loop, the equivalence reference (and the only
-            way to run a driver without ``steps()``).  Either way the
-            per-device results are **bitwise-identical** —
-            lock-stepping only reorders work across devices, never
-            within one device's oracle stream.
-            Chunks split the fleet evenly over the resolved worker
-            count; :meth:`attack_chunk_jobs` takes explicit spans.
-        trajectory:
-            Optional
-            :class:`~repro.scenario.trajectory.TrajectorySpec`: the
-            attacked devices live under per-device environment
-            trajectories (built parent-side, in fleet order).
-            Attack queries without an explicit operating point see
-            the trajectory ambient; explicitly-set points (attacker
-            chamber control, e.g. the temp-aware attack) override
-            it, aging drift excepted.
-        supervision:
-            Optional :class:`repro.fleet.resilience.Supervisor`: the
-            campaign runs under the supervised pool with
-            chunk-level retry of each :class:`_AttackChunkJob`; the
-            per-device results contract is unchanged.
+        The summary view of :meth:`attack_results` (same arguments,
+        same campaign), condensed by :func:`recovery_summary`.
+        Returns ``(recovered, queries)``: a boolean recovery mask,
+        decided by each result's own ``recovered(key, helper)``, and
+        the per-device ``int64`` oracle query bill.
         """
-        jobs = self.attack_chunk_jobs(enrollment, attack_factory,
-                                      op=op, lockstep=lockstep,
-                                      trajectory=trajectory,
-                                      workers=workers)
-        reports = run_collected(_attack_chunk_job, jobs,
-                                workers=workers, shared=self._arrays,
-                                supervision=supervision)
-        flat = [entry for report in reports for entry in report]
-        recovered = np.array([entry[0] for entry in flat],
-                             dtype=np.bool_)
-        queries = np.array([entry[1] for entry in flat],
-                           dtype=np.int64)
-        return recovered, queries
+        results = self.attack_results(
+            enrollment, attack_factory, op=op, lockstep=lockstep,
+            trajectory=trajectory, workers=workers,
+            supervision=supervision)
+        return recovery_summary(results, enrollment.keys,
+                                enrollment.helpers)
 
     def attack_chunk_jobs(self, enrollment: FleetEnrollment,
                           attack_factory: AttackFactory,
@@ -573,12 +523,12 @@ class Fleet:
         """Build the chunked job list of an attack campaign.
 
         This is the shard-aware entry point behind
-        :meth:`attack_success` / :meth:`attack_results`: it derives
+        :meth:`attack_results`: it derives
         the sweep substreams (advancing the population root exactly as
         a direct campaign would) and returns one self-contained,
         picklable :class:`_AttackChunkJob` per *span* — a ``(start, stop)``
         device range in fleet order.  *spans* default to the even
-        split :meth:`attack_success` would use for *workers*; pass
+        split :meth:`attack_results` would use for *workers*; pass
         explicit contiguous ranges (e.g. a
         :class:`repro.service.ShardPlan`'s) to re-chunk the campaign.
         Per-device results are bitwise-invariant to the chunking, so
@@ -624,35 +574,71 @@ class Fleet:
                        supervision=None) -> List[object]:
         """Run a full attack per device; return the raw result objects.
 
-        Companion to :meth:`attack_success` for callers that need
-        every attack's complete result — relations, comparer
-        decisions, recovered keys — rather than the summary mask (the
+        The one attack sweep: :meth:`attack_success` is its summary
+        view.  Every attack's complete result — relations, comparer
+        decisions, recovered keys — comes back in fleet order (the
         results warehouse fingerprints per-device decisions from
-        these).  It follows the same sweep-stream discipline (one
+        these).  It follows the sweep-stream discipline (one
         ``(noise, transient)`` substream pair per device, derived
         before any execution), so a device's result is
-        bitwise-identical to what the matching :meth:`attack_success`
-        call observes — whatever *workers* is, and whether or not a
-        supervised run had to retry chunks.
+        bitwise-identical whatever *workers* is, and whether or not a
+        supervised run had to retry chunks; a poisoned chunk of an
+        ``allow_partial`` sweep yields ``None`` per device.
 
-        *lockstep* / *trajectory* / *supervision* mean what they mean
-        on :meth:`attack_success`.  The default ``workers=1`` without
-        supervision runs one whole-fleet chunk in this process
-        (results built here, nothing copied); otherwise chunks
-        dispatch through the worker pool, supervised or not, and
-        result objects must be picklable.
+        *attack_factory(oracle, keygen, helper)* builds an attack
+        driver exposing the stepwise ``steps()`` protocol and
+        ``run()``; its result must offer ``queries`` and
+        ``recovered(key, helper)`` (read by :meth:`attack_success`).
+        The default ``workers=1`` without supervision runs one
+        whole-fleet chunk in this process (results built here,
+        nothing copied); otherwise chunks dispatch through the worker
+        pool, supervised or not, and result objects must be
+        picklable.
+
+        Parameters
+        ----------
+        lockstep:
+            ``True`` (default) runs the round-based lock-step campaign
+            engine (:mod:`repro.fleet.campaign`): each worker advances
+            its whole device chunk together, one oracle round per
+            distinguisher block with the ECC kernel work of every
+            device sharing a code fused into one call
+            (:mod:`repro.ecc.kernel`).  ``False`` keeps the per-device
+            ``run()`` loop, the equivalence reference (and the only
+            way to run a driver without ``steps()``).  Either way the
+            per-device results are **bitwise-identical** —
+            lock-stepping only reorders work across devices, never
+            within one device's oracle stream.
+            Chunks split the fleet evenly over the resolved worker
+            count; :meth:`attack_chunk_jobs` takes explicit spans.
+        trajectory:
+            Optional
+            :class:`~repro.scenario.trajectory.TrajectorySpec`: the
+            attacked devices live under per-device environment
+            trajectories (built parent-side, in fleet order).
+            Attack queries without an explicit operating point see
+            the trajectory ambient; explicitly-set points (attacker
+            chamber control, e.g. the temp-aware attack) override
+            it, aging drift excepted.
+        supervision:
+            Optional :class:`repro.fleet.resilience.Supervisor`: the
+            campaign runs under the supervised pool with
+            chunk-level retry of each :class:`_AttackChunkJob`; the
+            per-device results contract is unchanged.
         """
         count = len(self._arrays)
         if resolve_workers(workers, count) == 1 and supervision is None:
             (job,) = self.attack_chunk_jobs(
                 enrollment, attack_factory, spans=[(0, count)], op=op,
                 lockstep=lockstep, trajectory=trajectory)
-            return _attack_results_chunk_job(job)
+            return _attack_chunk_job(job)
         jobs = self.attack_chunk_jobs(enrollment, attack_factory,
                                       op=op, lockstep=lockstep,
                                       trajectory=trajectory,
                                       workers=workers)
-        reports = run_collected(_attack_results_chunk_job, jobs,
+        reports = run_collected(_attack_chunk_job, jobs,
                                 workers=workers, shared=self._arrays,
                                 supervision=supervision)
-        return [result for report in reports for result in report]
+        return [result for job, report in zip(jobs, reports)
+                for result in (report if report is not None
+                               else [None] * len(job.arrays))]

@@ -19,10 +19,18 @@ Both entry points guarantee **worker-count invariance**: results are
 bitwise-identical whatever ``workers`` is, including 1.  Two mechanisms
 make that hold.  First, every per-device random stream is derived in
 the parent *before* dispatch, so stream identity cannot depend on which
-worker runs the job or in which order.  Second, jobs always run against
+worker runs the job or in which order.  Second, jobs run against
 *copies* of their payload — a deep copy in-process for ``workers=1``,
-the pickle across the process boundary otherwise — so a sweep never
-mutates parent-side device or keygen state either way.
+the pickle across the process boundary otherwise — so a sweep through
+these entry points never mutates parent-side device or keygen state.
+
+One sweep bypasses them: :meth:`repro.fleet.Fleet.attack_results`
+(and its summary view ``attack_success``) at ``workers=1`` without
+supervision runs its one whole-fleet chunk in this process,
+uncopied.  The enrolled keygens then get their transient streams
+reseeded and serve the attacks themselves.  Results stay
+bitwise-identical to the copied paths because every sweep reseeds
+those streams and draws its noise from parent-derived substreams.
 
 Payloads must be picklable for ``workers > 1`` (library objects are;
 user-supplied attack factories must be module-level callables, not

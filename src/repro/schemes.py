@@ -4,8 +4,9 @@ Each construction of the paper is one fixed configuration, and every
 front-end (``repro attack``, ``repro fleet``, the warehouse matrix, the
 scenario corpus and the campaign service) picks its keygens and
 attacks here by name.  A :class:`Preset` is a keygen factory, its
-default attack family, its default ``(rows, cols, sigma_noise)`` and,
-through the family, its recovery predicate.  Where front-ends differ
+default attack family and its default ``(rows, cols, sigma_noise)``;
+each attack result type decides recovery itself
+(``result.recovered(key, helper)``).  Where front-ends differ
 in a parameter, the difference is its own preset
 (``group-based[250k]``, the two ``fuzzy-extractor`` output sizes, the
 three ``distiller`` pairing modes); labels that predate the catalogue
@@ -21,6 +22,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from repro.core.temp_aware_attack import coop_bits
 from repro.ecc import BlockwiseCode, ReedMullerCode
 from repro.fleet import (
     DistillerAttackFactory,
@@ -62,41 +64,17 @@ class _ReedMullerProvider:
         return BlockwiseCode(inner, blocks)
 
 
-def _check_key(result: object, key: np.ndarray,
-               helper: object) -> bool:
-    """Key-carrying families: the recovered key must match enrolled."""
-    recovered = getattr(result, "key", None)
-    return recovered is not None and bool(
-        np.array_equal(recovered, key))
-
-
-def _coop_bits(key: np.ndarray, helper: object) -> np.ndarray:
-    """The cooperating-pair bits, the part of the key §VI-B targets."""
-    return key[len(helper.scheme.good_indices):]
-
-
-def _check_temp_aware(result: object, key: np.ndarray,
-                      helper: object) -> bool:
-    """§VI-B recovers relations of the cooperating-pair bits only."""
-    truth = _coop_bits(key, helper)
-    if truth.size == 0 or result.resolved_fraction != 1.0:
-        return False
-    return bool(np.array_equal(result.coop_relations,
-                               truth ^ truth[0]))
-
-
 @dataclass(frozen=True)
 class AttackFamily:
-    """An attack factory builder and its recovery predicate.
+    """An attack factory builder and the secret it targets.
 
     ``factory(rows, cols)`` returns the picklable per-device attack
-    factory; ``check(result, key, helper)`` decides recovery and
-    ``secret(key, helper)`` is the part of the enrolled key the attack
-    targets (default: all of it).
+    factory; ``secret(key, helper)`` is the part of the enrolled key
+    the attack targets (default: all of it).  Recovery is decided by
+    the attack's result type (``result.recovered(key, helper)``).
     """
 
     factory: Callable[[int, int], Callable]
-    check: Callable[..., bool] = _check_key
     secret: Optional[Callable[..., np.ndarray]] = None
 
 
@@ -106,8 +84,7 @@ ATTACKS: Dict[str, AttackFamily] = {
     "sprt": AttackFamily(
         lambda rows, cols: SequentialAttackFactory("sprt")),
     "temp-aware": AttackFamily(
-        lambda rows, cols: TempAwareAttackFactory(),
-        check=_check_temp_aware, secret=_coop_bits),
+        lambda rows, cols: TempAwareAttackFactory(), secret=coop_bits),
     "group": AttackFamily(GroupAttackFactory),
     "distiller": AttackFamily(DistillerAttackFactory),
 }

@@ -33,14 +33,12 @@ from repro.service.registry import (
 )
 from repro.service.shard import (
     KIND_ATTACK,
-    KIND_ATTACK_RESULTS,
     KIND_FAILURE,
     KINDS,
     ShardPlan,
     ShardResult,
     ShardSpec,
     execute_shard,
-    merge_attack,
     merge_attack_results,
     merge_failure_rates,
     shard_digest,
@@ -55,7 +53,6 @@ __all__ = [
     "Dispatcher",
     "EnrollmentRegistry",
     "KIND_ATTACK",
-    "KIND_ATTACK_RESULTS",
     "KIND_FAILURE",
     "KINDS",
     "PopulationSpec",
@@ -68,7 +65,6 @@ __all__ = [
     "WorkerHandshakeError",
     "enroll_population",
     "execute_shard",
-    "merge_attack",
     "merge_attack_results",
     "merge_failure_rates",
     "shard_digest",

@@ -6,7 +6,7 @@ Wires the distributed campaign service into the top-level CLI::
                          [--seed N] [--rows R --cols C]
                          [--sigma-noise HZ] [--workers W]
     repro service sweep (--registry DIR | --scheme S ...)
-                        [--kind failure|attack|attack-results]
+                        [--kind failure|attack]
                         [--trials N] [--shards K] [--workers W]
                         [--transport pipe|tcp] [--stream]
                         [--check-single-host] [--max-retries N]
@@ -18,7 +18,8 @@ sweeps against it without ever re-enrolling (the manifest supplies
 scheme, geometry, seed and device count).  ``--stream`` prints one
 NDJSON line per completed shard, in completion order;
 ``--check-single-host`` additionally runs the equivalent single-host
-``Fleet`` sweep and fails unless the merged stream matches bitwise.
+``Fleet`` sweep and fails unless the merged stream matches bitwise
+(every result field, arrays by dtype, shape and bytes).
 
 Kept separate from :mod:`repro.cli` so the argument surface and the
 handlers live next to the subsystem they drive (same split as
@@ -28,6 +29,7 @@ handlers live next to the subsystem they drive (same split as
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional
@@ -40,6 +42,7 @@ from repro.cli_options import (
     positive_int,
     retry_policy,
 )
+from repro.fleet.fleet import recovery_summary
 from repro.fleet.pool import WorkerHandshakeError
 from repro.fleet.resilience import PoisonedSweepError
 from repro.service.registry import (
@@ -47,11 +50,7 @@ from repro.service.registry import (
     RegistryError,
     enroll_population,
 )
-from repro.service.shard import (
-    KIND_ATTACK,
-    KIND_ATTACK_RESULTS,
-    KIND_FAILURE,
-)
+from repro.service.shard import KIND_ATTACK, KIND_FAILURE
 from repro.service.stream import PopulationSpec, submit_sweep
 
 #: ``--scheme`` label -> :mod:`repro.schemes` preset.  Geometry and
@@ -68,7 +67,6 @@ SCHEMES = {
 _KIND_BY_LABEL = {
     "failure": KIND_FAILURE,
     "attack": KIND_ATTACK,
-    "attack-results": KIND_ATTACK_RESULTS,
 }
 
 
@@ -244,38 +242,57 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     report = handle.report
     if report is not None:
         print(f"  resilience: {report.summary()}")
-    _print_merged(kind, merged)
+    if kind == KIND_FAILURE:
+        print(f"  failure rates: mean={merged.mean():.6g} "
+              f"max={merged.max():.6g} over {merged.size} device(s)")
+    else:
+        merged = _with_summary(merged, handle.enrollment)
+        results, (recovered, queries) = merged
+        print(f"  attack: {int(recovered.sum())}/{recovered.size} "
+              f"keys recovered, {int(queries.sum())} oracle queries, "
+              f"{len(results)} device record(s)")
 
     if args.check_single_host:
         fleet, enroll_rng = population.build()
         enrollment = fleet.enroll(factory, seed=enroll_rng)
         if kind == KIND_FAILURE:
             expect = fleet.failure_rates(enrollment, args.trials)
-            matches = np.array_equal(merged, expect)
-        elif kind == KIND_ATTACK:
-            expect = fleet.attack_success(enrollment, attack_factory)
-            matches = (np.array_equal(merged[0], expect[0])
-                       and np.array_equal(merged[1], expect[1]))
         else:
-            expect = fleet.attack_results(enrollment, attack_factory)
-            matches = len(merged) == len(expect) and all(
-                type(a) is type(b) for a, b in zip(merged, expect))
-        if not matches:
+            expect = _with_summary(
+                fleet.attack_results(enrollment, attack_factory),
+                enrollment)
+        if not _identical(merged, expect):
             print("  single-host check: MISMATCH")
             return 1
         print("  single-host check: bitwise-identical")
     return 0
 
 
-def _print_merged(kind: str, merged) -> None:
-    """Human-readable summary of the merged sweep result."""
-    if kind == KIND_FAILURE:
-        rates = np.asarray(merged)
-        print(f"  failure rates: mean={rates.mean():.6g} "
-              f"max={rates.max():.6g} over {rates.size} device(s)")
-    elif kind == KIND_ATTACK:
-        recovered, queries = merged
-        print(f"  attack: {int(recovered.sum())}/{recovered.size} "
-              f"keys recovered, {int(queries.sum())} oracle queries")
-    else:
-        print(f"  attack results: {len(merged)} device record(s)")
+def _with_summary(results: list, enrollment) -> tuple:
+    """Attack results with their ``(recovered, queries)`` summary."""
+    return results, recovery_summary(results, enrollment.keys,
+                                     enrollment.helpers)
+
+
+def _identical(a: object, b: object) -> bool:
+    """Bitwise equality of sweep outputs, recursively.
+
+    Types must match; arrays compare by dtype, shape and bytes;
+    dataclasses (attack results, comparer outcomes) field by field;
+    sequences and dicts element by element; anything else by ``==``.
+    """
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if dataclasses.is_dataclass(a):
+        return all(_identical(getattr(a, field.name),
+                              getattr(b, field.name))
+                   for field in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_identical, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(
+            _identical(a[key], b[key]) for key in a)
+    return bool(a == b)

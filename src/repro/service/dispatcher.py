@@ -107,7 +107,8 @@ class Dispatcher:
             yield ShardResult(
                 shard=plan.shards[done.index], kind=kind,
                 data=(None if done.poisoned
-                      else shard_data(kind, done.results)),
+                      else shard_data(kind, done.results,
+                                      shard_jobs[done.index])),
                 seconds=done.seconds, kernel=done.kernel,
                 attempt=done.attempt, worker=done.worker,
                 degraded=done.degraded, poisoned=done.poisoned)

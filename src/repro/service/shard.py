@@ -25,16 +25,15 @@ import numpy as np
 
 from repro.fleet.fleet import (
     _attack_chunk_job,
-    _attack_results_chunk_job,
     _failure_rate_job,
+    recovery_summary,
 )
 from repro.fleet.parallel import chunk_indices
 
 #: Sweep kinds the service can shard.
 KIND_FAILURE = "failure-rates"
 KIND_ATTACK = "attack-success"
-KIND_ATTACK_RESULTS = "attack-results"
-KINDS = (KIND_FAILURE, KIND_ATTACK, KIND_ATTACK_RESULTS)
+KINDS = (KIND_FAILURE, KIND_ATTACK)
 
 
 def shard_digest(population_seed: int, index: int, start: int,
@@ -131,8 +130,8 @@ def execute_shard(kind: str, job: object) -> object:
     """Run one job of a shard of sweep *kind* (the pool task function).
 
     For :data:`KIND_FAILURE` *job* is one entry of the per-device
-    :meth:`~repro.fleet.Fleet.failure_rate_jobs` list; for the attack
-    kinds it is the shard's
+    :meth:`~repro.fleet.Fleet.failure_rate_jobs` list; for
+    :data:`KIND_ATTACK` it is the shard's
     :meth:`~repro.fleet.Fleet.attack_chunk_jobs` chunk.
     :func:`shard_data` types the per-job results of a shard.
     """
@@ -140,34 +139,34 @@ def execute_shard(kind: str, job: object) -> object:
         return _failure_rate_job(job)
     if kind == KIND_ATTACK:
         return _attack_chunk_job(job)
-    if kind == KIND_ATTACK_RESULTS:
-        return _attack_results_chunk_job(job)
     raise ValueError(f"unknown sweep kind {kind!r}; expected one "
                      f"of {KINDS}")
 
 
-def shard_data(kind: str, results: Sequence[object]
-               ) -> Dict[str, object]:
-    """The typed result payload of one shard from its job results."""
+def shard_data(kind: str, results: Sequence[object],
+               jobs: Sequence[object]) -> Dict[str, object]:
+    """The typed result payload of one shard from its job results.
+
+    An attack shard keeps its raw per-device results and adds their
+    :func:`~repro.fleet.fleet.recovery_summary` against the enrolled
+    keys and helpers its chunk job carries.
+    """
     if kind == KIND_FAILURE:
         return {"rates": np.array([result[0] for result in results],
                                   dtype=np.float64)}
-    (report,) = results
-    if kind == KIND_ATTACK:
-        return {
-            "recovered": np.array([entry[0] for entry in report],
-                                  dtype=np.bool_),
-            "queries": np.array([entry[1] for entry in report],
-                                dtype=np.int64)}
-    return {"results": list(report)}
+    (report,), (chunk,) = results, jobs
+    recovered, queries = recovery_summary(report, chunk.keys,
+                                          chunk.helpers)
+    return {"results": list(report), "recovered": recovered,
+            "queries": queries}
 
 
 @dataclass(frozen=True)
 class ShardResult:
     """One shard's completed contribution to a streamed sweep.
 
-    ``data`` is the kind-typed payload (``rates`` /
-    ``recovered``+``queries`` / ``results``), or ``None`` for a
+    ``data`` is the kind-typed payload (``rates``, or ``results``
+    with their ``recovered``+``queries`` summary), or ``None`` for a
     poisoned shard under an ``allow_partial`` policy.  ``kernel`` is
     the ECC kernel-stats delta measured around the shard's execution
     in whatever process ran it.
@@ -207,14 +206,11 @@ class ShardResult:
         if self.kind == KIND_FAILURE:
             payload["rates"] = [float(rate)
                                 for rate in self.data["rates"]]
-        elif self.kind == KIND_ATTACK:
+        else:
             payload["recovered"] = [bool(hit) for hit
                                     in self.data["recovered"]]
             payload["queries"] = [int(bill) for bill
                                   in self.data["queries"]]
-        else:
-            payload["results"] = [type(result).__name__
-                                  for result in self.data["results"]]
         return payload
 
 
@@ -237,29 +233,6 @@ def merge_failure_rates(plan: ShardPlan,
         else:
             parts.append(np.asarray(data["rates"], dtype=np.float64))
     return np.concatenate(parts) if parts else np.zeros(0)
-
-
-def merge_attack(plan: ShardPlan, datas: Sequence[object]
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-shard attack outcomes into fleet-order arrays.
-
-    Returns the ``(recovered, queries)`` pair with the exact dtypes of
-    :meth:`repro.fleet.Fleet.attack_success`.
-    """
-    recovered, queries = [], []
-    for spec, data in zip(plan.shards, datas):
-        if data is None:
-            recovered.append(np.zeros(spec.devices, dtype=np.bool_))
-            queries.append(np.zeros(spec.devices, dtype=np.int64))
-        else:
-            recovered.append(np.asarray(data["recovered"],
-                                        dtype=np.bool_))
-            queries.append(np.asarray(data["queries"],
-                                      dtype=np.int64))
-    if not recovered:
-        return (np.zeros(0, dtype=np.bool_),
-                np.zeros(0, dtype=np.int64))
-    return np.concatenate(recovered), np.concatenate(queries)
 
 
 def merge_attack_results(plan: ShardPlan,

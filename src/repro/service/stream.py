@@ -12,7 +12,6 @@ results are yielded in **completion order** — out-of-order by design.
 result shapes: the contract (pinned by ``tests/service/``) is that
 ``collect()`` is bitwise-equal to the matching
 :meth:`repro.fleet.Fleet.failure_rates` /
-:meth:`~repro.fleet.Fleet.attack_success` /
 :meth:`~repro.fleet.Fleet.attack_results` call on a same-seed fleet,
 for every shard count, worker count and transport.
 """
@@ -34,12 +33,10 @@ from repro.keygen.base import OperatingPoint
 from repro.puf.parameters import ROArrayParams
 from repro.service.dispatcher import Dispatcher
 from repro.service.shard import (
-    KIND_ATTACK,
     KIND_FAILURE,
     KINDS,
     ShardPlan,
     ShardResult,
-    merge_attack,
     merge_attack_results,
     merge_failure_rates,
 )
@@ -158,11 +155,11 @@ class SweepHandle:
         * :data:`~repro.service.shard.KIND_FAILURE` → the
           ``(devices,)`` float64 vector of
           :meth:`repro.fleet.Fleet.failure_rates`;
-        * :data:`~repro.service.shard.KIND_ATTACK` → the
-          ``(recovered, queries)`` pair of
-          :meth:`~repro.fleet.Fleet.attack_success`;
-        * :data:`~repro.service.shard.KIND_ATTACK_RESULTS` → the raw
-          result list of :meth:`~repro.fleet.Fleet.attack_results`.
+        * :data:`~repro.service.shard.KIND_ATTACK` → the raw result
+          list of :meth:`~repro.fleet.Fleet.attack_results`, whose
+          :func:`~repro.fleet.fleet.recovery_summary` over
+          :attr:`enrollment` is the
+          :meth:`~repro.fleet.Fleet.attack_success` pair.
 
         Bitwise-equal to the matching direct sweep on a same-seed
         fleet, whatever the shard count, worker count or transport.
@@ -174,8 +171,6 @@ class SweepHandle:
                 by_shard[result.shard.index] = result.data
         if self.kind == KIND_FAILURE:
             return merge_failure_rates(self.plan, by_shard)
-        if self.kind == KIND_ATTACK:
-            return merge_attack(self.plan, by_shard)
         return merge_attack_results(self.plan, by_shard)
 
 
@@ -209,7 +204,7 @@ def submit_sweep(population: PopulationSpec,
     single-host ``Fleet`` sweep.
 
     *trials* is required for failure-rate sweeps; *attack_factory*
-    (a picklable module-level callable) for the attack kinds.  The
+    (a picklable module-level callable) for attack sweeps.  The
     remaining knobs mirror the ``Fleet`` sweep methods; *shards*,
     *workers*, *transport*, *policy* and *handshake_timeout* mirror
     the :class:`~repro.service.dispatcher.Dispatcher`.

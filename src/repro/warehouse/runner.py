@@ -59,7 +59,8 @@ _FAMILIES = {"sequential": "paired", "ml": "paired", "sprt": "sprt",
 def _device_payload(result: object, recovered: bool
                     ) -> Dict[str, object]:
     """Deterministic per-device outcome features (for fingerprints)."""
-    comparisons = getattr(result, "comparisons", ())
+    fields = vars(result)
+    comparisons = fields.get("comparisons", ())
     if isinstance(comparisons, (list, tuple)):
         decisions = [outcome.decision for outcome in comparisons]
         comparison_count = len(comparisons)
@@ -70,19 +71,19 @@ def _device_payload(result: object, recovered: bool
         comparison_count = int(comparisons)
     payload: Dict[str, object] = {
         "recovered": bool(recovered),
-        "queries": int(getattr(result, "queries", 0)),
+        "queries": int(result.queries),
         "decisions": decisions,
         "comparison_count": comparison_count,
     }
-    key = getattr(result, "key", None)
+    key = fields.get("key")
     if key is not None:
         payload["key"] = fingerprint_bits([key])
     for attr in ("relations", "coop_relations"):
-        value = getattr(result, attr, None)
+        value = fields.get(attr)
         if value is not None:
             payload[attr] = [int(v) for v in
                              np.asarray(value).ravel()]
-    good_bits = getattr(result, "good_bits", None)
+    good_bits = fields.get("good_bits")
     if good_bits is not None:
         payload["good_bits"] = {str(index): int(bit)
                                 for index, bit in good_bits.items()}
@@ -258,8 +259,7 @@ def _run_runnable(cell: MatrixCell, devices: int, seed: int,
         results = fleet.attack_results(
             enrollment, family.factory(cell.rows, cell.cols),
             workers=workers, supervision=supervision)
-    payloads = [_device_payload(result,
-                                family.check(result, key, helper))
+    payloads = [_device_payload(result, result.recovered(key, helper))
                 for result, key, helper in zip(
                     results, enrollment.keys, enrollment.helpers)]
     return _cell_body("lockstep-fused", payloads,

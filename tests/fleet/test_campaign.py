@@ -26,6 +26,7 @@ from repro.fleet import (
     LockstepCampaign,
     SequentialAttackFactory,
     Supervisor,
+    recovery_summary,
     run_campaign,
     run_collected,
 )
@@ -287,9 +288,9 @@ class TestFleetLockstep:
         reports = run_collected(
             _attack_chunk_job, jobs, workers=workers,
             supervision=Supervisor() if supervised else None)
-        flat = [entry for report in reports for entry in report]
-        recovered = np.array([entry[0] for entry in flat])
-        queries = np.array([entry[1] for entry in flat])
+        recovered, queries = recovery_summary(
+            [result for report in reports for result in report],
+            enrollment.keys, enrollment.helpers)
         np.testing.assert_array_equal(recovered, reference[0])
         np.testing.assert_array_equal(queries, reference[1])
         assert recovered.all()

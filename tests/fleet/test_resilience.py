@@ -316,6 +316,26 @@ class TestVerdicts:
         assert results[2:] == [{"value": p * 3}
                                for p in payloads[2:]]
 
+    def test_allow_partial_campaign_fills_unrecovered(
+            self, campaign_reference):
+        # Four devices at workers=2 -> two 2-device chunks; poisoning
+        # chunk 0 leaves None results for its devices, which the
+        # summary reports as not recovered at zero queries.
+        plan = FaultPlan(seed=1, faults=(
+            FaultSpec(chunk=0, mode="raise", attempts=None),))
+        supervisor = Supervisor(RetryPolicy(
+            max_retries=0, backoff_base=0.01, allow_partial=True))
+        fleet, enrollment = fresh_fleet()
+        with faultinject.activated(plan):
+            recovered, queries = fleet.attack_success(
+                enrollment, attack_factory, workers=2,
+                supervision=supervisor)
+        np.testing.assert_array_equal(
+            recovered, [False, False, *campaign_reference[0][2:]])
+        np.testing.assert_array_equal(
+            queries, [0, 0, *campaign_reference[1][2:]])
+        assert supervisor.last_report.verdict == "partial"
+
     def test_timeout_failure_names_watchdog(self):
         plan = FaultPlan(seed=1, faults=(
             FaultSpec(chunk=0, mode="hang", attempts=(0,)),))

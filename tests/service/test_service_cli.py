@@ -1,8 +1,13 @@
 """``repro service`` CLI: enroll/sweep wiring and exit codes."""
 
+import dataclasses
 import json
 
+import numpy as np
+import pytest
+
 from repro.cli import main
+from repro.fleet import Fleet
 
 
 class TestEnrollAndSweep:
@@ -62,6 +67,47 @@ class TestEnrollAndSweep:
                      "--shards", "2", "--workers", "2"]) == 0
         out = capsys.readouterr().out
         assert "keys recovered" in out
+
+    def test_temp_aware_attack_sweep_recovers_relations(self, capsys):
+        # §VI-B results carry recovered relations, not a key: the
+        # result type's own predicate decides recovery, on the shards
+        # and in the single-host check alike.
+        assert main(["service", "sweep", "--kind", "attack",
+                     "--scheme", "temp-aware", "--devices", "2",
+                     "--shards", "2", "--workers", "2", "--seed", "0",
+                     "--check-single-host"]) == 0
+        out = capsys.readouterr().out
+        assert "attack: 2/2 keys recovered" in out
+        assert "2 device record(s)" in out
+        assert "single-host check: bitwise-identical" in out
+
+    @pytest.mark.parametrize("tamper", ["value", "dtype"])
+    def test_single_host_check_compares_every_field(
+            self, monkeypatch, capsys, tamper):
+        # One changed field of one single-host result -- a flipped
+        # relation bit, or the same values in another dtype -- leaves
+        # the recovery summary alone but must fail the check.
+        original = Fleet.attack_results
+
+        def tampered(self, *args, **kwargs):
+            results = original(self, *args, **kwargs)
+            relations = results[0].relations.copy()
+            if tamper == "value":
+                relations[-1] ^= 1
+            else:
+                relations = relations.astype(np.int64)
+            return [dataclasses.replace(results[0],
+                                        relations=relations),
+                    *results[1:]]
+
+        monkeypatch.setattr(Fleet, "attack_results", tampered)
+        assert main(["service", "sweep", "--kind", "attack",
+                     "--scheme", "sequential", "--devices", "2",
+                     "--shards", "1", "--workers", "1",
+                     "--check-single-host"]) == 1
+        out = capsys.readouterr().out
+        assert "attack: 2/2 keys recovered" in out
+        assert "single-host check: MISMATCH" in out
 
 
 class TestArgumentErrors:

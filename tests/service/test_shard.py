@@ -5,7 +5,6 @@ import pytest
 
 from repro.service import (
     ShardPlan,
-    merge_attack,
     merge_attack_results,
     merge_failure_rates,
     shard_digest,
@@ -79,17 +78,6 @@ class TestMerging:
             plan, [None, {"rates": np.array([0.4, 0.5])}])
         np.testing.assert_array_equal(merged,
                                       [0.0, 0.0, 0.0, 0.4, 0.5])
-
-    def test_attack_merge_dtypes(self):
-        plan = ShardPlan.plan(0, 4, 2)
-        datas = [{"recovered": np.array([True, False]),
-                  "queries": np.array([10, 20])}, None]
-        recovered, queries = merge_attack(plan, datas)
-        assert recovered.dtype == np.bool_
-        assert queries.dtype == np.int64
-        np.testing.assert_array_equal(recovered,
-                                      [True, False, False, False])
-        np.testing.assert_array_equal(queries, [10, 20, 0, 0])
 
     def test_attack_results_merge(self):
         plan = ShardPlan.plan(0, 4, 2)

@@ -13,12 +13,11 @@ import pytest
 
 from repro._rng import spawn
 from repro.core import SequentialPairingAttack
-from repro.fleet import Fleet
+from repro.fleet import Fleet, recovery_summary
 from repro.keygen import SequentialPairingKeyGen
 from repro.puf import ROArrayParams
 from repro.service import (
     KIND_ATTACK,
-    KIND_ATTACK_RESULTS,
     KIND_FAILURE,
     PopulationSpec,
     submit_sweep,
@@ -71,21 +70,29 @@ class TestBitwiseEquality:
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_attack_success(self, population, shards):
+        # Each shard's recovered/queries fields (the streamed summary)
+        # and the merged results' summary both equal attack_success.
         fleet, enrollment = fresh_single_host()
         recovered, queries = fleet.attack_success(enrollment,
                                                   attack_factory)
         handle = submit_sweep(population, keygen_factory, KIND_ATTACK,
                               attack_factory=attack_factory,
                               shards=shards, workers=2)
-        got_recovered, got_queries = handle.collect()
-        np.testing.assert_array_equal(got_recovered, recovered)
-        np.testing.assert_array_equal(got_queries, queries)
+        streamed = list(handle.in_order())
+        for got_recovered, got_queries in (
+                recovery_summary(handle.collect(), enrollment.keys,
+                                 enrollment.helpers),
+                (np.concatenate([r.data["recovered"] for r in streamed]),
+                 np.concatenate([r.data["queries"] for r in streamed]))):
+            np.testing.assert_array_equal(got_recovered, recovered)
+            np.testing.assert_array_equal(got_queries, queries)
+            assert got_recovered.dtype == np.bool_
+            assert got_queries.dtype == np.int64
 
     def test_attack_results(self, population):
         fleet, enrollment = fresh_single_host()
         expected = fleet.attack_results(enrollment, attack_factory)
-        handle = submit_sweep(population, keygen_factory,
-                              KIND_ATTACK_RESULTS,
+        handle = submit_sweep(population, keygen_factory, KIND_ATTACK,
                               attack_factory=attack_factory,
                               shards=2, workers=2)
         results = handle.collect()
@@ -126,6 +133,18 @@ class TestStreamingSurface:
             assert decoded["kind"] == KIND_FAILURE
             assert decoded["stop"] - decoded["start"] == \
                 len(decoded["rates"])
+
+    def test_attack_chunks_carry_the_summary(self, population):
+        handle = submit_sweep(population, keygen_factory, KIND_ATTACK,
+                              attack_factory=attack_factory, shards=2,
+                              workers=2)
+        for result in handle:
+            decoded = json.loads(json.dumps(result.to_json()))
+            assert decoded["kind"] == KIND_ATTACK
+            width = decoded["stop"] - decoded["start"]
+            assert len(decoded["recovered"]) == width
+            assert len(decoded["queries"]) == width
+            assert all(bill > 0 for bill in decoded["queries"])
 
     def test_collect_after_partial_iteration(self, population):
         fleet, enrollment = fresh_single_host()
