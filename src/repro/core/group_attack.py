@@ -86,6 +86,9 @@ class GroupBasedAttack:
         # Injected-value collisions are exact by construction; any two
         # distinct values differ by at least steepness / (rows + 1)^2.
         self._margin = steepness / (2.0 * (rows + 1) ** 2)
+        cells = np.arange(self._rows * self._cols)
+        self._xs = (cells % self._cols).astype(float)
+        self._ys = (cells // self._cols).astype(float)
 
     # ------------------------------------------------------------------
 
@@ -98,10 +101,7 @@ class GroupBasedAttack:
         """Hypothesis helpers for "residual(u) > residual(v)" ∈ {0, 1}."""
         payload = symmetric_quadratic(self._cell_xy(u), self._cell_xy(v),
                                       self._rows, self._steepness)
-        cells = self._rows * self._cols
-        xs = np.arange(cells) % self._cols
-        ys = np.arange(cells) // self._cols
-        values = -payload(xs.astype(float), ys.astype(float))
+        values = -payload(self._xs, self._ys)
 
         forced = pair_cells_by_value(values, exclude=(u, v),
                                      min_gap=self._margin)
@@ -136,9 +136,10 @@ class GroupBasedAttack:
         helper0, helper1 = (
             GroupBasedKeyHelper(
                 distiller=distiller, grouping=grouping,
-                sketch=sketch.helper_for_response(stream, seed),
-                key_check=digest)
-            for stream, digest in zip(streams, key_check_digests(keys)))
+                sketch=sketch_data, key_check=digest)
+            for sketch_data, digest in zip(
+                sketch.helpers_for_responses(streams, seed),
+                key_check_digests(keys)))
         return helper0, helper1
 
     def compare_ros(self, u: int, v: int) -> bool:

@@ -344,19 +344,6 @@ class SequentialPairingAttack:
             relations[target] = 1 if outcome.decision == "neq" else 0
         return relations
 
-    def recover_relations_sprt(self, calibration_queries: int = 25
-                               ) -> np.ndarray:
-        """SPRT variant: one calibration, then single-helper tests.
-
-        The paired comparer queries a reference helper alongside every
-        test helper; Wald's SPRT instead calibrates the two failure
-        rates once (injection only vs injection + one known extra
-        error) and then tests each swapped helper alone — roughly
-        halving the query bill in the engineered regime.
-        """
-        return drive(self._sprt_relations_steps(calibration_queries),
-                     self._oracle)
-
     def _resolve_steps(self, relations: np.ndarray) -> AttackSteps:
         """Stepwise two-candidate resolution (§VI-A final decision)."""
         bits = relations.shape[0]
@@ -385,15 +372,6 @@ class SequentialPairingAttack:
             if repaired is not None:
                 return repaired
         return None
-
-    def resolve_key(self, relations: np.ndarray) -> Optional[np.ndarray]:
-        """Final decision between the two candidate keys (§VI-A).
-
-        Writes, for each candidate, ECC redundancy consistent with the
-        candidate plus the matching key-check commitment, and observes
-        which reconstruction the application accepts.
-        """
-        return drive(self._resolve_steps(relations), self._oracle)
 
     def _attack_body_steps(self, method: str) -> AttackSteps:
         """Relations plus candidate resolution, without accounting."""

@@ -71,10 +71,6 @@ class ParityUnionFind:
             return None
         return par_a ^ par_b
 
-    def same_component(self, a: int, b: int) -> bool:
-        """Whether *a* and *b* share a connected component."""
-        return self.find(a)[0] == self.find(b)[0]
-
 
 def coop_bits(key: np.ndarray,
               helper: TempAwareKeyHelper) -> np.ndarray:

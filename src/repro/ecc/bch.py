@@ -22,13 +22,18 @@ the complete pipeline:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro._dedup import unique_rows
 from repro.ecc.base import BlockCode, DecodingFailure, as_bit_matrix, as_bits
 from repro.ecc.gf2m import GF2m, poly_degree, poly_mod, poly_mul, poly_to_bits
+
+#: Most solved syndrome rows one code object remembers; the oldest
+#: entry is evicted first.  A full memo of a 255-bit, t = 8 code
+#: holds about 2.7 MiB.
+_MEMO_ROWS = 4096
 
 
 class BCHCode(BlockCode):
@@ -77,6 +82,19 @@ class BCHCode(BlockCode):
         self._full_n = full_n
         self._full_k = full_k
         self._syndrome_powers: Optional[np.ndarray] = None
+        # (max_position, syndrome bytes) -> (read-only error row, ok).
+        self._solved: Dict[Tuple[int, bytes], Tuple[np.ndarray, bool]] = {}
+
+    def __getstate__(self) -> dict:
+        # The solve memo is a per-process cache: pickles (pool workers,
+        # registries) carry the code alone and start with an empty one.
+        state = self.__dict__.copy()
+        state.pop("_solved", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._solved = {}
 
     # ------------------------------------------------------------------
     # parameters
@@ -122,11 +140,6 @@ class BCHCode(BlockCode):
         """Generator polynomial coefficients, LSB (x^0) first."""
         return poly_to_bits(self._generator,
                             poly_degree(self._generator) + 1)
-
-    @property
-    def parity_bits(self) -> int:
-        """Number of redundancy bits per block, ``n - k``."""
-        return self.n - self.k
 
     # ------------------------------------------------------------------
     # encode
@@ -237,9 +250,13 @@ class BCHCode(BlockCode):
         Duplicate syndrome rows are solved once and the result is
         scattered back (the error pattern is a function of the
         syndrome alone), so low-distinct workloads stay cheap without
-        any caller-side deduplication.  All-zero rows resolve to the
-        empty error pattern with ``ok = True``; batch callers
-        typically fast-path them anyway.
+        any caller-side deduplication.  Distinct rows this code object
+        has already solved under the same *max_position* are answered
+        from a bounded memo (``_MEMO_ROWS`` rows, oldest evicted
+        first, never pickled); only the rest reach the solve core.
+        Hits are copied out, so callers never hold memo storage.
+        All-zero rows resolve to the empty error pattern with
+        ``ok = True``; batch callers typically fast-path them anyway.
         """
         if max_position is None:
             max_position = self.n
@@ -251,9 +268,36 @@ class BCHCode(BlockCode):
             return (np.zeros((0, self.n), dtype=np.uint8),
                     np.zeros(0, dtype=bool))
         distinct, inverse = unique_rows(syn)
-        errors, ok = self._solve_distinct_syndromes(distinct,
-                                                    max_position)
+        errors, ok = self._solve_memoized(distinct, max_position)
         return errors[inverse], ok[inverse]
+
+    def _solve_memoized(self, distinct: np.ndarray, max_position: int
+                        ) -> Tuple[np.ndarray, np.ndarray]:
+        """Distinct-row solve through the per-code memo."""
+        memo = self._solved
+        keys = [(max_position, row.tobytes()) for row in distinct]
+        errors = np.zeros((len(keys), self.n), dtype=np.uint8)
+        ok = np.zeros(len(keys), dtype=bool)
+        missing = []
+        for index, key in enumerate(keys):
+            hit = memo.get(key)
+            if hit is None:
+                missing.append(index)
+            else:
+                errors[index], ok[index] = hit
+        if not missing:
+            return errors, ok
+        solved, solved_ok = self._solve_distinct_syndromes(
+            distinct[missing], max_position)
+        errors[missing] = solved
+        ok[missing] = solved_ok
+        for index, row, flag in zip(missing, solved, solved_ok):
+            entry = row.copy()
+            entry.flags.writeable = False
+            memo[keys[index]] = (entry, bool(flag))
+        while len(memo) > _MEMO_ROWS:
+            del memo[next(iter(memo))]
+        return errors, ok
 
     def _solve_distinct_syndromes(self, syn: np.ndarray,
                                   max_position: int

@@ -282,8 +282,19 @@ class CodeOffsetSketch(SecureSketch):
         §VI-C): anyone who knows (or hypothesises) the full response can
         compute a perfectly consistent helper payload for it.
         """
+        (helper,) = self.helpers_for_responses([response], seed)
+        return helper
+
+    def helpers_for_responses(self, responses: np.ndarray,
+                              seed: np.ndarray) -> List[SketchData]:
+        """:meth:`helper_for_response` for each row of *responses*.
+
+        Every helper binds its response through the same *seed*, so
+        the seed is encoded once for the whole batch.
+        """
         codeword = self._code.encode(as_bits(seed, self._code.k))
-        return SketchData(self._pad(response) ^ codeword)
+        return [SketchData(self._pad(response) ^ codeword)
+                for response in responses]
 
 
 class SyndromeSketch(SecureSketch):

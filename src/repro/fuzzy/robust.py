@@ -58,10 +58,6 @@ class RobustHelper:
         """Manipulated copy with a replaced sketch payload."""
         return replace(self, sketch=sketch)
 
-    def with_tag(self, tag: bytes) -> "RobustHelper":
-        """Manipulated copy with a replaced (forged) tag."""
-        return replace(self, tag=tag)
-
 
 def _authentication_tag(response: np.ndarray, payload: np.ndarray,
                         hash_seed: np.ndarray, out_bits: int) -> bytes:

@@ -50,23 +50,9 @@ class DistillerPairingHelper:
     sketch: SketchData
     key_check: bytes
 
-    def with_distiller(self, distiller: DistillerHelper
-                       ) -> "DistillerPairingHelper":
-        """Manipulated copy with replaced polynomial coefficients."""
-        return replace(self, distiller=distiller)
-
-    def with_masking(self, masking: MaskingHelper
-                     ) -> "DistillerPairingHelper":
-        """Manipulated copy with replaced selection indices."""
-        return replace(self, masking=masking)
-
     def with_sketch(self, sketch: SketchData) -> "DistillerPairingHelper":
         """Manipulated copy with replaced ECC redundancy."""
         return replace(self, sketch=sketch)
-
-    def with_key_check(self, key_check: bytes) -> "DistillerPairingHelper":
-        """Manipulated copy committing to a (reprogrammed) key."""
-        return replace(self, key_check=key_check)
 
 
 class DistillerPairingKeyGen(KeyGenerator):

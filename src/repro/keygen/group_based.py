@@ -54,23 +54,9 @@ class GroupBasedKeyHelper:
     sketch: SketchData
     key_check: bytes
 
-    def with_distiller(self, distiller: DistillerHelper
-                       ) -> "GroupBasedKeyHelper":
-        """Manipulated copy with replaced polynomial coefficients."""
-        return replace(self, distiller=distiller)
-
-    def with_grouping(self, grouping: GroupingHelper
-                      ) -> "GroupBasedKeyHelper":
-        """Manipulated copy with a repartitioned group map."""
-        return replace(self, grouping=grouping)
-
     def with_sketch(self, sketch: SketchData) -> "GroupBasedKeyHelper":
         """Manipulated copy with replaced ECC redundancy."""
         return replace(self, sketch=sketch)
-
-    def with_key_check(self, key_check: bytes) -> "GroupBasedKeyHelper":
-        """Manipulated copy committing to a (reprogrammed) key."""
-        return replace(self, key_check=key_check)
 
 
 def kendall_stream(residuals: np.ndarray,

@@ -73,18 +73,6 @@ class FrequencyCounter:
         return self.counts(array.measure_frequencies_batch(
             samples, temperature, voltage, rng=rng))
 
-    def measure_trajectory(self, array: ROArray, trajectory,
-                           samples: int, start: int = 0,
-                           rng: RNGLike = None) -> np.ndarray:
-        """*samples* quantised measurements along a trajectory.
-
-        Sample ``i`` is taken at the ambient the built
-        :class:`~repro.scenario.trajectory.EnvironmentTrajectory`
-        resolves for absolute query index ``start + i``.
-        """
-        return self.counts(array.measure_frequencies_trajectory(
-            trajectory, samples, start=start, rng=rng))
-
 
 def compare_counts(count_a: int, count_b: int,
                    tie_value: int = 1) -> int:

@@ -107,11 +107,6 @@ class ROArray:
         """Static random frequency offsets (Hz) — the entropy source."""
         return self._process
 
-    @property
-    def temperature_slopes(self) -> np.ndarray:
-        """Per-oscillator frequency decrease per °C (Hz/°C)."""
-        return self._slopes
-
     def index_to_xy(self, index: int) -> Tuple[int, int]:
         """Map a univariate oscillator index to ``(x, y)`` layout cells."""
         if not 0 <= index < self.n:
@@ -211,32 +206,6 @@ class ROArray:
             raise ValueError("need at least one measurement")
         return (self.true_frequencies(temperature, voltage)[None, :]
                 + self.measurement_noise(count, rng=rng))
-
-    def measure_frequencies_trajectory(self, trajectory, count: int,
-                                       start: int = 0,
-                                       rng: RNGLike = None
-                                       ) -> np.ndarray:
-        """*count* noisy measurements under an environment trajectory.
-
-        *trajectory* is a built
-        :class:`~repro.scenario.trajectory.EnvironmentTrajectory`;
-        measurement ``i`` of the returned ``(count, n)`` matrix is
-        taken at the ambient the trajectory resolves for absolute
-        query index ``start + i``, on top of any aged per-oscillator
-        offsets.  Noise consumption is identical to
-        :meth:`measure_frequencies_batch`, so trajectory and scalar
-        measurements interleave on the same stream without drift.
-        """
-        if count < 1:
-            raise ValueError("need at least one measurement")
-        indices = np.arange(int(start), int(start) + int(count))
-        env = trajectory.sample(indices)
-        base = self.true_frequencies_batch(env.temperatures,
-                                           env.voltages)
-        shift = trajectory.oscillator_shift(self.n)
-        if shift is not None:
-            base = base + shift[None, :]
-        return base + self.measurement_noise(count, rng=rng)
 
     def frequency_map(self, temperature: Optional[float] = None,
                       voltage: Optional[float] = None) -> np.ndarray:

@@ -19,6 +19,7 @@ roughness (the desired entropy source).  This module provides:
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -56,6 +57,19 @@ def design_matrix(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
         raise ValueError("x and y must have the same length")
     columns = [x ** (i - j) * y ** j for i, j in polynomial_terms(degree)]
     return np.stack(columns, axis=1)
+
+
+@functools.lru_cache(maxsize=16)
+def _layout_matrix(x: bytes, y: bytes, degree: int) -> np.ndarray:
+    """Read-only :func:`design_matrix` of float64 coordinate bytes.
+
+    A device evaluates its stored trend over one fixed layout on every
+    reconstruction, so the matrix is built once per
+    ``(x bytes, y bytes, degree)`` and reused.
+    """
+    matrix = design_matrix(np.frombuffer(x), np.frombuffer(y), degree)
+    matrix.flags.writeable = False
+    return matrix
 
 
 class Polynomial2D:
@@ -112,10 +126,13 @@ class Polynomial2D:
         """Evaluate at coordinates, preserving the broadcast shape."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if x.ndim == 1 and x.shape == y.shape:
+            return _layout_matrix(x.tobytes(), y.tobytes(),
+                                  self._degree) @ self._coeffs
         shape = np.broadcast(x, y).shape
-        flat = design_matrix(np.broadcast_to(x, shape).ravel(),
-                             np.broadcast_to(y, shape).ravel(),
-                             self._degree) @ self._coeffs
+        flat = _layout_matrix(np.broadcast_to(x, shape).tobytes(),
+                              np.broadcast_to(y, shape).tobytes(),
+                              self._degree) @ self._coeffs
         return flat.reshape(shape)
 
     def __add__(self, other: "Polynomial2D") -> "Polynomial2D":

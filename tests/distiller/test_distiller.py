@@ -11,6 +11,7 @@ from repro.distiller import (
     tilted_plane,
 )
 from repro.puf import ROArray, ROArrayParams
+from repro.puf.variation import design_matrix
 
 
 class TestHelper:
@@ -111,3 +112,34 @@ class TestReconstruction:
         by_column = residuals.reshape(4, 10)
         # higher column index -> much smaller residual, every row
         assert np.all(np.diff(by_column, axis=1) < 0)
+
+
+class TestResidualsBatch:
+    """Batch residuals through the cached trend layout stay bit-exact."""
+
+    def test_matches_uncached_formula(self):
+        array = ROArray(ROArrayParams(rows=4, cols=10), rng=3)
+        distiller = EntropyDistiller(2)
+        helper, _ = distiller.enroll(array.x, array.y,
+                                     array.true_frequencies())
+        rng = np.random.default_rng(4)
+        freqs = (array.true_frequencies()[None, :]
+                 + rng.normal(scale=1e4, size=(6, array.n)))
+        wide_x = np.repeat(array.x, 2)
+        wide_y = np.repeat(array.y, 2)
+        layouts = {
+            "contiguous": (array.x, array.y),
+            "strided": (wide_x[::2], wide_y[::2]),
+            "broadcast": (array.x, np.broadcast_to(1.0, array.x.shape)),
+        }
+        for name, (x, y) in layouts.items():
+            trend = design_matrix(np.asarray(x, dtype=float),
+                                  np.asarray(y, dtype=float),
+                                  helper.degree) @ helper.coefficients
+            expected = freqs - trend[None, :]
+            for _ in range(2):
+                observed = distiller.residuals_batch(x, y, freqs, helper)
+                assert observed.tobytes() == expected.tobytes(), name
+            for row in range(freqs.shape[0]):
+                single = distiller.residuals(x, y, freqs[row], helper)
+                assert single.tobytes() == expected[row].tobytes(), name

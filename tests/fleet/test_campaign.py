@@ -39,6 +39,7 @@ from repro.keygen import (
     TempAwareKeyGen,
 )
 from repro.puf import FIG6_PARAMS, ROArray, ROArrayParams
+from repro.service.cli import _identical
 
 # Small geometries keep the scalar reference loops cheap; the engine
 # paths exercised are identical to the full-size arrays'.
@@ -345,6 +346,35 @@ class TestFleetLockstep:
         assert (queries > 0).all()
         with pytest.raises(TypeError):
             fleet.attack_success(enrollment, factory)
+
+    def test_group_campaign_on_warm_memo(self):
+        # A second lock-step run on the same enrollment meets its own
+        # solved syndromes in each code's memo; every result field must
+        # still equal the cold run and the per-device run() reference.
+        keygen = functools.partial(GroupBasedKeyGen, distiller_degree=2,
+                                   group_threshold=120e3)
+
+        def enroll():
+            return Fleet(FIG6_PARAMS, size=3, seed=35).enroll(keygen,
+                                                              seed=10)
+
+        def attack(enrollment, lockstep):
+            return Fleet(FIG6_PARAMS, size=3, seed=35).attack_results(
+                enrollment, GroupAttackFactory(4, 10), lockstep=lockstep)
+
+        enrollment = enroll()
+        cold = attack(enrollment, True)
+        # Fused kernels run on one member's code, so at least one memo
+        # is warm.
+        codes = [sketch.code for keygen in enrollment.keygens
+                 for sketch in keygen._sketch_cache.values()]
+        assert any(code._solved for code in codes)
+        warm = attack(enrollment, True)
+        scalar = attack(enroll(), False)
+        assert _identical(warm, cold)
+        assert _identical(warm, scalar)
+        assert all(result.recovered(key, helper) for result, key, helper
+                   in zip(warm, enrollment.keys, enrollment.helpers))
 
     def test_group_attack_factory_through_fleet(self):
         fleet = Fleet(FIG6_PARAMS, size=2, seed=34)

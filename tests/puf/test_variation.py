@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.puf import variation
 from repro.puf.variation import (
     Polynomial2D,
     correlated_roughness,
@@ -108,6 +109,76 @@ class TestPolynomial2D:
         c = Polynomial2D(1, [1.0, 2.0, 4.0])
         assert a == b
         assert a != c
+
+
+def uncached(poly, x, y):
+    """The evaluation formula with a freshly built design matrix."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    shape = np.broadcast(x, y).shape
+    flat = design_matrix(np.broadcast_to(x, shape).ravel(),
+                         np.broadcast_to(y, shape).ravel(),
+                         poly.degree) @ poly.coefficients
+    return flat.reshape(shape)
+
+
+class TestLayoutCache:
+    """Evaluation through the cached design matrix is bit-exact."""
+
+    @pytest.fixture
+    def poly(self):
+        return Polynomial2D(3, np.linspace(-2.5, 3.5, n_terms(3)) * 1e3)
+
+    def coordinates(self):
+        cells = np.arange(40)
+        xs = (cells % 10).astype(float)
+        ys = (cells // 10).astype(float)
+        grid_x, grid_y = np.meshgrid(np.arange(10.0), np.arange(4.0))
+        wide = np.arange(80.0).reshape(4, 20)
+        return {
+            "contiguous": (xs, ys),
+            "strided": (np.arange(80.0)[::2], np.arange(120.0)[::3]),
+            "column-view": (wide[:, 3], wide[:, 7]),
+            "broadcast": (np.arange(10.0)[None, :],
+                          np.arange(4.0)[:, None]),
+            "meshgrid": (grid_x, grid_y),
+            "scalar": (1.5, np.arange(5.0)),
+        }
+
+    def test_evaluation_matches_uncached_formula(self, poly):
+        for name, (x, y) in self.coordinates().items():
+            for _ in range(2):  # cold, then cached
+                observed = poly(x, y)
+                expected = uncached(poly, x, y)
+                assert observed.shape == expected.shape, name
+                assert observed.tobytes() == expected.tobytes(), name
+
+    def test_cached_matrix_is_read_only(self):
+        x = np.arange(6.0).tobytes()
+        y = np.arange(6.0)[::-1].tobytes()
+        matrix = variation._layout_matrix(x, y, 2)
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+        assert variation._layout_matrix(x, y, 2) is matrix
+
+    def test_design_matrix_stays_fresh_and_writable(self, poly):
+        x = np.arange(12.0)
+        y = x % 3
+        before = poly(x, y)
+        matrix = design_matrix(x, y, poly.degree)
+        assert matrix.flags.writeable
+        matrix[:] = 0.0
+        assert design_matrix(x, y, poly.degree).any()
+        assert poly(x, y).tobytes() == before.tobytes()
+
+    def test_cache_is_bounded(self):
+        poly = tilted_plane(1.0, 2.0)
+        bound = variation._layout_matrix.cache_info().maxsize
+        for offset in range(3 * bound):
+            x = np.arange(4.0) + offset
+            assert poly(x, x).tobytes() == uncached(poly, x, x).tobytes()
+        assert variation._layout_matrix.cache_info().currsize <= bound
 
 
 class TestFactorySurfaces:
