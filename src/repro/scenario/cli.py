@@ -25,23 +25,28 @@ import argparse
 import json
 from pathlib import Path
 
-from repro.cli_options import add_checkpoint_options, detect_commit
+from repro.cli_options import (
+    add_checkpoint_options,
+    detect_commit,
+    positive_int,
+)
 from repro.scenario.conformance import (
     DEFAULT_CORPUS_DIR,
     CorpusFormatError,
-    run_conformance,
-)
-from repro.scenario.corpus import (
-    FAMILIES,
-    PERTURBATIONS,
-    SCHEMES,
-    ScenarioCase,
     build_corpus,
     expected_bands,
+    record_seconds,
+    run_conformance,
+)
+from repro.warehouse.matrix import (
+    CORPUS_PRESETS,
+    FAMILIES,
+    PERTURBATIONS,
+    corpus_cell,
     full_corpus,
     quick_corpus,
-    run_case,
 )
+from repro.warehouse.runner import run_cell
 from repro.warehouse.store import WarehouseStore
 from repro.warehouse.summary import append_entry, build_entry
 
@@ -56,8 +61,8 @@ def add_scenario_parser(sub: argparse._SubParsersAction) -> None:
 
     run = ssub.add_parser(
         "run", help="run one scenario cell and print its metrics")
-    run.add_argument("--scheme", required=True, choices=SCHEMES)
-    run.add_argument("--family", required=True, choices=FAMILIES,
+    run.add_argument("--scheme", required=True, choices=list(CORPUS_PRESETS))
+    run.add_argument("--family", required=True, choices=list(FAMILIES),
                      help="trajectory family")
     run.add_argument("--perturbation", default="base",
                      choices=sorted(PERTURBATIONS))
@@ -65,8 +70,8 @@ def add_scenario_parser(sub: argparse._SubParsersAction) -> None:
                      choices=("failure", "attack"),
                      help="failure-rate campaign or full attack")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--devices", type=int, default=2)
-    run.add_argument("--trials", type=int, default=64,
+    run.add_argument("--devices", type=positive_int, default=2)
+    run.add_argument("--trials", type=positive_int, default=64,
                      help="reconstruction attempts per device "
                           "(failure cells)")
 
@@ -112,21 +117,24 @@ def run_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    case = ScenarioCase(scheme=args.scheme, family=args.family,
-                        perturbation=args.perturbation,
-                        kind=args.kind, devices=args.devices,
-                        trials=args.trials,
-                        noise_scale=PERTURBATIONS[args.perturbation])
-    print(f"scenario run: {case.case_id} seed={args.seed} "
-          f"devices={case.devices}")
-    result = run_case(case, args.seed)
-    for name, value in sorted(result.observed.items()):
+    cell = corpus_cell(args.scheme, args.family, args.perturbation,
+                       args.kind, devices=args.devices,
+                       trials=args.trials)
+    record = run_cell(cell, cell.devices, args.seed, "", "", "run")
+    if record["status"] != "ok":
+        # e.g. an attack cell on a scheme without an attack campaign
+        print(f"scenario run: {cell.cell_id}: {record['reason']}")
+        return 2
+    print(f"scenario run: {cell.cell_id} seed={args.seed} "
+          f"devices={cell.devices}")
+    observed = record["security"]["observed"]
+    for name, value in sorted(observed.items()):
         print(f"  {name} = {value:.6g}")
-    bands = expected_bands(case, result.observed)
+    bands = expected_bands(cell, observed)
     for name, (low, high) in sorted(bands.items()):
         print(f"  band {name} = [{low:.4g}, {high:.4g}]")
-    print(f"  fingerprint {result.fingerprint} "
-          f"({result.seconds:.2f}s)")
+    print(f"  fingerprint {record['security']['outcome_fingerprint']} "
+          f"({record_seconds(record):.2f}s)")
     return 0
 
 

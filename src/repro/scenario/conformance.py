@@ -1,38 +1,39 @@
-"""Conformance checker: re-run corpus cells, assert in-band results.
+"""The scenario conformance corpus: committed pass-bands + checker.
 
-The committed corpus (``tests/conformance/corpus/*.json``) turns the
-scenario engine into an executable regression oracle: every cell
-re-runs its seeded campaign and must land inside its committed
-failure-rate / key-recovery pass-band.  Two further gates harden the
-suite:
+Following the base/variant/expected-answer regression pattern of the
+DocuSenseLM RAG question suite (SNIPPETS.md snippet 1), the corpus
+grid of warehouse matrix cells
+(:func:`repro.warehouse.matrix.full_corpus`) gets *expected
+pass-bands* (failure-rate and key-recovery envelopes) computed once
+from seeded baseline runs and committed under
+``tests/conformance/corpus/``.  Every cell runs through the
+warehouse's :func:`~repro.warehouse.runner.run_cell`; its banded
+metrics and baseline fingerprint are projections of that record.
+The checker re-runs cells and asserts they land inside their bands.
+Two further gates harden the suite:
 
 * **Reproducibility** — ``--check-reproducible`` re-runs every
   cell and requires a bitwise-identical record identity *within the
   run* (never against the committed baseline, so benign refactors
   that legitimately re-order stream consumption remain shippable;
   the committed fingerprint is informational).
-* **Warehouse wiring** — cells run on the warehouse's checkpointed
-  cell driver (:func:`repro.warehouse.runner.run_cells`) as records
-  ``scenario/<case id>``, which also feed a ``BENCH_scenarios.json``
-  summary entry, so the longitudinal trajectory tracks scenario
-  envelopes alongside the attack matrix.
+* **Warehouse wiring** — cells run on the checkpointed cell driver
+  (:func:`~repro.warehouse.runner.run_cells`) as records namespaced
+  ``scenario/<case id>`` that carry the band verdict and feed a
+  ``BENCH_scenarios.json`` summary entry, so the longitudinal
+  trajectory tracks scenario envelopes alongside the attack matrix.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.scenario.corpus import (
-    CORPUS_SCHEMA_VERSION,
-    CaseResult,
-    ScenarioCase,
-    run_case,
-)
-from repro.warehouse.runner import CellRun, measured, run_cells
+from repro.warehouse.matrix import PERTURBATIONS, MatrixCell, corpus_cell
+from repro.warehouse.runner import CellRun, Record, run_cell, run_cells
 from repro.warehouse.store import (
     SCHEMA_VERSION,
     WarehouseStore,
@@ -43,6 +44,116 @@ from repro.warehouse.store import (
 #: root.
 DEFAULT_CORPUS_DIR = "tests/conformance/corpus"
 
+#: Version of the corpus file layout; bump on any change to the case
+#: or band encoding.
+CORPUS_SCHEMA_VERSION = 1
+
+
+def case_dict(cell: MatrixCell) -> Dict[str, object]:
+    """A corpus cell's configuration as stored in a corpus file."""
+    return {"scheme": cell.scheme, "family": cell.family,
+            "perturbation": cell.perturbation, "kind": cell.attack,
+            "quick": cell.quick, "devices": cell.devices,
+            "trials": cell.trials,
+            "noise_scale": PERTURBATIONS[cell.perturbation]}
+
+
+def cell_from_dict(payload: Dict[str, object]) -> MatrixCell:
+    """Rebuild a cell from its corpus-file configuration; a payload
+    that does not round-trip (say, a noise scale that disagrees with
+    its perturbation label) is a ``ValueError``."""
+    cell = corpus_cell(**{name: value for name, value in payload.items()
+                          if name != "noise_scale"})
+    if case_dict(cell) != payload:
+        raise ValueError(f"case {payload} is not a corpus cell "
+                         f"configuration")
+    return cell
+
+
+def record_seconds(record: Record) -> float:
+    """Enrollment plus campaign wall time of a record (0 without
+    ``perf``)."""
+    perf = record["perf"] or {}
+    return perf.get("enroll_seconds", 0.0) + perf.get("attack_seconds",
+                                                      0.0)
+
+
+def expected_bands(cell: MatrixCell,
+                   observed: Dict[str, float]
+                   ) -> Dict[str, List[float]]:
+    """Pass-bands around a baseline observation.
+
+    Conformance re-runs are seed-deterministic, so the bands exist
+    to absorb *legitimate* movement — cross-platform floating-point
+    differences and benign refactors that re-order stream
+    consumption — while staying tight enough that a perturbed
+    configuration (noise scale, gap years) lands outside.  Rate
+    bands widen with the binomial standard error of the estimate;
+    query bands are fractional.
+    """
+    bands: Dict[str, List[float]] = {}
+    if cell.attack == "failure":
+        total = cell.trials * cell.devices
+        mean = observed["failure_rate_mean"]
+        margin = max(0.05, 4.0 * math.sqrt(
+            max(mean * (1.0 - mean), 1.0 / total) / total))
+        bands["failure_rate_mean"] = [max(0.0, mean - margin),
+                                      min(1.0, mean + margin)]
+        peak = observed["failure_rate_max"]
+        margin = max(0.08, 4.0 * math.sqrt(
+            max(peak * (1.0 - peak), 1.0 / cell.trials)
+            / cell.trials))
+        bands["failure_rate_max"] = [max(0.0, peak - margin),
+                                     min(1.0, peak + margin)]
+    else:
+        rate = observed["recovery_rate"]
+        margin = 0.5 / cell.devices
+        bands["recovery_rate"] = [max(0.0, rate - margin),
+                                  min(1.0, rate + margin)]
+        queries = observed["queries_mean"]
+        bands["queries_mean"] = [queries * 0.65, queries * 1.45]
+    return bands
+
+
+def build_corpus(cells: List[MatrixCell], seed: int,
+                 progress: Optional[Callable[[str], None]] = None
+                 ) -> Dict[str, Dict[str, object]]:
+    """Run baselines and assemble per-scheme corpus payloads.
+
+    Returns ``{scheme: corpus-file payload}``; each payload carries
+    the cells' configurations, expected bands and informational
+    baseline observations (including the record's outcome
+    fingerprint, which the checker uses for *same-run*
+    reproducibility only — never as a cross-commit gate, so benign
+    refactors stay shippable).
+    """
+    payloads: Dict[str, Dict[str, object]] = {}
+    for cell in cells:
+        record = run_cell(cell, cell.devices, seed, "", "", "corpus")
+        if record["status"] != "ok":
+            raise RuntimeError(f"{cell.cell_id}: {record['reason']}")
+        observed = record["security"]["observed"]
+        fingerprint = record["security"]["outcome_fingerprint"]
+        payload = payloads.setdefault(cell.scheme, {
+            "schema_version": CORPUS_SCHEMA_VERSION,
+            "seed": int(seed),
+            "scheme": cell.scheme,
+            "cases": [],
+        })
+        payload["cases"].append({
+            "case": case_dict(cell),
+            "expected": {
+                "bands": expected_bands(cell, observed),
+                "baseline": dict(observed, fingerprint=fingerprint),
+            },
+        })
+        if progress is not None:
+            shown = ", ".join(f"{name}={value:.3g}"
+                              for name, value in observed.items())
+            progress(f"  {cell.cell_id}: {shown} "
+                     f"({record_seconds(record):.2f}s)")
+    return payloads
+
 
 class CorpusFormatError(ValueError):
     """A corpus file violates the expected layout."""
@@ -52,7 +163,7 @@ class CorpusFormatError(ValueError):
 class CorpusEntry:
     """One committed cell: configuration + expected envelope."""
 
-    case: ScenarioCase
+    cell: MatrixCell
     bands: Dict[str, List[float]]
     baseline: Dict[str, object]
 
@@ -91,26 +202,33 @@ def load_corpus(directory) -> Tuple[int, List[CorpusEntry]]:
                 f"{path}: seed {file_seed} disagrees with {seed}")
         for position, item in enumerate(payload.get("cases", [])):
             try:
-                case = ScenarioCase.from_dict(item["case"])
+                cell = cell_from_dict(item["case"])
                 expected = item["expected"]
                 bands = {name: [float(low), float(high)]
                          for name, (low, high)
                          in expected["bands"].items()}
                 baseline = dict(expected["baseline"])
-            except (KeyError, TypeError, ValueError) as error:
+            except (AttributeError, KeyError, TypeError,
+                    ValueError) as error:
                 raise CorpusFormatError(
                     f"{path}: cases[{position}] malformed "
                     f"({error})") from None
-            entries.append(CorpusEntry(case, bands, baseline))
+            entries.append(CorpusEntry(cell, bands, baseline))
     return int(seed), entries
 
 
 @dataclass(frozen=True)
 class CaseCheck:
-    """Verdict of re-running one committed cell."""
+    """Verdict of re-running one committed cell.
+
+    ``record`` is the cell's warehouse record, namespaced
+    ``scenario/<case id>``; its ``status`` is the band verdict
+    (``ok``, ``out-of-band`` or the runner's ``error``).
+    """
 
     entry: CorpusEntry
-    result: CaseResult
+    record: Record
+    observed: Dict[str, float]
     violations: Tuple[str, ...]
     #: Whether the replay (if any) reproduced the record identity.
     reproducible: bool = True
@@ -126,9 +244,6 @@ class ConformanceReport:
 
     seed: int
     checks: List[CaseCheck] = field(default_factory=list)
-    #: Case ids skipped by checkpoint/resume (already recorded for
-    #: this run key in the warehouse store).
-    skipped: List[str] = field(default_factory=list)
     #: The cell driver's account of the run (records, interruption).
     run: Optional[CellRun] = None
 
@@ -146,13 +261,12 @@ class ConformanceReport:
         """Human-readable per-cell report lines."""
         out: List[str] = []
         for check in self.checks:
-            case = check.entry.case
             shown = ", ".join(f"{name}={value:.3g}"
                               for name, value
-                              in check.result.observed.items())
+                              in check.observed.items())
             status = "ok" if check.ok else "FAIL"
-            out.append(f"  {status:<5}{case.case_id}: {shown} "
-                       f"({check.result.seconds:.2f}s)")
+            out.append(f"  {status:<5}{check.entry.cell.cell_id}: "
+                       f"{shown} ({record_seconds(check.record):.2f}s)")
             for violation in check.violations:
                 out.append(f"        out-of-band: {violation}")
             if not check.reproducible:
@@ -167,16 +281,19 @@ class ConformanceReport:
             "schema_version": CORPUS_SCHEMA_VERSION,
             "seed": int(self.seed),
             "ok": bool(self.ok),
-            "skipped": list(self.skipped),
+            "skipped": [cell.split("/", 1)[1]
+                        for cell in (self.run.skipped if self.run
+                                     else [])],
             "cells": [
                 {
-                    "case": check.entry.case.to_dict(),
-                    "observed": check.result.observed,
+                    "case": case_dict(check.entry.cell),
+                    "observed": check.observed,
                     "bands": check.entry.bands,
                     "violations": list(check.violations),
-                    "fingerprint": check.result.fingerprint,
+                    "fingerprint": (check.record["security"] or {}).get(
+                        "outcome_fingerprint"),
                     "reproducible": bool(check.reproducible),
-                    "seconds": check.result.seconds,
+                    "seconds": record_seconds(check.record),
                     "ok": bool(check.ok),
                 }
                 for check in self.checks
@@ -199,11 +316,26 @@ def band_violations(entry: CorpusEntry,
     return violations
 
 
-def check_entry(entry: CorpusEntry, seed: int) -> CaseCheck:
-    """Re-run one committed cell and compare against its envelope."""
-    result = run_case(entry.case, seed)
-    return CaseCheck(entry, result,
-                     tuple(band_violations(entry, result.observed)))
+def check_entry(entry: CorpusEntry, seed: int, commit: str = "",
+                cfg: str = "", profile: str = "full") -> CaseCheck:
+    """Re-run one committed cell and check its record's band.
+
+    The record (keyed ``(commit, cfg)``) is renamed
+    ``scenario/<case id>`` and its status set to the band verdict: a
+    band miss is ``out-of-band`` with the violations as its reason; a
+    runner ``error`` stays one and counts as a violation.
+    """
+    record = run_cell(entry.cell, entry.cell.devices, seed, commit, cfg,
+                      profile)
+    record["cell"] = f"scenario/{entry.cell.cell_id}"
+    if record["status"] == "error":
+        return CaseCheck(entry, record, {}, (str(record["reason"]),))
+    observed = record["security"]["observed"]
+    violations = tuple(band_violations(entry, observed))
+    if violations:
+        record.update(status="out-of-band",
+                      reason="; ".join(violations))
+    return CaseCheck(entry, record, observed, violations)
 
 
 def run_conformance(directory, quick: bool = False,
@@ -224,23 +356,23 @@ def run_conformance(directory, quick: bool = False,
     """
     seed, entries = load_corpus(directory)
     if quick:
-        entries = [entry for entry in entries if entry.case.quick]
-    by_cell = {f"scenario/{entry.case.case_id}": entry
+        entries = [entry for entry in entries if entry.cell.quick]
+    by_cell = {f"scenario/{entry.cell.cell_id}": entry
                for entry in entries}
+    profile = "quick" if quick else "full"
     cfg = config_hash(corpus_config(
-        seed, [entry.case.case_id for entry in entries], quick))
+        seed, [entry.cell.cell_id for entry in entries], quick))
     if progress is not None:
         progress(f"scenario conformance: "
-                 f"profile={'quick' if quick else 'full'} seed={seed} "
+                 f"profile={profile} seed={seed} "
                  f"commit={commit[:12]} config={cfg} "
                  f"({len(entries)} cells)")
     checks: Dict[str, CaseCheck] = {}
 
-    def run_one(cell: str) -> Dict[str, object]:
-        with measured() as perf:
-            check = check_entry(by_cell[cell], seed)
+    def run_one(cell: str) -> Record:
+        check = check_entry(by_cell[cell], seed, commit, cfg, profile)
         checks.setdefault(cell, check)
-        return case_record(check, seed, commit, cfg, perf)
+        return check.record
 
     def on_record(record: Dict[str, object],
                   reproducible: bool) -> None:
@@ -254,13 +386,7 @@ def run_conformance(directory, quick: bool = False,
                     resume=resume, stop_after=stop_after,
                     check_reproducible=check_reproducible,
                     on_record=on_record, log=progress)
-    return ConformanceReport(seed, list(checks.values()),
-                             [cell.split("/", 1)[1]
-                              for cell in run.skipped], run)
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return ConformanceReport(seed, list(checks.values()), run)
 
 
 def corpus_config(seed: int, case_ids: Sequence[str],
@@ -278,50 +404,4 @@ def corpus_config(seed: int, case_ids: Sequence[str],
         "profile": "quick" if quick else "full",
         "seed": int(seed),
         "cells": list(case_ids),
-    }
-
-
-def case_record(check: CaseCheck, seed: int, commit: str,
-                cfg: str, perf: Dict[str, float]) -> Dict[str, object]:
-    """One case verdict as a warehouse store record.
-
-    Cells are namespaced ``scenario/<case id>`` so they live beside
-    the attack-matrix cells without colliding; the security layer
-    reuses the summary vocabulary (``recovery_rate`` is the
-    key-regeneration success rate for failure cells) so the
-    longitudinal trajectory renders scenario envelopes unchanged.
-    *perf* is the :func:`~repro.warehouse.runner.measured` timing and
-    kernel work of the check.  ``status`` is the band verdict;
-    reproducibility is the driver's verdict on the record itself.
-    """
-    case = check.entry.case
-    observed = check.result.observed
-    if case.kind == "failure":
-        recovery = 1.0 - float(observed["failure_rate_mean"])
-        queries_mean = float(case.trials)
-    else:
-        recovery = float(observed["recovery_rate"])
-        queries_mean = float(observed["queries_mean"])
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "commit": str(commit),
-        "config_hash": str(cfg),
-        "cell": f"scenario/{case.case_id}",
-        "scheme": case.scheme,
-        "attack": case.kind,
-        "countermeasure": "none",
-        "variant": case.family,
-        "status": "out-of-band" if check.violations else "ok",
-        "reason": "; ".join(check.violations),
-        "engine": "trajectory",
-        "config": dict(case.to_dict(), seed=int(seed)),
-        "security": {
-            "devices": int(case.devices),
-            "recovery_rate": recovery,
-            "queries_mean": queries_mean,
-            "observed": dict(observed),
-            "outcome_fingerprint": check.result.fingerprint,
-        },
-        "perf": perf,
-        "meta": {"created": _timestamp()},
     }

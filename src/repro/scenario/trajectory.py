@@ -353,3 +353,16 @@ class TrajectorySpec:
         for term in self.terms:
             parts.append(type(term).__name__)
         return "+".join(parts) if parts else "constant-nominal"
+
+
+#: The named trajectory families of the scenario corpus: each builds
+#: its terms for a cell whose ramp spans *queries* reconstructions.
+FAMILIES = {
+    "constant": lambda queries: (),
+    "ramp": lambda queries: (
+        TemperatureRamp(0.0, 40.0, queries=max(queries, 2)),),
+    "cycle": lambda queries: (
+        TemperatureCycle(amplitude=15.0, period=48.0),),
+    "vnoise": lambda queries: (VoltageNoise(sigma=0.04),),
+    "aging": lambda queries: (AgingDrift(years=5.0, drift_sigma=40e3),),
+}

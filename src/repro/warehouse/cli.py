@@ -109,7 +109,7 @@ def add_warehouse_parser(sub: argparse._SubParsersAction) -> None:
     verify.add_argument("--seed", type=int, default=0,
                         help="seed of the run to check "
                              "(--matrix key)")
-    verify.add_argument("--devices", type=int, default=None,
+    verify.add_argument("--devices", type=positive_int, default=None,
                         help="fleet size of the run to check "
                              "(--matrix key; default 2 quick / "
                              "4 full)")
@@ -155,18 +155,23 @@ def run_warehouse(args: argparse.Namespace) -> int:
     return handler(args)
 
 
+def _matrix_key(args: argparse.Namespace, quick: bool):
+    """The selected cells, fleet size and config hash of a run."""
+    cells = select_cells(quick_matrix() if quick else full_matrix(),
+                         args.cells)
+    devices = args.devices if args.devices is not None \
+        else (2 if quick else 4)
+    return cells, devices, config_hash(matrix_config(
+        cells, "quick" if quick else "full", args.seed, devices))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     profile = "quick" if args.quick else "full"
-    cells = select_cells(quick_matrix() if args.quick
-                         else full_matrix(), args.cells)
+    cells, devices, cfg = _matrix_key(args, args.quick)
     if not cells:
         print(f"warehouse run: no cells match {args.cells!r}")
         return 2
-    devices = args.devices if args.devices is not None \
-        else (2 if args.quick else 4)
     commit = detect_commit(args.commit)
-    cfg = config_hash(matrix_config(cells, profile, args.seed,
-                                    devices))
     store = WarehouseStore(args.store)
     print(f"warehouse run: profile={profile} seed={args.seed} "
           f"devices={devices} commit={commit[:12]} config={cfg} "
@@ -237,14 +242,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
               f"records")
         return 1
     if args.matrix is not None:
-        quick = args.matrix == "quick"
-        cells = select_cells(quick_matrix() if quick
-                             else full_matrix(), args.cells)
-        devices = args.devices if args.devices is not None \
-            else (2 if quick else 4)
+        cells, _, cfg = _matrix_key(args, args.matrix == "quick")
         commit = detect_commit(args.commit)
-        cfg = config_hash(matrix_config(
-            cells, "quick" if quick else "full", args.seed, devices))
         counts = store.recorded_cells(commit, cfg)
         missing = [cell.cell_id for cell in cells
                    if cell.cell_id not in counts]

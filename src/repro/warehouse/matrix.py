@@ -13,14 +13,21 @@ construction and a diff can never silently lose coverage.
 Runnable cells pin the paper geometry they reproduce (Fig. 6's 4×10
 array for the group/distiller constructions, 8×16 for the pairing
 families), and a ``quick`` flag marks the reduced matrix the CI smoke
-job runs.
+job runs.  The scenario conformance corpus (:func:`full_corpus`) is a
+second grid of the same :class:`MatrixCell` type, run by the same
+:func:`repro.warehouse.runner.run_cell`; its committed pass-bands
+live in :mod:`repro.scenario.conformance`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
+
+from repro import schemes
+from repro.puf import ROArrayParams
+from repro.scenario.trajectory import FAMILIES, TrajectorySpec
 
 #: The five keygen schemes (axis order is the matrix iteration order).
 SCHEMES = ("sequential", "temp-aware", "group-based", "distiller",
@@ -55,14 +62,20 @@ _REASON_RECON_ONLY = ("the reconstruction-timing baseline quantifies "
 
 @dataclass(frozen=True)
 class MatrixCell:
-    """One cell of the attack × scheme × countermeasure matrix.
+    """One cell of a warehouse grid: the attack matrix or the corpus.
 
-    ``runnable`` cells carry the experiment geometry; inapplicable
-    cells carry the ``reason`` they produce ``n/a`` records instead.
+    ``runnable`` cells carry their device model (``params``) and the
+    :mod:`repro.schemes` ``preset`` they enroll; inapplicable cells
+    carry the ``reason`` they produce ``n/a`` records instead.
     ``variant`` disambiguates scheme sub-configurations (the two
     distiller pairing modes, the ML-decoded sequential code) and is
-    part of the cell identifier.  ``preset`` names the
-    :mod:`repro.schemes` preset a runnable cell enrolls.
+    part of the cell identifier.
+
+    A cell with a trajectory ``family`` is a corpus cell
+    (:func:`full_corpus`): ``attack`` is its kind
+    (``failure`` or ``attack``), ``perturbation`` labels its noise
+    and ``devices`` is its fleet size.  Failure-kind cells run
+    ``trials`` reconstructions per device (a ramp spans ``trials``).
     """
 
     scheme: str
@@ -72,22 +85,30 @@ class MatrixCell:
     runnable: bool = False
     reason: str = ""
     quick: bool = False
-    rows: int = 0
-    cols: int = 0
-    temp_slope_sigma: float = 0.0
+    params: Optional[ROArrayParams] = None
     preset: str = ""
+    family: Optional[str] = None
+    perturbation: str = ""
+    trials: int = 0
+    devices: int = 0
 
     @property
     def cell_id(self) -> str:
-        """Stable identifier: ``scheme[variant]/attack/cm``."""
+        """Stable identifier: ``scheme[variant]/attack/cm``, or
+        ``kind/scheme/family/perturbation`` for corpus cells."""
+        if self.family is not None:
+            return (f"{self.attack}/{self.scheme}/{self.family}/"
+                    f"{self.perturbation}")
         return (f"{_label(self.scheme, self.variant)}/{self.attack}/"
                 f"{self.countermeasure}")
+
+    def _digest(self) -> bytes:
+        return hashlib.sha256(self.cell_id.encode("ascii")).digest()
 
     def seed_material(self, seed: int) -> List[int]:
         """Entropy for this cell's RNG root, stable across registry
         growth (derived from the cell identifier, not its position)."""
-        digest = hashlib.sha256(self.cell_id.encode("ascii")).digest()
-        return [int(seed), int.from_bytes(digest[:8], "little")]
+        return [int(seed), int.from_bytes(self._digest()[:8], "little")]
 
     def population_seed(self, seed: int) -> int:
         """:meth:`seed_material` packed into one integer seed.
@@ -101,69 +122,70 @@ class MatrixCell:
         seed, digest = self.seed_material(seed)
         return seed | digest << 32 * max(1, -(-seed.bit_length() // 32))
 
+    def trajectory(self) -> Optional[TrajectorySpec]:
+        """The cell's environment trajectory: ``None`` without a
+        family, else the family's terms (:data:`FAMILIES`; ``constant``
+        has none) seeded from id-digest bytes 8-16."""
+        if self.family is None:
+            return None
+        return TrajectorySpec(terms=FAMILIES[self.family](self.trials),
+                              seed=int.from_bytes(self._digest()[8:16],
+                                                  "little"))
+
 
 def _label(scheme: str, variant: str) -> str:
     return f"{scheme}[{variant}]" if variant else scheme
 
 
+#: Device models of the runnable cells: the device-default noise at
+#: the paper geometries, with a wider slope spread for temp-aware.
+_PAIRING = ROArrayParams(rows=8, cols=16)
+_GROUP = ROArrayParams(rows=4, cols=10)
+_TEMP = ROArrayParams(rows=8, cols=16, temp_slope_sigma=8e3)
+
+
 def _runnable(scheme: str, attack: str, countermeasure: str,
-              variant: str, quick: bool, rows: int, cols: int,
-              temp_slope_sigma: float = 0.0,
-              preset: str = "") -> MatrixCell:
+              variant: str, quick: bool, params: ROArrayParams,
+              preset: str = "", trials: int = 0) -> MatrixCell:
     """A runnable cell; its preset defaults to ``scheme[variant]``."""
     return MatrixCell(scheme, attack, countermeasure, variant,
-                      runnable=True, quick=quick, rows=rows,
-                      cols=cols, temp_slope_sigma=temp_slope_sigma,
-                      preset=preset or _label(scheme, variant))
+                      runnable=True, quick=quick, params=params,
+                      preset=preset or _label(scheme, variant),
+                      trials=trials)
 
 
-#: Runnable cells, keyed by (scheme, attack, countermeasure).  A value
-#: is a tuple because one coordinate may expand into several variant
-#: cells (the two distiller pairing modes).
-_RUNNABLE: Dict[Tuple[str, str, str], Tuple[MatrixCell, ...]] = {
-    ("sequential", "sequential", "baseline"): (
-        _runnable("sequential", "sequential", "baseline", "", True,
-                  8, 16),),
+#: Runnable cells.  Several may share one (scheme, attack,
+#: countermeasure) coordinate (the two distiller pairing modes); they
+#: keep this order within it.
+_RUNNABLE: Tuple[MatrixCell, ...] = (
+    _runnable("sequential", "sequential", "baseline", "", True, _PAIRING),
     # Pair disjointness is the only device-side check the scheme
     # admits and the swap channel survives it — the paper's point.
     # Running the cell documents the survival in the warehouse.
-    ("sequential", "sequential", "hardened"): (
-        _runnable("sequential", "sequential", "hardened", "", False,
-                  8, 16),),
-    ("sequential", "sprt", "baseline"): (
-        _runnable("sequential", "sprt", "baseline", "", True, 8, 16),),
-    ("sequential", "ml", "baseline"): (
-        _runnable("sequential", "ml", "baseline", "rm5", False,
-                  8, 16),),
-    ("group-based", "group", "baseline"): (
-        _runnable("group-based", "group", "baseline", "", True,
-                  4, 10),),
-    ("group-based", "group", "hardened"): (
-        _runnable("group-based", "group", "hardened", "", True,
-                  4, 10, preset="group-based-hardened"),),
-    ("temp-aware", "temp-aware", "baseline"): (
-        _runnable("temp-aware", "temp-aware", "baseline", "", True,
-                  8, 16, temp_slope_sigma=8e3),),
-    ("temp-aware", "temp-aware", "hardened"): (
-        _runnable("temp-aware", "temp-aware", "hardened", "", False,
-                  8, 16, temp_slope_sigma=8e3,
-                  preset="temp-aware-hardened"),),
-    ("distiller", "distiller", "baseline"): (
-        _runnable("distiller", "distiller", "baseline", "masking",
-                  True, 4, 10),
-        _runnable("distiller", "distiller", "baseline",
-                  "neighbor-overlap", False, 4, 10),),
+    _runnable("sequential", "sequential", "hardened", "", False,
+              _PAIRING),
+    _runnable("sequential", "sprt", "baseline", "", True, _PAIRING),
+    _runnable("sequential", "ml", "baseline", "rm5", False, _PAIRING),
+    _runnable("group-based", "group", "baseline", "", True, _GROUP),
+    _runnable("group-based", "group", "hardened", "", True, _GROUP,
+              preset="group-based-hardened"),
+    _runnable("temp-aware", "temp-aware", "baseline", "", True, _TEMP),
+    _runnable("temp-aware", "temp-aware", "hardened", "", False, _TEMP,
+              preset="temp-aware-hardened"),
+    _runnable("distiller", "distiller", "baseline", "masking", True,
+              _GROUP),
+    _runnable("distiller", "distiller", "baseline", "neighbor-overlap",
+              False, _GROUP),
     # The §VII-C comparison point: the fuzzy extractor removes the
     # manipulation channel but pays in reconstruction cost.  These
-    # cells time the reconstruction sweep at the paper's two
+    # cells time 64 reconstructions per device at the paper's two
     # geometries so the warehouse carries the trade-off, not just
     # the n/a records.
-    ("fuzzy-extractor", "reconstruction", "baseline"): (
-        _runnable("fuzzy-extractor", "reconstruction", "baseline",
-                  "4x10", False, 4, 10),
-        _runnable("fuzzy-extractor", "reconstruction", "baseline",
-                  "8x16", False, 8, 16),),
-}
+    _runnable("fuzzy-extractor", "reconstruction", "baseline", "4x10",
+              False, _GROUP, trials=64),
+    _runnable("fuzzy-extractor", "reconstruction", "baseline", "8x16",
+              False, _PAIRING, trials=64),
+)
 
 
 def _na_reason(scheme: str, attack: str, countermeasure: str) -> str:
@@ -197,12 +219,11 @@ def full_matrix() -> List[MatrixCell]:
         for attack in ATTACKS:
             for countermeasure in COUNTERMEASURES:
                 coordinate = (scheme, attack, countermeasure)
-                if coordinate in _RUNNABLE:
-                    cells.extend(_RUNNABLE[coordinate])
-                else:
-                    cells.append(MatrixCell(
-                        scheme, attack, countermeasure,
-                        reason=_na_reason(*coordinate)))
+                runnable = [cell for cell in _RUNNABLE
+                            if (cell.scheme, cell.attack,
+                                cell.countermeasure) == coordinate]
+                cells.extend(runnable or [MatrixCell(
+                    *coordinate, reason=_na_reason(*coordinate))])
     return cells
 
 
@@ -234,3 +255,80 @@ def select_cells(cells: List[MatrixCell],
 
     return [cell for cell in cells
             if fnmatchcase(cell.cell_id, pattern)]
+
+
+#: Scenario-corpus scheme label -> :mod:`repro.schemes` preset.  Small
+#: arrays keep every cell fast enough for the CI smoke slice; the
+#: presets' sigmas keep baseline failure rates near (but mostly off)
+#: zero while the ``noise_scale=4`` tamper probe saturates well
+#: outside every band.  The distiller cells run neighbor-disjoint
+#: pairing: the masked construction never fails at any plausible
+#: noise level, which would blind the tamper probe.
+CORPUS_PRESETS: Dict[str, str] = {
+    "sequential": "sequential",
+    "sequential-hardened": "sequential-hardened",
+    "temp-aware": "temp-aware",
+    "temp-aware-hardened": "temp-aware-hardened",
+    "group-based": "group-based[250k]",
+    "distiller": "distiller[neighbor-disjoint]",
+    "fuzzy": "fuzzy-extractor[4x10]",
+}
+
+#: Noise perturbation applied to the device model, by label.
+PERTURBATIONS: Dict[str, float] = {"base": 1.0, "noisy": 1.5}
+
+
+def corpus_cell(scheme: str, family: str, perturbation: str = "base",
+                kind: str = "failure", quick: bool = False,
+                devices: int = 2, trials: int = 64) -> MatrixCell:
+    """One scenario-corpus case as a runnable cell.
+
+    The device model is the preset's geometry with its sigma scaled
+    by the perturbation's noise scale (:data:`PERTURBATIONS`).
+    """
+    chosen = schemes.preset(CORPUS_PRESETS[scheme])
+    sigma = chosen.sigma_noise * PERTURBATIONS[perturbation]
+    return MatrixCell(scheme, kind, "none", runnable=True, quick=quick,
+                      params=chosen.array_params(sigma_noise=sigma),
+                      preset=chosen.name, family=family,
+                      perturbation=perturbation, trials=trials,
+                      devices=devices)
+
+
+def full_corpus() -> List[MatrixCell]:
+    """The complete scenario conformance grid, in stable order.
+
+    Failure cells cover scheme × family × perturbation; the quick
+    slice (CI smoke) takes every scheme's constant/base cell, every
+    family on the sequential scheme, and one attack campaign.
+    """
+    cells = [corpus_cell(scheme, family, label, "failure",
+                         quick=(label == "base"
+                                and (family == "constant"
+                                     or scheme == "sequential")))
+             for scheme in CORPUS_PRESETS for family in FAMILIES
+             for label in PERTURBATIONS]
+    cells.append(corpus_cell("sequential", "constant", kind="attack",
+                             quick=True))
+    cells.append(corpus_cell("sequential", "vnoise", kind="attack"))
+    cells.append(corpus_cell("group-based", "constant", kind="attack"))
+    cells.append(corpus_cell("group-based", "ramp", kind="attack"))
+    return cells
+
+
+def quick_corpus() -> List[MatrixCell]:
+    """The CI smoke slice of :func:`full_corpus`."""
+    return [cell for cell in full_corpus() if cell.quick]
+
+
+def perturbed_variant(cell: MatrixCell,
+                      noise_scale: float = 4.0) -> MatrixCell:
+    """A deliberately out-of-band variant of corpus *cell*.
+
+    Used by the conformance self-test: scaling the measurement noise
+    this far moves the failure-rate envelope of every scheme outside
+    its committed band, so the checker must flag it.
+    """
+    sigma = schemes.preset(cell.preset).sigma_noise * noise_scale
+    return replace(cell, perturbation="tampered",
+                   params=replace(cell.params, sigma_noise=sigma))

@@ -1,14 +1,15 @@
 """Execute matrix cells at fleet scale and produce warehouse records.
 
-Each runnable cell manufactures a seeded device fleet, enrolls its
-scheme, and drives its attack family across the whole population
-through the lock-step/fused campaign scheduler, then condenses the
-outcome into one record:
-per-device key-recovery mask and query bills, a comparer-decisions
-fingerprint, an enrollment fingerprint through the specified storage
-format, and wall/kernel timings.  :func:`run_cells` is the
-checkpointed cell driver that ``warehouse run`` and ``scenario
-conformance`` share.
+:func:`run_cell` is the one cell body of the attack matrix and the
+scenario corpus: each runnable cell manufactures a seeded device
+fleet, enrolls its scheme, and drives its attack family (or, for a
+failure-kind cell, a key-regeneration sweep) across the whole
+population — under the cell's environment trajectory, if it has one
+— then condenses the outcome into one record: per-device
+key-recovery mask and query bills, a comparer-decisions fingerprint,
+an enrollment fingerprint through the specified storage format, and
+wall/kernel timings.  :func:`run_cells` is the checkpointed cell
+driver that ``warehouse run`` and ``scenario conformance`` share.
 
 Determinism contract: the record *identity* (everything except the
 ``perf``/``meta`` layers) is a pure function of ``(cell, seed,
@@ -32,7 +33,6 @@ import numpy as np
 from repro._rng import spawn
 from repro.ecc.kernel import kernel_stats
 from repro.fleet import Fleet
-from repro.puf import ROArrayParams
 from repro.schemes import ATTACKS, preset
 from repro.warehouse.matrix import MatrixCell
 from repro.warehouse.store import (
@@ -50,7 +50,12 @@ from repro.warehouse.store import (
 Record = Dict[str, object]
 
 
-#: Matrix attack-axis label -> :data:`repro.schemes.ATTACKS` family.
+#: Attack-axis labels of the cells that sweep key regeneration instead
+#: of attacking: the §VII-C timing cells and the corpus failure cells.
+_FAILURE_KINDS = ("reconstruction", "failure")
+
+#: Matrix attack-axis label -> :data:`repro.schemes.ATTACKS` family; a
+#: corpus ``attack`` cell runs its preset's default family.
 _FAMILIES = {"sequential": "paired", "ml": "paired", "sprt": "sprt",
              "group": "group", "distiller": "distiller",
              "temp-aware": "temp-aware"}
@@ -130,8 +135,9 @@ def run_cell(cell: MatrixCell, devices: int, seed: int, commit: str,
              registry_dir: Optional[str] = None) -> Dict[str, object]:
     """Execute one cell and return its warehouse record.
 
-    *workers* / *supervision* thread through to the attack campaign
-    (:meth:`repro.fleet.fleet.Fleet.attack_results`); both leave the
+    *workers* / *supervision* thread through to the campaign
+    (:meth:`repro.fleet.fleet.Fleet.attack_results` /
+    :meth:`~repro.fleet.fleet.Fleet.failure_rates`); both leave the
     record identity bitwise-unchanged — the fleet engines guarantee
     worker-count invariance and fault-retry equivalence.
     *registry_dir* (if given) persists each cell's enrollment in a
@@ -140,6 +146,7 @@ def run_cell(cell: MatrixCell, devices: int, seed: int, commit: str,
     enrollment stream is spawned independently of the sweep streams,
     reuse leaves record identity bitwise-unchanged too.
     """
+    params = cell.params
     record: Dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
         "commit": str(commit),
@@ -150,7 +157,8 @@ def run_cell(cell: MatrixCell, devices: int, seed: int, commit: str,
         "countermeasure": cell.countermeasure,
         "variant": cell.variant,
         "config": {"seed": int(seed), "devices": int(devices),
-                   "rows": cell.rows, "cols": cell.cols,
+                   "rows": params.rows if params else 0,
+                   "cols": params.cols if params else 0,
                    "profile": profile},
         "meta": {"created": _timestamp()},
     }
@@ -171,10 +179,6 @@ def run_cell(cell: MatrixCell, devices: int, seed: int, commit: str,
     return record
 
 
-#: Reconstruction attempts per device for the §VII-C timing cells.
-RECONSTRUCTION_TRIALS = 64
-
-
 def _cell_enrollment(cell: MatrixCell, fleet: Fleet, enroll_rng,
                      devices: int, population_seed: int,
                      registry_dir: Optional[str]):
@@ -188,7 +192,8 @@ def _cell_enrollment(cell: MatrixCell, fleet: Fleet, enroll_rng,
     *population_seed* (:meth:`MatrixCell.population_seed`), so
     ``repro service sweep --registry`` rebuilds the same population.
     """
-    factory = preset(cell.preset).keygen_factory(cell.rows, cell.cols)
+    factory = preset(cell.preset).keygen_factory(cell.params.rows,
+                                                 cell.params.cols)
     if registry_dir is None:
         start = time.perf_counter()
         enrollment = fleet.enroll(factory, seed=enroll_rng)
@@ -227,48 +232,46 @@ def _run_runnable(cell: MatrixCell, devices: int, seed: int,
     """The fleet-scale body of :func:`run_cell` for runnable cells."""
     population_seed = cell.population_seed(seed)
     manufacture_rng, enroll_rng = spawn(population_seed, 2)
-    if cell.temp_slope_sigma > 0:
-        params = ROArrayParams(rows=cell.rows, cols=cell.cols,
-                               temp_slope_sigma=cell.temp_slope_sigma)
-    else:
-        params = ROArrayParams(rows=cell.rows, cols=cell.cols)
-    fleet = Fleet(params, size=devices, seed=manufacture_rng)
-
+    fleet = Fleet(cell.params, size=devices, seed=manufacture_rng)
     enrollment, enroll_seconds = _cell_enrollment(
         cell, fleet, enroll_rng, devices, population_seed, registry_dir)
+    trajectory = cell.trajectory()
 
-    if cell.attack == "reconstruction":
-        # §VII-C: no attack.  The cell times the key-regeneration
-        # sweep the fuzzy extractor trades its attack surface for, and
-        # records per-device reconstruction success through the same
-        # security/perf layers (``queries`` counts noisy readouts
-        # consumed, one per trial).
+    if cell.attack in _FAILURE_KINDS:
+        # No attack: the cell sweeps key regeneration (the §VII-C
+        # timing cells time it) and records per-device reconstruction
+        # success through the same security/perf layers (``queries``
+        # counts noisy readouts consumed, one per trial).
         with measured() as perf:
             rates = fleet.failure_rates(
-                enrollment, RECONSTRUCTION_TRIALS, workers=workers,
-                supervision=supervision)
+                enrollment, cell.trials, workers=workers,
+                trajectory=trajectory, supervision=supervision)
         payloads = [{"recovered": bool(rate == 0.0),
-                     "queries": int(RECONSTRUCTION_TRIALS),
+                     "queries": int(cell.trials),
                      "failure_rate": float(rate)} for rate in rates]
-        return _cell_body("reconstruction-sweep", payloads,
-                          [[] for _ in payloads], enrollment,
+        return _cell_body(cell, "reconstruction-sweep", payloads,
+                          enrollment,
                           dict(perf, enroll_seconds=enroll_seconds))
 
-    family = ATTACKS[_FAMILIES[cell.attack]]
+    if cell.attack in _FAMILIES:
+        factory = ATTACKS[_FAMILIES[cell.attack]].factory(
+            cell.params.rows, cell.params.cols)
+    else:
+        factory = preset(cell.preset).attack_factory(
+            cell.params.rows, cell.params.cols)
     with measured() as perf:
         results = fleet.attack_results(
-            enrollment, family.factory(cell.rows, cell.cols),
+            enrollment, factory, trajectory=trajectory,
             workers=workers, supervision=supervision)
     payloads = [_device_payload(result, result.recovered(key, helper))
                 for result, key, helper in zip(
                     results, enrollment.keys, enrollment.helpers)]
-    return _cell_body("lockstep-fused", payloads,
-                      [p["decisions"] for p in payloads], enrollment,
+    return _cell_body(cell, "lockstep-fused", payloads, enrollment,
                       dict(perf, enroll_seconds=enroll_seconds))
 
 
-def _cell_body(engine: str, payloads: List[Dict[str, object]],
-               decisions: list, enrollment,
+def _cell_body(cell: MatrixCell, engine: str,
+               payloads: List[Dict[str, object]], enrollment,
                perf: Dict[str, float]) -> Dict[str, object]:
     """A runnable record's engine/security/perf layers."""
     devices = len(payloads)
@@ -282,11 +285,34 @@ def _cell_body(engine: str, payloads: List[Dict[str, object]],
         "queries": queries,
         "queries_total": int(sum(queries)),
         "queries_mean": sum(queries) / devices,
-        "decisions_fingerprint": sha256_hex(decisions),
+        "decisions_fingerprint": sha256_hex(
+            [p.get("decisions", []) for p in payloads]),
         "outcome_fingerprint": sha256_hex(payloads),
         "enrollment_fingerprint": enrollment_fingerprint(
             enrollment.helpers, enrollment.keys),
     }
+    if cell.family is not None:
+        # A corpus cell records the metrics its committed bands check,
+        # and its outcome is the identity its committed baseline
+        # fingerprints: the cell id, the enrollment and the per-device
+        # failure counts (or recovery mask and bills).
+        identity = {"case": cell.cell_id,
+                    "enrollment_fingerprint":
+                        security["enrollment_fingerprint"]}
+        if cell.attack in _FAILURE_KINDS:
+            rates = [p["failure_rate"] for p in payloads]
+            identity["failures"] = [int(round(rate * cell.trials))
+                                    for rate in rates]
+            security["observed"] = {
+                "failure_rate_mean": float(np.mean(rates)),
+                "failure_rate_max": float(np.max(rates))}
+        else:
+            identity.update(recovered_mask=security["recovered_mask"],
+                            queries=queries)
+            security["observed"] = {
+                "recovery_rate": security["recovery_rate"],
+                "queries_mean": security["queries_mean"]}
+        security["outcome_fingerprint"] = sha256_hex(identity)
     return {"engine": engine, "security": security, "perf": perf}
 
 

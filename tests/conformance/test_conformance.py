@@ -10,26 +10,22 @@ Acceptance gates of the scenario-engine PR:
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.scenario.conformance import (
-    CaseCheck,
+    CORPUS_SCHEMA_VERSION,
     ConformanceReport,
     CorpusFormatError,
-    band_violations,
+    build_corpus,
+    check_entry,
     load_corpus,
     run_conformance,
 )
-from repro.scenario.corpus import (
-    CORPUS_SCHEMA_VERSION,
-    build_corpus,
-    perturbed_variant,
-    quick_corpus,
-    run_case,
-)
-from repro.warehouse.store import WarehouseStore
+from repro.warehouse.matrix import perturbed_variant, quick_corpus
+from repro.warehouse.store import WarehouseStore, record_identity
 from repro.warehouse.summary import build_entry
 from repro.warehouse.trajectory import build_report
 
@@ -45,17 +41,17 @@ class TestCommittedCorpus:
     def test_loads_with_expected_shape(self, corpus):
         seed, entries = corpus
         assert seed == 0
-        identifiers = {entry.case.case_id for entry in entries}
+        identifiers = {entry.cell.cell_id for entry in entries}
         assert len(identifiers) == len(entries) == 74
-        quick = [entry for entry in entries if entry.case.quick]
+        quick = [entry for entry in entries if entry.cell.quick]
         assert len(quick) == 12
-        kinds = {entry.case.kind for entry in entries}
+        kinds = {entry.cell.attack for entry in entries}
         assert kinds == {"failure", "attack"}
 
     def test_every_entry_carries_bands_and_baseline(self, corpus):
         _, entries = corpus
         for entry in entries:
-            assert entry.bands, entry.case.case_id
+            assert entry.bands, entry.cell.cell_id
             assert "fingerprint" in entry.baseline
             for low, high in entry.bands.values():
                 assert low <= high
@@ -85,16 +81,20 @@ class TestTamperDetection:
                                                 case_id):
         seed, entries = corpus
         entry = next(e for e in entries
-                     if e.case.case_id == case_id)
-        tampered = perturbed_variant(entry.case)
-        result = run_case(tampered, seed)
-        assert band_violations(entry, result.observed)
+                     if e.cell.cell_id == case_id)
+        tampered = replace(entry, cell=perturbed_variant(entry.cell))
+        check = check_entry(tampered, seed)
+        # The tampered cell must run to the end and miss its band; a
+        # runner error is a different failure and does not count.
+        assert check.record["status"] == "out-of-band", \
+            check.record["reason"]
+        assert check.observed
+        assert check.violations
 
     def test_unperturbed_rerun_stays_in_band(self, corpus):
         seed, entries = corpus
-        entry = next(e for e in entries if e.case.quick)
-        result = run_case(entry.case, seed)
-        assert not band_violations(entry, result.observed)
+        entry = next(e for e in entries if e.cell.quick)
+        assert not check_entry(entry, seed).violations
 
 
 class TestReproducibility:
@@ -102,28 +102,28 @@ class TestReproducibility:
         seed, entries = corpus
         report = run_conformance(CORPUS_DIR, quick=True,
                                  check_reproducible=True)
-        checks = {check.entry.case.case_id: check
+        checks = {check.entry.cell.cell_id: check
                   for check in report.checks}
         for entry in entries:
-            if not entry.case.quick:
+            if not entry.cell.quick:
                 continue
-            check = checks[entry.case.case_id]
-            assert check.reproducible, entry.case.case_id
-            assert check.ok, entry.case.case_id
+            check = checks[entry.cell.cell_id]
+            assert check.reproducible, entry.cell.cell_id
+            assert check.ok, entry.cell.cell_id
 
     def test_identity_excludes_timing(self, corpus):
         seed, entries = corpus
-        entry = next(e for e in entries if e.case.quick)
-        first = run_case(entry.case, seed)
-        second = run_case(entry.case, seed)
-        assert first.fingerprint == second.fingerprint
-        assert first.identity == second.identity
+        entry = next(e for e in entries if e.cell.quick)
+        first = check_entry(entry, seed).record
+        second = check_entry(entry, seed).record
+        assert (first["security"]["outcome_fingerprint"]
+                == second["security"]["outcome_fingerprint"])
+        assert record_identity(first) == record_identity(second)
 
     def test_drifted_fingerprint_flags_check(self, corpus):
         seed, entries = corpus
-        entry = next(e for e in entries if e.case.quick)
-        result = run_case(entry.case, seed)
-        drifted = CaseCheck(entry, result, (), reproducible=False)
+        entry = next(e for e in entries if e.cell.quick)
+        drifted = replace(check_entry(entry, seed), reproducible=False)
         assert not drifted.reproducible
         assert not drifted.ok
 
@@ -132,7 +132,7 @@ class TestCorpusGeneration:
     def test_generation_matches_committed_files(self, corpus):
         """Regenerating the quick slice reproduces committed bands."""
         seed, entries = corpus
-        committed = {entry.case.case_id: entry for entry in entries}
+        committed = {entry.cell.cell_id: entry for entry in entries}
         payloads = build_corpus(quick_corpus(), seed)
         for payload in payloads.values():
             assert payload["schema_version"] == CORPUS_SCHEMA_VERSION
@@ -180,6 +180,43 @@ class TestCorpusFormat:
         with pytest.raises(CorpusFormatError):
             load_corpus(tmp_path)
 
+    def test_non_object_case_rejected(self, tmp_path):
+        (tmp_path / "a.json").write_text(json.dumps(
+            {"schema_version": CORPUS_SCHEMA_VERSION, "seed": 0,
+             "cases": [{"case": "x"}]}))
+        with pytest.raises(CorpusFormatError):
+            load_corpus(tmp_path)
+
+    def test_noise_scale_must_match_its_perturbation(self, tmp_path):
+        payload = json.loads(
+            (CORPUS_DIR / "sequential.json").read_text())
+        case = payload["cases"][0]["case"]
+        assert case["perturbation"] == "base"
+        case["noise_scale"] = 4.0
+        (tmp_path / "a.json").write_text(json.dumps(payload))
+        with pytest.raises(CorpusFormatError):
+            load_corpus(tmp_path)
+
+
+class TestRunnerErrors:
+    def test_runner_error_fails_its_check(self, tmp_path):
+        # The fuzzy extractor has no attack campaign: the runner
+        # records an error, which the checker reports as a failure.
+        case = {"scheme": "fuzzy", "family": "constant",
+                "perturbation": "base", "kind": "attack",
+                "quick": True, "devices": 2, "trials": 64,
+                "noise_scale": 1.0}
+        (tmp_path / "fuzzy.json").write_text(json.dumps(
+            {"schema_version": CORPUS_SCHEMA_VERSION, "seed": 0,
+             "cases": [{"case": case, "expected": {
+                 "bands": {"recovery_rate": [0.0, 1.0]},
+                 "baseline": {"fingerprint": ""}}}]}))
+        report = run_conformance(tmp_path)
+        (check,) = report.checks
+        assert not report.ok
+        assert check.record["status"] == "error"
+        assert "no attack campaign" in check.violations[0]
+
 
 class TestWarehouseWiring:
     @pytest.fixture(scope="class")
@@ -197,6 +234,23 @@ class TestWarehouseWiring:
             assert record["status"] == "ok"
             assert 0.0 <= record["security"]["recovery_rate"] <= 1.0
             assert record["security"]["outcome_fingerprint"]
+
+    def test_records_fingerprint_the_committed_baseline(self,
+                                                         quick_report):
+        for check in quick_report.checks:
+            assert (check.record["security"]["outcome_fingerprint"]
+                    == check.entry.baseline["fingerprint"]), \
+                check.entry.cell.cell_id
+
+    def test_band_miss_marks_the_record(self, corpus):
+        seed, entries = corpus
+        entry = next(e for e in entries if e.cell.quick)
+        tampered = replace(entry, cell=perturbed_variant(entry.cell))
+        check = check_entry(tampered, seed)
+        assert tampered.cell.cell_id.endswith("/tampered")
+        assert check.record["cell"] == f"scenario/{tampered.cell.cell_id}"
+        assert check.record["status"] == "out-of-band"
+        assert check.record["reason"] == "; ".join(check.violations)
 
     def test_records_append_to_store(self, quick_report, tmp_path):
         records = quick_report.run.records
@@ -227,8 +281,8 @@ class TestWarehouseWiring:
     def test_failure_report_lines_and_exitworthiness(self,
                                                      quick_report):
         check = quick_report.checks[0]
-        broken = CaseCheck(check.entry, check.result,
-                           ("failure_rate_mean=1 outside [0, 0.05]",))
+        broken = replace(check, violations=(
+            "failure_rate_mean=1 outside [0, 0.05]",))
         report = ConformanceReport(quick_report.seed, [broken])
         assert not report.ok
         assert report.failures == [broken]

@@ -300,6 +300,25 @@ class TestScenarioConformanceResume:
         assert "--resume needs --store" in capsys.readouterr().out
 
 
+class TestScenarioRun:
+    def test_failure_cell_reports_metrics_and_bands(self, capsys):
+        assert main(["scenario", "run", "--scheme", "sequential",
+                     "--family", "ramp"]) == 0
+        out = capsys.readouterr().out
+        assert "failure/sequential/ramp/base seed=0 devices=2" in out
+        assert "band failure_rate_mean = [0, 0.05]" in out
+        assert "fingerprint " in out
+
+    def test_attack_on_a_scheme_without_one_is_a_usage_error(
+            self, capsys):
+        assert main(["scenario", "run", "--scheme", "fuzzy",
+                     "--family", "constant", "--kind", "attack"]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert "attack/fuzzy/constant/base" in out
+        assert "no attack campaign" in out
+
+
 class TestFleetSupervised:
     PLAN = ('{"seed":1,"faults":[{"chunk":0,"mode":"crash",'
             '"attempts":[0]}]}')
@@ -382,6 +401,11 @@ class TestSharedOptions:
         ["service", "sweep", "--scheme", "sequential", "--devices", "0"],
         ["service", "sweep", "--scheme", "sequential", "--trials", "0"],
         ["service", "sweep", "--scheme", "sequential", "--shards", "0"],
+        ["scenario", "run", "--scheme", "sequential", "--family",
+         "constant", "--devices", "0"],
+        ["scenario", "run", "--scheme", "sequential", "--family",
+         "constant", "--trials", "0"],
+        ["warehouse", "verify", "--matrix", "quick", "--devices", "0"],
     ])
     def test_bad_values_are_usage_errors(self, argv, tmp_path,
                                          monkeypatch, capsys):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.fleet import recovery_summary
-from repro.puf import ROArrayParams
 from repro.schemes import ATTACKS, preset
 from repro.service import KIND_ATTACK, PopulationSpec, submit_sweep
 from repro.warehouse.matrix import full_matrix
@@ -41,16 +40,13 @@ def test_every_family_is_covered():
 @pytest.mark.parametrize("cell_id", sorted(CELLS))
 def test_front_ends_agree_on_recovery(cell_id):
     (cell,) = [c for c in full_matrix() if c.cell_id == cell_id]
-    params = (ROArrayParams(rows=cell.rows, cols=cell.cols,
-                            temp_slope_sigma=cell.temp_slope_sigma)
-              if cell.temp_slope_sigma > 0
-              else ROArrayParams(rows=cell.rows, cols=cell.cols))
+    params = cell.params
     population = PopulationSpec(params, DEVICES,
                                 cell.population_seed(SEED))
-    keygen_factory = preset(cell.preset).keygen_factory(cell.rows,
-                                                        cell.cols)
-    attack_factory = ATTACKS[CELLS[cell_id]].factory(cell.rows,
-                                                     cell.cols)
+    keygen_factory = preset(cell.preset).keygen_factory(params.rows,
+                                                        params.cols)
+    attack_factory = ATTACKS[CELLS[cell_id]].factory(params.rows,
+                                                     params.cols)
 
     fleet, enroll_rng = population.build()
     enrollment = fleet.enroll(keygen_factory, seed=enroll_rng)

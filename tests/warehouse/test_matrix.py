@@ -1,5 +1,7 @@
 """Tests for the attack × scheme × countermeasure matrix registry."""
 
+import hashlib
+
 from repro.warehouse import (
     ATTACKS,
     COUNTERMEASURES,
@@ -8,6 +10,7 @@ from repro.warehouse import (
     quick_matrix,
     select_cells,
 )
+from repro.warehouse.matrix import corpus_cell, full_corpus
 
 
 class TestFullMatrix:
@@ -22,7 +25,7 @@ class TestFullMatrix:
     def test_every_cell_is_classified(self):
         for cell in full_matrix():
             if cell.runnable:
-                assert cell.rows > 0 and cell.cols > 0
+                assert cell.params is not None
                 assert cell.reason == ""
             else:
                 assert cell.reason
@@ -94,20 +97,48 @@ class TestSelectCells:
 
     def test_population_seed_seeds_the_material_root(self):
         # The packed integer seed (what a registry manifest records)
-        # must reproduce the seed-material RNG root bitwise, and every
-        # runnable cell must resolve to a scheme preset.
+        # must reproduce the seed-material RNG root bitwise, down to
+        # the children the runner spawns from it, and every runnable
+        # cell must resolve to a scheme preset.  Corpus cells share
+        # this one seeding path.
         import numpy as np
 
+        from repro._rng import spawn
         from repro.schemes import PRESETS
 
-        for cell in full_matrix():
-            if not cell.runnable:
-                continue
+        cells = [cell for cell in full_matrix() if cell.runnable]
+        for cell in cells + full_corpus():
             assert cell.preset in PRESETS
-            for seed in (0, 5, 2**40):
+            for seed in (0, 1, 3, 5, 2**40):
                 material = np.random.default_rng(
                     np.random.SeedSequence(cell.seed_material(seed)))
                 packed = np.random.default_rng(
                     cell.population_seed(seed))
                 assert np.array_equal(material.integers(1 << 62, size=4),
                                       packed.integers(1 << 62, size=4))
+                children = spawn(cell.population_seed(seed), 2)
+                for ours, theirs in zip(material.spawn(2), children):
+                    assert np.array_equal(
+                        ours.integers(1 << 62, size=4),
+                        theirs.integers(1 << 62, size=4)), cell.cell_id
+
+
+class TestCorpusCells:
+    """Scenario-corpus cases are matrix cells with a trajectory."""
+
+    def test_matrix_cells_have_no_trajectory(self):
+        assert all(cell.trajectory() is None for cell in full_matrix())
+
+    def test_both_id_formats(self):
+        cell = corpus_cell("group-based", "ramp", kind="attack")
+        assert cell.cell_id == "attack/group-based/ramp/base"
+        assert cell.preset == "group-based[250k]"
+        assert cell.params.sigma_noise == 64e3
+        assert (cell.params.rows, cell.params.cols) == (4, 10)
+
+    def test_constant_family_is_an_empty_seeded_spec(self):
+        cell = corpus_cell("sequential", "constant")
+        digest = hashlib.sha256(cell.cell_id.encode("ascii")).digest()
+        spec = cell.trajectory()
+        assert spec is not None and spec.terms == ()
+        assert spec.seed == int.from_bytes(digest[8:16], "little")

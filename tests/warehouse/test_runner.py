@@ -6,6 +6,10 @@ still exercising the fleet-scale path, the reproducibility contract
 and the record schema.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.warehouse import (
@@ -17,6 +21,7 @@ from repro.warehouse import (
     diff_matrices,
     full_matrix,
     matrix_config,
+    quick_matrix,
     record_identity,
     run_cell,
     run_matrix,
@@ -129,6 +134,33 @@ class TestReconstructionCells:
         second = run_cell(cell, 2, 0, "c", "h", "quick")
         assert canonical_json(record_identity(first)) == \
             canonical_json(record_identity(second))
+
+
+class TestCommittedSecurity:
+    """The quick matrix still reproduces the committed security layer
+    of the newest ``BENCH_warehouse.json`` entry, and its record
+    identities (enrollment fingerprints included) stay pinned."""
+
+    def test_quick_matrix_matches_the_last_summary_entry(self):
+        summary = json.loads((Path(__file__).resolve().parents[2]
+                              / "BENCH_warehouse.json").read_text())
+        committed = summary["history"][-1]["security"]
+        records = run_matrix(quick_matrix(), "quick", seed=0,
+                             devices=2, commit="base")
+        assert {r["config_hash"] for r in records} == {
+            "151ca61b769ff424"}
+        identities = "\n".join(canonical_json(record_identity(r))
+                               for r in records)
+        assert hashlib.sha256(identities.encode()).hexdigest()[:16] \
+            == "23da5f454ba158f7"
+        ok = {r["cell"]: r["security"] for r in records
+              if r["status"] == "ok"}
+        assert set(ok) == set(committed)
+        for cell, security in ok.items():
+            expected = committed[cell]
+            for field in ("recovery_rate", "queries_mean",
+                          "outcome_fingerprint"):
+                assert security[field] == expected[field], (cell, field)
 
 
 class TestRegistryReuse:
