@@ -79,7 +79,7 @@ from repro.cli_options import (
 )
 from repro.core import BatchOracle
 from repro.grouping import table1_rows
-from repro.fleet import Fleet
+from repro.fleet import PopulationSpec
 from repro.pairing import PairClass, TempAwareCooperative
 from repro.puf import ROArray, ROArrayParams
 from repro._rng import spawn
@@ -262,14 +262,10 @@ def _fleet_enroll(args: argparse.Namespace, name: str):
                  if name == "sequential" else {})
     factory = schemes.preset(name).keygen_factory(args.rows, args.cols,
                                                    **overrides)
-    # One user-facing seed, two independent purposes: split it so the
-    # enrollment streams can never collide with the manufacturing
-    # streams (identical seeds spawn identical children).
-    manufacture_rng, enroll_rng = spawn(args.seed, 2)
-    fleet = Fleet(ROArrayParams(rows=args.rows, cols=args.cols),
-                  size=args.devices, seed=manufacture_rng)
-    return fleet, fleet.enroll(factory, seed=enroll_rng,
-                               workers=args.workers)
+    population = PopulationSpec(ROArrayParams(rows=args.rows,
+                                              cols=args.cols),
+                                args.devices, args.seed)
+    return population.enroll(factory, workers=args.workers)
 
 
 def _drifted(args: argparse.Namespace, rerun, result, what: str

@@ -37,6 +37,7 @@ from repro.fleet.fleet import (
     Fleet,
     FleetEnrollment,
     KeyGenFactory,
+    PopulationSpec,
     recovery_summary,
 )
 from repro.fleet.parallel import (
@@ -68,6 +69,7 @@ __all__ = [
     "KeyGenFactory",
     "LockstepCampaign",
     "PoisonedSweepError",
+    "PopulationSpec",
     "ResilienceReport",
     "RetryPolicy",
     "SequentialAttackFactory",

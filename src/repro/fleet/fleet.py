@@ -642,3 +642,50 @@ class Fleet:
         return [result for job, report in zip(jobs, reports)
                 for result in (report if report is not None
                                else [None] * len(job.arrays))]
+
+
+@dataclass(frozen=True)
+class PopulationSpec:
+    """A seeded device population, as pure data.
+
+    ``(params, devices, seed)`` fully determines the manufactured fleet
+    *and* its enrollment streams: the seed is split once into a
+    manufacturing child and an enrollment child, so the two can never
+    collide.  This is the one place a seeded population is built and
+    enrolled — ``repro fleet``, the warehouse cells, the service
+    sweeps and the enrollment registry all go through it.
+    """
+
+    params: ROArrayParams
+    devices: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.devices < 1:
+            raise ValueError("need at least one device")
+
+    def build(self) -> Tuple[Fleet, np.random.Generator]:
+        """Manufacture the fleet; returns ``(fleet, enroll_rng)``."""
+        manufacture_rng, enroll_rng = spawn(self.seed, 2)
+        return (Fleet(self.params, size=self.devices,
+                      seed=manufacture_rng), enroll_rng)
+
+    def enroll(self, keygen_factory: KeyGenFactory, registry=None,
+               workers: Optional[int] = 1
+               ) -> Tuple[Fleet, FleetEnrollment]:
+        """Manufacture and enroll the population.
+
+        Returns ``(fleet, enrollment)``.  With a *registry* (a
+        :class:`repro.service.registry.EnrollmentRegistry`) no
+        enrollment measurement runs: the registry must hold this very
+        population, and helpers and keys load digest-verified from it.
+        The enrollment stream is split off the seed independently of
+        the fleet's sweep streams, so both paths leave every later
+        sweep bitwise-identical.
+        """
+        fleet, enroll_rng = self.build()
+        if registry is None:
+            return fleet, fleet.enroll(keygen_factory, seed=enroll_rng,
+                                       workers=workers)
+        registry.verify_population(self)
+        return fleet, registry.load_enrollment(keygen_factory)

@@ -34,8 +34,8 @@ Messages are ``(type, payload)`` tuples:
 
 Two transports bind the protocol: ``"pipe"`` (an ``AF_UNIX`` stream
 socket in a private temporary directory) and ``"tcp"`` (loopback TCP,
-port chosen by the OS).  Fleet sweeps use ``"pipe"``; the service
-dispatcher lets the caller choose.
+port chosen by the OS).  Fleet sweeps use ``"pipe"``; the service's
+:func:`~repro.service.stream.submit_sweep` lets the caller choose.
 
 With a :class:`~repro.fleet.resilience.RetryPolicy` the loop
 **supervises**: the fault-injection hook fires in the worker keyed on

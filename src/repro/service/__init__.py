@@ -1,18 +1,18 @@
 """Distributed campaign service: sharded, streaming, enroll-once.
 
-The service layers three pieces over the fleet engine:
+The service is a view of the fleet engine, in three pieces:
 
-* :mod:`repro.service.shard` / :mod:`repro.service.dispatcher` — a
-  deterministic :class:`ShardPlan` over a seeded population, executed
-  as tasks of the fleet's supervised worker pool
+* :mod:`repro.service.shard` — a deterministic :class:`ShardPlan`
+  over a seeded :class:`~repro.fleet.PopulationSpec`, each shard one
+  task of the fleet's supervised worker pool
   (:mod:`repro.fleet.pool`: long-lived workers over a length-prefixed
   pipe/TCP protocol, with the
   :class:`~repro.fleet.resilience.RetryPolicy` retry/quarantine
   taxonomy for crashes, timeouts and poison shards);
 * :mod:`repro.service.stream` — :func:`submit_sweep` returning a
   lazy :class:`SweepHandle` that yields typed :class:`ShardResult`
-  chunks in completion order, replays them in order, and merges them
-  **bitwise-identically** to the single-host ``Fleet`` sweeps;
+  chunks in completion order and merges them **bitwise-identically**
+  to the single-host ``Fleet`` sweeps;
 * :mod:`repro.service.registry` — a persistent, digest-verified
   enrollment store so a population is enrolled once and swept many
   times (``repro service enroll`` / ``repro service sweep
@@ -25,7 +25,6 @@ completion order.
 """
 
 from repro.fleet.pool import ServiceProtocolError, WorkerHandshakeError
-from repro.service.dispatcher import Dispatcher
 from repro.service.registry import (
     EnrollmentRegistry,
     RegistryError,
@@ -38,7 +37,6 @@ from repro.service.shard import (
     ShardPlan,
     ShardResult,
     ShardSpec,
-    execute_shard,
     merge_attack_results,
     merge_failure_rates,
     shard_digest,
@@ -50,7 +48,6 @@ from repro.service.stream import (
 )
 
 __all__ = [
-    "Dispatcher",
     "EnrollmentRegistry",
     "KIND_ATTACK",
     "KIND_FAILURE",
@@ -64,7 +61,6 @@ __all__ = [
     "SweepHandle",
     "WorkerHandshakeError",
     "enroll_population",
-    "execute_shard",
     "merge_attack_results",
     "merge_failure_rates",
     "shard_digest",

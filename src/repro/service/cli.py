@@ -39,10 +39,11 @@ import numpy as np
 from repro import schemes
 from repro.cli_options import (
     add_supervision_options,
+    non_negative_int,
     positive_int,
     retry_policy,
 )
-from repro.fleet.fleet import recovery_summary
+from repro.fleet.fleet import PopulationSpec, recovery_summary
 from repro.fleet.pool import WorkerHandshakeError
 from repro.fleet.resilience import PoisonedSweepError
 from repro.service.registry import (
@@ -51,7 +52,7 @@ from repro.service.registry import (
     enroll_population,
 )
 from repro.service.shard import KIND_ATTACK, KIND_FAILURE
-from repro.service.stream import PopulationSpec, submit_sweep
+from repro.service.stream import submit_sweep
 
 #: ``--scheme`` label -> :mod:`repro.schemes` preset.  Geometry and
 #: sigma mirror the conformance corpus so service populations
@@ -102,7 +103,7 @@ def add_service_parser(sub: argparse._SubParsersAction) -> None:
     _population_args(enroll, require_scheme=True)
     enroll.add_argument("--registry", required=True, metavar="DIR",
                         help="registry directory to create")
-    enroll.add_argument("--workers", type=int, default=1,
+    enroll.add_argument("--workers", type=non_negative_int, default=1,
                         help="enrollment worker processes")
 
     sweep = ssub.add_parser(
@@ -121,7 +122,8 @@ def add_service_parser(sub: argparse._SubParsersAction) -> None:
                             "(failure sweeps)")
     sweep.add_argument("--shards", type=positive_int, default=2,
                        help="shard count")
-    sweep.add_argument("--workers", type=int, default=None,
+    sweep.add_argument("--workers", type=non_negative_int,
+                       default=None,
                        help="service worker processes (default: "
                             "CPU count, capped at the shard count)")
     sweep.add_argument("--transport", default="pipe",
@@ -239,9 +241,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"service sweep: poisoned - {error}")
         return 1
 
-    report = handle.report
-    if report is not None:
-        print(f"  resilience: {report.summary()}")
+    print(f"  resilience: {handle.report.summary()}")
     if kind == KIND_FAILURE:
         print(f"  failure rates: mean={merged.mean():.6g} "
               f"max={merged.max():.6g} over {merged.size} device(s)")
@@ -253,8 +253,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{len(results)} device record(s)")
 
     if args.check_single_host:
-        fleet, enroll_rng = population.build()
-        enrollment = fleet.enroll(factory, seed=enroll_rng)
+        fleet, enrollment = population.enroll(factory)
         if kind == KIND_FAILURE:
             expect = fleet.failure_rates(enrollment, args.trials)
         else:

@@ -20,8 +20,8 @@ every digest before parsing — a flipped bit in a helper file is a
 sweep.
 
 Because the fleet enrollment stream is split from the population seed
-*independently* of the sweep substreams (the ``spawn(seed, 2)``
-discipline of :class:`repro.service.stream.PopulationSpec`), a sweep
+*independently* of the sweep substreams (the seed split of
+:class:`repro.fleet.PopulationSpec`), a sweep
 that loads this registry instead of enrolling consumes exactly the
 same sweep substreams as one that enrolled fresh — registry-backed
 sweeps are therefore bitwise-identical to enroll-every-time sweeps,
@@ -281,15 +281,12 @@ def enroll_population(path, population, keygen_factory: KeyGenFactory,
                       ) -> EnrollmentRegistry:
     """Enroll a population and persist it; returns the registry.
 
-    *population* is a :class:`repro.service.stream.PopulationSpec`;
-    the fleet is manufactured and enrolled exactly as
-    :func:`repro.service.stream.submit_sweep` would (same seed
-    split), then every device's helper/key lands in the registry at
-    *path* in fleet order.
+    *population* is a :class:`repro.fleet.PopulationSpec`, enrolled
+    fresh by :meth:`~repro.fleet.PopulationSpec.enroll`; every
+    device's helper/key lands in the registry at *path* in fleet
+    order.
     """
-    fleet, enroll_rng = population.build()
-    enrollment = fleet.enroll(keygen_factory, seed=enroll_rng,
-                              workers=workers)
+    _, enrollment = population.enroll(keygen_factory, workers=workers)
     registry = EnrollmentRegistry.create(
         path, population.seed, scheme, population.params,
         population.devices)

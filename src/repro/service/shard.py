@@ -77,8 +77,8 @@ class ShardPlan:
 
     ``plan(seed, devices, shards)`` is a pure function: the same
     arguments produce the same ranges and the same shard digests on
-    every host, so a dispatcher and its workers (or two independent
-    runs) always agree on what shard ``i`` means.
+    every host, so the submitting process and its workers (or two
+    independent runs) always agree on what shard ``i`` means.
     """
 
     population_seed: int
@@ -121,26 +121,16 @@ class ShardPlan:
 
 
 # ----------------------------------------------------------------------
-# shard execution: a shard is one pool task calling execute_shard on
-# every job of the shard (in a pool worker, or in the dispatcher for
-# the degraded quarantine pass)
+# shard execution: a shard is one pool task calling its kind's job
+# function on every job of the shard (in a pool worker, or in the
+# submitting process for the degraded quarantine pass)
 
-
-def execute_shard(kind: str, job: object) -> object:
-    """Run one job of a shard of sweep *kind* (the pool task function).
-
-    For :data:`KIND_FAILURE` *job* is one entry of the per-device
-    :meth:`~repro.fleet.Fleet.failure_rate_jobs` list; for
-    :data:`KIND_ATTACK` it is the shard's
-    :meth:`~repro.fleet.Fleet.attack_chunk_jobs` chunk.
-    :func:`shard_data` types the per-job results of a shard.
-    """
-    if kind == KIND_FAILURE:
-        return _failure_rate_job(job)
-    if kind == KIND_ATTACK:
-        return _attack_chunk_job(job)
-    raise ValueError(f"unknown sweep kind {kind!r}; expected one "
-                     f"of {KINDS}")
+#: Sweep kind -> the pool task function of one shard job.  A failure
+#: job is one entry of the per-device
+#: :meth:`~repro.fleet.Fleet.failure_rate_jobs` list; an attack job is
+#: the shard's :meth:`~repro.fleet.Fleet.attack_chunk_jobs` chunk.
+SHARD_JOBS = {KIND_FAILURE: _failure_rate_job,
+              KIND_ATTACK: _attack_chunk_job}
 
 
 def shard_data(kind: str, results: Sequence[object],

@@ -38,6 +38,7 @@ from repro.cli_options import (
     add_checkpoint_options,
     add_supervision_options,
     detect_commit,
+    non_negative_int,
     positive_int,
     report_supervision,
     supervision_from_args,
@@ -81,7 +82,7 @@ def add_warehouse_parser(sub: argparse._SubParsersAction) -> None:
     run.add_argument("--cells", default=None, metavar="PATTERN",
                      help="fnmatch filter on cell ids, e.g. "
                           "'group-based/*'")
-    run.add_argument("--workers", type=int, default=1,
+    run.add_argument("--workers", type=non_negative_int, default=1,
                      help="process-pool width for the attack "
                           "campaigns (0/None = all CPUs)")
     run.add_argument("--enrollment-registry", default=None,

@@ -30,9 +30,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro._rng import spawn
 from repro.ecc.kernel import kernel_stats
-from repro.fleet import Fleet
+from repro.fleet import PopulationSpec
 from repro.schemes import ATTACKS, preset
 from repro.warehouse.matrix import MatrixCell
 from repro.warehouse.store import (
@@ -179,49 +178,44 @@ def run_cell(cell: MatrixCell, devices: int, seed: int, commit: str,
     return record
 
 
-def _cell_enrollment(cell: MatrixCell, fleet: Fleet, enroll_rng,
-                     devices: int, population_seed: int,
+def _cell_enrollment(cell: MatrixCell, population: PopulationSpec,
                      registry_dir: Optional[str]):
-    """Enroll a cell's fleet, through the registry when one is given.
+    """Build and enroll a cell's population, through the registry when
+    one is given.
 
-    Returns ``(enrollment, enroll_seconds)``; a registry hit costs
-    no enrollment measurements (``enroll_seconds`` is the load
-    time).  The enrollment stream is an independent spawn of the
-    cell root, so skipping it never shifts the sweep streams.  The
-    registry manifest records the cell's preset name and
-    *population_seed* (:meth:`MatrixCell.population_seed`), so
-    ``repro service sweep --registry`` rebuilds the same population.
+    Returns ``(fleet, enrollment, enroll_seconds)``.  The per-cell
+    registry is created on first use and read back on every run, so
+    a reused registry must hold this very population under the cell's
+    preset (:class:`~repro.service.registry.RegistryError` otherwise).
+    The enrollment stream is an independent spawn of the cell root,
+    so loading it never shifts the sweep streams.  The manifest
+    records the preset name and the population seed
+    (:meth:`MatrixCell.population_seed`), so ``repro service sweep
+    --registry`` rebuilds the same population.
     """
     factory = preset(cell.preset).keygen_factory(cell.params.rows,
                                                  cell.params.cols)
-    if registry_dir is None:
-        start = time.perf_counter()
-        enrollment = fleet.enroll(factory, seed=enroll_rng)
-        return enrollment, time.perf_counter() - start
-    from repro.service.registry import EnrollmentRegistry
-
-    cell_dir = (Path(registry_dir)
-                / cell.cell_id.replace("/", "__"))
     start = time.perf_counter()
-    if (cell_dir / "manifest.json").exists():
+    registry = None
+    if registry_dir is not None:
+        from repro.service.registry import (
+            EnrollmentRegistry,
+            RegistryError,
+            enroll_population,
+        )
+
+        cell_dir = (Path(registry_dir)
+                    / cell.cell_id.replace("/", "__"))
+        if not (cell_dir / "manifest.json").exists():
+            enroll_population(cell_dir, population, factory,
+                              cell.preset)
         registry = EnrollmentRegistry.open(cell_dir)
-        if (registry.population_seed != population_seed
-                or registry.devices != devices):
-            raise ValueError(
-                f"registry at {cell_dir} was enrolled for "
-                f"seed={registry.population_seed} "
-                f"devices={registry.devices}, run wants "
-                f"seed={population_seed} devices={devices}")
-        enrollment = registry.load_enrollment(factory)
-    else:
-        enrollment = fleet.enroll(factory, seed=enroll_rng)
-        registry = EnrollmentRegistry.create(
-            cell_dir, population_seed, cell.preset, fleet.params,
-            devices)
-        for helper, key in zip(enrollment.helpers,
-                               enrollment.keys):
-            registry.append(helper, key)
-    return enrollment, time.perf_counter() - start
+        if registry.scheme != cell.preset:
+            raise RegistryError(
+                f"registry at {cell_dir} was enrolled for scheme "
+                f"{registry.scheme!r}, the cell runs {cell.preset!r}")
+    fleet, enrollment = population.enroll(factory, registry)
+    return fleet, enrollment, time.perf_counter() - start
 
 
 def _run_runnable(cell: MatrixCell, devices: int, seed: int,
@@ -230,11 +224,10 @@ def _run_runnable(cell: MatrixCell, devices: int, seed: int,
                   registry_dir: Optional[str] = None
                   ) -> Dict[str, object]:
     """The fleet-scale body of :func:`run_cell` for runnable cells."""
-    population_seed = cell.population_seed(seed)
-    manufacture_rng, enroll_rng = spawn(population_seed, 2)
-    fleet = Fleet(cell.params, size=devices, seed=manufacture_rng)
-    enrollment, enroll_seconds = _cell_enrollment(
-        cell, fleet, enroll_rng, devices, population_seed, registry_dir)
+    population = PopulationSpec(cell.params, devices,
+                                cell.population_seed(seed))
+    fleet, enrollment, enroll_seconds = _cell_enrollment(
+        cell, population, registry_dir)
     trajectory = cell.trajectory()
 
     if cell.attack in _FAILURE_KINDS:

@@ -1,4 +1,4 @@
-"""Dispatcher resilience: handshake failures, retries, quarantine.
+"""Sharded sweep resilience: handshake failures, retries, quarantine.
 
 Fault injection reuses the ``REPRO_FAULT_PLAN`` tripwires: service
 workers evaluate the plan against their shard index and attempt
@@ -20,9 +20,7 @@ from repro.keygen import SequentialPairingKeyGen
 from repro.puf import ROArrayParams
 from repro.service import (
     KIND_FAILURE,
-    Dispatcher,
     PopulationSpec,
-    ShardPlan,
     WorkerHandshakeError,
     submit_sweep,
 )
@@ -63,20 +61,22 @@ def _policy(**kwargs):
 
 class TestHandshake:
     def test_worker_death_before_handshake_is_an_error(
-            self, monkeypatch):
+            self, monkeypatch, population):
         """A worker dying pre-handshake must raise, never hang."""
         monkeypatch.setattr(pool_module, "worker_main",
                             _exit_before_handshake)
-        dispatcher = Dispatcher(workers=2, handshake_timeout=10.0)
-        plan = ShardPlan.plan(0, 4, 2)
+        handle = submit_sweep(population, keygen_factory,
+                              KIND_FAILURE, trials=TRIALS, shards=2,
+                              workers=2)
         with pytest.raises(WorkerHandshakeError,
                            match="exited with code 3 before "
                                  "completing the handshake"):
-            list(dispatcher.run(plan, KIND_FAILURE, [[], []]))
+            handle.collect()
 
-    def test_bad_transport_rejected(self):
+    def test_bad_transport_rejected(self, population):
         with pytest.raises(ValueError, match="unknown transport"):
-            Dispatcher(transport="carrier-pigeon")
+            submit_sweep(population, keygen_factory, KIND_FAILURE,
+                         trials=TRIALS, transport="carrier-pigeon")
 
 
 class TestFaultRecovery:

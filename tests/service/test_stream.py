@@ -78,7 +78,7 @@ class TestBitwiseEquality:
         handle = submit_sweep(population, keygen_factory, KIND_ATTACK,
                               attack_factory=attack_factory,
                               shards=shards, workers=2)
-        streamed = list(handle.in_order())
+        streamed = sorted(handle, key=lambda r: r.shard.index)
         for got_recovered, got_queries in (
                 recovery_summary(handle.collect(), enrollment.keys,
                                  enrollment.helpers),
@@ -105,24 +105,6 @@ class TestBitwiseEquality:
 
 
 class TestStreamingSurface:
-    def test_in_order_replays_shard_order(self, population):
-        handle = submit_sweep(population, keygen_factory,
-                              KIND_FAILURE, trials=60, shards=4,
-                              workers=2)
-        indices = [result.shard.index
-                   for result in handle.in_order()]
-        assert indices == [0, 1, 2, 3]
-
-    def test_on_chunk_sees_every_arrival(self, population):
-        handle = submit_sweep(population, keygen_factory,
-                              KIND_FAILURE, trials=60, shards=4,
-                              workers=2)
-        seen = []
-        handle.on_chunk(lambda result: seen.append(
-            result.shard.index))
-        handle.drain()
-        assert sorted(seen) == [0, 1, 2, 3]
-
     def test_chunks_are_ndjson_serialisable(self, population):
         handle = submit_sweep(population, keygen_factory,
                               KIND_FAILURE, trials=60, shards=2,

@@ -406,6 +406,10 @@ class TestSharedOptions:
         ["scenario", "run", "--scheme", "sequential", "--family",
          "constant", "--trials", "0"],
         ["warehouse", "verify", "--matrix", "quick", "--devices", "0"],
+        [*WAREHOUSE, "--workers", "-1"],
+        ["service", "enroll", "--scheme", "sequential", "--registry",
+         "reg", "--workers", "-2"],
+        ["service", "sweep", "--scheme", "sequential", "--workers", "-2"],
     ])
     def test_bad_values_are_usage_errors(self, argv, tmp_path,
                                          monkeypatch, capsys):

@@ -61,7 +61,8 @@ def test_front_ends_agree_on_recovery(cell_id):
                               attack_factory=attack_factory,
                               shards=shards, workers=shards)
         streamed = np.concatenate(
-            [result.data["recovered"] for result in handle.in_order()])
+            [result.data["recovered"] for result in
+             sorted(handle, key=lambda r: r.shard.index)])
         merged, _ = recovery_summary(handle.collect(), enrollment.keys,
                                      enrollment.helpers)
         np.testing.assert_array_equal(streamed, expected)

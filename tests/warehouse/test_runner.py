@@ -187,6 +187,29 @@ class TestRegistryReuse:
         assert drifted["status"] == "error"
         assert "was enrolled for" in drifted["reason"]
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("params", {"sigma_noise": 999e3}, "parameters do not match"),
+        ("scheme", "group-based", "enrolled for scheme"),
+    ])
+    def test_registry_rejects_manifest_drift(self, tmp_path, field,
+                                             value, reason):
+        cell = cell_by_id(DISTILLER)
+        run_cell(cell, 2, 0, "c", "h", "quick",
+                 registry_dir=str(tmp_path))
+        manifest_path = (tmp_path / DISTILLER.replace("/", "__")
+                         / "manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        if field == "params":
+            manifest["params"].update(value)
+        else:
+            manifest[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        drifted = run_cell(cell, 2, 0, "c", "h", "quick",
+                           registry_dir=str(tmp_path))
+        assert drifted["status"] == "error"
+        assert drifted["reason"].startswith("RegistryError")
+        assert reason in drifted["reason"]
+
 
 class TestSummaryAndDiff:
     def test_build_entry_mirrors_ok_cells(self, distiller_records):
