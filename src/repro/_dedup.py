@@ -86,6 +86,29 @@ def iter_unique_rows(matrix: np.ndarray,
                rows[order[bounds[group]:bounds[group + 1]]])
 
 
+def row_groups(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """First-occurrence row of each distinct row, and the row → group map.
+
+    ``matrix[first][inverse]`` reproduces *matrix* byte for byte.  Rows
+    are grouped by byte identity; groups come in unspecified order.
+    """
+    count = matrix.shape[0]
+    if count <= SMALL_BLOCK:
+        data = np.ascontiguousarray(matrix)
+        slots: dict = {}
+        inverse = np.empty(count, dtype=np.intp)
+        first: List[int] = []
+        for position in range(count):
+            key = data[position].tobytes()
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(first)
+                first.append(position)
+            inverse[position] = slot
+        return np.array(first, dtype=np.intp), inverse
+    return _keyed_groups(matrix)
+
+
 def unique_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a 2-D array plus the row → distinct map.
 
@@ -95,19 +118,5 @@ def unique_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     reproduces *matrix* byte for byte.  Rows are grouped by byte
     identity and the distinct rows come back in unspecified order.
     """
-    count = matrix.shape[0]
-    if count <= SMALL_BLOCK:
-        data = np.ascontiguousarray(matrix)
-        first: dict = {}
-        inverse = np.empty(count, dtype=np.intp)
-        order: List[int] = []
-        for position in range(count):
-            key = data[position].tobytes()
-            slot = first.get(key)
-            if slot is None:
-                slot = first[key] = len(order)
-                order.append(position)
-            inverse[position] = slot
-        return matrix[order], inverse
-    positions, inverse = _keyed_groups(matrix)
-    return matrix[positions], inverse
+    first, inverse = row_groups(matrix)
+    return matrix[first], inverse

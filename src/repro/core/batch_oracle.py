@@ -39,13 +39,18 @@ bitwise.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._rng import RNGLike, ensure_rng
 from repro.keygen.base import KeyGenerator, OperatingPoint
-from repro.keygen.batch import BatchEvaluator, EvalPlan
+from repro.keygen.batch import (
+    BatchEvaluator,
+    EvalPlan,
+    FrontierEntry,
+    FrontierPlan,
+)
 from repro.puf.ro_array import ROArray
 
 
@@ -208,15 +213,15 @@ class BatchOracle:
                       op: Optional[OperatingPoint] = None) -> np.ndarray:
         """Success booleans of already-taken noise rows under *helper*.
 
-        A thin driver over the two-phase evaluator protocol:
-        :meth:`plan_rows`, this plan's own kernel, finalize.  The
-        lock-step lane engines (:mod:`repro.core.lockstep`) run the
-        same three phases with the kernel step fused across devices;
+        A one-item frontier (:func:`plan_frontier`) run through its
+        own kernel.  The lock-step lane engines
+        (:mod:`repro.core.lockstep`) plan whole rounds the same way;
         results are bitwise-identical either way, and identical to
         per-row :class:`~repro.core.oracle.HelperDataOracle` queries
         on an identically seeded twin device.
         """
-        return self.plan_rows(helper, rows, op).execute()
+        (outcomes,) = plan_frontier([(self, helper, rows, op)]).execute()
+        return outcomes
 
     def plan_rows(self, helper, rows: np.ndarray,
                   op: Optional[OperatingPoint] = None) -> EvalPlan:
@@ -237,6 +242,21 @@ class BatchOracle:
 
     # ------------------------------------------------------------------
     # internals
+
+    def _frontier_entry(self, helper, rows: np.ndarray,
+                        op: Optional[OperatingPoint]) -> FrontierEntry:
+        """This block as a stackable entry, or as its own plan.
+
+        A block stacks when the oracle has no trajectory (its
+        frequencies are ``base + rows``) and the helper's evaluator
+        has a :attr:`~repro.keygen.batch.BatchEvaluator.stack_key`.
+        """
+        if self._trajectory is None:
+            resolved = op if op is not None else self._op
+            evaluator = self._evaluator_for(helper, resolved)
+            if evaluator.stack_key is not None:
+                return evaluator, self._base_frequencies(resolved), rows
+        return self.plan_rows(helper, rows, op)
 
     def _trajectory_frequencies(self, rows: np.ndarray,
                                 op: Optional[OperatingPoint]):
@@ -286,3 +306,17 @@ class BatchOracle:
             self._evaluators.pop(next(iter(self._evaluators)))
         self._evaluators[key] = (helper, op, evaluator)
         return evaluator
+
+
+def plan_frontier(items: Sequence[Tuple[BatchOracle, object, np.ndarray,
+                                        Optional[OperatingPoint]]]
+                  ) -> FrontierPlan:
+    """Phase 1 for ``(oracle, helper, rows, op)`` items of one round.
+
+    Items are visited in order: one that cannot stack is planned on
+    the spot through :meth:`BatchOracle.plan_rows`, so items consuming
+    transient streams (the temp-aware sensor) draw them in the
+    per-device order; stackable blocks draw nothing while planning.
+    """
+    return FrontierPlan([oracle._frontier_entry(helper, rows, op)
+                         for oracle, helper, rows, op in items])

@@ -18,7 +18,13 @@ that structure explicit so one attack can be executed two ways:
   device per round, with the Hoeffding/Wald/arg-min bookkeeping
   evaluated for the whole batch in a handful of NumPy passes
   (per-device accept/reject/continue masks, exactly like the per-row
-  discrepancy masks of the batched Berlekamp–Massey decoder).
+  discrepancy masks of the batched Berlekamp–Massey decoder).  Each
+  round's blocks are evaluated through one frontier plan
+  (:func:`~repro.core.batch_oracle.plan_frontier`): blocks whose
+  extraction is a pair-column index and whose completion is a bare
+  code-offset sketch, on oracles without a trajectory, are stacked —
+  one gather, dedup, payload shift and key check per kernel key —
+  and every other block keeps its own ``plan_rows`` in round order.
 
 **Equivalence contract.**  Each device owns its oracle and noise
 stream, and a lane only ever consumes rows from its own oracle in
@@ -53,7 +59,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.batch_oracle import BatchOracle
+from repro.core.batch_oracle import BatchOracle, plan_frontier
 from repro.ecc.kernel import run_kernels
 from repro.core.framework import (
     ComparisonOutcome,
@@ -242,15 +248,24 @@ class LaneEngine:
     bitwise-identical to :func:`execute_request` on the same oracle
     stream.
 
-    Every round evaluates through the two-phase protocol: one
-    :meth:`~repro.core.batch_oracle.BatchOracle.plan_rows` per (lane,
-    helper) in request order, then **one fused kernel call per
-    distinct kernel key across the whole frontier**
-    (:func:`repro.ecc.kernel.run_kernels`), then per-plan finalize.
-    With a single lane this is exactly
+    Every round evaluates through one frontier plan
+    (:func:`~repro.core.batch_oracle.plan_frontier`).  Blocks of
+    pair-column evaluators completed by a bare code-offset sketch, on
+    oracles without a trajectory, are stacked per (row count, width,
+    kernel key): one gather and compare, one dedup keyed by (block,
+    pattern), per-block memo lookups, one payload shift and one
+    vectorised key check.  Every other block — constant, masked,
+    temp-aware, assembled or trajectory-driven — is planned alone via
+    :meth:`~repro.core.batch_oracle.BatchOracle.plan_rows` at its
+    place in the round, so transient streams are consumed in request
+    order.  Then **one fused kernel call per distinct kernel key
+    across the whole frontier** (:func:`repro.ecc.kernel.run_kernels`)
+    and one finalize per stacked group or own plan.  With a single
+    item this is exactly
     :meth:`~repro.core.batch_oracle.BatchOracle.evaluate_rows`;
-    fusion only regroups row-local kernel work, so outcomes are
-    bitwise-identical for every frontier composition.
+    stacking keeps dedup and memo lookups per item and fusion only
+    regroups row-local kernel work, so outcomes are bitwise-identical
+    for every frontier composition.
     """
 
     #: request type handled by the engine
@@ -262,17 +277,14 @@ class LaneEngine:
                       ) -> List[np.ndarray]:
         """Evaluate ``(oracle, helper, rows, op)`` items in one round.
 
-        Plans are created in item order (matching the per-device
-        evaluation order, so transient streams like the temp-aware
-        sensor are consumed identically), the kernel phase is fused
-        across all items sharing a kernel key, and each item's
+        Items are planned in order (so transient streams like the
+        temp-aware sensor are consumed as per-device evaluation would),
+        stackable blocks as one pass per group, the kernel phase is
+        fused across all items sharing a kernel key, and each item's
         outcomes come back in order.
         """
-        plans = [oracle.plan_rows(helper, rows, op)
-                 for oracle, helper, rows, op in items]
-        outputs = run_kernels([plan.workload for plan in plans])
-        return [plan.finalize(out)
-                for plan, out in zip(plans, outputs)]
+        frontier = plan_frontier(items)
+        return frontier.finalize(run_kernels(frontier.workloads))
 
     def step(self, lanes: Sequence[Lane]) -> None:
         """Advance every lane by one round; set ``lane.outcome`` when

@@ -147,7 +147,6 @@ class SecureSketch(abc.ABC):
         """
         return None
 
-    @abc.abstractmethod
     def plan_recover(self, noisy_responses: np.ndarray,
                      helper: SketchData
                      ) -> "tuple[Optional[KernelWorkload], object]":
@@ -159,7 +158,25 @@ class SecureSketch(abc.ABC):
         same-key workloads of other devices — and the opaque *state*
         plus the kernel outputs reproduce the full result through
         :meth:`finish_recover`, row for row equal to :meth:`recover`.
+        Raises ``ValueError`` for a malformed helper payload.
         """
+        return self.plan_parsed(noisy_responses,
+                                self.parse_helper(helper))
+
+    @abc.abstractmethod
+    def parse_helper(self, helper: SketchData) -> np.ndarray:
+        """Validate *helper* once into the form :meth:`plan_parsed` takes.
+
+        Raises ``ValueError`` for a malformed payload.  Callers that
+        plan many blocks under one helper parse it once and keep the
+        result (:class:`repro.keygen.batch.SketchCompletion` does).
+        """
+
+    @abc.abstractmethod
+    def plan_parsed(self, noisy_responses: np.ndarray,
+                    parsed: np.ndarray
+                    ) -> "tuple[Optional[KernelWorkload], object]":
+        """:meth:`plan_recover` over an already parsed helper."""
 
     @abc.abstractmethod
     def finish_recover(self, state: object,
@@ -221,7 +238,7 @@ class CodeOffsetSketch(SecureSketch):
     def recover(self, noisy_response: np.ndarray,
                 helper: SketchData) -> np.ndarray:
         """Decode ``pad(w') XOR h`` back to the response."""
-        payload = as_bits(helper.payload, self._code.n)
+        payload = self.parse_helper(helper)
         shifted = self._pad(noisy_response) ^ payload
         codeword = self._code.decode(shifted)
         recovered = payload ^ codeword
@@ -240,9 +257,13 @@ class CodeOffsetSketch(SecureSketch):
             return None
         return ("code-offset", code_key)
 
-    def plan_recover(self, noisy_responses: np.ndarray,
-                     helper: SketchData
-                     ) -> "tuple[Optional[KernelWorkload], object]":
+    def parse_helper(self, helper: SketchData) -> np.ndarray:
+        """The payload as ``uint8`` bits of the full code length."""
+        return as_bits(helper.payload, self._code.n)
+
+    def plan_parsed(self, noisy_responses: np.ndarray,
+                    parsed: np.ndarray
+                    ) -> "tuple[Optional[KernelWorkload], object]":
         """Declare the decode workload; keep the payload as state.
 
         The kernel input is the payload-shifted word matrix, decoded
@@ -252,14 +273,26 @@ class CodeOffsetSketch(SecureSketch):
         decoded codewords back and truncate.
         """
         batch = as_bit_matrix(noisy_responses, self._length)
-        payload = as_bits(helper.payload, self._code.n)
-        padded = np.zeros((batch.shape[0], self._code.n),
-                          dtype=np.uint8)
-        padded[:, :self._length] = batch
-        shifted = padded ^ payload[None, :]
-        workload = KernelWorkload(self.kernel_key(), shifted,
-                                  DecodeKernel(self._code))
-        return workload, payload
+        return self.offset_workload(batch, parsed[None, :]), parsed
+
+    def offset_workload(self, responses: np.ndarray,
+                        payloads: np.ndarray) -> KernelWorkload:
+        """The decode workload of responses under per-row payloads.
+
+        *responses* is a ``(U, w)`` 0/1 ``uint8`` matrix with
+        ``w <= code.n`` (row ``u`` zero past its own response
+        length); *payloads* holds one parsed code-length payload per
+        row, or a single ``(1, n)`` row for all.  Each row is padded
+        to the code length and XORed with its payload, so rows of
+        many helpers over one code stack into one workload; XORing a
+        decoded row with its payload again undoes the shift.
+        """
+        shifted = np.zeros((responses.shape[0], self._code.n),
+                           dtype=np.uint8)
+        shifted[:, :responses.shape[1]] = responses
+        shifted ^= payloads
+        return KernelWorkload(self.kernel_key(), shifted,
+                              DecodeKernel(self._code))
 
     def finish_recover(self, state: object,
                        outputs: "Optional[tuple]"
@@ -384,9 +417,14 @@ class SyndromeSketch(SecureSketch):
             return None
         return ("syndrome", code_key, self._length)
 
-    def plan_recover(self, noisy_responses: np.ndarray,
-                     helper: SketchData
-                     ) -> "tuple[Optional[KernelWorkload], object]":
+    def parse_helper(self, helper: SketchData) -> np.ndarray:
+        """The reference syndromes, as an ``int64`` vector."""
+        return np.array(self._deserialise(helper.payload),
+                        dtype=np.int64)
+
+    def plan_parsed(self, noisy_responses: np.ndarray,
+                    parsed: np.ndarray
+                    ) -> "tuple[Optional[KernelWorkload], object]":
         """Declare the syndrome-solve workload for the dirty rows.
 
         The syndrome differences are computed per device (they depend
@@ -398,13 +436,11 @@ class SyndromeSketch(SecureSketch):
         finish phase without touching the kernel.
         """
         batch = as_bit_matrix(noisy_responses, self._length)
-        reference = np.array(self._deserialise(helper.payload),
-                             dtype=np.int64)
         padded = np.zeros((batch.shape[0], self._code.n),
                           dtype=np.uint8)
         padded[:, :self._length] = batch
         difference = self._code.syndromes_batch(padded) \
-            ^ reference[None, :]
+            ^ parsed[None, :]
         clean = ~difference.any(axis=1)
         dirty = np.flatnonzero(~clean)
         state = (batch, clean, dirty)

@@ -45,12 +45,13 @@ class LockstepCampaign:
     """Drives a batch of stepwise attacks in shared rounds.
 
     Each round, the frontier's evaluation requests are taken through
-    the two-phase protocol — per-device ``plan_rows``, then **one ECC
-    kernel call per distinct kernel key across every device in the
-    round** (:func:`repro.ecc.kernel.run_kernels`), then per-device
-    finalize.  Fusion only amortizes the per-call fixed cost of many
-    tiny completions, the measured hot spot of campaign rounds
-    (``benchmarks/bench_campaign_fusion.py``); per-device results are
+    one frontier plan (:func:`repro.core.batch_oracle.plan_frontier`):
+    stackable blocks planned and finalized as one pass per kernel key,
+    the rest through their own ``plan_rows``, and **one ECC kernel
+    call per distinct kernel key across every device in the round**
+    (:func:`repro.ecc.kernel.run_kernels`).  Stacking and fusion only
+    amortize per-call fixed costs over many tiny blocks, the measured
+    hot spot of campaign rounds; per-device results are
     bitwise-identical to each attack's scalar ``run()``
     (``docs/evaluators.md``).
 

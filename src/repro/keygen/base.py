@@ -15,7 +15,7 @@ from __future__ import annotations
 import abc
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -145,19 +145,30 @@ def key_check_digest(key_bits: np.ndarray) -> bytes:
     return hashlib.sha256(payload).digest()[:16]
 
 
-def key_check_digests(keys: np.ndarray) -> List[bytes]:
+def key_check_digests(keys: np.ndarray,
+                      lengths: Optional[Sequence[int]] = None
+                      ) -> List[bytes]:
     """Row-wise :func:`key_check_digest` of a ``(U, K)`` 0/1 key block.
 
     The bits are packed for the whole block at once; only the hash runs
     per row.  Like :func:`~repro.ecc.base.as_bit_matrix`, the batch form
     trusts its internal producers and skips the per-element 0/1 scan.
+    With *lengths*, row ``u`` is the key of its first ``lengths[u]``
+    bits and must be zero past them, so keys of different lengths
+    share one block.
     """
     keys = np.asarray(keys, dtype=np.uint8)
     if keys.ndim != 2:
         raise ValueError("key blocks must be two-dimensional")
-    suffix = keys.shape[1].to_bytes(4, "big")
-    return [hashlib.sha256(row.tobytes() + suffix).digest()[:16]
-            for row in np.packbits(keys, axis=1)]
+    packed = np.packbits(keys, axis=1)
+    if lengths is None:
+        suffix = keys.shape[1].to_bytes(4, "big")
+        return [hashlib.sha256(row.tobytes() + suffix).digest()[:16]
+                for row in packed]
+    return [hashlib.sha256(row[:-(-length // 8)].tobytes()
+                           + int(length).to_bytes(4, "big")
+                           ).digest()[:16]
+            for row, length in zip(packed, lengths)]
 
 
 class KeyGenerator(abc.ABC):

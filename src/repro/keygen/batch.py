@@ -24,21 +24,28 @@ same-key workloads of many other devices via
 unwinds the outputs back into per-query success booleans.  Outcomes
 are bitwise-identical for every batch composition, and equal to the
 scalar :meth:`SketchCompletion.complete` reference row by row.
+
+A :class:`FrontierPlan` runs the same three phases for a whole
+lock-step round: blocks whose evaluator extracts pair columns and
+completes through a bare code-offset sketch are planned and finalized
+stacked, one pass per kernel key; every other block keeps its own
+:class:`EvalPlan`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._dedup import iter_unique_rows
+from repro._dedup import iter_unique_rows, row_groups
 from repro.ecc.base import DecodingFailure
 from repro.ecc.kernel import KernelWorkload, run_kernels
-from repro.ecc.sketch import SecureSketch, SketchData
+from repro.ecc.sketch import CodeOffsetSketch, SecureSketch, SketchData
 from repro.keygen.base import key_check_digest, key_check_digests
+from repro.pairing.base import response_bits_batch
 
 #: Extraction: (B, n) measurement batch -> (B, bits) response matrix.
 ExtractionFn = Callable[[np.ndarray], np.ndarray]
@@ -49,6 +56,25 @@ MaskedExtractionFn = Callable[[np.ndarray],
 #: ambient sample) -> ((B, bits) matrix, (B,) validity).
 EnvExtractionFn = Callable[[np.ndarray, object],
                            Tuple[np.ndarray, np.ndarray]]
+
+
+@dataclass(frozen=True, eq=False)
+class PairColumns:
+    """Described extraction: response bit ``c`` is ``f[a_c] >= f[b_c]``.
+
+    *index* is the ``(P, 2)`` ``intp`` pair index (for example
+    :attr:`~repro.pairing.sequential.SequentialPairingHelper.index`).
+    Calling the object is
+    :func:`~repro.pairing.base.response_bits_batch`; a
+    :class:`FrontierPlan` reads *index* instead, to extract the bits
+    of many helpers' blocks in one gather.
+    """
+
+    index: np.ndarray
+
+    def __call__(self, freqs: np.ndarray) -> np.ndarray:
+        """The ``(B, P)`` response bits of a ``(B, n)`` block."""
+        return response_bits_batch(freqs, self.index)
 
 
 # ----------------------------------------------------------------------
@@ -88,22 +114,39 @@ class SketchCompletion:
     #: call.  Must be picklable (a small module-level dataclass).
     assemble: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    #: The sketch's parsed helper payload, ``None`` if malformed:
+    #: parsed once, at construction (``SecureSketch.parse_helper``),
+    #: not once per planned block.
+    parsed: Optional[np.ndarray] = field(init=False, repr=False,
+                                         compare=False)
+
+    def __post_init__(self) -> None:
+        try:
+            parsed = self.sketch.parse_helper(self.helper)
+        except ValueError:
+            parsed = None
+        object.__setattr__(self, "parsed", parsed)
+
     def prepare(self, patterns: np.ndarray
                 ) -> Tuple[Optional[KernelWorkload], object]:
         """Phase 1: declare the sketch-recovery workload.
 
         Returns ``(workload, state)`` for the fresh distinct
         *patterns*; *state* carries whatever :meth:`finish` needs
-        besides the kernel outputs.  A ``ValueError`` from the sketch
-        (malformed helper payload) rejects every pattern alike,
+        besides the kernel outputs.  A malformed helper payload, or a
+        ``ValueError`` from the sketch, rejects every pattern alike,
         mirroring :meth:`complete`.
         """
-        try:
-            workload, state = self.sketch.plan_recover(patterns,
-                                                       self.helper)
-        except ValueError:
-            return None, ("rejected", patterns.shape[0])
-        return workload, ("planned", state)
+        parsed = self.parsed
+        if parsed is not None:
+            try:
+                workload, state = self.sketch.plan_parsed(patterns,
+                                                          parsed)
+            except ValueError:
+                pass
+            else:
+                return workload, ("planned", state)
+        return None, ("rejected", patterns.shape[0])
 
     def finish(self, state: object, outputs: "Optional[tuple]"
                ) -> np.ndarray:
@@ -251,6 +294,11 @@ class BatchEvaluator(abc.ABC):
     completed at most once.
     """
 
+    #: Kernel key under which a :class:`FrontierPlan` stacks this
+    #: evaluator's blocks with other helpers'; ``None`` keeps them on
+    #: :meth:`plan`.
+    stack_key: Optional[tuple] = None
+
     @abc.abstractmethod
     def plan(self, freqs: np.ndarray) -> EvalPlan:
         """Phase 1: extract/dedup now, defer kernel work to the caller."""
@@ -293,7 +341,9 @@ class ResponseBitEvaluator(BatchEvaluator):
 
     *extract* turns a ``(B, n)`` measurement batch into the ``(B,
     bits)`` response matrix in one pass; *completion* finishes the
-    distinct patterns.
+    distinct patterns.  A :class:`PairColumns` extraction completed by
+    a bare, well-formed code-offset sketch with a kernel key also
+    gets a :attr:`stack_key`, so frontier rounds stack its blocks.
     """
 
     def __init__(self, extract: ExtractionFn,
@@ -301,6 +351,14 @@ class ResponseBitEvaluator(BatchEvaluator):
         self._extract = extract
         self._completion = completion
         self._memo: Dict[bytes, bool] = {}
+        sketch = completion.sketch
+        if (isinstance(extract, PairColumns)
+                and completion.assemble is None
+                and isinstance(sketch, CodeOffsetSketch)
+                and sketch.response_length == extract.index.shape[0]):
+            key = sketch.kernel_key()
+            if key is not None and completion.parsed is not None:
+                self.stack_key = key
 
     def plan(self, freqs: np.ndarray) -> EvalPlan:
         """Phase 1: extract and dedup; declare the kernel workload."""
@@ -372,3 +430,168 @@ class MaskedBitEvaluator(BatchEvaluator):
                 np.zeros(bits.shape[0], dtype=bool))
         return _build_plan(bits, rows, self._completion, self._memo,
                            bits.shape[0])
+
+
+# ----------------------------------------------------------------------
+# frontier plans: one evaluation pass per lock-step round
+
+
+#: One frontier item: its own :class:`EvalPlan`, or a stackable block
+#: ``(evaluator, base, rows)`` whose frequencies are ``base + rows``
+#: and whose evaluator has a :attr:`~BatchEvaluator.stack_key`.
+FrontierEntry = Union[EvalPlan,
+                      Tuple["ResponseBitEvaluator", np.ndarray, np.ndarray]]
+
+
+class _StackedGroup:
+    """Stackable blocks of one shape and one kernel key.
+
+    Planned as one: a single gather and compare over the stacked
+    frequencies (each block's pair index padded to the widest block
+    and masked), one dedup keyed by (block, pattern), per-block memo
+    lookups and one payload-shifted decode workload over the fresh
+    patterns.  :meth:`finalize` XORs the payloads back, truncates each
+    pattern to its block's length and hashes the key checks of the
+    whole group in one pass.
+    """
+
+    def __init__(self, blocks: List[Tuple[int, "ResponseBitEvaluator",
+                                          np.ndarray, np.ndarray]]
+                 ) -> None:
+        self.slots = [block[0] for block in blocks]
+        self._memos = [block[1]._memo for block in blocks]
+        self._completions = [block[1]._completion for block in blocks]
+        indices = [block[1]._extract.index for block in blocks]
+        self._count = count = blocks[0][3].shape[0]
+        # (blocks, columns, rows): every block of a group has the same
+        # row count, so one fancy index per (block, pair) gathers that
+        # pair's column for all the block's rows at once.
+        freqs = np.stack([block[3].T for block in blocks])
+        freqs += np.stack([block[2] for block in blocks])[:, :, None]
+        widths = [index.shape[0] for index in indices]
+        self._widths = np.array(widths)
+        wide = max(widths)
+        pairs = np.zeros((len(blocks), wide, 2), dtype=np.intp)
+        for slot, index in enumerate(indices):
+            pairs[slot, :widths[slot]] = index
+        items = np.arange(len(blocks))[:, None]
+        bits = (freqs[items, pairs[:, :, 0]]
+                >= freqs[items, pairs[:, :, 1]])
+        self._mask = None
+        if min(widths) < wide:
+            self._mask = np.arange(wide) < self._widths[:, None]
+            bits &= self._mask[:, :, None]
+        owner = np.repeat(np.arange(len(blocks)), count)
+        bits = bits.transpose(0, 2, 1).reshape(owner.size, wide).view(
+            np.uint8)
+        first, self._inverse = row_groups(np.concatenate(
+            [owner.astype(">u4").view(np.uint8).reshape(-1, 4), bits],
+            axis=1))
+        owners = owner[first]
+        self._results = np.zeros(first.size, dtype=bool)
+        fresh: List[int] = []
+        self._keys: List[bytes] = []
+        for distinct, (row, slot) in enumerate(zip(first.tolist(),
+                                                   owners.tolist())):
+            key = bits[row, :widths[slot]].tobytes()
+            hit = self._memos[slot].get(key)
+            if hit is None:
+                fresh.append(distinct)
+                self._keys.append(key)
+            else:
+                self._results[distinct] = hit
+        self.workload: Optional[KernelWorkload] = None
+        if fresh:
+            self._fresh = np.array(fresh)
+            self._owners = owners[self._fresh]
+            self._payloads = np.stack(
+                [completion.parsed for completion in self._completions]
+            )[self._owners]
+            self.workload = self._completions[0].sketch.offset_workload(
+                bits[first[self._fresh]], self._payloads)
+
+    def finalize(self, outputs: "Optional[tuple]") -> List[np.ndarray]:
+        """Per-block success vectors from the group's kernel outputs."""
+        if self.workload is not None:
+            codewords, ok = outputs
+            keys = (self._payloads ^ codewords)[:, :self._widths.max()]
+            if self._mask is not None:
+                keys &= self._mask[self._owners]
+            good = np.flatnonzero(ok)
+            owners = self._owners[good]
+            flags = np.zeros(self._owners.size, dtype=bool)
+            flags[good] = [
+                digest == self._completions[slot].key_check
+                for digest, slot in zip(
+                    key_check_digests(keys[good], self._widths[owners]),
+                    owners.tolist())]
+            for key, slot, flag in zip(self._keys, self._owners.tolist(),
+                                       flags.tolist()):
+                self._memos[slot][key] = flag
+            self._results[self._fresh] = flags
+        return list(self._results[self._inverse].reshape(
+            len(self.slots), self._count))
+
+
+class FrontierPlan:
+    """Phase 1 for a whole lock-step round of evaluation items.
+
+    *entries* come in round order, one per item (see
+    :data:`FrontierEntry`).  Stackable blocks are grouped by block
+    shape (rows, frequency width) and kernel key, and each group of
+    two or more is planned as one (:class:`_StackedGroup`); a lone
+    block has nothing to stack and is planned by its own evaluator.
+    An :class:`EvalPlan` entry is kept as-is.  Run :attr:`workloads`
+    through :func:`~repro.ecc.kernel.run_kernels` — one call per
+    distinct key, stacked groups and own plans alike — and hand the
+    outputs to :meth:`finalize`.
+
+    Stacking changes no outcome, memo entry or kernel row: dedup stays
+    per item and consults each evaluator's memo as it stood before the
+    round, exactly as per-item plans do, so outcomes are
+    bitwise-identical to ``plan.execute()`` per item.
+    """
+
+    def __init__(self, entries: Sequence[FrontierEntry]) -> None:
+        self._size = len(entries)
+        self._plans: List[Tuple[int, EvalPlan]] = []
+        blocks: Dict[tuple, list] = {}
+        for slot, entry in enumerate(entries):
+            if isinstance(entry, EvalPlan):
+                self._plans.append((slot, entry))
+            else:
+                evaluator, base, rows = entry
+                blocks.setdefault((rows.shape, evaluator.stack_key),
+                                  []).append((slot, evaluator, base, rows))
+        self._groups: List[_StackedGroup] = []
+        for group in blocks.values():
+            if len(group) > 1:
+                self._groups.append(_StackedGroup(group))
+            else:
+                slot, evaluator, base, rows = group[0]
+                self._plans.append(
+                    (slot, evaluator.plan(base[None, :] + rows)))
+
+    @property
+    def workloads(self) -> List[Optional[KernelWorkload]]:
+        """The round's declared kernel work, aligned with
+        :meth:`finalize`'s *outputs*."""
+        return ([plan.workload for _, plan in self._plans]
+                + [group.workload for group in self._groups])
+
+    def finalize(self, outputs: Sequence["Optional[tuple]"]
+                 ) -> List[np.ndarray]:
+        """Phase 3: every item's success vector, in entry order."""
+        results: List[Optional[np.ndarray]] = [None] * self._size
+        outputs = iter(outputs)
+        for slot, plan in self._plans:
+            results[slot] = plan.finalize(next(outputs))
+        for group in self._groups:
+            for slot, outcomes in zip(group.slots,
+                                      group.finalize(next(outputs))):
+                results[slot] = outcomes
+        return results
+
+    def execute(self) -> List[np.ndarray]:
+        """Run this frontier's own kernels and finalize."""
+        return self.finalize(run_kernels(self.workloads))

@@ -25,10 +25,10 @@ from repro.keygen.base import (
 )
 from repro.keygen.batch import (
     ConstantEvaluator,
+    PairColumns,
     ResponseBitEvaluator,
     SketchCompletion,
 )
-from repro.pairing.base import response_bits_batch
 from repro.pairing.sequential import (
     SequentialPairing,
     SequentialPairingHelper,
@@ -120,11 +120,6 @@ class SequentialPairingKeyGen(KeyGenerator):
             # Rejected pair list: every query fails observably.
             return ConstantEvaluator(False)
         sketch = self.sketch_for(pairing.bits)
-        index = pairing.index
-
-        def extract(freqs: np.ndarray) -> np.ndarray:
-            return response_bits_batch(freqs, index)
-
         return ResponseBitEvaluator(
-            extract, SketchCompletion(sketch, helper.sketch,
-                                      helper.key_check))
+            PairColumns(pairing.index),
+            SketchCompletion(sketch, helper.sketch, helper.key_check))
