@@ -24,7 +24,7 @@ group — i.e. the complete device key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,10 +39,11 @@ from repro.core.injection import (
     symmetric_quadratic,
 )
 from repro.core.oracle import HelperDataOracle
+from repro.ecc.sketch import CodeOffsetSketch
 from repro.keygen.base import key_check_digest, key_check_digests
 from repro.keygen.group_based import GroupBasedKeyGen, GroupBasedKeyHelper
 from repro.grouping.kendall import kendall_encode
-from repro.grouping.packing import pack_key, pack_key_batch
+from repro.grouping.packing import pack_key
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,8 @@ class GroupBasedAttack:
         cells = np.arange(self._rows * self._cols)
         self._xs = (cells % self._cols).astype(float)
         self._ys = (cells // self._cols).astype(float)
+        self._sketches: Dict[int, Tuple[CodeOffsetSketch,
+                                        np.ndarray]] = {}
 
     # ------------------------------------------------------------------
 
@@ -115,13 +118,12 @@ class GroupBasedAttack:
             raise AssertionError("forced pair left undetermined")
         forced_bits = [1 - bit for bit in responses]
 
-        sketch = self._keygen.sketch_for(len(groups))
+        sketch, codeword = self._sketch(len(groups))
         injected = (self._injected if self._injected is not None
                     else sketch.code.t)
         if injected > len(forced_bits):
             raise ValueError("not enough forced groups to carry the "
                              "error injection")
-        seed = np.zeros(sketch.code.k, dtype=np.uint8)
 
         # One stream per hypothesis about the target bit.
         streams = np.array([[0] + forced_bits, [1] + forced_bits],
@@ -130,17 +132,29 @@ class GroupBasedAttack:
         # `injected` forced groups ("we just compute the ECC redundancy
         # given some inverted bit values").
         streams[:, 1:1 + injected] ^= 1
-        # Every group is a pair, so packing is the identity fast path.
-        keys, _ = pack_key_batch(streams, (2,) * len(groups))
+        # Every group is a pair, so each packed key is its stream.
         distiller = self._helper.distiller.with_added(payload)
         helper0, helper1 = (
             GroupBasedKeyHelper(
                 distiller=distiller, grouping=grouping,
                 sketch=sketch_data, key_check=digest)
             for sketch_data, digest in zip(
-                sketch.helpers_for_responses(streams, seed),
-                key_check_digests(keys)))
+                sketch.helpers_for_codeword(streams, codeword),
+                key_check_digests(streams)))
         return helper0, helper1
+
+    def _sketch(self, bits: int) -> Tuple[CodeOffsetSketch, np.ndarray]:
+        """The sketch of a *bits*-group stream and its seed's codeword.
+
+        Every hypothesis helper binds its stream through the all-zero
+        seed; it is encoded once per sketch.
+        """
+        hit = self._sketches.get(bits)
+        if hit is None:
+            sketch = self._keygen.sketch_for(bits)
+            hit = self._sketches[bits] = (sketch, sketch.code.encode(
+                np.zeros(sketch.code.k, dtype=np.uint8)))
+        return hit
 
     def compare_ros(self, u: int, v: int) -> bool:
         """Oracle-driven comparison: is ``residual(u) > residual(v)``?

@@ -18,7 +18,8 @@ module collects the deterministic injection primitives:
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from collections import deque
+from typing import Deque, List, Sequence, Tuple
 
 import numpy as np
 
@@ -178,7 +179,7 @@ def predicted_pair_bits(values: np.ndarray,
     *margin* (attacker-determined bits) and ``-1`` for pairs left to
     random variation (undetermined — hypothesis targets).
     """
-    vals = np.asarray(values, dtype=float)
+    vals = np.asarray(values, dtype=float).tolist()
     bits: List[int] = []
     for a, b in pairs:
         delta = vals[a] - vals[b]
@@ -202,22 +203,21 @@ def pair_cells_by_value(values: np.ndarray, exclude: Sequence[int],
     dropped (it would form a singleton group with zero entropy anyway).
     """
     vals = np.asarray(values, dtype=float)
-    order = [int(i) for i in np.argsort(vals, kind="stable")
-             if int(i) not in set(exclude)]
+    skip = set(exclude)
+    order = [cell for cell in np.argsort(vals, kind="stable").tolist()
+             if cell not in skip]
+    vals = vals.tolist()
     pairs: List[Tuple[int, int]] = []
-    pending: List[int] = []
+    pending: Deque[int] = deque()
     for cell in order:
-        if not pending:
-            pending.append(cell)
-            continue
-        if abs(vals[cell] - vals[pending[0]]) >= min_gap:
-            pairs.append((pending.pop(0), cell))
+        if pending and abs(vals[cell] - vals[pending[0]]) >= min_gap:
             # Any cells skipped because they tied with the previous
             # anchor can now pair with later, larger values.
-            continue
-        pending.append(cell)
+            pairs.append((pending.popleft(), cell))
+        else:
+            pending.append(cell)
     while len(pending) >= 2:
-        a = pending.pop(0)
+        a = pending.popleft()
         partner = next((c for c in pending
                         if abs(vals[c] - vals[a]) >= min_gap), None)
         if partner is None:

@@ -21,10 +21,13 @@ that structure explicit so one attack can be executed two ways:
   discrepancy masks of the batched Berlekamp–Massey decoder).  Each
   round's blocks are evaluated through one frontier plan
   (:func:`~repro.core.batch_oracle.plan_frontier`): blocks whose
-  extraction is a pair-column index and whose completion is a bare
-  code-offset sketch, on oracles without a trajectory, are stacked —
-  one gather, dedup, payload shift and key check per kernel key —
-  and every other block keeps its own ``plan_rows`` in round order.
+  extraction is a described pair-column index — raw ``>=`` pairs
+  (sequential), residual ``>=`` pairs (distiller) or residual Kendall
+  pairs (group-based helpers made of pairs, every §VI-C hypothesis) —
+  and whose completion is a bare code-offset sketch, on oracles
+  without a trajectory, are stacked: one gather, trend subtraction,
+  compare, dedup, payload shift and key check per stack key.  Every
+  other block keeps its own ``plan_rows`` in round order.
 
 **Equivalence contract.**  Each device owns its oracle and noise
 stream, and a lane only ever consumes rows from its own oracle in
@@ -252,10 +255,15 @@ class LaneEngine:
     (:func:`~repro.core.batch_oracle.plan_frontier`).  Blocks of
     pair-column evaluators completed by a bare code-offset sketch, on
     oracles without a trajectory, are stacked per (row count, width,
-    kernel key): one gather and compare, one dedup keyed by (block,
+    stack key), the stack key holding the comparison kind (``>=`` or
+    Kendall), whether a trend is subtracted, and the kernel key: one
+    gather, trend subtraction and compare, one dedup keyed by (block,
     pattern), per-block memo lookups, one payload shift and one
-    vectorised key check.  Every other block — constant, masked,
-    temp-aware, assembled or trajectory-driven — is planned alone via
+    vectorised key check.  Sequential, distiller and group-based
+    blocks of pairs stack this way; every other block — constant,
+    masked (hardened, temp-aware), assembled (groups of three or
+    more, fuzzy extractor), malformed or trajectory-driven — is
+    planned alone via
     :meth:`~repro.core.batch_oracle.BatchOracle.plan_rows` at its
     place in the round, so transient streams are consumed in request
     order.  Then **one fused kernel call per distinct kernel key

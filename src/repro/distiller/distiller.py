@@ -94,8 +94,14 @@ class EntropyDistiller:
                   helper: DistillerHelper) -> np.ndarray:
         """On-device subtraction under (possibly manipulated) helper data."""
         freqs = np.asarray(frequencies, dtype=float)
-        return freqs - helper.polynomial(np.asarray(x, dtype=float),
-                                         np.asarray(y, dtype=float))
+        return freqs - self.trend(x, y, helper)
+
+    @staticmethod
+    def trend(x: np.ndarray, y: np.ndarray,
+              helper: DistillerHelper) -> np.ndarray:
+        """The stored polynomial evaluated over the ``(x, y)`` layout."""
+        return helper.polynomial(np.asarray(x, dtype=float),
+                                 np.asarray(y, dtype=float))
 
     def residuals_batch(self, x: np.ndarray, y: np.ndarray,
                         frequencies: np.ndarray,
@@ -109,9 +115,7 @@ class EntropyDistiller:
         freqs = np.asarray(frequencies, dtype=float)
         if freqs.ndim != 2:
             raise ValueError("batch evaluation needs a (B, n) matrix")
-        trend = helper.polynomial(np.asarray(x, dtype=float),
-                                  np.asarray(y, dtype=float))
-        return freqs - trend[None, :]
+        return freqs - self.trend(x, y, helper)[None, :]
 
     def variance_explained(self, x: np.ndarray, y: np.ndarray,
                            frequencies: np.ndarray) -> float:

@@ -30,7 +30,8 @@ def as_bits(bits: np.ndarray, length: int = None) -> np.ndarray:
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError("bit vectors must be one-dimensional")
-    if not np.all((arr == 0) | (arr == 1)):
+    if (arr.size and arr.max() > 1 if arr.dtype == np.uint8
+            else not ((arr == 0) | (arr == 1)).all()):
         raise ValueError("bit vectors must contain only 0 and 1")
     if length is not None and arr.shape[0] != length:
         raise ValueError(f"expected {length} bits, got {arr.shape[0]}")

@@ -52,6 +52,17 @@ class SketchData:
         object.__setattr__(self, "payload",
                            as_bits(self.payload).copy())
 
+    @classmethod
+    def of_bits(cls, payload: np.ndarray) -> "SketchData":
+        """Helper data over a fresh 0/1 ``uint8`` vector, unvalidated.
+
+        For payloads a sketch has just computed from validated bits;
+        the caller hands over *payload* and keeps no reference.
+        """
+        data = object.__new__(cls)
+        object.__setattr__(data, "payload", payload)
+        return data
+
     def with_payload(self, payload: np.ndarray) -> "SketchData":
         """A new helper-data object with a replaced payload."""
         return SketchData(payload)
@@ -315,19 +326,24 @@ class CodeOffsetSketch(SecureSketch):
         §VI-C): anyone who knows (or hypothesises) the full response can
         compute a perfectly consistent helper payload for it.
         """
-        (helper,) = self.helpers_for_responses([response], seed)
+        codeword = self._code.encode(as_bits(seed, self._code.k))
+        (helper,) = self.helpers_for_codeword(
+            as_bits(response, self._length)[None, :], codeword)
         return helper
 
-    def helpers_for_responses(self, responses: np.ndarray,
-                              seed: np.ndarray) -> List[SketchData]:
-        """:meth:`helper_for_response` for each row of *responses*.
+    def helpers_for_codeword(self, responses: np.ndarray,
+                             codeword: np.ndarray) -> List[SketchData]:
+        """Helpers binding each 0/1 ``uint8`` row through *codeword*.
 
-        Every helper binds its response through the same *seed*, so
-        the seed is encoded once for the whole batch.
+        *codeword* is an already encoded seed, so a caller binding
+        many batches through one seed encodes it once.  The payloads
+        are XORs of validated bits and are not validated again.
         """
-        codeword = self._code.encode(as_bits(seed, self._code.k))
-        return [SketchData(self._pad(response) ^ codeword)
-                for response in responses]
+        payloads = np.zeros((responses.shape[0], self._code.n),
+                            dtype=np.uint8)
+        payloads[:, :self._length] = responses
+        payloads ^= codeword
+        return [SketchData.of_bits(payload) for payload in payloads]
 
 
 class SyndromeSketch(SecureSketch):

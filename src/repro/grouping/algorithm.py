@@ -99,7 +99,7 @@ class GroupingHelper:
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "groups",
-            tuple(tuple(int(m) for m in group) for group in self.groups))
+            tuple(tuple(map(int, group)) for group in self.groups))
 
     @property
     def sizes(self) -> Tuple[int, ...]:
@@ -110,8 +110,7 @@ class GroupingHelper:
                     ) -> "GroupingHelper":
         """Manipulated copy with a replaced partition (the §VI-C
         repartitioning tool)."""
-        return GroupingHelper(tuple(tuple(g) for g in groups),
-                              self.threshold)
+        return GroupingHelper(groups, self.threshold)
 
 
 class GroupingScheme:

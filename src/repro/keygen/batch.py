@@ -26,9 +26,10 @@ are bitwise-identical for every batch composition, and equal to the
 scalar :meth:`SketchCompletion.complete` reference row by row.
 
 A :class:`FrontierPlan` runs the same three phases for a whole
-lock-step round: blocks whose evaluator extracts pair columns and
+lock-step round: blocks whose evaluator extracts described
+:class:`PairColumns` (raw or trend-subtracted, ``>=`` or Kendall) and
 completes through a bare code-offset sketch are planned and finalized
-stacked, one pass per kernel key; every other block keeps its own
+stacked, one pass per stack key; every other block keeps its own
 :class:`EvalPlan`.
 """
 
@@ -45,7 +46,6 @@ from repro.ecc.base import DecodingFailure
 from repro.ecc.kernel import KernelWorkload, run_kernels
 from repro.ecc.sketch import CodeOffsetSketch, SecureSketch, SketchData
 from repro.keygen.base import key_check_digest, key_check_digests
-from repro.pairing.base import response_bits_batch
 
 #: Extraction: (B, n) measurement batch -> (B, bits) response matrix.
 ExtractionFn = Callable[[np.ndarray], np.ndarray]
@@ -58,23 +58,48 @@ EnvExtractionFn = Callable[[np.ndarray, object],
                            Tuple[np.ndarray, np.ndarray]]
 
 
+def compare_columns(first: np.ndarray, second: np.ndarray,
+                    kind: str) -> np.ndarray:
+    """Boolean response bits of gathered column pairs, by *kind*.
+
+    ``"ge"`` is the pairing convention ``first >= second``.
+    ``"kendall"`` is the Kendall bit of a label pair ``(x, y)``: ``y``
+    precedes ``x`` in the stable descending order exactly when its
+    value is larger, or when only ``x``'s is NaN (the sort places NaN
+    last).
+    """
+    if kind == "kendall":
+        return (second > first) | (np.isnan(first) & ~np.isnan(second))
+    return first >= second
+
+
 @dataclass(frozen=True, eq=False)
 class PairColumns:
-    """Described extraction: response bit ``c`` is ``f[a_c] >= f[b_c]``.
+    """Described extraction: bit ``c`` compares columns ``a_c`` and ``b_c``.
 
     *index* is the ``(P, 2)`` ``intp`` pair index (for example
     :attr:`~repro.pairing.sequential.SequentialPairingHelper.index`).
-    Calling the object is
-    :func:`~repro.pairing.base.response_bits_batch`; a
-    :class:`FrontierPlan` reads *index* instead, to extract the bits
-    of many helpers' blocks in one gather.
+    An optional *trend* is subtracted from every measurement row first
+    (the distiller's residuals ``f - trend``), and *kind* names the
+    comparison (:func:`compare_columns`).  A :class:`FrontierPlan`
+    reads these fields instead of calling the object, to extract the
+    bits of many helpers' blocks in one gather.
     """
 
     index: np.ndarray
+    trend: Optional[np.ndarray] = None
+    kind: str = "ge"
 
     def __call__(self, freqs: np.ndarray) -> np.ndarray:
         """The ``(B, P)`` response bits of a ``(B, n)`` block."""
-        return response_bits_batch(freqs, self.index)
+        freqs = np.asarray(freqs, dtype=float)
+        if freqs.ndim != 2:
+            raise ValueError("batch evaluation needs a (B, n) matrix")
+        if self.trend is not None:
+            freqs = freqs - self.trend[None, :]
+        return compare_columns(freqs[:, self.index[:, 0]],
+                               freqs[:, self.index[:, 1]],
+                               self.kind).view(np.uint8)
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +368,9 @@ class ResponseBitEvaluator(BatchEvaluator):
     bits)`` response matrix in one pass; *completion* finishes the
     distinct patterns.  A :class:`PairColumns` extraction completed by
     a bare, well-formed code-offset sketch with a kernel key also
-    gets a :attr:`stack_key`, so frontier rounds stack its blocks.
+    gets a :attr:`stack_key` — its comparison kind, whether it
+    subtracts a trend, and the kernel key — so frontier rounds stack
+    its blocks with those of the same key only.
     """
 
     def __init__(self, extract: ExtractionFn,
@@ -358,7 +385,8 @@ class ResponseBitEvaluator(BatchEvaluator):
                 and sketch.response_length == extract.index.shape[0]):
             key = sketch.kernel_key()
             if key is not None and completion.parsed is not None:
-                self.stack_key = key
+                self.stack_key = (extract.kind,
+                                  extract.trend is not None, key)
 
     def plan(self, freqs: np.ndarray) -> EvalPlan:
         """Phase 1: extract and dedup; declare the kernel workload."""
@@ -444,15 +472,15 @@ FrontierEntry = Union[EvalPlan,
 
 
 class _StackedGroup:
-    """Stackable blocks of one shape and one kernel key.
+    """Stackable blocks of one shape and one stack key.
 
     Planned as one: a single gather and compare over the stacked
-    frequencies (each block's pair index padded to the widest block
-    and masked), one dedup keyed by (block, pattern), per-block memo
-    lookups and one payload-shifted decode workload over the fresh
-    patterns.  :meth:`finalize` XORs the payloads back, truncates each
-    pattern to its block's length and hashes the key checks of the
-    whole group in one pass.
+    frequencies (each block's trend subtracted, its pair index padded
+    to the widest block and masked), one dedup keyed by (block,
+    pattern), per-block memo lookups and one payload-shifted decode
+    workload over the fresh patterns.  :meth:`finalize` XORs the
+    payloads back, truncates each pattern to its block's length and
+    hashes the key checks of the whole group in one pass.
     """
 
     def __init__(self, blocks: List[Tuple[int, "ResponseBitEvaluator",
@@ -461,22 +489,26 @@ class _StackedGroup:
         self.slots = [block[0] for block in blocks]
         self._memos = [block[1]._memo for block in blocks]
         self._completions = [block[1]._completion for block in blocks]
-        indices = [block[1]._extract.index for block in blocks]
+        extracts = [block[1]._extract for block in blocks]
         self._count = count = blocks[0][3].shape[0]
         # (blocks, columns, rows): every block of a group has the same
         # row count, so one fancy index per (block, pair) gathers that
         # pair's column for all the block's rows at once.
         freqs = np.stack([block[3].T for block in blocks])
         freqs += np.stack([block[2] for block in blocks])[:, :, None]
-        widths = [index.shape[0] for index in indices]
+        if extracts[0].trend is not None:
+            freqs -= np.stack([extract.trend
+                               for extract in extracts])[:, :, None]
+        widths = [extract.index.shape[0] for extract in extracts]
         self._widths = np.array(widths)
         wide = max(widths)
         pairs = np.zeros((len(blocks), wide, 2), dtype=np.intp)
-        for slot, index in enumerate(indices):
-            pairs[slot, :widths[slot]] = index
+        for slot, extract in enumerate(extracts):
+            pairs[slot, :widths[slot]] = extract.index
         items = np.arange(len(blocks))[:, None]
-        bits = (freqs[items, pairs[:, :, 0]]
-                >= freqs[items, pairs[:, :, 1]])
+        bits = compare_columns(freqs[items, pairs[:, :, 0]],
+                               freqs[items, pairs[:, :, 1]],
+                               extracts[0].kind)
         self._mask = None
         if min(widths) < wide:
             self._mask = np.arange(wide) < self._widths[:, None]
@@ -491,9 +523,10 @@ class _StackedGroup:
         self._results = np.zeros(first.size, dtype=bool)
         fresh: List[int] = []
         self._keys: List[bytes] = []
+        blob = bits.tobytes()
         for distinct, (row, slot) in enumerate(zip(first.tolist(),
                                                    owners.tolist())):
-            key = bits[row, :widths[slot]].tobytes()
+            key = blob[row * wide:row * wide + widths[slot]]
             hit = self._memos[slot].get(key)
             if hit is None:
                 fresh.append(distinct)
@@ -538,9 +571,10 @@ class FrontierPlan:
 
     *entries* come in round order, one per item (see
     :data:`FrontierEntry`).  Stackable blocks are grouped by block
-    shape (rows, frequency width) and kernel key, and each group of
-    two or more is planned as one (:class:`_StackedGroup`); a lone
-    block has nothing to stack and is planned by its own evaluator.
+    shape (rows, frequency width) and stack key (comparison kind,
+    trend, kernel key), and each group of two or more is planned as
+    one (:class:`_StackedGroup`); a lone block has nothing to stack
+    and is planned by its own evaluator.
     An :class:`EvalPlan` entry is kept as-is.  Run :attr:`workloads`
     through :func:`~repro.ecc.kernel.run_kernels` — one call per
     distinct key, stacked groups and own plans alike — and hand the

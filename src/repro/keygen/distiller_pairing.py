@@ -28,10 +28,11 @@ from repro.keygen.base import (
 )
 from repro.keygen.batch import (
     ConstantEvaluator,
+    PairColumns,
     ResponseBitEvaluator,
     SketchCompletion,
 )
-from repro.pairing.base import Pair, response_bits, response_bits_batch
+from repro.pairing.base import Pair, pair_index_arrays, response_bits
 from repro.pairing.masking import MaskingHelper, OneOutOfKMasking
 from repro.pairing.neighbor import neighbor_chain_pairs
 from repro.puf.measurement import enroll_frequencies
@@ -177,14 +178,10 @@ class DistillerPairingKeyGen(KeyGenerator):
             # Mismatched selection helper or unprovisionable length:
             # every reconstruction fails observably.
             return ConstantEvaluator(False)
-        distiller = self._distiller
-        distiller_helper = helper.distiller
-
-        def extract(freqs: np.ndarray) -> np.ndarray:
-            residuals = distiller.residuals_batch(x, y, freqs,
-                                                  distiller_helper)
-            return response_bits_batch(residuals, pairs)
-
+        # Residual pair columns: stacked in frontier rounds.
+        extract = PairColumns(
+            np.stack(pair_index_arrays(pairs), axis=1),
+            self._distiller.trend(x, y, helper.distiller))
         return ResponseBitEvaluator(
             extract, SketchCompletion(sketch, helper.sketch,
                                       helper.key_check))

@@ -12,9 +12,10 @@ all of them at once to *reprogram* the device key.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from repro.keygen.base import (
 )
 from repro.keygen.batch import (
     ConstantEvaluator,
+    PairColumns,
     ResponseBitEvaluator,
     SketchCompletion,
 )
@@ -77,50 +79,45 @@ def kendall_stream(residuals: np.ndarray,
     return np.concatenate(chunks)
 
 
-class KendallPairs:
-    """Batched Kendall extraction for one group map, by size class.
+class KendallPairs(PairColumns):
+    """Described Kendall extraction for one group map.
 
-    Every label pair ``(x, y)`` of every group is resolved to its two
-    member oscillators once, one gather table per group size, so a
-    ``(B, n)`` residual batch becomes its ``(B, bits)`` Kendall streams
-    in two gathers and one comparison per class.
+    Every label pair ``(x, y)`` of every group (of sizes
+    :attr:`sizes`) is resolved to its two member oscillators once,
+    into the ``(bits, 2)`` index of the whole stream, so a ``(B, n)``
+    residual batch becomes its ``(B, bits)`` Kendall streams in one
+    gather and one ``"kendall"`` comparison
+    (:func:`~repro.keygen.batch.compare_columns`).  Row ``i`` equals
+    the scalar reference :func:`kendall_stream` of ``residuals[i]``.
+    With a *trend*, calling it on measured frequencies subtracts the
+    trend first, as :meth:`EntropyDistiller.residuals_batch` does.
     """
 
-    def __init__(self, groups: Sequence[Sequence[int]]):
+    def __init__(self, groups: Sequence[Sequence[int]],
+                 trend: Optional[np.ndarray] = None):
         sizes = tuple(map(len, groups))
         if 0 in sizes:
             raise ValueError("empty group in helper data")
-        layout = pack_layout(sizes)
-        members = np.fromiter(chain.from_iterable(groups), dtype=np.intp,
-                              count=sum(sizes))
-        self.stream_bits = layout.stream_bits
-        self._classes = []
-        for group_class in layout.classes:
-            xs, ys = pair_table(group_class.size)
-            cols = group_class.member_cols
-            self._classes.append((members[cols[:, xs]],
-                                  members[cols[:, ys]],
-                                  group_class.kendall_cols))
+        if set(sizes) == {2}:
+            # All pairs: label 0 against label 1, in group order.
+            index = np.array(groups, dtype=np.intp).reshape(-1, 2)
+        else:
+            layout = pack_layout(sizes)
+            members = np.fromiter(chain.from_iterable(groups),
+                                  dtype=np.intp, count=sum(sizes))
+            index = np.empty((layout.stream_bits, 2), dtype=np.intp)
+            for group_class in layout.classes:
+                xs, ys = pair_table(group_class.size)
+                cols = group_class.member_cols
+                index[group_class.kendall_cols, 0] = members[cols[:, xs]]
+                index[group_class.kendall_cols, 1] = members[cols[:, ys]]
+        super().__init__(index, trend, "kendall")
+        object.__setattr__(self, "sizes", sizes)
 
-    def __call__(self, residuals: np.ndarray) -> np.ndarray:
-        """Kendall streams of a ``(B, n)`` residual batch, ``(B, bits)``.
-
-        Row ``i`` equals the scalar reference :func:`kendall_stream` of
-        ``residuals[i]``.  Label ``y`` precedes ``x < y`` in the stable descending order
-        exactly when its residual is larger, or when only ``x``'s is
-        NaN (the sort places NaN last), so no sort is needed.
-        """
-        residuals = np.asarray(residuals, dtype=float)
-        if residuals.ndim != 2:
-            raise ValueError("batch evaluation needs a (B, n) matrix")
-        out = np.empty((residuals.shape[0], self.stream_bits),
-                       dtype=np.uint8)
-        for x_members, y_members, columns in self._classes:
-            first = residuals[:, x_members]
-            second = residuals[:, y_members]
-            out[:, columns] = (second > first) | (np.isnan(first)
-                                                  & ~np.isnan(second))
-        return out
+    @property
+    def stream_bits(self) -> int:
+        """Length of the Kendall stream, in bits."""
+        return self.index.shape[0]
 
 
 @dataclass(frozen=True)
@@ -210,30 +207,58 @@ class GroupBasedKeyGen(KeyGenerator):
             raise ReconstructionFailure(str(exc)) from exc
         return self._finish(key, helper.key_check)
 
+    def __getstate__(self) -> dict:
+        # The last extraction is a per-process cache of live helper
+        # objects; pickles carry the device model alone.
+        state = self.__dict__.copy()
+        state.pop("_last_extraction", None)
+        return state
+
+    def _extraction(self, array: ROArray, helper: GroupBasedKeyHelper
+                    ) -> Optional[KendallPairs]:
+        """*helper*'s described extraction on *array*, ``None`` if invalid.
+
+        Built once per (array, grouping, distiller) triple: the §VI-C
+        hypothesis helpers of one comparison share their grouping and
+        distiller objects, so the second reuses the first's index and
+        trend.  Only the last triple is kept, by identity.
+        """
+        parts = (array, helper.grouping, helper.distiller)
+        last = self.__dict__.get("_last_extraction")
+        if last is not None and all(map(operator.is_, last[0], parts)):
+            return last[1]
+        trend = self._distiller.trend(array.x, array.y, helper.distiller)
+        try:
+            extract = KendallPairs(helper.grouping.groups, trend)
+        except ValueError:
+            extract = None
+        self._last_extraction = (parts, extract)
+        return extract
+
     def batch_evaluator(self, array: ROArray,
                         helper: GroupBasedKeyHelper,
                         op: OperatingPoint = OperatingPoint()):
-        """Vectorized evaluator: one decode per distinct pattern."""
-        grouping = helper.grouping
+        """Vectorized evaluator: one decode per distinct pattern.
+
+        The extraction is a described :class:`KendallPairs` with the
+        distiller's trend.  A grouping of pairs packs to the identity,
+        so its completion has no assembly and frontier rounds stack
+        its blocks (:class:`~repro.keygen.batch.FrontierPlan`).
+        """
+        extract = self._extraction(array, helper)
         try:
-            pairs = KendallPairs(grouping.groups)
-            bits = pairs.stream_bits
-            sketch = self.sketch_for(bits) if bits else None
+            sketch = (self.sketch_for(extract.stream_bits)
+                      if extract is not None and extract.stream_bits
+                      else None)
         except ValueError:
-            return ConstantEvaluator(False)
+            sketch = None
         if sketch is None:
-            # A stream of zero bits cannot be provisioned; the scalar
-            # path fails on sketch construction for every query.
+            # An empty group or an unprovisionable (e.g. zero-bit)
+            # stream: the scalar path fails for every query.
             return ConstantEvaluator(False)
-        x, y = array.x, array.y
-        distiller = self._distiller
-        distiller_helper = helper.distiller
-
-        def extract(freqs: np.ndarray) -> np.ndarray:
-            return pairs(distiller.residuals_batch(x, y, freqs,
-                                                   distiller_helper))
-
+        sizes = extract.sizes
         completion = SketchCompletion(
             sketch, helper.sketch, helper.key_check,
-            assemble=_PackKeyAssembler(tuple(grouping.sizes)))
+            assemble=(None if set(sizes) == {2}
+                      else _PackKeyAssembler(sizes)))
         return ResponseBitEvaluator(extract, completion)

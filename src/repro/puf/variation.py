@@ -138,6 +138,8 @@ class Polynomial2D:
     def __add__(self, other: "Polynomial2D") -> "Polynomial2D":
         if not isinstance(other, Polynomial2D):
             return NotImplemented
+        if self.degree == other.degree:
+            return Polynomial2D(self._degree, self._coeffs + other._coeffs)
         hi, lo = ((self, other) if self.degree >= other.degree
                   else (other, self))
         coeffs = hi.coefficients.copy()

@@ -2,26 +2,34 @@
 
 A lock-step round evaluates ``(oracle, helper, rows, op)`` items through
 :func:`repro.core.batch_oracle.plan_frontier`: blocks of pair-column
-evaluators with a bare code-offset completion are planned and finalized
-stacked, every other block keeps its own ``plan_rows``.  Every test
+evaluators (sequential ``>=``, distiller residual ``>=``, group-based
+residual Kendall) with a bare code-offset completion are planned and
+finalized stacked, every other block keeps its own ``plan_rows``.  Every test
 builds each lane twice (twin devices, twin keygens), runs one copy
 through the frontier and the other through per-item ``plan_rows`` with
 the kernel fused across the round, and asserts equal outcomes, equal
 kernel call and row counts, and equal memo state in later rounds.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.batch_oracle import BatchOracle, plan_frontier
+from repro.core.group_attack import GroupBasedAttack
 from repro.core.injection import flip_orientations
 from repro.core.lockstep import LaneEngine
 from repro.ecc import design_bch, run_kernels
 from repro.ecc.kernel import kernel_stats
 from repro.ecc.sketch import SketchData
+from repro.distiller import DistillerHelper
 from repro.keygen import (
+    DistillerPairingKeyGen,
     FuzzyExtractorKeyGen,
+    GroupBasedKeyGen,
+    HardenedGroupBasedKeyGen,
     HardenedSequentialKeyGen,
     OperatingPoint,
     SequentialPairingKeyGen,
@@ -105,6 +113,80 @@ LANES = {
     "fuzzy": (NOISY, lambda: FuzzyExtractorKeyGen(8, 16, 48),
               (None, None), None),
 }
+
+
+#: 4x10 lanes of three comparison kinds over one code: sequential
+#: (raw ``>=``), distiller (residual ``>=``) and group-based (residual
+#: Kendall) blocks share a row shape and a kernel key, so only the
+#: kind keeps them apart.
+SMALL = ROArrayParams(rows=4, cols=10, sigma_noise=300e3)
+#: Long enough for any enrolled 4x10 Kendall stream.
+SMALL_CODE = fixed_code(design_bch(160, 3))
+
+
+def _group_keygen():
+    return GroupBasedKeyGen(group_threshold=120e3,
+                            code_provider=SMALL_CODE)
+
+
+def _hypothesis(u, v, bit):
+    """The §VI-C hypothesis helper "residual(u) > residual(v)" = *bit*.
+
+    Every group is a pair; targets (0, 1) give 19 groups and (0, 2)
+    give 20 on these devices (a ragged Kendall group).
+    """
+    def manipulate(helper):
+        attack = GroupBasedAttack(None, _group_keygen(), helper,
+                                  SMALL.rows, SMALL.cols)
+        return attack._attack_helpers(u, v)[bit]
+    return manipulate
+
+
+def _payload_flips(count):
+    def manipulate(helper):
+        payload = helper.sketch.payload.copy()
+        payload[:count] ^= 1
+        return helper.with_sketch(SketchData(payload))
+    return manipulate
+
+
+def _nan_trend(helper):
+    # An infinite x coefficient: the trend is NaN on the x = 0 column
+    # and infinite elsewhere, so the Kendall NaN rule decides bits.
+    hypothesis = _hypothesis(0, 2, 0)(helper)
+    coefficients = hypothesis.distiller.coefficients.copy()
+    coefficients[1] = np.inf
+    return replace(hypothesis, distiller=DistillerHelper(
+        hypothesis.distiller.degree, coefficients))
+
+
+def _group_short_payload(helper):
+    return _hypothesis(0, 2, 1)(helper).with_sketch(
+        SketchData(np.zeros(3, dtype=np.uint8)))
+
+
+LANES.update({
+    "group": (SMALL, _group_keygen,
+              (_hypothesis(0, 2, 0), _hypothesis(0, 2, 1),
+               _hypothesis(5, 17, 0), _hypothesis(5, 17, 1)), None),
+    "group-ragged": (SMALL, _group_keygen,
+                     (_hypothesis(0, 1, 0), _hypothesis(0, 1, 1),
+                      _hypothesis(3, 30, 1)), None),
+    # The enrolled helper groups 3 or more oscillators (assembled);
+    # the others fall back or reject.
+    "group-fallback": (SMALL, _group_keygen,
+                       (None, _group_short_payload, _nan_trend), None),
+    "group-hardened": (SMALL, lambda: HardenedGroupBasedKeyGen(
+        SMALL.rows, SMALL.cols, max_polynomial_span=20e6,
+        group_threshold=120e3, code_provider=SMALL_CODE),
+        (None, _hypothesis(0, 2, 0)), None),
+    "small-sequential": (SMALL, lambda: SequentialPairingKeyGen(
+        threshold=250e3, code_provider=SMALL_CODE),
+        (_flipped(2), _flipped(3)), None),
+    "distiller": (SMALL, lambda: DistillerPairingKeyGen(
+        SMALL.rows, SMALL.cols, code_provider=SMALL_CODE),
+        (_payload_flips(3), _payload_flips(2)), None),
+})
 
 
 def build_lane(kind, seed):
@@ -334,6 +416,191 @@ class TestRandomFrontiers:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(frontier_rounds())
+    def test_stacked_equals_per_item(self, case):
+        kinds, rounds = case
+        assert_routes_agree(kinds, rounds)
+
+
+#: An infinite trend coefficient meets a zero coordinate in the
+#: NaN-trend helper's matmul.
+NAN_TREND = pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in matmul:RuntimeWarning")
+
+
+@NAN_TREND
+class TestKendallRounds:
+    """Group-based (Kendall) and distiller (residual) blocks."""
+
+    def test_hypothesis_pairs_stack_across_devices(self):
+        spec = [(0, 0, 8, None), (0, 1, 8, None), (1, 0, 8, None),
+                (1, 1, 8, None), (0, 2, 8, None), (1, 2, 5, None),
+                (0, 3, 8, HOT)]
+        assert_routes_agree(["group", "group-ragged"], [spec, spec])
+        lanes = build_lanes(["group", "group-ragged"])
+        items = [(lanes[lane][0], lanes[lane][1][which],
+                  lanes[lane][0].take_rows(count), op)
+                 for lane, which, count, op in spec]
+        frontier = plan_frontier(items)
+        # Every 8-row block stacks whatever its op (ragged: 20 and 19
+        # groups); the 5-row block is planned alone.
+        assert len(frontier._groups) == 1
+        assert len(frontier._groups[0].slots) == 6
+        assert set(frontier._groups[0]._widths.tolist()) == {19, 20}
+        assert [slot for slot, _ in frontier._plans] == [5]
+        frontier.execute()
+
+    def test_residual_rows_with_nan(self):
+        kinds = ["group", "group-ragged", "distiller", "group"]
+        spec = [(0, 0, 12, None), (1, 1, 12, None), (2, 0, 12, None),
+                (3, 1, 12, None), (0, 1, 12, None), (2, 1, 12, None)]
+
+        def nan_round(lanes, route):
+            items = []
+            for lane, which, count, op in spec:
+                oracle, helpers = lanes[lane]
+                rows = oracle.take_rows(count)
+                rows[::3, 0] = np.nan
+                rows[1::4, 2] = np.nan
+                rows[2::5, :4] = np.nan
+                items.append((oracle, helpers[which], rows, op))
+            calls, kernel_rows = kernel_stats.calls, kernel_stats.rows
+            outcomes = route(items)
+            return outcomes, (kernel_stats.calls - calls,
+                              kernel_stats.rows - kernel_rows)
+
+        want, want_work = nan_round(build_lanes(kinds), per_item)
+        got, got_work = nan_round(build_lanes(kinds), stacked)
+        for expected, observed in zip(want, got):
+            np.testing.assert_array_equal(observed, expected)
+        assert got_work == want_work
+
+    def test_nan_trend_and_rows_match_the_scalar_reference(self):
+        oracle, helpers = build_lane("group-fallback", 11)
+        rows = oracle.take_rows(24)
+        rows[::2, 1] = np.nan
+        helper = helpers[2]
+        evaluator = oracle.keygen.batch_evaluator(oracle.array, helper)
+        assert evaluator.stack_key is not None
+        freqs = oracle.array.true_frequencies() + rows
+        expected = []
+        for row in freqs:
+            try:
+                oracle.keygen.reconstruct_from_frequencies(
+                    oracle.array, row, helper)
+                expected.append(True)
+            except Exception:
+                expected.append(False)
+        np.testing.assert_array_equal(
+            oracle.evaluate_rows(helper, rows), expected)
+
+    def test_three_kinds_in_one_round_never_merge(self):
+        kinds = ["small-sequential", "distiller", "group",
+                 "small-sequential", "distiller", "group"]
+        spec = [(lane, 0, 8, None) for lane in range(6)] \
+            + [(lane, 1, 8, None) for lane in range(6)]
+        assert_routes_agree(kinds, [spec, spec])
+        lanes = build_lanes(kinds)
+        keys = [oracle.keygen.batch_evaluator(oracle.array,
+                                              helpers[0]).stack_key
+                for oracle, helpers in lanes[:3]]
+        assert None not in keys and len(set(keys)) == 3
+        assert len({key[-1] for key in keys}) == 1
+        items = [(lanes[lane][0], lanes[lane][1][which],
+                  lanes[lane][0].take_rows(count), op)
+                 for lane, which, count, op in spec]
+        frontier = plan_frontier(items)
+        assert len(frontier._groups) == 3
+        kinds_per_group = [
+            {(extract.kind, extract.trend is not None)
+             for extract in (items[slot][0]._evaluator_for(
+                 items[slot][1], OperatingPoint())._extract
+                 for slot in group.slots)}
+            for group in frontier._groups]
+        assert all(len(group) == 1 for group in kinds_per_group)
+        frontier.execute()
+
+    def test_fallbacks_and_rejections(self):
+        assert_routes_agree(
+            ["group-fallback", "group-hardened", "group"],
+            [[(0, 0, 8, None), (2, 0, 8, None), (1, 0, 8, None),
+              (0, 1, 8, None), (2, 1, 8, None), (1, 1, 8, None),
+              (0, 2, 8, None)]])
+
+    @pytest.mark.parametrize("kind,which,stacks", [
+        ("group", 0, True),
+        ("group-ragged", 2, True),
+        ("distiller", 0, True),
+        ("group-fallback", 0, False),   # a group of 3 or more
+        ("group-fallback", 1, False),   # malformed payload
+        ("group-fallback", 2, True),    # NaN trend, all pairs
+        ("group-hardened", 0, False),   # masked
+        ("group-hardened", 1, False),   # rejected amplitude
+    ])
+    def test_group_stack_condition(self, kind, which, stacks):
+        oracle, helpers = build_lane(kind, 3)
+        if kind == "group-fallback" and which == 0:
+            assert max(helpers[0].grouping.sizes) >= 3
+        evaluator = oracle.keygen.batch_evaluator(oracle.array,
+                                                  helpers[which])
+        assert (evaluator.stack_key is not None) is stacks
+        if kind == "group-hardened" and which == 1:
+            assert isinstance(evaluator, ConstantEvaluator)
+
+    def test_malformed_group_payload_rejects_every_row(self):
+        oracle, helpers = build_lane("group-fallback", 5)
+        outcomes = oracle.evaluate_rows(helpers[1], oracle.take_rows(30))
+        assert outcomes.shape == (30,) and not outcomes.any()
+
+    def test_hypothesis_helper_repeated_across_rounds_hits_the_memo(self):
+        spec = [(0, 1, 16, None), (1, 0, 16, None), (0, 0, 16, None)]
+        assert_routes_agree(["group", "group-ragged"], [spec, spec, spec])
+        lanes = build_lanes(["group", "group-ragged"])
+        _, (_, first) = run_round(lanes, spec, stacked)
+        _, (_, second) = run_round(lanes, spec, stacked)
+        assert second < first
+
+    def test_hypothesis_pair_shares_one_extraction(self):
+        oracle, helpers = build_lane("group", 8)
+        keygen = oracle.keygen
+        attack = GroupBasedAttack(oracle, keygen, helpers[0],
+                                  SMALL.rows, SMALL.cols)
+        helper0, helper1 = attack._attack_helpers(4, 9)
+        first = keygen.batch_evaluator(oracle.array, helper0)._extract
+        second = keygen.batch_evaluator(oracle.array, helper1)._extract
+        assert first is second
+        moved = replace(helper1, distiller=helpers[1].distiller)
+        assert keygen.batch_evaluator(oracle.array,
+                                      moved)._extract is not first
+        other = keygen.batch_evaluator(
+            oracle.array, attack._attack_helpers(4, 9)[0])._extract
+        assert other is not first
+        np.testing.assert_array_equal(other.index, first.index)
+        np.testing.assert_array_equal(other.trend, first.trend)
+        assert "_last_extraction" not in keygen.__getstate__()
+
+
+GROUP_ITEM_KINDS = ITEM_KINDS + ["group", "group-ragged", "group-fallback",
+                                 "group-hardened", "small-sequential",
+                                 "distiller"]
+
+
+@st.composite
+def group_frontier_rounds(draw):
+    kinds = draw(st.lists(st.sampled_from(GROUP_ITEM_KINDS), min_size=1,
+                          max_size=4))
+    item = st.tuples(st.integers(0, len(kinds) - 1), st.integers(0, 1),
+                     st.integers(1, 12),
+                     st.sampled_from([None, HOT]))
+    rounds = draw(st.lists(st.lists(item, min_size=1, max_size=6),
+                           min_size=1, max_size=3))
+    return kinds, rounds
+
+
+@NAN_TREND
+class TestRandomKendallFrontiers:
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(group_frontier_rounds())
     def test_stacked_equals_per_item(self, case):
         kinds, rounds = case
         assert_routes_agree(kinds, rounds)
