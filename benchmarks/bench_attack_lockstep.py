@@ -20,6 +20,12 @@ a ≥5× regression canary for lock-step vs the scalar loop.  A
 group-based (§VI-C, Fig. 6a) campaign section repeats the equivalence
 check on the comparison-sort attack.
 
+A §VI-B section runs the temperature-aware attack (assistant
+substitution at attacker-chosen temperatures) as a per-device loop and
+as a lock-step campaign on twin devices with seeded sensor streams,
+asserts the two agree bitwise, and reports the campaign's oracle
+queries per second: no perfbench workload covers this family.
+
 A last section times the group-based fleet campaign of
 ``repro fleet --attack group-based --devices 32`` (8x16 arrays, groups
 of up to ~17 oscillators), where key assembly used to dominate: every
@@ -41,21 +47,29 @@ from repro.core import (
     GroupBasedAttack,
     HelperDataOracle,
     SequentialPairingAttack,
+    TempAwareAttack,
 )
 from repro.fleet import Fleet, GroupAttackFactory, run_campaign
-from repro.keygen import GroupBasedKeyGen, SequentialPairingKeyGen
+from repro.keygen import (
+    GroupBasedKeyGen,
+    SequentialPairingKeyGen,
+    TempAwareKeyGen,
+)
 from repro.puf import FIG6_PARAMS, ROArray, ROArrayParams
 
 DEVICES = 16
 QUICK_DEVICES = 4
 GROUP_DEVICES = 3
 QUICK_GROUP_DEVICES = 1
+TEMP_DEVICES = 8
+QUICK_TEMP_DEVICES = 2
 FLEET_GROUP_DEVICES = 32
 QUICK_FLEET_GROUP_DEVICES = 2
 #: Wall-time ceiling of the 32-device group-based fleet campaign.
 FLEET_GROUP_BUDGET_S = 10.0
 
 SEQ_PARAMS = ROArrayParams(rows=8, cols=16)
+TEMP_PARAMS = ROArrayParams(rows=8, cols=16, temp_slope_sigma=8e3)
 
 
 def _sequential_device(seed):
@@ -71,6 +85,14 @@ def _group_device(seed):
                               group_threshold=120e3)
     helper, key = keygen.enroll(array, rng=seed)
     return array, keygen, helper, key
+
+
+def _temp_aware_device(seed):
+    array = ROArray(TEMP_PARAMS, rng=200 + seed)
+    keygen = TempAwareKeyGen(t_min=-10, t_max=80, threshold=150e3,
+                             sensor_seed=900 + seed)
+    helper, _ = keygen.enroll(array, rng=seed)
+    return array, keygen, helper
 
 
 def _signature(result):
@@ -141,6 +163,37 @@ def run_group_campaign(devices=GROUP_DEVICES):
     return scalar_results, lockstep_results, keys, scalar_s, lockstep_s
 
 
+def run_temp_aware_campaign(devices=TEMP_DEVICES, repeats=5):
+    """Per-device loop vs lock-step campaign on the §VI-B attack.
+
+    Returns both result lists, the campaign's oracle queries and its
+    median wall time over *repeats* campaigns (one campaign is short
+    enough for host noise to dominate a single timing).  Each
+    execution builds its own twin devices, so sensor streams start
+    from the same seeds.
+    """
+    loop_results = []
+    for seed in range(devices):
+        array, keygen, helper = _temp_aware_device(seed)
+        loop_results.append(TempAwareAttack(
+            BatchOracle(array, keygen), keygen, helper).run())
+
+    walls = []
+    for _ in range(repeats):
+        oracles, attacks = [], []
+        for seed in range(devices):
+            array, keygen, helper = _temp_aware_device(seed)
+            oracle = BatchOracle(array, keygen)
+            oracles.append(oracle)
+            attacks.append(TempAwareAttack(oracle, keygen, helper))
+        start = time.perf_counter()
+        lockstep_results = run_campaign(oracles, attacks)
+        walls.append(time.perf_counter() - start)
+    queries = sum(oracle.queries for oracle in oracles)
+    return (loop_results, lockstep_results, queries,
+            float(np.median(walls)))
+
+
 def run_group_fleet_campaign(devices=FLEET_GROUP_DEVICES, seed=1):
     """The CLI's group-based fleet campaign; results and wall time."""
     manufacture_rng, enroll_rng = spawn(seed, 2)
@@ -208,6 +261,22 @@ def test_attack_lockstep_campaign(benchmark, quick):
            [f"scalar per-device loop: {grp_scalar_s:.2f} s",
             f"lock-step campaign:     {grp_lockstep_s:.2f} s",
             f"speedup: {grp_speedup:.1f}x"])
+
+    temp_devices = QUICK_TEMP_DEVICES if quick else TEMP_DEVICES
+    (temp_loop, temp_lockstep, temp_queries,
+     temp_s) = run_temp_aware_campaign(temp_devices)
+    for reference, lockstep in zip(temp_loop, temp_lockstep):
+        assert reference.queries == lockstep.queries
+        assert np.array_equal(reference.coop_relations,
+                              lockstep.coop_relations)
+        assert reference.good_bits == lockstep.good_bits
+        assert reference.comparisons == lockstep.comparisons
+    record(f"E18 / §VI-B — lock-step campaign engine, temperature-aware "
+           f"({temp_devices} devices, workers=1, bitwise-equal "
+           "relations/queries/decisions)",
+           [f"lock-step campaign: {temp_s:.2f} s (median of 5), "
+            f"{temp_queries} oracle queries "
+            f"({temp_queries / temp_s:,.0f} queries/s)"])
 
     fleet_devices = (QUICK_FLEET_GROUP_DEVICES if quick
                      else FLEET_GROUP_DEVICES)

@@ -104,8 +104,12 @@ def test_campaign_fusion(benchmark, quick):
     ref_wall, ref_calls, ref_rows, ref_kernel = \
         measurements["per-device"]
     fus_wall, fus_calls, fus_rows, fus_kernel = measurements["fused"]
-    assert ref_rows == fus_rows, \
-        "fusion changed the number of kernel input rows"
+    # Fusion only regroups row-local kernel work.  The lock-step route
+    # also keeps one pattern memo per attack (every §VI-A manipulation
+    # completes like the enrolled helper), which the scalar run's
+    # per-helper evaluators do not share, so it may only drop rows.
+    assert fus_rows <= ref_rows, \
+        "fusion added kernel input rows"
     kernel_speedup = (ref_kernel / fus_kernel if fus_kernel
                       else float("inf"))
     wall_speedup = ref_wall / fus_wall if fus_wall else float("inf")

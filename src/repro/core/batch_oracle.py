@@ -47,6 +47,7 @@ from repro._rng import RNGLike, ensure_rng
 from repro.keygen.base import KeyGenerator, OperatingPoint
 from repro.keygen.batch import (
     BatchEvaluator,
+    DescribedHelper,
     EvalPlan,
     FrontierEntry,
     FrontierPlan,
@@ -248,14 +249,24 @@ class BatchOracle:
         """This block as a stackable entry, or as its own plan.
 
         A block stacks when the oracle has no trajectory (its
-        frequencies are ``base + rows``) and the helper's evaluator
-        has a :attr:`~repro.keygen.batch.BatchEvaluator.stack_key`.
+        frequencies are ``base + rows``) and the helper is a
+        :class:`~repro.keygen.batch.DescribedHelper` the keygen
+        describes as a :class:`~repro.keygen.batch.PairBlock` — no
+        helper or evaluator is built — or its evaluator has a
+        :attr:`~repro.keygen.batch.BatchEvaluator.block`.
         """
         if self._trajectory is None:
             resolved = op if op is not None else self._op
+            if isinstance(helper, DescribedHelper):
+                block = helper.block(self._keygen, self._array)
+                if block is not None:
+                    return (block, self._base_frequencies(resolved),
+                            rows, None)
             evaluator = self._evaluator_for(helper, resolved)
-            if evaluator.stack_key is not None:
-                return evaluator, self._base_frequencies(resolved), rows
+            if evaluator.block is not None:
+                return (evaluator.block,
+                        self._base_frequencies(resolved), rows,
+                        evaluator)
         return self.plan_rows(helper, rows, op)
 
     def _trajectory_frequencies(self, rows: np.ndarray,
@@ -293,6 +304,8 @@ class BatchOracle:
 
     def _evaluator_for(self, helper,
                        op: OperatingPoint) -> BatchEvaluator:
+        if isinstance(helper, DescribedHelper):
+            helper = helper.materialise()
         key = id(helper)
         hit = self._evaluators.get(key)
         if hit is not None and hit[0] is helper and hit[1] == op:

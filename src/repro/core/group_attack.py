@@ -41,7 +41,11 @@ from repro.core.injection import (
 from repro.core.oracle import HelperDataOracle
 from repro.ecc.sketch import CodeOffsetSketch
 from repro.keygen.base import key_check_digest, key_check_digests
-from repro.keygen.group_based import GroupBasedKeyGen, GroupBasedKeyHelper
+from repro.keygen.group_based import (
+    GroupBasedKeyGen,
+    GroupBasedKeyHelper,
+    HypothesisPair,
+)
 from repro.grouping.kendall import kendall_encode
 from repro.grouping.packing import pack_key
 
@@ -98,10 +102,8 @@ class GroupBasedAttack:
     def _cell_xy(self, index: int) -> Tuple[float, float]:
         return float(index % self._cols), float(index // self._cols)
 
-    def _attack_helpers(self, u: int, v: int
-                        ) -> Tuple[GroupBasedKeyHelper,
-                                   GroupBasedKeyHelper]:
-        """Hypothesis helpers for "residual(u) > residual(v)" ∈ {0, 1}."""
+    def _hypotheses(self, u: int, v: int) -> HypothesisPair:
+        """Hypotheses "residual(u) > residual(v)" ∈ {0, 1}, as arrays."""
         payload = symmetric_quadratic(self._cell_xy(u), self._cell_xy(v),
                                       self._rows, self._steepness)
         values = -payload(self._xs, self._ys)
@@ -109,7 +111,6 @@ class GroupBasedAttack:
         forced = pair_cells_by_value(values, exclude=(u, v),
                                      min_gap=self._margin)
         groups = [(u, v)] + forced
-        grouping = self._helper.grouping.with_groups(groups)
 
         # Kendall bit of a stored 2-group (a, b) is 1 iff b's residual
         # exceeds a's, i.e. the inverse of the response-bit convention.
@@ -133,15 +134,17 @@ class GroupBasedAttack:
         # given some inverted bit values").
         streams[:, 1:1 + injected] ^= 1
         # Every group is a pair, so each packed key is its stream.
-        distiller = self._helper.distiller.with_added(payload)
-        helper0, helper1 = (
-            GroupBasedKeyHelper(
-                distiller=distiller, grouping=grouping,
-                sketch=sketch_data, key_check=digest)
-            for sketch_data, digest in zip(
-                sketch.helpers_for_codeword(streams, codeword),
-                key_check_digests(streams)))
-        return helper0, helper1
+        return HypothesisPair(
+            self._helper, payload, groups,
+            sketch.payloads_for_codeword(streams, codeword),
+            key_check_digests(streams))
+
+    def _attack_helpers(self, u: int, v: int
+                        ) -> Tuple[GroupBasedKeyHelper,
+                                   GroupBasedKeyHelper]:
+        """Hypothesis helpers for "residual(u) > residual(v)" ∈ {0, 1}."""
+        member0, member1 = self._hypotheses(u, v).members
+        return member0.materialise(), member1.materialise()
 
     def _sketch(self, bits: int) -> Tuple[CodeOffsetSketch, np.ndarray]:
         """The sketch of a *bits*-group stream and its seed's codeword.
@@ -185,8 +188,8 @@ class GroupBasedAttack:
             lo, hi = 0, len(sorted_desc)
             while lo < hi:
                 mid = (lo + hi) // 2
-                helper0, helper1 = self._attack_helpers(
-                    sorted_desc[mid], member)
+                helper0, helper1 = self._hypotheses(
+                    sorted_desc[mid], member).members
                 outcome = yield ComparisonRequest(
                     helper0, helper1, self._comparer)
                 self._comparisons += 1

@@ -29,6 +29,16 @@ that structure explicit so one attack can be executed two ways:
   compare, dedup, payload shift and key check per stack key.  Every
   other block keeps its own ``plan_rows`` in round order.
 
+**Described hypotheses.**  The §VI-A and §VI-C attacks send their
+comparisons as described manipulations of the enrolled helper
+(:class:`~repro.keygen.batch.DescribedHelper`): flips plus a swap, or
+one member of a §VI-C hypothesis pair.  On the lock-step path the
+keygen turns each into the arrays a stacked group reads
+(:class:`~repro.keygen.batch.PairBlock`), so no helper, evaluator or
+completion object is built per comparison; the scalar drive, and any
+item the keygen cannot describe, evaluates ``descriptor.apply`` of
+the enrolled helper instead.
+
 **Equivalence contract.**  Each device owns its oracle and noise
 stream, and a lane only ever consumes rows from its own oracle in
 request order, unwinding speculative tails; all stopping rules are
@@ -73,6 +83,7 @@ from repro.core.framework import (
 from repro.core.oracle import HelperDataOracle
 from repro.core.sprt import SPRTDistinguisher, SPRTOutcome
 from repro.keygen.base import OperatingPoint
+from repro.keygen.batch import DescribedHelper
 
 #: A stepwise attack: yields requests, receives outcomes, returns its
 #: result object.
@@ -90,7 +101,11 @@ class ComparisonRequest:
     Answered with a :class:`~repro.core.framework.ComparisonOutcome`.
     ``comparer`` carries the stopping-rule configuration; the scalar
     drive calls it directly, the lock-step engine reads its budgets and
-    confidence and replays the same rules batch-wide.
+    confidence and replays the same rules batch-wide.  The §VI-A and
+    §VI-C attacks send each helper as a described manipulation of the
+    enrolled one (:class:`~repro.keygen.batch.DescribedHelper`): the
+    lock-step engine stacks its arrays, the scalar drive materialises
+    it.
     """
 
     helper_a: object
@@ -150,16 +165,25 @@ class QueryBlockRequest:
 # scalar reference executor
 
 
+def _materialised(helper):
+    """The real helper behind a described one (else *helper* itself)."""
+    if isinstance(helper, DescribedHelper):
+        return helper.materialise()
+    return helper
+
+
 def execute_request(request, oracle) -> object:
     """Execute one protocol request against one oracle, scalar-style.
 
     Dispatches to exactly the calls the pre-stepwise attack drivers
     made, so a generator driven through this function reproduces the
-    legacy behaviour query for query on both oracle types.
+    legacy behaviour query for query on both oracle types.  Described
+    helpers are materialised first.
     """
     if isinstance(request, ComparisonRequest):
-        return request.comparer.compare(oracle, request.helper_a,
-                                        request.helper_b, request.op)
+        return request.comparer.compare(
+            oracle, _materialised(request.helper_a),
+            _materialised(request.helper_b), request.op)
     if isinstance(request, SelectionRequest):
         return select_hypothesis(
             oracle, request.helpers,
@@ -228,7 +252,9 @@ class Lane:
     ``state`` is engine-private decision state carried between rounds
     (cumulative failure counts, a running log-likelihood, a scan
     position); it lives on the lane so an abandoned campaign cannot
-    leak stale state into a recycled object id.
+    leak stale state into a recycled object id.  ``constants`` holds
+    the request's engine-private stopping-rule settings, read once
+    when an engine first steps the lane.
     """
 
     def __init__(self, oracle: BatchOracle, request) -> None:
@@ -236,6 +262,7 @@ class Lane:
         self.request = request
         self.outcome: Optional[object] = None
         self.state: Optional[object] = None
+        self.constants: Optional[tuple] = None
 
     @property
     def finished(self) -> bool:
@@ -252,17 +279,20 @@ class LaneEngine:
     stream.
 
     Every round evaluates through one frontier plan
-    (:func:`~repro.core.batch_oracle.plan_frontier`).  Blocks of
-    pair-column evaluators completed by a bare code-offset sketch, on
-    oracles without a trajectory, are stacked per (row count, width,
-    stack key), the stack key holding the comparison kind (``>=`` or
+    (:func:`~repro.core.batch_oracle.plan_frontier`).  Blocks that
+    reduce to a :class:`~repro.keygen.batch.PairBlock` — described
+    hypothesis helpers the keygen can describe, and pair-column
+    evaluators completed by a bare code-offset sketch — on oracles
+    without a trajectory, are stacked per (row count, width, stack
+    key), the stack key holding the comparison kind (``>=`` or
     Kendall), whether a trend is subtracted, and the kernel key: one
-    gather, trend subtraction and compare, one dedup keyed by (block,
-    pattern), per-block memo lookups, one payload shift and one
-    vectorised key check.  Sequential, distiller and group-based
-    blocks of pairs stack this way; every other block — constant,
-    masked (hardened, temp-aware), assembled (groups of three or
-    more, fuzzy extractor), malformed or trajectory-driven — is
+    gather, trend subtraction and compare over the stacked pair
+    indices, one dedup keyed by (block, pattern), one pass of memo
+    lookups, one payload shift and one vectorised key check.
+    Sequential, distiller and group-based blocks of pairs stack this
+    way; every other block — constant, masked (hardened, temp-aware),
+    assembled (groups of three or more, fuzzy extractor), malformed
+    or trajectory-driven, a described helper materialised first — is
     planned alone via
     :meth:`~repro.core.batch_oracle.BatchOracle.plan_rows` at its
     place in the round, so transient streams are consumed in request
@@ -310,6 +340,8 @@ class ComparisonEngine(LaneEngine):
     unwind their unused rows and deliver their outcome.  The bound is
     computed with the same IEEE operation sequence as
     ``FailureRateComparer._bound``, so decisions round identically.
+    Each lane's comparer settings are read once, when the engine first
+    steps it (:attr:`Lane.constants`).
     """
 
     request_type = ComparisonRequest
@@ -317,50 +349,53 @@ class ComparisonEngine(LaneEngine):
     #: paired samples granted to every lane per round
     block = 8
 
+    @staticmethod
+    def _constants(comparer: FailureRateComparer) -> tuple:
+        """``(max, min, identical stop or -1, log(2 / delta))``."""
+        ident = comparer.identical_stop
+        # math.log, not np.log: the scalar walk derives its Hoeffding
+        # bound from math.log and the two need not round identically.
+        return (comparer.max_queries_per_side,
+                comparer.min_queries_per_side,
+                -1 if ident is None else ident,
+                math.log(2.0 / (1.0 - comparer.confidence)))
+
     def step(self, lanes: Sequence[Lane]) -> None:
         """Advance each pending comparison by one paired-sample block."""
         count = len(lanes)
         if not count:
             return
-        prior_a = np.zeros(count, dtype=np.int64)
-        prior_b = np.zeros(count, dtype=np.int64)
-        prior_n = np.zeros(count, dtype=np.int64)
-        for i, lane in enumerate(lanes):
-            prior_a[i], prior_b[i], prior_n[i] = (lane.state
-                                                 or (0, 0, 0))
-        maxima = np.array([lane.request.comparer.max_queries_per_side
-                           for lane in lanes], dtype=np.int64)
-        minima = np.array([lane.request.comparer.min_queries_per_side
-                           for lane in lanes], dtype=np.int64)
-        ident = np.array([-1 if lane.request.comparer.identical_stop
-                          is None else lane.request.comparer.
-                          identical_stop for lane in lanes],
-                         dtype=np.int64)
-        # math.log, not np.log: the scalar walk derives its Hoeffding
-        # bound from math.log and the two need not round identically.
-        delta_log = np.array(
-            [math.log(2.0 / (1.0 - lane.request.comparer.confidence))
-             for lane in lanes])
+        for lane in lanes:
+            if lane.constants is None:
+                lane.constants = self._constants(lane.request.comparer)
+        maxima, minima, ident, delta_log = map(
+            np.array, zip(*[lane.constants for lane in lanes]))
+        prior_a, prior_b, prior_n = np.array(
+            [lane.state or (0, 0, 0) for lane in lanes],
+            dtype=np.int64).T
         sizes = np.minimum(self.block, maxima - prior_n)
         width = int(sizes.max())
 
-        out_a = np.ones((count, width), dtype=bool)
-        out_b = np.ones((count, width), dtype=bool)
         taken: List[np.ndarray] = []
         items = []
-        for i, lane in enumerate(lanes):
-            size = int(sizes[i])
+        for lane, size in zip(lanes, sizes.tolist()):
             rows = lane.oracle.take_rows(2 * size)
             taken.append(rows)
-            items.append((lane.oracle, lane.request.helper_a,
-                          rows[0::2], lane.request.op))
-            items.append((lane.oracle, lane.request.helper_b,
-                          rows[1::2], lane.request.op))
+            request = lane.request
+            items.append((lane.oracle, request.helper_a, rows[0::2],
+                          request.op))
+            items.append((lane.oracle, request.helper_b, rows[1::2],
+                          request.op))
         results = self.evaluate_many(items)
-        for i in range(count):
-            size = int(sizes[i])
-            out_a[i, :size] = results[2 * i]
-            out_b[i, :size] = results[2 * i + 1]
+        if (sizes == width).all():
+            out_a = np.array(results[0::2])
+            out_b = np.array(results[1::2])
+        else:
+            out_a = np.ones((count, width), dtype=bool)
+            out_b = np.ones((count, width), dtype=bool)
+            for i, size in enumerate(sizes.tolist()):
+                out_a[i, :size] = results[2 * i]
+                out_b[i, :size] = results[2 * i + 1]
 
         cum_a = prior_a[:, None] + np.cumsum(~out_a, axis=1)
         cum_b = prior_b[:, None] + np.cumsum(~out_b, axis=1)
@@ -380,13 +415,13 @@ class ComparisonEngine(LaneEngine):
         valid = np.arange(width)[None, :] < sizes[:, None]
         trigger = (valid & (counts >= minima[:, None])
                    & (stop_separated | stop_identical | stop_gap))
-        fired = trigger.any(axis=1)
-        first = np.argmax(trigger, axis=1)
+        fired = trigger.any(axis=1).tolist()
+        first = np.argmax(trigger, axis=1).tolist()
 
         for i, lane in enumerate(lanes):
             size = int(sizes[i])
             if fired[i]:
-                idx = int(first[i])
+                idx = first[i]
                 lane.oracle.untake_rows(taken[i][2 * (idx + 1):])
                 failures_a = int(cum_a[i, idx])
                 failures_b = int(cum_b[i, idx])
@@ -421,7 +456,9 @@ class SPRTEngine(LaneEngine):
     Each lane's running log-likelihood is extended by one outcome block
     per round; carries are prepended before the cumulative sum so the
     floating-point accumulation order matches the scalar walk, and the
-    first boundary crossing decides with the tail rows unwound.
+    first boundary crossing decides with the tail rows unwound.  The
+    distinguisher's budget, boundaries and steps are read once per
+    lane (:attr:`Lane.constants`).
     """
 
     request_type = SPRTRequest
@@ -440,13 +477,12 @@ class SPRTEngine(LaneEngine):
         for i, lane in enumerate(lanes):
             prior_llr[i], prior_fail[i], prior_q[i] = (lane.state
                                                        or (0.0, 0, 0))
-        maxima = np.array(
-            [lane.request.distinguisher.max_queries for lane in lanes],
-            dtype=np.int64)
-        bounds = np.array([lane.request.distinguisher.boundaries
-                           for lane in lanes])
-        steps_sf = np.array([lane.request.distinguisher.llr_steps
-                             for lane in lanes])
+            if lane.constants is None:
+                sprt = lane.request.distinguisher
+                lane.constants = (sprt.max_queries, sprt.boundaries,
+                                  sprt.llr_steps)
+        maxima, bounds, steps_sf = map(
+            np.array, zip(*[lane.constants for lane in lanes]))
         sizes = np.minimum(self.block, maxima - prior_q)
         width = int(sizes.max())
 

@@ -43,6 +43,8 @@ from repro.core.lockstep import (
 from repro.core.oracle import HelperDataOracle
 from repro.keygen.base import OperatingPoint, key_check_digest
 from repro.keygen.sequential import (
+    PairingHypotheses,
+    PairingManipulation,
     SequentialKeyHelper,
     SequentialPairingKeyGen,
 )
@@ -125,6 +127,7 @@ class SequentialPairingAttack:
         self._injected = (injected_errors if injected_errors is not None
                           else default)
         self._ml_decoder = not code.bounded_distance
+        self._hypotheses = PairingHypotheses(helper)
 
     @property
     def injected_errors(self) -> int:
@@ -138,24 +141,28 @@ class SequentialPairingAttack:
         0's block, otherwise they load the wrong decoder.
         """
         bits = self._helper.pairing.bits
-        if self._block_size is None:
-            positions = [p for p in range(bits) if p not in (0, target)]
-        else:
-            positions = [p for p in range(min(self._block_size, bits))
-                         if p not in (0, target)]
+        if self._block_size is not None:
+            bits = min(self._block_size, bits)
+        # Only the target is skipped past 0, so the first injected + 1
+        # candidates hold every position taken.
+        positions = [p for p in range(1, min(bits, self._injected + 2))
+                     if p != target][:self._injected]
         if len(positions) < self._injected:
             raise ValueError("not enough pairs to carry the injection")
-        return positions[:self._injected]
+        return positions
 
     def _relation_steps(self, target: int) -> AttackSteps:
-        """Stepwise :meth:`test_relation`; returns the same pair."""
+        """Stepwise :meth:`test_relation`; returns the same pair.
+
+        Both helpers travel as described manipulations of the enrolled
+        helper (:class:`~repro.keygen.sequential.PairingHypotheses`):
+        the injected reference, and the reference plus the swap.
+        """
         if not 1 <= target < self._helper.pairing.bits:
             raise ValueError("target must be a non-zero pair position")
-        injected = flip_orientations(self._helper.pairing,
-                                     self._injection_positions(target))
-        reference = self._helper.with_pairing(injected)
-        test = self._helper.with_pairing(
-            injected.with_swapped_positions(0, target))
+        flips = self._injection_positions(target)
+        reference = PairingManipulation(self._hypotheses, flips)
+        test = PairingManipulation(self._hypotheses, flips, (0, target))
         outcome = yield ComparisonRequest(reference, test,
                                           self._comparer, self._op)
         # Lower failure rate for the swapped helper would mean the swap

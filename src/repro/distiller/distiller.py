@@ -49,8 +49,20 @@ class DistillerHelper:
 
     @property
     def polynomial(self) -> Polynomial2D:
-        """The stored coefficients as a callable 2-D polynomial."""
-        return Polynomial2D(self.degree, self.coefficients)
+        """The stored coefficients as a callable 2-D polynomial.
+
+        Built on first use and kept: the polynomial is immutable, like
+        the helper.
+        """
+        polynomial = self.__dict__.get("_polynomial")
+        if polynomial is None:
+            polynomial = Polynomial2D(self.degree, self.coefficients)
+            object.__setattr__(self, "_polynomial", polynomial)
+        return polynomial
+
+    def __getstate__(self) -> dict:
+        # Pickles carry the two fields only, as before the cache.
+        return {"degree": self.degree, "coefficients": self.coefficients}
 
     def with_polynomial(self, polynomial: Polynomial2D
                         ) -> "DistillerHelper":
@@ -63,9 +75,13 @@ class DistillerHelper:
 
         Adding ``q`` to the stored coefficients makes the device subtract
         an extra ``q(x, y)``, i.e. superimposes ``-q`` onto the residual
-        map — the attacker's injection primitive of paper §VI-C.
+        map — the attacker's injection primitive of paper §VI-C.  Equal
+        degrees add the coefficient vectors directly.
         """
-        return self.with_polynomial(self.polynomial + polynomial)
+        if polynomial.degree != self.degree:
+            return self.with_polynomial(self.polynomial + polynomial)
+        return DistillerHelper(self.degree,
+                               self.coefficients + polynomial.coefficients)
 
 
 class EntropyDistiller:

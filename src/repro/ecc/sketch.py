@@ -327,23 +327,24 @@ class CodeOffsetSketch(SecureSketch):
         compute a perfectly consistent helper payload for it.
         """
         codeword = self._code.encode(as_bits(seed, self._code.k))
-        (helper,) = self.helpers_for_codeword(
+        (payload,) = self.payloads_for_codeword(
             as_bits(response, self._length)[None, :], codeword)
-        return helper
+        return SketchData.of_bits(payload)
 
-    def helpers_for_codeword(self, responses: np.ndarray,
-                             codeword: np.ndarray) -> List[SketchData]:
-        """Helpers binding each 0/1 ``uint8`` row through *codeword*.
+    def payloads_for_codeword(self, responses: np.ndarray,
+                              codeword: np.ndarray) -> np.ndarray:
+        """Payloads binding each 0/1 ``uint8`` row through *codeword*.
 
         *codeword* is an already encoded seed, so a caller binding
-        many batches through one seed encodes it once.  The payloads
-        are XORs of validated bits and are not validated again.
+        many batches through one seed encodes it once.  Returns the
+        ``(rows, n)`` payload matrix; the payloads are XORs of
+        validated bits and are not validated again.
         """
         payloads = np.zeros((responses.shape[0], self._code.n),
                             dtype=np.uint8)
         payloads[:, :self._length] = responses
         payloads ^= codeword
-        return [SketchData.of_bits(payload) for payload in payloads]
+        return payloads
 
 
 class SyndromeSketch(SecureSketch):

@@ -256,6 +256,19 @@ class KeyGenerator(abc.ABC):
         :class:`repro.keygen.batch.SketchCompletion`.
         """
 
+    def describe(self, array: ROArray, described):
+        """A described hypothesis helper as a frontier block, or ``None``.
+
+        *described* is a :class:`~repro.keygen.batch.DescribedHelper`
+        of a helper for this construction.  A construction that can
+        evaluate it without materialising returns the
+        :class:`~repro.keygen.batch.PairBlock` that
+        :meth:`batch_evaluator` would stack for ``described.
+        materialise()``; the default ``None`` makes every route
+        materialise the helper.
+        """
+        return None
+
     def _finish(self, recovered_key: np.ndarray,
                 key_check: bytes) -> np.ndarray:
         """Apply the application-level key check."""

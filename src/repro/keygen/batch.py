@@ -26,18 +26,29 @@ are bitwise-identical for every batch composition, and equal to the
 scalar :meth:`SketchCompletion.complete` reference row by row.
 
 A :class:`FrontierPlan` runs the same three phases for a whole
-lock-step round: blocks whose evaluator extracts described
-:class:`PairColumns` (raw or trend-subtracted, ``>=`` or Kendall) and
-completes through a bare code-offset sketch are planned and finalized
-stacked, one pass per stack key; every other block keeps its own
-:class:`EvalPlan`.
+lock-step round: blocks that reduce to a :class:`PairBlock` — an
+evaluator extracting described :class:`PairColumns` (raw or
+trend-subtracted, ``>=`` or Kendall) and completing through a bare
+code-offset sketch, or a :class:`DescribedHelper` its keygen describes
+as one — are planned and finalized stacked, one pass per stack key;
+every other block keeps its own :class:`EvalPlan`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -100,6 +111,85 @@ class PairColumns:
         return compare_columns(freqs[:, self.index[:, 0]],
                                freqs[:, self.index[:, 1]],
                                self.kind).view(np.uint8)
+
+
+class PairBlock(NamedTuple):
+    """A stackable block's extraction and completion, as arrays.
+
+    What a :class:`FrontierPlan` reads to stack a block with others:
+    the ``(P, 2)`` pair *index*, *trend* and comparison *kind* of a
+    :class:`PairColumns` extraction; the bare code-offset *sketch*
+    completing it; the block's *parsed* payload and *key_check*; and
+    the *memo* of finalized patterns the block consults before the
+    round and extends after it.  *stack_key* is ``(kind, trend is not
+    None, kernel key)``: only blocks of one stack key and one row
+    shape stack.
+    """
+
+    index: np.ndarray
+    trend: Optional[np.ndarray]
+    kind: str
+    sketch: CodeOffsetSketch
+    parsed: np.ndarray
+    key_check: bytes
+    memo: Dict[bytes, bool]
+    stack_key: tuple
+
+
+class DescribedHelper:
+    """A hypothesis helper held as a manipulation of an enrolled helper.
+
+    The adaptive §VI attacks compare helpers that differ from the
+    enrolled one by a few orientation flips and a swap, or by an
+    injected trend plus a rewritten grouping and payload.  A described
+    helper keeps that difference instead of a finished helper object.
+    :meth:`apply` builds the real helper from an enrolled one; the
+    scalar drive and every route that cannot use the description
+    evaluate :meth:`materialise`, the helper built from
+    :attr:`enrolled`.  The keygen's
+    :meth:`~repro.keygen.base.KeyGenerator.describe` turns the
+    description into the :class:`PairBlock` a frontier round stacks,
+    without building a helper, an evaluator or a completion; it
+    equals the block of ``keygen.batch_evaluator(array,
+    materialise())``, except for the memo, which the description may
+    share with other descriptions of the same completion.
+    """
+
+    # A plain base class, not an ABC: every frontier item is checked
+    # against it, and an ABC's isinstance runs Python-level code.
+    __slots__ = ("_helper", "_described")
+
+    def __init__(self) -> None:
+        self._helper = None
+        self._described = None
+
+    @property
+    def enrolled(self):
+        """The enrolled helper the manipulation applies to."""
+        raise NotImplementedError
+
+    def apply(self, helper):
+        """The manipulated copy of *helper*."""
+        raise NotImplementedError
+
+    def materialise(self):
+        """The real helper, ``apply(enrolled)``, built on first use."""
+        if self._helper is None:
+            self._helper = self.apply(self.enrolled)
+        return self._helper
+
+    def block(self, keygen, array) -> Optional[PairBlock]:
+        """The stackable block on *keygen*'s *array*, or ``None``.
+
+        ``None`` means the description cannot stand in for the helper
+        there, so the caller evaluates :meth:`materialise` instead.
+        Cached for the last ``(keygen, array)`` pair.
+        """
+        hit = self._described
+        if hit is None or hit[0] is not keygen or hit[1] is not array:
+            hit = self._described = (keygen, array,
+                                     keygen.describe(array, self))
+        return hit[2]
 
 
 # ----------------------------------------------------------------------
@@ -319,10 +409,15 @@ class BatchEvaluator(abc.ABC):
     completed at most once.
     """
 
-    #: Kernel key under which a :class:`FrontierPlan` stacks this
-    #: evaluator's blocks with other helpers'; ``None`` keeps them on
+    #: The evaluator as a :class:`PairBlock` a :class:`FrontierPlan`
+    #: stacks with other helpers' blocks; ``None`` keeps its blocks on
     #: :meth:`plan`.
-    stack_key: Optional[tuple] = None
+    block: Optional[PairBlock] = None
+
+    @property
+    def stack_key(self) -> Optional[tuple]:
+        """The stack key of :attr:`block`, ``None`` if it does not stack."""
+        return None if self.block is None else self.block.stack_key
 
     @abc.abstractmethod
     def plan(self, freqs: np.ndarray) -> EvalPlan:
@@ -367,10 +462,9 @@ class ResponseBitEvaluator(BatchEvaluator):
     *extract* turns a ``(B, n)`` measurement batch into the ``(B,
     bits)`` response matrix in one pass; *completion* finishes the
     distinct patterns.  A :class:`PairColumns` extraction completed by
-    a bare, well-formed code-offset sketch with a kernel key also
-    gets a :attr:`stack_key` — its comparison kind, whether it
-    subtracts a trend, and the kernel key — so frontier rounds stack
-    its blocks with those of the same key only.
+    a bare, well-formed code-offset sketch with a kernel key is also
+    a :attr:`block` sharing the evaluator's memo, so frontier rounds
+    stack its blocks with those of the same stack key.
     """
 
     def __init__(self, extract: ExtractionFn,
@@ -385,8 +479,10 @@ class ResponseBitEvaluator(BatchEvaluator):
                 and sketch.response_length == extract.index.shape[0]):
             key = sketch.kernel_key()
             if key is not None and completion.parsed is not None:
-                self.stack_key = (extract.kind,
-                                  extract.trend is not None, key)
+                self.block = PairBlock(
+                    extract.index, extract.trend, extract.kind, sketch,
+                    completion.parsed, completion.key_check, self._memo,
+                    (extract.kind, extract.trend is not None, key))
 
     def plan(self, freqs: np.ndarray) -> EvalPlan:
         """Phase 1: extract and dedup; declare the kernel workload."""
@@ -465,10 +561,24 @@ class MaskedBitEvaluator(BatchEvaluator):
 
 
 #: One frontier item: its own :class:`EvalPlan`, or a stackable block
-#: ``(evaluator, base, rows)`` whose frequencies are ``base + rows``
-#: and whose evaluator has a :attr:`~BatchEvaluator.stack_key`.
+#: ``(block, base, rows, evaluator)`` whose frequencies are ``base +
+#: rows``.  *evaluator* plans the block when nothing stacks with it;
+#: it is ``None`` for a :class:`DescribedHelper`'s block, which is
+#: planned as a group of one instead.
 FrontierEntry = Union[EvalPlan,
-                      Tuple["ResponseBitEvaluator", np.ndarray, np.ndarray]]
+                      Tuple[PairBlock, np.ndarray, np.ndarray,
+                            Optional[BatchEvaluator]]]
+
+
+def _row_keys(patterns: np.ndarray, widths: np.ndarray) -> List[bytes]:
+    """Memo keys: the first ``widths[i]`` bytes of each pattern row."""
+    wide = patterns.shape[1]
+    keys = np.ascontiguousarray(patterns).view(
+        np.dtype((np.void, wide))).ravel().tolist()
+    short = np.flatnonzero(widths < wide)
+    for row, width in zip(short.tolist(), widths[short].tolist()):
+        keys[row] = keys[row][:width]
+    return keys
 
 
 class _StackedGroup:
@@ -477,41 +587,47 @@ class _StackedGroup:
     Planned as one: a single gather and compare over the stacked
     frequencies (each block's trend subtracted, its pair index padded
     to the widest block and masked), one dedup keyed by (block,
-    pattern), per-block memo lookups and one payload-shifted decode
-    workload over the fresh patterns.  :meth:`finalize` XORs the
-    payloads back, truncates each pattern to its block's length and
-    hashes the key checks of the whole group in one pass.
+    pattern), memo lookups for all distinct patterns in one pass and
+    one payload-shifted decode workload over the fresh patterns.
+    :meth:`finalize` XORs the payloads back, truncates each pattern to
+    its block's length and hashes the key checks of the whole group in
+    one pass.
     """
 
-    def __init__(self, blocks: List[Tuple[int, "ResponseBitEvaluator",
-                                          np.ndarray, np.ndarray]]
-                 ) -> None:
-        self.slots = [block[0] for block in blocks]
-        self._memos = [block[1]._memo for block in blocks]
-        self._completions = [block[1]._completion for block in blocks]
-        extracts = [block[1]._extract for block in blocks]
+    def __init__(self, blocks: List[tuple]) -> None:
+        self.slots = [entry[0] for entry in blocks]
+        sources: List[PairBlock] = [entry[1] for entry in blocks]
+        self._memos = [source.memo for source in sources]
+        self._checks = [source.key_check for source in sources]
         self._count = count = blocks[0][3].shape[0]
         # (blocks, columns, rows): every block of a group has the same
         # row count, so one fancy index per (block, pair) gathers that
         # pair's column for all the block's rows at once.
-        freqs = np.stack([block[3].T for block in blocks])
-        freqs += np.stack([block[2] for block in blocks])[:, :, None]
-        if extracts[0].trend is not None:
-            freqs -= np.stack([extract.trend
-                               for extract in extracts])[:, :, None]
-        widths = [extract.index.shape[0] for extract in extracts]
+        # np.array stacks a list of small equal-shape arrays in C,
+        # well ahead of np.stack; transposed views stack faster with
+        # np.stack.
+        freqs = np.stack([entry[3].T for entry in blocks])
+        freqs += np.array([entry[2] for entry in blocks])[:, :, None]
+        if sources[0].trend is not None:
+            freqs -= np.array([source.trend
+                               for source in sources])[:, :, None]
+        indices = [source.index for source in sources]
+        widths = [index.shape[0] for index in indices]
         self._widths = np.array(widths)
         wide = max(widths)
-        pairs = np.zeros((len(blocks), wide, 2), dtype=np.intp)
-        for slot, extract in enumerate(extracts):
-            pairs[slot, :widths[slot]] = extract.index
+        self._mask = None
+        if min(widths) == wide:
+            pairs = np.array(indices)
+        else:
+            pairs = np.zeros((len(blocks), wide, 2), dtype=np.intp)
+            for slot, index in enumerate(indices):
+                pairs[slot, :widths[slot]] = index
+            self._mask = np.arange(wide) < self._widths[:, None]
         items = np.arange(len(blocks))[:, None]
         bits = compare_columns(freqs[items, pairs[:, :, 0]],
                                freqs[items, pairs[:, :, 1]],
-                               extracts[0].kind)
-        self._mask = None
-        if min(widths) < wide:
-            self._mask = np.arange(wide) < self._widths[:, None]
+                               sources[0].kind)
+        if self._mask is not None:
             bits &= self._mask[:, :, None]
         owner = np.repeat(np.arange(len(blocks)), count)
         bits = bits.transpose(0, 2, 1).reshape(owner.size, wide).view(
@@ -520,28 +636,23 @@ class _StackedGroup:
             [owner.astype(">u4").view(np.uint8).reshape(-1, 4), bits],
             axis=1))
         owners = owner[first]
-        self._results = np.zeros(first.size, dtype=bool)
-        fresh: List[int] = []
-        self._keys: List[bytes] = []
-        blob = bits.tobytes()
-        for distinct, (row, slot) in enumerate(zip(first.tolist(),
-                                                   owners.tolist())):
-            key = blob[row * wide:row * wide + widths[slot]]
-            hit = self._memos[slot].get(key)
-            if hit is None:
-                fresh.append(distinct)
-                self._keys.append(key)
-            else:
-                self._results[distinct] = hit
+        patterns = bits[first]
+        self._keys = _row_keys(patterns, self._widths[owners])
+        # One C-level pass of dict lookups; -1 marks a pattern its
+        # block's memo has not seen.
+        known = np.fromiter(
+            map(dict.get, map(self._memos.__getitem__, owners.tolist()),
+                self._keys, repeat(-1)),
+            dtype=np.int8, count=first.size)
+        self._results = known == 1
         self.workload: Optional[KernelWorkload] = None
-        if fresh:
-            self._fresh = np.array(fresh)
+        self._fresh = np.flatnonzero(known < 0)
+        if self._fresh.size:
             self._owners = owners[self._fresh]
-            self._payloads = np.stack(
-                [completion.parsed for completion in self._completions]
-            )[self._owners]
-            self.workload = self._completions[0].sketch.offset_workload(
-                bits[first[self._fresh]], self._payloads)
+            self._payloads = np.array(
+                [source.parsed for source in sources])[self._owners]
+            self.workload = sources[0].sketch.offset_workload(
+                patterns[self._fresh], self._payloads)
 
     def finalize(self, outputs: "Optional[tuple]") -> List[np.ndarray]:
         """Per-block success vectors from the group's kernel outputs."""
@@ -552,15 +663,16 @@ class _StackedGroup:
                 keys &= self._mask[self._owners]
             good = np.flatnonzero(ok)
             owners = self._owners[good]
+            checks = self._checks
             flags = np.zeros(self._owners.size, dtype=bool)
             flags[good] = [
-                digest == self._completions[slot].key_check
-                for digest, slot in zip(
+                digest == checks[slot] for digest, slot in zip(
                     key_check_digests(keys[good], self._widths[owners]),
                     owners.tolist())]
-            for key, slot, flag in zip(self._keys, self._owners.tolist(),
-                                       flags.tolist()):
-                self._memos[slot][key] = flag
+            for distinct, slot, flag in zip(self._fresh.tolist(),
+                                            self._owners.tolist(),
+                                            flags.tolist()):
+                self._memos[slot][self._keys[distinct]] = flag
             self._results[self._fresh] = flags
         return list(self._results[self._inverse].reshape(
             len(self.slots), self._count))
@@ -573,15 +685,16 @@ class FrontierPlan:
     :data:`FrontierEntry`).  Stackable blocks are grouped by block
     shape (rows, frequency width) and stack key (comparison kind,
     trend, kernel key), and each group of two or more is planned as
-    one (:class:`_StackedGroup`); a lone block has nothing to stack
-    and is planned by its own evaluator.
+    one (:class:`_StackedGroup`); a lone evaluator block has nothing
+    to stack and is planned by its evaluator, a lone described block
+    as a group of one.
     An :class:`EvalPlan` entry is kept as-is.  Run :attr:`workloads`
     through :func:`~repro.ecc.kernel.run_kernels` — one call per
     distinct key, stacked groups and own plans alike — and hand the
     outputs to :meth:`finalize`.
 
     Stacking changes no outcome, memo entry or kernel row: dedup stays
-    per item and consults each evaluator's memo as it stood before the
+    per item and consults each block's memo as it stood before the
     round, exactly as per-item plans do, so outcomes are
     bitwise-identical to ``plan.execute()`` per item.
     """
@@ -594,17 +707,17 @@ class FrontierPlan:
             if isinstance(entry, EvalPlan):
                 self._plans.append((slot, entry))
             else:
-                evaluator, base, rows = entry
-                blocks.setdefault((rows.shape, evaluator.stack_key),
-                                  []).append((slot, evaluator, base, rows))
+                block, base, rows, evaluator = entry
+                blocks.setdefault((rows.shape, block.stack_key), []).append(
+                    (slot, block, base, rows, evaluator))
         self._groups: List[_StackedGroup] = []
         for group in blocks.values():
-            if len(group) > 1:
-                self._groups.append(_StackedGroup(group))
-            else:
-                slot, evaluator, base, rows = group[0]
+            slot, _, base, rows, evaluator = group[0]
+            if len(group) == 1 and evaluator is not None:
                 self._plans.append(
                     (slot, evaluator.plan(base[None, :] + rows)))
+            else:
+                self._groups.append(_StackedGroup(group))
 
     @property
     def workloads(self) -> List[Optional[KernelWorkload]]:

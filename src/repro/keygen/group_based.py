@@ -12,7 +12,6 @@ all of them at once to *reprogram* the device key.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import List, Optional, Sequence, Tuple
@@ -21,7 +20,7 @@ import numpy as np
 
 from repro._rng import RNGLike, ensure_rng
 from repro.distiller.distiller import DistillerHelper, EntropyDistiller
-from repro.ecc.sketch import SketchData
+from repro.ecc.sketch import CodeOffsetSketch, SketchData
 from repro.grouping.algorithm import GroupingHelper, GroupingScheme
 from repro.grouping.kendall import (
     kendall_encode,
@@ -39,12 +38,15 @@ from repro.keygen.base import (
 )
 from repro.keygen.batch import (
     ConstantEvaluator,
+    DescribedHelper,
+    PairBlock,
     PairColumns,
     ResponseBitEvaluator,
     SketchCompletion,
 )
 from repro.puf.measurement import enroll_frequencies
 from repro.puf.ro_array import ROArray
+from repro.puf.variation import Polynomial2D
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,89 @@ class GroupBasedKeyHelper:
     def with_sketch(self, sketch: SketchData) -> "GroupBasedKeyHelper":
         """Manipulated copy with replaced ECC redundancy."""
         return replace(self, sketch=sketch)
+
+
+class HypothesisPair:
+    """The two §VI-C hypothesis helpers of one comparison, as arrays.
+
+    Both helpers add the injected *payload* polynomial to the enrolled
+    distiller and regroup the oscillators into the pairs *groups*;
+    hypothesis ``m`` carries sketch payload ``payloads[m]`` (a 0/1
+    ``uint8`` row of the code length) and key check
+    ``key_checks[m]``.  :attr:`members` are the two described helpers;
+    their blocks share one pair index and one trend.
+    """
+
+    def __init__(self, enrolled: GroupBasedKeyHelper,
+                 payload: Polynomial2D,
+                 groups: Sequence[Tuple[int, int]],
+                 payloads: np.ndarray,
+                 key_checks: Sequence[bytes]) -> None:
+        self.enrolled = enrolled
+        self.payload = payload
+        self.groups = groups
+        self.payloads = payloads
+        self.key_checks = tuple(key_checks)
+        self.members = (GroupHypothesis(self, 0), GroupHypothesis(self, 1))
+        self._shared: Optional[tuple] = None
+
+    def shared(self, keygen: "GroupBasedKeyGen", array: ROArray
+               ) -> Optional[tuple]:
+        """``(index, trend, sketch, stack key)`` of both members' blocks.
+
+        Mirrors :meth:`GroupBasedKeyGen.batch_evaluator` on a
+        materialised member: a Kendall extraction over the pairs with
+        the distiller's trend, completed by a bare code-offset sketch.
+        ``None`` where that evaluator would not stack.  Built once per
+        ``(keygen, array)``.
+        """
+        hit = self._shared
+        if hit is not None and hit[0] is keygen and hit[1] is array:
+            return hit[2]
+        index = np.array(self.groups, dtype=np.intp).reshape(-1, 2)
+        shared = None
+        try:
+            sketch = keygen.sketch_for(index.shape[0])
+        except ValueError:
+            sketch = None
+        if (isinstance(sketch, CodeOffsetSketch) and index.shape[0]
+                and sketch.kernel_key() is not None
+                and sketch.response_length == index.shape[0]
+                and self.payloads.dtype == np.uint8
+                and self.payloads.shape == (2, sketch.code.n)):
+            trend = keygen.distiller.trend(
+                array.x, array.y,
+                self.enrolled.distiller.with_added(self.payload))
+            shared = (index, trend, sketch,
+                      ("kendall", True, sketch.kernel_key()))
+        self._shared = (keygen, array, shared)
+        return shared
+
+
+class GroupHypothesis(DescribedHelper):
+    """Member *member* of a :class:`HypothesisPair`."""
+
+    __slots__ = ("pair", "member")
+
+    def __init__(self, pair: HypothesisPair, member: int) -> None:
+        super().__init__()
+        self.pair = pair
+        self.member = member
+
+    @property
+    def enrolled(self) -> GroupBasedKeyHelper:
+        """The enrolled helper of the attack."""
+        return self.pair.enrolled
+
+    def apply(self, helper: GroupBasedKeyHelper) -> GroupBasedKeyHelper:
+        """*helper* with the payload, the pairs, and this member's
+        sketch payload and key check."""
+        pair = self.pair
+        return GroupBasedKeyHelper(
+            distiller=helper.distiller.with_added(pair.payload),
+            grouping=helper.grouping.with_groups(pair.groups),
+            sketch=SketchData.of_bits(pair.payloads[self.member].copy()),
+            key_check=pair.key_checks[self.member])
 
 
 def kendall_stream(residuals: np.ndarray,
@@ -207,34 +292,6 @@ class GroupBasedKeyGen(KeyGenerator):
             raise ReconstructionFailure(str(exc)) from exc
         return self._finish(key, helper.key_check)
 
-    def __getstate__(self) -> dict:
-        # The last extraction is a per-process cache of live helper
-        # objects; pickles carry the device model alone.
-        state = self.__dict__.copy()
-        state.pop("_last_extraction", None)
-        return state
-
-    def _extraction(self, array: ROArray, helper: GroupBasedKeyHelper
-                    ) -> Optional[KendallPairs]:
-        """*helper*'s described extraction on *array*, ``None`` if invalid.
-
-        Built once per (array, grouping, distiller) triple: the §VI-C
-        hypothesis helpers of one comparison share their grouping and
-        distiller objects, so the second reuses the first's index and
-        trend.  Only the last triple is kept, by identity.
-        """
-        parts = (array, helper.grouping, helper.distiller)
-        last = self.__dict__.get("_last_extraction")
-        if last is not None and all(map(operator.is_, last[0], parts)):
-            return last[1]
-        trend = self._distiller.trend(array.x, array.y, helper.distiller)
-        try:
-            extract = KendallPairs(helper.grouping.groups, trend)
-        except ValueError:
-            extract = None
-        self._last_extraction = (parts, extract)
-        return extract
-
     def batch_evaluator(self, array: ROArray,
                         helper: GroupBasedKeyHelper,
                         op: OperatingPoint = OperatingPoint()):
@@ -245,11 +302,11 @@ class GroupBasedKeyGen(KeyGenerator):
         so its completion has no assembly and frontier rounds stack
         its blocks (:class:`~repro.keygen.batch.FrontierPlan`).
         """
-        extract = self._extraction(array, helper)
+        trend = self._distiller.trend(array.x, array.y, helper.distiller)
         try:
+            extract = KendallPairs(helper.grouping.groups, trend)
             sketch = (self.sketch_for(extract.stream_bits)
-                      if extract is not None and extract.stream_bits
-                      else None)
+                      if extract.stream_bits else None)
         except ValueError:
             sketch = None
         if sketch is None:
@@ -262,3 +319,23 @@ class GroupBasedKeyGen(KeyGenerator):
             assemble=(None if set(sizes) == {2}
                       else _PackKeyAssembler(sizes)))
         return ResponseBitEvaluator(extract, completion)
+
+    def describe(self, array: ROArray, described) -> Optional[PairBlock]:
+        """A :class:`GroupHypothesis` as its block, with a fresh memo.
+
+        A subclass that evaluates helpers its own way (the hardened
+        device checks every helper first) materialises instead.
+        """
+        if (not isinstance(described, GroupHypothesis)
+                or type(self).batch_evaluator
+                is not GroupBasedKeyGen.batch_evaluator):
+            return None
+        shared = described.pair.shared(self, array)
+        if shared is None:
+            return None
+        index, trend, sketch, stack_key = shared
+        member = described.member
+        return PairBlock(index, trend, "kendall", sketch,
+                         described.pair.payloads[member],
+                         described.pair.key_checks[member], {},
+                         stack_key)

@@ -9,7 +9,7 @@ key check}.  The key is the vector of enrolled response bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from repro.keygen.base import (
 )
 from repro.keygen.batch import (
     ConstantEvaluator,
+    DescribedHelper,
+    PairBlock,
     PairColumns,
     ResponseBitEvaluator,
     SketchCompletion,
@@ -53,6 +55,97 @@ class SequentialKeyHelper:
     def with_sketch(self, sketch: SketchData) -> "SequentialKeyHelper":
         """Manipulated copy with replaced ECC redundancy."""
         return replace(self, sketch=sketch)
+
+
+class PairingHypotheses:
+    """An enrolled helper and the state its manipulations share.
+
+    Orientation flips and position swaps keep the enrolled pair set,
+    sketch payload and key check, so every manipulation of one
+    enrolled helper completes exactly like the enrolled helper: the
+    manipulations share its parsed payload, key check and one memo of
+    finalized patterns, resolved once per ``(keygen, array)``.  Create
+    one per attack, so the memo lives as long as the attack.
+    """
+
+    def __init__(self, helper: SequentialKeyHelper) -> None:
+        self.helper = helper
+        self._indices: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._enrolled: Optional[tuple] = None
+
+    def enrolled_block(self, keygen: "SequentialPairingKeyGen",
+                       array: ROArray) -> Optional[PairBlock]:
+        """The enrolled helper's stackable block on *array*, or ``None``.
+
+        Built by *keygen*'s own evaluator, with a memo of its own for
+        the manipulations; a device that checks helpers row by row
+        (the hardened one) has no block and its manipulations
+        materialise.
+        """
+        hit = self._enrolled
+        if hit is None or hit[0] is not keygen or hit[1] is not array:
+            block = keygen.batch_evaluator(array, self.helper).block
+            if block is not None:
+                block = block._replace(memo={})
+            hit = self._enrolled = (keygen, array, block)
+            self._indices = {}
+        return hit[2]
+
+    def index(self, enrolled: np.ndarray, flips: Tuple[int, ...],
+              swap: Optional[Tuple[int, int]]) -> np.ndarray:
+        """The pair index after *flips* and *swap*.
+
+        Rearranged as ``SequentialPairingHelper`` flips and swaps its
+        own index.  The flipped index is kept per position tuple: the
+        attack's reference helper has the same flips for every target
+        past the injected positions.
+        """
+        index = self._indices.get(flips)
+        if index is None:
+            index = enrolled.copy()
+            for position in flips:
+                index[position] = index[position, ::-1]
+            index.flags.writeable = False
+            self._indices[flips] = index
+        if swap is not None:
+            first, second = swap
+            index = index.copy()
+            row = index[first].copy()
+            index[first] = index[second]
+            index[second] = row
+            index.flags.writeable = False
+        return index
+
+
+class PairingManipulation(DescribedHelper):
+    """Orientation flips, then an optional position swap (§VI-A).
+
+    The described form of ``helper.with_pairing(helper.pairing
+    .with_flipped_orientations(flips).with_swapped_positions(*swap))``
+    for the enrolled helper of its :class:`PairingHypotheses`.
+    """
+
+    __slots__ = ("hypotheses", "flips", "swap")
+
+    def __init__(self, hypotheses: PairingHypotheses,
+                 flips: Sequence[int],
+                 swap: Optional[Tuple[int, int]] = None) -> None:
+        super().__init__()
+        self.hypotheses = hypotheses
+        self.flips = tuple(flips)
+        self.swap = None if swap is None else tuple(swap)
+
+    @property
+    def enrolled(self) -> SequentialKeyHelper:
+        """The enrolled helper of the attack."""
+        return self.hypotheses.helper
+
+    def apply(self, helper: SequentialKeyHelper) -> SequentialKeyHelper:
+        """*helper* with the flips and the swap applied."""
+        pairing = helper.pairing.with_flipped_orientations(self.flips)
+        if self.swap is not None:
+            pairing = pairing.with_swapped_positions(*self.swap)
+        return helper.with_pairing(pairing)
 
 
 class SequentialPairingKeyGen(KeyGenerator):
@@ -123,3 +216,24 @@ class SequentialPairingKeyGen(KeyGenerator):
         return ResponseBitEvaluator(
             PairColumns(pairing.index),
             SketchCompletion(sketch, helper.sketch, helper.key_check))
+
+    def describe(self, array: ROArray, described) -> Optional[PairBlock]:
+        """A :class:`PairingManipulation` as the enrolled block with its
+        pair index rearranged.
+
+        Flips and swaps keep the pair set, so the manipulated helper
+        passes the pair check, and completes, exactly as the enrolled
+        one does.  Positions outside ``[0, bits)`` are left to the
+        materialised helper.
+        """
+        if not isinstance(described, PairingManipulation):
+            return None
+        hypotheses = described.hypotheses
+        block = hypotheses.enrolled_block(self, array)
+        if block is None:
+            return None
+        moved = described.flips + (described.swap or ())
+        if moved and not 0 <= min(moved) <= max(moved) < len(block.index):
+            return None
+        return block._make((hypotheses.index(
+            block.index, described.flips, described.swap),) + block[1:])

@@ -559,24 +559,29 @@ class TestKendallRounds:
         _, (_, second) = run_round(lanes, spec, stacked)
         assert second < first
 
-    def test_hypothesis_pair_shares_one_extraction(self):
+    def test_hypothesis_pair_shares_one_index_and_trend(self):
         oracle, helpers = build_lane("group", 8)
         keygen = oracle.keygen
         attack = GroupBasedAttack(oracle, keygen, helpers[0],
                                   SMALL.rows, SMALL.cols)
-        helper0, helper1 = attack._attack_helpers(4, 9)
-        first = keygen.batch_evaluator(oracle.array, helper0)._extract
-        second = keygen.batch_evaluator(oracle.array, helper1)._extract
-        assert first is second
-        moved = replace(helper1, distiller=helpers[1].distiller)
-        assert keygen.batch_evaluator(oracle.array,
-                                      moved)._extract is not first
-        other = keygen.batch_evaluator(
-            oracle.array, attack._attack_helpers(4, 9)[0])._extract
-        assert other is not first
+        member0, member1 = attack._hypotheses(4, 9).members
+        first = member0.block(keygen, oracle.array)
+        second = member1.block(keygen, oracle.array)
+        assert first.index is second.index
+        assert first.trend is second.trend
+        assert first.memo is not second.memo
+        assert first.key_check != second.key_check
+        other = attack._hypotheses(4, 9).members[0].block(
+            keygen, oracle.array)
+        assert other.index is not first.index
         np.testing.assert_array_equal(other.index, first.index)
         np.testing.assert_array_equal(other.trend, first.trend)
-        assert "_last_extraction" not in keygen.__getstate__()
+        evaluator = keygen.batch_evaluator(oracle.array,
+                                           member1.materialise())
+        np.testing.assert_array_equal(evaluator._extract.index,
+                                      first.index)
+        np.testing.assert_array_equal(evaluator._extract.trend,
+                                      first.trend)
 
 
 GROUP_ITEM_KINDS = ITEM_KINDS + ["group", "group-ragged", "group-fallback",

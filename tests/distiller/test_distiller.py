@@ -1,5 +1,7 @@
 """Tests for the regression-based entropy distiller (paper §V-A)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,44 @@ class TestHelper:
         added = helper.with_added(quadratic_ridge_x(1.0, 0.0))
         assert added.degree == 2
         assert added.polynomial(0.0, 0.0) == pytest.approx(1.0)
+
+
+class TestPolynomialCache:
+    def test_polynomial_built_once(self):
+        helper = DistillerHelper(2, np.arange(6.0))
+        assert helper.polynomial is helper.polynomial
+        np.testing.assert_array_equal(helper.polynomial.coefficients,
+                                      helper.coefficients)
+
+    def test_polynomial_read_only(self):
+        polynomial = DistillerHelper(2, np.arange(6.0)).polynomial
+        assert not polynomial.coefficients.flags.writeable
+        with pytest.raises(ValueError):
+            polynomial.coefficients[0] = 1.0
+
+    def test_pickle_round_trip_ignores_the_cache(self):
+        helper = DistillerHelper(2, np.arange(6.0))
+        fresh = pickle.dumps(helper)
+        helper.polynomial
+        assert pickle.dumps(helper) == fresh
+        restored = pickle.loads(fresh)
+        assert restored.degree == helper.degree
+        np.testing.assert_array_equal(restored.coefficients,
+                                      helper.coefficients)
+        assert "_polynomial" not in restored.__dict__
+        assert restored.polynomial(1.0, 2.0) == helper.polynomial(1.0, 2.0)
+        assert repr(restored) == repr(helper)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_with_added_equals_polynomial_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        helper = DistillerHelper(2, rng.normal(scale=1e6, size=6))
+        payload = Polynomial2D(2, rng.normal(scale=1e12, size=6))
+        added = helper.with_added(payload)
+        old = helper.with_polynomial(helper.polynomial + payload)
+        assert added.degree == old.degree
+        assert added.coefficients.tobytes() == old.coefficients.tobytes()
+        assert not added.coefficients.flags.writeable
 
 
 class TestEnrollment:
