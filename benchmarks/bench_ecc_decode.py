@@ -30,7 +30,7 @@ import numpy as np
 from _report import record, table
 
 import repro._dedup as dedup
-from repro._dedup import iter_unique_rows, unique_rows
+from repro._dedup import row_groups, unique_rows
 from repro.ecc import DecodingFailure, ReedMullerCode, design_bch
 from repro.ecc.sketch import SyndromeSketch
 
@@ -62,15 +62,16 @@ def noisy_codewords(code, count, rng, max_errors=None):
 
 def scalar_decode_batch(code, words):
     """The pre-engine batch strategy: dedup + scalar decode per word."""
-    codewords = np.zeros_like(words)
-    ok = np.zeros(words.shape[0], dtype=bool)
-    for word, rows in iter_unique_rows(words):
+    distinct, inverse = unique_rows(words)
+    codewords = np.zeros_like(distinct)
+    ok = np.zeros(distinct.shape[0], dtype=bool)
+    for slot, word in enumerate(distinct):
         try:
-            codewords[rows] = code.decode(word)
+            codewords[slot] = code.decode(word)
         except DecodingFailure:
             continue
-        ok[rows] = True
-    return codewords, ok
+        ok[slot] = True
+    return codewords[inverse], ok[inverse]
 
 
 def run_experiment(count):
@@ -126,14 +127,17 @@ def run_experiment(count):
                            replace=False)
         readings[i, flips] ^= 1
     start = time.perf_counter()
-    sk_expected = np.zeros_like(readings)
-    sk_expected_ok = np.zeros(count, dtype=bool)
-    for reading, idx in iter_unique_rows(readings):
+    distinct, inverse = unique_rows(readings)
+    sk_expected = np.zeros_like(distinct)
+    sk_expected_ok = np.zeros(distinct.shape[0], dtype=bool)
+    for slot, reading in enumerate(distinct):
         try:
-            sk_expected[idx] = sketch.recover(reading, helper)
+            sk_expected[slot] = sketch.recover(reading, helper)
         except DecodingFailure:
             continue
-        sk_expected_ok[idx] = True
+        sk_expected_ok[slot] = True
+    sk_expected = sk_expected[inverse]
+    sk_expected_ok = sk_expected_ok[inverse]
     sk_scalar_s = time.perf_counter() - start
     start = time.perf_counter()
     sk_observed, sk_ok = sketch.recover_batch(readings, helper)
@@ -179,14 +183,13 @@ def grouping_regime(small_block):
 
 
 def grouping_us(matrix, repeats):
-    """Best-of-*repeats* microseconds for one full group iteration."""
+    """Best-of-*repeats* microseconds for one ``row_groups`` call."""
     number = max(1, 4096 // matrix.shape[0])
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         for _ in range(number):
-            for _ in iter_unique_rows(matrix):
-                pass
+            row_groups(matrix)
         best = min(best, (time.perf_counter() - start) / number)
     return best * 1e6
 
@@ -203,9 +206,11 @@ def run_crossover(repeats):
         groups = {}
         for regime, small_block in (("hashed", count), ("keyed", 0)):
             with grouping_regime(small_block):
+                first, inverse = row_groups(matrix)
                 groups[regime] = {
-                    pattern.tobytes(): indices.tolist()
-                    for pattern, indices in iter_unique_rows(matrix)}
+                    matrix[row].tobytes():
+                        np.flatnonzero(inverse == group).tolist()
+                    for group, row in enumerate(first)}
                 timings[regime] = grouping_us(matrix, repeats)
         assert groups["hashed"] == groups["keyed"], \
             f"hashed and keyed grouping disagree at {count} rows"

@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro._dedup import iter_unique_rows
+from repro._dedup import unique_rows
 
 
 class DecodingFailure(Exception):
@@ -115,16 +115,16 @@ class BlockCode(abc.ABC):
         and decodes each distinct word once through the scalar path, so
         the contract holds by construction.
         """
-        words = as_bit_matrix(received, self.n)
-        codewords = np.zeros_like(words)
-        ok = np.zeros(words.shape[0], dtype=bool)
-        for word, rows in iter_unique_rows(words):
+        distinct, inverse = unique_rows(as_bit_matrix(received, self.n))
+        codewords = np.zeros_like(distinct)
+        ok = np.zeros(distinct.shape[0], dtype=bool)
+        for slot, word in enumerate(distinct):
             try:
-                codewords[rows] = self.decode(word)
+                codewords[slot] = self.decode(word)
             except DecodingFailure:
                 continue
-            ok[rows] = True
-        return codewords, ok
+            ok[slot] = True
+        return codewords[inverse], ok[inverse]
 
     def kernel_key(self) -> "tuple | None":
         """Structural identity of this code's batch-decode kernel.

@@ -22,6 +22,7 @@ the complete pipeline:
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,8 +33,41 @@ from repro.ecc.gf2m import GF2m, poly_degree, poly_mod, poly_mul, poly_to_bits
 
 #: Most solved syndrome rows one code object remembers; the oldest
 #: entry is evicted first.  A full memo of a 255-bit, t = 8 code
-#: holds about 2.7 MiB.
+#: holds about 2.7 MiB, plus at most the rest of one partly evicted
+#: solve's block.
 _MEMO_ROWS = 4096
+
+
+#: ``(m, t)`` -> the parent code's ``(field, generator, full_k)``,
+#: derived on the first code of that ``(m, t)`` in a process and shared
+#: read-only by every later one (the primitive polynomial is fixed per
+#: ``m``, so ``(m, t)`` determines the parent).
+_PARENTS: Dict[Tuple[int, int], Tuple[GF2m, int, int]] = {}
+
+
+def _parent(m: int, t: int) -> Tuple[GF2m, int, int]:
+    """The ``(m, t)`` parent; its generator polynomial is the lcm of the
+    minimal polynomials of ``alpha^1 .. alpha^{2t}``."""
+    parent = _PARENTS.get((m, t))
+    if parent is not None:
+        return parent
+    field = GF2m(m)
+    full_n = field.order
+    if 2 * t >= full_n:
+        raise ValueError(f"t={t} too large for code length {full_n}")
+    generator = 1
+    seen_cosets = set()
+    for j in range(1, 2 * t + 1):
+        coset = tuple(sorted(field.cyclotomic_coset(j)))
+        if coset in seen_cosets:
+            continue
+        seen_cosets.add(coset)
+        generator = poly_mul(generator, field.minimal_polynomial(j))
+    full_k = full_n - poly_degree(generator)
+    if full_k <= 0:
+        raise ValueError(f"BCH(m={m}, t={t}) has no message bits")
+    parent = _PARENTS[(m, t)] = (field, generator, full_k)
+    return parent
 
 
 class BCHCode(BlockCode):
@@ -54,24 +88,7 @@ class BCHCode(BlockCode):
     def __init__(self, m: int, t: int, shorten: int = 0):
         if t < 1:
             raise ValueError("use TrivialCode for t = 0")
-        self._field = GF2m(m)
-        full_n = self._field.order
-        if 2 * t >= full_n:
-            raise ValueError(f"t={t} too large for code length {full_n}")
-
-        generator = 1
-        seen_cosets = set()
-        for j in range(1, 2 * t + 1):
-            coset = tuple(sorted(self._field.cyclotomic_coset(j)))
-            if coset in seen_cosets:
-                continue
-            seen_cosets.add(coset)
-            generator = poly_mul(generator,
-                                 self._field.minimal_polynomial(j))
-        self._generator = generator
-        full_k = full_n - poly_degree(generator)
-        if full_k <= 0:
-            raise ValueError(f"BCH(m={m}, t={t}) has no message bits")
+        self._field, self._generator, full_k = _parent(m, t)
         if not 0 <= shorten < full_k:
             raise ValueError(
                 f"shorten must be in [0, {full_k}), got {shorten}")
@@ -79,22 +96,22 @@ class BCHCode(BlockCode):
         self._m = m
         self._t = t
         self._shorten = shorten
-        self._full_n = full_n
+        self._full_n = self._field.order
         self._full_k = full_k
         self._syndrome_powers: Optional[np.ndarray] = None
+        # One int64 syndrome row as a single opaque memo-key item.
+        self._row_key = np.dtype((np.void, 16 * t))
         # (max_position, syndrome bytes) -> (read-only error row, ok).
         self._solved: Dict[Tuple[int, bytes], Tuple[np.ndarray, bool]] = {}
 
-    def __getstate__(self) -> dict:
-        # The solve memo is a per-process cache: pickles (pool workers,
-        # registries) carry the code alone and start with an empty one.
-        state = self.__dict__.copy()
-        state.pop("_solved", None)
-        return state
+    def __getstate__(self) -> Tuple[int, int, int]:
+        # A code is its parameters: pickles (pool workers, registries,
+        # deep copies) carry (m, t, shorten) alone and rebuild from the
+        # process's parent table, with an empty solve memo.
+        return (self._m, self._t, self._shorten)
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._solved = {}
+    def __setstate__(self, state: Tuple[int, int, int]) -> None:
+        BCHCode.__init__(self, *state)
 
     # ------------------------------------------------------------------
     # parameters
@@ -183,17 +200,18 @@ class BCHCode(BlockCode):
 
         ``S_j = sum over set bit positions i of alpha^(j*i)`` — field
         addition is XOR, so the whole batch reduces to one table lookup
-        plus an XOR-reduction.  Shortened (implicitly zero) positions
+        plus an XOR-reduction, run in the narrowest unsigned dtype that
+        holds a field element.  Shortened (implicitly zero) positions
         contribute nothing and are simply absent from the table.
         """
         words = as_bit_matrix(received, self.n)
         if self._syndrome_powers is None:
             j = np.arange(1, 2 * self._t + 1, dtype=np.int64)[:, None]
             i = np.arange(self.n, dtype=np.int64)[None, :]
-            self._syndrome_powers = self._field.alpha_pow_array(j * i)
-        table = self._syndrome_powers
-        masked = np.where(words[:, None, :] != 0, table[None, :, :], 0)
-        return np.bitwise_xor.reduce(masked, axis=2)
+            self._syndrome_powers = self._field.alpha_pow_array(
+                j * i).astype(np.min_scalar_type(self._field.order))
+        masked = (words != 0)[:, None, :] * self._syndrome_powers
+        return np.bitwise_xor.reduce(masked, axis=2).astype(np.int64)
 
     def decode_batch(self, received: np.ndarray
                      ) -> "tuple[np.ndarray, np.ndarray]":
@@ -275,26 +293,28 @@ class BCHCode(BlockCode):
                         ) -> Tuple[np.ndarray, np.ndarray]:
         """Distinct-row solve through the per-code memo."""
         memo = self._solved
-        keys = [(max_position, row.tobytes()) for row in distinct]
-        errors = np.zeros((len(keys), self.n), dtype=np.uint8)
-        ok = np.zeros(len(keys), dtype=bool)
-        missing = []
-        for index, key in enumerate(keys):
-            hit = memo.get(key)
-            if hit is None:
-                missing.append(index)
-            else:
-                errors[index], ok[index] = hit
+        rows = np.ascontiguousarray(distinct)
+        keys = list(zip(repeat(max_position),
+                        rows.view(self._row_key).ravel().tolist()))
+        # One lookup pass; misses read as an all-zero failed row until
+        # the solve below overwrites them.
+        miss = (np.zeros(self.n, dtype=np.uint8), False)
+        hits = list(map(memo.get, keys, repeat(miss)))
+        errors = np.array([hit[0] for hit in hits])
+        ok = np.array([hit[1] for hit in hits])
+        missing = [index for index, hit in enumerate(hits) if hit is miss]
         if not missing:
             return errors, ok
         solved, solved_ok = self._solve_distinct_syndromes(
-            distinct[missing], max_position)
+            rows[missing], max_position)
         errors[missing] = solved
         ok[missing] = solved_ok
-        for index, row, flag in zip(missing, solved, solved_ok):
-            entry = row.copy()
-            entry.flags.writeable = False
-            memo[keys[index]] = (entry, bool(flag))
+        # Entries are rows of one read-only copy; eviction is oldest
+        # first, so at most one partly evicted copy outlives its rows.
+        entries = solved.copy()
+        entries.flags.writeable = False
+        memo.update(zip(map(keys.__getitem__, missing),
+                        zip(entries, solved_ok.tolist())))
         while len(memo) > _MEMO_ROWS:
             del memo[next(iter(memo))]
         return errors, ok
@@ -375,12 +395,13 @@ class BCHCode(BlockCode):
             offsets = columns - shift[active, None]
             shifted = np.where(
                 offsets >= 0,
-                prev_sigma[active[:, None], np.clip(offsets, 0, None)],
+                prev_sigma[active[:, None], np.maximum(offsets, 0)],
                 0)
             candidate = sigma[active] ^ field.mul_array(scale[:, None],
                                                         shifted)
-            grow = active[2 * errors[active] <= step]
-            stay = active[2 * errors[active] > step]
+            lengthen = 2 * errors[active] <= step
+            grow = active[lengthen]
+            stay = active[~lengthen]
             prev_sigma[grow] = sigma[grow]
             prev_discrepancy[grow] = discrepancy[grow]
             errors[grow] = step + 1 - errors[grow]

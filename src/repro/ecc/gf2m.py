@@ -141,6 +141,13 @@ class GF2m:
         exp[self._order:] = exp[:self._order]
         self._exp = exp
         self._log = log
+        # The array ops' tables fold zero in: its log is a sentinel
+        # past any sum of two real logs, where the antilog table reads
+        # 0, so a product is three gathers and an add, with no masks.
+        self._zero_log = 2 * self._order
+        self._array_log = np.where(log < 0, self._zero_log, log)
+        self._array_exp = np.concatenate(
+            [exp, np.zeros(2 * self._order + 1, dtype=np.int64)])
 
     @property
     def m(self) -> int:
@@ -222,18 +229,15 @@ class GF2m:
     def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field product of two element arrays.
 
-        Broadcasting follows NumPy rules.  Non-zero lanes are one
-        log-table gather per operand, an exponent add, and one antilog
-        gather — the exp table is stored doubled, so the exponent sum
-        needs no modulo reduction.  Lanes with a zero operand
-        short-circuit to zero (zero has no logarithm; its ``-1``
-        sentinel in the log table is masked out before the gather).
+        Broadcasting follows NumPy rules.  Every lane is one log-table
+        gather per operand, an exponent add, and one antilog gather —
+        the exp table is stored doubled, so the exponent sum needs no
+        modulo reduction, and zero's log is a sentinel whose sums all
+        land on antilog entries that read 0.
         """
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        nonzero = (a != 0) & (b != 0)
-        index = np.where(nonzero, self._log[a] + self._log[b], 0)
-        return np.where(nonzero, self._exp[index], 0)
+        logs = self._array_log
+        return self._array_exp[logs[np.asarray(a, dtype=np.int64)]
+                               + logs[np.asarray(b, dtype=np.int64)]]
 
     def inv_array(self, a: np.ndarray) -> np.ndarray:
         """Elementwise multiplicative inverse of a non-zero array.
@@ -279,18 +283,16 @@ class GF2m:
         """
         coeffs = np.asarray(coeffs, dtype=np.int64)
         exps = np.asarray(point_exponents, dtype=np.int64)
-        coeff_logs = self._log[coeffs]  # -1 marks zero coefficients
+        # Zero coefficients read as the sentinel, so their terms are 0.
+        coeff_logs = self._array_log[coeffs]
         values = np.zeros((coeffs.shape[0], exps.shape[0]),
                           dtype=np.int64)
         for degree in range(coeffs.shape[1]):
             logs = coeff_logs[:, degree]
-            present = logs >= 0
-            if not present.any():
+            if (logs == self._zero_log).all():
                 continue
             grid = np.mod(exps * degree, self._order)
-            term = self._exp[np.where(present, logs, 0)[:, None]
-                             + grid[None, :]]
-            values ^= np.where(present[:, None], term, 0)
+            values ^= self._array_exp[logs[:, None] + grid[None, :]]
         return values
 
     # ------------------------------------------------------------------

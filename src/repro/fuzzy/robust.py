@@ -30,7 +30,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro._dedup import iter_unique_rows
+from repro._dedup import row_groups
 from repro._rng import RNGLike, ensure_rng
 from repro.ecc.base import as_bits
 from repro.ecc.sketch import SecureSketch, SketchData
@@ -150,11 +150,13 @@ class RobustFuzzyExtractor:
         batch = np.asarray(noisy_responses, dtype=np.uint8)
         recovered, ok = self._sketch.recover_batch(batch, helper.sketch)
         authentic = np.zeros(batch.shape[0], dtype=bool)
-        for response, rows in iter_unique_rows(recovered,
-                                               np.flatnonzero(ok)):
-            tag = _authentication_tag(response, helper.sketch.payload,
-                                      helper.hash_seed, helper.out_bits)
-            authentic[rows] = tag == helper.tag
+        rows = np.flatnonzero(ok)
+        first, inverse = row_groups(recovered[rows])
+        tags = [_authentication_tag(recovered[row], helper.sketch.payload,
+                                    helper.hash_seed,
+                                    helper.out_bits) == helper.tag
+                for row in rows[first].tolist()]
+        authentic[rows] = np.array(tags, dtype=bool)[inverse]
         hasher = ToeplitzHash(helper.hash_seed,
                               self._sketch.response_length,
                               helper.out_bits)

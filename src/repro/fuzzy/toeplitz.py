@@ -72,11 +72,12 @@ class ToeplitzHash:
     def hash_batch(self, words: np.ndarray) -> np.ndarray:
         """Hash a ``(B, in_bits)`` matrix of words in one GF(2) matmul.
 
-        Row ``i`` equals ``self(words[i])`` bit-for-bit (integer
-        matrix multiplication is exact); this is how the batched
-        fuzzy-extractor path hashes every recovered response without a
-        per-row Python loop.
+        Row ``i`` equals ``self(words[i])`` bit-for-bit: each product
+        entry counts at most ``in_bits`` ones, which float64 holds
+        exactly, and a float matmul runs in BLAS where an integer one
+        does not; this is how the batched fuzzy-extractor path hashes
+        every recovered response without a per-row Python loop.
         """
         words = as_bit_matrix(words, self._in)
-        return ((words.astype(np.int64) @ self._matrix.T) % 2) \
-            .astype(np.uint8)
+        counts = words @ self._matrix.T.astype(np.float64)
+        return (counts.astype(np.int64) & 1).astype(np.uint8)

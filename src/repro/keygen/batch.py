@@ -52,7 +52,7 @@ from typing import (
 
 import numpy as np
 
-from repro._dedup import iter_unique_rows, row_groups
+from repro._dedup import row_groups
 from repro.ecc.base import DecodingFailure
 from repro.ecc.kernel import KernelWorkload, run_kernels
 from repro.ecc.sketch import CodeOffsetSketch, SecureSketch, SketchData
@@ -320,9 +320,12 @@ class EvalPlan:
 
     #: Per-row success booleans; pre-filled for resolved rows.
     outcomes: np.ndarray
-    #: Fresh groups awaiting the kernel: ``(pattern_bytes, rows)``,
-    #: aligned with the rows of the prepared pattern matrix.
-    pending: List[Tuple[bytes, np.ndarray]]
+    #: Fresh patterns awaiting the kernel, ``(keys, fresh, inverse,
+    #: rows)``: every distinct pattern's memo key, the fresh ones'
+    #: indices (the prepared pattern order), the row -> distinct map
+    #: and the planned rows; ``None`` once nothing is pending.
+    pending: Optional[Tuple[List[bytes], np.ndarray, np.ndarray,
+                            Union[np.ndarray, slice]]]
     #: Completion finishing the fresh patterns (``None`` if resolved).
     completion: Optional[SketchCompletion]
     #: Opaque completion state from :meth:`SketchCompletion.prepare`.
@@ -335,7 +338,7 @@ class EvalPlan:
     @classmethod
     def resolved(cls, outcomes: np.ndarray) -> "EvalPlan":
         """A plan with every row already decided (no kernel work)."""
-        return cls(np.asarray(outcomes, dtype=bool), [], None, None,
+        return cls(np.asarray(outcomes, dtype=bool), None, None, None,
                    None)
 
     @property
@@ -351,21 +354,61 @@ class EvalPlan:
         would return.  Returns the complete per-row success vector;
         idempotent once finalized.
         """
-        if self.pending:
+        if self.pending is not None:
+            keys, fresh, inverse, rows = self.pending
             results = np.asarray(
                 self.completion.finish(self.state, outputs),
                 dtype=bool)
-            for (key, rows), value in zip(self.pending, results):
-                flag = bool(value)
-                self.memo[key] = flag
-                self.outcomes[rows] = flag
-            self.pending = []
+            distinct = np.zeros(len(keys), dtype=bool)
+            distinct[fresh] = results
+            # Fresh rows are still False, resolved rows keep theirs.
+            self.outcomes[rows] |= distinct[inverse]
+            self.memo.update(zip(map(keys.__getitem__, fresh.tolist()),
+                                 results.tolist()))
+            self.pending = None
         return self.outcomes
 
     def execute(self) -> np.ndarray:
         """Run this plan's own kernel and finalize (single-plan driver)."""
         (outputs,) = run_kernels([self.workload])
         return self.finalize(outputs)
+
+
+def _memo_groups(bits: np.ndarray, memos: Sequence[Dict[bytes, bool]],
+                 owner: Optional[np.ndarray] = None,
+                 widths: Optional[np.ndarray] = None
+                 ) -> Tuple[np.ndarray, np.ndarray, List[bytes],
+                            np.ndarray]:
+    """One ``row_groups`` pass over *bits*, then one memo pass.
+
+    Rows group per *owner* (row -> index into *memos*) when given,
+    else all consult ``memos[0]``.  A pattern's memo key is its
+    ``tobytes()``, cut to ``widths[owner]`` bytes when given.  Returns
+    ``(first, inverse, keys, known)``: each distinct pattern's first
+    row, the row -> distinct map, the memo keys and the memoized
+    outcomes as ``int8`` (``-1`` = unseen).
+    """
+    if owner is None:
+        first, inverse = row_groups(bits)
+        lookups = repeat(memos[0], first.size)
+    else:
+        first, inverse = row_groups(np.concatenate(
+            [owner.astype(">u4").view(np.uint8).reshape(-1, 4), bits],
+            axis=1))
+        owners = owner[first]
+        lookups = map(memos.__getitem__, owners.tolist())
+    patterns = np.ascontiguousarray(bits[first])
+    wide = patterns.dtype.itemsize * patterns.shape[1]
+    keys = (patterns.view(np.dtype((np.void, wide))).ravel().tolist()
+            if wide else [b""] * first.size)
+    if owner is not None:
+        cut = widths[owners]
+        short = np.flatnonzero(cut < wide)
+        for row, width in zip(short.tolist(), cut[short].tolist()):
+            keys[row] = keys[row][:width]
+    known = np.fromiter(map(dict.get, lookups, keys, repeat(-1)),
+                        dtype=np.int8, count=first.size)
+    return first, inverse, keys, known
 
 
 def _build_plan(bits: np.ndarray, rows: Optional[np.ndarray],
@@ -376,22 +419,18 @@ def _build_plan(bits: np.ndarray, rows: Optional[np.ndarray],
     *rows* restricts the scan (masked evaluators); excluded rows stay
     ``False``, matching their observable refusal on the scalar path.
     """
+    if rows is None:
+        rows = slice(None)
+    subset = bits[rows]
+    first, inverse, keys, known = _memo_groups(subset, (memo,))
     outcomes = np.zeros(count, dtype=bool)
-    pending: List[Tuple[bytes, np.ndarray]] = []
-    fresh: List[np.ndarray] = []
-    for pattern, indices in iter_unique_rows(bits, rows):
-        key = pattern.tobytes()
-        hit = memo.get(key)
-        if hit is None:
-            pending.append((key, indices))
-            fresh.append(pattern)
-        else:
-            outcomes[indices] = hit
-    if not fresh:
-        return EvalPlan(outcomes, [], None, None, None, memo)
-    workload, state = completion.prepare(np.stack(fresh))
-    return EvalPlan(outcomes, pending, completion, state, workload,
-                    memo)
+    outcomes[rows] = (known == 1)[inverse]
+    fresh = np.flatnonzero(known < 0)
+    if not fresh.size:
+        return EvalPlan(outcomes, None, None, None, None, memo)
+    workload, state = completion.prepare(subset[first[fresh]])
+    return EvalPlan(outcomes, (keys, fresh, inverse, rows), completion,
+                    state, workload, memo)
 
 
 # ----------------------------------------------------------------------
@@ -570,17 +609,6 @@ FrontierEntry = Union[EvalPlan,
                             Optional[BatchEvaluator]]]
 
 
-def _row_keys(patterns: np.ndarray, widths: np.ndarray) -> List[bytes]:
-    """Memo keys: the first ``widths[i]`` bytes of each pattern row."""
-    wide = patterns.shape[1]
-    keys = np.ascontiguousarray(patterns).view(
-        np.dtype((np.void, wide))).ravel().tolist()
-    short = np.flatnonzero(widths < wide)
-    for row, width in zip(short.tolist(), widths[short].tolist()):
-        keys[row] = keys[row][:width]
-    return keys
-
-
 class _StackedGroup:
     """Stackable blocks of one shape and one stack key.
 
@@ -632,18 +660,10 @@ class _StackedGroup:
         owner = np.repeat(np.arange(len(blocks)), count)
         bits = bits.transpose(0, 2, 1).reshape(owner.size, wide).view(
             np.uint8)
-        first, self._inverse = row_groups(np.concatenate(
-            [owner.astype(">u4").view(np.uint8).reshape(-1, 4), bits],
-            axis=1))
+        first, self._inverse, self._keys, known = _memo_groups(
+            bits, self._memos, owner, self._widths)
         owners = owner[first]
         patterns = bits[first]
-        self._keys = _row_keys(patterns, self._widths[owners])
-        # One C-level pass of dict lookups; -1 marks a pattern its
-        # block's memo has not seen.
-        known = np.fromiter(
-            map(dict.get, map(self._memos.__getitem__, owners.tolist()),
-                self._keys, repeat(-1)),
-            dtype=np.int8, count=first.size)
         self._results = known == 1
         self.workload: Optional[KernelWorkload] = None
         self._fresh = np.flatnonzero(known < 0)

@@ -10,7 +10,7 @@ weights from zero through beyond-``t`` failure rows.
 import numpy as np
 import pytest
 
-from repro._dedup import iter_unique_rows
+from repro._dedup import row_groups
 from repro.ecc import (
     BlockwiseCode,
     HammingCode,
@@ -287,9 +287,11 @@ class TestDecodeBatchAgainstDedupFallback:
         words = corrupted_batch(code, rng, count=50)
         reference = np.zeros_like(words)
         reference_ok = np.zeros(words.shape[0], dtype=bool)
-        for word, rows in iter_unique_rows(words):
+        first, inverse = row_groups(words)
+        for group, row in enumerate(first):
+            rows = inverse == group
             try:
-                reference[rows] = code.decode(word)
+                reference[rows] = code.decode(words[row])
             except DecodingFailure:
                 continue
             reference_ok[rows] = True

@@ -45,6 +45,18 @@ class TestToeplitzHash:
         assert collisions / trials == pytest.approx(2 ** -out_bits,
                                                     abs=0.03)
 
+    @pytest.mark.parametrize("in_bits, out_bits",
+                             [(12, 8), (64, 64), (300, 128)])
+    def test_hash_batch_matches_rows(self, rng, in_bits, out_bits):
+        hasher = ToeplitzHash.random(in_bits, out_bits, rng=rng)
+        words = rng.integers(0, 2, (50, in_bits)).astype(np.uint8)
+        words[0] = 1  # the largest product counts
+        words[1] = 0
+        hashed = hasher.hash_batch(words)
+        assert hashed.dtype == np.uint8
+        for word, row in zip(words, hashed):
+            np.testing.assert_array_equal(row, hasher(word))
+
     def test_seed_reproducibility(self, rng):
         seed_bits = rng.integers(0, 2, 19).astype(np.uint8)
         word = rng.integers(0, 2, 12).astype(np.uint8)

@@ -16,17 +16,31 @@ import numpy as np
 import pytest
 
 import repro._dedup as dedup
-from repro._dedup import SMALL_BLOCK, iter_unique_rows, unique_rows
+from repro._dedup import SMALL_BLOCK, row_groups, unique_rows
 
 
 def as_indices(indices):
     return [int(i) for i in indices]
 
 
+def group_list(matrix, rows=None):
+    """``(pattern, indices)`` per distinct row, from ``row_groups``.
+
+    *rows* restricts the grouping to a subset; ``indices`` are positions
+    in *matrix*, in the order they appear in *rows*.
+    """
+    if rows is None:
+        rows = np.arange(matrix.shape[0])
+    subset = matrix[rows]
+    first, inverse = row_groups(subset)
+    return [(subset[row], rows[inverse == group])
+            for group, row in enumerate(first)]
+
+
 def groups_as_dict(matrix, rows=None):
     """Map pattern bytes -> sorted original indices for one iteration."""
     out = {}
-    for pattern, indices in iter_unique_rows(matrix, rows):
+    for pattern, indices in group_list(matrix, rows):
         key = pattern.tobytes()
         assert key not in out, "pattern yielded twice"
         out[key] = sorted(as_indices(indices))
@@ -36,19 +50,18 @@ def groups_as_dict(matrix, rows=None):
 class TestEdgeCases:
     def test_empty_matrix(self):
         matrix = np.zeros((0, 5), dtype=np.uint8)
-        assert list(iter_unique_rows(matrix)) == []
+        assert group_list(matrix) == []
         distinct, inverse = unique_rows(matrix)
         assert distinct.shape == (0, 5)
         assert inverse.shape == (0,)
 
     def test_empty_row_subset(self):
         matrix = np.ones((4, 3), dtype=np.uint8)
-        assert list(iter_unique_rows(
-            matrix, np.array([], dtype=np.intp))) == []
+        assert group_list(matrix, np.array([], dtype=np.intp)) == []
 
     def test_single_row(self):
         matrix = np.array([[1, 0, 1]], dtype=np.uint8)
-        ((pattern, indices),) = list(iter_unique_rows(matrix))
+        ((pattern, indices),) = group_list(matrix)
         np.testing.assert_array_equal(pattern, matrix[0])
         np.testing.assert_array_equal(indices, [0])
         distinct, inverse = unique_rows(matrix)
@@ -92,7 +105,7 @@ class TestStrategyCrossover:
             == sorted(d.tobytes() for d in sorted_distinct)
 
     @pytest.mark.parametrize("count", [128, 129])
-    def test_iter_unique_rows_strategies_group_identically(
+    def test_row_groups_strategies_group_identically(
             self, count, monkeypatch):
         rng = np.random.default_rng(2000 + count)
         patterns = rng.integers(0, 2, size=(7, 9)).astype(np.uint8)
@@ -173,7 +186,7 @@ class TestKeyedRegime:
     @pytest.mark.parametrize("count", [129, 1000])
     def test_indices_ascending_within_groups(self, count):
         matrix = pooled(np.uint8, count, seed=20 + count)
-        for pattern, indices in iter_unique_rows(matrix):
+        for pattern, indices in group_list(matrix):
             assert np.all(np.diff(indices) > 0)
             assert np.all(matrix[indices] == pattern)
 
@@ -188,12 +201,44 @@ class TestKeyedRegime:
             == distinct.shape[0] == len(reference_groups(matrix))
 
 
+class TestPackedBitRows:
+    """0/1 rows group bit-packed, exactly as their byte keys would."""
+
+    @staticmethod
+    def byte_key_groups(matrix):
+        data = np.ascontiguousarray(matrix)
+        keys = data.view(np.dtype(
+            (np.void, data.dtype.itemsize * data.shape[1]))).reshape(-1)
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        return first, inverse.reshape(-1)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_],
+                             ids=["uint8", "bool"])
+    @pytest.mark.parametrize("cols", [1, 8, 9, 63, 64, 65, 127])
+    def test_same_groups_in_the_same_order(self, dtype, cols):
+        matrix = pooled(dtype, 300, seed=cols, cols=cols)
+        first, inverse = dedup._keyed_groups(matrix)
+        expected_first, expected_inverse = self.byte_key_groups(matrix)
+        np.testing.assert_array_equal(first, expected_first)
+        np.testing.assert_array_equal(inverse, expected_inverse)
+
+    def test_non_bit_values_keep_byte_keys(self):
+        matrix = pooled(np.uint8, 300, seed=5, cols=16)
+        matrix[::7, 3] = 2
+        first, inverse = dedup._keyed_groups(matrix)
+        expected_first, expected_inverse = self.byte_key_groups(matrix)
+        np.testing.assert_array_equal(first, expected_first)
+        np.testing.assert_array_equal(inverse, expected_inverse)
+        assert groups_as_dict(matrix) == reference_groups(matrix)
+
+
 class TestByteIdentity:
     """Both regimes share one row identity: raw byte equality."""
 
     def test_zero_width_rows_form_one_group(self, regime):
         matrix = np.zeros((300, 0), dtype=np.uint8)
-        ((pattern, indices),) = list(iter_unique_rows(matrix))
+        ((pattern, indices),) = group_list(matrix)
         assert pattern.shape == (0,)
         np.testing.assert_array_equal(indices, np.arange(300))
         distinct, inverse = unique_rows(matrix)
