@@ -18,7 +18,11 @@ Twin fleets are identically seeded, so the three executions must agree
 decision — asserted in-bench before any timing is reported, alongside
 a ≥5× regression canary for lock-step vs the scalar loop.  A
 group-based (§VI-C, Fig. 6a) campaign section repeats the equivalence
-check on the comparison-sort attack.
+check on the comparison-sort attack, asserts that every lock-step round
+with kernel work makes exactly one kernel call (its hypothesis streams
+of 19 and 20 pairs get BCH codes of different shortening, which fuse
+under their common parent), and reports the time to build one
+comparison's hypothesis pair with both members' frontier blocks.
 
 A §VI-B section runs the temperature-aware attack (assistant
 substitution at attacker-chosen temperatures) as a per-device loop and
@@ -49,6 +53,8 @@ from repro.core import (
     SequentialPairingAttack,
     TempAwareAttack,
 )
+from repro.core.lockstep import LaneEngine
+from repro.ecc.kernel import kernel_stats
 from repro.fleet import Fleet, GroupAttackFactory, run_campaign
 from repro.keygen import (
     GroupBasedKeyGen,
@@ -138,6 +144,52 @@ def run_sequential_campaign(devices=DEVICES):
             scalar_s, batched_s, lockstep_s)
 
 
+def kernel_calls_per_round(run):
+    """``run()``'s result and the kernel calls of each lock-step round.
+
+    Every lane engine evaluates a round through
+    ``LaneEngine.evaluate_many``; the wrapper counts the kernel calls
+    each invocation makes.
+    """
+    calls = []
+    evaluate = LaneEngine.evaluate_many
+
+    def counted(engine, items):
+        before = kernel_stats.calls
+        try:
+            return evaluate(engine, items)
+        finally:
+            calls.append(kernel_stats.calls - before)
+
+    LaneEngine.evaluate_many = counted
+    try:
+        return run(), calls
+    finally:
+        LaneEngine.evaluate_many = evaluate
+
+
+def hypothesis_build_us(seed=0, repeats=5):
+    """Best-of-*repeats* µs to build one §VI-C hypothesis pair.
+
+    Covers every ordered target pair of one 4x10 device, each built
+    with both members' frontier blocks attached (the attack's oracle
+    is a ``BatchOracle``).
+    """
+    array, keygen, helper, _ = _group_device(seed)
+    attack = GroupBasedAttack(BatchOracle(array, keygen), keygen, helper,
+                              rows=4, cols=10)
+    cells = FIG6_PARAMS.n
+    targets = [(u, v) for u in range(cells) for v in range(cells)
+               if u != v]
+    walls = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for u, v in targets:
+            attack._hypotheses(u, v)
+        walls.append(time.perf_counter() - start)
+    return min(walls) / len(targets) * 1e6
+
+
 def run_group_campaign(devices=GROUP_DEVICES):
     """Scalar loop vs lock-step campaign on the §VI-C attack."""
     scalar_results = []
@@ -158,9 +210,11 @@ def run_group_campaign(devices=GROUP_DEVICES):
                                         cols=10))
         keys.append(key)
     start = time.perf_counter()
-    lockstep_results = run_campaign(oracles, attacks)
+    lockstep_results, round_calls = kernel_calls_per_round(
+        lambda: run_campaign(oracles, attacks))
     lockstep_s = time.perf_counter() - start
-    return scalar_results, lockstep_results, keys, scalar_s, lockstep_s
+    return (scalar_results, lockstep_results, keys, scalar_s, lockstep_s,
+            round_calls)
 
 
 def run_temp_aware_campaign(devices=TEMP_DEVICES, repeats=5):
@@ -246,13 +300,19 @@ def test_attack_lockstep_campaign(benchmark, quick):
 
     grp_devices = QUICK_GROUP_DEVICES if quick else GROUP_DEVICES
     (grp_scalar, grp_lockstep, grp_keys, grp_scalar_s,
-     grp_lockstep_s) = run_group_campaign(grp_devices)
+     grp_lockstep_s, round_calls) = run_group_campaign(grp_devices)
     for reference, lockstep, key in zip(grp_scalar, grp_lockstep,
                                         grp_keys):
         assert reference.orders == lockstep.orders
         assert reference.queries == lockstep.queries
         assert np.array_equal(reference.key, lockstep.key)
         assert np.array_equal(reference.key, key)
+    # One kernel call per round with kernel work: hypothesis streams of
+    # every shortening stack into one group and one decode call.
+    assert set(round_calls) <= {0, 1}, round_calls
+    kernel_rounds = sum(round_calls)
+    assert kernel_rounds
+    build_us = hypothesis_build_us()
     grp_speedup = grp_scalar_s / grp_lockstep_s if grp_lockstep_s \
         else float("inf")
     record("E18 / §VI-C — lock-step campaign engine, group-based "
@@ -260,7 +320,11 @@ def test_attack_lockstep_campaign(benchmark, quick):
            "orders/keys/queries)",
            [f"scalar per-device loop: {grp_scalar_s:.2f} s",
             f"lock-step campaign:     {grp_lockstep_s:.2f} s",
-            f"speedup: {grp_speedup:.1f}x"])
+            f"speedup: {grp_speedup:.1f}x",
+            f"lock-step rounds: {len(round_calls)}, with kernel work: "
+            f"{kernel_rounds}, kernel calls per such round: 1",
+            f"hypothesis pair with both blocks: {build_us:.1f} µs per "
+            "comparison (best of 5 sweeps over all 1560 target pairs)"])
 
     temp_devices = QUICK_TEMP_DEVICES if quick else TEMP_DEVICES
     (temp_loop, temp_lockstep, temp_queries,

@@ -24,6 +24,7 @@ group — i.e. the complete device key.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +40,6 @@ from repro.core.injection import (
     symmetric_quadratic,
 )
 from repro.core.oracle import HelperDataOracle
-from repro.ecc.sketch import CodeOffsetSketch
 from repro.keygen.base import key_check_digest, key_check_digests
 from repro.keygen.group_based import (
     GroupBasedKeyGen,
@@ -48,6 +48,7 @@ from repro.keygen.group_based import (
 )
 from repro.grouping.kendall import kendall_encode
 from repro.grouping.packing import pack_key
+from repro.puf.variation import grid_layout, layout_matrix
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,16 @@ class GroupBasedAttack:
         # Injected-value collisions are exact by construction; any two
         # distinct values differ by at least steepness / (rows + 1)^2.
         self._margin = steepness / (2.0 * (rows + 1) ** 2)
-        cells = np.arange(self._rows * self._cols)
-        self._xs = (cells % self._cols).astype(float)
-        self._ys = (cells // self._cols).astype(float)
-        self._sketches: Dict[int, Tuple[CodeOffsetSketch,
-                                        np.ndarray]] = {}
+        # Injected values are payload polynomials over the cell grid.
+        self._layout = layout_matrix(
+            *grid_layout(self._rows, self._cols), 2)
+        self._bindings: Dict[Tuple[int, ...], tuple] = {}
+        # A batched oracle's device gets every hypothesis pair's
+        # frontier blocks as the pair is built.
+        geometry_for = getattr(getattr(oracle, "keygen", None),
+                               "hypothesis_geometry", None)
+        self._geometry = (None if geometry_for is None
+                          else geometry_for(oracle.array, helper))
 
     # ------------------------------------------------------------------
 
@@ -106,7 +112,7 @@ class GroupBasedAttack:
         """Hypotheses "residual(u) > residual(v)" ∈ {0, 1}, as arrays."""
         payload = symmetric_quadratic(self._cell_xy(u), self._cell_xy(v),
                                       self._rows, self._steepness)
-        values = -payload(self._xs, self._ys)
+        values = -(self._layout @ payload.coefficients)
 
         forced = pair_cells_by_value(values, exclude=(u, v),
                                      min_gap=self._margin)
@@ -117,27 +123,52 @@ class GroupBasedAttack:
         responses = predicted_pair_bits(values, forced, self._margin)
         if any(bit < 0 for bit in responses):
             raise AssertionError("forced pair left undetermined")
-        forced_bits = [1 - bit for bit in responses]
+        payloads, key_checks = self._binding(tuple(responses))
+        pair = HypothesisPair(
+            self._helper, payload, groups, payloads, key_checks,
+            np.array([u, v, *chain.from_iterable(forced)],
+                     dtype=np.intp).reshape(-1, 2))
+        if self._geometry is not None:
+            self._geometry.attach(pair)
+        return pair
 
-        sketch, codeword = self._sketch(len(groups))
+    def _binding(self, responses: Tuple[int, ...]
+                 ) -> Tuple[np.ndarray, Tuple[bytes, bytes]]:
+        """Payloads and key checks of both hypothesis streams.
+
+        The streams are the target bit (0, then 1) followed by the
+        forced bits ``1 - response``, and depend on nothing else, so
+        they are bound once per forced-response tuple (the greedy
+        pairing keeps the lower value first, so in practice once per
+        stream length).  Every hypothesis helper binds its stream
+        through the all-zero seed.  The payloads are read-only: pairs
+        share them.
+        """
+        hit = self._bindings.get(responses)
+        if hit is not None:
+            return hit
+        sketch = self._keygen.sketch_for(len(responses) + 1)
         injected = (self._injected if self._injected is not None
                     else sketch.code.t)
-        if injected > len(forced_bits):
+        if injected > len(responses):
             raise ValueError("not enough forced groups to carry the "
                              "error injection")
-
-        # One stream per hypothesis about the target bit.
-        streams = np.array([[0] + forced_bits, [1] + forced_bits],
-                           dtype=np.uint8)
         # Deterministic injection: invert reference bits of the first
         # `injected` forced groups ("we just compute the ECC redundancy
         # given some inverted bit values").
-        streams[:, 1:1 + injected] ^= 1
+        forced_bits = [bit if position < injected else 1 - bit
+                       for position, bit in enumerate(responses)]
+        # One stream per hypothesis about the target bit.
+        streams = np.array([[0] + forced_bits, [1] + forced_bits],
+                           dtype=np.uint8)
+        payloads = sketch.payloads_for_codeword(
+            streams, sketch.code.encode(
+                np.zeros(sketch.code.k, dtype=np.uint8)))
+        payloads.flags.writeable = False
         # Every group is a pair, so each packed key is its stream.
-        return HypothesisPair(
-            self._helper, payload, groups,
-            sketch.payloads_for_codeword(streams, codeword),
-            key_check_digests(streams))
+        hit = self._bindings[responses] = (
+            payloads, tuple(key_check_digests(streams)))
+        return hit
 
     def _attack_helpers(self, u: int, v: int
                         ) -> Tuple[GroupBasedKeyHelper,
@@ -145,19 +176,6 @@ class GroupBasedAttack:
         """Hypothesis helpers for "residual(u) > residual(v)" ∈ {0, 1}."""
         member0, member1 = self._hypotheses(u, v).members
         return member0.materialise(), member1.materialise()
-
-    def _sketch(self, bits: int) -> Tuple[CodeOffsetSketch, np.ndarray]:
-        """The sketch of a *bits*-group stream and its seed's codeword.
-
-        Every hypothesis helper binds its stream through the all-zero
-        seed; it is encoded once per sketch.
-        """
-        hit = self._sketches.get(bits)
-        if hit is None:
-            sketch = self._keygen.sketch_for(bits)
-            hit = self._sketches[bits] = (sketch, sketch.code.encode(
-                np.zeros(sketch.code.k, dtype=np.uint8)))
-        return hit
 
     def compare_ros(self, u: int, v: int) -> bool:
         """Oracle-driven comparison: is ``residual(u) > residual(v)``?

@@ -140,6 +140,20 @@ class BlockCode(abc.ABC):
         """
         return None
 
+    def parent_key(self) -> "tuple | None":
+        """Kernel identity shared by every shortening of this code.
+
+        Codes with equal parent keys decode each other's words padded
+        with zeros to the longer length exactly as their own decoders
+        would, once ``decode_batch(words, bounds)`` bounds each row's
+        corrections by its own length; that lets a code-offset kernel
+        call stack words of several shortenings
+        (:func:`repro.ecc.kernel.run_kernels`).  The default is
+        :meth:`kernel_key`: a code without a shortening family fuses
+        only with codes of its own geometry.
+        """
+        return self.kernel_key()
+
     @property
     def bounded_distance(self) -> bool:
         """Whether the decoder is a bounded-distance decoder.

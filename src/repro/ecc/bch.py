@@ -17,7 +17,10 @@ the complete pipeline:
   table) → error-pattern XOR, bitwise-equivalent to the scalar decoder
   row for row (see ``docs/ecc.md``);
 * optional code *shortening*, so block lengths can be matched to the bit
-  counts the PUF constructions actually produce.
+  counts the PUF constructions actually produce; every shortening of
+  one parent decodes the others' zero-padded words under per-row
+  position bounds (``decode_batch(words, bounds)``), which is how
+  code-offset workloads of one parent fuse into one kernel call.
 """
 
 from __future__ import annotations
@@ -152,6 +155,21 @@ class BCHCode(BlockCode):
         """
         return ("bch", self._m, self._t, self._shorten)
 
+    def parent_key(self) -> "tuple | None":
+        """Kernel identity of the parent: ``("bch", m, t)``.
+
+        Shortening only removes high-order message positions, which
+        are zero in every word of the shortened code, so a word of
+        any shortening padded with zeros decodes under any other
+        shortening of the same parent exactly as under its own code
+        once corrections are bounded by its own length
+        (:meth:`decode_batch` with *bounds*).  ``None`` when the code
+        opts out of fusion (:meth:`kernel_key` is ``None``).
+        """
+        if self.kernel_key() is None:
+            return None
+        return ("bch", self._m, self._t)
+
     @property
     def generator_polynomial(self) -> np.ndarray:
         """Generator polynomial coefficients, LSB (x^0) first."""
@@ -213,7 +231,8 @@ class BCHCode(BlockCode):
         masked = (words != 0)[:, None, :] * self._syndrome_powers
         return np.bitwise_xor.reduce(masked, axis=2).astype(np.int64)
 
-    def decode_batch(self, received: np.ndarray
+    def decode_batch(self, received: np.ndarray,
+                     bounds: Optional[np.ndarray] = None
                      ) -> "tuple[np.ndarray, np.ndarray]":
         """Fully vectorized batch decode (no scalar inner loop).
 
@@ -228,6 +247,12 @@ class BCHCode(BlockCode):
         fast as before.  Results are bitwise-identical to running
         :meth:`decode` row by row; failed rows come back all-zero with
         ``ok = False``.
+
+        *bounds*, when given, holds one position bound per row (at most
+        ``n``): row ``i`` is a word of this code's parent shortened to
+        ``bounds[i]`` bits, zero past them, and decodes exactly as that
+        code's own :meth:`decode` would — a correction located at or
+        past ``bounds[i]`` fails the row.
         """
         words = as_bit_matrix(received, self.n)
         syndromes = self.syndromes_batch(words)
@@ -238,7 +263,9 @@ class BCHCode(BlockCode):
         dirty = np.flatnonzero(~clean)
         if dirty.size == 0:
             return codewords, ok
-        errors, solved = self.solve_syndromes_batch(syndromes[dirty])
+        errors, solved = self.solve_syndromes_batch(
+            syndromes[dirty],
+            None if bounds is None else np.asarray(bounds)[dirty])
         good = dirty[solved]
         codewords[good] = words[good] ^ errors[solved]
         ok[good] = True
@@ -247,7 +274,7 @@ class BCHCode(BlockCode):
     # -- vectorized decode engine --------------------------------------
 
     def solve_syndromes_batch(self, syndromes: np.ndarray,
-                              max_position: int = None
+                              max_position: "int | np.ndarray" = None
                               ) -> Tuple[np.ndarray, np.ndarray]:
         """Locate the error patterns of a ``(B, 2t)`` syndrome batch.
 
@@ -260,16 +287,18 @@ class BCHCode(BlockCode):
         under exactly the scalar decoder's conditions: locator degree
         beyond ``t``, a locator that does not split over the field, an
         error located at or past *max_position* (default: the shortened
-        code length ``n``), or a located pattern whose syndromes do not
-        reproduce the input.  :class:`~repro.ecc.sketch.SyndromeSketch`
-        reuses the kernel with ``max_position`` set to its response
-        length, which is how the scalar recovery bounds corrections.
+        code length ``n``; a ``(B,)`` array bounds each row on its
+        own), or a located pattern whose syndromes do not reproduce
+        the input.  :class:`~repro.ecc.sketch.SyndromeSketch` reuses
+        the kernel with ``max_position`` set to its response length,
+        which is how the scalar recovery bounds corrections.
 
-        Duplicate syndrome rows are solved once and the result is
-        scattered back (the error pattern is a function of the
-        syndrome alone), so low-distinct workloads stay cheap without
-        any caller-side deduplication.  Distinct rows this code object
-        has already solved under the same *max_position* are answered
+        Duplicate ``(bound, syndrome)`` rows are solved once and the
+        result is scattered back (the error pattern is a function of
+        the syndrome and the bound alone), so low-distinct workloads
+        stay cheap without any caller-side deduplication.  Distinct
+        rows this code object has already solved under the same bound
+        are answered
         from a bounded memo (``_MEMO_ROWS`` rows, oldest evicted
         first, never pickled); only the rest reach the solve core.
         Hits are copied out, so callers never hold memo storage.
@@ -285,16 +314,28 @@ class BCHCode(BlockCode):
         if syn.shape[0] == 0:
             return (np.zeros((0, self.n), dtype=np.uint8),
                     np.zeros(0, dtype=bool))
-        distinct, inverse = unique_rows(syn)
-        errors, ok = self._solve_memoized(distinct, max_position)
+        if np.ndim(max_position):
+            # Per-row bounds: dedup and memoize on (bound, syndrome).
+            distinct, inverse = unique_rows(np.column_stack(
+                [np.asarray(max_position, dtype=np.int64), syn]))
+            errors, ok = self._solve_memoized(distinct[:, 1:],
+                                              distinct[:, 0])
+        else:
+            distinct, inverse = unique_rows(syn)
+            errors, ok = self._solve_memoized(distinct, max_position)
         return errors[inverse], ok[inverse]
 
-    def _solve_memoized(self, distinct: np.ndarray, max_position: int
+    def _solve_memoized(self, distinct: np.ndarray,
+                        bounds: "int | np.ndarray"
                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Distinct-row solve through the per-code memo."""
+        """Distinct-row solve through the per-code memo.
+
+        *bounds* is one position bound for every row, or one per row.
+        """
         memo = self._solved
         rows = np.ascontiguousarray(distinct)
-        keys = list(zip(repeat(max_position),
+        per_row = np.ndim(bounds) > 0
+        keys = list(zip(bounds.tolist() if per_row else repeat(bounds),
                         rows.view(self._row_key).ravel().tolist()))
         # One lookup pass; misses read as an all-zero failed row until
         # the solve below overwrites them.
@@ -306,7 +347,7 @@ class BCHCode(BlockCode):
         if not missing:
             return errors, ok
         solved, solved_ok = self._solve_distinct_syndromes(
-            rows[missing], max_position)
+            rows[missing], bounds[missing] if per_row else bounds)
         errors[missing] = solved
         ok[missing] = solved_ok
         # Entries are rows of one read-only copy; eviction is oldest
@@ -320,7 +361,7 @@ class BCHCode(BlockCode):
         return errors, ok
 
     def _solve_distinct_syndromes(self, syn: np.ndarray,
-                                  max_position: int
+                                  max_position: "int | np.ndarray"
                                   ) -> Tuple[np.ndarray, np.ndarray]:
         """The dedup-free solve core behind :meth:`solve_syndromes_batch`."""
         batch = syn.shape[0]
@@ -334,7 +375,12 @@ class BCHCode(BlockCode):
             return error_bits, ok
         roots = self._chien_roots_batch(sigma[viable, :self._t + 1])
         good = roots.sum(axis=1) == degrees[viable]
-        good &= ~roots[:, max_position:].any(axis=1)
+        if np.ndim(max_position):
+            beyond = (np.arange(self._full_n)[None, :]
+                      >= max_position[viable][:, None])
+            good &= ~(roots & beyond).any(axis=1)
+        else:
+            good &= ~roots[:, max_position:].any(axis=1)
         keep = viable[good]
         if keep.size == 0:
             return error_bits, ok

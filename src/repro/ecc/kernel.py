@@ -21,6 +21,16 @@ parameters, same bounds), which makes the fused outputs bitwise-equal to
 running each workload's own kernel separately — the equivalence contract
 pinned in ``tests/ecc/test_kernel.py`` and
 ``benchmarks/bench_campaign_fusion.py``.
+
+Code-offset workloads key on the code's *parent*
+(:meth:`~repro.ecc.base.BlockCode.parent_key`), so words of different
+shortenings of one BCH parent share a key but not a width.  Such a
+group is padded with zeros to its widest member and decoded by that
+member's kernel with per-row position bounds (each row's own code
+length, or the bound its workload carries); every member's word-shaped
+outputs are cut back to its own width.  Shortening only zeroes high
+positions, so this too equals each member's own call bit for bit
+(``tests/ecc/test_shortened_fusion.py``).
 """
 
 from __future__ import annotations
@@ -51,19 +61,21 @@ class KernelWorkload:
     ----------
     key:
         Structural identity of the computation (a hashable tuple built
-        from :meth:`~repro.ecc.base.BlockCode.kernel_key` plus any
-        kernel bounds).  Workloads with equal keys are fused into one
-        kernel call; ``None`` marks a kernel without a structural
-        identity, which always runs alone.
+        from :meth:`~repro.ecc.base.BlockCode.kernel_key` or
+        :meth:`~repro.ecc.base.BlockCode.parent_key` plus any kernel
+        bounds).  Workloads with equal keys are fused into one kernel
+        call; ``None`` marks a kernel without a structural identity,
+        which always runs alone.
     words:
         ``(R, width)`` input rows (bit matrix or syndrome matrix,
         kernel-dependent).  All workloads sharing a key must agree on
-        width and dtype — guaranteed when the key encodes the code
-        geometry.
+        dtype, and on width unless the key is a parent key (see the
+        module docstring).
     kernel:
         The stateless batch callable.  Workloads sharing a key must
         hold interchangeable kernels (bound to structurally identical
-        codes); the fused call uses the first one of the group.
+        codes, or to shortenings of one parent); the fused call uses
+        the first one of the widest members.
 
     The dataclass holds only arrays, plain values and picklable kernel
     objects (bound methods of picklable codes, or the small kernel
@@ -74,6 +86,11 @@ class KernelWorkload:
     key: Optional[Tuple]
     words: np.ndarray
     kernel: KernelFn
+    #: Optional ``(R,)`` per-row position bounds, passed to the kernel
+    #: as ``kernel(words, bounds)``: row ``r`` is a word of the key's
+    #: parent code shortened to ``bounds[r]`` bits.  ``None`` bounds
+    #: every row by the row width.
+    bounds: Optional[np.ndarray] = None
 
     @property
     def rows(self) -> int:
@@ -113,23 +130,46 @@ def _as_output_tuple(result: object) -> Tuple[np.ndarray, ...]:
     return (np.asarray(result),)
 
 
-def _timed_call(kernel: KernelFn, words: np.ndarray
+def _timed_call(kernel: KernelFn, words: np.ndarray,
+                bounds: Optional[np.ndarray] = None
                 ) -> Tuple[np.ndarray, ...]:
     """Run one kernel call, accounting it in :data:`kernel_stats`."""
     start = time.perf_counter()
-    result = _as_output_tuple(kernel(words))
+    result = _as_output_tuple(kernel(words) if bounds is None
+                              else kernel(words, bounds))
     kernel_stats.seconds += time.perf_counter() - start
     kernel_stats.calls += 1
     kernel_stats.rows += int(words.shape[0])
     return result
 
 
-def stack_workloads(group: Sequence[KernelWorkload]) -> np.ndarray:
-    """Concatenate the input rows of same-key workloads, in order."""
+def stack_workloads(group: Sequence[KernelWorkload]
+                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Concatenate the input rows of same-key workloads, in order.
+
+    Returns ``(words, bounds)``.  Rows narrower than the widest member
+    are zero-padded, and then, or when any member carries bounds,
+    every row gets one: its workload's bound, else its own width.
+    """
     if len(group) == 1:
-        return group[0].words
-    return np.concatenate([workload.words for workload in group],
-                          axis=0)
+        return group[0].words, group[0].bounds
+    widths = [workload.words.shape[1] for workload in group]
+    wide = max(widths)
+    if min(widths) == wide and all(workload.bounds is None
+                                   for workload in group):
+        return np.concatenate([workload.words for workload in group],
+                              axis=0), None
+    words = np.zeros((sum(workload.rows for workload in group), wide),
+                     dtype=group[0].words.dtype)
+    bounds = np.empty(words.shape[0], dtype=np.int64)
+    start = 0
+    for workload, width in zip(group, widths):
+        stop = start + workload.rows
+        words[start:stop, :width] = workload.words
+        bounds[start:stop] = (width if workload.bounds is None
+                              else workload.bounds)
+        start = stop
+    return words, bounds
 
 
 def split_outputs(outputs: Tuple[np.ndarray, ...],
@@ -151,12 +191,13 @@ def run_kernels(workloads: Sequence[Optional[KernelWorkload]]
     """Execute a round of workloads, fused per distinct kernel key.
 
     Workloads sharing a key are stacked (:func:`stack_workloads`) and
-    answered by **one** kernel call; keyless (``key is None``) and
-    lone workloads run individually.  ``None`` or empty workloads
-    yield ``None`` outputs.  Returns one output tuple per input
-    workload, in input order — bitwise-identical to calling each
-    workload's own kernel on its own rows, because every participating
-    kernel is row-local (see the module docstring).
+    answered by **one** kernel call, the widest member's; keyless
+    (``key is None``) and lone workloads run individually.  ``None``
+    or empty workloads yield ``None`` outputs.  Returns one output
+    tuple per input workload, in input order — bitwise-identical to
+    calling each workload's own kernel on its own rows, because every
+    participating kernel is row-local (see the module docstring);
+    word-shaped outputs of padded members are cut back to their width.
     """
     outputs: List[Optional[Tuple[np.ndarray, ...]]] = \
         [None] * len(workloads)
@@ -171,15 +212,23 @@ def run_kernels(workloads: Sequence[Optional[KernelWorkload]]
             groups.setdefault(workload.key, []).append(index)
     for index in solo:
         workload = workloads[index]
-        outputs[index] = _timed_call(workload.kernel, workload.words)
+        outputs[index] = _timed_call(workload.kernel, workload.words,
+                                     workload.bounds)
     for indices in groups.values():
         members = [workloads[i] for i in indices]
-        stacked = stack_workloads(members)
-        fused = _timed_call(members[0].kernel, stacked)
+        widths = [member.words.shape[1] for member in members]
+        wide = max(widths)
+        stacked, bounds = stack_workloads(members)
+        fused = _timed_call(members[widths.index(wide)].kernel, stacked,
+                            bounds)
         if len(members) == 1:
             outputs[indices[0]] = fused
             continue
         pieces = split_outputs(fused, [m.rows for m in members])
         for slot, index in enumerate(indices):
-            outputs[index] = pieces[slot]
+            piece = pieces[slot]
+            if widths[slot] < wide:
+                piece = tuple(part[:, :widths[slot]] if part.ndim == 2
+                              else part for part in piece)
+            outputs[index] = piece
     return outputs

@@ -80,10 +80,18 @@ class DecodeKernel:
 
     code: BlockCode
 
-    def __call__(self, words: np.ndarray
+    def __call__(self, words: np.ndarray,
+                 bounds: Optional[np.ndarray] = None
                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """Decode a stacked ``(R, n)`` word matrix."""
-        return self.code.decode_batch(words)
+        """Decode a stacked ``(R, n)`` word matrix.
+
+        *bounds* are per-row position bounds (words of shorter codes
+        of the same parent, zero-padded); only codes with a shortening
+        family (:meth:`~repro.ecc.base.BlockCode.parent_key`) get them.
+        """
+        if bounds is None:
+            return self.code.decode_batch(words)
+        return self.code.decode_batch(words, bounds)
 
 
 @dataclass(frozen=True)
@@ -256,14 +264,16 @@ class CodeOffsetSketch(SecureSketch):
         return recovered[:self._length]
 
     def kernel_key(self) -> "tuple | None":
-        """Recovery-kernel identity: the underlying decode kernel.
+        """Recovery-kernel identity: the parent of the decode kernel.
 
         The payload XOR happens in the plan/finish phases, so two
-        code-offset sketches fuse whenever their *codes* are
-        structurally identical — even across different response
-        lengths (padding is per-device plan work).
+        code-offset sketches fuse whenever their codes share a parent
+        (:meth:`~repro.ecc.base.BlockCode.parent_key`) — across
+        response lengths (padding is per-device plan work) and across
+        shortenings: the fused call pads every word to the longest
+        code and bounds each row's corrections by its own code length.
         """
-        code_key = self._code.kernel_key()
+        code_key = self._code.parent_key()
         if code_key is None:
             return None
         return ("code-offset", code_key)
@@ -287,7 +297,9 @@ class CodeOffsetSketch(SecureSketch):
         return self.offset_workload(batch, parsed[None, :]), parsed
 
     def offset_workload(self, responses: np.ndarray,
-                        payloads: np.ndarray) -> KernelWorkload:
+                        payloads: np.ndarray,
+                        bounds: Optional[np.ndarray] = None
+                        ) -> KernelWorkload:
         """The decode workload of responses under per-row payloads.
 
         *responses* is a ``(U, w)`` 0/1 ``uint8`` matrix with
@@ -296,14 +308,16 @@ class CodeOffsetSketch(SecureSketch):
         row, or a single ``(1, n)`` row for all.  Each row is padded
         to the code length and XORed with its payload, so rows of
         many helpers over one code stack into one workload; XORing a
-        decoded row with its payload again undoes the shift.
+        decoded row with its payload again undoes the shift.  Rows of
+        shorter codes of the same parent carry their code length in
+        *bounds* (their payloads zero-padded to ``n``).
         """
         shifted = np.zeros((responses.shape[0], self._code.n),
                            dtype=np.uint8)
         shifted[:, :responses.shape[1]] = responses
         shifted ^= payloads
         return KernelWorkload(self.kernel_key(), shifted,
-                              DecodeKernel(self._code))
+                              DecodeKernel(self._code), bounds)
 
     def finish_recover(self, state: object,
                        outputs: "Optional[tuple]"

@@ -122,8 +122,9 @@ class PairBlock(NamedTuple):
     completing it; the block's *parsed* payload and *key_check*; and
     the *memo* of finalized patterns the block consults before the
     round and extends after it.  *stack_key* is ``(kind, trend is not
-    None, kernel key)``: only blocks of one stack key and one row
-    shape stack.
+    None, sketch kernel key)``, the sketch key naming the code's parent
+    (so every shortening of one BCH parent shares it): only blocks of
+    one stack key and one row shape stack.
     """
 
     index: np.ndarray
@@ -190,6 +191,12 @@ class DescribedHelper:
             hit = self._described = (keygen, array,
                                      keygen.describe(array, self))
         return hit[2]
+
+    def described_as(self, keygen, array, block: Optional[PairBlock]
+                     ) -> None:
+        """Record *block* as this description's block on *keygen*'s
+        *array*, for a keygen that describes several at once."""
+        self._described = (keygen, array, block)
 
 
 # ----------------------------------------------------------------------
@@ -616,7 +623,10 @@ class _StackedGroup:
     frequencies (each block's trend subtracted, its pair index padded
     to the widest block and masked), one dedup keyed by (block,
     pattern), memo lookups for all distinct patterns in one pass and
-    one payload-shifted decode workload over the fresh patterns.
+    one payload-shifted decode workload over the fresh patterns.  The
+    stack key names the code's parent, so blocks over different
+    shortenings share the workload: payloads are padded to the longest
+    code, whose decoder bounds each row by its own code length.
     :meth:`finalize` XORs the payloads back, truncates each pattern to
     its block's length and hashes the key checks of the whole group in
     one pass.
@@ -669,10 +679,23 @@ class _StackedGroup:
         self._fresh = np.flatnonzero(known < 0)
         if self._fresh.size:
             self._owners = owners[self._fresh]
-            self._payloads = np.array(
-                [source.parsed for source in sources])[self._owners]
-            self.workload = sources[0].sketch.offset_workload(
-                patterns[self._fresh], self._payloads)
+            # Payloads are code-length; blocks over shorter codes of
+            # the stack key's parent pad theirs and bound their rows.
+            lengths = [source.parsed.shape[0] for source in sources]
+            longest = max(lengths)
+            bounds = None
+            if min(lengths) == longest:
+                payloads = np.array([source.parsed for source in sources])
+            else:
+                payloads = np.zeros((len(sources), longest),
+                                    dtype=np.uint8)
+                for slot, source in enumerate(sources):
+                    payloads[slot, :lengths[slot]] = source.parsed
+                bounds = np.array(lengths)[self._owners]
+            self._payloads = payloads[self._owners]
+            self.workload = sources[lengths.index(longest)] \
+                .sketch.offset_workload(patterns[self._fresh],
+                                        self._payloads, bounds)
 
     def finalize(self, outputs: "Optional[tuple]") -> List[np.ndarray]:
         """Per-block success vectors from the group's kernel outputs."""
@@ -704,10 +727,10 @@ class FrontierPlan:
     *entries* come in round order, one per item (see
     :data:`FrontierEntry`).  Stackable blocks are grouped by block
     shape (rows, frequency width) and stack key (comparison kind,
-    trend, kernel key), and each group of two or more is planned as
-    one (:class:`_StackedGroup`); a lone evaluator block has nothing
-    to stack and is planned by its evaluator, a lone described block
-    as a group of one.
+    trend, the sketch's parent-level kernel key), and each group of
+    two or more is planned as one (:class:`_StackedGroup`); a lone
+    evaluator block has nothing to stack and is planned by its
+    evaluator, a lone described block as a group of one.
     An :class:`EvalPlan` entry is kept as-is.  Run :attr:`workloads`
     through :func:`~repro.ecc.kernel.run_kernels` — one call per
     distinct key, stacked groups and own plans alike — and hand the

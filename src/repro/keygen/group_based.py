@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from repro.keygen.batch import (
 )
 from repro.puf.measurement import enroll_frequencies
 from repro.puf.ro_array import ROArray
-from repro.puf.variation import Polynomial2D
+from repro.puf.variation import Polynomial2D, layout_matrix
 
 
 @dataclass(frozen=True)
@@ -67,57 +67,100 @@ class HypothesisPair:
     """The two §VI-C hypothesis helpers of one comparison, as arrays.
 
     Both helpers add the injected *payload* polynomial to the enrolled
-    distiller and regroup the oscillators into the pairs *groups*;
-    hypothesis ``m`` carries sketch payload ``payloads[m]`` (a 0/1
-    ``uint8`` row of the code length) and key check
-    ``key_checks[m]``.  :attr:`members` are the two described helpers;
-    their blocks share one pair index and one trend.
+    distiller and regroup the oscillators into the pairs *groups*
+    (also held as the ``(P, 2)`` ``intp`` :attr:`index`); hypothesis
+    ``m`` carries sketch payload ``payloads[m]`` (a 0/1 ``uint8`` row
+    of the code length) and key check ``key_checks[m]``.
+    :attr:`members` are the two described helpers; their blocks share
+    one pair index and one trend (:class:`HypothesisGeometry`).
     """
 
     def __init__(self, enrolled: GroupBasedKeyHelper,
                  payload: Polynomial2D,
                  groups: Sequence[Tuple[int, int]],
                  payloads: np.ndarray,
-                 key_checks: Sequence[bytes]) -> None:
+                 key_checks: Sequence[bytes],
+                 index: Optional[np.ndarray] = None) -> None:
         self.enrolled = enrolled
         self.payload = payload
         self.groups = groups
+        self.index = (np.array(groups, dtype=np.intp).reshape(-1, 2)
+                      if index is None else index)
         self.payloads = payloads
         self.key_checks = tuple(key_checks)
         self.members = (GroupHypothesis(self, 0), GroupHypothesis(self, 1))
-        self._shared: Optional[tuple] = None
 
-    def shared(self, keygen: "GroupBasedKeyGen", array: ROArray
-               ) -> Optional[tuple]:
-        """``(index, trend, sketch, stack key)`` of both members' blocks.
 
-        Mirrors :meth:`GroupBasedKeyGen.batch_evaluator` on a
-        materialised member: a Kendall extraction over the pairs with
-        the distiller's trend, completed by a bare code-offset sketch.
-        ``None`` where that evaluator would not stack.  Built once per
-        ``(keygen, array)``.
-        """
-        hit = self._shared
-        if hit is not None and hit[0] is keygen and hit[1] is array:
-            return hit[2]
-        index = np.array(self.groups, dtype=np.intp).reshape(-1, 2)
-        shared = None
-        try:
-            sketch = keygen.sketch_for(index.shape[0])
-        except ValueError:
-            sketch = None
-        if (isinstance(sketch, CodeOffsetSketch) and index.shape[0]
+class HypothesisGeometry:
+    """What every §VI-C hypothesis block on one device shares.
+
+    Built once per ``(keygen, array, enrolled helper)``: the design
+    matrix of the device layout, the enrolled distiller coefficients,
+    and per stream length the sketch and stack key.  :meth:`attach`
+    builds both members' :class:`~repro.keygen.batch.PairBlock` of a
+    :class:`HypothesisPair` in one pass — a Kendall extraction over
+    the pairs with the manipulated distiller's trend, completed by a
+    bare code-offset sketch, as :meth:`GroupBasedKeyGen.batch_evaluator`
+    builds for a materialised member — and records them as the
+    members' blocks on ``(keygen, array)``.
+    """
+
+    def __init__(self, keygen: "GroupBasedKeyGen", array: ROArray,
+                 enrolled: GroupBasedKeyHelper) -> None:
+        self._keygen = keygen
+        self._array = array
+        self._enrolled = enrolled.distiller
+        self._layout = layout_matrix(array.x, array.y,
+                                     enrolled.distiller.degree)
+        self._sketches: Dict[int, Optional[tuple]] = {}
+
+    def _sketch(self, bits: int) -> Optional[tuple]:
+        """``(sketch, stack key, code length)`` of a *bits*-pair stream,
+        or ``None`` where its evaluator would not stack."""
+        if bits not in self._sketches:
+            try:
+                sketch = self._keygen.sketch_for(bits) if bits else None
+            except ValueError:
+                sketch = None
+            self._sketches[bits] = (
+                (sketch, ("kendall", True, sketch.kernel_key()),
+                 sketch.code.n)
+                if isinstance(sketch, CodeOffsetSketch)
                 and sketch.kernel_key() is not None
-                and sketch.response_length == index.shape[0]
-                and self.payloads.dtype == np.uint8
-                and self.payloads.shape == (2, sketch.code.n)):
-            trend = keygen.distiller.trend(
-                array.x, array.y,
-                self.enrolled.distiller.with_added(self.payload))
-            shared = (index, trend, sketch,
-                      ("kendall", True, sketch.kernel_key()))
-        self._shared = (keygen, array, shared)
-        return shared
+                and sketch.response_length == bits else None)
+        return self._sketches[bits]
+
+    def attach(self, pair: HypothesisPair
+               ) -> Tuple[Optional[PairBlock], Optional[PairBlock]]:
+        """Both members' blocks (``None`` each where the evaluator of
+        the materialised member would not stack)."""
+        hit = self._sketch(pair.index.shape[0])
+        payloads = pair.payloads
+        if (hit is None or payloads.dtype != np.uint8
+                or payloads.shape != (2, hit[2])):
+            blocks = (None, None)
+        else:
+            sketch, stack_key, _ = hit
+            payload = pair.payload
+            if payload.degree == self._enrolled.degree:
+                # DistillerHelper.with_added adds equal-degree
+                # coefficient vectors; the trend is its polynomial
+                # over the layout, which is this product.
+                trend = self._layout @ (self._enrolled.coefficients
+                                        + payload.coefficients)
+            else:
+                trend = self._keygen.distiller.trend(
+                    self._array.x, self._array.y,
+                    self._enrolled.with_added(payload))
+            index, checks = pair.index, pair.key_checks
+            blocks = (PairBlock(index, trend, "kendall", sketch,
+                                payloads[0], checks[0], {}, stack_key),
+                      PairBlock(index, trend, "kendall", sketch,
+                                payloads[1], checks[1], {}, stack_key))
+        first, second = pair.members
+        first.described_as(self._keygen, self._array, blocks[0])
+        second.described_as(self._keygen, self._array, blocks[1])
+        return blocks
 
 
 class GroupHypothesis(DescribedHelper):
@@ -323,19 +366,25 @@ class GroupBasedKeyGen(KeyGenerator):
     def describe(self, array: ROArray, described) -> Optional[PairBlock]:
         """A :class:`GroupHypothesis` as its block, with a fresh memo.
 
-        A subclass that evaluates helpers its own way (the hardened
-        device checks every helper first) materialises instead.
+        Describes both members of its pair at once
+        (:meth:`HypothesisGeometry.attach`).  A subclass that evaluates
+        helpers its own way (the hardened device checks every helper
+        first) materialises instead.
         """
-        if (not isinstance(described, GroupHypothesis)
-                or type(self).batch_evaluator
+        if not isinstance(described, GroupHypothesis):
+            return None
+        geometry = self.hypothesis_geometry(array, described.enrolled)
+        if geometry is None:
+            return None
+        return geometry.attach(described.pair)[described.member]
+
+    def hypothesis_geometry(self, array: ROArray,
+                            enrolled: GroupBasedKeyHelper
+                            ) -> Optional[HypothesisGeometry]:
+        """The shared geometry of hypothesis blocks on *array*, or
+        ``None`` where this keygen materialises them (an overridden
+        :meth:`batch_evaluator`)."""
+        if (type(self).batch_evaluator
                 is not GroupBasedKeyGen.batch_evaluator):
             return None
-        shared = described.pair.shared(self, array)
-        if shared is None:
-            return None
-        index, trend, sketch, stack_key = shared
-        member = described.member
-        return PairBlock(index, trend, "kendall", sketch,
-                         described.pair.payloads[member],
-                         described.pair.key_checks[member], {},
-                         stack_key)
+        return HypothesisGeometry(self, array, enrolled)

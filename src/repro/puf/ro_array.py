@@ -27,7 +27,11 @@ import numpy as np
 
 from repro._rng import RNGLike, ensure_rng
 from repro.puf.parameters import ROArrayParams
-from repro.puf.variation import Polynomial2D, default_systematic_surface
+from repro.puf.variation import (
+    Polynomial2D,
+    default_systematic_surface,
+    grid_layout,
+)
 
 
 class ROArray:
@@ -57,10 +61,7 @@ class ROArray:
         # measurements never changes which device was "manufactured".
         self._static_rng, self._noise_rng = gen.spawn(2)
 
-        cols = np.arange(params.n) % params.cols
-        rows = np.arange(params.n) // params.cols
-        self._x = cols.astype(float)
-        self._y = rows.astype(float)
+        self._x, self._y = grid_layout(params.rows, params.cols)
 
         if systematic is None:
             systematic = default_systematic_surface(

@@ -72,6 +72,38 @@ def _layout_matrix(x: bytes, y: bytes, degree: int) -> np.ndarray:
     return matrix
 
 
+@functools.lru_cache(maxsize=16)
+def grid_layout(rows: int, cols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(x, y)`` coordinates of a *rows* x *cols* grid.
+
+    Cell ``i`` sits at column ``x = i % cols`` and row ``y = i // cols``
+    (the oscillator order of :class:`~repro.puf.ro_array.ROArray`, and
+    the C order of ``np.meshgrid`` over the grid).  Built once per
+    geometry and shared by every device of it.
+    """
+    cells = np.arange(rows * cols)
+    x = (cells % cols).astype(float)
+    y = (cells // cols).astype(float)
+    x.flags.writeable = False
+    y.flags.writeable = False
+    return x, y
+
+
+def layout_matrix(x: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
+    """The cached read-only design matrix of 1-D coordinates *x*, *y*.
+
+    ``layout_matrix(x, y, p) @ beta`` is, bit for bit, what a degree-*p*
+    :class:`Polynomial2D` with coefficients ``beta`` returns at *x*,
+    *y*; callers evaluating many polynomials over one layout fetch the
+    matrix once.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("layout coordinates must be 1-D of one shape")
+    return _layout_matrix(x.tobytes(), y.tobytes(), degree)
+
+
 class Polynomial2D:
     """Bivariate polynomial ``f(x, y) = Σ β_{i,j} x^{i-j} y^{j}``.
 
@@ -127,8 +159,7 @@ class Polynomial2D:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim == 1 and x.shape == y.shape:
-            return _layout_matrix(x.tobytes(), y.tobytes(),
-                                  self._degree) @ self._coeffs
+            return layout_matrix(x, y, self._degree) @ self._coeffs
         shape = np.broadcast(x, y).shape
         flat = _layout_matrix(np.broadcast_to(x, shape).tobytes(),
                               np.broadcast_to(y, shape).tobytes(),
@@ -210,23 +241,23 @@ def default_systematic_surface(rows: int, cols: int, amplitude: float,
     span_y = max(rows - 1, 1)
     direction = gen.normal(size=2)
     direction /= np.linalg.norm(direction)
-    linear = Polynomial2D(1, [0.0,
-                              direction[0] / span_x,
-                              direction[1] / span_y])
     bow = gen.normal(scale=0.25, size=3)
-    quad = Polynomial2D(2, [0.0, 0.0, 0.0,
-                            bow[0] / span_x ** 2,
-                            bow[1] / (span_x * span_y),
-                            bow[2] / span_y ** 2])
-    surface = linear + quad
-    xs, ys = np.meshgrid(np.arange(cols, dtype=float),
-                         np.arange(rows, dtype=float))
-    values = surface(xs, ys)
+    # The linear part plus the bow, with the degree-1 terms added onto
+    # the canonical degree-2 ones exactly as ``Polynomial2D.__add__``
+    # aligns them, evaluated over the grid's cached design matrix.
+    coefficients = np.array([0.0, 0.0, 0.0,
+                             bow[0] / span_x ** 2,
+                             bow[1] / (span_x * span_y),
+                             bow[2] / span_y ** 2])
+    coefficients[:3] += (0.0, direction[0] / span_x,
+                         direction[1] / span_y)
+    values = (layout_matrix(*grid_layout(rows, cols), 2)
+              @ coefficients).reshape(rows, cols)
     peak = np.max(np.abs(values - values.mean()))
     if peak == 0:
         return Polynomial2D.zero(2)
     scale = amplitude / peak
-    return Polynomial2D(2, surface.coefficients * scale)
+    return Polynomial2D(2, coefficients * scale)
 
 
 def correlated_roughness(rows: int, cols: int, sigma: float,

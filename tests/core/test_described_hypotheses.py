@@ -15,16 +15,23 @@ import pytest
 
 from repro.core.batch_oracle import BatchOracle, plan_frontier
 from repro.core.group_attack import GroupBasedAttack
+from repro.core.injection import (
+    pair_cells_by_value,
+    predicted_pair_bits,
+    symmetric_quadratic,
+)
 from repro.core.lockstep import ComparisonRequest
 from repro.core.sequential_attack import SequentialPairingAttack
 from repro.ecc.kernel import kernel_stats
 from repro.fleet.campaign import run_campaign
 from repro.keygen import (
     GroupBasedKeyGen,
+    HardenedGroupBasedKeyGen,
     HardenedSequentialKeyGen,
     SequentialPairingKeyGen,
     blockwise_provider,
 )
+from repro.keygen.base import key_check_digests
 from repro.keygen.batch import ConstantEvaluator
 from repro.keygen.group_based import HypothesisPair
 from repro.keygen.sequential import PairingHypotheses, PairingManipulation
@@ -281,3 +288,106 @@ class TestMemoScope:
         assert memo is PairingManipulation(one, (1,), (0, 3)).block(
             keygen, array).memo
         assert memo is not other.enrolled_block(keygen, array).memo
+
+
+# ----------------------------------------------------------------------
+# the one-pass hypothesis builder against the per-step construction
+
+
+#: Zero-seed codeword per sketch (encoding is the reference's slowest
+#: step and does not depend on the target pair).
+ZERO_SEED = {}
+
+
+def reference_hypotheses(attack, u, v):
+    """The step-by-step construction: payload polynomial, pairing,
+    predicted bits, streams and payloads, then each member's block as
+    the keygen's ``describe`` built it from the applied distiller."""
+    rows, cols = attack._rows, attack._cols
+    cells = np.arange(rows * cols)
+    xs, ys = (cells % cols).astype(float), (cells // cols).astype(float)
+    payload = symmetric_quadratic((float(u % cols), float(u // cols)),
+                                  (float(v % cols), float(v // cols)),
+                                  rows, attack._steepness)
+    values = -payload(xs, ys)
+    forced = pair_cells_by_value(values, (u, v), attack._margin)
+    groups = [(u, v)] + forced
+    responses = predicted_pair_bits(values, forced, attack._margin)
+    assert all(bit >= 0 for bit in responses)
+    forced_bits = [1 - bit for bit in responses]
+    sketch = attack._keygen.sketch_for(len(groups))
+    codeword = ZERO_SEED.get(sketch)
+    if codeword is None:
+        codeword = ZERO_SEED[sketch] = sketch.code.encode(
+            np.zeros(sketch.code.k, dtype=np.uint8))
+    injected = sketch.code.t
+    streams = np.array([[0] + forced_bits, [1] + forced_bits],
+                       dtype=np.uint8)
+    streams[:, 1:1 + injected] ^= 1
+    payloads = sketch.payloads_for_codeword(streams, codeword)
+    return payload, groups, payloads, key_check_digests(streams), sketch
+
+
+def assert_pair_matches_reference(attack, keygen, array, u, v):
+    payload, groups, payloads, checks, sketch = reference_hypotheses(
+        attack, u, v)
+    pair = attack._hypotheses(u, v)
+    assert pair.groups == groups
+    assert pair.index.tolist() == [list(group) for group in groups]
+    assert pair.index.dtype == np.intp
+    assert pair.payload.degree == payload.degree
+    assert pair.payload.coefficients.tobytes() \
+        == payload.coefficients.tobytes()
+    assert pair.payloads.tobytes() == payloads.tobytes()
+    assert pair.payloads.dtype == np.uint8
+    # Shared by every pair of the attack with the same streams.
+    assert not pair.payloads.flags.writeable
+    assert pair.key_checks == tuple(checks)
+    trend = keygen.distiller.trend(
+        array.x, array.y, attack._helper.distiller.with_added(payload))
+    for member in pair.members:
+        # Attached when the pair was built: no describe call.
+        assert member._described[:2] == (keygen, array)
+        block = member.block(keygen, array)
+        assert block.trend.tobytes() == trend.tobytes()
+        assert block.index is pair.index
+        assert block.sketch is sketch
+        assert block.key_check == checks[member.member]
+        assert block.parsed.tobytes() == payloads[member.member].tobytes()
+        assert block.stack_key == ("kendall", True, sketch.kernel_key())
+    return len(groups)
+
+
+class TestOnePassBuilder:
+    @pytest.mark.parametrize("params,threshold,ordered", [
+        (GROUP, 120e3, True), (PAIRING, 150e3, False)])
+    def test_every_target_pair_equals_the_reference(self, params,
+                                                    threshold, ordered):
+        # Every ordered target pair on 4x10; on 8x16 every unordered
+        # one, u < v (the ordered sweep there alone takes seconds).
+        keygen = GroupBasedKeyGen(group_threshold=threshold)
+        array = ROArray(params, rng=4)
+        helper, _ = keygen.enroll(array, rng=4)
+        attack = GroupBasedAttack(BatchOracle(array, keygen), keygen,
+                                  helper, params.rows, params.cols)
+        cells = params.rows * params.cols
+        lengths = {assert_pair_matches_reference(attack, keygen, array,
+                                                 u, v)
+                   for u in range(cells) for v in range(cells)
+                   if u != v and (ordered or u < v)}
+        # Both stream lengths of the geometry occur.
+        assert len(lengths) == 2
+
+    def test_hardened_and_scalar_oracles_attach_nothing(self):
+        array, _, helper = group_device(8)
+        hardened = HardenedGroupBasedKeyGen(
+            GROUP.rows, GROUP.cols, max_polynomial_span=20e6,
+            group_threshold=120e3)
+        for oracle, keygen in ((BatchOracle(array, hardened), hardened),
+                               (None, GroupBasedKeyGen(
+                                   group_threshold=120e3))):
+            attack = GroupBasedAttack(oracle, keygen, helper, GROUP.rows,
+                                      GROUP.cols)
+            for member in attack._hypotheses(4, 9).members:
+                assert member._described is None
+        assert member.block(hardened, array) is None

@@ -609,3 +609,90 @@ class TestRandomKendallFrontiers:
     def test_stacked_equals_per_item(self, case):
         kinds, rounds = case
         assert_routes_agree(kinds, rounds)
+
+
+class TestShortenedHypothesisRounds:
+    """§VI-C rounds whose hypothesis streams get different shortenings.
+
+    On 4x10 devices the target pairs (0, 1) and (5, 17) leave 19 pairs
+    and (0, 2) leaves 20; the default provider gives them BCH
+    ``(6, 3)`` shortened by 26 and by 25.
+    """
+
+    TARGETS = ((0, 1), (0, 2), (5, 17))
+
+    def lanes(self):
+        built = []
+        for seed in (40, 41, 42):
+            array = ROArray(SMALL, rng=seed)
+            keygen = GroupBasedKeyGen(group_threshold=120e3)
+            helper, _ = keygen.enroll(array, rng=seed)
+            oracle = BatchOracle(array, keygen)
+            attack = GroupBasedAttack(oracle, keygen, helper, SMALL.rows,
+                                      SMALL.cols)
+            built.append((oracle, [
+                member for u, v in self.TARGETS
+                for member in attack._hypotheses(u, v).members]))
+        return built
+
+    def items(self, lanes, spec, materialise=False):
+        return [(lanes[lane][0], lanes[lane][1][which].materialise()
+                 if materialise else lanes[lane][1][which],
+                 lanes[lane][0].take_rows(8), None)
+                for lane, which in spec]
+
+    def test_one_group_one_call_equal_outcomes_and_memos(self):
+        spec = [(lane, which) for lane in range(3) for which in range(6)]
+        stacked_lanes = self.lanes()
+        single, materialised = self.lanes(), self.lanes()
+        codes = {member.block(oracle.keygen, oracle.array).sketch.code.n
+                 for oracle, members in stacked_lanes
+                 for member in members}
+        assert len(codes) == 2
+        for round_ in range(3):
+            items = self.items(stacked_lanes, spec)
+            frontier = plan_frontier(items)
+            assert len(frontier._groups) == 1 and not frontier._plans
+            work = [load for load in frontier.workloads if load is not None]
+            # One workload while fresh patterns remain; the first round
+            # has some.
+            assert len(work) <= 1 and (work or round_)
+            calls, rows = kernel_stats.calls, kernel_stats.rows
+            got = frontier.execute()
+            assert kernel_stats.calls - calls == len(work)
+            fused_rows = kernel_stats.rows - rows
+            # Per item: one-item frontiers, and the materialised
+            # helpers' own evaluators, each with its own kernel call.
+            rows = kernel_stats.rows
+            want = [oracle.evaluate_rows(helper, taken)
+                    for oracle, helper, taken, _
+                    in self.items(single, spec)]
+            assert kernel_stats.rows - rows == fused_rows
+            plain = [oracle.evaluate_rows(helper, taken)
+                     for oracle, helper, taken, _
+                     in self.items(materialised, spec, True)]
+            for observed, expected, reference in zip(got, want, plain):
+                assert observed.dtype == np.bool_
+                np.testing.assert_array_equal(observed, expected)
+                np.testing.assert_array_equal(observed, reference)
+        for ours, theirs, lone in zip(stacked_lanes, materialised, single):
+            for member, twin, alone in zip(ours[1], theirs[1], lone[1]):
+                memo = member.block(ours[0].keygen, ours[0].array).memo
+                evaluator = theirs[0]._evaluator_for(twin.materialise(),
+                                                     OperatingPoint())
+                assert memo == evaluator._memo
+                assert memo == alone.block(lone[0].keygen,
+                                           lone[0].array).memo
+
+    def test_per_item_plans_fuse_across_shortenings(self):
+        spec = [(0, 0), (1, 2), (2, 3), (0, 5)]
+        lanes, twins = self.lanes(), self.lanes()
+        want, want_work = run_round(twins, [(lane, which, 8, None)
+                                            for lane, which in spec],
+                                    per_item)
+        got, got_work = run_round(lanes, [(lane, which, 8, None)
+                                          for lane, which in spec],
+                                  stacked)
+        for observed, expected in zip(got, want):
+            np.testing.assert_array_equal(observed, expected)
+        assert got_work == want_work and got_work[0] == 1
