@@ -81,17 +81,20 @@ def row_groups(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     count = matrix.shape[0]
     if count <= SMALL_BLOCK:
         data = np.ascontiguousarray(matrix)
+        width = data.dtype.itemsize * data.shape[1]
+        # One C call turns every row into its bytes key.
+        keys = (data.view(np.dtype((np.void, width))).ravel().tolist()
+                if width else [b""] * count)
         slots: dict = {}
-        inverse = np.empty(count, dtype=np.intp)
+        inverse: List[int] = []
         first: List[int] = []
-        for position in range(count):
-            key = data[position].tobytes()
-            slot = slots.get(key)
-            if slot is None:
-                slot = slots[key] = len(first)
+        for position, key in enumerate(keys):
+            slot = slots.setdefault(key, len(slots))
+            if slot == len(first):
                 first.append(position)
-            inverse[position] = slot
-        return np.array(first, dtype=np.intp), inverse
+            inverse.append(slot)
+        return (np.array(first, dtype=np.intp),
+                np.array(inverse, dtype=np.intp))
     return _keyed_groups(matrix)
 
 

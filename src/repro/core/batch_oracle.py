@@ -23,7 +23,9 @@ stand-in for the sequential simulation, not merely a statistical one:
 * **Deterministic completion.**  The per-row success boolean is a
   function of the row's (discrete) response bits, evaluated through the
   scheme's :meth:`~repro.keygen.base.KeyGenerator.batch_evaluator`
-  with one ECC decode per distinct bit pattern.
+  with one ECC decode per distinct bit pattern.  :func:`plan_frontier`
+  stacks every block that reduces to a
+  :class:`~repro.keygen.batch.PairBlock`; the rest keep own plans.
 
 The scalar :meth:`query` interface is preserved, so attack drivers run
 unchanged — handing them a :class:`BatchOracle` silently upgrades every
@@ -233,51 +235,41 @@ class BatchOracle:
         for the caller to run — alone or fused with other devices' —
         before :meth:`EvalPlan.finalize`.
         """
-        resolved = op if op is not None else self._op
-        evaluator = self._evaluator_for(helper, resolved)
-        if self._trajectory is not None:
-            return evaluator.plan_env(
-                *self._trajectory_frequencies(rows, op))
-        return evaluator.plan(self._base_frequencies(resolved)[None, :]
-                              + rows)
+        evaluator = self._evaluator_for(
+            helper, op if op is not None else self._op)
+        return evaluator.plan_env(*self._frequencies(rows, op))
 
     # ------------------------------------------------------------------
     # internals
 
     def _frontier_entry(self, helper, rows: np.ndarray,
                         op: Optional[OperatingPoint]) -> FrontierEntry:
-        """This block as a stackable entry, or as its own plan.
+        """This block as ``(PairBlock, freqs)`` — a described helper's
+        (no helper or evaluator is built) or its evaluator's
+        :attr:`~repro.keygen.batch.BatchEvaluator.block` — or as its
+        own plan.  A block never reads the ambient sample."""
+        block = (helper.block(self._keygen, self._array)
+                 if isinstance(helper, DescribedHelper) else None)
+        if block is None:
+            block = self._evaluator_for(
+                helper, op if op is not None else self._op).block
+            if block is None:
+                return self.plan_rows(helper, rows, op)
+        return block, self._frequencies(rows, op)[0]
 
-        A block stacks when the oracle has no trajectory (its
-        frequencies are ``base + rows``) and the helper is a
-        :class:`~repro.keygen.batch.DescribedHelper` the keygen
-        describes as a :class:`~repro.keygen.batch.PairBlock` — no
-        helper or evaluator is built — or its evaluator has a
-        :attr:`~repro.keygen.batch.BatchEvaluator.block`.
-        """
-        if self._trajectory is None:
-            resolved = op if op is not None else self._op
-            if isinstance(helper, DescribedHelper):
-                block = helper.block(self._keygen, self._array)
-                if block is not None:
-                    return (block, self._base_frequencies(resolved),
-                            rows, None)
-            evaluator = self._evaluator_for(helper, resolved)
-            if evaluator.block is not None:
-                return (evaluator.block,
-                        self._base_frequencies(resolved), rows,
-                        evaluator)
-        return self.plan_rows(helper, rows, op)
-
-    def _trajectory_frequencies(self, rows: np.ndarray,
-                                op: Optional[OperatingPoint]):
-        """``(freqs, env)`` for tagged rows under the trajectory.
+    def _frequencies(self, rows: np.ndarray,
+                     op: Optional[OperatingPoint]):
+        """``(freqs, env)`` of taken rows: base + noise (``env``
+        ``None``), or under the trajectory its per-row ambient.
 
         An explicit *op* (attacker chamber) overrides the ambient —
         ``env`` comes back ``None`` and the scalar base-frequency
         path is used — but the aged per-oscillator offsets apply in
         both cases: aging is device state, not ambient state.
         """
+        if self._trajectory is None:
+            return rows + self._base_frequencies(
+                op if op is not None else self._op), None
         noise = rows[:, :-1]
         indices = rows[:, -1].astype(np.int64)
         if op is not None:

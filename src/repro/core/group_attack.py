@@ -96,12 +96,6 @@ class GroupBasedAttack:
         self._layout = layout_matrix(
             *grid_layout(self._rows, self._cols), 2)
         self._bindings: Dict[Tuple[int, ...], tuple] = {}
-        # A batched oracle's device gets every hypothesis pair's
-        # frontier blocks as the pair is built.
-        geometry_for = getattr(getattr(oracle, "keygen", None),
-                               "hypothesis_geometry", None)
-        self._geometry = (None if geometry_for is None
-                          else geometry_for(oracle.array, helper))
 
     # ------------------------------------------------------------------
 
@@ -124,13 +118,10 @@ class GroupBasedAttack:
         if any(bit < 0 for bit in responses):
             raise AssertionError("forced pair left undetermined")
         payloads, key_checks = self._binding(tuple(responses))
-        pair = HypothesisPair(
+        return HypothesisPair(
             self._helper, payload, groups, payloads, key_checks,
             np.array([u, v, *chain.from_iterable(forced)],
                      dtype=np.intp).reshape(-1, 2))
-        if self._geometry is not None:
-            self._geometry.attach(pair)
-        return pair
 
     def _binding(self, responses: Tuple[int, ...]
                  ) -> Tuple[np.ndarray, Tuple[bytes, bytes]]:

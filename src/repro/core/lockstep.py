@@ -20,14 +20,15 @@ that structure explicit so one attack can be executed two ways:
   (per-device accept/reject/continue masks, exactly like the per-row
   discrepancy masks of the batched Berlekamp–Massey decoder).  Each
   round's blocks are evaluated through one frontier plan
-  (:func:`~repro.core.batch_oracle.plan_frontier`): blocks whose
-  extraction is a described pair-column index — raw ``>=`` pairs
-  (sequential), residual ``>=`` pairs (distiller) or residual Kendall
-  pairs (group-based helpers made of pairs, every §VI-C hypothesis) —
-  and whose completion is a bare code-offset sketch, on oracles
-  without a trajectory, are stacked: one gather, trend subtraction,
-  compare, dedup, payload shift and key check per stack key.  Every
-  other block keeps its own ``plan_rows`` in round order.
+  (:func:`~repro.core.batch_oracle.plan_frontier`) over two routes:
+  blocks whose extraction is a described pair-column index — raw
+  ``>=`` pairs (sequential), residual ``>=`` pairs (distiller) or
+  residual Kendall pairs (group-based helpers made of pairs, every
+  §VI-C hypothesis) — and whose completion is a bare code-offset
+  sketch are stacked, with or without a trajectory and a lone block
+  as a group of one: one gather, trend subtraction, compare, dedup,
+  payload shift and key check per stack key.  Every other block
+  keeps its own ``plan_rows`` in round order.
 
 **Described hypotheses.**  The §VI-A and §VI-C attacks send their
 comparisons as described manipulations of the enrolled helper
@@ -35,9 +36,9 @@ comparisons as described manipulations of the enrolled helper
 one member of a §VI-C hypothesis pair.  On the lock-step path the
 keygen turns each into the arrays a stacked group reads
 (:class:`~repro.keygen.batch.PairBlock`), so no helper, evaluator or
-completion object is built per comparison; the scalar drive, and any
+completion object is built per comparison; the scalar oracle, and any
 item the keygen cannot describe, evaluates ``descriptor.apply`` of
-the enrolled helper instead.
+the enrolled helper instead, in every request type.
 
 **Equivalence contract.**  Each device owns its oracle and noise
 stream, and a lane only ever consumes rows from its own oracle in
@@ -83,7 +84,6 @@ from repro.core.framework import (
 from repro.core.oracle import HelperDataOracle
 from repro.core.sprt import SPRTDistinguisher, SPRTOutcome
 from repro.keygen.base import OperatingPoint
-from repro.keygen.batch import DescribedHelper
 
 #: A stepwise attack: yields requests, receives outcomes, returns its
 #: result object.
@@ -104,8 +104,8 @@ class ComparisonRequest:
     confidence and replays the same rules batch-wide.  The §VI-A and
     §VI-C attacks send each helper as a described manipulation of the
     enrolled one (:class:`~repro.keygen.batch.DescribedHelper`): the
-    lock-step engine stacks its arrays, the scalar drive materialises
-    it.
+    lock-step engine stacks its arrays, the scalar oracle
+    materialises it.
     """
 
     helper_a: object
@@ -165,25 +165,17 @@ class QueryBlockRequest:
 # scalar reference executor
 
 
-def _materialised(helper):
-    """The real helper behind a described one (else *helper* itself)."""
-    if isinstance(helper, DescribedHelper):
-        return helper.materialise()
-    return helper
-
-
 def execute_request(request, oracle) -> object:
     """Execute one protocol request against one oracle, scalar-style.
 
     Dispatches to exactly the calls the pre-stepwise attack drivers
     made, so a generator driven through this function reproduces the
-    legacy behaviour query for query on both oracle types.  Described
-    helpers are materialised first.
+    legacy behaviour query for query on both oracle types.  Both
+    oracles accept described helpers in every request type.
     """
     if isinstance(request, ComparisonRequest):
-        return request.comparer.compare(
-            oracle, _materialised(request.helper_a),
-            _materialised(request.helper_b), request.op)
+        return request.comparer.compare(oracle, request.helper_a,
+                                        request.helper_b, request.op)
     if isinstance(request, SelectionRequest):
         return select_hypothesis(
             oracle, request.helpers,
@@ -282,18 +274,18 @@ class LaneEngine:
     (:func:`~repro.core.batch_oracle.plan_frontier`).  Blocks that
     reduce to a :class:`~repro.keygen.batch.PairBlock` — described
     hypothesis helpers the keygen can describe, and pair-column
-    evaluators completed by a bare code-offset sketch — on oracles
-    without a trajectory, are stacked per (row count, width, stack
-    key), the stack key holding the comparison kind (``>=`` or
-    Kendall), whether a trend is subtracted, and the kernel key: one
-    gather, trend subtraction and compare over the stacked pair
-    indices, one dedup keyed by (block, pattern), one pass of memo
-    lookups, one payload shift and one vectorised key check.
-    Sequential, distiller and group-based blocks of pairs stack this
-    way; every other block — constant, masked (hardened, temp-aware),
-    assembled (groups of three or more, fuzzy extractor), malformed
-    or trajectory-driven, a described helper materialised first — is
-    planned alone via
+    evaluators completed by a bare code-offset sketch, with or
+    without a trajectory — are stacked per (row count, width, stack
+    key), a lone block as a group of one, the stack key holding the
+    comparison kind (``>=`` or Kendall), whether a trend is
+    subtracted, and the kernel key: one gather, trend subtraction and
+    compare over the stacked pair indices, one dedup keyed by (block,
+    pattern), one pass of memo lookups, one payload shift and one
+    vectorised key check.  Sequential, distiller and group-based
+    blocks of pairs stack this way; every other block — constant,
+    masked (hardened, temp-aware), assembled (groups of three or
+    more, fuzzy extractor) or malformed, a described helper
+    materialised first — is planned alone via
     :meth:`~repro.core.batch_oracle.BatchOracle.plan_rows` at its
     place in the round, so transient streams are consumed in request
     order.  Then **one fused kernel call per distinct kernel key

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-
 from repro.keygen.base import (
     KeyGenerator,
     OperatingPoint,
     ReconstructionFailure,
 )
+from repro.keygen.batch import DescribedHelper
 from repro.puf.ro_array import ROArray
 
 
@@ -55,8 +55,12 @@ class HelperDataOracle:
 
         Returns ``True`` on success.  The attacker may choose the
         environmental operating point (e.g. bake the device to a
-        temperature inside a crossover interval, §VI-B).
+        temperature inside a crossover interval, §VI-B).  A
+        :class:`~repro.keygen.batch.DescribedHelper` is evaluated as
+        the helper it describes.
         """
+        if isinstance(helper, DescribedHelper):
+            helper = helper.materialise()
         self._queries += 1
         try:
             self._keygen.reconstruct(self._array, helper,

@@ -143,6 +143,15 @@ def _timed_call(kernel: KernelFn, words: np.ndarray,
     return result
 
 
+def pad_rows(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Ragged rows, concatenated along axis 0 in *values*, zero-padded
+    to the leading runs *mask* marks (``arange(width) < lengths[:,
+    None]``), in one masked fill."""
+    padded = np.zeros(mask.shape + values.shape[1:], dtype=values.dtype)
+    padded[mask] = values
+    return padded
+
+
 def stack_workloads(group: Sequence[KernelWorkload]
                     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Concatenate the input rows of same-key workloads, in order.
@@ -159,16 +168,14 @@ def stack_workloads(group: Sequence[KernelWorkload]
                                    for workload in group):
         return np.concatenate([workload.words for workload in group],
                               axis=0), None
-    words = np.zeros((sum(workload.rows for workload in group), wide),
-                     dtype=group[0].words.dtype)
-    bounds = np.empty(words.shape[0], dtype=np.int64)
-    start = 0
-    for workload, width in zip(group, widths):
-        stop = start + workload.rows
-        words[start:stop, :width] = workload.words
-        bounds[start:stop] = (width if workload.bounds is None
-                              else workload.bounds)
-        start = stop
+    lengths = np.repeat(widths, [workload.rows for workload in group])
+    words = pad_rows(np.concatenate([workload.words for workload in group],
+                                    axis=None),
+                     np.arange(wide) < lengths[:, None])
+    bounds = np.concatenate([
+        np.full(workload.rows, width) if workload.bounds is None
+        else workload.bounds for workload, width in zip(group, widths)],
+        dtype=np.int64)
     return words, bounds
 
 

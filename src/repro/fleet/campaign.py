@@ -10,8 +10,10 @@ the pending request of every still-active device — each round and
 advances all of them together through the vectorized lane engines: one
 noise block per device, one batched bookkeeping pass per request type
 (per-device accept/reject/continue masks, variable per-device query
-counts), then the finished devices' generators resume and contribute
-their next request to the following round.
+counts), one frontier plan for the round's evaluations (stacked groups
+of pair-comparison blocks, own plans for the rest), then the finished
+devices' generators resume and contribute their next request to the
+following round.
 
 Devices finish at different rounds; the frontier simply shrinks.
 Because every lane consumes only its own oracle's stream, in request
@@ -46,8 +48,9 @@ class LockstepCampaign:
 
     Each round, the frontier's evaluation requests are taken through
     one frontier plan (:func:`repro.core.batch_oracle.plan_frontier`):
-    stackable blocks planned and finalized as one pass per kernel key,
-    the rest through their own ``plan_rows``, and **one ECC kernel
+    blocks of pair comparisons planned and finalized as one stacked
+    group per stack key (a lone block too), every other block through
+    its own ``plan_rows``, and **one ECC kernel
     call per distinct kernel key across every device in the round**
     (:func:`repro.ecc.kernel.run_kernels`).  Stacking and fusion only
     amortize per-call fixed costs over many tiny blocks, the measured

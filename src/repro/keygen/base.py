@@ -22,6 +22,7 @@ import numpy as np
 from repro._rng import RNGLike
 from repro.ecc.base import BlockCode, DecodingFailure, as_bits
 from repro.ecc.bch import design_bch
+from repro.ecc.sketch import CodeOffsetSketch
 from repro.puf.ro_array import ROArray
 
 
@@ -192,8 +193,6 @@ class KeyGenerator(abc.ABC):
         polynomial) is deterministic and was previously repeated on
         every reconstruction, dominating the scalar hot path.
         """
-        from repro.ecc.sketch import CodeOffsetSketch
-
         cache = self.__dict__.setdefault("_sketch_cache", {})
         sketch = cache.get(bits)
         if sketch is None:

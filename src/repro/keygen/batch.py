@@ -26,12 +26,13 @@ are bitwise-identical for every batch composition, and equal to the
 scalar :meth:`SketchCompletion.complete` reference row by row.
 
 A :class:`FrontierPlan` runs the same three phases for a whole
-lock-step round: blocks that reduce to a :class:`PairBlock` — an
-evaluator extracting described :class:`PairColumns` (raw or
-trend-subtracted, ``>=`` or Kendall) and completing through a bare
-code-offset sketch, or a :class:`DescribedHelper` its keygen describes
-as one — are planned and finalized stacked, one pass per stack key;
-every other block keeps its own :class:`EvalPlan`.
+lock-step round over two routes: a block that reduces to a
+:class:`PairBlock` (:func:`pair_block`: described
+:class:`PairColumns`, raw or trend-subtracted, ``>=`` or Kendall,
+completed through a bare code-offset sketch) — an evaluator's or a
+:class:`DescribedHelper`'s — is planned and finalized in a stacked
+group, alone or with others of its stack key; every other block keeps
+its own :class:`EvalPlan`.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import numpy as np
 
 from repro._dedup import row_groups
 from repro.ecc.base import DecodingFailure
-from repro.ecc.kernel import KernelWorkload, run_kernels
+from repro.ecc.kernel import KernelWorkload, pad_rows, run_kernels
 from repro.ecc.sketch import CodeOffsetSketch, SecureSketch, SketchData
 from repro.keygen.base import key_check_digest, key_check_digests
 
@@ -137,6 +138,30 @@ class PairBlock(NamedTuple):
     stack_key: tuple
 
 
+def pair_block(extract, sketch, parsed: Optional[np.ndarray],
+               key_check: bytes, memo: Dict[bytes, bool]
+               ) -> Optional[PairBlock]:
+    """The one stacking rule: *extract* completed (with no assembly)
+    by *sketch* over the *parsed* payload, as a block, or ``None``.
+
+    A block needs a :class:`PairColumns` extraction, a
+    :class:`~repro.ecc.sketch.CodeOffsetSketch` with a kernel key over
+    exactly the pair count, and a ``uint8`` code-length payload.
+    """
+    if (not isinstance(extract, PairColumns)
+            or not isinstance(sketch, CodeOffsetSketch)
+            or sketch.response_length != extract.index.shape[0]
+            or parsed is None or parsed.dtype.type is not np.uint8
+            or parsed.shape != (sketch.code.n,)):
+        return None
+    key = sketch.kernel_key()
+    if key is None:
+        return None
+    return PairBlock(extract.index, extract.trend, extract.kind, sketch,
+                     parsed, key_check, memo,
+                     (extract.kind, extract.trend is not None, key))
+
+
 class DescribedHelper:
     """A hypothesis helper held as a manipulation of an enrolled helper.
 
@@ -145,7 +170,7 @@ class DescribedHelper:
     injected trend plus a rewritten grouping and payload.  A described
     helper keeps that difference instead of a finished helper object.
     :meth:`apply` builds the real helper from an enrolled one; the
-    scalar drive and every route that cannot use the description
+    scalar oracle and every route that cannot use the description
     evaluate :meth:`materialise`, the helper built from
     :attr:`enrolled`.  The keygen's
     :meth:`~repro.keygen.base.KeyGenerator.describe` turns the
@@ -507,9 +532,9 @@ class ResponseBitEvaluator(BatchEvaluator):
 
     *extract* turns a ``(B, n)`` measurement batch into the ``(B,
     bits)`` response matrix in one pass; *completion* finishes the
-    distinct patterns.  A :class:`PairColumns` extraction completed by
-    a bare, well-formed code-offset sketch with a kernel key is also
-    a :attr:`block` sharing the evaluator's memo, so frontier rounds
+    distinct patterns.  A completion without key assembly whose
+    extraction and sketch make a :func:`pair_block` is also a
+    :attr:`block` sharing the evaluator's memo, so frontier rounds
     stack its blocks with those of the same stack key.
     """
 
@@ -518,17 +543,10 @@ class ResponseBitEvaluator(BatchEvaluator):
         self._extract = extract
         self._completion = completion
         self._memo: Dict[bytes, bool] = {}
-        sketch = completion.sketch
-        if (isinstance(extract, PairColumns)
-                and completion.assemble is None
-                and isinstance(sketch, CodeOffsetSketch)
-                and sketch.response_length == extract.index.shape[0]):
-            key = sketch.kernel_key()
-            if key is not None and completion.parsed is not None:
-                self.block = PairBlock(
-                    extract.index, extract.trend, extract.kind, sketch,
-                    completion.parsed, completion.key_check, self._memo,
-                    (extract.kind, extract.trend is not None, key))
+        if completion.assemble is None:
+            self.block = pair_block(extract, completion.sketch,
+                                    completion.parsed,
+                                    completion.key_check, self._memo)
 
     def plan(self, freqs: np.ndarray) -> EvalPlan:
         """Phase 1: extract and dedup; declare the kernel workload."""
@@ -606,14 +624,10 @@ class MaskedBitEvaluator(BatchEvaluator):
 # frontier plans: one evaluation pass per lock-step round
 
 
-#: One frontier item: its own :class:`EvalPlan`, or a stackable block
-#: ``(block, base, rows, evaluator)`` whose frequencies are ``base +
-#: rows``.  *evaluator* plans the block when nothing stacks with it;
-#: it is ``None`` for a :class:`DescribedHelper`'s block, which is
-#: planned as a group of one instead.
-FrontierEntry = Union[EvalPlan,
-                      Tuple[PairBlock, np.ndarray, np.ndarray,
-                            Optional[BatchEvaluator]]]
+#: One frontier item: its own :class:`EvalPlan`, or a stackable
+#: ``(block, freqs)``, the :class:`PairBlock` and its ``(B, n)``
+#: measured frequencies.
+FrontierEntry = Union[EvalPlan, Tuple[PairBlock, np.ndarray]]
 
 
 class _StackedGroup:
@@ -629,23 +643,21 @@ class _StackedGroup:
     code, whose decoder bounds each row by its own code length.
     :meth:`finalize` XORs the payloads back, truncates each pattern to
     its block's length and hashes the key checks of the whole group in
-    one pass.
+    one pass.  A group of one block is planned the same way.
     """
 
-    def __init__(self, blocks: List[tuple]) -> None:
-        self.slots = [entry[0] for entry in blocks]
-        sources: List[PairBlock] = [entry[1] for entry in blocks]
+    def __init__(self, blocks: List[Tuple[int, PairBlock, np.ndarray]]
+                 ) -> None:
+        self.slots = [slot for slot, _, _ in blocks]
+        sources = [source for _, source, _ in blocks]
         self._memos = [source.memo for source in sources]
         self._checks = [source.key_check for source in sources]
-        self._count = count = blocks[0][3].shape[0]
+        self._count = count = blocks[0][2].shape[0]
         # (blocks, columns, rows): every block of a group has the same
         # row count, so one fancy index per (block, pair) gathers that
-        # pair's column for all the block's rows at once.
-        # np.array stacks a list of small equal-shape arrays in C,
-        # well ahead of np.stack; transposed views stack faster with
-        # np.stack.
-        freqs = np.stack([entry[3].T for entry in blocks])
-        freqs += np.array([entry[2] for entry in blocks])[:, :, None]
+        # pair's column for all the block's rows at once.  Transposed
+        # views stack faster with np.stack than with np.array.
+        freqs = np.stack([entry[2].T for entry in blocks])
         if sources[0].trend is not None:
             freqs -= np.array([source.trend
                                for source in sources])[:, :, None]
@@ -657,10 +669,8 @@ class _StackedGroup:
         if min(widths) == wide:
             pairs = np.array(indices)
         else:
-            pairs = np.zeros((len(blocks), wide, 2), dtype=np.intp)
-            for slot, index in enumerate(indices):
-                pairs[slot, :widths[slot]] = index
             self._mask = np.arange(wide) < self._widths[:, None]
+            pairs = pad_rows(np.concatenate(indices), self._mask)
         items = np.arange(len(blocks))[:, None]
         bits = compare_columns(freqs[items, pairs[:, :, 0]],
                                freqs[items, pairs[:, :, 1]],
@@ -670,8 +680,10 @@ class _StackedGroup:
         owner = np.repeat(np.arange(len(blocks)), count)
         bits = bits.transpose(0, 2, 1).reshape(owner.size, wide).view(
             np.uint8)
+        # A lone block's rows all consult its memo at full width.
         first, self._inverse, self._keys, known = _memo_groups(
-            bits, self._memos, owner, self._widths)
+            bits, self._memos, owner if len(blocks) > 1 else None,
+            self._widths)
         owners = owner[first]
         patterns = bits[first]
         self._results = known == 1
@@ -681,17 +693,17 @@ class _StackedGroup:
             self._owners = owners[self._fresh]
             # Payloads are code-length; blocks over shorter codes of
             # the stack key's parent pad theirs and bound their rows.
-            lengths = [source.parsed.shape[0] for source in sources]
+            parsed = [source.parsed for source in sources]
+            lengths = [payload.shape[0] for payload in parsed]
             longest = max(lengths)
             bounds = None
             if min(lengths) == longest:
-                payloads = np.array([source.parsed for source in sources])
+                payloads = np.array(parsed)
             else:
-                payloads = np.zeros((len(sources), longest),
-                                    dtype=np.uint8)
-                for slot, source in enumerate(sources):
-                    payloads[slot, :lengths[slot]] = source.parsed
-                bounds = np.array(lengths)[self._owners]
+                codes = np.array(lengths)
+                payloads = pad_rows(np.concatenate(parsed),
+                                    np.arange(longest) < codes[:, None])
+                bounds = codes[self._owners]
             self._payloads = payloads[self._owners]
             self.workload = sources[lengths.index(longest)] \
                 .sketch.offset_workload(patterns[self._fresh],
@@ -727,10 +739,8 @@ class FrontierPlan:
     *entries* come in round order, one per item (see
     :data:`FrontierEntry`).  Stackable blocks are grouped by block
     shape (rows, frequency width) and stack key (comparison kind,
-    trend, the sketch's parent-level kernel key), and each group of
-    two or more is planned as one (:class:`_StackedGroup`); a lone
-    evaluator block has nothing to stack and is planned by its
-    evaluator, a lone described block as a group of one.
+    trend, the sketch's parent-level kernel key), and each group —
+    a lone block too — is planned as one (:class:`_StackedGroup`).
     An :class:`EvalPlan` entry is kept as-is.  Run :attr:`workloads`
     through :func:`~repro.ecc.kernel.run_kernels` — one call per
     distinct key, stacked groups and own plans alike — and hand the
@@ -750,17 +760,10 @@ class FrontierPlan:
             if isinstance(entry, EvalPlan):
                 self._plans.append((slot, entry))
             else:
-                block, base, rows, evaluator = entry
-                blocks.setdefault((rows.shape, block.stack_key), []).append(
-                    (slot, block, base, rows, evaluator))
-        self._groups: List[_StackedGroup] = []
-        for group in blocks.values():
-            slot, _, base, rows, evaluator = group[0]
-            if len(group) == 1 and evaluator is not None:
-                self._plans.append(
-                    (slot, evaluator.plan(base[None, :] + rows)))
-            else:
-                self._groups.append(_StackedGroup(group))
+                block, freqs = entry
+                blocks.setdefault((freqs.shape, block.stack_key),
+                                  []).append((slot, block, freqs))
+        self._groups = [_StackedGroup(group) for group in blocks.values()]
 
     @property
     def workloads(self) -> List[Optional[KernelWorkload]]:

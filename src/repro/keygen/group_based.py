@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._rng import RNGLike, ensure_rng
 from repro.distiller.distiller import DistillerHelper, EntropyDistiller
-from repro.ecc.sketch import CodeOffsetSketch, SketchData
+from repro.ecc.sketch import SketchData
 from repro.grouping.algorithm import GroupingHelper, GroupingScheme
 from repro.grouping.kendall import (
     kendall_encode,
@@ -43,6 +43,7 @@ from repro.keygen.batch import (
     PairColumns,
     ResponseBitEvaluator,
     SketchCompletion,
+    pair_block,
 )
 from repro.puf.measurement import enroll_frequencies
 from repro.puf.ro_array import ROArray
@@ -94,13 +95,13 @@ class HypothesisPair:
 class HypothesisGeometry:
     """What every §VI-C hypothesis block on one device shares.
 
-    Built once per ``(keygen, array, enrolled helper)``: the design
-    matrix of the device layout, the enrolled distiller coefficients,
-    and per stream length the sketch and stack key.  :meth:`attach`
+    Built once per ``(array, enrolled helper)`` by
+    :meth:`GroupBasedKeyGen.describe`: the design matrix of the device
+    layout and the enrolled distiller coefficients.  :meth:`attach`
     builds both members' :class:`~repro.keygen.batch.PairBlock` of a
-    :class:`HypothesisPair` in one pass — a Kendall extraction over
-    the pairs with the manipulated distiller's trend, completed by a
-    bare code-offset sketch, as :meth:`GroupBasedKeyGen.batch_evaluator`
+    :class:`HypothesisPair` in one pass — a Kendall extraction over the
+    pairs with the manipulated distiller's trend, completed by the
+    stream's sketch, as :meth:`GroupBasedKeyGen.batch_evaluator`
     builds for a materialised member — and records them as the
     members' blocks on ``(keygen, array)``.
     """
@@ -108,58 +109,41 @@ class HypothesisGeometry:
     def __init__(self, keygen: "GroupBasedKeyGen", array: ROArray,
                  enrolled: GroupBasedKeyHelper) -> None:
         self._keygen = keygen
-        self._array = array
-        self._enrolled = enrolled.distiller
+        self.array = array
+        self.enrolled = enrolled
         self._layout = layout_matrix(array.x, array.y,
                                      enrolled.distiller.degree)
-        self._sketches: Dict[int, Optional[tuple]] = {}
-
-    def _sketch(self, bits: int) -> Optional[tuple]:
-        """``(sketch, stack key, code length)`` of a *bits*-pair stream,
-        or ``None`` where its evaluator would not stack."""
-        if bits not in self._sketches:
-            try:
-                sketch = self._keygen.sketch_for(bits) if bits else None
-            except ValueError:
-                sketch = None
-            self._sketches[bits] = (
-                (sketch, ("kendall", True, sketch.kernel_key()),
-                 sketch.code.n)
-                if isinstance(sketch, CodeOffsetSketch)
-                and sketch.kernel_key() is not None
-                and sketch.response_length == bits else None)
-        return self._sketches[bits]
 
     def attach(self, pair: HypothesisPair
                ) -> Tuple[Optional[PairBlock], Optional[PairBlock]]:
         """Both members' blocks (``None`` each where the evaluator of
         the materialised member would not stack)."""
-        hit = self._sketch(pair.index.shape[0])
-        payloads = pair.payloads
-        if (hit is None or payloads.dtype != np.uint8
-                or payloads.shape != (2, hit[2])):
-            blocks = (None, None)
-        else:
-            sketch, stack_key, _ = hit
-            payload = pair.payload
-            if payload.degree == self._enrolled.degree:
+        bits = pair.index.shape[0]
+        try:
+            sketch = self._keygen.sketch_for(bits) if bits else None
+        except ValueError:
+            sketch = None
+        blocks = (None, None)
+        if sketch is not None:
+            payload, enrolled = pair.payload, self.enrolled.distiller
+            if payload.degree == enrolled.degree:
                 # DistillerHelper.with_added adds equal-degree
                 # coefficient vectors; the trend is its polynomial
                 # over the layout, which is this product.
-                trend = self._layout @ (self._enrolled.coefficients
+                trend = self._layout @ (enrolled.coefficients
                                         + payload.coefficients)
             else:
                 trend = self._keygen.distiller.trend(
-                    self._array.x, self._array.y,
-                    self._enrolled.with_added(payload))
-            index, checks = pair.index, pair.key_checks
-            blocks = (PairBlock(index, trend, "kendall", sketch,
-                                payloads[0], checks[0], {}, stack_key),
-                      PairBlock(index, trend, "kendall", sketch,
-                                payloads[1], checks[1], {}, stack_key))
-        first, second = pair.members
-        first.described_as(self._keygen, self._array, blocks[0])
-        second.described_as(self._keygen, self._array, blocks[1])
+                    self.array.x, self.array.y,
+                    enrolled.with_added(payload))
+            extract = PairColumns(pair.index, trend, "kendall")
+            payloads, checks = pair.payloads, pair.key_checks
+            blocks = (pair_block(extract, sketch, payloads[0], checks[0],
+                                 {}),
+                      pair_block(extract, sketch, payloads[1], checks[1],
+                                 {}))
+        for member, block in zip(pair.members, blocks):
+            member.described_as(self._keygen, self.array, block)
         return blocks
 
 
@@ -367,24 +351,23 @@ class GroupBasedKeyGen(KeyGenerator):
         """A :class:`GroupHypothesis` as its block, with a fresh memo.
 
         Describes both members of its pair at once
-        (:meth:`HypothesisGeometry.attach`).  A subclass that evaluates
-        helpers its own way (the hardened device checks every helper
-        first) materialises instead.
+        (:meth:`HypothesisGeometry.attach`), through the geometry of the
+        last ``(array, enrolled helper)`` described: a fleet gives
+        every device its own keygen, and keeping only the last one
+        holds no retired device alive.
         """
         if not isinstance(described, GroupHypothesis):
             return None
-        geometry = self.hypothesis_geometry(array, described.enrolled)
-        if geometry is None:
-            return None
+        enrolled = described.enrolled
+        geometry = self.__dict__.get("_geometry")
+        if (geometry is None or geometry.array is not array
+                or geometry.enrolled is not enrolled):
+            geometry = self._geometry = HypothesisGeometry(self, array,
+                                                           enrolled)
         return geometry.attach(described.pair)[described.member]
 
-    def hypothesis_geometry(self, array: ROArray,
-                            enrolled: GroupBasedKeyHelper
-                            ) -> Optional[HypothesisGeometry]:
-        """The shared geometry of hypothesis blocks on *array*, or
-        ``None`` where this keygen materialises them (an overridden
-        :meth:`batch_evaluator`)."""
-        if (type(self).batch_evaluator
-                is not GroupBasedKeyGen.batch_evaluator):
-            return None
-        return HypothesisGeometry(self, array, enrolled)
+    def __getstate__(self) -> dict:
+        # The geometry names objects of this process: copies drop it.
+        state = self.__dict__.copy()
+        state.pop("_geometry", None)
+        return state

@@ -245,6 +245,10 @@ class HardenedGroupBasedKeyGen(GroupBasedKeyGen):
         return _with_check(super().batch_evaluator(array, helper, op),
                            reject, slice(n, None))
 
+    def describe(self, array, described) -> None:
+        """``None``: every helper is checked first, so it materialises."""
+        return None
+
 
 class HardenedSequentialKeyGen(SequentialPairingKeyGen):
     """Sequential-pairing device that validates helper data before use.

@@ -10,6 +10,8 @@ malformed descriptions, equal outcomes for rounds that mix both forms,
 and a pattern memo that lives exactly as long as one attack.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,16 @@ from repro.core.injection import (
     predicted_pair_bits,
     symmetric_quadratic,
 )
-from repro.core.lockstep import ComparisonRequest
+from repro.core.framework import FailureRateComparer
+from repro.core.lockstep import (
+    ComparisonRequest,
+    QueryBlockRequest,
+    SelectionRequest,
+    SPRTRequest,
+    execute_request,
+)
+from repro.core.oracle import HelperDataOracle
+from repro.core.sprt import SPRTDistinguisher
 from repro.core.sequential_attack import SequentialPairingAttack
 from repro.ecc.kernel import kernel_stats
 from repro.fleet.campaign import run_campaign
@@ -212,6 +223,47 @@ class TestMalformedDescriptions:
         np.testing.assert_array_equal(got, want)
 
 
+def every_request(helper, materialise):
+    """One request of each protocol type, over §VI-A descriptions of
+    *helper* (or the helpers they describe)."""
+    hypotheses = PairingHypotheses(helper)
+    one = PairingManipulation(hypotheses, (1, 2, 3), (0, 4))
+    other = PairingManipulation(hypotheses, (1, 2, 3))
+    if materialise:
+        one, other = one.materialise(), other.materialise()
+    return [
+        QueryBlockRequest(one, 5),
+        QueryBlockRequest(other, 9, stop_on_success=True),
+        ComparisonRequest(one, other, FailureRateComparer(
+            max_queries_per_side=12)),
+        SPRTRequest(SPRTDistinguisher(0.05, 0.6, max_queries=30), one),
+        SelectionRequest({"one": one, "other": other, "again": one}, 4,
+                         early_stop=False),
+    ]
+
+
+class TestEveryRequestType:
+    @pytest.mark.parametrize("seed", [12, 14])
+    def test_scalar_and_batch_oracles_accept_descriptions(self, seed):
+        answers = []
+        for make_oracle, materialise in ((HelperDataOracle, False),
+                                         (BatchOracle, False),
+                                         (HelperDataOracle, True)):
+            array, keygen, helper = sequential_device(seed)
+            oracle = make_oracle(array, keygen)
+            replies = [execute_request(request, oracle)
+                       for request in every_request(helper, materialise)]
+            answers.append((replies, oracle.queries))
+        (want, queries), *others = answers
+        for got, got_queries in others:
+            assert got_queries == queries
+            for observed, expected in zip(got, want):
+                if isinstance(expected, np.ndarray):
+                    np.testing.assert_array_equal(observed, expected)
+                else:
+                    assert observed == expected
+
+
 def lanes(seed):
     """Twin-buildable lanes: ``(oracle, [described helpers])``."""
     built = []
@@ -345,9 +397,13 @@ def assert_pair_matches_reference(attack, keygen, array, u, v):
     assert pair.key_checks == tuple(checks)
     trend = keygen.distiller.trend(
         array.x, array.y, attack._helper.distiller.with_added(payload))
+    first, second = pair.members
+    # Nothing is attached when the pair is built; describing one
+    # member describes both.
+    assert first._described is None and second._described is None
+    first.block(keygen, array)
+    assert second._described[:2] == (keygen, array)
     for member in pair.members:
-        # Attached when the pair was built: no describe call.
-        assert member._described[:2] == (keygen, array)
         block = member.block(keygen, array)
         assert block.trend.tobytes() == trend.tobytes()
         assert block.index is pair.index
@@ -377,6 +433,13 @@ class TestOnePassBuilder:
                    if u != v and (ordered or u < v)}
         # Both stream lengths of the geometry occur.
         assert len(lengths) == 2
+        # One geometry served every pair, and copies of the keygen
+        # (pool dispatch) leave it behind.
+        geometry = keygen._geometry
+        attack._hypotheses(0, 1).members[0].block(keygen, array)
+        assert keygen._geometry is geometry
+        assert "_geometry" not in pickle.loads(
+            pickle.dumps(keygen)).__dict__
 
     def test_hardened_and_scalar_oracles_attach_nothing(self):
         array, _, helper = group_device(8)

@@ -335,7 +335,64 @@ class TestStacking:
         spec = [(lane, 0, 8, None) for lane in range(6)] \
             + [(0, 1, 8, HOT)]
         run_round(lanes, spec, stacked)
-        assert planned == [lanes[lane][1][0] for lane in (2, 3, 4, 5)]
+        # The trajectory lane's blocks stack like the plain ones.
+        assert planned == [lanes[lane][1][0] for lane in (2, 3, 5)]
+
+    def test_trajectory_blocks_share_a_group_with_plain_blocks(self):
+        kinds = ["trajectory", "sequential", "trajectory"]
+        spec = [(0, 0, 8, None), (1, 0, 8, None), (2, 1, 8, None),
+                (0, 1, 8, HOT), (1, 1, 8, HOT)]
+        lanes, twins = build_lanes(kinds), build_lanes(kinds)
+        keys = {oracle.keygen.batch_evaluator(oracle.array,
+                                              helpers[0]).stack_key
+                for oracle, helpers in lanes}
+        assert len(keys) == 1 and None not in keys
+        for _ in range(3):
+            items = [(lanes[lane][0], lanes[lane][1][which],
+                      lanes[lane][0].take_rows(count), op)
+                     for lane, which, count, op in spec]
+            frontier = plan_frontier(items)
+            assert not frontier._plans
+            assert [group.slots for group in frontier._groups] \
+                == [list(range(len(spec)))]
+            rows = kernel_stats.rows
+            got = frontier.execute()
+            stacked_rows = kernel_stats.rows - rows
+            rows = kernel_stats.rows
+            want = [twins[lane][0].plan_rows(
+                        twins[lane][1][which],
+                        twins[lane][0].take_rows(count), op).execute()
+                    for lane, which, count, op in spec]
+            assert kernel_stats.rows - rows == stacked_rows
+            for observed, expected in zip(got, want):
+                assert observed.dtype == np.bool_
+                np.testing.assert_array_equal(observed, expected)
+        for (oracle, helpers), (twin, twin_helpers) in zip(lanes, twins):
+            for helper, twin_helper in zip(helpers, twin_helpers):
+                for op in (OperatingPoint(), HOT):
+                    assert (oracle._evaluator_for(helper, op)._memo
+                            == twin._evaluator_for(twin_helper, op)._memo)
+
+    def test_lone_evaluator_block_is_a_group_of_one(self):
+        (oracle, helpers), = build_lanes(["sequential"])
+        (twin, twin_helpers), = build_lanes(["sequential"])
+        evaluator = twin.keygen.batch_evaluator(twin.array,
+                                                twin_helpers[1])
+        base = twin.array.true_frequencies()
+        for _ in range(3):
+            frontier = plan_frontier([(oracle, helpers[1],
+                                       oracle.take_rows(16), None)])
+            assert not frontier._plans
+            assert [group.slots for group in frontier._groups] == [[0]]
+            rows = kernel_stats.rows
+            (got,) = frontier.execute()
+            stacked_rows = kernel_stats.rows - rows
+            rows = kernel_stats.rows
+            want = evaluator.plan(base + twin.take_rows(16)).execute()
+            assert kernel_stats.rows - rows == stacked_rows
+            np.testing.assert_array_equal(got, want)
+        memo = oracle._evaluator_for(helpers[1], OperatingPoint())._memo
+        assert memo and memo == evaluator._memo
 
     @pytest.mark.parametrize("kind,which,stacks", [
         ("sequential", 0, True),
@@ -442,11 +499,11 @@ class TestKendallRounds:
                  for lane, which, count, op in spec]
         frontier = plan_frontier(items)
         # Every 8-row block stacks whatever its op (ragged: 20 and 19
-        # groups); the 5-row block is planned alone.
-        assert len(frontier._groups) == 1
+        # groups); the 5-row block is a group of one.
+        assert len(frontier._groups) == 2 and not frontier._plans
         assert len(frontier._groups[0].slots) == 6
         assert set(frontier._groups[0]._widths.tolist()) == {19, 20}
-        assert [slot for slot, _ in frontier._plans] == [5]
+        assert frontier._groups[1].slots == [5]
         frontier.execute()
 
     def test_residual_rows_with_nan(self):

@@ -107,8 +107,35 @@ def helper():
         assert check_docs.check_export_docstrings(tmp_path, pkg) == []
 
 
+class TestDocNames:
+    def test_modules_and_attribute_paths_resolve(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "a.md").write_text(
+            "`repro.keygen.batch`, `repro.core.BatchOracle` and "
+            "`repro.keygen.batch.FrontierPlan.finalize`; a call like "
+            "`repro.fleet.Fleet(spec)` is not a bare name.\n")
+        (tmp_path / "README.md").write_text("`repro._dedup`\n")
+        assert check_docs.check_doc_names(tmp_path) == []
+
+    def test_stale_names_reported_with_location(self, tmp_path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "a.md").write_text(
+            "intro\n`repro.keygen.batch.NoSuchThing` and "
+            "`repro.no_such_module.thing`\n")
+        (tmp_path / "README.md").write_text(
+            "`repro.keygen.group_based.GroupBasedKeyGen.gone`\n")
+        errors = check_docs.check_doc_names(tmp_path)
+        assert errors == [
+            "docs/a.md:2: unresolved name -> "
+            "repro.keygen.batch.NoSuchThing",
+            "docs/a.md:2: unresolved name -> repro.no_such_module.thing",
+            "README.md:1: unresolved name -> "
+            "repro.keygen.group_based.GroupBasedKeyGen.gone"]
+
+
 class TestAgainstThisRepo:
     def test_repo_gates_pass(self):
         # The repo itself must satisfy its own gates.
         assert check_docs.check_links() == []
         assert check_docs.check_export_docstrings() == []
+        assert check_docs.check_doc_names() == []

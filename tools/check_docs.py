@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Documentation gates for CI (stdlib only).
+"""Documentation gates for CI.
 
-Two checks, both fatal on failure:
+Three checks, all fatal on failure:
 
 1. **Intra-repo links** — every relative markdown link in the repo's
    ``*.md`` files must resolve to an existing file (anchors are
@@ -9,6 +9,10 @@ Two checks, both fatal on failure:
 2. **Export docstrings** — every name exported through an ``__all__``
    list under ``src/repro`` must resolve to an object carrying a
    docstring, and every public module must have one.
+3. **Named code** — every backticked dotted name ``repro.…`` in
+   ``docs/*.md`` and ``README.md`` must import and resolve, so a
+   deletion cannot leave the docs naming code that is gone.  This is
+   the one check that imports the package (and so needs NumPy).
 
 Run from the repository root: ``python tools/check_docs.py``.
 """
@@ -16,6 +20,7 @@ Run from the repository root: ``python tools/check_docs.py``.
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -29,6 +34,9 @@ SKIP_FILES = {"PAPERS.md", "SNIPPETS.md"}
 
 #: Inline markdown links: [text](target).  Images share the syntax.
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: A backticked dotted name of the package: `repro.keygen.batch`.
+NAME_PATTERN = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 
 
 def iter_markdown_files(root: Path = ROOT):
@@ -142,15 +150,59 @@ def check_export_docstrings(root: Path = ROOT,
     return errors
 
 
+def resolves(name: str) -> bool:
+    """Whether dotted *name* is an importable module or an attribute
+    path under one (``repro.keygen.batch.FrontierPlan.finalize``)."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module_name)
+        except ModuleNotFoundError as exc:
+            # A missing module of the name itself: try a shorter one.
+            # Any other missing module is a missing dependency.
+            if exc.name is None or not module_name.startswith(exc.name):
+                raise
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_doc_names(root: Path = ROOT,
+                    source_root: Path = SOURCE_ROOT) -> list:
+    """Return one error per backticked ``repro.…`` name in
+    ``docs/*.md`` and ``README.md`` under *root* that does not resolve
+    against the package at *source_root*."""
+    source = str(source_root.parent)
+    if source not in sys.path:
+        sys.path.insert(0, source)
+    errors = []
+    paths = sorted((root / "docs").glob("*.md")) + [root / "README.md"]
+    for path in paths:
+        if not path.exists():
+            continue
+        for lineno, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1):
+            for name in NAME_PATTERN.findall(line):
+                if not resolves(name):
+                    errors.append(f"{path.relative_to(root)}:{lineno}: "
+                                  f"unresolved name -> {name}")
+    return errors
+
+
 def main() -> int:
-    """Run both gates; print findings and return a process exit code."""
-    errors = check_links() + check_export_docstrings()
+    """Run every gate; print findings and return a process exit code."""
+    errors = check_links() + check_export_docstrings() + check_doc_names()
     for error in errors:
         print(error)
     if errors:
         print(f"\n{len(errors)} documentation problem(s) found.")
         return 1
-    print("docs ok: links resolve, exports documented.")
+    print("docs ok: links resolve, exports documented, names resolve.")
     return 0
 
 
