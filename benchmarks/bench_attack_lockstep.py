@@ -24,6 +24,12 @@ of 19 and 20 pairs get BCH codes of different shortening, which fuse
 under their common parent), and reports the time to build one
 comparison's hypothesis pair with both members' frontier blocks.
 
+A second §VI-A section times the planning of one 32-lane comparison
+round (each lane's first reference/test request, 8 paired samples):
+the stacked frontier (one group, every block's base added once)
+against per-item ``plan_rows``, after asserting that both routes give
+bitwise-equal outcomes and kernel rows.
+
 A §VI-B section runs the temperature-aware attack (assistant
 substitution at attacker-chosen temperatures) as a per-device loop and
 as a lock-step campaign on twin devices with seeded sensor streams,
@@ -53,8 +59,9 @@ from repro.core import (
     SequentialPairingAttack,
     TempAwareAttack,
 )
-from repro.core.lockstep import LaneEngine
-from repro.ecc.kernel import kernel_stats
+from repro.core.batch_oracle import plan_frontier
+from repro.core.lockstep import ComparisonEngine, LaneEngine
+from repro.ecc.kernel import kernel_stats, run_kernels
 from repro.fleet import Fleet, GroupAttackFactory, run_campaign
 from repro.keygen import (
     GroupBasedKeyGen,
@@ -70,6 +77,8 @@ QUICK_GROUP_DEVICES = 1
 TEMP_DEVICES = 8
 QUICK_TEMP_DEVICES = 2
 FLEET_GROUP_DEVICES = 32
+#: Lanes of the timed §VI-A comparison round.
+ROUND_LANES = 32
 QUICK_FLEET_GROUP_DEVICES = 2
 #: Wall-time ceiling of the 32-device group-based fleet campaign.
 FLEET_GROUP_BUDGET_S = 10.0
@@ -190,6 +199,62 @@ def hypothesis_build_us(seed=0, repeats=5):
     return min(walls) / len(targets) * 1e6
 
 
+def comparison_round_items(lanes=ROUND_LANES):
+    """Each lane's first §VI-A request as two frontier items.
+
+    Lane *i* is device *i* of the sequential campaign; its reference
+    and test helper each get 8 of its 16 taken rows (the lock-step
+    interleave).
+    """
+    items = []
+    for seed in range(lanes):
+        array, keygen, helper, _ = _sequential_device(seed)
+        oracle = BatchOracle(array, keygen)
+        request = next(SequentialPairingAttack(oracle, keygen,
+                                               helper).steps())
+        rows = oracle.take_rows(2 * ComparisonEngine.block)
+        items.append((oracle, request.helper_a, rows[0::2], request.op))
+        items.append((oracle, request.helper_b, rows[1::2], request.op))
+    return items
+
+
+def comparison_round_plan_us(lanes=ROUND_LANES, repeats=30):
+    """Best-of-*repeats* plan µs of one comparison round, per route.
+
+    Returns ``(stacked_us, per_item_us, groups)``.  Planning leaves
+    every memo as it was, so both routes are timed before either runs
+    its kernel; the routes' outcomes and kernel rows are then asserted
+    bitwise-equal on twin devices.
+    """
+    items = comparison_round_items(lanes)
+    twins = comparison_round_items(lanes)
+
+    def best(plan):
+        walls = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            plan()
+            walls.append(time.perf_counter() - start)
+        return min(walls) * 1e6
+
+    stacked_us = best(lambda: plan_frontier(items))
+    per_item_us = best(lambda: [oracle.plan_rows(helper, rows, op)
+                                for oracle, helper, rows, op in twins])
+    frontier = plan_frontier(items)
+    before = kernel_stats.rows
+    stacked = frontier.execute()
+    stacked_rows = kernel_stats.rows - before
+    plans = [oracle.plan_rows(helper, rows, op)
+             for oracle, helper, rows, op in twins]
+    before = kernel_stats.rows
+    outputs = run_kernels([plan.workload for plan in plans])
+    per_item = [plan.finalize(out) for plan, out in zip(plans, outputs)]
+    assert kernel_stats.rows - before == stacked_rows
+    for observed, expected in zip(stacked, per_item):
+        assert observed.tobytes() == expected.tobytes()
+    return stacked_us, per_item_us, len(frontier._groups)
+
+
 def run_group_campaign(devices=GROUP_DEVICES):
     """Scalar loop vs lock-step campaign on the §VI-C attack."""
     scalar_results = []
@@ -297,6 +362,16 @@ def test_attack_lockstep_campaign(benchmark, quick):
                    f"{speedup_batched:.1f}x", devices, queries),
                   ("lock-step campaign", f"{lockstep_s:.2f}",
                    f"{speedup_lockstep:.1f}x", devices, queries)]))
+
+    stacked_us, per_item_us, groups = comparison_round_plan_us()
+    record(f"E18 / §VI-A — plan time of one {ROUND_LANES}-lane "
+           "comparison round (bitwise-equal outcomes and kernel rows)",
+           table(("route", "plan (µs, best of 30)", "per item (µs)"),
+                 [(f"stacked frontier ({groups} group)",
+                   f"{stacked_us:.0f}",
+                   f"{stacked_us / (2 * ROUND_LANES):.1f}"),
+                  ("per-item plan_rows", f"{per_item_us:.0f}",
+                   f"{per_item_us / (2 * ROUND_LANES):.1f}")]))
 
     grp_devices = QUICK_GROUP_DEVICES if quick else GROUP_DEVICES
     (grp_scalar, grp_lockstep, grp_keys, grp_scalar_s,

@@ -20,11 +20,16 @@ vectorised calls.  Group *contents* (pattern → ascending row indices)
 are identical either way; the group order is unspecified, and no
 consumer depends on it: every caller computes a per-pattern result and
 scatters it back to the pattern's row indices.
+
+A stacked frontier group dedups per block: ``row_groups(bits,
+owner)`` keeps equal rows of different owners apart.  Its large
+blocks key each row on integers (the packed row in 64-bit words, the
+owner beside it) and sort once, with no ``np.void`` keys.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -72,14 +77,72 @@ def _keyed_groups(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return first, inverse.reshape(-1)
 
 
-def row_groups(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _owner_groups(matrix: np.ndarray, owner: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_keyed_groups` per owner, on integer keys.
+
+    Each row's bytes (0/1 rows bit-packed first, first bit highest)
+    fill big-endian 64-bit words, zero-padded.  When the owner fits in
+    the last word's spare low bytes it is OR-ed in, and one stable
+    argsort groups the rows; otherwise one ``np.lexsort`` sorts by the
+    words and the owner.
+    """
+    data = np.ascontiguousarray(matrix)
+    count = data.shape[0]
+    if data.dtype in _BIT_DTYPES and data.size and data.max() <= 1:
+        width = -(-data.shape[1] // 8)
+        spare = -width % 8
+        # Packing rows padded to whole words is one flat packbits.
+        padded = np.zeros((count, 8 * (width + spare)), dtype=np.uint8)
+        padded[:, :data.shape[1]] = data
+        padded = np.packbits(padded.reshape(-1)).reshape(count, -1)
+    else:
+        data = data.view(np.uint8).reshape(count, -1)
+        width = data.shape[1]
+        spare = -width % 8
+        padded = np.zeros((count, width + spare), dtype=np.uint8)
+        padded[:, :width] = data
+    words = padded.view(">u8").astype(np.uint64)
+    owner = owner.astype(np.uint64)
+    if words.shape[1] == 1 and int(owner.max()) >> (8 * spare) == 0:
+        return _sorted_groups((words[:, 0] | owner,))
+    return _sorted_groups(tuple(words.T) + (owner,))
+
+
+def _sorted_groups(keys: Tuple[np.ndarray, ...]
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Groups of rows with equal values in every 1-D key array.
+
+    One stable sort, so each group's first sorted row is its first
+    occurrence.  Groups come in sorted order, the last key first.
+    """
+    order = (np.argsort(keys[0], kind="stable") if len(keys) == 1
+             else np.lexsort(keys))
+    start = np.zeros(order.size, dtype=np.uint8)
+    start[:1] = 1
+    for key in keys:
+        ranked = key[order]
+        start[1:] |= ranked[1:] != ranked[:-1]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.add.accumulate(start, dtype=np.intp) - 1
+    return order[start.view(bool)], inverse
+
+
+def row_groups(matrix: np.ndarray, owner: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
     """First-occurrence row of each distinct row, and the row → group map.
 
     ``matrix[first][inverse]`` reproduces *matrix* byte for byte.  Rows
     are grouped by byte identity; groups come in unspecified order.
+    With *owner* (one non-negative integer per row), rows group by
+    ``(owner, row bytes)``: equal rows of different owners stay apart.
     """
     count = matrix.shape[0]
     if count <= SMALL_BLOCK:
+        if owner is not None:
+            matrix = np.concatenate(
+                [owner.astype(">u4").view(np.uint8).reshape(-1, 4),
+                 np.ascontiguousarray(matrix).view(np.uint8)], axis=1)
         data = np.ascontiguousarray(matrix)
         width = data.dtype.itemsize * data.shape[1]
         # One C call turns every row into its bytes key.
@@ -95,6 +158,8 @@ def row_groups(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             inverse.append(slot)
         return (np.array(first, dtype=np.intp),
                 np.array(inverse, dtype=np.intp))
+    if owner is not None:
+        return _owner_groups(matrix, owner)
     return _keyed_groups(matrix)
 
 

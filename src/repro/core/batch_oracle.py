@@ -178,6 +178,7 @@ class BatchOracle:
         Fresh rows are drawn in exactly the amount needed, so as long
         as no rows sit unwound, the device's stream position equals
         the query count — independent of how queries were blocked.
+        The rows are read-only views of the draw; copy them to edit.
         """
         if count < 1:
             raise ValueError("need at least one query")
@@ -192,8 +193,12 @@ class BatchOracle:
                 drawn = np.concatenate([drawn, tags[:, None]],
                                        axis=1)
             self._cursor += fresh
-            self._buffer = (drawn if buffered == 0
-                            else np.concatenate([self._buffer, drawn]))
+            if buffered:
+                drawn = np.concatenate([self._buffer, drawn])
+            # Taken rows are views of the buffer, and an unwound tail
+            # is kept as is: nobody may write into a shared row.
+            drawn.flags.writeable = False
+            self._buffer = drawn
         rows, self._buffer = (self._buffer[:count],
                               self._buffer[count:])
         self._queries += count
@@ -207,10 +212,17 @@ class BatchOracle:
         state a sequential run would have reached.  Only valid for the
         most recently taken rows, in order.
         """
-        if rows.shape[0] == 0:
+        count = rows.shape[0]
+        if count == 0:
             return
-        self._buffer = np.concatenate([rows, self._buffer])
-        self._queries -= rows.shape[0]
+        # A taken tail is a read-only view: kept as is when nothing
+        # else is buffered, copied only to join buffered rows (or when
+        # a caller hands in rows of its own).
+        if self._buffer.shape[0] or rows.flags.writeable:
+            rows = np.concatenate([rows, self._buffer])
+            rows.flags.writeable = False
+        self._buffer = rows
+        self._queries -= count
 
     def evaluate_rows(self, helper, rows: np.ndarray,
                       op: Optional[OperatingPoint] = None) -> np.ndarray:
@@ -244,10 +256,11 @@ class BatchOracle:
 
     def _frontier_entry(self, helper, rows: np.ndarray,
                         op: Optional[OperatingPoint]) -> FrontierEntry:
-        """This block as ``(PairBlock, freqs)`` — a described helper's
-        (no helper or evaluator is built) or its evaluator's
+        """This block as ``(PairBlock, noise, base)`` — a described
+        helper's (no helper or evaluator is built) or its evaluator's
         :attr:`~repro.keygen.batch.BatchEvaluator.block` — or as its
-        own plan.  A block never reads the ambient sample."""
+        own plan.  A block never reads the ambient sample, and its
+        group adds the base (:meth:`_split`)."""
         block = (helper.block(self._keygen, self._array)
                  if isinstance(helper, DescribedHelper) else None)
         if block is None:
@@ -255,42 +268,52 @@ class BatchOracle:
                 helper, op if op is not None else self._op).block
             if block is None:
                 return self.plan_rows(helper, rows, op)
-        return block, self._frequencies(rows, op)[0]
+        return (block,) + self._split(rows, op)[:2]
 
     def _frequencies(self, rows: np.ndarray,
                      op: Optional[OperatingPoint]):
-        """``(freqs, env)`` of taken rows: base + noise (``env``
-        ``None``), or under the trajectory its per-row ambient.
+        """``(freqs, env)`` of taken rows: ``base + noise``
+        (:meth:`_split`)."""
+        noise, base, env = self._split(rows, op)
+        return base + noise, env
 
-        An explicit *op* (attacker chamber) overrides the ambient —
-        ``env`` comes back ``None`` and the scalar base-frequency
-        path is used — but the aged per-oscillator offsets apply in
-        both cases: aging is device state, not ambient state.
+    def _split(self, rows: np.ndarray, op: Optional[OperatingPoint]):
+        """``(noise, base, env)`` of taken rows; ``base + noise`` are
+        their frequencies.
+
+        Without a trajectory the base is the cached ``(1, n)`` row of
+        the operating point and ``env`` is ``None``.  Under the
+        trajectory the base is each row's ambient, ``(B, n)``, with
+        ``env`` its sample.  An explicit *op* (attacker chamber)
+        overrides the ambient — ``env`` comes back ``None`` and the
+        scalar base row is used — but the aged per-oscillator offsets
+        apply in both cases: aging is device state, not ambient state.
         """
         if self._trajectory is None:
-            return rows + self._base_frequencies(
+            return rows, self._base_frequencies(
                 op if op is not None else self._op), None
         noise = rows[:, :-1]
-        indices = rows[:, -1].astype(np.int64)
         if op is not None:
-            base = self._base_frequencies(op)[None, :]
+            base = self._base_frequencies(op)
             env = None
         else:
-            env = self._trajectory.sample(indices)
+            env = self._trajectory.sample(rows[:, -1].astype(np.int64))
             base = np.tile(self._array.true_frequencies_batch(
                 env.temperatures, env.voltages), self._readouts)
         shift = self._trajectory.oscillator_shift(self._array.n)
         if shift is not None:
             base = base + np.tile(shift, self._readouts)[None, :]
-        return base + noise, env
+        return noise, base, env
 
     def _base_frequencies(self, op: OperatingPoint) -> np.ndarray:
+        """The noise-free ``(1, n)`` row at *op*, tiled per readout."""
         key = (op.temperature, op.voltage)
         base = self._base.get(key)
         if base is None:
             base = np.tile(self._array.true_frequencies(op.temperature,
                                                         op.voltage),
-                           self._readouts)
+                           self._readouts)[None, :]
+            base.flags.writeable = False
             self._base[key] = base
         return base
 

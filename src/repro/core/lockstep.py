@@ -407,24 +407,23 @@ class ComparisonEngine(LaneEngine):
         valid = np.arange(width)[None, :] < sizes[:, None]
         trigger = (valid & (counts >= minima[:, None])
                    & (stop_separated | stop_identical | stop_gap))
-        fired = trigger.any(axis=1).tolist()
-        first = np.argmax(trigger, axis=1).tolist()
-
-        for i, lane in enumerate(lanes):
-            size = int(sizes[i])
-            if fired[i]:
-                idx = first[i]
-                lane.oracle.untake_rows(taken[i][2 * (idx + 1):])
-                failures_a = int(cum_a[i, idx])
-                failures_b = int(cum_b[i, idx])
-                samples = int(counts[i, idx])
-                separated = bool(stop_separated[i, idx]
-                                 or stop_gap[i, idx])
+        # One tolist() per result array; each lane reads its decisive
+        # sample: its first trigger, else its last.
+        stopped = zip(lanes, trigger.any(axis=1).tolist(),
+                      np.argmax(trigger, axis=1).tolist(), sizes.tolist(),
+                      cum_a.tolist(), cum_b.tolist(), counts.tolist(),
+                      (stop_separated | stop_gap).tolist(),
+                      maxima.tolist(), taken)
+        for (lane, fired, first, size, lane_a, lane_b, lane_n,
+             lane_separated, most, rows) in stopped:
+            at = first if fired else size - 1
+            failures_a, failures_b, samples = (lane_a[at], lane_b[at],
+                                               lane_n[at])
+            if fired:
+                lane.oracle.untake_rows(rows[2 * (first + 1):])
+                separated = lane_separated[at]
             else:
-                failures_a = int(cum_a[i, size - 1])
-                failures_b = int(cum_b[i, size - 1])
-                samples = int(counts[i, size - 1])
-                if samples < int(maxima[i]):
+                if samples < most:
                     lane.state = (failures_a, failures_b, samples)
                     continue
                 separated = False

@@ -22,7 +22,7 @@ the paper's pure-ECC comparison works as stated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -128,6 +128,9 @@ class SequentialPairingAttack:
                           else default)
         self._ml_decoder = not code.bounded_distance
         self._hypotheses = PairingHypotheses(helper)
+        # One reference helper per injected flip tuple: nearly every
+        # target shares one, and its cached block is described once.
+        self._references: Dict[Tuple[int, ...], PairingManipulation] = {}
 
     @property
     def injected_errors(self) -> int:
@@ -156,12 +159,16 @@ class SequentialPairingAttack:
 
         Both helpers travel as described manipulations of the enrolled
         helper (:class:`~repro.keygen.sequential.PairingHypotheses`):
-        the injected reference, and the reference plus the swap.
+        the injected reference, and the reference plus the swap.  The
+        reference is reused by every target with the same flips.
         """
         if not 1 <= target < self._helper.pairing.bits:
             raise ValueError("target must be a non-zero pair position")
-        flips = self._injection_positions(target)
-        reference = PairingManipulation(self._hypotheses, flips)
+        flips = tuple(self._injection_positions(target))
+        reference = self._references.get(flips)
+        if reference is None:
+            reference = self._references[flips] = PairingManipulation(
+                self._hypotheses, flips)
         test = PairingManipulation(self._hypotheses, flips, (0, target))
         outcome = yield ComparisonRequest(reference, test,
                                           self._comparer, self._op)

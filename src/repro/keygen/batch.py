@@ -420,13 +420,10 @@ def _memo_groups(bits: np.ndarray, memos: Sequence[Dict[bytes, bool]],
     row, the row -> distinct map, the memo keys and the memoized
     outcomes as ``int8`` (``-1`` = unseen).
     """
+    first, inverse = row_groups(bits, owner)
     if owner is None:
-        first, inverse = row_groups(bits)
         lookups = repeat(memos[0], first.size)
     else:
-        first, inverse = row_groups(np.concatenate(
-            [owner.astype(">u4").view(np.uint8).reshape(-1, 4), bits],
-            axis=1))
         owners = owner[first]
         lookups = map(memos.__getitem__, owners.tolist())
     patterns = np.ascontiguousarray(bits[first])
@@ -625,9 +622,11 @@ class MaskedBitEvaluator(BatchEvaluator):
 
 
 #: One frontier item: its own :class:`EvalPlan`, or a stackable
-#: ``(block, freqs)``, the :class:`PairBlock` and its ``(B, n)``
-#: measured frequencies.
-FrontierEntry = Union[EvalPlan, Tuple[PairBlock, np.ndarray]]
+#: ``(block, noise, base)``: the :class:`PairBlock`, its ``(B, n)``
+#: noise rows and the base frequencies they add to, one ``(1, n)`` row
+#: or a ``(B, n)`` row per sample.
+FrontierEntry = Union[EvalPlan,
+                      Tuple[PairBlock, np.ndarray, np.ndarray]]
 
 
 class _StackedGroup:
@@ -646,21 +645,35 @@ class _StackedGroup:
     one pass.  A group of one block is planned the same way.
     """
 
-    def __init__(self, blocks: List[Tuple[int, PairBlock, np.ndarray]]
-                 ) -> None:
-        self.slots = [slot for slot, _, _ in blocks]
-        sources = [source for _, source, _ in blocks]
+    def __init__(self, blocks: List[Tuple[int, PairBlock, np.ndarray,
+                                          np.ndarray]]) -> None:
+        self.slots = [entry[0] for entry in blocks]
+        sources = [entry[1] for entry in blocks]
         self._memos = [source.memo for source in sources]
         self._checks = [source.key_check for source in sources]
         self._count = count = blocks[0][2].shape[0]
-        # (blocks, columns, rows): every block of a group has the same
-        # row count, so one fancy index per (block, pair) gathers that
-        # pair's column for all the block's rows at once.  Transposed
-        # views stack faster with np.stack than with np.array.
-        freqs = np.stack([entry[2].T for entry in blocks])
+        # (blocks, rows, columns): the noise is stacked, then every
+        # block's base is added in one operation.  Each element is
+        # still its block's noise + base, the sum the oracle's own
+        # plans take, bit for bit.  A lone block needs no stack copy.
+        if len(blocks) == 1:
+            ((_, _, noise, base),) = blocks
+            freqs = (noise + base)[None]
+        else:
+            freqs = np.array([entry[2] for entry in blocks])
+            bases = [entry[3] for entry in blocks]
+            if len({base.shape for base in bases}) > 1:
+                # Per-row (trajectory) bases beside (1, n) rows.
+                bases = [np.broadcast_to(base, freqs.shape[1:])
+                         for base in bases]
+            freqs += np.array(bases)
         if sources[0].trend is not None:
             freqs -= np.array([source.trend
-                               for source in sources])[:, :, None]
+                               for source in sources])[:, None, :]
+        # (blocks, columns, rows): every block of a group has the same
+        # row count, so one fancy index per (block, pair) gathers that
+        # pair's column for all the block's rows at once.
+        freqs = freqs.transpose(0, 2, 1)
         indices = [source.index for source in sources]
         widths = [index.shape[0] for index in indices]
         self._widths = np.array(widths)
@@ -760,9 +773,9 @@ class FrontierPlan:
             if isinstance(entry, EvalPlan):
                 self._plans.append((slot, entry))
             else:
-                block, freqs = entry
-                blocks.setdefault((freqs.shape, block.stack_key),
-                                  []).append((slot, block, freqs))
+                block, noise, base = entry
+                blocks.setdefault((noise.shape, block.stack_key),
+                                  []).append((slot, block, noise, base))
         self._groups = [_StackedGroup(group) for group in blocks.values()]
 
     @property

@@ -342,6 +342,52 @@ class TestMemoScope:
         assert memo is not other.enrolled_block(keygen, array).memo
 
 
+class TestReferenceReuse:
+    """The §VI-A attack sends one reference description per injected
+    flip tuple; its block is described once and results still equal
+    the scalar drive."""
+
+    def test_reused_reference_equals_the_scalar_drive(self, monkeypatch):
+        described = []
+        original = SequentialPairingKeyGen.describe
+
+        def spy(self, array, manipulation):
+            described.append(manipulation)
+            return original(self, array, manipulation)
+
+        monkeypatch.setattr(SequentialPairingKeyGen, "describe", spy)
+        # 33 pairs: a short scalar drive.
+        array, keygen, helper = sequential_device(
+            3, SequentialPairingKeyGen(threshold=1.5e6))
+        scalar = SequentialPairingAttack(HelperDataOracle(array, keygen),
+                                         keygen, helper).run()
+        assert not described and scalar.key is not None
+        twin, twin_keygen, twin_helper = sequential_device(
+            3, SequentialPairingKeyGen(threshold=1.5e6))
+        attack = SequentialPairingAttack(
+            BatchOracle(twin, twin_keygen), twin_keygen, twin_helper)
+        references = []
+        steps = attack._relation_steps
+        monkeypatch.setattr(attack, "_relation_steps", lambda target: (
+            references.append(attack._references.get(tuple(
+                attack._injection_positions(target)))) or steps(target)))
+        result = attack.run()
+        np.testing.assert_array_equal(result.relations, scalar.relations)
+        np.testing.assert_array_equal(result.key, scalar.key)
+        assert result.queries == scalar.queries
+        assert result.comparisons == scalar.comparisons
+        # Every target past the first of its flips reuses the reference.
+        bits = twin_helper.pairing.bits
+        assert len(references) == bits - 1
+        assert len(attack._references) < bits - 1
+        reused = [ref for ref in references if ref is not None]
+        assert len(reused) == bits - 1 - len(attack._references)
+        # One description per reference, one per test helper.
+        swaps = [m for m in described if m.swap is not None]
+        assert len(swaps) == bits - 1
+        assert len(described) - len(swaps) == len(attack._references)
+
+
 # ----------------------------------------------------------------------
 # the one-pass hypothesis builder against the per-step construction
 

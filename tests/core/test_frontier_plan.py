@@ -40,7 +40,11 @@ from repro.keygen.base import key_check_digest, key_check_digests
 from repro.keygen.batch import ConstantEvaluator, PairColumns
 from repro.pairing import SequentialPairingHelper
 from repro.puf import ROArray, ROArrayParams
-from repro.scenario.trajectory import TemperatureRamp, TrajectorySpec
+from repro.scenario.trajectory import (
+    AgingDrift,
+    TemperatureRamp,
+    TrajectorySpec,
+)
 
 NOISY = ROArrayParams(rows=8, cols=16, sigma_noise=300e3)
 #: One code for every response length up to 64 bits: lanes with
@@ -186,6 +190,23 @@ LANES.update({
     "distiller": (SMALL, lambda: DistillerPairingKeyGen(
         SMALL.rows, SMALL.cols, code_provider=SMALL_CODE),
         (_payload_flips(3), _payload_flips(2)), None),
+})
+
+#: A ramp plus aging: items without an op get a per-row ``(B, n)``
+#: base, items at an explicit op the ``(1, n)`` row plus the aging
+#: shift.
+AGED_RAMP = TrajectorySpec(terms=(TemperatureRamp(-40.0, 110.0, 48),
+                                  AgingDrift(years=2.0,
+                                             drift_sigma=50e3)))
+LANES.update({
+    "shared-aged": (NOISY, lambda: SequentialPairingKeyGen(
+        threshold=1.3e6, code_provider=SHARED),
+        (_flipped(3), _flipped(2)), AGED_RAMP),
+    "aged": (NOISY, lambda: SequentialPairingKeyGen(threshold=250e3),
+             (_flipped(3), _flipped(2)), AGED_RAMP),
+    "group-aged": (SMALL, _group_keygen,
+                   (_hypothesis(0, 2, 0), _hypothesis(0, 1, 1)),
+                   AGED_RAMP),
 })
 
 
@@ -453,6 +474,94 @@ class TestStacking:
             for row, length in enumerate(lengths)]
 
 
+def _with_nan_columns(rows):
+    rows = rows.copy()
+    rows[::3, 0] = np.nan
+    rows[1::4, 2] = np.nan
+    return rows
+
+
+class TestBaseOncePerGroup:
+    """A stacked group adds every block's base to its noise in one
+    operation, whatever the base's shape: each block's bits are still
+    ``PairColumns(index, trend, kind)(base + noise)``."""
+
+    def assert_group_arithmetic(self, kinds, spec, groups, nan=False):
+        lanes, twins = build_lanes(kinds), build_lanes(kinds)
+        patterns = {}
+        memos = {}
+        for _ in range(3):
+            items, twin_items = [], []
+            for lane, which, count, op in spec:
+                for built, out in ((lanes, items), (twins, twin_items)):
+                    oracle, helpers = built[lane]
+                    rows = oracle.take_rows(count)
+                    if nan:
+                        rows = _with_nan_columns(rows)
+                    out.append((oracle, helpers[which], rows, op))
+            frontier = plan_frontier(items)
+            assert not frontier._plans
+            assert sorted(len(group.slots)
+                          for group in frontier._groups) == groups
+            bases = set()
+            for oracle, helper, rows, op in items:
+                noise, base, _ = oracle._split(rows, op)
+                bases.add(base.shape[0] == 1)
+                block = oracle._evaluator_for(
+                    helper, op if op is not None else oracle.default_op
+                ).block
+                bits = PairColumns(block.index, block.trend,
+                                   block.kind)(base + noise)
+                patterns.setdefault(id(block.memo), set()).update(
+                    row.tobytes() for row in bits)
+                memos[id(block.memo)] = block.memo
+            # Explicit-op (1, n) rows and per-row (B, n) bases alike.
+            assert bases == {True, False}
+            rows = kernel_stats.rows
+            got = frontier.execute()
+            stacked_rows = kernel_stats.rows - rows
+            rows = kernel_stats.rows
+            want = [oracle.plan_rows(helper, rows, op).execute()
+                    for oracle, helper, rows, op in twin_items]
+            assert kernel_stats.rows - rows == stacked_rows
+            for observed, expected in zip(got, want):
+                assert observed.dtype == np.bool_
+                np.testing.assert_array_equal(observed, expected)
+        # Every pattern is memoized under exactly its extracted bytes,
+        # as the per-item route memoizes it.
+        for key, memo in memos.items():
+            assert set(memo) == patterns[key]
+        for lane, which, _, op in spec:
+            op = op if op is not None else OperatingPoint()
+            (oracle, helpers), (twin, twin_helpers) = lanes[lane], \
+                twins[lane]
+            assert (oracle._evaluator_for(helpers[which], op)._memo
+                    == twin._evaluator_for(twin_helpers[which], op)._memo)
+
+    def test_pair_blocks_with_mixed_bases_and_widths(self):
+        kinds = ["shared-aged", "shared-wide", "shared-narrow"]
+        widths = {helpers[0].pairing.bits
+                  for _, helpers in build_lanes(kinds)}
+        assert len(widths) == 3
+        self.assert_group_arithmetic(
+            kinds, [(0, 0, 8, None), (1, 0, 8, None), (0, 1, 8, HOT),
+                    (2, 1, 8, None), (2, 2, 8, HOT), (1, 1, 8, HOT)],
+            groups=[6])
+
+    def test_trend_and_kendall_blocks_with_nan_columns(self):
+        kinds = ["group-aged", "group-ragged", "distiller", "group"]
+        self.assert_group_arithmetic(
+            kinds, [(0, 0, 8, None), (1, 1, 8, None), (2, 0, 8, None),
+                    (0, 1, 8, HOT), (3, 0, 8, HOT), (2, 1, 8, None),
+                    (1, 0, 8, None)],
+            groups=[2, 5], nan=True)
+
+    def test_lone_block_with_a_trajectory_base(self):
+        self.assert_group_arithmetic(
+            ["aged"], [(0, 0, 16, None), (0, 1, 12, HOT)],
+            groups=[1, 1])
+
+
 ITEM_KINDS = ["sequential", "shared-wide", "shared-narrow", "rejected",
               "malformed", "trajectory", "hardened"]
 
@@ -515,7 +624,8 @@ class TestKendallRounds:
             items = []
             for lane, which, count, op in spec:
                 oracle, helpers = lanes[lane]
-                rows = oracle.take_rows(count)
+                # Taken rows are read-only views of the oracle's draw.
+                rows = oracle.take_rows(count).copy()
                 rows[::3, 0] = np.nan
                 rows[1::4, 2] = np.nan
                 rows[2::5, :4] = np.nan
@@ -533,7 +643,7 @@ class TestKendallRounds:
 
     def test_nan_trend_and_rows_match_the_scalar_reference(self):
         oracle, helpers = build_lane("group-fallback", 11)
-        rows = oracle.take_rows(24)
+        rows = oracle.take_rows(24).copy()
         rows[::2, 1] = np.nan
         helper = helpers[2]
         evaluator = oracle.keygen.batch_evaluator(oracle.array, helper)

@@ -254,3 +254,64 @@ class TestByteIdentity:
         distinct, inverse = unique_rows(matrix)
         assert distinct.shape == (2, 2)
         assert distinct[inverse].tobytes() == matrix.tobytes()
+
+
+class TestOwnerKeys:
+    """``row_groups(matrix, owner)`` groups by ``(owner, row bytes)``.
+
+    Large blocks key each row on integers (its packed bits or bytes in
+    64-bit words, with the owner OR-ed into spare low bytes or sorted
+    as one more key); small blocks hash the owner's four bytes
+    followed by the row's bytes.  Both must give the groups of that
+    byte key.
+    """
+
+    @staticmethod
+    def byte_key_groups(matrix, owner):
+        data = np.concatenate(
+            [owner.astype(">u4").view(np.uint8).reshape(-1, 4),
+             np.ascontiguousarray(matrix).view(np.uint8)], axis=1)
+        first, inverse = TestPackedBitRows.byte_key_groups(data)
+        return first, inverse
+
+    @staticmethod
+    def contents(first, inverse):
+        groups = [tuple(np.flatnonzero(inverse == group).tolist())
+                  for group in range(first.size)]
+        # Each group's first row is its first occurrence.
+        assert [group[0] for group in groups] == first.tolist()
+        return sorted(groups)
+
+    @pytest.mark.parametrize("dtype,cols", [
+        (np.uint8, 0), (np.uint8, 1), (np.uint8, 9), (np.uint8, 56),
+        (np.uint8, 57), (np.uint8, 64), (np.bool_, 63), (np.bool_, 127),
+        (np.int64, 10)])
+    # Owners below 256 fit a one-word row's spare byte; 300 does not.
+    @pytest.mark.parametrize("owners", [2, 300])
+    def test_same_groups_as_byte_keys(self, dtype, cols, owners,
+                                      regime):
+        count = 600
+        matrix = pooled(dtype, count, seed=cols + owners, cols=cols,
+                        pool=6)
+        owner = np.random.default_rng(owners).integers(0, owners,
+                                                       size=count)
+        first, inverse = row_groups(matrix, owner)
+        assert first.dtype == inverse.dtype == np.intp
+        assert self.contents(first, inverse) == self.contents(
+            *self.byte_key_groups(matrix, owner))
+        np.testing.assert_array_equal(matrix[first][inverse], matrix)
+        np.testing.assert_array_equal(owner[first][inverse], owner)
+
+    def test_equal_rows_of_different_owners_stay_apart(self):
+        matrix = np.ones((200, 12), dtype=np.uint8)
+        owner = np.arange(200) % 3
+        first, inverse = row_groups(matrix, owner)
+        assert first.tolist() == [0, 1, 2]
+        np.testing.assert_array_equal(inverse, owner)
+
+    def test_non_bit_values_keep_byte_keys(self):
+        matrix = pooled(np.uint8, 300, seed=5, cols=16)
+        matrix[::7, 3] = 2
+        owner = np.arange(300) % 5
+        assert self.contents(*row_groups(matrix, owner)) \
+            == self.contents(*self.byte_key_groups(matrix, owner))
