@@ -30,6 +30,10 @@ the stacked frontier (one group, every block's base added once)
 against per-item ``plan_rows``, after asserting that both routes give
 bitwise-equal outcomes and kernel rows.
 
+One more line times a comparison round's engine bookkeeping alone
+(row taking, each lane's stopping-rule walk, unwinding) at 4 and 32
+lanes, with ``evaluate_many`` returning scripted outcomes.
+
 A §VI-B section runs the temperature-aware attack (assistant
 substitution at attacker-chosen temperatures) as a per-device loop and
 as a lock-step campaign on twin devices with seeded sensor streams,
@@ -60,7 +64,12 @@ from repro.core import (
     TempAwareAttack,
 )
 from repro.core.batch_oracle import plan_frontier
-from repro.core.lockstep import ComparisonEngine, LaneEngine
+from repro.core.lockstep import (
+    ComparisonEngine,
+    ComparisonRequest,
+    Lane,
+    LaneEngine,
+)
 from repro.ecc.kernel import kernel_stats, run_kernels
 from repro.fleet import Fleet, GroupAttackFactory, run_campaign
 from repro.keygen import (
@@ -79,6 +88,8 @@ QUICK_TEMP_DEVICES = 2
 FLEET_GROUP_DEVICES = 32
 #: Lanes of the timed §VI-A comparison round.
 ROUND_LANES = 32
+#: Lane counts of the timed engine-bookkeeping round.
+BOOKKEEPING_LANES = (4, 32)
 QUICK_FLEET_GROUP_DEVICES = 2
 #: Wall-time ceiling of the 32-device group-based fleet campaign.
 FLEET_GROUP_BUDGET_S = 10.0
@@ -255,6 +266,53 @@ def comparison_round_plan_us(lanes=ROUND_LANES, repeats=30):
     return stacked_us, per_item_us, len(frontier._groups)
 
 
+class _ScriptedLaneOracle:
+    """Lane oracle whose noise rows index a scripted outcome array."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def take_rows(self, count):
+        return np.arange(count)
+
+    def untake_rows(self, rows):
+        pass
+
+
+class _ScriptedComparisonEngine(ComparisonEngine):
+    """``ComparisonEngine`` whose round evaluation reads the scripts."""
+
+    def evaluate_many(self, items):
+        return [oracle.script[rows] for oracle, _, rows, _ in items]
+
+
+def engine_round_us(lanes, repeats=300):
+    """Best-of-*repeats* µs of one comparison round's bookkeeping.
+
+    Every lane takes its first step with the default comparer; the
+    scripted failure rates of its two helpers cycle through
+    separated, identical-extremes, gap-walking and undecided pairs, so
+    lanes stop by every rule or carry on.  Evaluation is stubbed, so
+    the time is the engine's own.
+    """
+    rng = np.random.default_rng(0)
+    rates = [(0.0, 1.0), (0.0, 0.0), (0.1, 0.8), (0.4, 0.5)]
+    rows = 2 * ComparisonEngine.block
+    scripts = [rng.random(rows) >= np.tile(rates[lane % len(rates)],
+                                           rows // 2)
+               for lane in range(lanes)]
+    request = ComparisonRequest("a", "b")
+    engine = _ScriptedComparisonEngine()
+    walls = []
+    for _ in range(repeats):
+        batch = [Lane(_ScriptedLaneOracle(script), request)
+                 for script in scripts]
+        start = time.perf_counter()
+        engine.step(batch)
+        walls.append(time.perf_counter() - start)
+    return min(walls) * 1e6
+
+
 def run_group_campaign(devices=GROUP_DEVICES):
     """Scalar loop vs lock-step campaign on the §VI-C attack."""
     scalar_results = []
@@ -372,6 +430,13 @@ def test_attack_lockstep_campaign(benchmark, quick):
                    f"{stacked_us / (2 * ROUND_LANES):.1f}"),
                   ("per-item plan_rows", f"{per_item_us:.0f}",
                    f"{per_item_us / (2 * ROUND_LANES):.1f}")]))
+
+    round_us = [engine_round_us(lanes) for lanes in BOOKKEEPING_LANES]
+    record("E18 / §VI-A — engine bookkeeping of one comparison round "
+           "(evaluate_many stubbed with scripted outcomes)",
+           [", ".join(f"{lanes} lanes: {us:.0f} µs" for lanes, us in
+                      zip(BOOKKEEPING_LANES, round_us))
+            + " (best of 300)"])
 
     grp_devices = QUICK_GROUP_DEVICES if quick else GROUP_DEVICES
     (grp_scalar, grp_lockstep, grp_keys, grp_scalar_s,

@@ -112,6 +112,7 @@ class FailureRateComparer:
         self._confidence = float(confidence)
         self._identical_stop = (None if identical_stop is None
                                 else int(identical_stop))
+        self._bounds: Dict[int, float] = {}
 
     @property
     def max_queries_per_side(self) -> int:
@@ -134,9 +135,17 @@ class FailureRateComparer:
         return self._identical_stop
 
     def _bound(self, samples: int) -> float:
-        """Hoeffding bound on the difference of two Bernoulli means."""
-        delta = 1.0 - self._confidence
-        return 2.0 * math.sqrt(math.log(2.0 / delta) / (2.0 * samples))
+        """Hoeffding bound on the difference of two Bernoulli means.
+
+        Memoised per sample count: every walk asks for it at each of
+        its samples, and a comparer serves a whole attack.
+        """
+        bound = self._bounds.get(samples)
+        if bound is None:
+            delta = 1.0 - self._confidence
+            bound = self._bounds[samples] = 2.0 * math.sqrt(
+                math.log(2.0 / delta) / (2.0 * samples))
+        return bound
 
     @staticmethod
     def _significant(failures_a: int, failures_b: int,
@@ -154,6 +163,66 @@ class FailureRateComparer:
             return p_a != p_b
         return abs(p_a - p_b) / math.sqrt(variance) > z_threshold
 
+    def walk(self, carry: Tuple[int, int, int], outcomes_a,
+             outcomes_b) -> Tuple[Tuple[int, int, int], bool, bool]:
+        """Advance the stopping rules over paired outcomes.
+
+        *carry* is ``(failures_a, failures_b, samples)`` so far;
+        *outcomes_a* / *outcomes_b* yield the next paired successes
+        (``True`` = reconstructed).  Returns the new carry, whether a
+        rule stopped the walk (at the carry's last sample) and whether
+        that stop separated the helpers.  Every path — the scalar
+        oracle, a blocked :class:`~repro.core.batch_oracle.BatchOracle`
+        and each lock-step lane — walks its samples through this one
+        function, so they decide identically by construction.
+        """
+        failures_a, failures_b, samples = carry
+        for ok_a, ok_b in zip(outcomes_a, outcomes_b):
+            failures_a += 0 if ok_a else 1
+            failures_b += 0 if ok_b else 1
+            samples += 1
+            if samples < self._min:
+                continue
+            carry = (failures_a, failures_b, samples)
+            # Fast path: perfectly separated outcomes.  If one helper
+            # never failed while the other always did, the posterior odds
+            # of the rates being equal decay as 2^-samples; a handful of
+            # samples already beats the Hoeffding criterion by orders of
+            # magnitude (the near-deterministic regime the error
+            # injection engineers on purpose).
+            if {failures_a, failures_b} == {0, samples}:
+                return carry, True, True
+            if (self._identical_stop is not None
+                    and samples >= self._identical_stop
+                    and failures_a == failures_b
+                    and failures_a in (0, samples)):
+                return carry, True, False
+            gap = abs(failures_a - failures_b) / samples
+            if gap > self._bound(samples):
+                return carry, True, True
+        return (failures_a, failures_b, samples), False, False
+
+    def outcome(self, carry: Tuple[int, int, int],
+                separated: bool) -> ComparisonOutcome:
+        """Turn a finished :meth:`walk` into the comparison's outcome.
+
+        A walk that ended without a separating stop (identical
+        extremes or budget exhaustion) falls back to
+        :meth:`_significant`.
+        """
+        failures_a, failures_b, samples = carry
+        if not separated:
+            separated = self._significant(failures_a, failures_b,
+                                          samples)
+        if not separated or failures_a == failures_b:
+            decision = "tie"
+        elif failures_a < failures_b:
+            decision = "a"
+        else:
+            decision = "b"
+        return ComparisonOutcome(decision, 2 * samples, failures_a,
+                                 failures_b, samples)
+
     def compare(self, oracle: HelperDataOracle, helper_a, helper_b,
                 op: Optional[OperatingPoint] = None) -> ComparisonOutcome:
         """Decide which helper fails less often.
@@ -165,58 +234,24 @@ class FailureRateComparer:
         """
         if isinstance(oracle, BatchOracle):
             return self._compare_blocked(oracle, helper_a, helper_b, op)
-        start = oracle.queries
-        failures_a = 0
-        failures_b = 0
-        samples = 0
-        separated = False
-        for _ in range(self._max):
-            failures_a += 0 if oracle.query(helper_a, op) else 1
-            failures_b += 0 if oracle.query(helper_b, op) else 1
-            samples += 1
-            if samples < self._min:
-                continue
-            # Fast path: perfectly separated outcomes.  If one helper
-            # never failed while the other always did, the posterior odds
-            # of the rates being equal decay as 2^-samples; a handful of
-            # samples already beats the Hoeffding criterion by orders of
-            # magnitude (the near-deterministic regime the error
-            # injection engineers on purpose).
-            if {failures_a, failures_b} == {0, samples}:
-                separated = True
-                break
-            if (self._identical_stop is not None
-                    and samples >= self._identical_stop
-                    and failures_a == failures_b
-                    and failures_a in (0, samples)):
-                break
-            gap = abs(failures_a - failures_b) / samples
-            if gap > self._bound(samples):
-                separated = True
-                break
-        if not separated:
-            separated = self._significant(failures_a, failures_b,
-                                          samples)
-        if not separated or failures_a == failures_b:
-            decision = "tie"
-        elif failures_a < failures_b:
-            decision = "a"
-        else:
-            decision = "b"
-        return ComparisonOutcome(decision, oracle.queries - start,
-                                 failures_a, failures_b, samples)
+        # zip pulls a, then b: the paired query order of one sample.
+        budget = range(self._max)
+        carry, _, separated = self.walk(
+            (0, 0, 0), (oracle.query(helper_a, op) for _ in budget),
+            (oracle.query(helper_b, op) for _ in budget))
+        return self.outcome(carry, separated)
 
     def _compare_blocked(self, oracle: BatchOracle, helper_a, helper_b,
                          op: Optional[OperatingPoint]
                          ) -> ComparisonOutcome:
-        """Block-vectorized :meth:`compare` over a batched oracle.
+        """Block-wise :meth:`compare` over a batched oracle.
 
         Delegates to the lock-step ``ComparisonEngine`` with a single
-        lane, so the vectorized form of the stopping rules exists
-        exactly once — the same code advances one device's block walk
-        and a whole campaign batch.  Rows past the decision point are
-        unwound by the engine; stream position and query count land
-        where the sequential loop would have stopped.
+        lane: each round evaluates one block of paired samples in one
+        vectorized pass and walks it through :meth:`walk`.  Rows past
+        the decision point are unwound by the engine; stream position
+        and query count land where the sequential loop would have
+        stopped.
         """
         # Imported here: lockstep depends on this module at import
         # time for the outcome/request vocabulary.

@@ -15,11 +15,11 @@ that structure explicit so one attack can be executed two ways:
   (:class:`repro.fleet.campaign.LockstepCampaign`) gathers the pending
   request of every active device each round and advances them together
   through the :class:`LaneEngine` subclasses below: one noise block per
-  device per round, with the Hoeffding/Wald/arg-min bookkeeping
-  evaluated for the whole batch in a handful of NumPy passes
-  (per-device accept/reject/continue masks, exactly like the per-row
-  discrepancy masks of the batched Berlekamp–Massey decoder).  Each
-  round's blocks are evaluated through one frontier plan
+  device per round, evaluated for the whole batch, after which each
+  lane walks its block through its distinguisher's own per-sample
+  rule (``FailureRateComparer.walk``, ``SPRTDistinguisher.walk``) —
+  the function the scalar drive runs too.  Each round's blocks are
+  evaluated through one frontier plan
   (:func:`~repro.core.batch_oracle.plan_frontier`) over two routes:
   blocks whose extraction is a described pair-column index — raw
   ``>=`` pairs (sequential), residual ``>=`` pairs (distiller) or
@@ -42,12 +42,13 @@ the enrolled helper instead, in every request type.
 
 **Equivalence contract.**  Each device owns its oracle and noise
 stream, and a lane only ever consumes rows from its own oracle in
-request order, unwinding speculative tails; all stopping rules are
-evaluated at every sample index with the same IEEE operation sequence
-as the scalar walk.  Decisions, per-comparison query counts, recovered
-keys and final stream positions are therefore **bitwise-identical** to
-the scalar per-device loop for every batch composition — asserted in
-``tests/fleet/test_campaign.py`` and in
+request order, unwinding speculative tails, and walks every sample
+through the one stopping-rule function the scalar walk uses, carrying
+its counts between rounds.  Decisions, per-comparison query counts,
+recovered keys and final stream positions are therefore
+**bitwise-identical** to the scalar per-device loop for every batch
+composition — asserted in ``tests/fleet/test_campaign.py``,
+``tests/core/test_lane_walks.py`` and
 ``benchmarks/bench_attack_lockstep.py``.
 
 An attack participates by exposing ``steps()``: a generator yielding
@@ -99,13 +100,13 @@ class ComparisonRequest:
     """Ask which of two helpers fails less often (paired Hoeffding).
 
     Answered with a :class:`~repro.core.framework.ComparisonOutcome`.
-    ``comparer`` carries the stopping-rule configuration; the scalar
-    drive calls it directly, the lock-step engine reads its budgets and
-    confidence and replays the same rules batch-wide.  The §VI-A and
-    §VI-C attacks send each helper as a described manipulation of the
-    enrolled one (:class:`~repro.keygen.batch.DescribedHelper`): the
-    lock-step engine stacks its arrays, the scalar oracle
-    materialises it.
+    ``comparer`` carries the stopping rules; the scalar drive calls it
+    directly, the lock-step engine walks each lane's blocks through
+    :meth:`~repro.core.framework.FailureRateComparer.walk`.  The
+    §VI-A and §VI-C attacks send each helper as a described
+    manipulation of the enrolled one
+    (:class:`~repro.keygen.batch.DescribedHelper`): the lock-step
+    engine stacks its arrays, the scalar oracle materialises it.
     """
 
     helper_a: object
@@ -242,11 +243,9 @@ class Lane:
     """One device's seat in a lock-step round: oracle + pending work.
 
     ``state`` is engine-private decision state carried between rounds
-    (cumulative failure counts, a running log-likelihood, a scan
-    position); it lives on the lane so an abandoned campaign cannot
-    leak stale state into a recycled object id.  ``constants`` holds
-    the request's engine-private stopping-rule settings, read once
-    when an engine first steps the lane.
+    (a distinguisher walk's carry, a scan position); it lives on the
+    lane so an abandoned campaign cannot leak stale state into a
+    recycled object id.
     """
 
     def __init__(self, oracle: BatchOracle, request) -> None:
@@ -254,7 +253,6 @@ class Lane:
         self.request = request
         self.outcome: Optional[object] = None
         self.state: Optional[object] = None
-        self.constants: Optional[tuple] = None
 
     @property
     def finished(self) -> bool:
@@ -327,13 +325,11 @@ class ComparisonEngine(LaneEngine):
 
     Per round each active lane contributes one block of paired samples
     (even noise rows feed helper *a*, odd rows *b* — the sequential
-    interleave); the three stopping rules are then evaluated for the
-    whole batch on cumulative-count matrices, and lanes that triggered
-    unwind their unused rows and deliver their outcome.  The bound is
-    computed with the same IEEE operation sequence as
-    ``FailureRateComparer._bound``, so decisions round identically.
-    Each lane's comparer settings are read once, when the engine first
-    steps it (:attr:`Lane.constants`).
+    interleave), evaluated for the whole batch through one frontier.
+    Each lane then walks its block through its comparer's own
+    per-sample rule (:meth:`FailureRateComparer.walk`), carrying
+    ``(failures_a, failures_b, samples)`` between rounds; a lane that
+    stopped unwinds its unused rows and delivers its outcome.
     """
 
     request_type = ComparisonRequest
@@ -341,115 +337,46 @@ class ComparisonEngine(LaneEngine):
     #: paired samples granted to every lane per round
     block = 8
 
-    @staticmethod
-    def _constants(comparer: FailureRateComparer) -> tuple:
-        """``(max, min, identical stop or -1, log(2 / delta))``."""
-        ident = comparer.identical_stop
-        # math.log, not np.log: the scalar walk derives its Hoeffding
-        # bound from math.log and the two need not round identically.
-        return (comparer.max_queries_per_side,
-                comparer.min_queries_per_side,
-                -1 if ident is None else ident,
-                math.log(2.0 / (1.0 - comparer.confidence)))
-
     def step(self, lanes: Sequence[Lane]) -> None:
         """Advance each pending comparison by one paired-sample block."""
-        count = len(lanes)
-        if not count:
-            return
-        for lane in lanes:
-            if lane.constants is None:
-                lane.constants = self._constants(lane.request.comparer)
-        maxima, minima, ident, delta_log = map(
-            np.array, zip(*[lane.constants for lane in lanes]))
-        prior_a, prior_b, prior_n = np.array(
-            [lane.state or (0, 0, 0) for lane in lanes],
-            dtype=np.int64).T
-        sizes = np.minimum(self.block, maxima - prior_n)
-        width = int(sizes.max())
-
         taken: List[np.ndarray] = []
         items = []
-        for lane, size in zip(lanes, sizes.tolist()):
-            rows = lane.oracle.take_rows(2 * size)
-            taken.append(rows)
+        for lane in lanes:
             request = lane.request
+            samples = lane.state[2] if lane.state else 0
+            rows = lane.oracle.take_rows(2 * min(
+                self.block,
+                request.comparer.max_queries_per_side - samples))
+            taken.append(rows)
             items.append((lane.oracle, request.helper_a, rows[0::2],
                           request.op))
             items.append((lane.oracle, request.helper_b, rows[1::2],
                           request.op))
         results = self.evaluate_many(items)
-        if (sizes == width).all():
-            out_a = np.array(results[0::2])
-            out_b = np.array(results[1::2])
-        else:
-            out_a = np.ones((count, width), dtype=bool)
-            out_b = np.ones((count, width), dtype=bool)
-            for i, size in enumerate(sizes.tolist()):
-                out_a[i, :size] = results[2 * i]
-                out_b[i, :size] = results[2 * i + 1]
-
-        cum_a = prior_a[:, None] + np.cumsum(~out_a, axis=1)
-        cum_b = prior_b[:, None] + np.cumsum(~out_b, axis=1)
-        counts = prior_n[:, None] + np.arange(1, width + 1)
-        low = np.minimum(cum_a, cum_b)
-        high = np.maximum(cum_a, cum_b)
-        stop_separated = ((low == 0) & (high == counts)
-                          & (cum_a != cum_b))
-        # Same IEEE operation sequence as FailureRateComparer._bound so
-        # lock-step and scalar comparisons round identically.
-        bounds = 2.0 * np.sqrt(delta_log[:, None] / (2.0 * counts))
-        stop_gap = np.abs(cum_a - cum_b) / counts > bounds
-        stop_identical = ((ident[:, None] >= 0)
-                          & (counts >= ident[:, None])
-                          & (cum_a == cum_b)
-                          & ((cum_a == 0) | (cum_a == counts)))
-        valid = np.arange(width)[None, :] < sizes[:, None]
-        trigger = (valid & (counts >= minima[:, None])
-                   & (stop_separated | stop_identical | stop_gap))
-        # One tolist() per result array; each lane reads its decisive
-        # sample: its first trigger, else its last.
-        stopped = zip(lanes, trigger.any(axis=1).tolist(),
-                      np.argmax(trigger, axis=1).tolist(), sizes.tolist(),
-                      cum_a.tolist(), cum_b.tolist(), counts.tolist(),
-                      (stop_separated | stop_gap).tolist(),
-                      maxima.tolist(), taken)
-        for (lane, fired, first, size, lane_a, lane_b, lane_n,
-             lane_separated, most, rows) in stopped:
-            at = first if fired else size - 1
-            failures_a, failures_b, samples = (lane_a[at], lane_b[at],
-                                               lane_n[at])
-            if fired:
-                lane.oracle.untake_rows(rows[2 * (first + 1):])
-                separated = lane_separated[at]
-            else:
-                if samples < most:
-                    lane.state = (failures_a, failures_b, samples)
-                    continue
-                separated = False
+        for lane, rows, out_a, out_b in zip(lanes, taken, results[0::2],
+                                            results[1::2]):
+            comparer = lane.request.comparer
+            prior = lane.state or (0, 0, 0)
+            carry, stopped, separated = comparer.walk(
+                prior, out_a.tolist(), out_b.tolist())
+            if stopped:
+                lane.oracle.untake_rows(rows[2 * (carry[2] - prior[2]):])
+            elif carry[2] < comparer.max_queries_per_side:
+                lane.state = carry
+                continue
             lane.state = None
-            if not separated:
-                separated = FailureRateComparer._significant(
-                    failures_a, failures_b, samples)
-            if not separated or failures_a == failures_b:
-                decision = "tie"
-            elif failures_a < failures_b:
-                decision = "a"
-            else:
-                decision = "b"
-            lane.outcome = ComparisonOutcome(
-                decision, 2 * samples, failures_a, failures_b, samples)
+            lane.outcome = comparer.outcome(carry, separated)
 
 
 class SPRTEngine(LaneEngine):
     """Lock-step Wald walks across devices.
 
-    Each lane's running log-likelihood is extended by one outcome block
-    per round; carries are prepended before the cumulative sum so the
-    floating-point accumulation order matches the scalar walk, and the
-    first boundary crossing decides with the tail rows unwound.  The
-    distinguisher's budget, boundaries and steps are read once per
-    lane (:attr:`Lane.constants`).
+    Each lane's walk is extended by one observation block per round,
+    evaluated for the whole batch through one frontier and walked
+    through the distinguisher's own per-sample rule
+    (:meth:`SPRTDistinguisher.walk`), carrying ``(llr, failures,
+    queries)`` between rounds; the first boundary crossing decides
+    with the tail rows unwound.
     """
 
     request_type = SPRTRequest
@@ -459,72 +386,27 @@ class SPRTEngine(LaneEngine):
 
     def step(self, lanes: Sequence[Lane]) -> None:
         """Advance each pending Wald walk by one observation block."""
-        count = len(lanes)
-        if not count:
-            return
-        prior_llr = np.zeros(count)
-        prior_fail = np.zeros(count, dtype=np.int64)
-        prior_q = np.zeros(count, dtype=np.int64)
-        for i, lane in enumerate(lanes):
-            prior_llr[i], prior_fail[i], prior_q[i] = (lane.state
-                                                       or (0.0, 0, 0))
-            if lane.constants is None:
-                sprt = lane.request.distinguisher
-                lane.constants = (sprt.max_queries, sprt.boundaries,
-                                  sprt.llr_steps)
-        maxima, bounds, steps_sf = map(
-            np.array, zip(*[lane.constants for lane in lanes]))
-        sizes = np.minimum(self.block, maxima - prior_q)
-        width = int(sizes.max())
-
-        outcomes = np.ones((count, width), dtype=bool)
         taken: List[np.ndarray] = []
         items = []
-        for i, lane in enumerate(lanes):
-            size = int(sizes[i])
-            rows = lane.oracle.take_rows(size)
+        for lane in lanes:
+            request = lane.request
+            queries = lane.state[2] if lane.state else 0
+            rows = lane.oracle.take_rows(min(
+                self.block, request.distinguisher.max_queries - queries))
             taken.append(rows)
-            items.append((lane.oracle, lane.request.helper, rows,
-                          lane.request.op))
+            items.append((lane.oracle, request.helper, rows, request.op))
         results = self.evaluate_many(items)
-        for i in range(count):
-            outcomes[i, :int(sizes[i])] = results[i]
-
-        increments = np.where(outcomes, steps_sf[:, 0:1],
-                              steps_sf[:, 1:2])
-        # Prepending the carry keeps each row's additions in scalar
-        # order: ((llr + s1) + s2) + ..., not llr + (s1 + s2 + ...).
-        walk = np.cumsum(
-            np.concatenate([prior_llr[:, None], increments], axis=1),
-            axis=1)[:, 1:]
-        valid = np.arange(width)[None, :] < sizes[:, None]
-        crossed = valid & ((walk >= bounds[:, 1:2])
-                           | (walk <= bounds[:, 0:1]))
-        fired = crossed.any(axis=1)
-        first = np.argmax(crossed, axis=1)
-
-        for i, lane in enumerate(lanes):
-            size = int(sizes[i])
-            if fired[i]:
-                idx = int(first[i])
-                lane.oracle.untake_rows(taken[i][idx + 1:])
-                queries = int(prior_q[i]) + idx + 1
-                failures = int(prior_fail[i]) + int(
-                    np.count_nonzero(~outcomes[i, :idx + 1]))
-                llr = float(walk[i, idx])
-                decision = "neq" if llr >= bounds[i, 1] else "eq"
-            else:
-                queries = int(prior_q[i]) + size
-                failures = int(prior_fail[i]) + int(
-                    np.count_nonzero(~outcomes[i, :size]))
-                llr = float(walk[i, size - 1])
-                if queries < int(maxima[i]):
-                    lane.state = (llr, failures, queries)
-                    continue
-                decision = "neq" if llr > 0 else "eq"
+        for lane, rows, outcomes in zip(lanes, taken, results):
+            sprt = lane.request.distinguisher
+            prior = lane.state or (0.0, 0, 0)
+            carry, decision = sprt.walk(prior, outcomes.tolist())
+            if decision is not None:
+                lane.oracle.untake_rows(rows[carry[2] - prior[2]:])
+            elif carry[2] < sprt.max_queries:
+                lane.state = carry
+                continue
             lane.state = None
-            lane.outcome = SPRTOutcome(decision, queries, failures,
-                                       llr)
+            lane.outcome = sprt.outcome(carry, decision)
 
 
 class SelectionEngine(LaneEngine):
@@ -542,26 +424,24 @@ class SelectionEngine(LaneEngine):
     def step(self, lanes: Sequence[Lane]) -> None:
         """Advance each pending scan by one full-budget hypothesis."""
         items = []
-        labels_per_lane: List[List[Hashable]] = []
         for lane in lanes:
             request = lane.request
-            if not request.helpers:
-                raise ValueError("need at least one hypothesis")
-            # lane state: [hypothesis index, queries, rates, best]
             if lane.state is None:
-                lane.state = [0, 0, {}, (math.inf, None)]
-            labels = list(request.helpers)
-            labels_per_lane.append(labels)
-            label = labels[lane.state[0]]
+                if not request.helpers:
+                    raise ValueError("need at least one hypothesis")
+                # lane state: [labels, hypothesis index, queries,
+                # rates, best]
+                lane.state = [list(request.helpers), 0, 0, {},
+                              (math.inf, None)]
+            labels, index = lane.state[:2]
             rows = lane.oracle.take_rows(
                 request.queries_per_hypothesis)
-            items.append((lane.oracle, request.helpers[label], rows,
-                          request.op))
+            items.append((lane.oracle, request.helpers[labels[index]],
+                          rows, request.op))
         results = self.evaluate_many(items)
-        for lane, labels, outcomes in zip(lanes, labels_per_lane,
-                                          results):
+        for lane, outcomes in zip(lanes, results):
             request = lane.request
-            index, queries, rates, best = lane.state
+            labels, index, queries, rates, best = lane.state
             label = labels[index]
             budget = request.queries_per_hypothesis
             failures = int(np.count_nonzero(~outcomes))
@@ -576,7 +456,7 @@ class SelectionEngine(LaneEngine):
                 lane.outcome = SelectionOutcome(best[1], queries,
                                                 rates)
             else:
-                lane.state = [index + 1, queries, rates, best]
+                lane.state = [labels, index + 1, queries, rates, best]
 
 
 class QueryBlockEngine(LaneEngine):

@@ -90,16 +90,6 @@ class SPRTDistinguisher:
         return self._p_high
 
     @property
-    def boundaries(self) -> Tuple[float, float]:
-        """Wald acceptance boundaries ``(lower, upper)`` on the LLR."""
-        return self._lower, self._upper
-
-    @property
-    def llr_steps(self) -> Tuple[float, float]:
-        """Per-observation LLR increments ``(success, failure)``."""
-        return self._llr_success, self._llr_fail
-
-    @property
     def max_queries(self) -> int:
         """Hard per-test query budget."""
         return self._max
@@ -148,6 +138,42 @@ class SPRTDistinguisher:
                             for _ in range(queries))
         return cls.from_counts(fails_eq, fails_neq, queries, **kwargs)
 
+    def walk(self, carry: Tuple[float, int, int], outcomes
+             ) -> Tuple[Tuple[float, int, int], Optional[str]]:
+        """Extend a Wald walk by the next observations.
+
+        *carry* is ``(llr, failures, queries)`` so far; *outcomes*
+        yields the next reconstruction successes.  Returns the new
+        carry and ``"neq"`` / ``"eq"`` at the first boundary crossing
+        (the carry's last observation), else ``None``.  The scalar
+        oracle, a blocked :class:`~repro.core.batch_oracle.BatchOracle`
+        and every lock-step lane walk their observations through this
+        one function.
+        """
+        llr, failures, queries = carry
+        for ok in outcomes:
+            queries += 1
+            if ok:
+                llr += self._llr_success
+            else:
+                failures += 1
+                llr += self._llr_fail
+            if llr >= self._upper:
+                return (llr, failures, queries), "neq"
+            if llr <= self._lower:
+                return (llr, failures, queries), "eq"
+        return (llr, failures, queries), None
+
+    @staticmethod
+    def outcome(carry: Tuple[float, int, int],
+                decision: Optional[str]) -> SPRTOutcome:
+        """Turn a finished :meth:`walk` into the test's outcome; an
+        exhausted budget is decided by the likelihood ratio's sign."""
+        llr, failures, queries = carry
+        if decision is None:
+            decision = "neq" if llr > 0 else "eq"
+        return SPRTOutcome(decision, queries, failures, llr)
+
     def test(self, oracle: HelperDataOracle, helper,
              op: Optional[OperatingPoint] = None) -> SPRTOutcome:
         """Run the sequential test against one manipulated helper.
@@ -158,31 +184,19 @@ class SPRTDistinguisher:
         """
         if isinstance(oracle, BatchOracle):
             return self._test_blocked(oracle, helper, op)
-        llr = 0.0
-        failures = 0
-        queries = 0
-        for _ in range(self._max):
-            queries += 1
-            if oracle.query(helper, op):
-                llr += self._llr_success
-            else:
-                failures += 1
-                llr += self._llr_fail
-            if llr >= self._upper:
-                return SPRTOutcome("neq", queries, failures, llr)
-            if llr <= self._lower:
-                return SPRTOutcome("eq", queries, failures, llr)
-        decision = "neq" if llr > 0 else "eq"
-        return SPRTOutcome(decision, queries, failures, llr)
+        return self.outcome(*self.walk(
+            (0.0, 0, 0),
+            (oracle.query(helper, op) for _ in range(self._max))))
 
     def _test_blocked(self, oracle: BatchOracle, helper,
                       op: Optional[OperatingPoint]) -> SPRTOutcome:
-        """Block-vectorized Wald walk.
+        """Block-wise Wald walk over a batched oracle.
 
-        Delegates to the lock-step ``SPRTEngine`` with a single lane,
-        so the vectorized walk (carry-seeded cumulative sum, first
-        boundary crossing decides, tail rows unwound) exists exactly
-        once for single tests and campaign batches alike.
+        Delegates to the lock-step ``SPRTEngine`` with a single lane:
+        each round evaluates one observation block in one vectorized
+        pass and walks it through :meth:`walk`, tail rows past the
+        first boundary crossing unwound — the same code for single
+        tests and campaign batches alike.
         """
         # Imported here: lockstep depends on this module at import
         # time for the outcome/request vocabulary.
