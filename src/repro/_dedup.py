@@ -9,22 +9,23 @@ primitives they all share.
 Row identity is byte equality: two rows are the same pattern iff their
 raw bytes are equal (so float ``0.0`` and ``-0.0`` are distinct
 patterns).  Two regimes share that one definition.  Large blocks
-(Monte-Carlo sweeps, the decode-engine benches) view each row as one
-opaque ``np.void`` key and group with a 1-D ``np.unique`` over those
-keys, with no structured-dtype sort (0/1 rows of ``uint8`` or ``bool``
-are bit-packed first, in an order-preserving way, and rows of up to 64
-bits sort as one integer); small blocks — the
-adaptive-distinguisher rounds of the attack engine, typically 8 rows —
-hash ``tobytes`` keys instead, which beats the fixed cost of the
-vectorised calls.  Group *contents* (pattern → ascending row indices)
-are identical either way; the group order is unspecified, and no
-consumer depends on it: every caller computes a per-pattern result and
-scatters it back to the pattern's row indices.
+(Monte-Carlo sweeps, the decode-engine benches) sort once: 0/1 rows of
+``uint8`` or ``bool`` are bit-packed, first bit highest, into 64-bit
+integer words, and any other rows are viewed as one opaque ``np.void``
+key each and grouped with a 1-D ``np.unique``, with no
+structured-dtype sort.  Small blocks — the adaptive-distinguisher
+rounds of the attack engine, typically 8 rows — hash ``tobytes`` keys
+instead, which beats the fixed cost of the vectorised calls.  Group
+*contents* (pattern → ascending row indices) are identical either way;
+the group order is unspecified, and no consumer depends on it: every
+caller computes a per-pattern result and scatters it back to the
+pattern's row indices.
 
 A stacked frontier group dedups per block: ``row_groups(bits,
 owner)`` keeps equal rows of different owners apart.  Its large
-blocks key each row on integers (the packed row in 64-bit words, the
-owner beside it) and sort once, with no ``np.void`` keys.
+blocks key each row on integers (the packed row or its bytes in
+64-bit words, the owner beside it) and sort once, with no ``np.void``
+keys.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ import numpy as np
 #: Blocks of at most this many rows take the hashed grouping.  The
 #: "dedup crossover" table of ``benchmarks/bench_ecc_decode.py``
 #: (one ``row_groups`` call on 127-bit 0/1 rows, 2-vCPU x86 host) has
-#: hashed ahead up to 32 rows (8 rows: 4-8 µs vs 14-16 µs keyed), the
-#: two within noise at 64, and keyed ahead from 128 rows on (1024
-#: rows: 0.16-0.22 ms vs 0.28-0.59 ms).
+#: hashed ahead up to 64 rows (8 rows: 5-10 µs vs 19-34 µs keyed; 64
+#: rows: 19-35 µs vs 22-41 µs) and keyed ahead from 128 rows on (128
+#: rows: 26-48 µs vs 33-61 µs; 1024: 0.10-0.15 ms vs 0.23-0.36 ms).
 SMALL_BLOCK = 64
 
-#: Row dtypes whose 0/1 rows the keyed grouping bit-packs first.
+#: Row dtypes whose 0/1 rows the integer-keyed grouping bit-packs.
 _BIT_DTYPES = (np.dtype(np.uint8), np.dtype(np.bool_))
 
 
@@ -59,37 +60,24 @@ def _keyed_groups(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # Zero-byte rows are all the same (empty) pattern.
         return np.zeros(min(count, 1), dtype=np.intp), \
             np.zeros(count, dtype=np.intp)
-    keys = None
-    if data.dtype in _BIT_DTYPES and count and data.max() <= 1:
-        # Bit rows pack eight to a byte, first bit highest: that keeps
-        # the rows' byte order, so groups and their order are the
-        # same, and rows of up to 64 bits sort as one integer.
-        data = np.packbits(data, axis=1)
-        width = data.shape[1]
-        if width <= 8:
-            words = np.zeros((count, 8), dtype=np.uint8)
-            words[:, :width] = data
-            keys = words.view(">u8").reshape(-1)
-    if keys is None:
-        keys = data.view(np.dtype((np.void, width))).reshape(-1)
+    keys = data.view(np.dtype((np.void, width))).reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True,
                                   return_inverse=True)
     return first, inverse.reshape(-1)
 
 
-def _owner_groups(matrix: np.ndarray, owner: np.ndarray
+def _owner_groups(matrix: np.ndarray, owner: np.ndarray, bits: bool
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`_keyed_groups` per owner, on integer keys.
 
-    Each row's bytes (0/1 rows bit-packed first, first bit highest)
-    fill big-endian 64-bit words, zero-padded.  When the owner fits in
-    the last word's spare low bytes it is OR-ed in, and one stable
-    argsort groups the rows; otherwise one ``np.lexsort`` sorts by the
-    words and the owner.
+    Each row's bytes (*bits*: 0/1 rows, bit-packed, first bit highest)
+    fill big-endian 64-bit words, zero-padded.  An owner that fits the
+    last word's spare low bytes is OR-ed in for one stable argsort;
+    else one ``np.lexsort`` sorts by the owner, then the words.
     """
     data = np.ascontiguousarray(matrix)
     count = data.shape[0]
-    if data.dtype in _BIT_DTYPES and data.size and data.max() <= 1:
+    if bits:
         width = -(-data.shape[1] // 8)
         spare = -width % 8
         # Packing rows padded to whole words is one flat packbits.
@@ -106,7 +94,7 @@ def _owner_groups(matrix: np.ndarray, owner: np.ndarray
     owner = owner.astype(np.uint64)
     if words.shape[1] == 1 and int(owner.max()) >> (8 * spare) == 0:
         return _sorted_groups((words[:, 0] | owner,))
-    return _sorted_groups(tuple(words.T) + (owner,))
+    return _sorted_groups(tuple(words.T[::-1]) + (owner,))
 
 
 def _sorted_groups(keys: Tuple[np.ndarray, ...]
@@ -158,9 +146,14 @@ def row_groups(matrix: np.ndarray, owner: Optional[np.ndarray] = None
             inverse.append(slot)
         return (np.array(first, dtype=np.intp),
                 np.array(inverse, dtype=np.intp))
-    if owner is not None:
-        return _owner_groups(matrix, owner)
-    return _keyed_groups(matrix)
+    # 0/1 rows key on packed words, with no owner the owner zero.
+    bits = bool(matrix.dtype in _BIT_DTYPES and matrix.size
+                and matrix.max() <= 1)
+    if owner is None:
+        if not bits:
+            return _keyed_groups(matrix)
+        owner = np.zeros(count, dtype=np.intp)
+    return _owner_groups(matrix, owner, bits)
 
 
 def unique_rows(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

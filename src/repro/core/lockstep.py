@@ -276,14 +276,14 @@ class LaneEngine:
     without a trajectory — are stacked per (row count, width, stack
     key), a lone block as a group of one, the stack key holding the
     comparison kind (``>=`` or Kendall), whether a trend is
-    subtracted, and the kernel key: one gather, trend subtraction and
-    compare over the stacked pair indices, one dedup keyed by (block,
-    pattern), one pass of memo lookups, one payload shift and one
-    vectorised key check.  Sequential, distiller and group-based
-    blocks of pairs stack this way; every other block — constant,
-    masked (hardened, temp-aware), assembled (groups of three or
-    more, fuzzy extractor) or malformed, a described helper
-    materialised first — is planned alone via
+    subtracted, the kernel key and the gap check: one gather, trend
+    subtraction and compare over the stacked pair indices, one dedup
+    keyed by (block, pattern), one pass of memo lookups, one payload
+    shift and one vectorised key check.  Sequential, distiller and
+    group-based blocks of pairs stack this way, hardened ones too;
+    every other block — constant, masked (temp-aware), assembled
+    (groups of three or more, fuzzy extractor) or malformed, a
+    described helper materialised first — is planned alone via
     :meth:`~repro.core.batch_oracle.BatchOracle.plan_rows` at its
     place in the round, so transient streams are consumed in request
     order.  Then **one fused kernel call per distinct kernel key

@@ -119,20 +119,6 @@ class EntropyDistiller:
         return helper.polynomial(np.asarray(x, dtype=float),
                                  np.asarray(y, dtype=float))
 
-    def residuals_batch(self, x: np.ndarray, y: np.ndarray,
-                        frequencies: np.ndarray,
-                        helper: DistillerHelper) -> np.ndarray:
-        """Residuals for a ``(B, n)`` measurement batch.
-
-        The stored polynomial is evaluated once over the layout and
-        broadcast-subtracted from every row; row ``i`` equals
-        ``residuals(x, y, frequencies[i], helper)``.
-        """
-        freqs = np.asarray(frequencies, dtype=float)
-        if freqs.ndim != 2:
-            raise ValueError("batch evaluation needs a (B, n) matrix")
-        return freqs - self.trend(x, y, helper)[None, :]
-
     def variance_explained(self, x: np.ndarray, y: np.ndarray,
                            frequencies: np.ndarray) -> float:
         """Fraction of frequency variance captured by the fitted trend.

@@ -268,6 +268,12 @@ class KeyGenerator(abc.ABC):
         """
         return None
 
+    def _device_extraction(self, array: ROArray, extract):
+        """The device's extraction for the one-readout
+        :class:`~repro.keygen.batch.PairColumns` *extract*: itself, or
+        mapped to a multi-readout row and checked (hardened devices)."""
+        return extract
+
     def _finish(self, recovered_key: np.ndarray,
                 key_check: bytes) -> np.ndarray:
         """Apply the application-level key check."""

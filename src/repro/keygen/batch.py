@@ -27,8 +27,8 @@ scalar :meth:`SketchCompletion.complete` reference row by row.
 
 A :class:`FrontierPlan` runs the same three phases for a whole
 lock-step round over two routes: a block that reduces to a
-:class:`PairBlock` (:func:`pair_block`: described
-:class:`PairColumns`, raw or trend-subtracted, ``>=`` or Kendall,
+:class:`PairBlock` (:func:`pair_block`: described :class:`PairColumns`,
+raw or trend-subtracted, ``>=`` or Kendall, gap-checked or not,
 completed through a bare code-offset sketch) — an evaluator's or a
 :class:`DescribedHelper`'s — is planned and finalized in a stacked
 group, alone or with others of its stack key; every other block keeps
@@ -70,6 +70,14 @@ EnvExtractionFn = Callable[[np.ndarray, object],
                            Tuple[np.ndarray, np.ndarray]]
 
 
+def _gap_violations(first: np.ndarray, second: np.ndarray,
+                    floor: float) -> np.ndarray:
+    """Which gathered pairs' gaps ``|first - second|`` are at most
+    *floor*: the one measured-threshold predicate, of the scalar checks
+    and the batch paths alike.  A NaN gap is no violation."""
+    return np.abs(first - second) <= floor
+
+
 def compare_columns(first: np.ndarray, second: np.ndarray,
                     kind: str) -> np.ndarray:
     """Boolean response bits of gathered column pairs, by *kind*.
@@ -93,14 +101,18 @@ class PairColumns:
     :attr:`~repro.pairing.sequential.SequentialPairingHelper.index`).
     An optional *trend* is subtracted from every measurement row first
     (the distiller's residuals ``f - trend``), and *kind* names the
-    comparison (:func:`compare_columns`).  A :class:`FrontierPlan`
-    reads these fields instead of calling the object, to extract the
-    bits of many helpers' blocks in one gather.
+    comparison (:func:`compare_columns`).  An optional *gap* ``(floor,
+    shift)`` is a device's measured-threshold check: a row fails
+    without completion when any pair has ``|r[a - shift] - r[b -
+    shift]| <= floor``, ``r`` being the row minus the trend.  A
+    :class:`FrontierPlan` reads these fields instead of calling the
+    object, to extract the bits of many helpers' blocks in one gather.
     """
 
     index: np.ndarray
     trend: Optional[np.ndarray] = None
     kind: str = "ge"
+    gap: Optional[Tuple[float, int]] = None
 
     def __call__(self, freqs: np.ndarray) -> np.ndarray:
         """The ``(B, P)`` response bits of a ``(B, n)`` block."""
@@ -113,24 +125,34 @@ class PairColumns:
                                freqs[:, self.index[:, 1]],
                                self.kind).view(np.uint8)
 
+    def accepted(self, freqs: np.ndarray) -> np.ndarray:
+        """Which rows of a float ``(B, n)`` block pass :attr:`gap`."""
+        floor, shift = self.gap
+        a, b = (self.index - shift).T
+        values = freqs if self.trend is None else freqs - self.trend
+        return ~_gap_violations(values[:, a], values[:, b],
+                                floor).any(axis=1)
+
 
 class PairBlock(NamedTuple):
     """A stackable block's extraction and completion, as arrays.
 
     What a :class:`FrontierPlan` reads to stack a block with others:
-    the ``(P, 2)`` pair *index*, *trend* and comparison *kind* of a
-    :class:`PairColumns` extraction; the bare code-offset *sketch*
-    completing it; the block's *parsed* payload and *key_check*; and
-    the *memo* of finalized patterns the block consults before the
-    round and extends after it.  *stack_key* is ``(kind, trend is not
-    None, sketch kernel key)``, the sketch key naming the code's parent
-    (so every shortening of one BCH parent shares it): only blocks of
-    one stack key and one row shape stack.
+    the ``(P, 2)`` pair *index*, *trend*, comparison *kind* and
+    measured-threshold *gap* of a :class:`PairColumns` extraction; the
+    bare code-offset *sketch* completing it; the block's *parsed*
+    payload and *key_check*; and the *memo* of finalized patterns the
+    block consults before the round and extends after it.  *stack_key*
+    is ``(kind, trend is not None, sketch kernel key, gap)``, the
+    sketch key naming the code's parent (so every shortening of one
+    BCH parent shares it): only blocks of one stack key and one row
+    shape stack.
     """
 
     index: np.ndarray
     trend: Optional[np.ndarray]
     kind: str
+    gap: Optional[Tuple[float, int]]
     sketch: CodeOffsetSketch
     parsed: np.ndarray
     key_check: bytes
@@ -157,9 +179,10 @@ def pair_block(extract, sketch, parsed: Optional[np.ndarray],
     key = sketch.kernel_key()
     if key is None:
         return None
-    return PairBlock(extract.index, extract.trend, extract.kind, sketch,
-                     parsed, key_check, memo,
-                     (extract.kind, extract.trend is not None, key))
+    return PairBlock(extract.index, extract.trend, extract.kind,
+                     extract.gap, sketch, parsed, key_check, memo,
+                     (extract.kind, extract.trend is not None, key,
+                      extract.gap))
 
 
 class DescribedHelper:
@@ -445,8 +468,8 @@ def _build_plan(bits: np.ndarray, rows: Optional[np.ndarray],
                 count: int) -> EvalPlan:
     """Dedup a bit matrix against the memo and prepare the rest.
 
-    *rows* restricts the scan (masked evaluators); excluded rows stay
-    ``False``, matching their observable refusal on the scalar path.
+    *rows* restricts the scan (rows a device check accepts); excluded
+    rows stay ``False``, as their observable refusal on the scalar path.
     """
     if rows is None:
         rows = slice(None)
@@ -529,10 +552,11 @@ class ResponseBitEvaluator(BatchEvaluator):
 
     *extract* turns a ``(B, n)`` measurement batch into the ``(B,
     bits)`` response matrix in one pass; *completion* finishes the
-    distinct patterns.  A completion without key assembly whose
-    extraction and sketch make a :func:`pair_block` is also a
-    :attr:`block` sharing the evaluator's memo, so frontier rounds
-    stack its blocks with those of the same stack key.
+    distinct patterns, of the rows a :attr:`PairColumns.gap` check
+    accepts.  A completion without key assembly whose extraction and
+    sketch make a :func:`pair_block` is also a :attr:`block` sharing
+    the evaluator's memo, so frontier rounds stack its blocks with
+    those of the same stack key.
     """
 
     def __init__(self, extract: ExtractionFn,
@@ -547,24 +571,14 @@ class ResponseBitEvaluator(BatchEvaluator):
 
     def plan(self, freqs: np.ndarray) -> EvalPlan:
         """Phase 1: extract and dedup; declare the kernel workload."""
-        bits = self._extract(np.asarray(freqs, dtype=float))
-        return _build_plan(bits, None, self._completion, self._memo,
-                           bits.shape[0])
-
-    def masked(self, accept: Callable[[np.ndarray], np.ndarray],
-               columns: slice = slice(None)) -> "MaskedBitEvaluator":
-        """This extraction and completion behind a per-row check.
-
-        *accept* maps the measurement block to the ``(B,)`` mask of
-        rows a device-side check lets through; refused rows fail
-        without completion.  Bits are extracted from *columns* of the
-        block, so a multi-readout device can validate one readout and
-        regenerate from another.
-        """
+        freqs = np.asarray(freqs, dtype=float)
         extract = self._extract
-        return MaskedBitEvaluator(
-            lambda freqs: (extract(freqs[:, columns]), accept(freqs)),
-            self._completion)
+        bits = extract(freqs)
+        rows = None
+        if isinstance(extract, PairColumns) and extract.gap is not None:
+            rows = np.flatnonzero(extract.accepted(freqs))
+        return _build_plan(bits, rows, self._completion, self._memo,
+                           bits.shape[0])
 
 
 class MaskedBitEvaluator(BatchEvaluator):
@@ -572,10 +586,11 @@ class MaskedBitEvaluator(BatchEvaluator):
 
     Like :class:`ResponseBitEvaluator`, but *extract* returns ``(bits,
     valid)``: rows whose scalar reconstruction would raise before bit
-    extraction completes (e.g. the temperature-aware assistance-cycle
-    refusal, which depends on each row's sensed temperature) carry
-    ``valid = False`` and fail without ever reaching the completion
-    stage.  Valid rows are completed once per distinct bit pattern.
+    extraction completes carry ``valid = False`` and fail without ever
+    reaching the completion stage.  Valid rows are completed once per
+    distinct bit pattern.  Only the temperature-aware scheme needs it:
+    its refusals depend on sensor reads the extraction draws, which no
+    :attr:`PairColumns.gap` check on frequencies can see.
 
     *extract_env*, when supplied, is the environment-aware variant
     used for trajectory-driven blocks: it additionally receives the
@@ -609,12 +624,8 @@ class MaskedBitEvaluator(BatchEvaluator):
     def _complete_plan(self, bits: np.ndarray,
                        valid: np.ndarray) -> EvalPlan:
         """Dedup the valid rows into a plan."""
-        rows = np.flatnonzero(np.asarray(valid, dtype=bool))
-        if rows.size == 0:
-            return EvalPlan.resolved(
-                np.zeros(bits.shape[0], dtype=bool))
-        return _build_plan(bits, rows, self._completion, self._memo,
-                           bits.shape[0])
+        return _build_plan(bits, np.flatnonzero(valid), self._completion,
+                           self._memo, bits.shape[0])
 
 
 # ----------------------------------------------------------------------
@@ -636,10 +647,12 @@ class _StackedGroup:
     frequencies (each block's trend subtracted, its pair index padded
     to the widest block and masked), one dedup keyed by (block,
     pattern), memo lookups for all distinct patterns in one pass and
-    one payload-shifted decode workload over the fresh patterns.  The
-    stack key names the code's parent, so blocks over different
-    shortenings share the workload: payloads are padded to the longest
-    code, whose decoder bounds each row by its own code length.
+    one payload-shifted decode workload over the fresh patterns.  Rows
+    a :attr:`PairBlock.gap` check refuses (padded pairs masked out)
+    resolve ``False`` before the dedup, as in own plans.  The stack
+    key names the code's parent, so blocks over different shortenings
+    share the workload: payloads are padded to the longest code, whose
+    decoder bounds each row by its own code length.
     :meth:`finalize` XORs the payloads back, truncates each pattern to
     its block's length and hashes the key checks of the whole group in
     one pass.  A group of one block is planned the same way.
@@ -685,14 +698,26 @@ class _StackedGroup:
             self._mask = np.arange(wide) < self._widths[:, None]
             pairs = pad_rows(np.concatenate(indices), self._mask)
         items = np.arange(len(blocks))[:, None]
-        bits = compare_columns(freqs[items, pairs[:, :, 0]],
-                               freqs[items, pairs[:, :, 1]],
-                               sources[0].kind)
+        a = freqs[items, pairs[:, :, 0]]
+        b = freqs[items, pairs[:, :, 1]]
+        bits = compare_columns(a, b, sources[0].kind)
         if self._mask is not None:
             bits &= self._mask[:, :, None]
         owner = np.repeat(np.arange(len(blocks)), count)
         bits = bits.transpose(0, 2, 1).reshape(owner.size, wide).view(
             np.uint8)
+        self._rows = None
+        if sources[0].gap is not None:
+            floor, shift = sources[0].gap
+            if shift:
+                a = freqs[items, pairs[:, :, 0] - shift]
+                b = freqs[items, pairs[:, :, 1] - shift]
+            refused = _gap_violations(a, b, floor)
+            if self._mask is not None:
+                # A padded (0, 0) pair has gap 0.
+                refused &= self._mask[:, :, None]
+            self._rows = np.flatnonzero(~refused.any(axis=1).ravel())
+            bits, owner = bits[self._rows], owner[self._rows]
         # A lone block's rows all consult its memo at full width.
         first, self._inverse, self._keys, known = _memo_groups(
             bits, self._memos, owner if len(blocks) > 1 else None,
@@ -742,8 +767,12 @@ class _StackedGroup:
                                             flags.tolist()):
                 self._memos[slot][self._keys[distinct]] = flag
             self._results[self._fresh] = flags
-        return list(self._results[self._inverse].reshape(
-            len(self.slots), self._count))
+        outcomes = self._results[self._inverse]
+        if self._rows is not None:
+            accepted = outcomes
+            outcomes = np.zeros(len(self.slots) * self._count, dtype=bool)
+            outcomes[self._rows] = accepted
+        return list(outcomes.reshape(len(self.slots), self._count))
 
 
 class FrontierPlan:
@@ -752,8 +781,8 @@ class FrontierPlan:
     *entries* come in round order, one per item (see
     :data:`FrontierEntry`).  Stackable blocks are grouped by block
     shape (rows, frequency width) and stack key (comparison kind,
-    trend, the sketch's parent-level kernel key), and each group —
-    a lone block too — is planned as one (:class:`_StackedGroup`).
+    trend, the sketch's parent-level kernel key, gap check), and each
+    group — a lone block too — is planned as one (:class:`_StackedGroup`).
     An :class:`EvalPlan` entry is kept as-is.  Run :attr:`workloads`
     through :func:`~repro.ecc.kernel.run_kernels` — one call per
     distinct key, stacked groups and own plans alike — and hand the

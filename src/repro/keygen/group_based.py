@@ -100,10 +100,10 @@ class HypothesisGeometry:
     layout and the enrolled distiller coefficients.  :meth:`attach`
     builds both members' :class:`~repro.keygen.batch.PairBlock` of a
     :class:`HypothesisPair` in one pass — a Kendall extraction over the
-    pairs with the manipulated distiller's trend, completed by the
-    stream's sketch, as :meth:`GroupBasedKeyGen.batch_evaluator`
-    builds for a materialised member — and records them as the
-    members' blocks on ``(keygen, array)``.
+    pairs with the manipulated distiller's trend on the device's row,
+    completed by the stream's sketch, as :meth:`GroupBasedKeyGen.
+    batch_evaluator` builds for a materialised member — and records
+    them as the members' blocks on ``(keygen, array)``.
     """
 
     def __init__(self, keygen: "GroupBasedKeyGen", array: ROArray,
@@ -136,12 +136,13 @@ class HypothesisGeometry:
                 trend = self._keygen.distiller.trend(
                     self.array.x, self.array.y,
                     enrolled.with_added(payload))
-            extract = PairColumns(pair.index, trend, "kendall")
+            extract = self._keygen._device_extraction(
+                self.array, PairColumns(pair.index, trend, "kendall"))
             payloads, checks = pair.payloads, pair.key_checks
-            blocks = (pair_block(extract, sketch, payloads[0], checks[0],
-                                 {}),
-                      pair_block(extract, sketch, payloads[1], checks[1],
-                                 {}))
+            first = pair_block(extract, sketch, payloads[0], checks[0], {})
+            if first is not None:  # both payloads: one uint8 array
+                blocks = (first, first._replace(
+                    parsed=payloads[1], key_check=checks[1], memo={}))
         for member, block in zip(pair.members, blocks):
             member.described_as(self._keygen, self.array, block)
         return blocks
@@ -202,7 +203,7 @@ class KendallPairs(PairColumns):
     (:func:`~repro.keygen.batch.compare_columns`).  Row ``i`` equals
     the scalar reference :func:`kendall_stream` of ``residuals[i]``.
     With a *trend*, calling it on measured frequencies subtracts the
-    trend first, as :meth:`EntropyDistiller.residuals_batch` does.
+    trend first, as :meth:`EntropyDistiller.residuals` does.
     """
 
     def __init__(self, groups: Sequence[Sequence[int]],
@@ -345,7 +346,8 @@ class GroupBasedKeyGen(KeyGenerator):
             sketch, helper.sketch, helper.key_check,
             assemble=(None if set(sizes) == {2}
                       else _PackKeyAssembler(sizes)))
-        return ResponseBitEvaluator(extract, completion)
+        return ResponseBitEvaluator(self._device_extraction(array, extract),
+                                    completion)
 
     def describe(self, array: ROArray, described) -> Optional[PairBlock]:
         """A :class:`GroupHypothesis` as its block, with a fresh memo.

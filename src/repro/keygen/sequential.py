@@ -78,9 +78,9 @@ class PairingHypotheses:
         """The enrolled helper's stackable block on *array*, or ``None``.
 
         Built by *keygen*'s own evaluator, with a memo of its own for
-        the manipulations; a device that checks helpers row by row
-        (the hardened one) has no block and its manipulations
-        materialise.
+        the manipulations.  A hardened device's block carries its
+        measured-threshold check, which flips and swaps cannot change:
+        they keep the set of unordered pairs.
         """
         hit = self._enrolled
         if hit is None or hit[0] is not keygen or hit[1] is not array:
@@ -214,7 +214,7 @@ class SequentialPairingKeyGen(KeyGenerator):
             return ConstantEvaluator(False)
         sketch = self.sketch_for(pairing.bits)
         return ResponseBitEvaluator(
-            PairColumns(pairing.index),
+            self._device_extraction(array, PairColumns(pairing.index)),
             SketchCompletion(sketch, helper.sketch, helper.key_check))
 
     def describe(self, array: ROArray, described) -> Optional[PairBlock]:

@@ -15,6 +15,9 @@ helper data, plus hardened key-generator variants that enforce them:
   pair actually exceeds ``Δf_th``;
 * **interval sanity** for temperature-aware cooperation records.
 
+Batch evaluators carry the measured-threshold check in the pair
+extraction (:attr:`~repro.keygen.batch.PairColumns.gap`).
+
 The hardening is deliberately *imperfect*: the checks close the steep
 payload channels but are construction-specific patchwork — which is
 exactly the paper's argument for preferring the fuzzy extractor.  The
@@ -31,8 +34,12 @@ import numpy as np
 from repro.distiller.distiller import DistillerHelper
 from repro.grouping.algorithm import GroupingHelper
 from repro.keygen.base import OperatingPoint, ReconstructionFailure
-from repro.keygen.batch import ConstantEvaluator
-from repro.keygen.group_based import GroupBasedKeyGen, GroupBasedKeyHelper
+from repro.keygen.batch import ConstantEvaluator, PairColumns, _gap_violations
+from repro.keygen.group_based import (
+    GroupBasedKeyGen,
+    GroupBasedKeyHelper,
+    GroupHypothesis,
+)
 from repro.keygen.sequential import (
     SequentialKeyHelper,
     SequentialPairingKeyGen,
@@ -92,22 +99,12 @@ def _group_pairs(grouping: GroupingHelper) -> List[Pair]:
             for pair in combinations(group, 2)]
 
 
-def _gap_violations(values: np.ndarray, a: np.ndarray, b: np.ndarray,
-                    floor: float) -> np.ndarray:
-    """Which ``(a, b)`` gaps of *values* (last axis) sit at or below *floor*.
-
-    The one definition of the measured-threshold predicate, shared by
-    the scalar checks and the batch evaluators' per-row masks.  A NaN
-    gap is no violation.
-    """
-    return np.abs(values[..., a] - values[..., b]) <= floor
-
-
 def _check_gaps(values: np.ndarray, pairs: Sequence[Pair], floor: float,
                 what: str) -> None:
     """Reject the first pair whose measured gap violates *floor*."""
-    bad = np.flatnonzero(_gap_violations(
-        np.asarray(values, dtype=float), *pair_index_arrays(pairs), floor))
+    values = np.asarray(values, dtype=float)
+    a, b = pair_index_arrays(pairs)
+    bad = np.flatnonzero(_gap_violations(values[a], values[b], floor))
     if bad.size:
         a, b = pairs[bad[0]]
         raise HelperDataRejected(
@@ -172,18 +169,6 @@ def validate_cooperation_records(scheme: TempAwareHelper) -> None:
                 "assistant interval intersects the requester's")
 
 
-def _with_check(evaluator, reject, columns: slice = slice(None)):
-    """*evaluator* behind a per-row check; *reject* flags refused pairs.
-
-    A base scheme's constant evaluator refuses the helper outright,
-    which no further check can overturn.
-    """
-    if isinstance(evaluator, ConstantEvaluator):
-        return evaluator
-    return evaluator.masked(lambda freqs: ~reject(freqs).any(axis=1),
-                            columns)
-
-
 class HardenedGroupBasedKeyGen(GroupBasedKeyGen):
     """Group-based device that validates helper data before use.
 
@@ -205,18 +190,18 @@ class HardenedGroupBasedKeyGen(GroupBasedKeyGen):
         self._max_span = float(max_polynomial_span)
         self._tolerance = float(threshold_tolerance)
 
-    def _validate_structure(self, array,
-                            helper: GroupBasedKeyHelper) -> None:
-        validate_distiller_amplitude(helper.distiller, self._rows,
-                                     self._cols, self._max_span)
-        validate_group_membership(helper.grouping, array.n)
+    def _validate_structure(self, array, distiller: DistillerHelper,
+                            grouping: GroupingHelper) -> None:
+        validate_distiller_amplitude(distiller, self._rows, self._cols,
+                                     self._max_span)
+        validate_group_membership(grouping, array.n)
 
     def reconstruct_from_frequencies(
             self, array, freqs, helper: GroupBasedKeyHelper,
             op: OperatingPoint = OperatingPoint()) -> np.ndarray:
         """Validate on the first readout, regenerate from the second."""
         check, regen = np.split(np.asarray(freqs, dtype=float), 2)
-        self._validate_structure(array, helper)
+        self._validate_structure(array, helper.distiller, helper.grouping)
         residuals = self.distiller.residuals(array.x, array.y, check,
                                              helper.distiller)
         validate_group_thresholds(residuals, helper.grouping,
@@ -227,27 +212,34 @@ class HardenedGroupBasedKeyGen(GroupBasedKeyGen):
 
     def batch_evaluator(self, array, helper: GroupBasedKeyHelper,
                         op: OperatingPoint = OperatingPoint()):
-        """Structure checked once; the residual check masks each row."""
+        """Structure checked once; the gap check refuses rows."""
         try:
-            self._validate_structure(array, helper)
+            self._validate_structure(array, helper.distiller, helper.grouping)
         except HelperDataRejected:
             return ConstantEvaluator(False)
-        a, b = pair_index_arrays(_group_pairs(helper.grouping))
-        floor = self.grouping.threshold * self._tolerance
-        n, x, y = array.n, array.x, array.y
-        distiller, trend = self.distiller, helper.distiller
+        return super().batch_evaluator(array, helper, op)
 
-        def reject(freqs: np.ndarray) -> np.ndarray:
-            residuals = distiller.residuals_batch(x, y, freqs[:, :n],
-                                                  trend)
-            return _gap_violations(residuals, a, b, floor)
+    def _device_extraction(self, array, extract: PairColumns
+                           ) -> PairColumns:
+        """*extract* on the regeneration readout of the two-readout
+        row, the trend tiled per readout, checked on the first."""
+        n = array.n
+        return PairColumns(extract.index + n, np.tile(extract.trend, 2),
+                           extract.kind,
+                           (self.grouping.threshold * self._tolerance, n))
 
-        return _with_check(super().batch_evaluator(array, helper, op),
-                           reject, slice(n, None))
-
-    def describe(self, array, described) -> None:
-        """``None``: every helper is checked first, so it materialises."""
-        return None
+    def describe(self, array, described):
+        """A §VI-C hypothesis as its block, or ``None`` (it materialises
+        and is refused) when its helper fails the structure checks."""
+        if isinstance(described, GroupHypothesis):
+            pair = described.pair
+            try:
+                self._validate_structure(
+                    array, pair.enrolled.distiller.with_added(pair.payload),
+                    pair.enrolled.grouping.with_groups(pair.groups))
+            except HelperDataRejected:
+                return None
+        return super().describe(array, described)
 
 
 class HardenedSequentialKeyGen(SequentialPairingKeyGen):
@@ -280,14 +272,11 @@ class HardenedSequentialKeyGen(SequentialPairingKeyGen):
         return super().reconstruct_from_frequencies(array, freqs,
                                                     helper, op)
 
-    def batch_evaluator(self, array, helper: SequentialKeyHelper,
-                        op: OperatingPoint = OperatingPoint()):
-        """The base evaluator behind the per-row threshold check."""
-        a, b = helper.pairing.columns
-        floor = self.pairing.threshold * self._tolerance
-        return _with_check(
-            super().batch_evaluator(array, helper, op),
-            lambda freqs: _gap_violations(freqs, a, b, floor))
+    def _device_extraction(self, array, extract: PairColumns
+                           ) -> PairColumns:
+        """*extract*'s pairs with the threshold check on them."""
+        return PairColumns(extract.index, gap=(
+            self.pairing.threshold * self._tolerance, 0))
 
 
 class HardenedTempAwareKeyGen(TempAwareKeyGen):

@@ -118,11 +118,6 @@ class SequentialPairingHelper:
         return self._index
 
     @property
-    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Fancy-index vectors ``(a, b)``: read-only column views."""
-        return self._index[:, 0], self._index[:, 1]
-
-    @property
     def bits(self) -> int:
         """Number of response bits (= number of pairs)."""
         return self._index.shape[0]

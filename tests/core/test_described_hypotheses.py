@@ -197,12 +197,13 @@ class TestMalformedDescriptions:
         assert not got.any()
         np.testing.assert_array_equal(got, want)
 
-    def test_hardened_device_materialises(self):
+    def test_hardened_device_describes_its_manipulations(self):
         described, keygen, array, (got, want) = twin_outcomes(
             lambda: sequential_device(
                 9, HardenedSequentialKeyGen(threshold=250e3)),
             lambda helper: manipulation(helper, (1, 2), (0, 5)))
-        assert described.block(keygen, array) is None
+        assert_block_matches_evaluator(described, keygen, array)
+        assert described.block(keygen, array).gap is not None
         np.testing.assert_array_equal(got, want)
 
     @NAN_TREND
@@ -456,7 +457,8 @@ def assert_pair_matches_reference(attack, keygen, array, u, v):
         assert block.sketch is sketch
         assert block.key_check == checks[member.member]
         assert block.parsed.tobytes() == payloads[member.member].tobytes()
-        assert block.stack_key == ("kendall", True, sketch.kernel_key())
+        assert block.stack_key == ("kendall", True, sketch.kernel_key(),
+                                   None)
     return len(groups)
 
 
@@ -499,4 +501,19 @@ class TestOnePassBuilder:
                                       GROUP.cols)
             for member in attack._hypotheses(4, 9).members:
                 assert member._described is None
+        # The injected surface fails the amplitude bound: the member
+        # materialises and is refused.
         assert member.block(hardened, array) is None
+        assert isinstance(hardened.batch_evaluator(
+            array, member.materialise()), ConstantEvaluator)
+        # Where the structure passes, the hardened device describes
+        # the member as the block of the helper it describes.
+        open_device = HardenedGroupBasedKeyGen(
+            GROUP.rows, GROUP.cols, max_polynomial_span=np.inf,
+            group_threshold=120e3)
+        attack = GroupBasedAttack(None, open_device, helper, GROUP.rows,
+                                  GROUP.cols)
+        for member in attack._hypotheses(4, 9).members:
+            assert_block_matches_evaluator(member, open_device, array)
+            assert member.block(open_device, array).gap == (
+                60e3, array.n)

@@ -184,6 +184,12 @@ LANES.update({
         SMALL.rows, SMALL.cols, max_polynomial_span=20e6,
         group_threshold=120e3, code_provider=SMALL_CODE),
         (None, _hypothesis(0, 2, 0)), None),
+    # Hypotheses pass the structure checks: the gap check stays.
+    "group-hardened-pairs": (SMALL, lambda: HardenedGroupBasedKeyGen(
+        SMALL.rows, SMALL.cols, max_polynomial_span=np.inf,
+        group_threshold=120e3, code_provider=SMALL_CODE),
+        (_hypothesis(0, 2, 0), _hypothesis(0, 2, 1),
+         _hypothesis(0, 1, 0)), None),
     "small-sequential": (SMALL, lambda: SequentialPairingKeyGen(
         threshold=250e3, code_provider=SMALL_CODE),
         (_flipped(2), _flipped(3)), None),
@@ -293,9 +299,9 @@ class TestMixedRounds:
               (1, 1, 8, None), (2, 0, 8, HOT), (2, 1, 8, None)]])
 
     def test_stream_consuming_and_assembled_items(self):
-        # Temp-aware blocks draw sensor reads while planning; hardened
-        # blocks are masked; fuzzy blocks assemble their key.  All
-        # keep their own plans, in item order.
+        # Temp-aware blocks draw sensor reads while planning and fuzzy
+        # blocks assemble their key: both keep their own plans, in
+        # item order.  Hardened blocks stack with their gap check.
         assert_routes_agree(
             ["temp-aware", "hardened", "sequential", "fuzzy"],
             [[(0, 0, 8, None), (2, 0, 8, None), (1, 0, 8, None),
@@ -356,8 +362,9 @@ class TestStacking:
         spec = [(lane, 0, 8, None) for lane in range(6)] \
             + [(0, 1, 8, HOT)]
         run_round(lanes, spec, stacked)
-        # The trajectory lane's blocks stack like the plain ones.
-        assert planned == [lanes[lane][1][0] for lane in (2, 3, 5)]
+        # The trajectory and hardened lanes' blocks stack like the
+        # plain ones.
+        assert planned == [lanes[lane][1][0] for lane in (2, 3)]
 
     def test_trajectory_blocks_share_a_group_with_plain_blocks(self):
         kinds = ["trajectory", "sequential", "trajectory"]
@@ -420,7 +427,7 @@ class TestStacking:
         ("rejected", 0, False),
         ("malformed", 0, False),
         ("malformed", 1, False),
-        ("hardened", 0, False),
+        ("hardened", 0, True),
         ("fuzzy", 0, False),
     ])
     def test_stack_condition(self, kind, which, stacks):
@@ -688,10 +695,12 @@ class TestKendallRounds:
 
     def test_fallbacks_and_rejections(self):
         assert_routes_agree(
-            ["group-fallback", "group-hardened", "group"],
+            ["group-fallback", "group-hardened", "group",
+             "group-hardened-pairs"],
             [[(0, 0, 8, None), (2, 0, 8, None), (1, 0, 8, None),
               (0, 1, 8, None), (2, 1, 8, None), (1, 1, 8, None),
-              (0, 2, 8, None)]])
+              (0, 2, 8, None), (3, 0, 8, None), (3, 2, 8, None),
+              (3, 1, 8, None)]])
 
     @pytest.mark.parametrize("kind,which,stacks", [
         ("group", 0, True),
@@ -700,8 +709,10 @@ class TestKendallRounds:
         ("group-fallback", 0, False),   # a group of 3 or more
         ("group-fallback", 1, False),   # malformed payload
         ("group-fallback", 2, True),    # NaN trend, all pairs
-        ("group-hardened", 0, False),   # masked
+        ("group-hardened", 0, False),   # a group of 3 or more
         ("group-hardened", 1, False),   # rejected amplitude
+        ("group-hardened-pairs", 0, True),
+        ("group-hardened-pairs", 2, True),
     ])
     def test_group_stack_condition(self, kind, which, stacks):
         oracle, helpers = build_lane(kind, 3)

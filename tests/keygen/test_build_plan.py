@@ -35,7 +35,7 @@ def hardened_case():
     keygen = HardenedSequentialKeyGen(threshold=250e3)
     helper, _ = keygen.enroll(array, rng=2)
     evaluator = keygen.batch_evaluator(array, helper)
-    bits, _ = evaluator._extract(array.measure_frequencies_batch(4))
+    bits = evaluator._extract(array.measure_frequencies_batch(4))
     return bits, evaluator._completion
 
 

@@ -1,8 +1,9 @@
 """Row-dedup primitives: edge cases, regime equality, byte identity.
 
 ``_dedup`` switches between hashed ``tobytes`` grouping (blocks of at
-most ``SMALL_BLOCK`` rows) and keyed grouping (one 1-D ``np.unique``
-over ``np.void`` row keys) above it.  Consumers scatter per-pattern
+most ``SMALL_BLOCK`` rows) and keyed grouping (one sort over packed
+64-bit words for 0/1 rows, one 1-D ``np.unique`` over ``np.void`` row
+keys otherwise) above it.  Consumers scatter per-pattern
 results back by index, so the two regimes must agree on group
 *contents* (patterns and ascending index sets) even though their
 iteration order differs.  Pinned here: both regimes against each other
@@ -202,7 +203,8 @@ class TestKeyedRegime:
 
 
 class TestPackedBitRows:
-    """0/1 rows group bit-packed, exactly as their byte keys would."""
+    """Large blocks of 0/1 rows group bit-packed, exactly as their byte
+    keys would; other rows group on the byte keys themselves."""
 
     @staticmethod
     def byte_key_groups(matrix):
@@ -218,7 +220,7 @@ class TestPackedBitRows:
     @pytest.mark.parametrize("cols", [1, 8, 9, 63, 64, 65, 127])
     def test_same_groups_in_the_same_order(self, dtype, cols):
         matrix = pooled(dtype, 300, seed=cols, cols=cols)
-        first, inverse = dedup._keyed_groups(matrix)
+        first, inverse = row_groups(matrix)
         expected_first, expected_inverse = self.byte_key_groups(matrix)
         np.testing.assert_array_equal(first, expected_first)
         np.testing.assert_array_equal(inverse, expected_inverse)
@@ -226,7 +228,7 @@ class TestPackedBitRows:
     def test_non_bit_values_keep_byte_keys(self):
         matrix = pooled(np.uint8, 300, seed=5, cols=16)
         matrix[::7, 3] = 2
-        first, inverse = dedup._keyed_groups(matrix)
+        first, inverse = row_groups(matrix)
         expected_first, expected_inverse = self.byte_key_groups(matrix)
         np.testing.assert_array_equal(first, expected_first)
         np.testing.assert_array_equal(inverse, expected_inverse)
