@@ -30,9 +30,10 @@ the stacked frontier (one group, every block's base added once)
 against per-item ``plan_rows``, after asserting that both routes give
 bitwise-equal outcomes and kernel rows.
 
-One more line times a comparison round's engine bookkeeping alone
+One more line times a comparison round's step bookkeeping alone
 (row taking, each lane's stopping-rule walk, unwinding) at 4 and 32
-lanes, with ``evaluate_many`` returning scripted outcomes.
+lanes, with the round's frontier evaluation returning scripted
+outcomes.
 
 A §VI-B section runs the temperature-aware attack (assistant
 substitution at attacker-chosen temperatures) as a per-device loop and
@@ -63,13 +64,9 @@ from repro.core import (
     SequentialPairingAttack,
     TempAwareAttack,
 )
+from repro.core import lockstep
 from repro.core.batch_oracle import plan_frontier
-from repro.core.lockstep import (
-    ComparisonEngine,
-    ComparisonRequest,
-    Lane,
-    LaneEngine,
-)
+from repro.core.lockstep import ComparisonRequest, Lane, step
 from repro.ecc.kernel import kernel_stats, run_kernels
 from repro.fleet import Fleet, GroupAttackFactory, run_campaign
 from repro.keygen import (
@@ -88,7 +85,7 @@ QUICK_TEMP_DEVICES = 2
 FLEET_GROUP_DEVICES = 32
 #: Lanes of the timed §VI-A comparison round.
 ROUND_LANES = 32
-#: Lane counts of the timed engine-bookkeeping round.
+#: Lane counts of the timed step-bookkeeping round.
 BOOKKEEPING_LANES = (4, 32)
 QUICK_FLEET_GROUP_DEVICES = 2
 #: Wall-time ceiling of the 32-device group-based fleet campaign.
@@ -167,25 +164,24 @@ def run_sequential_campaign(devices=DEVICES):
 def kernel_calls_per_round(run):
     """``run()``'s result and the kernel calls of each lock-step round.
 
-    Every lane engine evaluates a round through
-    ``LaneEngine.evaluate_many``; the wrapper counts the kernel calls
-    each invocation makes.
+    Every campaign round is one ``repro.core.lockstep.step``; the
+    wrapper counts the kernel calls each round makes.
     """
     calls = []
-    evaluate = LaneEngine.evaluate_many
+    advance = lockstep.step
 
-    def counted(engine, items):
+    def counted(lanes):
         before = kernel_stats.calls
         try:
-            return evaluate(engine, items)
+            return advance(lanes)
         finally:
             calls.append(kernel_stats.calls - before)
 
-    LaneEngine.evaluate_many = counted
+    lockstep.step = counted
     try:
         return run(), calls
     finally:
-        LaneEngine.evaluate_many = evaluate
+        lockstep.step = advance
 
 
 def hypothesis_build_us(seed=0, repeats=5):
@@ -223,7 +219,7 @@ def comparison_round_items(lanes=ROUND_LANES):
         oracle = BatchOracle(array, keygen)
         request = next(SequentialPairingAttack(oracle, keygen,
                                                helper).steps())
-        rows = oracle.take_rows(2 * ComparisonEngine.block)
+        rows = oracle.take_rows(2 * ComparisonRequest.block)
         items.append((oracle, request.helper_a, rows[0::2], request.op))
         items.append((oracle, request.helper_b, rows[1::2], request.op))
     return items
@@ -279,11 +275,14 @@ class _ScriptedLaneOracle:
         pass
 
 
-class _ScriptedComparisonEngine(ComparisonEngine):
-    """``ComparisonEngine`` whose round evaluation reads the scripts."""
+class _ScriptedFrontier:
+    """A round's frontier whose evaluation reads the lane scripts."""
 
-    def evaluate_many(self, items):
-        return [oracle.script[rows] for oracle, _, rows, _ in items]
+    def __init__(self, items):
+        self.items = items
+
+    def execute(self):
+        return [oracle.script[rows] for oracle, _, rows, _ in self.items]
 
 
 def engine_round_us(lanes, repeats=300):
@@ -292,24 +291,28 @@ def engine_round_us(lanes, repeats=300):
     Every lane takes its first step with the default comparer; the
     scripted failure rates of its two helpers cycle through
     separated, identical-extremes, gap-walking and undecided pairs, so
-    lanes stop by every rule or carry on.  Evaluation is stubbed, so
-    the time is the engine's own.
+    lanes stop by every rule or carry on.  The frontier evaluation is
+    stubbed, so the time is the step's own.
     """
     rng = np.random.default_rng(0)
     rates = [(0.0, 1.0), (0.0, 0.0), (0.1, 0.8), (0.4, 0.5)]
-    rows = 2 * ComparisonEngine.block
+    rows = 2 * ComparisonRequest.block
     scripts = [rng.random(rows) >= np.tile(rates[lane % len(rates)],
                                            rows // 2)
                for lane in range(lanes)]
     request = ComparisonRequest("a", "b")
-    engine = _ScriptedComparisonEngine()
     walls = []
-    for _ in range(repeats):
-        batch = [Lane(_ScriptedLaneOracle(script), request)
-                 for script in scripts]
-        start = time.perf_counter()
-        engine.step(batch)
-        walls.append(time.perf_counter() - start)
+    plan = lockstep.plan_frontier
+    lockstep.plan_frontier = _ScriptedFrontier
+    try:
+        for _ in range(repeats):
+            batch = [Lane(_ScriptedLaneOracle(script), request)
+                     for script in scripts]
+            start = time.perf_counter()
+            step(batch)
+            walls.append(time.perf_counter() - start)
+    finally:
+        lockstep.plan_frontier = plan
     return min(walls) * 1e6
 
 
@@ -432,8 +435,8 @@ def test_attack_lockstep_campaign(benchmark, quick):
                    f"{per_item_us / (2 * ROUND_LANES):.1f}")]))
 
     round_us = [engine_round_us(lanes) for lanes in BOOKKEEPING_LANES]
-    record("E18 / §VI-A — engine bookkeeping of one comparison round "
-           "(evaluate_many stubbed with scripted outcomes)",
+    record("E18 / §VI-A — step bookkeeping of one comparison round "
+           "(frontier evaluation stubbed with scripted outcomes)",
            [", ".join(f"{lanes} lanes: {us:.0f} µs" for lanes, us in
                       zip(BOOKKEEPING_LANES, round_us))
             + " (best of 300)"])

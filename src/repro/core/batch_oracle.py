@@ -78,7 +78,7 @@ class BatchOracle:
         still applies, since the device has aged regardless of who
         sets the chamber temperature.  Rows are tagged with their
         draw index internally, so speculation, slicing and unwinding
-        by the lock-step engines leave trajectory resolution
+        by lock-step lanes leave trajectory resolution
         bitwise-deterministic.
 
     Noise rows are drawn exactly on demand — one vectorized draw per
@@ -229,8 +229,9 @@ class BatchOracle:
         """Success booleans of already-taken noise rows under *helper*.
 
         A one-item frontier (:func:`plan_frontier`) run through its
-        own kernel.  The lock-step lane engines
-        (:mod:`repro.core.lockstep`) plan whole rounds the same way;
+        own kernel.  A lock-step round
+        (:func:`repro.core.lockstep.step`) plans all its items the
+        same way;
         results are bitwise-identical either way, and identical to
         per-row :class:`~repro.core.oracle.HelperDataOracle` queries
         on an identically seeded twin device.

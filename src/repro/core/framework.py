@@ -19,11 +19,12 @@ Two distinguishers are provided:
   labelled helpers; used for the multi-bit ``2^u``-hypothesis variants
   (paper Fig. 6c).
 
-Both drive a :class:`~repro.core.batch_oracle.BatchOracle` in
-vectorized blocks (decisions, query counts and stream positions match
-the single-query walk bitwise); the lock-step campaign engine
-(:mod:`repro.core.lockstep`) additionally advances the same decision
-rules for whole device batches at once.
+Each rule is one walk function (:meth:`FailureRateComparer.walk`,
+:func:`scan_hypotheses`) that the single-query path feeds lazily and a
+lock-step lane (:mod:`repro.core.lockstep`) feeds one evaluated block
+per round — alone on a :class:`~repro.core.batch_oracle.BatchOracle`,
+or beside whole device batches in a campaign — so decisions, query
+counts and stream positions match the single-query walk bitwise.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -74,14 +75,12 @@ class FailureRateComparer:
     at the configured confidence, or when the per-side budget is
     exhausted (then resolving by a two-proportion z-test, with
     ``"tie"`` on insignificance).  Despite the sequential decision
-    rule, queries are *not* issued one at a time: a scalar oracle is
-    walked query by query, while a
-    :class:`~repro.core.batch_oracle.BatchOracle` is driven in
-    speculative vectorized blocks whose unused rows are unwound, and
-    the lock-step engine (:mod:`repro.core.lockstep`) advances many
-    devices' comparisons through the same rules in shared rounds —
-    all three paths land on bitwise-identical decisions and query
-    counts.
+    rule, queries are *not* issued one at a time on a batched oracle:
+    a scalar oracle is walked query by query, while a lock-step lane
+    (:mod:`repro.core.lockstep`) takes speculative vectorized blocks,
+    walks them through the same rule and unwinds the unused rows —
+    alone, or in rounds shared with many devices.  Every path lands on
+    bitwise-identical decisions and query counts.
     """
 
     def __init__(self, max_queries_per_side: int = 40,
@@ -172,9 +171,10 @@ class FailureRateComparer:
         (``True`` = reconstructed).  Returns the new carry, whether a
         rule stopped the walk (at the carry's last sample) and whether
         that stop separated the helpers.  Every path — the scalar
-        oracle, a blocked :class:`~repro.core.batch_oracle.BatchOracle`
-        and each lock-step lane — walks its samples through this one
-        function, so they decide identically by construction.
+        oracle and each lock-step lane, a lone one on a
+        :class:`~repro.core.batch_oracle.BatchOracle` too — walks its
+        samples through this one function, so they decide identically
+        by construction.
         """
         failures_a, failures_b, samples = carry
         for ok_a, ok_b in zip(outcomes_a, outcomes_b):
@@ -227,46 +227,26 @@ class FailureRateComparer:
                 op: Optional[OperatingPoint] = None) -> ComparisonOutcome:
         """Decide which helper fails less often.
 
-        A :class:`~repro.core.batch_oracle.BatchOracle` is driven in
-        vectorized blocks; decisions, per-comparison query counts and
-        the oracle's noise-stream position all match the sequential
-        path bitwise (unused block rows are unwound).
+        A scalar oracle is walked query by query.  A
+        :class:`~repro.core.batch_oracle.BatchOracle` answers through
+        one lock-step lane (:func:`repro.core.lockstep.run_lane`):
+        blocks of paired samples, each walked through :meth:`walk`,
+        unused rows unwound, so decisions, per-comparison query counts
+        and the oracle's stream position match the scalar walk
+        bitwise.
         """
         if isinstance(oracle, BatchOracle):
-            return self._compare_blocked(oracle, helper_a, helper_b, op)
+            # Imported here: lockstep depends on this module at import
+            # time for the outcome vocabulary and the walks.
+            from repro.core.lockstep import ComparisonRequest, run_lane
+            return run_lane(oracle, ComparisonRequest(helper_a, helper_b,
+                                                      self, op))
         # zip pulls a, then b: the paired query order of one sample.
         budget = range(self._max)
         carry, _, separated = self.walk(
             (0, 0, 0), (oracle.query(helper_a, op) for _ in budget),
             (oracle.query(helper_b, op) for _ in budget))
         return self.outcome(carry, separated)
-
-    def _compare_blocked(self, oracle: BatchOracle, helper_a, helper_b,
-                         op: Optional[OperatingPoint]
-                         ) -> ComparisonOutcome:
-        """Block-wise :meth:`compare` over a batched oracle.
-
-        Delegates to the lock-step ``ComparisonEngine`` with a single
-        lane: each round evaluates one block of paired samples in one
-        vectorized pass and walks it through :meth:`walk`.  Rows past
-        the decision point are unwound by the engine; stream position
-        and query count land where the sequential loop would have
-        stopped.
-        """
-        # Imported here: lockstep depends on this module at import
-        # time for the outcome/request vocabulary.
-        from repro.core.lockstep import (
-            ComparisonEngine,
-            ComparisonRequest,
-            Lane,
-        )
-
-        lane = Lane(oracle, ComparisonRequest(helper_a, helper_b,
-                                              self, op))
-        engine = ComparisonEngine()
-        while not lane.finished:
-            engine.step([lane])
-        return lane.outcome
 
 
 @dataclass(frozen=True)
@@ -276,6 +256,39 @@ class SelectionOutcome:
     label: Hashable
     queries: int
     rates: Dict[Hashable, float]
+
+
+#: An arg-min scan's carry: the failure rate of every scanned
+#: hypothesis, in scan order, and the lowest ``(rate, label)``.
+ScanCarry = Tuple[Dict[Hashable, float], Tuple[float, Hashable]]
+
+
+def scan_hypotheses(carry: Optional[ScanCarry],
+                    counts: Iterable[Tuple[Hashable, int]],
+                    budget: int, size: int, early_stop: bool
+                    ) -> Tuple[ScanCarry, Optional[SelectionOutcome]]:
+    """Advance the arg-min scan over per-hypothesis failure counts.
+
+    *carry* is the scan so far (``None`` before the first hypothesis;
+    its rates are extended in place); *counts* yields the next
+    hypotheses' ``(label, failures)`` over *budget* queries each.  The
+    first lowest rate wins ties.  The scan ends after a zero-failure
+    hypothesis with *early_stop*, or after the last of *size*
+    hypotheses; returns the new carry and then the outcome, else
+    ``None``.  :func:`select_hypothesis` feeds it lazily from scalar
+    queries and a lock-step selection lane one count per round, so
+    both decide identically by construction.
+    """
+    rates, best = carry or ({}, (math.inf, None))
+    for label, failures in counts:
+        rate = failures / budget
+        rates[label] = rate
+        if rate < best[0]:
+            best = (rate, label)
+        if (early_stop and failures == 0) or len(rates) == size:
+            return (rates, best), SelectionOutcome(
+                best[1], len(rates) * budget, rates)
+    return (rates, best), None
 
 
 def select_hypothesis(oracle: HelperDataOracle,
@@ -288,31 +301,26 @@ def select_hypothesis(oracle: HelperDataOracle,
     With *early_stop*, a hypothesis that records zero failures over its
     full budget short-circuits the scan — with well-chosen error
     injection only the correct hypothesis behaves that way, which is
-    what keeps the ``2^u`` multi-bit variants affordable.
+    what keeps the ``2^u`` multi-bit variants affordable.  A scalar
+    oracle feeds :func:`scan_hypotheses` one hypothesis at a time; a
+    :class:`~repro.core.batch_oracle.BatchOracle` answers through one
+    lock-step lane (:func:`repro.core.lockstep.run_lane`), one
+    hypothesis's budget per round.
     """
-    if not helpers:
-        raise ValueError("need at least one hypothesis")
-    start = oracle.queries
-    batched = isinstance(oracle, BatchOracle)
-    rates: Dict[Hashable, float] = {}
-    best: Tuple[float, Hashable] = (math.inf, None)
-    for label, helper in helpers.items():
-        # Each hypothesis always consumes its full fixed budget, so a
-        # batched oracle answers it in one vectorized block.
-        if batched:
-            outcomes = oracle.query_block(helper,
-                                          queries_per_hypothesis, op)
-            failures = int(np.count_nonzero(~outcomes))
-        else:
-            failures = sum(0 if oracle.query(helper, op) else 1
-                           for _ in range(queries_per_hypothesis))
-        rate = failures / queries_per_hypothesis
-        rates[label] = rate
-        if rate < best[0]:
-            best = (rate, label)
-        if early_stop and failures == 0:
-            break
-    return SelectionOutcome(best[1], oracle.queries - start, rates)
+    # Imported here: lockstep depends on this module at import time
+    # for the outcome vocabulary and the walks.
+    from repro.core.lockstep import SelectionRequest, run_lane
+
+    request = SelectionRequest(helpers, queries_per_hypothesis, op,
+                               early_stop)
+    if isinstance(oracle, BatchOracle):
+        return run_lane(oracle, request)
+    budget = range(queries_per_hypothesis)
+    counts = ((label, sum(0 if oracle.query(helper, op) else 1
+                          for _ in budget))
+              for label, helper in helpers.items())
+    return scan_hypotheses(None, counts, queries_per_hypothesis,
+                           len(helpers), early_stop)[1]
 
 
 def repair_with_commitment(key: np.ndarray, commitment: bytes,

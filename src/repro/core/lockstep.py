@@ -5,30 +5,45 @@ The adaptive §VI attacks are, at heart, state machines: build a pair
 device likes best, branch on the answer, repeat.  This module makes
 that structure explicit so one attack can be executed two ways:
 
-* **Scalar drive** — :func:`drive` feeds one attack generator from one
-  oracle, executing each yielded request through exactly the calls the
-  pre-stepwise drivers made (``FailureRateComparer.compare``,
+* **Scalar drive** — :func:`drive` on a
+  :class:`~repro.core.oracle.HelperDataOracle` answers each yielded
+  request through the distinguishers' single-query walks
+  (``FailureRateComparer.compare``,
   :func:`~repro.core.framework.select_hypothesis`,
   ``SPRTDistinguisher.test``, single queries).  This is the executable
   equivalence reference.
-* **Lock-step rounds** — the campaign scheduler
-  (:class:`repro.fleet.campaign.LockstepCampaign`) gathers the pending
-  request of every active device each round and advances them together
-  through the :class:`LaneEngine` subclasses below: one noise block per
-  device per round, evaluated for the whole batch, after which each
-  lane walks its block through its distinguisher's own per-sample
-  rule (``FailureRateComparer.walk``, ``SPRTDistinguisher.walk``) —
-  the function the scalar drive runs too.  Each round's blocks are
-  evaluated through one frontier plan
-  (:func:`~repro.core.batch_oracle.plan_frontier`) over two routes:
-  blocks whose extraction is a described pair-column index — raw
-  ``>=`` pairs (sequential), residual ``>=`` pairs (distiller) or
-  residual Kendall pairs (group-based helpers made of pairs, every
-  §VI-C hypothesis) — and whose completion is a bare code-offset
-  sketch are stacked, with or without a trajectory and a lone block
-  as a group of one: one gather, trend subtraction, compare, dedup,
-  payload shift and key check per stack key.  Every other block
-  keeps its own ``plan_rows`` in round order.
+* **Lock-step rounds** — on a
+  :class:`~repro.core.batch_oracle.BatchOracle` a request is a
+  :class:`Lane` advanced by :func:`step`.  Each request type states
+  its round once: ``take`` names the noise rows it takes and the
+  ``(oracle, helper, rows, op)`` items it evaluates, ``walk`` runs the
+  results through its distinguisher's own rule — the function the
+  scalar drive runs too (``FailureRateComparer.walk``,
+  ``SPRTDistinguisher.walk``,
+  :func:`~repro.core.framework.scan_hypotheses`,
+  :func:`until_success`).  One :func:`step` takes every lane's rows,
+  evaluates the whole round through one frontier plan
+  (:func:`~repro.core.batch_oracle.plan_frontier`), whatever the
+  request types, walks each lane and unwinds the rows its walk did
+  not use.  The campaign scheduler
+  (:class:`repro.fleet.campaign.LockstepCampaign`) steps the pending
+  request of every active device together; :func:`run_lane` steps one
+  lane alone, which is how ``compare``, ``test``,
+  ``select_hypothesis`` and :func:`execute_request` answer on a
+  batched oracle.
+
+A round's frontier has two routes.  Blocks whose extraction is a
+described pair-column index — raw ``>=`` pairs (sequential), residual
+``>=`` pairs (distiller) or residual Kendall pairs (group-based
+helpers made of pairs, every §VI-C hypothesis), hardened ones with
+their gap check — and whose completion is a bare code-offset sketch
+are stacked per stack key, with or without a trajectory and a lone
+block as a group of one: one gather, trend subtraction, compare,
+dedup, payload shift and key check per group.  Every other block
+keeps its own ``plan_rows`` at its place in the round, so transient
+streams (the temp-aware sensor) are consumed in request order.  The
+kernel phase then makes one fused call per distinct kernel key across
+the whole frontier.
 
 **Described hypotheses.**  The §VI-A and §VI-C attacks send their
 comparisons as described manipulations of the enrolled helper
@@ -41,15 +56,22 @@ item the keygen cannot describe, evaluates ``descriptor.apply`` of
 the enrolled helper instead, in every request type.
 
 **Equivalence contract.**  Each device owns its oracle and noise
-stream, and a lane only ever consumes rows from its own oracle in
-request order, unwinding speculative tails, and walks every sample
-through the one stopping-rule function the scalar walk uses, carrying
-its counts between rounds.  Decisions, per-comparison query counts,
-recovered keys and final stream positions are therefore
-**bitwise-identical** to the scalar per-device loop for every batch
-composition — asserted in ``tests/fleet/test_campaign.py``,
-``tests/core/test_lane_walks.py`` and
-``benchmarks/bench_attack_lockstep.py``.
+stream and has one lane per round; a lane only ever consumes rows
+from its own oracle in request order, unwinding speculative tails,
+and walks every result through the one rule function the scalar walk
+uses, carrying its state between rounds.  Memos are per device, so no
+item sees another lane's memo update from the same round, and the
+frontier plan is bitwise-identical for every composition: merging
+request types into one round changes only the order *across*
+devices.  Decisions, per-request query counts, recovered keys and
+final stream positions are therefore **bitwise-identical** to the
+scalar per-device loop for every batch composition — asserted in
+``tests/fleet/test_campaign.py``, ``tests/core/test_lane_walks.py``,
+``tests/core/test_lockstep_rounds.py`` and
+``benchmarks/bench_attack_lockstep.py``.  The one observable
+difference is the device stream itself, which advances by the
+speculated rows (a ``stop_on_success`` probe speculates its whole
+block); the oracle's counter and every later reply do not.
 
 An attack participates by exposing ``steps()``: a generator yielding
 :class:`ComparisonRequest`, :class:`SelectionRequest`,
@@ -60,8 +82,8 @@ object.  ``run()`` keeps working on any oracle via :func:`drive`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (
     Dict,
     Generator,
@@ -75,11 +97,11 @@ from typing import (
 import numpy as np
 
 from repro.core.batch_oracle import BatchOracle, plan_frontier
-from repro.ecc.kernel import run_kernels
 from repro.core.framework import (
     ComparisonOutcome,
     FailureRateComparer,
     SelectionOutcome,
+    scan_hypotheses,
     select_hypothesis,
 )
 from repro.core.oracle import HelperDataOracle
@@ -89,6 +111,35 @@ from repro.keygen.base import OperatingPoint
 #: A stepwise attack: yields requests, receives outcomes, returns its
 #: result object.
 AttackSteps = Generator
+
+#: One evaluation of a round: ``(oracle, helper, rows, op)``.
+Item = Tuple[BatchOracle, object, np.ndarray, Optional[OperatingPoint]]
+
+#: What a request takes in one round: its rows and the items they feed.
+Round = Tuple[np.ndarray, List[Item]]
+
+#: What a lane's walk leaves: rows used, carry, outcome (``None`` while
+#: the request is still pending).
+Walked = Tuple[int, object, Optional[object]]
+
+
+def _one_block(oracle: BatchOracle, helper, count: int,
+               op: Optional[OperatingPoint]) -> Round:
+    """Take *count* rows, all evaluated under *helper*."""
+    rows = oracle.take_rows(count)
+    return rows, [(oracle, helper, rows, op)]
+
+
+def until_success(outcomes) -> np.ndarray:
+    """The stop-on-success rule: *outcomes* up to and including the
+    first success, or all of them.  The scalar probe feeds it lazy
+    single queries, a probe lane its speculated block."""
+    walked: List[bool] = []
+    for ok in outcomes:
+        walked.append(bool(ok))
+        if ok:
+            break
+    return np.array(walked, dtype=bool)
 
 
 # ----------------------------------------------------------------------
@@ -101,12 +152,12 @@ class ComparisonRequest:
 
     Answered with a :class:`~repro.core.framework.ComparisonOutcome`.
     ``comparer`` carries the stopping rules; the scalar drive calls it
-    directly, the lock-step engine walks each lane's blocks through
+    directly, a lane walks its blocks through
     :meth:`~repro.core.framework.FailureRateComparer.walk`.  The
     §VI-A and §VI-C attacks send each helper as a described
     manipulation of the enrolled one
-    (:class:`~repro.keygen.batch.DescribedHelper`): the lock-step
-    engine stacks its arrays, the scalar oracle materialises it.
+    (:class:`~repro.keygen.batch.DescribedHelper`): a lane stacks its
+    arrays, the scalar oracle materialises it.
     """
 
     helper_a: object
@@ -114,6 +165,31 @@ class ComparisonRequest:
     comparer: FailureRateComparer = field(
         default_factory=FailureRateComparer)
     op: Optional[OperatingPoint] = None
+
+    #: paired samples a lane takes per round
+    block = 8
+
+    def take(self, oracle: BatchOracle, carry) -> Round:
+        """One block of paired samples: even rows feed helper *a*, odd
+        rows *b* (the sequential interleave)."""
+        samples = carry[2] if carry else 0
+        rows = oracle.take_rows(2 * min(
+            self.block, self.comparer.max_queries_per_side - samples))
+        return rows, [(oracle, self.helper_a, rows[0::2], self.op),
+                      (oracle, self.helper_b, rows[1::2], self.op)]
+
+    def walk(self, carry, results: Sequence[np.ndarray]) -> Walked:
+        """Walk the block through the comparer's rule, carrying
+        ``(failures_a, failures_b, samples)``."""
+        comparer = self.comparer
+        prior = carry or (0, 0, 0)
+        out_a, out_b = results
+        carry, stopped, separated = comparer.walk(
+            prior, out_a.tolist(), out_b.tolist())
+        used = 2 * (carry[2] - prior[2])
+        if stopped or carry[2] >= comparer.max_queries_per_side:
+            return used, carry, comparer.outcome(carry, separated)
+        return used, carry, None
 
 
 @dataclass(frozen=True)
@@ -123,12 +199,39 @@ class SelectionRequest:
     Answered with a :class:`~repro.core.framework.SelectionOutcome`.
     Hypotheses are scanned in dict order with the fixed per-hypothesis
     budget; with *early_stop* a zero-failure hypothesis ends the scan.
+    A lane evaluates one hypothesis's full budget per round.
     """
 
     helpers: Dict[Hashable, object]
     queries_per_hypothesis: int = 8
     op: Optional[OperatingPoint] = None
     early_stop: bool = True
+
+    def __post_init__(self) -> None:
+        if not self.helpers:
+            raise ValueError("need at least one hypothesis")
+        if self.queries_per_hypothesis < 1:
+            raise ValueError("need at least one query per hypothesis")
+
+    def _label(self, carry) -> Hashable:
+        """The next label in dict order: the first without a rate."""
+        scanned = len(carry[0]) if carry else 0
+        return next(islice(self.helpers, scanned, None))
+
+    def take(self, oracle: BatchOracle, carry) -> Round:
+        """The next hypothesis's full budget."""
+        return _one_block(oracle, self.helpers[self._label(carry)],
+                          self.queries_per_hypothesis, self.op)
+
+    def walk(self, carry, results: Sequence[np.ndarray]) -> Walked:
+        """Feed the hypothesis's failure count to the scan."""
+        (outcomes,) = results
+        counts = [(self._label(carry),
+                   int(np.count_nonzero(~outcomes)))]
+        carry, outcome = scan_hypotheses(
+            carry, counts, self.queries_per_hypothesis,
+            len(self.helpers), self.early_stop)
+        return len(outcomes), carry, outcome
 
 
 @dataclass(frozen=True)
@@ -145,6 +248,28 @@ class SPRTRequest:
     helper: object
     op: Optional[OperatingPoint] = None
 
+    #: observations a lane takes per round
+    block = 16
+
+    def take(self, oracle: BatchOracle, carry) -> Round:
+        """The next block of observations, within the budget."""
+        queries = carry[2] if carry else 0
+        return _one_block(oracle, self.helper, min(
+            self.block, self.distinguisher.max_queries - queries),
+            self.op)
+
+    def walk(self, carry, results: Sequence[np.ndarray]) -> Walked:
+        """Walk the block through the Wald rule, carrying ``(llr,
+        failures, queries)``."""
+        sprt = self.distinguisher
+        prior = carry or (0.0, 0, 0)
+        (outcomes,) = results
+        carry, decision = sprt.walk(prior, outcomes.tolist())
+        used = carry[2] - prior[2]
+        if decision is not None or carry[2] >= sprt.max_queries:
+            return used, carry, sprt.outcome(carry, decision)
+        return used, carry, None
+
 
 @dataclass(frozen=True)
 class QueryBlockRequest:
@@ -152,8 +277,10 @@ class QueryBlockRequest:
 
     Answered with a boolean success vector.  With *stop_on_success*
     the walk ends at the first success (the §VI-A candidate-resolution
-    probe), so the reply may be shorter than *count*; its length is the
-    number of queries consumed either way.
+    probe, :func:`until_success`), so the reply may be shorter than
+    *count*; its length is the number of queries consumed either way.
+    A lane answers in one round, a probe by speculating the whole
+    block and unwinding the tail.
     """
 
     helper: object
@@ -161,19 +288,42 @@ class QueryBlockRequest:
     op: Optional[OperatingPoint] = None
     stop_on_success: bool = False
 
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError("need at least one query")
+
+    def take(self, oracle: BatchOracle, carry) -> Round:
+        """The whole block."""
+        return _one_block(oracle, self.helper, self.count, self.op)
+
+    def walk(self, carry, results: Sequence[np.ndarray]) -> Walked:
+        """The block, cut after its first success for a probe."""
+        (outcomes,) = results
+        if self.stop_on_success:
+            outcomes = until_success(outcomes.tolist())
+        return len(outcomes), carry, outcomes
+
+
+#: Every protocol request type.
+REQUEST_TYPES = (ComparisonRequest, SelectionRequest, SPRTRequest,
+                 QueryBlockRequest)
+
 
 # ----------------------------------------------------------------------
-# scalar reference executor
+# executors
 
 
 def execute_request(request, oracle) -> object:
-    """Execute one protocol request against one oracle, scalar-style.
+    """Execute one protocol request against one oracle.
 
-    Dispatches to exactly the calls the pre-stepwise attack drivers
-    made, so a generator driven through this function reproduces the
-    legacy behaviour query for query on both oracle types.  Both
-    oracles accept described helpers in every request type.
+    A :class:`~repro.core.batch_oracle.BatchOracle` answers through
+    :func:`run_lane`.  Any other oracle answers through the scalar
+    single-query walks — the reference, reproducing the pre-stepwise
+    attack drivers query for query.  Both accept described helpers in
+    every request type.
     """
+    if isinstance(oracle, BatchOracle):
+        return run_lane(oracle, request)
     if isinstance(request, ComparisonRequest):
         return request.comparer.compare(oracle, request.helper_a,
                                         request.helper_b, request.op)
@@ -186,19 +336,11 @@ def execute_request(request, oracle) -> object:
         return request.distinguisher.test(oracle, request.helper,
                                           request.op)
     if isinstance(request, QueryBlockRequest):
+        outcomes = (oracle.query(request.helper, request.op)
+                    for _ in range(request.count))
         if request.stop_on_success:
-            outcomes: List[bool] = []
-            for _ in range(request.count):
-                outcomes.append(bool(oracle.query(request.helper,
-                                                  request.op)))
-                if outcomes[-1]:
-                    break
-            return np.array(outcomes, dtype=bool)
-        if isinstance(oracle, BatchOracle):
-            return oracle.query_block(request.helper, request.count,
-                                      request.op)
-        return np.array([oracle.query(request.helper, request.op)
-                         for _ in range(request.count)], dtype=bool)
+            return until_success(outcomes)
+        return np.array(list(outcomes), dtype=bool)
     raise TypeError(f"not a lock-step protocol request: {request!r}")
 
 
@@ -220,11 +362,10 @@ def outcome_queries(reply) -> int:
 def drive(steps: AttackSteps, oracle: HelperDataOracle) -> object:
     """Run a stepwise attack generator to completion on one oracle.
 
-    The scalar reference executor: each yielded request is answered
-    via :func:`execute_request` and the generator's return value is
-    handed back.  Works with both the scalar
-    :class:`~repro.core.oracle.HelperDataOracle` and the
-    :class:`~repro.core.batch_oracle.BatchOracle`.
+    Each yielded request is answered via :func:`execute_request` and
+    the generator's return value is handed back.  Works with both the
+    scalar :class:`~repro.core.oracle.HelperDataOracle` (the reference
+    executor) and the :class:`~repro.core.batch_oracle.BatchOracle`.
     """
     reply = None
     while True:
@@ -236,19 +377,23 @@ def drive(steps: AttackSteps, oracle: HelperDataOracle) -> object:
 
 
 # ----------------------------------------------------------------------
-# lock-step lane engines
+# lock-step rounds
 
 
 class Lane:
-    """One device's seat in a lock-step round: oracle + pending work.
+    """One device's seat in a lock-step round: oracle + pending request.
 
-    ``state`` is engine-private decision state carried between rounds
-    (a distinguisher walk's carry, a scan position); it lives on the
-    lane so an abandoned campaign cannot leak stale state into a
-    recycled object id.
+    ``state`` is the request's walk carry between rounds (a
+    comparison's or Wald walk's counts, a scan's rates); it lives on
+    the lane, so an abandoned campaign cannot leak stale state into a
+    recycled object id.  ``outcome`` is set by the round in which the
+    request completes.
     """
 
     def __init__(self, oracle: BatchOracle, request) -> None:
+        if not isinstance(request, REQUEST_TYPES):
+            raise TypeError(
+                f"not a lock-step protocol request: {request!r}")
         self.oracle = oracle
         self.request = request
         self.outcome: Optional[object] = None
@@ -260,236 +405,33 @@ class Lane:
         return self.outcome is not None
 
 
-class LaneEngine:
-    """Advances a batch of same-type requests one block per round.
+def step(lanes: Sequence[Lane]) -> None:
+    """Advance every lane by one round; set ``lane.outcome`` when a
+    lane's request completes.
 
-    Subclasses hold whatever per-lane decision state their
-    distinguisher needs and must deliver, for every lane, an outcome
-    bitwise-identical to :func:`execute_request` on the same oracle
-    stream.
-
-    Every round evaluates through one frontier plan
-    (:func:`~repro.core.batch_oracle.plan_frontier`).  Blocks that
-    reduce to a :class:`~repro.keygen.batch.PairBlock` — described
-    hypothesis helpers the keygen can describe, and pair-column
-    evaluators completed by a bare code-offset sketch, with or
-    without a trajectory — are stacked per (row count, width, stack
-    key), a lone block as a group of one, the stack key holding the
-    comparison kind (``>=`` or Kendall), whether a trend is
-    subtracted, the kernel key and the gap check: one gather, trend
-    subtraction and compare over the stacked pair indices, one dedup
-    keyed by (block, pattern), one pass of memo lookups, one payload
-    shift and one vectorised key check.  Sequential, distiller and
-    group-based blocks of pairs stack this way, hardened ones too;
-    every other block — constant, masked (temp-aware), assembled
-    (groups of three or more, fuzzy extractor) or malformed, a
-    described helper materialised first — is planned alone via
-    :meth:`~repro.core.batch_oracle.BatchOracle.plan_rows` at its
-    place in the round, so transient streams are consumed in request
-    order.  Then **one fused kernel call per distinct kernel key
-    across the whole frontier** (:func:`repro.ecc.kernel.run_kernels`)
-    and one finalize per stacked group or own plan.  With a single
-    item this is exactly
-    :meth:`~repro.core.batch_oracle.BatchOracle.evaluate_rows`;
-    stacking keeps dedup and memo lookups per item and fusion only
-    regroups row-local kernel work, so outcomes are bitwise-identical
-    for every frontier composition.
+    Every lane takes its round's rows from its own oracle, the items
+    of all lanes — whatever their request types — are evaluated
+    through one frontier plan, and each lane walks its results and
+    unwinds the rows its walk did not use.  Lanes must hold distinct
+    oracles.
     """
-
-    #: request type handled by the engine
-    request_type: type = object
-
-    def evaluate_many(self, items: Sequence[Tuple[BatchOracle, object,
-                                                  np.ndarray,
-                                                  Optional[OperatingPoint]]]
-                      ) -> List[np.ndarray]:
-        """Evaluate ``(oracle, helper, rows, op)`` items in one round.
-
-        Items are planned in order (so transient streams like the
-        temp-aware sensor are consumed as per-device evaluation would),
-        stackable blocks as one pass per group, the kernel phase is
-        fused across all items sharing a kernel key, and each item's
-        outcomes come back in order.
-        """
-        frontier = plan_frontier(items)
-        return frontier.finalize(run_kernels(frontier.workloads))
-
-    def step(self, lanes: Sequence[Lane]) -> None:
-        """Advance every lane by one round; set ``lane.outcome`` when
-        a lane's request completes."""
-        raise NotImplementedError
+    rounds = [lane.request.take(lane.oracle, lane.state)
+              for lane in lanes]
+    results = plan_frontier(
+        [item for _, items in rounds for item in items]).execute()
+    end = 0
+    for lane, (rows, items) in zip(lanes, rounds):
+        start, end = end, end + len(items)
+        used, lane.state, lane.outcome = lane.request.walk(
+            lane.state, results[start:end])
+        if used < len(rows):
+            lane.oracle.untake_rows(rows[used:])
 
 
-class ComparisonEngine(LaneEngine):
-    """Lock-step paired Hoeffding comparisons across devices.
-
-    Per round each active lane contributes one block of paired samples
-    (even noise rows feed helper *a*, odd rows *b* — the sequential
-    interleave), evaluated for the whole batch through one frontier.
-    Each lane then walks its block through its comparer's own
-    per-sample rule (:meth:`FailureRateComparer.walk`), carrying
-    ``(failures_a, failures_b, samples)`` between rounds; a lane that
-    stopped unwinds its unused rows and delivers its outcome.
-    """
-
-    request_type = ComparisonRequest
-
-    #: paired samples granted to every lane per round
-    block = 8
-
-    def step(self, lanes: Sequence[Lane]) -> None:
-        """Advance each pending comparison by one paired-sample block."""
-        taken: List[np.ndarray] = []
-        items = []
-        for lane in lanes:
-            request = lane.request
-            samples = lane.state[2] if lane.state else 0
-            rows = lane.oracle.take_rows(2 * min(
-                self.block,
-                request.comparer.max_queries_per_side - samples))
-            taken.append(rows)
-            items.append((lane.oracle, request.helper_a, rows[0::2],
-                          request.op))
-            items.append((lane.oracle, request.helper_b, rows[1::2],
-                          request.op))
-        results = self.evaluate_many(items)
-        for lane, rows, out_a, out_b in zip(lanes, taken, results[0::2],
-                                            results[1::2]):
-            comparer = lane.request.comparer
-            prior = lane.state or (0, 0, 0)
-            carry, stopped, separated = comparer.walk(
-                prior, out_a.tolist(), out_b.tolist())
-            if stopped:
-                lane.oracle.untake_rows(rows[2 * (carry[2] - prior[2]):])
-            elif carry[2] < comparer.max_queries_per_side:
-                lane.state = carry
-                continue
-            lane.state = None
-            lane.outcome = comparer.outcome(carry, separated)
-
-
-class SPRTEngine(LaneEngine):
-    """Lock-step Wald walks across devices.
-
-    Each lane's walk is extended by one observation block per round,
-    evaluated for the whole batch through one frontier and walked
-    through the distinguisher's own per-sample rule
-    (:meth:`SPRTDistinguisher.walk`), carrying ``(llr, failures,
-    queries)`` between rounds; the first boundary crossing decides
-    with the tail rows unwound.
-    """
-
-    request_type = SPRTRequest
-
-    #: observations granted to every lane per round
-    block = 16
-
-    def step(self, lanes: Sequence[Lane]) -> None:
-        """Advance each pending Wald walk by one observation block."""
-        taken: List[np.ndarray] = []
-        items = []
-        for lane in lanes:
-            request = lane.request
-            queries = lane.state[2] if lane.state else 0
-            rows = lane.oracle.take_rows(min(
-                self.block, request.distinguisher.max_queries - queries))
-            taken.append(rows)
-            items.append((lane.oracle, request.helper, rows, request.op))
-        results = self.evaluate_many(items)
-        for lane, rows, outcomes in zip(lanes, taken, results):
-            sprt = lane.request.distinguisher
-            prior = lane.state or (0.0, 0, 0)
-            carry, decision = sprt.walk(prior, outcomes.tolist())
-            if decision is not None:
-                lane.oracle.untake_rows(rows[carry[2] - prior[2]:])
-            elif carry[2] < sprt.max_queries:
-                lane.state = carry
-                continue
-            lane.state = None
-            lane.outcome = sprt.outcome(carry, decision)
-
-
-class SelectionEngine(LaneEngine):
-    """Lock-step arg-min hypothesis scans across devices.
-
-    Every lane evaluates its *current* hypothesis's full fixed budget
-    in one vectorized block per round, then either stops (zero
-    failures with early stopping, or scan exhausted) or moves to the
-    next hypothesis — so a batch of ``2^u``-hypothesis scans advances
-    together without any lane waiting for the slowest scan.
-    """
-
-    request_type = SelectionRequest
-
-    def step(self, lanes: Sequence[Lane]) -> None:
-        """Advance each pending scan by one full-budget hypothesis."""
-        items = []
-        for lane in lanes:
-            request = lane.request
-            if lane.state is None:
-                if not request.helpers:
-                    raise ValueError("need at least one hypothesis")
-                # lane state: [labels, hypothesis index, queries,
-                # rates, best]
-                lane.state = [list(request.helpers), 0, 0, {},
-                              (math.inf, None)]
-            labels, index = lane.state[:2]
-            rows = lane.oracle.take_rows(
-                request.queries_per_hypothesis)
-            items.append((lane.oracle, request.helpers[labels[index]],
-                          rows, request.op))
-        results = self.evaluate_many(items)
-        for lane, outcomes in zip(lanes, results):
-            request = lane.request
-            labels, index, queries, rates, best = lane.state
-            label = labels[index]
-            budget = request.queries_per_hypothesis
-            failures = int(np.count_nonzero(~outcomes))
-            queries += budget
-            rate = failures / budget
-            rates[label] = rate
-            if rate < best[0]:
-                best = (rate, label)
-            if ((request.early_stop and failures == 0)
-                    or index + 1 >= len(labels)):
-                lane.state = None
-                lane.outcome = SelectionOutcome(best[1], queries,
-                                                rates)
-            else:
-                lane.state = [labels, index + 1, queries, rates, best]
-
-
-class QueryBlockEngine(LaneEngine):
-    """Lock-step raw query blocks (always complete in one round).
-
-    Plain blocks evaluate in a single vectorized pass.  A
-    *stop_on_success* probe speculatively evaluates the full block,
-    truncates at the first success and unwinds the tail — landing the
-    stream and counter exactly where the scalar single-query walk
-    stops.
-    """
-
-    request_type = QueryBlockRequest
-
-    def step(self, lanes: Sequence[Lane]) -> None:
-        """Answer every pending block request in this round."""
-        taken: List[np.ndarray] = []
-        items = []
-        for lane in lanes:
-            rows = lane.oracle.take_rows(lane.request.count)
-            taken.append(rows)
-            items.append((lane.oracle, lane.request.helper, rows,
-                          lane.request.op))
-        results = self.evaluate_many(items)
-        for lane, rows, outcomes in zip(lanes, taken, results):
-            if lane.request.stop_on_success and outcomes.any():
-                idx = int(np.argmax(outcomes))
-                lane.oracle.untake_rows(rows[idx + 1:])
-                outcomes = outcomes[:idx + 1]
-            lane.outcome = outcomes
-
-
-def lane_engines() -> Tuple[LaneEngine, ...]:
-    """Fresh engine set covering every protocol request type."""
-    return (ComparisonEngine(), SPRTEngine(), SelectionEngine(),
-            QueryBlockEngine())
+def run_lane(oracle: BatchOracle, request) -> object:
+    """Answer one request on one batched oracle: :func:`step` looped
+    over a single lane."""
+    lane = Lane(oracle, request)
+    while not lane.finished:
+        step([lane])
+    return lane.outcome

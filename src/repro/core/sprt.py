@@ -69,6 +69,8 @@ class SPRTDistinguisher:
             raise ValueError("need 0 <= p_low < p_high <= 1")
         if not (0.0 < alpha < 0.5 and 0.0 < beta < 0.5):
             raise ValueError("alpha and beta must be in (0, 0.5)")
+        if max_queries < 1:
+            raise ValueError("max_queries must be positive")
         # Clamp away from {0, 1} so the log-likelihood stays finite.
         self._p_low = min(max(p_low, 1e-6), 1 - 1e-6)
         self._p_high = min(max(p_high, 1e-6), 1 - 1e-6)
@@ -146,9 +148,9 @@ class SPRTDistinguisher:
         yields the next reconstruction successes.  Returns the new
         carry and ``"neq"`` / ``"eq"`` at the first boundary crossing
         (the carry's last observation), else ``None``.  The scalar
-        oracle, a blocked :class:`~repro.core.batch_oracle.BatchOracle`
-        and every lock-step lane walk their observations through this
-        one function.
+        oracle and every lock-step lane (a lone one on a
+        :class:`~repro.core.batch_oracle.BatchOracle` too) walk their
+        observations through this one function.
         """
         llr, failures, queries = carry
         for ok in outcomes:
@@ -178,35 +180,21 @@ class SPRTDistinguisher:
              op: Optional[OperatingPoint] = None) -> SPRTOutcome:
         """Run the sequential test against one manipulated helper.
 
-        A :class:`~repro.core.batch_oracle.BatchOracle` is consumed in
-        vectorized blocks with unused rows unwound, so outcome,
-        query count and oracle state match the scalar walk bitwise.
+        A scalar oracle is walked query by query.  A
+        :class:`~repro.core.batch_oracle.BatchOracle` answers through
+        one lock-step lane (:func:`repro.core.lockstep.run_lane`):
+        observation blocks walked through :meth:`walk`, tail rows past
+        the first boundary crossing unwound, so outcome, query count
+        and oracle state match the scalar walk bitwise.
         """
         if isinstance(oracle, BatchOracle):
-            return self._test_blocked(oracle, helper, op)
+            # Imported here: lockstep depends on this module at import
+            # time for the outcome vocabulary and the walk.
+            from repro.core.lockstep import SPRTRequest, run_lane
+            return run_lane(oracle, SPRTRequest(self, helper, op))
         return self.outcome(*self.walk(
             (0.0, 0, 0),
             (oracle.query(helper, op) for _ in range(self._max))))
-
-    def _test_blocked(self, oracle: BatchOracle, helper,
-                      op: Optional[OperatingPoint]) -> SPRTOutcome:
-        """Block-wise Wald walk over a batched oracle.
-
-        Delegates to the lock-step ``SPRTEngine`` with a single lane:
-        each round evaluates one observation block in one vectorized
-        pass and walks it through :meth:`walk`, tail rows past the
-        first boundary crossing unwound — the same code for single
-        tests and campaign batches alike.
-        """
-        # Imported here: lockstep depends on this module at import
-        # time for the outcome/request vocabulary.
-        from repro.core.lockstep import Lane, SPRTEngine, SPRTRequest
-
-        lane = Lane(oracle, SPRTRequest(self, helper, op))
-        engine = SPRTEngine()
-        while not lane.finished:
-            engine.step([lane])
-        return lane.outcome
 
     def expected_queries(self, true_p: float) -> float:
         """Wald's approximation of E[queries] at failure rate *true_p*.

@@ -1,19 +1,17 @@
 """Round-based lock-step execution of one attack across many devices.
 
-``Fleet.attack_success`` used to walk its device population one attack
-at a time: each worker drove one adaptive attack loop to completion,
-one distinguisher decision per oracle round trip, before touching the
-next device.  :class:`LockstepCampaign` turns that inside out.  Every
-device's attack runs as a stepwise generator
-(:mod:`repro.core.lockstep`); the campaign gathers the **frontier** —
-the pending request of every still-active device — each round and
-advances all of them together through the vectorized lane engines: one
-noise block per device, one batched bookkeeping pass per request type
-(per-device accept/reject/continue masks, variable per-device query
-counts), one frontier plan for the round's evaluations (stacked groups
-of pair-comparison blocks, own plans for the rest), then the finished
-devices' generators resume and contribute their next request to the
-following round.
+:class:`LockstepCampaign` runs one attack over a batch of devices in
+shared rounds.  Every device's attack runs as a stepwise generator
+(:mod:`repro.core.lockstep`); each round the campaign gathers the
+**frontier** — the pending request of every still-active device, one
+:class:`~repro.core.lockstep.Lane` each — and advances all of them
+through one :func:`~repro.core.lockstep.step`: every lane takes its
+noise block, the whole round is evaluated through one frontier plan
+(stacked groups of pair blocks, own plans for the rest) whatever the
+request types, and every lane walks its results through its
+distinguisher's own rule, carrying its state to the next round.
+Devices whose request completed resume at once, so their next request
+joins the following round.
 
 Devices finish at different rounds; the frontier simply shrinks.
 Because every lane consumes only its own oracle's stream, in request
@@ -38,7 +36,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.batch_oracle import BatchOracle
 from repro.core.distiller_attack import DistillerPairingAttack
 from repro.core.group_attack import GroupBasedAttack
-from repro.core.lockstep import AttackSteps, Lane, lane_engines
+from repro.core import lockstep
+from repro.core.lockstep import AttackSteps, Lane
 from repro.core.sequential_attack import SequentialPairingAttack
 from repro.core.temp_aware_attack import TempAwareAttack
 
@@ -73,12 +72,11 @@ class LockstepCampaign:
     def run(self) -> List[object]:
         """Execute every attack to completion; results in lane order.
 
-        Each scheduler round partitions the active frontier by request
-        type and hands every group to its lane engine for one block of
-        progress; devices whose request completed are resumed
-        immediately so their next request joins the very next round.
+        Each scheduler round is one :func:`~repro.core.lockstep.step`
+        over the whole active frontier; devices whose request
+        completed are resumed immediately so their next request joins
+        the very next round.
         """
-        engines = lane_engines()
         results: List[object] = [None] * len(self._entries)
         active: List[Tuple[int, AttackSteps, Lane]] = []
         for index, (oracle, steps) in enumerate(self._entries):
@@ -86,18 +84,9 @@ class LockstepCampaign:
             if slot is not None:
                 active.append(slot)
         while active:
-            progressed = False
-            for engine in engines:
-                lanes = [lane for _, _, lane in active
-                         if isinstance(lane.request,
-                                       engine.request_type)]
-                if lanes:
-                    engine.step(lanes)
-                    progressed = True
-            if not progressed:
-                request = active[0][2].request
-                raise TypeError(
-                    f"no lane engine accepts request {request!r}")
+            # Through the module, so the one step boundary covers
+            # campaign rounds and lone lanes alike.
+            lockstep.step([lane for _, _, lane in active])
             survivors: List[Tuple[int, AttackSteps, Lane]] = []
             for index, steps, lane in active:
                 if not lane.finished:

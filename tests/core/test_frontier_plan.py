@@ -20,7 +20,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.batch_oracle import BatchOracle, plan_frontier
 from repro.core.group_attack import GroupBasedAttack
 from repro.core.injection import flip_orientations
-from repro.core.lockstep import LaneEngine
 from repro.ecc import design_bch, run_kernels
 from repro.ecc.kernel import kernel_stats
 from repro.ecc.sketch import SketchData
@@ -335,7 +334,8 @@ class TestMixedRounds:
         spec = [(0, 0, 8, None), (1, 0, 8, None), (0, 2, 8, None)]
         engine_lanes = build_lanes(["sequential", "rejected"])
         reference = build_lanes(["sequential", "rejected"])
-        got, _ = run_round(engine_lanes, spec, LaneEngine().evaluate_many)
+        got, _ = run_round(engine_lanes, spec,
+                           lambda items: plan_frontier(items).execute())
         want, _ = run_round(reference, spec, per_item)
         for expected, observed in zip(want, got):
             np.testing.assert_array_equal(observed, expected)

@@ -1,13 +1,14 @@
 """Lock-step lanes walk their samples exactly as the scalar rule does.
 
-The comparison and SPRT engines are stepped over many heterogeneous
-lanes at once, with ``evaluate_many`` replaced by scripted outcomes:
-each lane's oracle holds one boolean stream, and noise row ``r`` of
-that lane reconstructs iff ``stream[r]``.  Every lane's outcome,
-untaken row count and query counter is compared with a literal
-per-sample reference loop kept here (paired interleave: sample ``i``
-reads rows ``2i`` / ``2i + 1``), and with the distinguisher's own
-scalar path on an oracle replaying the same stream.
+Lanes of every request type are stepped over many heterogeneous
+lanes at once, with the round's frontier evaluation replaced by
+scripted outcomes: each lane's oracle holds one boolean stream, and
+noise row ``r`` of that lane reconstructs iff ``stream[r]``.  Every
+lane's outcome, untaken row count and query counter is compared with
+a literal per-sample reference loop kept here (paired interleave:
+sample ``i`` reads rows ``2i`` / ``2i + 1``), and with the scalar path
+(the distinguisher's own, ``select_hypothesis`` or
+``execute_request``) on an oracle replaying the same stream.
 """
 
 import math
@@ -15,14 +16,21 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import SPRTDistinguisher
-from repro.core.framework import ComparisonOutcome, FailureRateComparer
+from repro.core import SPRTDistinguisher, lockstep
+from repro.core.framework import (
+    ComparisonOutcome,
+    FailureRateComparer,
+    SelectionOutcome,
+    select_hypothesis,
+)
 from repro.core.lockstep import (
-    ComparisonEngine,
     ComparisonRequest,
     Lane,
-    SPRTEngine,
+    QueryBlockRequest,
+    SelectionRequest,
     SPRTRequest,
+    execute_request,
+    step,
 )
 from repro.core.sprt import SPRTOutcome
 
@@ -57,24 +65,30 @@ class ScalarScriptOracle:
         return bool(self.stream[self.queries - 1])
 
 
-def scripted(engine_type):
-    """*engine_type* with ``evaluate_many`` reading the scripts."""
+class ScriptedFrontier:
+    """A round's frontier whose evaluation reads the lanes' scripts."""
 
-    class Scripted(engine_type):
-        def evaluate_many(self, items):
-            return [oracle.stream[rows] for oracle, _, rows, _ in items]
+    def __init__(self, items):
+        self.items = items
 
-    return Scripted()
+    def execute(self):
+        return [oracle.stream[rows] for oracle, _, rows, _ in self.items]
 
 
-def run_lanes(engine, lanes, entries, rounds=32):
+@pytest.fixture(autouse=True)
+def scripted(monkeypatch):
+    """Every round evaluates through :class:`ScriptedFrontier`."""
+    monkeypatch.setattr(lockstep, "plan_frontier", ScriptedFrontier)
+
+
+def run_lanes(lanes, entries, rounds=32):
     """Step *lanes* together for *rounds* rounds, lane ``i`` joining
     at round ``entries[i]``; every lane must have finished."""
     for round_ in range(rounds):
         active = [lane for lane, entry in zip(lanes, entries)
                   if entry <= round_ and not lane.finished]
         if active:
-            engine.step(active)
+            step(active)
     assert all(lane.finished for lane in lanes)
 
 
@@ -196,8 +210,7 @@ def test_comparison_lanes_match_the_scalar_walk(seed):
         oracles.append(oracle)
         lanes.append(Lane(oracle, ComparisonRequest("a", "b",
                                                     comparer)))
-    engine = scripted(ComparisonEngine)
-    run_lanes(engine, lanes, [entry for _, _, entry, _ in cases])
+    run_lanes(lanes, [entry for _, _, entry, _ in cases])
 
     decisions = set()
     for lane, oracle, (settings, stream, _, samples) in zip(
@@ -210,7 +223,7 @@ def test_comparison_lanes_match_the_scalar_walk(seed):
         assert lane.request.comparer.compare(
             ScalarScriptOracle(stream), "a", "b") == expected
         assert oracle.queries == expected.queries
-        taken = 2 * last_take_end(expected.samples, engine.block,
+        taken = 2 * last_take_end(expected.samples, ComparisonRequest.block,
                                   settings[0])
         assert oracle.untaken == taken - expected.queries
     assert decisions == {"a", "b", "tie"}
@@ -289,8 +302,7 @@ def test_sprt_lanes_match_the_scalar_walk(seed):
         oracles.append(oracle)
         lanes.append(Lane(oracle, SPRTRequest(
             SPRTDistinguisher(*settings), "h")))
-    engine = scripted(SPRTEngine)
-    run_lanes(engine, lanes, [entry for _, _, entry, _ in cases])
+    run_lanes(lanes, [entry for _, _, entry, _ in cases])
 
     for lane, oracle, (settings, stream, _, decided) in zip(
             lanes, oracles, cases):
@@ -301,6 +313,170 @@ def test_sprt_lanes_match_the_scalar_walk(seed):
         assert lane.request.distinguisher.test(
             ScalarScriptOracle(stream), "h") == expected
         assert oracle.queries == expected.queries
-        taken = last_take_end(expected.queries, engine.block,
+        taken = last_take_end(expected.queries, SPRTRequest.block,
                               settings[-1])
         assert oracle.untaken == taken - expected.queries
+
+
+# ----------------------------------------------------------------------
+# arg-min scans
+
+
+def reference_selection(labels, budget, early_stop, stream):
+    """The arg-min scan, one hypothesis at a time: hypothesis ``i``
+    reads rows ``i * budget`` to ``(i + 1) * budget``."""
+    rates = {}
+    best_rate, best_label = math.inf, None
+    for index, label in enumerate(labels):
+        window = stream[index * budget:(index + 1) * budget]
+        failures = sum(0 if ok else 1 for ok in window)
+        rates[label] = failures / budget
+        if failures / budget < best_rate:
+            best_rate, best_label = failures / budget, label
+        if early_stop and failures == 0:
+            break
+    return SelectionOutcome(best_label, len(rates) * budget, rates)
+
+
+def failure_stream(failures, budget):
+    """A stream whose hypothesis ``i`` fails ``failures[i]`` times."""
+    return np.concatenate([np.arange(budget) >= count
+                           for count in failures])
+
+
+#: (labels, budget, early stop, per-hypothesis failures, entry round,
+#: hypotheses the reference scans)
+SELECTIONS = [
+    # zero failures on the first, a middle and the last label
+    ("abcd", 4, True, (0, 2, 1, 3), 0, 1),
+    ("abcd", 4, True, (3, 2, 0, 1), 1, 3),
+    ("abcd", 4, True, (3, 2, 1, 0), 2, 4),
+    # no zero: the scan ends at the last label; a tie keeps the first
+    ("abcd", 4, True, (3, 1, 2, 1), 3, 4),
+    ((7, 3, 5), 5, True, (5, 5, 5), 0, 3),
+    # early stop off: a zero does not end the scan
+    ("abcd", 4, False, (2, 0, 1, 0), 1, 4),
+    ("ab", 1, False, (0, 0), 3, 2),
+    # one hypothesis
+    ("a", 3, True, (2,), 2, 1),
+    ("a", 3, False, (0,), 0, 1),
+]
+
+
+def test_selection_lanes_match_the_scan():
+    lanes, oracles = [], []
+    for labels, budget, early_stop, failures, _, _ in SELECTIONS:
+        oracle = ScriptedOracle(failure_stream(failures, budget))
+        oracles.append(oracle)
+        lanes.append(Lane(oracle, SelectionRequest(
+            {label: label for label in labels}, budget,
+            early_stop=early_stop)))
+    run_lanes(lanes, [case[4] for case in SELECTIONS])
+
+    for lane, oracle, case in zip(lanes, oracles, SELECTIONS):
+        labels, budget, early_stop, failures, _, scanned = case
+        stream = failure_stream(failures, budget)
+        expected = reference_selection(labels, budget, early_stop,
+                                       stream)
+        assert len(expected.rates) == scanned
+        assert lane.outcome == expected, case
+        assert list(lane.outcome.rates) == list(labels)[:scanned]
+        assert select_hypothesis(
+            ScalarScriptOracle(stream), {label: label for label in labels},
+            budget, early_stop=early_stop) == expected
+        assert oracle.queries == expected.queries
+        assert oracle.untaken == 0
+
+
+# ----------------------------------------------------------------------
+# stop-on-success probes
+
+
+def reference_probe(count, stream):
+    """The probe, one query at a time up to the first success."""
+    walked = []
+    for index in range(count):
+        walked.append(bool(stream[index]))
+        if stream[index]:
+            break
+    return walked
+
+
+#: (count, stream, entry round)
+PROBES = [
+    (3, [True, True, True], 0),      # success at the first row
+    (3, [False, False, True], 1),    # ... at the last row
+    (3, [False, False, False], 2),   # never
+    (1, [True], 0),
+    (1, [False], 3),
+    (6, [False, True, False, True, True, True], 1),
+]
+
+
+@pytest.mark.parametrize("stop", [True, False])
+def test_query_block_lanes_match_the_scalar_probe(stop):
+    lanes, oracles = [], []
+    for count, stream, _ in PROBES:
+        oracle = ScriptedOracle(stream)
+        oracles.append(oracle)
+        lanes.append(Lane(oracle, QueryBlockRequest(
+            "h", count, stop_on_success=stop)))
+    run_lanes(lanes, [entry for _, _, entry in PROBES])
+
+    for lane, oracle, (count, stream, _) in zip(lanes, oracles,
+                                                 PROBES):
+        expected = (reference_probe(count, stream) if stop
+                    else list(stream))
+        assert lane.outcome.dtype == bool
+        assert lane.outcome.tolist() == expected
+        scalar = execute_request(
+            QueryBlockRequest("h", count, stop_on_success=stop),
+            ScalarScriptOracle(stream))
+        assert scalar.dtype == bool
+        assert scalar.tolist() == expected
+        assert oracle.queries == len(expected)
+        assert oracle.untaken == count - len(expected)
+
+
+# ----------------------------------------------------------------------
+# every request type in one round
+
+
+def test_mixed_lanes_share_one_frontier_per_round(monkeypatch):
+    """Lanes of all four request types step together; every round
+    evaluates one frontier and each lane ends as it does alone."""
+    stream = np.tile([True, False, True, True, False, True], 20)
+    requests = [
+        ComparisonRequest("a", "b", FailureRateComparer(20, 3, 0.999999,
+                                                        None)),
+        SPRTRequest(SPRTDistinguisher(0.3, 0.4, 0.01, 0.05, 37), "h"),
+        SelectionRequest({"x": 1, "y": 2, "z": 3}, 3, early_stop=False),
+        QueryBlockRequest("h", 5, stop_on_success=True),
+    ]
+    alone = []
+    for request in requests:
+        lane = Lane(ScriptedOracle(stream), request)
+        run_lanes([lane], [0])
+        alone.append(lane.outcome)
+
+    frontiers = []
+
+    def counted(items):
+        frontiers.append(len(items))
+        return ScriptedFrontier(items)
+
+    monkeypatch.setattr(lockstep, "plan_frontier", counted)
+    lanes = [Lane(ScriptedOracle(stream), request)
+             for request in requests]
+    rounds = 0
+    while not all(lane.finished for lane in lanes):
+        step([lane for lane in lanes if not lane.finished])
+        rounds += 1
+    assert len(frontiers) == rounds > 1
+    # round one: two comparison items, one each for the rest
+    assert frontiers[0] == 5
+    for lane, expected in zip(lanes, alone):
+        if isinstance(expected, np.ndarray):
+            np.testing.assert_array_equal(lane.outcome, expected)
+        else:
+            assert lane.outcome == expected

@@ -112,6 +112,21 @@ class TestHardenedCell:
         assert record["status"] == "ok"
         assert record["security"]["recovery_rate"] == 1.0
 
+    def test_sequential_hardening_still_falls(self):
+        # The one hardened cell whose attack reaches the kernel: its
+        # blocks stack with the gap check.  The quick matrix never
+        # runs it, so its security layer is pinned here.
+        cell = cell_by_id("sequential/sequential/hardened")
+        record = run_cell(cell, 2, 0, "c", "h", "quick")
+        assert record["status"] == "ok"
+        security = record["security"]
+        assert security["recovered"] == 2
+        assert security["queries"] == [544, 553]
+        assert security["outcome_fingerprint"] == (
+            "645dadd4fc7d79239a5e721b2ad66b19"
+            "163021eb7e01f5b73d9a38ca5e6d83a0")
+        assert record["perf"]["kernel_calls"] > 0
+
 
 class TestReconstructionCells:
     RECON = "fuzzy-extractor[4x10]/reconstruction/baseline"
