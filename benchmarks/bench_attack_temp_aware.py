@@ -16,6 +16,10 @@ sensor reads, interval interpretation and cooperative assistance in
 one NumPy pass per block — against the scalar per-query loop on twin
 devices, asserting the outcomes match query for query (seeded sensor
 streams make the construction's per-read sensor noise reproducible).
+It then runs the whole attack on both oracles of twin devices and
+asserts equal relations, good bits, query bills and comparisons: the
+attack's comparisons interleave two helpers' rows and unwind the rows
+past each stopping point, and every row keeps its own sensor read.
 """
 
 import time
@@ -35,6 +39,8 @@ DEVICES = 3
 QUICK_DEVICES = 1
 BATCH_QUERIES = 400
 QUICK_BATCH_QUERIES = 60
+EQUIVALENCE_SEEDS = range(6)
+QUICK_EQUIVALENCE_SEEDS = (4,)
 
 
 def run_experiment(devices=DEVICES):
@@ -121,6 +127,26 @@ def run_batch_vs_scalar(queries=BATCH_QUERIES):
     return expected, observed, scalar_s, batch_s
 
 
+def run_attack_equivalence(seeds=EQUIVALENCE_SEEDS):
+    """Whole attacks on the scalar and the batched oracle of twins.
+
+    Returns one ``(seed, scalar result, batched result)`` per seed.
+    """
+    params = ROArrayParams(rows=8, cols=16, temp_slope_sigma=8e3)
+    runs = []
+    for seed in seeds:
+        results = []
+        for oracle_type in (HelperDataOracle, BatchOracle):
+            array = ROArray(params, rng=7 + seed)
+            keygen = TempAwareKeyGen(t_min=-10, t_max=80,
+                                     threshold=150e3, sensor_seed=seed)
+            helper, _ = keygen.enroll(array, rng=6)
+            results.append(TempAwareAttack(
+                oracle_type(array, keygen), keygen, helper).run())
+        runs.append((seed, *results))
+    return runs
+
+
 def test_attack_temp_aware(benchmark, quick):
     devices = QUICK_DEVICES if quick else DEVICES
     rows, leak_stats = benchmark.pedantic(run_experiment,
@@ -154,3 +180,17 @@ def test_attack_temp_aware(benchmark, quick):
         # Regression canary only; the vectorized path is typically
         # far above this floor.
         assert speedup >= 5.0
+
+    runs = run_attack_equivalence(QUICK_EQUIVALENCE_SEEDS if quick
+                                  else EQUIVALENCE_SEEDS)
+    for seed, expected, observed in runs:
+        np.testing.assert_array_equal(expected.coop_relations,
+                                      observed.coop_relations)
+        assert expected.good_bits == observed.good_bits, seed
+        assert expected.queries == observed.queries, seed
+        assert expected.comparisons == observed.comparisons, seed
+    record("E7 — whole attack, batched vs scalar oracle on twins "
+           "(identical relations, bills and comparisons)",
+           table(("seed", "oracle queries", "comparisons"),
+                 [(seed, result.queries, len(result.comparisons))
+                  for seed, result, _ in runs]))

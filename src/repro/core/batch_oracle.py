@@ -10,16 +10,19 @@ stand-in for the sequential simulation, not merely a statistical one:
   device's own noise stream in exactly the amounts consumed; because
   NumPy fills any output shape element-by-element, row ``i`` of a
   block draw carries exactly the values the ``i``-th sequential
-  ``measure_frequencies`` call would have drawn.  Noise is additive
-  and operating-point independent, so rows serve any helper and any
-  operating point.
+  ``measure_frequencies`` call would have drawn.  A keygen with an
+  on-chip sensor has each query's raw sensor read drawn from its
+  sensor stream in the same call, as one more column of the row.
+  Noise and reads are additive and operating-point independent, so
+  rows serve any helper and any operating point.
 * **Unwind.**  Early-stopping consumers (Hoeffding comparison, SPRT)
   evaluate a speculative block and then return the unused tail rows
-  to a buffer that later takes consume first; the query counter and
-  all downstream decisions stay bitwise identical to a sequential
-  run.  (The device stream itself advances by the speculated rows —
-  the one observable difference, and only to *other* consumers of
-  the same device object.)
+  — sensor reads included — to a buffer that later takes consume
+  first; the query counter and all downstream decisions stay bitwise
+  identical to a sequential run.  (The device and sensor streams
+  themselves advance by the speculated rows — the one observable
+  difference, and only to *other* consumers of the same device or
+  keygen object.)
 * **Deterministic completion.**  The per-row success boolean is a
   function of the row's (discrete) response bits, evaluated through the
   scheme's :meth:`~repro.keygen.base.KeyGenerator.batch_evaluator`
@@ -34,9 +37,11 @@ distinguisher to the block path.
 The bitwise guarantee covers every scheme.  A query consumes the
 keygen's :attr:`~repro.keygen.base.KeyGenerator.readouts` noise rows,
 drawn as one ``(readouts * n)``-wide row per query, so multi-readout
-devices stay stream-exact; for temp-aware the per-query sensor reads
-are stream-exact too, so twin runs sharing a ``sensor_seed`` match
-bitwise.
+devices stay stream-exact.  A query's sensor read rides in its row and
+the sensed temperature is formed when the rows are split, exactly as
+:meth:`~repro.puf.measurement.TemperatureSensor.read` forms it, so
+twin temp-aware runs sharing a ``sensor_seed`` match bitwise whatever
+the rows' order of evaluation, speculation or unwinding.
 """
 
 from __future__ import annotations
@@ -81,10 +86,13 @@ class BatchOracle:
         by lock-step lanes leave trajectory resolution
         bitwise-deterministic.
 
-    Noise rows are drawn exactly on demand — one vectorized draw per
-    block request — so there is no lookahead knob: how callers block
-    their queries affects neither outcomes nor the device's stream
-    position.
+    A row is the query's ``readouts * n`` noise values, then its raw
+    sensor read when the keygen has a
+    :attr:`~repro.keygen.base.KeyGenerator.sensor`, then the
+    trajectory tag.  Rows are drawn exactly on demand — one vectorized
+    draw per block request — so there is no lookahead knob: how
+    callers block their queries affects neither outcomes nor the
+    device's stream position.
     """
 
     def __init__(self, array: ROArray, keygen: KeyGenerator,
@@ -96,16 +104,17 @@ class BatchOracle:
         self._rng = None if rng is None else ensure_rng(rng)
         self._queries = 0
         self._trajectory = trajectory
-        # One noise row per query holds all of its readouts.  With a
-        # trajectory, each row carries one extra tag column: the
-        # absolute index of its draw, which survives any
+        # One noise row per query holds all of its readouts.  A sensor
+        # read and, with a trajectory, a tag column (the absolute index
+        # of the row's draw) follow, so both survive any
         # slicing/unwinding a consumer performs.
         self._readouts = keygen.readouts
+        self._sensor = keygen.sensor
         width = (self._readouts * array.n
-                 + (1 if trajectory is not None else 0))
+                 + (self._sensor is not None) + (trajectory is not None))
         self._buffer = np.empty((0, width))
         self._cursor = 0
-        # Noise-free frequencies per operating point, tiled per readout.
+        # Noise-free base row per operating point (_base_frequencies).
         self._base: Dict[Tuple[Optional[float], Optional[float]],
                          np.ndarray] = {}
         # Evaluator per live helper object (bounded, keyed by id with a
@@ -176,8 +185,9 @@ class BatchOracle:
         """Consume *count* noise rows (unwound rows first, then fresh).
 
         Fresh rows are drawn in exactly the amount needed, so as long
-        as no rows sit unwound, the device's stream position equals
-        the query count — independent of how queries were blocked.
+        as no rows sit unwound, the device's (and sensor's) stream
+        position equals the query count — independent of how queries
+        were blocked.
         The rows are read-only views of the draw; copy them to edit.
         """
         if count < 1:
@@ -187,11 +197,15 @@ class BatchOracle:
             fresh = count - buffered
             drawn = self._array.measurement_noise(
                 fresh * self._readouts, rng=self._rng).reshape(fresh, -1)
+            columns = []
+            if self._sensor is not None:
+                columns.append(self._keygen.sensor_draws(fresh))
             if self._trajectory is not None:
-                tags = np.arange(self._cursor, self._cursor + fresh,
-                                 dtype=float)
-                drawn = np.concatenate([drawn, tags[:, None]],
-                                       axis=1)
+                columns.append(np.arange(self._cursor,
+                                         self._cursor + fresh,
+                                         dtype=float))
+            if columns:
+                drawn = np.column_stack([drawn] + columns)
             self._cursor += fresh
             if buffered:
                 drawn = np.concatenate([self._buffer, drawn])
@@ -243,14 +257,16 @@ class BatchOracle:
                   op: Optional[OperatingPoint] = None) -> EvalPlan:
         """Phase 1: extraction + dedup for already-taken noise rows.
 
-        Returns the helper evaluator's :class:`EvalPlan`, declaring
-        this block's kernel workload (keyed by the shared code/sketch)
-        for the caller to run — alone or fused with other devices' —
-        before :meth:`EvalPlan.finalize`.
+        Returns the helper evaluator's :class:`EvalPlan` of the rows'
+        readings (:meth:`_split`), declaring this block's kernel
+        workload (keyed by the shared code/sketch) for the caller to
+        run — alone or fused with other devices' — before
+        :meth:`EvalPlan.finalize`.
         """
         evaluator = self._evaluator_for(
             helper, op if op is not None else self._op)
-        return evaluator.plan_env(*self._frequencies(rows, op))
+        noise, base = self._split(rows, op)
+        return evaluator.plan(base + noise)
 
     # ------------------------------------------------------------------
     # internals
@@ -260,8 +276,7 @@ class BatchOracle:
         """This block as ``(PairBlock, noise, base)`` — a described
         helper's (no helper or evaluator is built) or its evaluator's
         :attr:`~repro.keygen.batch.BatchEvaluator.block` — or as its
-        own plan.  A block never reads the ambient sample, and its
-        group adds the base (:meth:`_split`)."""
+        own plan.  Its group adds the base (:meth:`_split`)."""
         block = (helper.block(self._keygen, self._array)
                  if isinstance(helper, DescribedHelper) else None)
         if block is None:
@@ -269,54 +284,64 @@ class BatchOracle:
                 helper, op if op is not None else self._op).block
             if block is None:
                 return self.plan_rows(helper, rows, op)
-        return (block,) + self._split(rows, op)[:2]
-
-    def _frequencies(self, rows: np.ndarray,
-                     op: Optional[OperatingPoint]):
-        """``(freqs, env)`` of taken rows: ``base + noise``
-        (:meth:`_split`)."""
-        noise, base, env = self._split(rows, op)
-        return base + noise, env
+        return (block,) + self._split(rows, op)
 
     def _split(self, rows: np.ndarray, op: Optional[OperatingPoint]):
-        """``(noise, base, env)`` of taken rows; ``base + noise`` are
-        their frequencies.
+        """``(noise, base)`` of taken rows; ``base + noise`` are their
+        readings: the frequencies, then, on a keygen with a sensor,
+        the sensed temperature — the sensor's noiseless read-out at
+        the ambient plus the row's raw read, as
+        :meth:`~repro.puf.measurement.TemperatureSensor.read` forms it.
 
-        Without a trajectory the base is the cached ``(1, n)`` row of
-        the operating point and ``env`` is ``None``.  Under the
-        trajectory the base is each row's ambient, ``(B, n)``, with
-        ``env`` its sample.  An explicit *op* (attacker chamber)
-        overrides the ambient — ``env`` comes back ``None`` and the
-        scalar base row is used — but the aged per-oscillator offsets
-        apply in both cases: aging is device state, not ambient state.
+        Without a trajectory the base is the cached ``(1, width)`` row
+        of the operating point.  Under the trajectory the base is each
+        row's ambient, ``(B, width)``.  An explicit *op* (attacker
+        chamber) overrides the ambient — the cached row is used — but
+        the aged per-oscillator offsets apply in both cases: aging is
+        device state, not ambient state.
         """
         if self._trajectory is None:
             return rows, self._base_frequencies(
-                op if op is not None else self._op), None
+                op if op is not None else self._op)
         noise = rows[:, :-1]
         if op is not None:
             base = self._base_frequencies(op)
-            env = None
         else:
             env = self._trajectory.sample(rows[:, -1].astype(np.int64))
-            base = np.tile(self._array.true_frequencies_batch(
-                env.temperatures, env.voltages), self._readouts)
+            base = self._with_sensor(np.tile(
+                self._array.true_frequencies_batch(
+                    env.temperatures, env.voltages), self._readouts),
+                env.temperatures)
         shift = self._trajectory.oscillator_shift(self._array.n)
         if shift is not None:
-            base = base + np.tile(shift, self._readouts)[None, :]
-        return noise, base, env
+            # Frequencies age; the sensor column does not.
+            base = base + self._with_sensor(
+                np.tile(shift, self._readouts)[None, :], 0.0)
+        return noise, base
 
     def _base_frequencies(self, op: OperatingPoint) -> np.ndarray:
-        """The noise-free ``(1, n)`` row at *op*, tiled per readout."""
+        """The noise-free ``(1, width)`` row at *op*: the frequencies
+        tiled per readout (and the sensor's noiseless read-out)."""
         key = (op.temperature, op.voltage)
         base = self._base.get(key)
         if base is None:
             base = np.tile(self._array.true_frequencies(op.temperature,
                                                         op.voltage),
                            self._readouts)[None, :]
+            if self._sensor is not None:
+                base = self._with_sensor(base, self._sensor.noiseless(
+                    op.temperature if op.temperature is not None
+                    else self._array.params.temp_nominal))
             base.flags.writeable = False
             self._base[key] = base
         return base
+
+    def _with_sensor(self, base: np.ndarray, column) -> np.ndarray:
+        """*base* with *column* appended on a keygen with a sensor."""
+        if self._sensor is None:
+            return base
+        return np.column_stack(
+            [base, np.broadcast_to(column, base.shape[:1])])
 
     def _evaluator_for(self, helper,
                        op: OperatingPoint) -> BatchEvaluator:
@@ -343,9 +368,9 @@ def plan_frontier(items: Sequence[Tuple[BatchOracle, object, np.ndarray,
     """Phase 1 for ``(oracle, helper, rows, op)`` items of one round.
 
     Items are visited in order: one that cannot stack is planned on
-    the spot through :meth:`BatchOracle.plan_rows`, so items consuming
-    transient streams (the temp-aware sensor) draw them in the
-    per-device order; stackable blocks draw nothing while planning.
+    the spot through :meth:`BatchOracle.plan_rows`, the rest join
+    their stacked group.  Planning draws from no stream — every value
+    an item reads, sensor reads included, came with its rows.
     """
     return FrontierPlan([oracle._frontier_entry(helper, rows, op)
                          for oracle, helper, rows, op in items])

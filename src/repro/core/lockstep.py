@@ -40,8 +40,9 @@ their gap check — and whose completion is a bare code-offset sketch
 are stacked per stack key, with or without a trajectory and a lone
 block as a group of one: one gather, trend subtraction, compare,
 dedup, payload shift and key check per group.  Every other block
-keeps its own ``plan_rows`` at its place in the round, so transient
-streams (the temp-aware sensor) are consumed in request order.  The
+keeps its own ``plan_rows``.  Planning draws from no stream: a
+query's sensor read (temp-aware) is taken with its noise row, so the
+order in which a round evaluates its items cannot matter.  The
 kernel phase then makes one fused call per distinct kernel key across
 the whole frontier.
 
@@ -55,8 +56,8 @@ completion object is built per comparison; the scalar oracle, and any
 item the keygen cannot describe, evaluates ``descriptor.apply`` of
 the enrolled helper instead, in every request type.
 
-**Equivalence contract.**  Each device owns its oracle and noise
-stream and has one lane per round; a lane only ever consumes rows
+**Equivalence contract.**  Each device owns its oracle, its noise
+stream and any sensor stream, and has one lane per round; a lane only ever consumes rows
 from its own oracle in request order, unwinding speculative tails,
 and walks every result through the one rule function the scalar walk
 uses, carrying its state between rounds.  Memos are per device, so no
@@ -413,7 +414,8 @@ def step(lanes: Sequence[Lane]) -> None:
     of all lanes — whatever their request types — are evaluated
     through one frontier plan, and each lane walks its results and
     unwinds the rows its walk did not use.  Lanes must hold distinct
-    oracles.
+    oracles over distinct sensor streams, as
+    :class:`~repro.fleet.campaign.LockstepCampaign` checks.
     """
     rounds = [lane.request.take(lane.oracle, lane.state)
               for lane in lanes]

@@ -128,16 +128,13 @@ class SPRTDistinguisher:
         orientation flip).  A Laplace-smoothed estimate keeps the
         probabilities off the boundary.
         """
-        if isinstance(oracle, BatchOracle):
-            fails_eq = int(np.count_nonzero(
-                ~oracle.query_block(helper_eq, queries, op)))
-            fails_neq = int(np.count_nonzero(
-                ~oracle.query_block(helper_neq, queries, op)))
-        else:
-            fails_eq = sum(0 if oracle.query(helper_eq, op) else 1
-                           for _ in range(queries))
-            fails_neq = sum(0 if oracle.query(helper_neq, op) else 1
-                            for _ in range(queries))
+        # Imported here: lockstep depends on this module at import
+        # time.
+        from repro.core.lockstep import QueryBlockRequest, execute_request
+        fails_eq, fails_neq = (
+            int(np.count_nonzero(~execute_request(
+                QueryBlockRequest(helper, queries, op), oracle)))
+            for helper in (helper_eq, helper_neq))
         return cls.from_counts(fails_eq, fails_neq, queries, **kwargs)
 
     def walk(self, carry: Tuple[float, int, int], outcomes

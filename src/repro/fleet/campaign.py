@@ -61,13 +61,26 @@ class LockstepCampaign:
     ----------
     lanes:
         One ``(oracle, steps)`` pair per device: the device's batched
-        oracle and the attack's :meth:`steps` generator.  Oracles must
-        be distinct objects — each lane owns its noise stream.
+        oracle and the attack's :meth:`steps` generator.  Each lane
+        owns its streams: a repeated oracle, or two oracles over one
+        keygen with a sensor (one sensor stream), would take rows in
+        round order rather than each device's request order, so both
+        are refused with :class:`ValueError`.
     """
 
     def __init__(self, lanes: Sequence[Tuple[BatchOracle, AttackSteps]]
                  ) -> None:
         self._entries = list(lanes)
+        oracles = [oracle for oracle, _ in self._entries]
+        if len({id(oracle) for oracle in oracles}) < len(oracles):
+            raise ValueError("lanes share an oracle; a lock-step "
+                             "campaign needs one oracle per device")
+        sensed = [id(oracle.keygen) for oracle in oracles
+                  if oracle.keygen.sensor is not None]
+        if len(set(sensed)) < len(sensed):
+            raise ValueError("lanes share a keygen's sensor stream; a "
+                             "lock-step campaign needs one sensor-"
+                             "bearing keygen per device")
 
     def run(self) -> List[object]:
         """Execute every attack to completion; results in lane order.

@@ -357,20 +357,6 @@ class Fleet:
             tuple(helper for _, helper, _ in results),
             tuple(key for _, _, key in results))
 
-    def oracles(self, enrollment: FleetEnrollment,
-                op: OperatingPoint = OperatingPoint()
-                ) -> List[BatchOracle]:
-        """One batched failure oracle per enrolled device.
-
-        These oracles draw noise from each device's own internal
-        stream (scalar-compatible semantics); the sweep methods below
-        instead derive dedicated substreams so they stay parallel- and
-        repeat-deterministic.
-        """
-        return [BatchOracle(array, keygen, op=op)
-                for array, keygen in zip(self._arrays,
-                                         enrollment.keygens)]
-
     # ------------------------------------------------------------------
     # Monte-Carlo sweeps
 

@@ -14,7 +14,6 @@ from repro.keygen.batch import (
     BatchEvaluator,
     ConstantEvaluator,
     EvalPlan,
-    MaskedBitEvaluator,
     ResponseBitEvaluator,
     SketchCompletion,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "BatchEvaluator",
     "ConstantEvaluator",
     "EvalPlan",
-    "MaskedBitEvaluator",
     "ResponseBitEvaluator",
     "SketchCompletion",
     "SequentialKeyHelper",

@@ -181,6 +181,14 @@ class KeyGenerator(abc.ABC):
     #: draws ``readouts`` noise rows per query to match.
     readouts = 1
 
+    #: The on-chip temperature sensor a reconstruction reads once
+    #: (:class:`~repro.puf.measurement.TemperatureSensor`), or
+    #: ``None``.  A keygen with a sensor also defines
+    #: ``sensor_draws(count)``, the next *count* raw reads of its sensor
+    #: stream, which the batched oracle stores beside each query's
+    #: noise row.
+    sensor = None
+
     @abc.abstractmethod
     def enroll(self, array: ROArray, rng: RNGLike = None):
         """One-time enrollment; returns ``(helper, key_bits)``."""
@@ -243,9 +251,10 @@ class KeyGenerator(abc.ABC):
         """Vectorized success evaluator for this helper.
 
         Returns a :class:`repro.keygen.batch.BatchEvaluator` mapping a
-        ``(B, readouts * n)`` measurement batch to ``B`` success
-        booleans, matching what *B* sequential :meth:`reconstruct`
-        calls on the same measurements would observe.
+        ``(B, readouts * n)`` measurement batch — with one more column,
+        the sensed temperature, on a keygen with a :attr:`sensor` — to
+        ``B`` success booleans, matching what *B* sequential
+        :meth:`reconstruct` calls on the same readings would observe.
 
         Evaluators speak one protocol (see ``docs/evaluators.md``):
         ``plan(freqs)`` → kernel → ``EvalPlan.finalize(outputs)``, a

@@ -59,16 +59,6 @@ from repro.ecc.kernel import KernelWorkload, pad_rows, run_kernels
 from repro.ecc.sketch import CodeOffsetSketch, SecureSketch, SketchData
 from repro.keygen.base import key_check_digest, key_check_digests
 
-#: Extraction: (B, n) measurement batch -> (B, bits) response matrix.
-ExtractionFn = Callable[[np.ndarray], np.ndarray]
-#: Masked extraction: (B, n) batch -> ((B, bits) matrix, (B,) validity).
-MaskedExtractionFn = Callable[[np.ndarray],
-                              Tuple[np.ndarray, np.ndarray]]
-#: Environment-aware masked extraction: ((B, n) batch, per-row
-#: ambient sample) -> ((B, bits) matrix, (B,) validity).
-EnvExtractionFn = Callable[[np.ndarray, object],
-                           Tuple[np.ndarray, np.ndarray]]
-
 
 def _gap_violations(first: np.ndarray, second: np.ndarray,
                     floor: float) -> np.ndarray:
@@ -124,6 +114,13 @@ class PairColumns:
         return compare_columns(freqs[:, self.index[:, 0]],
                                freqs[:, self.index[:, 1]],
                                self.kind).view(np.uint8)
+
+    def checked(self, freqs: np.ndarray
+                ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(bits, accepted)`` of a float block: its response bits and
+        the rows :attr:`gap` accepts (``None`` without a gap)."""
+        return self(freqs), (None if self.gap is None
+                             else self.accepted(freqs))
 
     def accepted(self, freqs: np.ndarray) -> np.ndarray:
         """Which rows of a float ``(B, n)`` block pass :attr:`gap`."""
@@ -514,20 +511,6 @@ class BatchEvaluator(abc.ABC):
     def plan(self, freqs: np.ndarray) -> EvalPlan:
         """Phase 1: extract/dedup now, defer kernel work to the caller."""
 
-    def plan_env(self, freqs: np.ndarray, env) -> EvalPlan:
-        """Environment-aware entry point (same contract as :meth:`plan`).
-
-        *env* is the per-row ambient
-        :class:`~repro.scenario.trajectory.EnvironmentSample` of a
-        trajectory-driven block (or ``None`` when an explicit
-        operating point overrode the ambient).  The base
-        implementation ignores it: for every construction except the
-        temperature-aware one the response bits are a function of
-        the measured frequencies alone — the ambient already acted
-        through them.
-        """
-        return self.plan(freqs)
-
 
 class ConstantEvaluator(BatchEvaluator):
     """Helper data whose outcome is measurement-independent.
@@ -550,17 +533,20 @@ class ConstantEvaluator(BatchEvaluator):
 class ResponseBitEvaluator(BatchEvaluator):
     """The common scheme shape: vectorized bits, memoized completion.
 
-    *extract* turns a ``(B, n)`` measurement batch into the ``(B,
-    bits)`` response matrix in one pass; *completion* finishes the
-    distinct patterns, of the rows a :attr:`PairColumns.gap` check
-    accepts.  A completion without key assembly whose extraction and
-    sketch make a :func:`pair_block` is also a :attr:`block` sharing
-    the evaluator's memo, so frontier rounds stack its blocks with
-    those of the same stack key.
+    *extract* is the device's extraction: its ``checked`` method turns
+    a ``(B, n)`` readings block, in one pass, into ``(bits, accepted)``
+    — the ``(B, bits)`` response matrix and the ``(B,)`` rows the
+    device's checks accept, ``None`` for every row.  The check is a
+    :class:`PairColumns`' :attr:`~PairColumns.gap`, or the
+    temperature-aware interval and assistance refusals.
+    *completion* finishes the distinct patterns of the accepted rows;
+    refused rows fail without reaching it.  A completion without key
+    assembly whose extraction and sketch make a :func:`pair_block` is
+    also a :attr:`block` sharing the evaluator's memo, so frontier
+    rounds stack its blocks with those of the same stack key.
     """
 
-    def __init__(self, extract: ExtractionFn,
-                 completion: SketchCompletion):
+    def __init__(self, extract, completion: SketchCompletion):
         self._extract = extract
         self._completion = completion
         self._memo: Dict[bytes, bool] = {}
@@ -571,61 +557,11 @@ class ResponseBitEvaluator(BatchEvaluator):
 
     def plan(self, freqs: np.ndarray) -> EvalPlan:
         """Phase 1: extract and dedup; declare the kernel workload."""
-        freqs = np.asarray(freqs, dtype=float)
-        extract = self._extract
-        bits = extract(freqs)
-        rows = None
-        if isinstance(extract, PairColumns) and extract.gap is not None:
-            rows = np.flatnonzero(extract.accepted(freqs))
+        bits, accepted = self._extract.checked(
+            np.asarray(freqs, dtype=float))
+        rows = None if accepted is None else np.flatnonzero(accepted)
         return _build_plan(bits, rows, self._completion, self._memo,
                            bits.shape[0])
-
-
-class MaskedBitEvaluator(BatchEvaluator):
-    """Vectorized extraction with per-row observable refusals.
-
-    Like :class:`ResponseBitEvaluator`, but *extract* returns ``(bits,
-    valid)``: rows whose scalar reconstruction would raise before bit
-    extraction completes carry ``valid = False`` and fail without ever
-    reaching the completion stage.  Valid rows are completed once per
-    distinct bit pattern.  Only the temperature-aware scheme needs it:
-    its refusals depend on sensor reads the extraction draws, which no
-    :attr:`PairColumns.gap` check on frequencies can see.
-
-    *extract_env*, when supplied, is the environment-aware variant
-    used for trajectory-driven blocks: it additionally receives the
-    per-row ambient sample, for schemes whose extraction consults
-    the environment beyond the measured frequencies (the
-    temperature-aware sensor read).  Both extractors must consume
-    any shared transient streams identically per row.
-    """
-
-    def __init__(self, extract: MaskedExtractionFn,
-                 completion: SketchCompletion,
-                 extract_env: Optional[EnvExtractionFn] = None):
-        self._extract = extract
-        self._extract_env = extract_env
-        self._completion = completion
-        self._memo: Dict[bytes, bool] = {}
-
-    def plan(self, freqs: np.ndarray) -> EvalPlan:
-        """Phase 1: extract and dedup the valid rows only."""
-        bits, valid = self._extract(np.asarray(freqs, dtype=float))
-        return self._complete_plan(bits, valid)
-
-    def plan_env(self, freqs: np.ndarray, env) -> EvalPlan:
-        """Phase 1 with per-row ambient environments."""
-        if env is None or self._extract_env is None:
-            return self.plan(freqs)
-        bits, valid = self._extract_env(
-            np.asarray(freqs, dtype=float), env)
-        return self._complete_plan(bits, valid)
-
-    def _complete_plan(self, bits: np.ndarray,
-                       valid: np.ndarray) -> EvalPlan:
-        """Dedup the valid rows into a plan."""
-        return _build_plan(bits, np.flatnonzero(valid), self._completion,
-                           self._memo, bits.shape[0])
 
 
 # ----------------------------------------------------------------------

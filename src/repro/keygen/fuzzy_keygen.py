@@ -30,10 +30,11 @@ from repro.keygen.base import (
 )
 from repro.keygen.batch import (
     ConstantEvaluator,
+    PairColumns,
     ResponseBitEvaluator,
     SketchCompletion,
 )
-from repro.pairing.base import response_bits, response_bits_batch
+from repro.pairing.base import pair_index_arrays, response_bits
 from repro.pairing.neighbor import neighbor_chain_pairs
 from repro.puf.measurement import enroll_frequencies
 from repro.puf.ro_array import ROArray
@@ -137,7 +138,6 @@ class FuzzyExtractorKeyGen(KeyGenerator):
         the helper's Toeplitz hash; a malformed hash seed fails every
         reconstruction observably, as on the scalar path.
         """
-        pairs = self._pairs
         sketch = self._extractor.sketch
         extractor_helper = helper.extractor
         try:
@@ -146,11 +146,9 @@ class FuzzyExtractorKeyGen(KeyGenerator):
                                   extractor_helper.out_bits)
         except ValueError:
             return ConstantEvaluator(False)
-
-        def extract(freqs: np.ndarray) -> np.ndarray:
-            return response_bits_batch(freqs, pairs)
-
         completion = SketchCompletion(
             sketch, extractor_helper.sketch, helper.key_check,
             assemble=_ToeplitzAssembler(hasher))
-        return ResponseBitEvaluator(extract, completion)
+        return ResponseBitEvaluator(
+            PairColumns(np.stack(pair_index_arrays(self._pairs), axis=1)),
+            completion)

@@ -26,12 +26,33 @@ from repro.keygen.base import (
 )
 from repro.keygen.batch import (
     ConstantEvaluator,
-    MaskedBitEvaluator,
+    ResponseBitEvaluator,
     SketchCompletion,
 )
 from repro.pairing.temp_aware import TempAwareCooperative, TempAwareHelper
 from repro.puf.measurement import TemperatureSensor
 from repro.puf.ro_array import ROArray
+
+
+@dataclass(frozen=True)
+class SensedCooperation:
+    """The device's extraction of temperature-aware readings rows.
+
+    A row holds the measured frequencies, then the sensed temperature
+    the device interprets the crossover intervals with.  Rows whose
+    scalar reconstruction refuses the helper data — an assistant that
+    is not a cooperating pair, or an assistance cycle — are not
+    accepted (:meth:`TempAwareCooperative.evaluate_batch`).
+    """
+
+    scheme: TempAwareCooperative
+    helper: TempAwareHelper
+
+    def checked(self, readings: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(bits, accepted)`` of a ``(B, n + 1)`` readings block."""
+        return self.scheme.evaluate_batch(readings[:, :-1], self.helper,
+                                          readings[:, -1])
 
 
 @dataclass(frozen=True)
@@ -51,13 +72,15 @@ class TempAwareKeyGen(KeyGenerator):
     """Device model: temperature-aware cooperative pairs + ECC + check.
 
     The device reads its on-chip temperature sensor once per
-    reconstruction attempt.  Sensor noise is drawn from a per-device
-    stream seeded by *sensor_seed*, and the batched evaluator consumes
-    that stream in exactly the per-query amounts the scalar path does —
-    so with a seeded sensor, batched and scalar simulation of twin
-    devices stay bitwise-equivalent query for query.  The default
-    (``None``) keeps the historical behaviour of unpredictable fresh
-    sensor noise.
+    reconstruction attempt, before it looks at the helper data.
+    Sensor noise is drawn from a per-device stream seeded by
+    *sensor_seed*.  The batched oracle takes each query's read from
+    that stream together with its noise row (:meth:`sensor_draws`),
+    and an unwound row returns its read with it — so with a seeded
+    sensor, batched and scalar simulation of twin devices stay
+    bitwise-equivalent query for query, and one keygen's stream
+    serves one device.  The default (``None``) keeps the historical
+    behaviour of unpredictable fresh sensor noise.
     """
 
     def __init__(self, t_min: float, t_max: float, threshold: float,
@@ -77,6 +100,16 @@ class TempAwareKeyGen(KeyGenerator):
     def scheme(self) -> TempAwareCooperative:
         """The temperature-aware cooperative pairing scheme."""
         return self._scheme
+
+    @property
+    def sensor(self) -> TemperatureSensor:
+        """The on-chip temperature sensor."""
+        return self._sensor
+
+    def sensor_draws(self, count: int) -> np.ndarray:
+        """The next *count* raw reads of the sensor stream, one per
+        query in query order."""
+        return self._sensor.draw(self._sensor_rng, count)
 
     def reseed_transient_streams(self, rng: RNGLike = None) -> None:
         """Replace the sensor noise stream (fleet sweep substreams).
@@ -108,6 +141,12 @@ class TempAwareKeyGen(KeyGenerator):
         temperature = (op.temperature if op.temperature is not None
                        else array.params.temp_nominal)
         sensed = self._sensor.read(temperature, rng=self._sensor_rng)
+        return self.reconstruct_sensed(freqs, sensed, helper)
+
+    def reconstruct_sensed(self, freqs: np.ndarray, sensed: float,
+                           helper: TempAwareKeyHelper) -> np.ndarray:
+        """Regenerate the key from one measurement row read with the
+        sensed temperature *sensed*."""
         try:
             bits = self._scheme.evaluate(freqs, helper.scheme, sensed)
         except ValueError as exc:
@@ -120,46 +159,20 @@ class TempAwareKeyGen(KeyGenerator):
     def batch_evaluator(self, array: ROArray,
                         helper: TempAwareKeyHelper,
                         op: OperatingPoint = OperatingPoint()):
-        """Vectorized success evaluator for *helper* at *op*.
+        """Vectorized success evaluator for *helper*.
 
-        Sensor reads, interval interpretation and cooperative
-        assistance are evaluated in one NumPy pass per block
-        (:meth:`TempAwareCooperative.evaluate_batch`); the sketch
-        recovery runs once per distinct response pattern.  Outcome
-        ``i`` of a block equals what the ``i``-th sequential
-        :meth:`reconstruct` call would observe, provided scalar and
-        batched simulation share the sensor stream seeding.
+        A block's rows are readings: the measured frequencies, then
+        the sensed temperature the batched oracle formed from the
+        row's own sensor read, so a row's outcome depends on the row
+        alone and *op* is already in it.  Interval interpretation,
+        cooperative assistance and the refusals are evaluated in one
+        NumPy pass per block (:class:`SensedCooperation`); the sketch
+        recovery runs once per distinct response pattern.
         """
-        temperature = (op.temperature if op.temperature is not None
-                       else array.params.temp_nominal)
-        scheme = self._scheme
-        scheme_helper = helper.scheme
-        sensor = self._sensor
-        sensor_rng = self._sensor_rng
-        bits = scheme_helper.bits
         try:
-            sketch = self.sketch_for(bits)
+            sketch = self.sketch_for(helper.scheme.bits)
         except ValueError:
             return ConstantEvaluator(False)
-
-        def extract(freqs: np.ndarray):
-            # One sensor read per query, exactly as on the scalar
-            # path: a (B,) batch draw consumes the sensor stream like
-            # B successive scalar reads.
-            sensed = sensor.read_batch(temperature, freqs.shape[0],
-                                       rng=sensor_rng)
-            return scheme.evaluate_batch(freqs, scheme_helper, sensed)
-
-        def extract_env(freqs: np.ndarray, env):
-            # Trajectory-driven blocks: the ambient varies per query,
-            # so the sensor reads each row's own temperature — same
-            # stream, same per-query consumption as the scalar path.
-            sensed = sensor.read_batch(env.temperatures,
-                                       freqs.shape[0],
-                                       rng=sensor_rng)
-            return scheme.evaluate_batch(freqs, scheme_helper, sensed)
-
-        return MaskedBitEvaluator(
-            extract, SketchCompletion(sketch, helper.sketch,
-                                      helper.key_check),
-            extract_env=extract_env)
+        return ResponseBitEvaluator(
+            SensedCooperation(self._scheme, helper.scheme),
+            SketchCompletion(sketch, helper.sketch, helper.key_check))

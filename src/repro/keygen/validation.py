@@ -282,13 +282,12 @@ class HardenedSequentialKeyGen(SequentialPairingKeyGen):
 class HardenedTempAwareKeyGen(TempAwareKeyGen):
     """Temperature-aware device that validates cooperation records."""
 
-    def reconstruct_from_frequencies(
-            self, array, freqs, helper: TempAwareKeyHelper,
-            op: OperatingPoint = OperatingPoint()) -> np.ndarray:
-        """Reject invalid cooperation records, then reconstruct."""
+    def reconstruct_sensed(self, freqs, sensed: float,
+                           helper: TempAwareKeyHelper) -> np.ndarray:
+        """Reject invalid cooperation records, then reconstruct (the
+        sensor is read either way)."""
         validate_cooperation_records(helper.scheme)
-        return super().reconstruct_from_frequencies(array, freqs,
-                                                    helper, op)
+        return super().reconstruct_sensed(freqs, sensed, helper)
 
     def batch_evaluator(self, array, helper: TempAwareKeyHelper,
                         op: OperatingPoint = OperatingPoint()):

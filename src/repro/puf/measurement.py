@@ -128,10 +128,24 @@ class TemperatureSensor:
     bias: float = 0.0
     sigma: float = 0.25
 
+    def noiseless(self, true_temperature):
+        """The noise-free read-out (°C): the ambient plus the bias.
+
+        Every read-out is ``noiseless(T) + draw`` for one noise draw
+        (:meth:`draw`); the batched oracle forms its rows' sensed
+        temperatures the same way, so they match :meth:`read` bitwise.
+        *true_temperature* may be a vector of per-query ambients.
+        """
+        return true_temperature + self.bias
+
+    def draw(self, rng: RNGLike = None, count: Optional[int] = None):
+        """Raw read noise: one draw, or *count* draws consumed from the
+        stream like *count* successive reads."""
+        return ensure_rng(rng).normal(scale=self.sigma, size=count)
+
     def read(self, true_temperature: float, rng: RNGLike = None) -> float:
         """One sensor read-out (°C) at the given ambient temperature."""
-        gen = ensure_rng(rng)
-        return true_temperature + self.bias + gen.normal(scale=self.sigma)
+        return self.noiseless(true_temperature) + self.draw(rng)
 
     def read_batch(self, true_temperature, count: int,
                    rng: RNGLike = None) -> np.ndarray:
@@ -144,6 +158,4 @@ class TemperatureSensor:
         """
         if count < 1:
             raise ValueError("need at least one sensor read")
-        gen = ensure_rng(rng)
-        return (true_temperature + self.bias
-                + gen.normal(scale=self.sigma, size=count))
+        return self.noiseless(true_temperature) + self.draw(rng, count)

@@ -512,7 +512,7 @@ class TestBaseOncePerGroup:
                           for group in frontier._groups) == groups
             bases = set()
             for oracle, helper, rows, op in items:
-                noise, base, _ = oracle._split(rows, op)
+                noise, base = oracle._split(rows, op)
                 bases.add(base.shape[0] == 1)
                 block = oracle._evaluator_for(
                     helper, op if op is not None else oracle.default_op

@@ -222,18 +222,25 @@ class TestCampaignEquivalence:
                                                   attack):
         # Cross-device completion fusion is an execution regrouping
         # only: keys, query bills and comparer outcomes of fused
-        # lock-step rounds must be bitwise-identical to the scalar
-        # run() loop on twin devices.
-        outcomes = {}
+        # lock-step rounds must be bitwise-identical to the per-device
+        # run() loop on twin devices.  The temp-aware reference is the
+        # scalar HelperDataOracle drive: its sensor reads are drawn
+        # one per query, in query order, which the batched rows must
+        # reproduce through the a/b interleave and every unwind.
+        scalar = family == "temp-aware"
+        seeds = ((4, 5) if scalar
+                 else range(3 if family == "sequential" else 2))
+        outcomes, devices, oracles = {}, {}, {}
         for lockstep in (False, True):
-            devices = 3 if family == "sequential" else 2
-            oracles, attacks = [], []
-            for seed in range(devices):
-                array, keygen, helper, _ = build(seed)
-                oracle = BatchOracle(array, keygen)
-                oracles.append(oracle)
-                attacks.append(attack(oracle, keygen, helper))
-            outcomes[lockstep] = (run_campaign(oracles, attacks)
+            devices[lockstep] = [build(seed) for seed in seeds]
+            oracles[lockstep] = [
+                (HelperDataOracle if scalar and not lockstep
+                 else BatchOracle)(array, keygen)
+                for array, keygen, _, _ in devices[lockstep]]
+            attacks = [attack(oracle, keygen, helper)
+                       for oracle, (_, keygen, helper, _)
+                       in zip(oracles[lockstep], devices[lockstep])]
+            outcomes[lockstep] = (run_campaign(oracles[lockstep], attacks)
                                   if lockstep else
                                   [a.run() for a in attacks])
         for reference, observed in zip(outcomes[False],
@@ -244,12 +251,75 @@ class TestCampaignEquivalence:
             assert reference.queries == observed.queries
             assert (getattr(reference, "comparisons", None)
                     == getattr(observed, "comparisons", None))
+        if not scalar:
+            return
+        for (array, keygen, _, _), (twin_array, twin_keygen, _, _), \
+                oracle in zip(devices[False], devices[True],
+                              oracles[True]):
+            # Each batched stream is the scalar twin's, advanced by the
+            # rows left unwound in the oracle buffer.
+            unwound = oracle._buffer.shape[0]
+            if unwound:
+                array.measurement_noise(unwound)
+                keygen.sensor_draws(unwound)
+            np.testing.assert_array_equal(array.measurement_noise(),
+                                          twin_array.measurement_noise())
+            np.testing.assert_array_equal(keygen.sensor_draws(3),
+                                          twin_keygen.sensor_draws(3))
 
     def test_non_stepwise_driver_rejected(self):
         array, keygen, helper, _ = build_sequential(0)
         oracle = BatchOracle(array, keygen)
         with pytest.raises(TypeError):
             run_campaign([oracle], [object()])
+
+    def test_repeated_oracle_rejected(self):
+        array, keygen, helper, _ = build_sequential(0)
+        oracle = BatchOracle(array, keygen)
+        attacks = [SequentialPairingAttack(oracle, keygen, helper)
+                   for _ in range(2)]
+        with pytest.raises(ValueError, match="share an oracle"):
+            run_campaign([oracle, oracle], attacks)
+        with pytest.raises(ValueError, match="share an oracle"):
+            LockstepCampaign([(oracle, attack.steps())
+                              for attack in attacks])
+
+    def test_shared_sensor_keygen_rejected(self):
+        # Two oracles over one temp-aware keygen draw from one sensor
+        # stream, in round order rather than per-device request order.
+        array, keygen, helper, _ = build_temp_aware(0)
+        twin_array, _, _, _ = build_temp_aware(0)
+        oracles = [BatchOracle(array, keygen),
+                   BatchOracle(twin_array, keygen)]
+        attacks = [TempAwareAttack(oracle, keygen, helper)
+                   for oracle in oracles]
+        with pytest.raises(ValueError, match="sensor stream"):
+            run_campaign(oracles, attacks)
+        with pytest.raises(ValueError, match="sensor stream"):
+            LockstepCampaign([(oracle, attack.steps())
+                              for oracle, attack in zip(oracles, attacks)])
+
+    def test_shared_sensorless_keygen_runs(self):
+        # Without a sensor a keygen holds no per-query stream, so two
+        # devices may share it: the campaign runs and matches one
+        # keygen per device.
+        observed = {}
+        for shared in (False, True):
+            keygen = SequentialPairingKeyGen(threshold=300e3)
+            oracles, attacks = [], []
+            for seed in range(2):
+                array, own, helper, _ = build_sequential(seed)
+                if shared:
+                    own = keygen
+                    helper, _ = keygen.enroll(array, rng=seed)
+                oracles.append(BatchOracle(array, own))
+                attacks.append(SequentialPairingAttack(oracles[-1], own,
+                                                       helper))
+            observed[shared] = run_campaign(oracles, attacks)
+        for expected, got in zip(observed[False], observed[True]):
+            np.testing.assert_array_equal(expected.key, got.key)
+            assert expected.queries == got.queries
+            assert expected.comparisons == got.comparisons
 
     def test_lane_count_mismatch_rejected(self):
         array, keygen, helper, _ = build_sequential(0)

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core import BatchOracle, HelperDataOracle
+from repro.core.framework import FailureRateComparer
 from repro.core.injection import break_inversions
+from repro.core.lockstep import ComparisonRequest, run_lane
 from repro.keygen import OperatingPoint, TempAwareKeyGen
 from repro.puf import ROArray, ROArrayParams
 
@@ -168,6 +170,60 @@ class TestManipulatedHelperEquivalence:
             broken_seq, broken_batch,
             OperatingPoint(temperature=temperature))
         assert not outcomes.any()
+
+
+class TestUnwoundComparison:
+    def test_lane_comparison_matches_scalar_compare(self):
+        # A comparison interleaves its helpers' rows (a even, b odd)
+        # and unwinds the rows past its stopping point.  At the
+        # boundary of entry 0's crossover interval every query's
+        # outcome hinges on its own sensor read (inside: the rewritten
+        # assistant adds the (t+1)-th error), so each row must carry
+        # its read through the interleave and the unwind.
+        (seq_array, batch_array, seq_keygen, batch_keygen,
+         helper_seq, helper_batch) = twin_setup(sensor_seed=5)
+        _, key = seq_keygen.enroll(ROArray(PARAMS, rng=7), rng=0)
+
+        def boundary_rewrite(helper):
+            entries = helper.scheme.cooperation
+            entry = entries[0]
+            n_good = len(helper.scheme.good_indices)
+            coop_bits = {e.pair_index: key[n_good + i]
+                         for i, e in enumerate(entries)}
+            wrong = next(e.pair_index for e in entries[1:]
+                         if coop_bits[e.pair_index]
+                         != coop_bits[entry.assist_index])
+            scheme = break_inversions(
+                helper.scheme.replace_entry(0, entry.with_assist(wrong)),
+                entry.t_low, seq_keygen.sketch_for(key.size).code.t,
+                exclude=[entry.pair_index, wrong, entry.assist_index])
+            return helper.with_scheme(scheme)
+
+        op = OperatingPoint(
+            temperature=helper_seq.scheme.cooperation[0].t_low)
+        comparer = FailureRateComparer(confidence=0.9)
+        sequential = HelperDataOracle(seq_array, seq_keygen)
+        batched = BatchOracle(batch_array, batch_keygen)
+        rewritten_seq = boundary_rewrite(helper_seq)
+        rewritten_batch = boundary_rewrite(helper_batch)
+        expected = comparer.compare(sequential, rewritten_seq,
+                                    helper_seq, op)
+        observed = run_lane(batched, ComparisonRequest(
+            rewritten_batch, helper_batch, comparer, op))
+        assert observed == expected
+        assert 0 < expected.failures_a < expected.samples
+        assert expected.samples < comparer.max_queries_per_side
+        unwound = batched._buffer.shape[0]
+        assert unwound > 0
+        assert sequential.queries == batched.queries
+        # The unwound rows keep their reads: the next queries match.
+        more = np.array([sequential.query(rewritten_seq, op)
+                         for _ in range(unwound + 4)])
+        assert 0 < more.sum() < more.size
+        np.testing.assert_array_equal(
+            more, batched.query_block(rewritten_batch, unwound + 4, op))
+        np.testing.assert_array_equal(seq_keygen.sensor_draws(3),
+                                      batch_keygen.sensor_draws(3))
 
 
 class TestDuplicatePairIndexEquivalence:
