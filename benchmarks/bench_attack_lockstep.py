@@ -27,8 +27,9 @@ comparison's hypothesis pair with both members' frontier blocks.
 A second §VI-A section times the planning of one 32-lane comparison
 round (each lane's first reference/test request, 8 paired samples):
 the stacked frontier (one group, every block's base added once)
-against per-item ``plan_rows``, after asserting that both routes give
-bitwise-equal outcomes and kernel rows.
+against one-item frontiers (each block alone, through its own
+``checked``), after asserting that both routes give bitwise-equal
+outcomes and kernel rows.
 
 One more line times a comparison round's step bookkeeping alone
 (row taking, each lane's stopping-rule walk, unwinding) at 4 and 32
@@ -245,17 +246,16 @@ def comparison_round_plan_us(lanes=ROUND_LANES, repeats=30):
         return min(walls) * 1e6
 
     stacked_us = best(lambda: plan_frontier(items))
-    per_item_us = best(lambda: [oracle.plan_rows(helper, rows, op)
-                                for oracle, helper, rows, op in twins])
+    per_item_us = best(lambda: [plan_frontier([item]) for item in twins])
     frontier = plan_frontier(items)
     before = kernel_stats.rows
     stacked = frontier.execute()
     stacked_rows = kernel_stats.rows - before
-    plans = [oracle.plan_rows(helper, rows, op)
-             for oracle, helper, rows, op in twins]
+    alone = [plan_frontier([item]) for item in twins]
     before = kernel_stats.rows
-    outputs = run_kernels([plan.workload for plan in plans])
-    per_item = [plan.finalize(out) for plan, out in zip(plans, outputs)]
+    outputs = run_kernels([own.workloads[0] for own in alone])
+    per_item = [own.finalize([out])[0]
+                for own, out in zip(alone, outputs)]
     assert kernel_stats.rows - before == stacked_rows
     for observed, expected in zip(stacked, per_item):
         assert observed.tobytes() == expected.tobytes()
@@ -431,7 +431,7 @@ def test_attack_lockstep_campaign(benchmark, quick):
                  [(f"stacked frontier ({groups} group)",
                    f"{stacked_us:.0f}",
                    f"{stacked_us / (2 * ROUND_LANES):.1f}"),
-                  ("per-item plan_rows", f"{per_item_us:.0f}",
+                  ("one-item frontiers", f"{per_item_us:.0f}",
                    f"{per_item_us / (2 * ROUND_LANES):.1f}")]))
 
     round_us = [engine_round_us(lanes) for lanes in BOOKKEEPING_LANES]

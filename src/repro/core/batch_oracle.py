@@ -27,8 +27,8 @@ stand-in for the sequential simulation, not merely a statistical one:
   function of the row's (discrete) response bits, evaluated through the
   scheme's :meth:`~repro.keygen.base.KeyGenerator.batch_evaluator`
   with one ECC decode per distinct bit pattern.  :func:`plan_frontier`
-  stacks every block that reduces to a
-  :class:`~repro.keygen.batch.PairBlock`; the rest keep own plans.
+  plans every item as a :class:`~repro.keygen.batch.PairBlock` (alone,
+  or stacked with blocks of its stack key) or as a refusal.
 
 The scalar :meth:`query` interface is preserved, so attack drivers run
 unchanged — handing them a :class:`BatchOracle` silently upgrades every
@@ -55,9 +55,8 @@ from repro.keygen.base import KeyGenerator, OperatingPoint
 from repro.keygen.batch import (
     BatchEvaluator,
     DescribedHelper,
-    EvalPlan,
-    FrontierEntry,
     FrontierPlan,
+    PairBlock,
 )
 from repro.puf.ro_array import ROArray
 
@@ -253,37 +252,25 @@ class BatchOracle:
         (outcomes,) = plan_frontier([(self, helper, rows, op)]).execute()
         return outcomes
 
-    def plan_rows(self, helper, rows: np.ndarray,
-                  op: Optional[OperatingPoint] = None) -> EvalPlan:
-        """Phase 1: extraction + dedup for already-taken noise rows.
-
-        Returns the helper evaluator's :class:`EvalPlan` of the rows'
-        readings (:meth:`_split`), declaring this block's kernel
-        workload (keyed by the shared code/sketch) for the caller to
-        run — alone or fused with other devices' — before
-        :meth:`EvalPlan.finalize`.
-        """
-        evaluator = self._evaluator_for(
-            helper, op if op is not None else self._op)
-        noise, base = self._split(rows, op)
-        return evaluator.plan(base + noise)
-
     # ------------------------------------------------------------------
     # internals
 
     def _frontier_entry(self, helper, rows: np.ndarray,
-                        op: Optional[OperatingPoint]) -> FrontierEntry:
+                        op: Optional[OperatingPoint]
+                        ) -> Tuple[Optional[PairBlock], np.ndarray,
+                                   Optional[np.ndarray]]:
         """This block as ``(PairBlock, noise, base)`` — a described
         helper's (no helper or evaluator is built) or its evaluator's
-        :attr:`~repro.keygen.batch.BatchEvaluator.block` — or as its
-        own plan.  Its group adds the base (:meth:`_split`)."""
+        :attr:`~repro.keygen.batch.BatchEvaluator.block` — or as the
+        refusal ``(None, rows, None)``.  Its group adds the base
+        (:meth:`_split`)."""
         block = (helper.block(self._keygen, self._array)
                  if isinstance(helper, DescribedHelper) else None)
         if block is None:
             block = self._evaluator_for(
                 helper, op if op is not None else self._op).block
             if block is None:
-                return self.plan_rows(helper, rows, op)
+                return None, rows, None
         return (block,) + self._split(rows, op)
 
     def _split(self, rows: np.ndarray, op: Optional[OperatingPoint]):
@@ -367,10 +354,11 @@ def plan_frontier(items: Sequence[Tuple[BatchOracle, object, np.ndarray,
                   ) -> FrontierPlan:
     """Phase 1 for ``(oracle, helper, rows, op)`` items of one round.
 
-    Items are visited in order: one that cannot stack is planned on
-    the spot through :meth:`BatchOracle.plan_rows`, the rest join
-    their stacked group.  Planning draws from no stream — every value
-    an item reads, sensor reads included, came with its rows.
+    Every item is a block or a refusal
+    (:class:`~repro.keygen.batch.FrontierPlan`): a block joins its
+    stacked group, or is a group of one.  Planning draws from no
+    stream — every value an item reads, sensor reads included, came
+    with its rows.
     """
     return FrontierPlan([oracle._frontier_entry(helper, rows, op)
                          for oracle, helper, rows, op in items])

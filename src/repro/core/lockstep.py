@@ -32,19 +32,21 @@ that structure explicit so one attack can be executed two ways:
   ``select_hypothesis`` and :func:`execute_request` answer on a
   batched oracle.
 
-A round's frontier has two routes.  Blocks whose extraction is a
-described pair-column index — raw ``>=`` pairs (sequential), residual
-``>=`` pairs (distiller) or residual Kendall pairs (group-based
-helpers made of pairs, every §VI-C hypothesis), hardened ones with
-their gap check — and whose completion is a bare code-offset sketch
-are stacked per stack key, with or without a trajectory and a lone
-block as a group of one: one gather, trend subtraction, compare,
-dedup, payload shift and key check per group.  Every other block
-keeps its own ``plan_rows``.  Planning draws from no stream: a
-query's sensor read (temp-aware) is taken with its noise row, so the
-order in which a round evaluates its items cannot matter.  The
-kernel phase then makes one fused call per distinct kernel key across
-the whole frontier.
+A round's frontier has one route: every item is a block or a refusal
+(a refusal's rows all fail).  Blocks whose extraction is a described
+pair-column index — raw ``>=`` pairs (sequential), residual ``>=``
+pairs (distiller) or residual Kendall pairs (group-based helpers made
+of pairs, every §VI-C hypothesis), hardened ones with their gap check
+— and whose completion is a bare code-offset sketch are stacked per
+stack key, with or without a trajectory: one gather, trend
+subtraction, compare, dedup, payload shift and key check per group.
+Every other block (temp-aware, assembled completions), and a block
+alone in its stack key, is a group of one that extracts through its
+own ``checked``, with the same dedup, decode and finalize.  Planning
+draws from no stream: a query's sensor read (temp-aware) is taken
+with its noise row, so the order in which a round evaluates its items
+cannot matter.  The kernel phase then makes one fused call per
+distinct kernel key across the whole frontier.
 
 **Described hypotheses.**  The §VI-A and §VI-C attacks send their
 comparisons as described manipulations of the enrolled helper

@@ -7,8 +7,8 @@ shared rounds.  Every device's attack runs as a stepwise generator
 :class:`~repro.core.lockstep.Lane` each — and advances all of them
 through one :func:`~repro.core.lockstep.step`: every lane takes its
 noise block, the whole round is evaluated through one frontier plan
-(stacked groups of pair blocks, own plans for the rest) whatever the
-request types, and every lane walks its results through its
+(stacked groups of pair blocks, groups of one for the rest) whatever
+the request types, and every lane walks its results through its
 distinguisher's own rule, carrying its state to the next round.
 Devices whose request completed resume at once, so their next request
 joins the following round.
@@ -48,9 +48,9 @@ class LockstepCampaign:
     Each round, the frontier's evaluation requests are taken through
     one frontier plan (:func:`repro.core.batch_oracle.plan_frontier`):
     blocks of pair comparisons planned and finalized as one stacked
-    group per stack key (a lone block too), every other block through
-    its own ``plan_rows``, and **one ECC kernel
-    call per distinct kernel key across every device in the round**
+    group per stack key, every other block as a group of one, and
+    **one ECC kernel call per distinct kernel key across every device
+    in the round**
     (:func:`repro.ecc.kernel.run_kernels`).  Stacking and fusion only
     amortize per-call fixed costs over many tiny blocks, the measured
     hot spot of campaign rounds; per-device results are

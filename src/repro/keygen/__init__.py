@@ -13,7 +13,6 @@ from repro.keygen.base import (
 from repro.keygen.batch import (
     BatchEvaluator,
     ConstantEvaluator,
-    EvalPlan,
     ResponseBitEvaluator,
     SketchCompletion,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "key_check_digest",
     "BatchEvaluator",
     "ConstantEvaluator",
-    "EvalPlan",
     "ResponseBitEvaluator",
     "SketchCompletion",
     "SequentialKeyHelper",

@@ -256,12 +256,13 @@ class KeyGenerator(abc.ABC):
         ``B`` success booleans, matching what *B* sequential
         :meth:`reconstruct` calls on the same readings would observe.
 
-        Evaluators speak one protocol (see ``docs/evaluators.md``):
-        ``plan(freqs)`` → kernel → ``EvalPlan.finalize(outputs)``, a
-        split that lets a lock-step campaign stack the ECC kernel
-        work of every device sharing a code into one call.  Every
-        shipped evaluator completes patterns through
-        :class:`repro.keygen.batch.SketchCompletion`.
+        The evaluator's ``block`` (``None`` for a refusal) is what a
+        :class:`~repro.keygen.batch.FrontierPlan` plans, kernels and
+        finalizes with the other blocks of its round
+        (``docs/evaluators.md``), so a lock-step campaign stacks the
+        ECC kernel work of every device sharing a code into one call.
+        Every shipped evaluator completes patterns through a
+        code-offset :class:`repro.keygen.batch.SketchCompletion`.
         """
 
     def describe(self, array: ROArray, described):

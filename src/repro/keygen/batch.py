@@ -7,49 +7,33 @@ mapping a batch of measurement vectors to a batch of success booleans —
 and for every construction that outcome is a deterministic function of
 the (discrete) response-bit vector the measurement produces.
 
-That structure is what a :class:`BatchEvaluator` exploits: response
-bits for a whole ``(B, n)`` measurement block are extracted in one
-NumPy pass, and the expensive completion (ECC decode + key check) runs
-once per *distinct* bit pattern instead of once per query.  In the
-engineered Fig. 5 regimes only a handful of marginal bits ever flip, so
-a block of hundreds of queries typically needs single-digit decodes.
+So one pipeline evaluates every helper: extract a block's response bits
+in one NumPy pass, dedup them against the helper's memo, run one
+code-offset decode over the fresh distinct patterns, then finalize
+(payload unshift, optional key assembly, key check).  A keygen's
+:class:`BatchEvaluator` hands that pipeline a :class:`PairBlock` — its
+extraction, completion and memo as arrays — or nothing, a refusal whose
+rows all fail.
 
-Evaluation is two-phase (``docs/evaluators.md``):
-:meth:`BatchEvaluator.plan` stops after extraction and dedup, returning
-an :class:`EvalPlan` that *declares* its kernel work (a
-:class:`~repro.ecc.kernel.KernelWorkload` keyed by the shared
-code/sketch); the caller runs the kernel — possibly fused with the
-same-key workloads of many other devices via
-:func:`repro.ecc.kernel.run_kernels` — and :meth:`EvalPlan.finalize`
-unwinds the outputs back into per-query success booleans.  Outcomes
-are bitwise-identical for every batch composition, and equal to the
-scalar :meth:`SketchCompletion.complete` reference row by row.
-
-A :class:`FrontierPlan` runs the same three phases for a whole
-lock-step round over two routes: a block that reduces to a
-:class:`PairBlock` (:func:`pair_block`: described :class:`PairColumns`,
-raw or trend-subtracted, ``>=`` or Kendall, gap-checked or not,
-completed through a bare code-offset sketch) — an evaluator's or a
-:class:`DescribedHelper`'s — is planned and finalized in a stacked
-group, alone or with others of its stack key; every other block keeps
-its own :class:`EvalPlan`.
+A :class:`FrontierPlan` runs the pipeline for a whole lock-step round
+in three phases (``docs/evaluators.md``): planning extracts and dedups
+and *declares* the round's kernel work
+(:class:`~repro.ecc.kernel.KernelWorkload` objects keyed by the code's
+parent); the caller runs it through
+:func:`repro.ecc.kernel.run_kernels`, one call per distinct key; and
+:meth:`FrontierPlan.finalize` unwinds the outputs into per-row success
+booleans.  Blocks described by :class:`PairColumns` with a bare
+code-offset completion stack with others of their stack key; every
+other block is a group of one.  Outcomes are bitwise-identical for
+every round composition, and equal to the scalar
+:meth:`SketchCompletion.complete` reference row by row.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import (
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,21 +116,28 @@ class PairColumns:
 
 
 class PairBlock(NamedTuple):
-    """A stackable block's extraction and completion, as arrays.
+    """One frontier item's extraction and completion, as arrays.
 
-    What a :class:`FrontierPlan` reads to stack a block with others:
-    the ``(P, 2)`` pair *index*, *trend*, comparison *kind* and
-    measured-threshold *gap* of a :class:`PairColumns` extraction; the
-    bare code-offset *sketch* completing it; the block's *parsed*
-    payload and *key_check*; and the *memo* of finalized patterns the
-    block consults before the round and extends after it.  *stack_key*
-    is ``(kind, trend is not None, sketch kernel key, gap)``, the
-    sketch key naming the code's parent (so every shortening of one
-    BCH parent shares it): only blocks of one stack key and one row
-    shape stack.
+    What a :class:`FrontierPlan` reads to plan a block: the ``(P, 2)``
+    pair *index*, *trend*, comparison *kind* and measured-threshold
+    *gap* of a :class:`PairColumns` extraction; the code-offset
+    *sketch* completing it; the block's *parsed* payload and
+    *key_check*; and the *memo* of finalized patterns the block
+    consults before the round and extends after it.  A block whose
+    extraction pair columns do not describe (for example the
+    temperature-aware ``SensedCooperation``) has no index and keeps
+    the extraction in *extract*; *assemble* is an optional key
+    assembly (:attr:`SketchCompletion.assemble`).
+
+    *stack_key* is ``(kind, trend is not None, sketch kernel key,
+    gap)``, the sketch key naming the code's parent (so every
+    shortening of one BCH parent shares it): only blocks of one stack
+    key and one row shape stack.  It is ``None`` for a block that is
+    always a group of one: an assembled or non-pair block, or a code
+    without a kernel key.
     """
 
-    index: np.ndarray
+    index: Optional[np.ndarray]
     trend: Optional[np.ndarray]
     kind: str
     gap: Optional[Tuple[float, int]]
@@ -154,32 +145,54 @@ class PairBlock(NamedTuple):
     parsed: np.ndarray
     key_check: bytes
     memo: Dict[bytes, bool]
-    stack_key: tuple
+    stack_key: Optional[tuple]
+    extract: object = None
+    assemble: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def checked(self, readings: np.ndarray
+                ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(bits, accepted)`` of a ``(B, width)`` readings block,
+        through :attr:`extract` or the block's own pair columns."""
+        extract = self.extract
+        if extract is None:
+            extract = PairColumns(self.index, self.trend, self.kind,
+                                  self.gap)
+        return extract.checked(readings)
 
 
-def pair_block(extract, sketch, parsed: Optional[np.ndarray],
-               key_check: bytes, memo: Dict[bytes, bool]
+def pair_block(extract, sketch: CodeOffsetSketch,
+               parsed: Optional[np.ndarray], key_check: bytes,
+               memo: Dict[bytes, bool], assemble=None
                ) -> Optional[PairBlock]:
-    """The one stacking rule: *extract* completed (with no assembly)
-    by *sketch* over the *parsed* payload, as a block, or ``None``.
+    """The one block rule: *extract* completed by *sketch* over the
+    *parsed* payload, then *assemble*, as a block — or ``None``, a
+    refusal.
 
-    A block needs a :class:`PairColumns` extraction, a
-    :class:`~repro.ecc.sketch.CodeOffsetSketch` with a kernel key over
-    exactly the pair count, and a ``uint8`` code-length payload.
+    *extract* is any extraction with ``checked(readings) -> (bits,
+    accepted)``.  A malformed payload (``None``, or not a ``uint8``
+    code-length vector) or a :class:`PairColumns` extraction whose
+    pair count is not the sketch's response length refuses every row.
+    Only a :class:`PairColumns` extraction without assembly over a
+    code with a kernel key gets a :attr:`PairBlock.stack_key`.
     """
-    if (not isinstance(extract, PairColumns)
-            or not isinstance(sketch, CodeOffsetSketch)
-            or sketch.response_length != extract.index.shape[0]
-            or parsed is None or parsed.dtype.type is not np.uint8
+    if not isinstance(sketch, CodeOffsetSketch):
+        raise TypeError("batch evaluation completes through a "
+                        "code-offset sketch")
+    if (parsed is None or parsed.dtype.type is not np.uint8
             or parsed.shape != (sketch.code.n,)):
         return None
-    key = sketch.kernel_key()
-    if key is None:
+    if not isinstance(extract, PairColumns):
+        return PairBlock(None, None, "", None, sketch, parsed, key_check,
+                         memo, None, extract, assemble)
+    if sketch.response_length != extract.index.shape[0]:
         return None
+    key = sketch.kernel_key()
     return PairBlock(extract.index, extract.trend, extract.kind,
                      extract.gap, sketch, parsed, key_check, memo,
-                     (extract.kind, extract.trend is not None, key,
-                      extract.gap))
+                     None if key is None or assemble is not None
+                     else (extract.kind, extract.trend is not None, key,
+                           extract.gap),
+                     None, assemble)
 
 
 class DescribedHelper:
@@ -256,18 +269,11 @@ class SketchCompletion:
     same way — recover the enrolled response through the secure
     sketch, optionally assemble the key from it (*assemble*; e.g.
     Kendall packing or the fuzzy extractor's Toeplitz hash), and
-    compare the key's digest against the public commitment.  The
-    two-phase :meth:`prepare`/:meth:`finish` split delegates to the
-    sketch's :meth:`~repro.ecc.sketch.SecureSketch.plan_recover` /
-    ``finish_recover`` pair, so the expensive decode kernel can fuse
-    with every other device sharing the code
-    (:mod:`repro.ecc.kernel`); :meth:`complete` is the scalar
-    reference it must match pattern for pattern.
-
-    The dataclass holds only picklable parts (sketch, helper payload,
-    digest bytes and module-level assembler objects), so plans built
-    from it can cross process boundaries under the fleet engine's
-    copy-on-dispatch rule.
+    compare the key's digest against the public commitment.
+    :class:`ResponseBitEvaluator` turns it into a :class:`PairBlock`,
+    whose frontier group runs the same steps for many patterns at
+    once; :meth:`complete` is the scalar reference it must match
+    pattern for pattern.
     """
 
     sketch: SecureSketch
@@ -278,7 +284,7 @@ class SketchCompletion:
     #: invalid recovery (e.g. a mis-corrected stream that is not a
     #: valid Kendall word); its ``batch`` method maps a ``(U, bits)``
     #: block to ``(keys, valid)`` in one pass, row-wise equal to the
-    #: call.  Must be picklable (a small module-level dataclass).
+    #: call.
     assemble: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     #: The sketch's parsed helper payload, ``None`` if malformed:
@@ -294,47 +300,6 @@ class SketchCompletion:
             parsed = None
         object.__setattr__(self, "parsed", parsed)
 
-    def prepare(self, patterns: np.ndarray
-                ) -> Tuple[Optional[KernelWorkload], object]:
-        """Phase 1: declare the sketch-recovery workload.
-
-        Returns ``(workload, state)`` for the fresh distinct
-        *patterns*; *state* carries whatever :meth:`finish` needs
-        besides the kernel outputs.  A malformed helper payload, or a
-        ``ValueError`` from the sketch, rejects every pattern alike,
-        mirroring :meth:`complete`.
-        """
-        parsed = self.parsed
-        if parsed is not None:
-            try:
-                workload, state = self.sketch.plan_parsed(patterns,
-                                                          parsed)
-            except ValueError:
-                pass
-            else:
-                return workload, ("planned", state)
-        return None, ("rejected", patterns.shape[0])
-
-    def finish(self, state: object, outputs: "Optional[tuple]"
-               ) -> np.ndarray:
-        """Phase 3: unwind the sketch recovery and apply the key check."""
-        tag, inner = state
-        if tag == "rejected":
-            return np.zeros(inner, dtype=bool)
-        recovered, ok = self.sketch.finish_recover(inner, outputs)
-        out = np.zeros(ok.shape[0], dtype=bool)
-        rows = np.flatnonzero(ok)
-        keys = recovered[rows]
-        if self.assemble is not None:
-            try:
-                keys, valid = self.assemble.batch(keys)
-            except ValueError:
-                return out
-            rows, keys = rows[valid], keys[valid]
-        out[rows] = [digest == self.key_check
-                     for digest in key_check_digests(keys)]
-        return out
-
     def complete(self, bits_row: np.ndarray) -> bool:
         """Scalar reference: recover, assemble, check one pattern."""
         try:
@@ -347,83 +312,68 @@ class SketchCompletion:
 
 
 # ----------------------------------------------------------------------
-# evaluation plans
+# evaluators
 
 
-@dataclass
-class EvalPlan:
-    """Phase-1 result of evaluating one measurement block.
+class BatchEvaluator:
+    """A helper's batch evaluation on one device: its frontier block.
 
-    Produced by :meth:`BatchEvaluator.plan`: rows whose pattern was
-    already memoized (or observably invalid) are resolved in
-    ``outcomes``; the fresh distinct patterns wait in ``pending`` for
-    the kernel outputs.  ``workload`` is the plan's declared share of
-    the round's kernel work — group plans by ``workload.key`` and run
-    them through :func:`repro.ecc.kernel.run_kernels` to fuse the
-    kernel across devices, then hand each plan its own output slice
-    via :meth:`finalize`.
-
-    A plan holds only arrays, byte keys, the picklable completion and
-    the memo dict, so it can cross a process boundary; like every
-    fleet dispatch, pickling *copies* state (the memo stops being
-    shared with the originating evaluator) — the copy-on-dispatch
-    rule of :mod:`repro.fleet.parallel`.
+    A :class:`FrontierPlan` evaluates :attr:`block`; row ``i`` of its
+    outcome must equal what a sequential ``reconstruct`` call
+    observing measurement row ``i`` would report (``True`` = key
+    regenerated), so batched and scalar simulation stay
+    interchangeable query-for-query.  A block keeps a per-helper memo
+    of finalized patterns, so each distinct pattern is completed at
+    most once.  A ``None`` block is a refusal: every row fails.
     """
 
-    #: Per-row success booleans; pre-filled for resolved rows.
-    outcomes: np.ndarray
-    #: Fresh patterns awaiting the kernel, ``(keys, fresh, inverse,
-    #: rows)``: every distinct pattern's memo key, the fresh ones'
-    #: indices (the prepared pattern order), the row -> distinct map
-    #: and the planned rows; ``None`` once nothing is pending.
-    pending: Optional[Tuple[List[bytes], np.ndarray, np.ndarray,
-                            Union[np.ndarray, slice]]]
-    #: Completion finishing the fresh patterns (``None`` if resolved).
-    completion: Optional[SketchCompletion]
-    #: Opaque completion state from :meth:`SketchCompletion.prepare`.
-    state: object
-    #: Declared kernel work (``None`` when nothing needs the kernel).
-    workload: Optional[KernelWorkload]
-    #: The evaluator's memo, updated with the finalized patterns.
-    memo: Dict[bytes, bool] = field(default_factory=dict)
-
-    @classmethod
-    def resolved(cls, outcomes: np.ndarray) -> "EvalPlan":
-        """A plan with every row already decided (no kernel work)."""
-        return cls(np.asarray(outcomes, dtype=bool), None, None, None,
-                   None)
+    #: The evaluator's :class:`PairBlock`; ``None`` refuses every row.
+    block: Optional[PairBlock] = None
 
     @property
-    def kernel_key(self) -> "tuple | None":
-        """The declared workload's fusion key, if any."""
-        return None if self.workload is None else self.workload.key
+    def stack_key(self) -> Optional[tuple]:
+        """The stack key of :attr:`block`, ``None`` if it does not stack."""
+        return None if self.block is None else self.block.stack_key
 
-    def finalize(self, outputs: "Optional[tuple]" = None) -> np.ndarray:
-        """Phase 3: resolve pending patterns from the kernel outputs.
 
-        *outputs* is this plan's slice of the (possibly fused) kernel
-        results — exactly what ``run_kernels([plan.workload])[0]``
-        would return.  Returns the complete per-row success vector;
-        idempotent once finalized.
-        """
-        if self.pending is not None:
-            keys, fresh, inverse, rows = self.pending
-            results = np.asarray(
-                self.completion.finish(self.state, outputs),
-                dtype=bool)
-            distinct = np.zeros(len(keys), dtype=bool)
-            distinct[fresh] = results
-            # Fresh rows are still False, resolved rows keep theirs.
-            self.outcomes[rows] |= distinct[inverse]
-            self.memo.update(zip(map(keys.__getitem__, fresh.tolist()),
-                                 results.tolist()))
-            self.pending = None
-        return self.outcomes
+class ConstantEvaluator(BatchEvaluator):
+    """Helper data that fails every reconstruction: a refusal.
 
-    def execute(self) -> np.ndarray:
-        """Run this plan's own kernel and finalize (single-plan driver)."""
-        (outputs,) = run_kernels([self.workload])
-        return self.finalize(outputs)
+    Structurally invalid helper data (rejected pair lists, mismatched
+    group maps) fails every reconstruction before a single frequency is
+    inspected; a refusal resolves its rows without any per-query
+    validation or kernel work.
+    """
+
+    def __init__(self, value: bool = False):
+        if value:
+            raise ValueError("a constant outcome is a refusal (False)")
+
+
+class ResponseBitEvaluator(BatchEvaluator):
+    """The common scheme shape: vectorized bits, memoized completion.
+
+    *extract* is the device's extraction: its ``checked`` method turns
+    a ``(B, n)`` readings block, in one pass, into ``(bits, accepted)``
+    — the ``(B, bits)`` response matrix and the ``(B,)`` rows the
+    device's checks accept, ``None`` for every row.  The check is a
+    :class:`PairColumns`' :attr:`~PairColumns.gap`, or the
+    temperature-aware interval and assistance refusals.
+    *completion* finishes the distinct patterns of the accepted rows;
+    refused rows fail without reaching it.  Both become the
+    evaluator's :attr:`block` (:func:`pair_block`), sharing the
+    evaluator's memo.
+    """
+
+    def __init__(self, extract, completion: SketchCompletion):
+        self._memo: Dict[bytes, bool] = {}
+        self.block = pair_block(extract, completion.sketch,
+                                completion.parsed, completion.key_check,
+                                self._memo, completion.assemble)
+
+
+# ----------------------------------------------------------------------
+# frontier plans: one evaluation pass per lock-step round
 
 
 def _memo_groups(bits: np.ndarray, memos: Sequence[Dict[bytes, bool]],
@@ -460,138 +410,25 @@ def _memo_groups(bits: np.ndarray, memos: Sequence[Dict[bytes, bool]],
     return first, inverse, keys, known
 
 
-def _build_plan(bits: np.ndarray, rows: Optional[np.ndarray],
-                completion: SketchCompletion, memo: Dict[bytes, bool],
-                count: int) -> EvalPlan:
-    """Dedup a bit matrix against the memo and prepare the rest.
+class _Group:
+    """Blocks of a round planned as one.
 
-    *rows* restricts the scan (rows a device check accepts); excluded
-    rows stay ``False``, as their observable refusal on the scalar path.
-    """
-    if rows is None:
-        rows = slice(None)
-    subset = bits[rows]
-    first, inverse, keys, known = _memo_groups(subset, (memo,))
-    outcomes = np.zeros(count, dtype=bool)
-    outcomes[rows] = (known == 1)[inverse]
-    fresh = np.flatnonzero(known < 0)
-    if not fresh.size:
-        return EvalPlan(outcomes, None, None, None, None, memo)
-    workload, state = completion.prepare(subset[first[fresh]])
-    return EvalPlan(outcomes, (keys, fresh, inverse, rows), completion,
-                    state, workload, memo)
-
-
-# ----------------------------------------------------------------------
-# evaluators
-
-
-class BatchEvaluator(abc.ABC):
-    """Maps measurement batches to reconstruction-success booleans.
-
-    ``plan(freqs).finalize(outputs)[i]`` must equal what a sequential
-    ``reconstruct`` call observing measurement row ``i`` would report
-    (``True`` = key regenerated), so batched and scalar simulation stay
-    interchangeable query-for-query.  The bit-pattern evaluators keep a
-    per-helper memo of finalized patterns, so each distinct pattern is
-    completed at most once.
-    """
-
-    #: The evaluator as a :class:`PairBlock` a :class:`FrontierPlan`
-    #: stacks with other helpers' blocks; ``None`` keeps its blocks on
-    #: :meth:`plan`.
-    block: Optional[PairBlock] = None
-
-    @property
-    def stack_key(self) -> Optional[tuple]:
-        """The stack key of :attr:`block`, ``None`` if it does not stack."""
-        return None if self.block is None else self.block.stack_key
-
-    @abc.abstractmethod
-    def plan(self, freqs: np.ndarray) -> EvalPlan:
-        """Phase 1: extract/dedup now, defer kernel work to the caller."""
-
-
-class ConstantEvaluator(BatchEvaluator):
-    """Helper data whose outcome is measurement-independent.
-
-    Structurally invalid helper data (rejected pair lists, mismatched
-    group maps) fails every reconstruction before a single frequency is
-    inspected; short-circuiting it keeps the batch path free of
-    per-query validation.
-    """
-
-    def __init__(self, value: bool):
-        self._value = bool(value)
-
-    def plan(self, freqs: np.ndarray) -> EvalPlan:
-        """A resolved plan: every row gets the constant outcome."""
-        return EvalPlan.resolved(np.full(np.asarray(freqs).shape[0],
-                                         self._value, dtype=bool))
-
-
-class ResponseBitEvaluator(BatchEvaluator):
-    """The common scheme shape: vectorized bits, memoized completion.
-
-    *extract* is the device's extraction: its ``checked`` method turns
-    a ``(B, n)`` readings block, in one pass, into ``(bits, accepted)``
-    — the ``(B, bits)`` response matrix and the ``(B,)`` rows the
-    device's checks accept, ``None`` for every row.  The check is a
-    :class:`PairColumns`' :attr:`~PairColumns.gap`, or the
-    temperature-aware interval and assistance refusals.
-    *completion* finishes the distinct patterns of the accepted rows;
-    refused rows fail without reaching it.  A completion without key
-    assembly whose extraction and sketch make a :func:`pair_block` is
-    also a :attr:`block` sharing the evaluator's memo, so frontier
-    rounds stack its blocks with those of the same stack key.
-    """
-
-    def __init__(self, extract, completion: SketchCompletion):
-        self._extract = extract
-        self._completion = completion
-        self._memo: Dict[bytes, bool] = {}
-        if completion.assemble is None:
-            self.block = pair_block(extract, completion.sketch,
-                                    completion.parsed,
-                                    completion.key_check, self._memo)
-
-    def plan(self, freqs: np.ndarray) -> EvalPlan:
-        """Phase 1: extract and dedup; declare the kernel workload."""
-        bits, accepted = self._extract.checked(
-            np.asarray(freqs, dtype=float))
-        rows = None if accepted is None else np.flatnonzero(accepted)
-        return _build_plan(bits, rows, self._completion, self._memo,
-                           bits.shape[0])
-
-
-# ----------------------------------------------------------------------
-# frontier plans: one evaluation pass per lock-step round
-
-
-#: One frontier item: its own :class:`EvalPlan`, or a stackable
-#: ``(block, noise, base)``: the :class:`PairBlock`, its ``(B, n)``
-#: noise rows and the base frequencies they add to, one ``(1, n)`` row
-#: or a ``(B, n)`` row per sample.
-FrontierEntry = Union[EvalPlan,
-                      Tuple[PairBlock, np.ndarray, np.ndarray]]
-
-
-class _StackedGroup:
-    """Stackable blocks of one shape and one stack key.
-
-    Planned as one: a single gather and compare over the stacked
-    frequencies (each block's trend subtracted, its pair index padded
-    to the widest block and masked), one dedup keyed by (block,
-    pattern), memo lookups for all distinct patterns in one pass and
-    one payload-shifted decode workload over the fresh patterns.  Rows
-    a :attr:`PairBlock.gap` check refuses (padded pairs masked out)
-    resolve ``False`` before the dedup, as in own plans.  The stack
-    key names the code's parent, so blocks over different shortenings
-    share the workload: payloads are padded to the longest code, whose
-    decoder bounds each row by its own code length.
-    :meth:`finalize` XORs the payloads back, truncates each pattern to
-    its block's length and hashes the key checks of the whole group in
-    one pass.  A group of one block is planned the same way.
+    A group of one block extracts through the block's own
+    :meth:`PairBlock.checked`.  A group of several blocks — pair-column
+    blocks of one shape and one stack key — stacks their frequencies
+    for a single gather and compare (each block's trend subtracted,
+    its pair index padded to the widest block and masked) and refuses
+    the rows a :attr:`PairBlock.gap` check refuses from the columns it
+    gathers (padded pairs masked out).  Either way the accepted rows
+    take one dedup keyed by (block, pattern), memo lookups for all
+    distinct patterns in one pass and one payload-shifted decode
+    workload over the fresh patterns.  The stack key names the code's
+    parent, so blocks over different shortenings share the workload:
+    payloads are padded to the longest code, whose decoder bounds each
+    row by its own code length.  :meth:`finalize` XORs the payloads
+    back, truncates each pattern to its block's length, assembles a
+    lone block's key and hashes the key checks of the whole group in
+    one pass.
     """
 
     def __init__(self, blocks: List[Tuple[int, PairBlock, np.ndarray,
@@ -600,71 +437,29 @@ class _StackedGroup:
         sources = [entry[1] for entry in blocks]
         self._memos = [source.memo for source in sources]
         self._checks = [source.key_check for source in sources]
-        self._count = count = blocks[0][2].shape[0]
-        # (blocks, rows, columns): the noise is stacked, then every
-        # block's base is added in one operation.  Each element is
-        # still its block's noise + base, the sum the oracle's own
-        # plans take, bit for bit.  A lone block needs no stack copy.
+        self._assemble = sources[0].assemble
+        self._count = blocks[0][2].shape[0]
+        self._mask = self._rows = owner = None
         if len(blocks) == 1:
-            ((_, _, noise, base),) = blocks
-            freqs = (noise + base)[None]
+            ((_, source, noise, base),) = blocks
+            bits, accepted = source.checked(noise + base)
+            self._widths = np.array([bits.shape[1]])
+            if accepted is not None:
+                self._rows = np.flatnonzero(accepted)
+                bits = bits[self._rows]
         else:
-            freqs = np.array([entry[2] for entry in blocks])
-            bases = [entry[3] for entry in blocks]
-            if len({base.shape for base in bases}) > 1:
-                # Per-row (trajectory) bases beside (1, n) rows.
-                bases = [np.broadcast_to(base, freqs.shape[1:])
-                         for base in bases]
-            freqs += np.array(bases)
-        if sources[0].trend is not None:
-            freqs -= np.array([source.trend
-                               for source in sources])[:, None, :]
-        # (blocks, columns, rows): every block of a group has the same
-        # row count, so one fancy index per (block, pair) gathers that
-        # pair's column for all the block's rows at once.
-        freqs = freqs.transpose(0, 2, 1)
-        indices = [source.index for source in sources]
-        widths = [index.shape[0] for index in indices]
-        self._widths = np.array(widths)
-        wide = max(widths)
-        self._mask = None
-        if min(widths) == wide:
-            pairs = np.array(indices)
-        else:
-            self._mask = np.arange(wide) < self._widths[:, None]
-            pairs = pad_rows(np.concatenate(indices), self._mask)
-        items = np.arange(len(blocks))[:, None]
-        a = freqs[items, pairs[:, :, 0]]
-        b = freqs[items, pairs[:, :, 1]]
-        bits = compare_columns(a, b, sources[0].kind)
-        if self._mask is not None:
-            bits &= self._mask[:, :, None]
-        owner = np.repeat(np.arange(len(blocks)), count)
-        bits = bits.transpose(0, 2, 1).reshape(owner.size, wide).view(
-            np.uint8)
-        self._rows = None
-        if sources[0].gap is not None:
-            floor, shift = sources[0].gap
-            if shift:
-                a = freqs[items, pairs[:, :, 0] - shift]
-                b = freqs[items, pairs[:, :, 1] - shift]
-            refused = _gap_violations(a, b, floor)
-            if self._mask is not None:
-                # A padded (0, 0) pair has gap 0.
-                refused &= self._mask[:, :, None]
-            self._rows = np.flatnonzero(~refused.any(axis=1).ravel())
-            bits, owner = bits[self._rows], owner[self._rows]
+            bits, owner = self._gather(blocks)
         # A lone block's rows all consult its memo at full width.
         first, self._inverse, self._keys, known = _memo_groups(
-            bits, self._memos, owner if len(blocks) > 1 else None,
-            self._widths)
-        owners = owner[first]
+            bits, self._memos, owner, self._widths)
         patterns = bits[first]
         self._results = known == 1
         self.workload: Optional[KernelWorkload] = None
         self._fresh = np.flatnonzero(known < 0)
         if self._fresh.size:
-            self._owners = owners[self._fresh]
+            self._owners = (np.zeros(self._fresh.size, dtype=np.intp)
+                            if owner is None
+                            else owner[first[self._fresh]])
             # Payloads are code-length; blocks over shorter codes of
             # the stack key's parent pad theirs and bound their rows.
             parsed = [source.parsed for source in sources]
@@ -683,6 +478,59 @@ class _StackedGroup:
                 .sketch.offset_workload(patterns[self._fresh],
                                         self._payloads, bounds)
 
+    def _gather(self, blocks) -> Tuple[np.ndarray, np.ndarray]:
+        """The stacked blocks' accepted ``(rows, wide)`` bits and each
+        row's block."""
+        sources = [entry[1] for entry in blocks]
+        # (blocks, rows, columns): the noise is stacked, then every
+        # block's base is added in one operation.  Each element is
+        # still its block's noise + base, the sum a lone block takes,
+        # bit for bit.
+        freqs = np.array([entry[2] for entry in blocks])
+        bases = [entry[3] for entry in blocks]
+        if len({base.shape for base in bases}) > 1:
+            # Per-row (trajectory) bases beside (1, n) rows.
+            bases = [np.broadcast_to(base, freqs.shape[1:])
+                     for base in bases]
+        freqs += np.array(bases)
+        if sources[0].trend is not None:
+            freqs -= np.array([source.trend
+                               for source in sources])[:, None, :]
+        # (blocks, columns, rows): every block of a group has the same
+        # row count, so one fancy index per (block, pair) gathers that
+        # pair's column for all the block's rows at once.
+        freqs = freqs.transpose(0, 2, 1)
+        indices = [source.index for source in sources]
+        widths = [index.shape[0] for index in indices]
+        self._widths = np.array(widths)
+        wide = max(widths)
+        if min(widths) == wide:
+            pairs = np.array(indices)
+        else:
+            self._mask = np.arange(wide) < self._widths[:, None]
+            pairs = pad_rows(np.concatenate(indices), self._mask)
+        items = np.arange(len(blocks))[:, None]
+        a = freqs[items, pairs[:, :, 0]]
+        b = freqs[items, pairs[:, :, 1]]
+        bits = compare_columns(a, b, sources[0].kind)
+        if self._mask is not None:
+            bits &= self._mask[:, :, None]
+        owner = np.repeat(np.arange(len(blocks)), self._count)
+        bits = bits.transpose(0, 2, 1).reshape(owner.size, wide).view(
+            np.uint8)
+        if sources[0].gap is not None:
+            floor, shift = sources[0].gap
+            if shift:
+                a = freqs[items, pairs[:, :, 0] - shift]
+                b = freqs[items, pairs[:, :, 1] - shift]
+            refused = _gap_violations(a, b, floor)
+            if self._mask is not None:
+                # A padded (0, 0) pair has gap 0.
+                refused &= self._mask[:, :, None]
+            self._rows = np.flatnonzero(~refused.any(axis=1).ravel())
+            bits, owner = bits[self._rows], owner[self._rows]
+        return bits, owner
+
     def finalize(self, outputs: "Optional[tuple]") -> List[np.ndarray]:
         """Per-block success vectors from the group's kernel outputs."""
         if self.workload is not None:
@@ -692,12 +540,22 @@ class _StackedGroup:
                 keys &= self._mask[self._owners]
             good = np.flatnonzero(ok)
             owners = self._owners[good]
+            keys, lengths = keys[good], self._widths[owners]
+            if self._assemble is not None:
+                # A lone block's key assembly.  A ValueError fails
+                # every fresh row, as the scalar completion fails.
+                try:
+                    keys, valid = self._assemble.batch(keys)
+                except ValueError:
+                    valid = np.zeros(good.size, dtype=bool)
+                good, owners, keys = good[valid], owners[valid], \
+                    keys[valid]
+                lengths = None
             checks = self._checks
             flags = np.zeros(self._owners.size, dtype=bool)
             flags[good] = [
                 digest == checks[slot] for digest, slot in zip(
-                    key_check_digests(keys[good], self._widths[owners]),
-                    owners.tolist())]
+                    key_check_digests(keys, lengths), owners.tolist())]
             for distinct, slot, flag in zip(self._fresh.tolist(),
                                             self._owners.tolist(),
                                             flags.tolist()):
@@ -714,52 +572,53 @@ class _StackedGroup:
 class FrontierPlan:
     """Phase 1 for a whole lock-step round of evaluation items.
 
-    *entries* come in round order, one per item (see
-    :data:`FrontierEntry`).  Stackable blocks are grouped by block
-    shape (rows, frequency width) and stack key (comparison kind,
-    trend, the sketch's parent-level kernel key, gap check), and each
-    group — a lone block too — is planned as one (:class:`_StackedGroup`).
-    An :class:`EvalPlan` entry is kept as-is.  Run :attr:`workloads`
-    through :func:`~repro.ecc.kernel.run_kernels` — one call per
-    distinct key, stacked groups and own plans alike — and hand the
-    outputs to :meth:`finalize`.
+    *entries* come in round order, one per item: ``(block, noise,
+    base)``, the item's :class:`PairBlock` — or ``None``, a refusal
+    whose rows all fail — its ``(B, n)`` noise rows and the base
+    frequencies they add to, one ``(1, n)`` row or a ``(B, n)`` row per
+    sample.  Blocks with a stack key are grouped by block shape (rows,
+    frequency width) and stack key (comparison kind, trend, the
+    sketch's parent-level kernel key, gap check); every other block is
+    a group of one.  Each group is planned as one (:class:`_Group`).
+    Run :attr:`workloads` through
+    :func:`~repro.ecc.kernel.run_kernels` — one call per distinct key
+    — and hand the outputs to :meth:`finalize`.
 
     Stacking changes no outcome, memo entry or kernel row: dedup stays
     per item and consults each block's memo as it stood before the
-    round, exactly as per-item plans do, so outcomes are
-    bitwise-identical to ``plan.execute()`` per item.
+    round, so outcomes are bitwise-identical to one-item frontiers.
     """
 
-    def __init__(self, entries: Sequence[FrontierEntry]) -> None:
+    def __init__(self, entries: Sequence[Tuple[Optional[PairBlock],
+                                               np.ndarray,
+                                               np.ndarray]]) -> None:
+        self._refused: List[Tuple[int, int]] = []
+        groups: Dict[object, list] = {}
+        for slot, (block, noise, base) in enumerate(entries):
+            if block is None:
+                self._refused.append((slot, noise.shape[0]))
+                continue
+            key = (slot if block.stack_key is None
+                   else (noise.shape, block.stack_key))
+            groups.setdefault(key, []).append((slot, block, noise, base))
         self._size = len(entries)
-        self._plans: List[Tuple[int, EvalPlan]] = []
-        blocks: Dict[tuple, list] = {}
-        for slot, entry in enumerate(entries):
-            if isinstance(entry, EvalPlan):
-                self._plans.append((slot, entry))
-            else:
-                block, noise, base = entry
-                blocks.setdefault((noise.shape, block.stack_key),
-                                  []).append((slot, block, noise, base))
-        self._groups = [_StackedGroup(group) for group in blocks.values()]
+        self._groups = [_Group(group) for group in groups.values()]
 
     @property
     def workloads(self) -> List[Optional[KernelWorkload]]:
         """The round's declared kernel work, aligned with
         :meth:`finalize`'s *outputs*."""
-        return ([plan.workload for _, plan in self._plans]
-                + [group.workload for group in self._groups])
+        return [group.workload for group in self._groups]
 
     def finalize(self, outputs: Sequence["Optional[tuple]"]
                  ) -> List[np.ndarray]:
         """Phase 3: every item's success vector, in entry order."""
         results: List[Optional[np.ndarray]] = [None] * self._size
-        outputs = iter(outputs)
-        for slot, plan in self._plans:
-            results[slot] = plan.finalize(next(outputs))
-        for group in self._groups:
+        for slot, count in self._refused:
+            results[slot] = np.zeros(count, dtype=bool)
+        for group, output in zip(self._groups, outputs):
             for slot, outcomes in zip(group.slots,
-                                      group.finalize(next(outputs))):
+                                      group.finalize(output)):
                 results[slot] = outcomes
         return results
 

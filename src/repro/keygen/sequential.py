@@ -201,7 +201,7 @@ class SequentialPairingKeyGen(KeyGenerator):
                         op: OperatingPoint = OperatingPoint()):
         """Vectorized evaluator: one decode per distinct pattern.
 
-        The completion is a two-phase :class:`SketchCompletion`, so a
+        The evaluator's block is planned by a frontier round, so a
         lock-step campaign can fuse this device's decode workload with
         every other device sharing the code (``docs/evaluators.md``).
         """

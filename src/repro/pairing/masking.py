@@ -15,12 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.pairing.base import (
-    Pair,
-    pair_deltas,
-    response_bits,
-    response_bits_batch,
-)
+from repro.pairing.base import Pair, pair_deltas, response_bits
 
 
 @dataclass(frozen=True)
@@ -118,13 +113,3 @@ class OneOutOfKMasking:
                  helper: MaskingHelper) -> np.ndarray:
         """Response bits under (possibly manipulated) helper data."""
         return response_bits(frequencies, self.selected_pairs(helper))
-
-    def evaluate_batch(self, frequencies: np.ndarray,
-                       helper: MaskingHelper) -> np.ndarray:
-        """Response bits for a ``(B, n)`` measurement batch.
-
-        The helper's pair selection is resolved once; row ``i`` equals
-        ``evaluate(frequencies[i], helper)``.
-        """
-        return response_bits_batch(frequencies,
-                                   self.selected_pairs(helper))

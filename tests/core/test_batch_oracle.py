@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import BatchOracle, GroupBasedAttack, HelperDataOracle
+from repro.core.batch_oracle import plan_frontier
 from repro.core.injection import flip_orientations
 from repro.keygen import (
     DistillerPairingKeyGen,
@@ -273,7 +274,7 @@ class TestTempAwareBatch:
 
 
 class TestTwoPhaseProtocol:
-    """plan → kernel → finalize vs the scalar reference oracle."""
+    """Frontier plan → kernel → finalize vs the scalar reference oracle."""
 
     def drive_paths(self, make_keygen, params=NOISY, manipulate=None,
                     queries=120):
@@ -316,17 +317,22 @@ class TestTwoPhaseProtocol:
         corrupted = helper.with_pairing(
             flip_orientations(helper.pairing, [1, 2, 3, 4]))
         oracle = BatchOracle(array, keygen)
-        plan = oracle.plan_rows(corrupted, oracle.take_rows(60))
-        assert plan.pending, "fresh patterns expected on first block"
-        assert plan.workload is not None
-        assert plan.kernel_key is not None
-        outcomes = plan.execute()
+        rows = oracle.take_rows(60)
+        frontier = plan_frontier([(oracle, corrupted, rows, None)])
+        (workload,) = frontier.workloads
+        assert workload is not None and workload.rows, \
+            "fresh patterns expected on first block"
+        assert workload.key is not None
+        (outcomes,) = frontier.execute()
         assert outcomes.shape == (60,)
-        # Finalize is idempotent and the memo now resolves everything.
-        np.testing.assert_array_equal(plan.finalize(None), outcomes)
-        follow_up = oracle.plan_rows(corrupted, oracle.take_rows(1))
-        assert follow_up.workload is None or not follow_up.pending \
-            or follow_up.workload.rows <= 1
+        # The memo now resolves every pattern of these rows.
+        again = plan_frontier([(oracle, corrupted, rows, None)])
+        assert again.workloads == [None]
+        np.testing.assert_array_equal(again.execute()[0], outcomes)
+        follow_up = plan_frontier([(oracle, corrupted,
+                                    oracle.take_rows(1), None)])
+        assert follow_up.workloads[0] is None \
+            or follow_up.workloads[0].rows <= 1
 
     def test_fused_cross_device_matches_per_device(self):
         # Two devices sharing one code geometry: fusing both kernel
@@ -350,11 +356,14 @@ class TestTwoPhaseProtocol:
         devices = [build(seed) for seed in (31, 32, 33)]
         expected = [solo.evaluate_rows(helper, solo.take_rows(40))
                     for solo, _, helper in devices]
-        plans = [fused.plan_rows(helper, fused.take_rows(40))
-                 for _, fused, helper in devices]
-        keys = {plan.kernel_key for plan in plans
-                if plan.kernel_key is not None}
+        # One-item frontiers, their workloads fused by hand.
+        frontiers = [plan_frontier([(fused, helper, fused.take_rows(40),
+                                     None)])
+                     for _, fused, helper in devices]
+        loads = [frontier.workloads[0] for frontier in frontiers]
+        keys = {load.key for load in loads if load is not None}
         assert len(keys) == 1, "shared code must share the kernel key"
-        outputs = run_kernels([plan.workload for plan in plans])
-        for plan, output, want in zip(plans, outputs, expected):
-            np.testing.assert_array_equal(plan.finalize(output), want)
+        outputs = run_kernels(loads)
+        for frontier, output, want in zip(frontiers, outputs, expected):
+            np.testing.assert_array_equal(frontier.finalize([output])[0],
+                                          want)

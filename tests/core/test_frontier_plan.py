@@ -1,14 +1,16 @@
-"""Frontier plans against per-item plans, bitwise.
+"""Stacked frontier groups against lone blocks, bitwise.
 
 A lock-step round evaluates ``(oracle, helper, rows, op)`` items through
 :func:`repro.core.batch_oracle.plan_frontier`: blocks of pair-column
 evaluators (sequential ``>=``, distiller residual ``>=``, group-based
 residual Kendall) with a bare code-offset completion are planned and
-finalized stacked, every other block keeps its own ``plan_rows``.  Every test
-builds each lane twice (twin devices, twin keygens), runs one copy
-through the frontier and the other through per-item ``plan_rows`` with
-the kernel fused across the round, and asserts equal outcomes, equal
-kernel call and row counts, and equal memo state in later rounds.
+finalized stacked, every other block is a group of one, and a refusal
+fails every row.  Every test builds each lane twice (twin devices, twin
+keygens), runs one copy through the round's frontier and the other
+through one-item frontiers with the kernel fused across the round —
+the stacked gather against each block's own ``checked``, two different
+extraction codes — and asserts equal outcomes, equal kernel call and
+row counts, and equal memo state in later rounds.
 """
 
 from dataclasses import replace
@@ -20,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.batch_oracle import BatchOracle, plan_frontier
 from repro.core.group_attack import GroupBasedAttack
 from repro.core.injection import flip_orientations
+from repro.core.oracle import HelperDataOracle
 from repro.ecc import design_bch, run_kernels
 from repro.ecc.kernel import kernel_stats
 from repro.ecc.sketch import SketchData
@@ -36,7 +39,7 @@ from repro.keygen import (
     fixed_code,
 )
 from repro.keygen.base import key_check_digest, key_check_digests
-from repro.keygen.batch import ConstantEvaluator, PairColumns
+from repro.keygen.batch import ConstantEvaluator, FrontierPlan, PairColumns
 from repro.pairing import SequentialPairingHelper
 from repro.puf import ROArray, ROArrayParams
 from repro.scenario.trajectory import (
@@ -50,6 +53,11 @@ NOISY = ROArrayParams(rows=8, cols=16, sigma_noise=300e3)
 #: different pair counts share a kernel key (a ragged stacked group).
 SHARED = fixed_code(design_bch(64, 3))
 HOT = OperatingPoint(temperature=70.0)
+
+#: An infinite trend coefficient meets a zero coordinate in the
+#: NaN-trend helper's matmul.
+NAN_TREND = pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in matmul:RuntimeWarning")
 
 
 def _flipped(count):
@@ -233,11 +241,13 @@ def build_lanes(kinds):
 
 
 def per_item(items):
-    """The per-item route: one plan per item, the kernel fused."""
-    plans = [oracle.plan_rows(helper, rows, op)
-             for oracle, helper, rows, op in items]
-    outputs = run_kernels([plan.workload for plan in plans])
-    return [plan.finalize(out) for plan, out in zip(plans, outputs)]
+    """The lone route: a one-item frontier per item, the round's
+    kernels fused."""
+    frontiers = [plan_frontier([item]) for item in items]
+    loads = [frontier.workloads for frontier in frontiers]
+    outputs = iter(run_kernels([load for own in loads for load in own]))
+    return [frontier.finalize([next(outputs) for _ in own])[0]
+            for frontier, own in zip(frontiers, loads)]
 
 
 def stacked(items):
@@ -298,9 +308,9 @@ class TestMixedRounds:
               (1, 1, 8, None), (2, 0, 8, HOT), (2, 1, 8, None)]])
 
     def test_stream_consuming_and_assembled_items(self):
-        # Temp-aware blocks draw sensor reads while planning and fuzzy
-        # blocks assemble their key: both keep their own plans, in
-        # item order.  Hardened blocks stack with their gap check.
+        # Temp-aware blocks read their sensed column and fuzzy blocks
+        # assemble their key: both are groups of one.  Hardened blocks
+        # stack with their gap check.
         assert_routes_agree(
             ["temp-aware", "hardened", "sequential", "fuzzy"],
             [[(0, 0, 8, None), (2, 0, 8, None), (1, 0, 8, None),
@@ -317,9 +327,9 @@ class TestMixedRounds:
         assert second < first
 
     def test_memo_is_shared_with_the_evaluators_own_plans(self):
-        # Round one plans per item, round two stacks: the stacked
-        # round must hit the patterns the own plans memoized, also in
-        # a ragged group.
+        # Round one plans each block alone, round two stacks: the
+        # stacked round must hit the patterns the lone blocks
+        # memoized, also in a ragged group.
         kinds = ["shared-wide", "shared-narrow"]
         spec = [(0, 0, 16, None), (1, 0, 16, None)]
         reference, mixed = build_lanes(kinds), build_lanes(kinds)
@@ -341,30 +351,73 @@ class TestMixedRounds:
             np.testing.assert_array_equal(observed, expected)
         oracle, helpers = build_lane("sequential", 7)
         twin, twin_helpers = build_lane("sequential", 7)
+        scalar = HelperDataOracle(twin.array, twin.keygen)
         np.testing.assert_array_equal(
             oracle.evaluate_rows(helpers[1], oracle.take_rows(40)),
-            twin.plan_rows(twin_helpers[1],
-                           twin.take_rows(40)).execute())
+            [scalar.query(twin_helpers[1]) for _ in range(40)])
+
+    @NAN_TREND
+    def test_every_kind_plans_in_a_group_and_matches_the_scalar_oracle(
+            self):
+        # One round holds a fuzzy (Toeplitz) item, a grouping with a
+        # group of 3 or more, temp-aware items, stacked sequential and
+        # Kendall hypothesis items and a refusal.
+        kinds = ["fuzzy", "group-fallback", "temp-aware", "sequential",
+                 "shared-wide", "group", "group-ragged", "rejected"]
+        lanes = build_lanes(kinds)
+        assert max(lanes[1][1][0].grouping.sizes) >= 3
+        twins = [(HelperDataOracle(oracle.array, oracle.keygen), helpers)
+                 for oracle, helpers in build_lanes(kinds)]
+        spec = [(0, 0, 8, None), (1, 0, 8, None), (2, 0, 8, None),
+                (3, 0, 8, None), (4, 0, 8, None), (5, 0, 8, None),
+                (6, 1, 8, None), (2, 1, 8, None), (3, 1, 8, HOT),
+                (0, 1, 8, None), (7, 0, 8, None), (5, 1, 8, None)]
+        for _ in range(2):
+            items = [(lanes[lane][0], lanes[lane][1][which],
+                      lanes[lane][0].take_rows(count), op)
+                     for lane, which, count, op in spec]
+            frontier = plan_frontier(items)
+            grouped = sorted(slot for group in frontier._groups
+                             for slot in group.slots)
+            # Only the refusal is planned outside a group.
+            assert grouped == [slot for slot in range(len(spec))
+                               if slot != 10]
+            assert [slot for slot, _ in frontier._refused] == [10]
+            # The stacked items share groups; the rest are alone.
+            assert any(len(group.slots) > 1 for group in frontier._groups)
+            got = frontier.execute()
+            want = [[twins[lane][0].query(twins[lane][1][which], op)
+                     for _ in range(count)]
+                    for lane, which, count, op in spec]
+            for observed, expected in zip(got, want):
+                assert observed.dtype == np.bool_
+                np.testing.assert_array_equal(observed, expected)
+        flat = np.concatenate(got)
+        assert 0 < flat.sum() < flat.size
+        for (oracle, _), (scalar, _) in zip(lanes, twins):
+            assert oracle.queries == scalar.queries
 
 
 class TestStacking:
-    def test_only_fallback_items_are_planned_alone(self, monkeypatch):
+    def test_every_item_plans_in_a_group(self):
         lanes = build_lanes(["sequential", "shared-wide", "rejected",
-                             "malformed", "trajectory", "hardened"])
-        planned = []
-        original = BatchOracle.plan_rows
-
-        def spy(self, helper, rows, op=None):
-            planned.append(helper)
-            return original(self, helper, rows, op)
-
-        monkeypatch.setattr(BatchOracle, "plan_rows", spy)
-        spec = [(lane, 0, 8, None) for lane in range(6)] \
+                             "malformed", "trajectory", "hardened",
+                             "temp-aware", "fuzzy"])
+        spec = [(lane, 0, 8, None) for lane in range(8)] \
             + [(0, 1, 8, HOT)]
-        run_round(lanes, spec, stacked)
-        # The trajectory and hardened lanes' blocks stack like the
-        # plain ones.
-        assert planned == [lanes[lane][1][0] for lane in (2, 3)]
+        items = [(lanes[lane][0], lanes[lane][1][which],
+                  lanes[lane][0].take_rows(count), op)
+                 for lane, which, count, op in spec]
+        frontier = plan_frontier(items)
+        # Rejected pairs and a malformed payload are refusals.  Every
+        # other item is planned in a group: the trajectory lane's
+        # blocks stack like the plain ones, and the hardened (its gap
+        # check), temp-aware and fuzzy blocks are groups of one.
+        assert [slot for slot, _ in frontier._refused] == [2, 3]
+        assert sorted(group.slots for group in frontier._groups) == [
+            [0, 1, 4, 8], [5], [6], [7]]
+        got = frontier.execute()
+        assert not got[2].any() and not got[3].any()
 
     def test_trajectory_blocks_share_a_group_with_plain_blocks(self):
         kinds = ["trajectory", "sequential", "trajectory"]
@@ -380,16 +433,16 @@ class TestStacking:
                       lanes[lane][0].take_rows(count), op)
                      for lane, which, count, op in spec]
             frontier = plan_frontier(items)
-            assert not frontier._plans
+            assert not frontier._refused
             assert [group.slots for group in frontier._groups] \
                 == [list(range(len(spec)))]
             rows = kernel_stats.rows
             got = frontier.execute()
             stacked_rows = kernel_stats.rows - rows
             rows = kernel_stats.rows
-            want = [twins[lane][0].plan_rows(
+            want = [twins[lane][0].evaluate_rows(
                         twins[lane][1][which],
-                        twins[lane][0].take_rows(count), op).execute()
+                        twins[lane][0].take_rows(count), op)
                     for lane, which, count, op in spec]
             assert kernel_stats.rows - rows == stacked_rows
             for observed, expected in zip(got, want):
@@ -406,17 +459,18 @@ class TestStacking:
         (twin, twin_helpers), = build_lanes(["sequential"])
         evaluator = twin.keygen.batch_evaluator(twin.array,
                                                 twin_helpers[1])
-        base = twin.array.true_frequencies()
+        base = twin.array.true_frequencies()[None, :]
         for _ in range(3):
             frontier = plan_frontier([(oracle, helpers[1],
                                        oracle.take_rows(16), None)])
-            assert not frontier._plans
+            assert not frontier._refused
             assert [group.slots for group in frontier._groups] == [[0]]
             rows = kernel_stats.rows
             (got,) = frontier.execute()
             stacked_rows = kernel_stats.rows - rows
             rows = kernel_stats.rows
-            want = evaluator.plan(base + twin.take_rows(16)).execute()
+            (want,) = FrontierPlan([(evaluator.block, twin.take_rows(16),
+                                     base)]).execute()
             assert kernel_stats.rows - rows == stacked_rows
             np.testing.assert_array_equal(got, want)
         memo = oracle._evaluator_for(helpers[1], OperatingPoint())._memo
@@ -442,7 +496,8 @@ class TestStacking:
             evaluator = oracle.keygen.batch_evaluator(oracle.array,
                                                       helpers[which])
             assert not isinstance(evaluator, ConstantEvaluator)
-            assert evaluator._completion.parsed is None
+            # A malformed payload makes the evaluator a refusal.
+            assert evaluator.block is None
             outcomes = oracle.evaluate_rows(helpers[which],
                                             oracle.take_rows(30))
             assert outcomes.shape == (30,) and not outcomes.any()
@@ -507,7 +562,7 @@ class TestBaseOncePerGroup:
                         rows = _with_nan_columns(rows)
                     out.append((oracle, helpers[which], rows, op))
             frontier = plan_frontier(items)
-            assert not frontier._plans
+            assert not frontier._refused
             assert sorted(len(group.slots)
                           for group in frontier._groups) == groups
             bases = set()
@@ -528,7 +583,7 @@ class TestBaseOncePerGroup:
             got = frontier.execute()
             stacked_rows = kernel_stats.rows - rows
             rows = kernel_stats.rows
-            want = [oracle.plan_rows(helper, rows, op).execute()
+            want = [oracle.evaluate_rows(helper, rows, op)
                     for oracle, helper, rows, op in twin_items]
             assert kernel_stats.rows - rows == stacked_rows
             for observed, expected in zip(got, want):
@@ -594,12 +649,6 @@ class TestRandomFrontiers:
         assert_routes_agree(kinds, rounds)
 
 
-#: An infinite trend coefficient meets a zero coordinate in the
-#: NaN-trend helper's matmul.
-NAN_TREND = pytest.mark.filterwarnings(
-    "ignore:invalid value encountered in matmul:RuntimeWarning")
-
-
 @NAN_TREND
 class TestKendallRounds:
     """Group-based (Kendall) and distiller (residual) blocks."""
@@ -616,7 +665,7 @@ class TestKendallRounds:
         frontier = plan_frontier(items)
         # Every 8-row block stacks whatever its op (ragged: 20 and 19
         # groups); the 5-row block is a group of one.
-        assert len(frontier._groups) == 2 and not frontier._plans
+        assert len(frontier._groups) == 2 and not frontier._refused
         assert len(frontier._groups[0].slots) == 6
         assert set(frontier._groups[0]._widths.tolist()) == {19, 20}
         assert frontier._groups[1].slots == [5]
@@ -685,9 +734,9 @@ class TestKendallRounds:
         frontier = plan_frontier(items)
         assert len(frontier._groups) == 3
         kinds_per_group = [
-            {(extract.kind, extract.trend is not None)
-             for extract in (items[slot][0]._evaluator_for(
-                 items[slot][1], OperatingPoint())._extract
+            {(block.kind, block.trend is not None)
+             for block in (items[slot][0]._evaluator_for(
+                 items[slot][1], OperatingPoint()).block
                  for slot in group.slots)}
             for group in frontier._groups]
         assert all(len(group) == 1 for group in kinds_per_group)
@@ -756,9 +805,9 @@ class TestKendallRounds:
         np.testing.assert_array_equal(other.trend, first.trend)
         evaluator = keygen.batch_evaluator(oracle.array,
                                            member1.materialise())
-        np.testing.assert_array_equal(evaluator._extract.index,
+        np.testing.assert_array_equal(evaluator.block.index,
                                       first.index)
-        np.testing.assert_array_equal(evaluator._extract.trend,
+        np.testing.assert_array_equal(evaluator.block.trend,
                                       first.trend)
 
 
@@ -830,7 +879,7 @@ class TestShortenedHypothesisRounds:
         for round_ in range(3):
             items = self.items(stacked_lanes, spec)
             frontier = plan_frontier(items)
-            assert len(frontier._groups) == 1 and not frontier._plans
+            assert len(frontier._groups) == 1 and not frontier._refused
             work = [load for load in frontier.workloads if load is not None]
             # One workload while fresh patterns remain; the first round
             # has some.

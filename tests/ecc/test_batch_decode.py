@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from repro._dedup import row_groups
+from repro.core.batch_oracle import BatchOracle, plan_frontier
+from repro.core.injection import flip_orientations
+from repro.core.oracle import HelperDataOracle
 from repro.ecc import (
     BlockwiseCode,
     HammingCode,
@@ -18,10 +21,12 @@ from repro.ecc import (
     RepetitionCode,
     TrivialCode,
 )
-from repro.ecc.base import DecodingFailure
+from repro.ecc.base import BlockCode, DecodingFailure, as_bits
 from repro.ecc.bch import BCHCode, design_bch
 from repro.ecc.sketch import CodeOffsetSketch, SyndromeSketch
 from repro.fuzzy.extractor import FuzzyExtractor
+from repro.keygen import SequentialPairingKeyGen
+from repro.puf import ROArray, ROArrayParams
 
 
 def corrupted_batch(code, rng, count=60, max_errors=None):
@@ -298,3 +303,82 @@ class TestDecodeBatchAgainstDedupFallback:
         decoded, ok = code.decode_batch(words)
         np.testing.assert_array_equal(reference, decoded)
         np.testing.assert_array_equal(reference_ok, ok)
+
+
+class ExternalRepetition(BlockCode):
+    """A minimal external code: each of *k* bits repeated four times.
+
+    Majority decoding per block; a two-two tie fails.  Like a code from
+    outside the package it overrides neither ``decode_batch`` nor
+    ``kernel_key``, so it takes the documented fallback of both.
+    """
+
+    def __init__(self, k):
+        self._k = k
+
+    n = property(lambda self: 4 * self._k)
+    k = property(lambda self: self._k)
+    t = property(lambda self: 1)
+
+    def encode(self, message):
+        return np.repeat(as_bits(message, self._k), 4)
+
+    def decode(self, received):
+        votes = as_bits(received, self.n).reshape(self._k, 4).sum(axis=1)
+        if (votes == 2).any():
+            raise DecodingFailure("tied block")
+        return np.repeat((votes > 2).astype(np.uint8), 4)
+
+    def extract(self, codeword):
+        return as_bits(codeword, self.n)[::4].copy()
+
+
+class TestExternalCode:
+    def test_default_decode_batch_matches_rowwise_decode(self):
+        code = ExternalRepetition(3)
+        assert type(code).decode_batch is BlockCode.decode_batch
+        rng = np.random.default_rng(12)
+        words = rng.integers(0, 2, size=(200, code.n), dtype=np.uint8)
+        words[100:] = words[rng.integers(0, 100, size=100)]
+        decoded, ok = code.decode_batch(words)
+        assert decoded.dtype == np.uint8 and ok.dtype == np.bool_
+        assert 0 < ok.sum() < ok.size
+        for word, row, good in zip(words, decoded, ok):
+            try:
+                expected = code.decode(word)
+            except DecodingFailure:
+                assert not good and not row.any()
+                continue
+            assert good
+            np.testing.assert_array_equal(row, expected)
+
+    def test_keygen_over_an_external_code_matches_the_scalar_oracle(self):
+        # No kernel key: every block is a group of one, and its
+        # workload runs alone.
+        def keygen():
+            return SequentialPairingKeyGen(
+                threshold=250e3,
+                code_provider=lambda bits: ExternalRepetition(bits))
+
+        params = ROArrayParams(rows=8, cols=16, sigma_noise=300e3)
+        items, scalars = [], []
+        for seed in (5, 6):
+            twin_keygen = keygen()
+            helper, _ = twin_keygen.enroll(ROArray(params, rng=seed),
+                                           rng=seed)
+            helper = helper.with_pairing(
+                flip_orientations(helper.pairing, [1]))
+            oracle = BatchOracle(ROArray(params, rng=seed), keygen())
+            scalars.append(HelperDataOracle(ROArray(params, rng=seed),
+                                            twin_keygen))
+            items.append((oracle, helper, oracle.take_rows(40), None))
+        frontier = plan_frontier(items)
+        assert [group.slots for group in frontier._groups] == [[0], [1]]
+        assert all(load.key is None for load in frontier.workloads)
+        got = frontier.execute()
+        for outcomes, scalar, (_, helper, _, _) in zip(got, scalars,
+                                                       items):
+            np.testing.assert_array_equal(
+                outcomes, [scalar.query(helper) for _ in range(40)])
+        flat = np.concatenate(got)
+        assert 0 < flat.sum() < flat.size

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core import BatchOracle, SequentialPairingAttack
+from repro.core.batch_oracle import plan_frontier
 from repro.core.injection import flip_orientations
+from repro.ecc import run_kernels
 from repro.fleet import Fleet, chunk_indices, resolve_workers
 from repro.keygen import SequentialPairingKeyGen, TempAwareKeyGen
 from repro.puf import ROArray, ROArrayParams
@@ -241,15 +243,17 @@ class TestSweepDeterminism:
 
 
 class TestTwoPhasePickling:
-    """EvalPlan/workload dataclasses must survive a process boundary.
+    """Frontier kernel workloads must survive a process boundary.
 
     Fused campaign rounds run inside pool workers; like every fleet
     dispatch, anything they carry follows the copy-on-dispatch rule —
-    pickling copies state, and the copy must finalize to the same
-    outcomes the original would.
+    pickling copies state.  A frontier's declared
+    :class:`~repro.ecc.kernel.KernelWorkload` holds only arrays, plain
+    values and a picklable kernel, and the outputs of a copy's kernel
+    must finalize to the outcomes of the frontier's own kernel.
     """
 
-    def build_plan(self):
+    def build_frontier(self):
         array = ROArray(PARAMS, rng=61)
         keygen = SequentialPairingKeyGen(threshold=250e3)
         helper, key = keygen.enroll(array, rng=3)
@@ -257,19 +261,22 @@ class TestTwoPhasePickling:
         corrupted = helper.with_pairing(
             flip_orientations(helper.pairing, range(1, 2 + t)))
         oracle = BatchOracle(array, keygen)
-        return oracle.plan_rows(corrupted, oracle.take_rows(50))
+        return plan_frontier([(oracle, corrupted, oracle.take_rows(50),
+                               None)])
 
-    def test_eval_plan_pickle_round_trip(self):
-        plan = self.build_plan()
-        assert plan.workload is not None and plan.pending
-        clone = pickle.loads(pickle.dumps(plan))
-        np.testing.assert_array_equal(clone.workload.words,
-                                      plan.workload.words)
-        assert clone.kernel_key == plan.kernel_key
-        np.testing.assert_array_equal(clone.execute(), plan.execute())
+    def test_frontier_workload_pickle_round_trip(self):
+        frontier, twin = self.build_frontier(), self.build_frontier()
+        (workload,) = frontier.workloads
+        assert workload is not None and workload.rows
+        clone = pickle.loads(pickle.dumps(workload))
+        np.testing.assert_array_equal(clone.words, workload.words)
+        assert clone.key == workload.key
+        (outputs,) = run_kernels([clone])
+        np.testing.assert_array_equal(frontier.finalize([outputs])[0],
+                                      twin.execute()[0])
 
     def test_workload_pickle_round_trip(self):
-        workload = self.build_plan().workload
+        (workload,) = self.build_frontier().workloads
         clone = pickle.loads(pickle.dumps(workload))
         expected = workload.kernel(workload.words)
         observed = clone.kernel(clone.words)

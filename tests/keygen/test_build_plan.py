@@ -1,45 +1,69 @@
-"""One-pass evaluator planning: ``_build_plan`` ≡ scalar completion.
+"""One-pass lone-block planning ≡ scalar completion.
 
-``_build_plan`` groups a block's rows with one ``row_groups`` call, keys
-and looks up every distinct pattern in one memo pass, and ``finalize``
+A frontier group of one block extracts the rows its extraction accepts,
+groups them with one ``row_groups`` call, keys and looks up every
+distinct pattern in one memo pass (``_memo_groups``), and ``finalize``
 scatters the fresh outcomes back in one pass.  Whatever the row subset,
-duplication or memo state, every planned row must equal the scalar
-``SketchCompletion.complete`` of its pattern, unplanned rows must stay
+duplication or memo state, every accepted row must equal the scalar
+``SketchCompletion.complete`` of its pattern, refused rows must stay
 ``False``, memo keys must be the patterns' ``tobytes()``, and only the
 patterns the memo has not seen may reach the kernel.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
+from repro.ecc.sketch import SketchData
 from repro.keygen import FuzzyExtractorKeyGen, HardenedSequentialKeyGen
-from repro.keygen.batch import _build_plan
+from repro.keygen.batch import (
+    FrontierPlan,
+    SketchCompletion,
+    _memo_groups,
+    pair_block,
+)
 from repro.puf import ROArray, ROArrayParams
 
 PARAMS = ROArrayParams(rows=8, cols=16)
 
 
+def block_case(keygen, array_seed, enroll_seed):
+    """Four extracted rows and the scalar completion of the enrolled
+    helper's block."""
+    array = ROArray(PARAMS, rng=array_seed)
+    helper, _ = keygen.enroll(array, rng=enroll_seed)
+    block = keygen.batch_evaluator(array, helper).block
+    bits, _ = block.checked(array.measure_frequencies_batch(4))
+    return bits, SketchCompletion(block.sketch, SketchData(block.parsed),
+                                  block.key_check, block.assemble)
+
+
 def fuzzy_case():
-    array = ROArray(PARAMS, rng=5)
-    keygen = FuzzyExtractorKeyGen(8, 16, 64)
-    helper, _ = keygen.enroll(array, rng=1)
-    evaluator = keygen.batch_evaluator(array, helper)
-    bits = evaluator._extract(array.measure_frequencies_batch(4))
-    return bits, evaluator._completion
+    return block_case(FuzzyExtractorKeyGen(8, 16, 64), 5, 1)
 
 
 def hardened_case():
-    array = ROArray(PARAMS, rng=7)
-    keygen = HardenedSequentialKeyGen(threshold=250e3)
-    helper, _ = keygen.enroll(array, rng=2)
-    evaluator = keygen.batch_evaluator(array, helper)
-    bits = evaluator._extract(array.measure_frequencies_batch(4))
-    return bits, evaluator._completion
+    return block_case(HardenedSequentialKeyGen(threshold=250e3), 7, 2)
 
 
 CASES = {"fuzzy": fuzzy_case, "hardened": hardened_case}
+
+
+@dataclass(frozen=True)
+class GivenBits:
+    """An extraction whose readings are the response bits themselves;
+    only *rows* are accepted (every row when ``None``)."""
+
+    rows: Optional[np.ndarray] = None
+
+    def checked(self, readings):
+        accepted = None
+        if self.rows is not None:
+            accepted = np.zeros(readings.shape[0], dtype=bool)
+            accepted[self.rows] = True
+        return readings.astype(np.uint8), accepted
 
 
 def noisy_block(bits, t, count, seed, pool=12):
@@ -54,7 +78,7 @@ def noisy_block(bits, t, count, seed, pool=12):
 
 
 def check_plan(bits, rows, completion, memo):
-    """Plan, execute and compare one block; returns the plan."""
+    """Plan, execute and compare one lone block; returns its outcomes."""
     planned = range(bits.shape[0]) if rows is None else rows
     # The scalar reference, once per distinct pattern.
     truth = {}
@@ -67,18 +91,20 @@ def check_plan(bits, rows, completion, memo):
         expected[row] = truth[bits[row].tobytes()]
     seen = set(truth)
     unseen = seen - set(memo)
-    plan = _build_plan(bits, rows, completion, memo, bits.shape[0])
+    block = pair_block(GivenBits(rows), completion.sketch,
+                       completion.parsed, completion.key_check, memo,
+                       completion.assemble)
+    frontier = FrontierPlan([(block, bits.astype(float),
+                              np.zeros((1, bits.shape[1])))])
+    (workload,) = frontier.workloads
     if unseen:
-        assert plan.pending is not None
-        assert plan.workload.rows == len(unseen)
+        assert workload.rows == len(unseen)
     else:
-        assert plan.pending is None and plan.workload is None
-    outcomes = plan.execute() if unseen else plan.finalize()
+        assert workload is None
+    (outcomes,) = frontier.execute()
     np.testing.assert_array_equal(outcomes, expected)
     assert all(memo[key] == value for key, value in truth.items())
-    assert plan.pending is None
-    np.testing.assert_array_equal(plan.finalize(), outcomes)
-    return plan
+    return outcomes
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -88,7 +114,7 @@ class TestBuildPlanMatchesScalar:
         bits, completion = CASES[case]()
         t = completion.sketch.code.t
         block = noisy_block(bits, t, count, seed=count)
-        outcomes = check_plan(block, None, completion, {}).outcomes
+        outcomes = check_plan(block, None, completion, {})
         if count > 64:
             assert 0 < outcomes.sum() < count
 
@@ -122,9 +148,9 @@ class TestBuildPlanMatchesScalar:
         bits, completion = CASES[case]()
         block = np.repeat(bits[:1], 5, axis=0)
         memo = {}
-        plan = check_plan(block, np.array([], dtype=np.intp),
-                          completion, memo)
-        assert not plan.outcomes.any() and memo == {}
+        outcomes = check_plan(block, np.array([], dtype=np.intp),
+                              completion, memo)
+        assert not outcomes.any() and memo == {}
 
     @pytest.mark.parametrize("count", [7, 200])
     def test_all_duplicate_block(self, case, count):
@@ -138,40 +164,28 @@ class TestBuildPlanMatchesScalar:
         check_plan(block, np.arange(0, count, 2), completion, memo)
 
 
-@dataclass(frozen=True)
-class ParityCompletion:
-    """A stand-in completion: a pattern succeeds iff its parity is even."""
-
-    def prepare(self, patterns):
-        return None, patterns
-
-    def finish(self, state, outputs):
-        return state.sum(axis=1) % 2 == 0
-
-    def complete(self, bits_row):
-        return bool(bits_row.sum() % 2 == 0)
-
-
 class TestDegenerateWidths:
+    """The one memo pass every group takes, on degenerate rows."""
+
     def test_zero_width_patterns(self):
         block = np.zeros((70, 0), dtype=np.uint8)
-        memo = {}
-        plan = _build_plan(block, None, ParityCompletion(), memo, 70)
-        assert plan.pending is not None
-        assert plan.finalize().all()
-        assert memo == {b"": True}
-        again = _build_plan(block, np.arange(0, 70, 3),
-                            ParityCompletion(), memo, 70)
-        assert again.pending is None
-        np.testing.assert_array_equal(again.finalize(),
-                                      np.arange(70) % 3 == 0)
+        first, inverse, keys, known = _memo_groups(block, ({},))
+        assert first.tolist() == [0] and keys == [b""]
+        assert known.tolist() == [-1] and not inverse.any()
+        _, inverse, keys, known = _memo_groups(block[::3],
+                                               ({b"": True},))
+        assert keys == [b""] and known.tolist() == [1]
+        assert inverse.shape == (24,) and not inverse.any()
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64])
     def test_memo_keys_are_row_bytes(self, dtype):
         rng = np.random.default_rng(3)
         block = rng.integers(0, 2, size=(100, 5)).astype(dtype)
-        memo = {}
-        plan = _build_plan(block, None, ParityCompletion(), memo, 100)
-        np.testing.assert_array_equal(
-            plan.finalize(), block.astype(int).sum(axis=1) % 2 == 0)
-        assert set(memo) == {row.tobytes() for row in block}
+        memo = {block[0].tobytes(): True}
+        first, inverse, keys, known = _memo_groups(block, (memo,))
+        assert set(keys) == {row.tobytes() for row in block}
+        assert [keys[group] for group in inverse] \
+            == [row.tobytes() for row in block]
+        assert [block[row].tobytes() for row in first] == keys
+        assert known.tolist() == [1 if key in memo else -1
+                                  for key in keys]

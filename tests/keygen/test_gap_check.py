@@ -3,9 +3,9 @@
 A hardened device refuses a row when one of its pairs' measured gaps
 sits at or below the floor (``repro.keygen.batch._gap_violations``).
 The batch path carries that check as ``PairColumns.gap`` and
-``PairBlock.gap``: an evaluator's own plans plan only the rows the
-check accepts, and a stacked frontier group refuses rows from the
-columns it gathers.  Both must equal the scalar
+``PairBlock.gap``: a lone block plans only the rows its own
+``checked`` accepts, and a stacked frontier group refuses rows from
+the columns it gathers.  Both must equal the scalar
 ``reconstruct_from_frequencies`` reference row by row — on natural
 noise through ``HelperDataOracle`` on twin devices, in ragged groups
 whose padded pairs must not count, and on rows built so that one gap
@@ -80,12 +80,13 @@ def three_routes(params, make_keygen, seeds, subjects, count=24):
     """Outcomes of *count* queries per subject on three twin fleets.
 
     ``subjects(keygen, helper)`` lists each device's helpers
-    (described or finished).  The scalar oracle, the evaluators' own
-    plans and one stacked frontier round each see the same noise rows;
+    (described or finished).  The scalar oracle, one-item frontiers
+    (lone blocks) and one stacked frontier round each see the same
+    noise rows;
     returns ``(outcomes per route, the frontier)``.
     """
     routes = {}
-    for route in ("scalar", "own", "stacked"):
+    for route in ("scalar", "lone", "stacked"):
         items = []
         for seed in seeds:
             array, keygen, helper = device(params, make_keygen, seed)
@@ -99,12 +100,12 @@ def three_routes(params, make_keygen, seeds, subjects, count=24):
             outcomes = [np.array([oracles[id(array)].query(subject)
                                   for _ in range(count)])
                         for array, _, subject in items]
-        elif route == "own":
+        elif route == "lone":
             outcomes = []
             for array, _, subject in items:
                 oracle = oracles[id(array)]
-                outcomes.append(oracle.plan_rows(
-                    subject, oracle.take_rows(count)).execute())
+                outcomes.append(oracle.evaluate_rows(
+                    subject, oracle.take_rows(count)))
         else:
             frontier = plan_frontier(
                 [(oracles[id(array)], subject,
@@ -112,8 +113,8 @@ def three_routes(params, make_keygen, seeds, subjects, count=24):
                  for array, _, subject in items])
             outcomes = frontier.execute()
         routes[route] = outcomes
-    for scalar, own, stacked in zip(*routes.values()):
-        np.testing.assert_array_equal(own, scalar)
+    for scalar, lone, stacked in zip(*routes.values()):
+        np.testing.assert_array_equal(lone, scalar)
         np.testing.assert_array_equal(stacked, scalar)
     return routes["scalar"], frontier
 
@@ -121,7 +122,7 @@ def three_routes(params, make_keygen, seeds, subjects, count=24):
 def assert_one_ragged_group(frontier):
     """Every item stacked into one group of blocks of unequal widths,
     whose gap check accepted some rows and refused others."""
-    assert not frontier._plans
+    assert not frontier._refused
     (group,) = frontier._groups
     assert len(set(group._widths.tolist())) > 1
     assert group._mask is not None
@@ -167,7 +168,7 @@ class TestNaturalNoise:
         array, keygen, helper = device(PAIRING, hardened_sequential, 3)
         evaluator = keygen.batch_evaluator(array, helper)
         freqs = array.measure_frequencies_batch(64, rng=1)
-        accepted = evaluator._extract.accepted(freqs)
+        _, accepted = evaluator.block.checked(freqs)
         assert 0 < accepted.sum() < accepted.size
 
     def test_hardened_group_hypotheses_stack(self):
@@ -191,12 +192,14 @@ class TestNaturalNoise:
         assert max(helper.grouping.sizes) >= 3
         evaluator = keygen.batch_evaluator(array, helper)
         assert isinstance(evaluator, ResponseBitEvaluator)
-        assert evaluator.block is None
-        assert evaluator._extract.gap is not None
+        # An assembled block: a group of one, with its gap check.
+        assert evaluator.stack_key is None
+        assert evaluator.block.assemble is not None
+        assert evaluator.block.gap is not None
         outcomes, frontier = three_routes(
             QUIET_GROUP, make_keygen, (77,),
             lambda keygen, helper: [helper], count=120)
-        assert len(frontier._plans) == 1 and not frontier._groups
+        assert [group.slots for group in frontier._groups] == [[0]]
         assert 0 < outcomes[0].sum() < outcomes[0].size
 
 
@@ -229,15 +232,23 @@ def gap_rows(check, trend, pair, floor):
     return rows
 
 
+def lone(block, freqs):
+    """*block*'s outcomes on *freqs*, planned as a group of one."""
+    (outcomes,) = FrontierPlan([
+        (block, freqs, np.zeros((1, freqs.shape[1])))]).execute()
+    return outcomes
+
+
 def own_and_stacked(entries):
-    """Per ``(keygen, array, helper, block, freqs)``: own-plan and one
-    stacked group's outcomes."""
-    own = [keygen.batch_evaluator(array, helper).plan(freqs).execute()
+    """Per ``(keygen, array, helper, block, freqs)``: the materialised
+    helper's evaluator block alone, and one stacked group's
+    outcomes."""
+    own = [lone(keygen.batch_evaluator(array, helper).block, freqs)
            for keygen, array, helper, _, freqs in entries]
     frontier = FrontierPlan([
         (block, freqs, np.zeros((1, freqs.shape[1])))
         for _, _, _, block, freqs in entries])
-    assert not frontier._plans and len(frontier._groups) == 1
+    assert not frontier._refused and len(frontier._groups) == 1
     return own, frontier.execute()
 
 
@@ -311,6 +322,6 @@ class TestBuiltRows:
         expected = scalar_outcomes(keygen, array, helper, freqs)
         np.testing.assert_array_equal(expected, [True, False, True, True])
         evaluator = keygen.batch_evaluator(array, helper)
-        assert evaluator.block is None
-        np.testing.assert_array_equal(evaluator.plan(freqs).execute(),
+        assert evaluator.stack_key is None
+        np.testing.assert_array_equal(lone(evaluator.block, freqs),
                                       expected)

@@ -1,13 +1,14 @@
 """Batched Kendall extraction and key assembly, pinned to the scalar path."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.ecc.kernel import run_kernels
 from repro.grouping import GroupingHelper, kendall_encode, pack_key
 from repro.keygen import GroupBasedKeyGen, kendall_stream
 from repro.keygen.base import key_check_digest, key_check_digests
-from repro.keygen.batch import SketchCompletion
+from repro.keygen.batch import FrontierPlan, SketchCompletion, pair_block
 from repro.keygen.group_based import KendallPairs, _PackKeyAssembler
 
 GROUPS = ((0, 1), (2, 3, 4), (9, 5, 7, 6), (8, 10), (11,),
@@ -81,6 +82,35 @@ def enrolled_completion(identity):
         assemble=_PackKeyAssembler(SIZES))
 
 
+class GivenPatterns:
+    """An extraction whose readings are the response bits themselves."""
+
+    @staticmethod
+    def checked(readings):
+        return readings.astype(np.uint8), None
+
+
+def lone_outcomes(completion, patterns, memo=None):
+    """*patterns* completed by *completion*, as one block planned alone."""
+    block = pair_block(GivenPatterns(), completion.sketch,
+                       completion.parsed, completion.key_check,
+                       {} if memo is None else memo, completion.assemble)
+    (outcomes,) = FrontierPlan([(block, patterns.astype(float),
+                                 np.zeros((1, patterns.shape[1])))
+                                ]).execute()
+    return outcomes
+
+
+class RefusingAssembler:
+    """Key assembly that refuses every recovery, alone and in blocks."""
+
+    def __call__(self, recovered):
+        raise ValueError("refused")
+
+    def batch(self, recovered):
+        raise ValueError("refused")
+
+
 def patterns_around(stream):
     rng = np.random.default_rng(8)
     noisy = stream ^ (rng.random((40, stream.size)) < 0.1)
@@ -94,10 +124,17 @@ class TestPackKeyCompletion:
         stream, completion = enrolled_completion(identity)
         patterns = patterns_around(stream)
         expected = [completion.complete(row) for row in patterns]
-        workload, state = completion.prepare(patterns)
-        (outputs,) = run_kernels([workload])
-        assert completion.finish(state, outputs).tolist() == expected
+        assert lone_outcomes(completion, patterns).tolist() == expected
         assert expected[0] and not all(expected)
+
+    def test_assembly_error_fails_every_fresh_row(self, identity):
+        stream, completion = enrolled_completion(identity)
+        refusing = replace(completion, assemble=RefusingAssembler())
+        patterns = patterns_around(stream)
+        assert not any(refusing.complete(row) for row in patterns)
+        memo = {}
+        assert not lone_outcomes(refusing, patterns, memo).any()
+        assert memo and not any(memo.values())
 
     def test_block_includes_invalid_kendall_recoveries(self, identity):
         # Mis-corrections that decode to non-Kendall words must fail

@@ -11,6 +11,7 @@ derived from an invalid parent must be rejected with exactly the message
 import numpy as np
 import pytest
 
+from repro.core.batch_oracle import BatchOracle
 from repro.keygen import ReconstructionFailure, SequentialPairingKeyGen
 from repro.keygen.batch import ConstantEvaluator
 from repro.keygen.validation import (
@@ -129,8 +130,10 @@ class TestRejectedEverywhere:
                   else SequentialPairingKeyGen(THRESHOLD))
         evaluator = keygen.batch_evaluator(medium_array, helper)
         assert isinstance(evaluator, ConstantEvaluator)
-        rows = np.tile(medium_array.true_frequencies(), (3, 1))
-        assert not evaluator.plan(rows).finalize().any()
+        # Noiseless rows: the readings are the true frequencies.
+        outcomes = BatchOracle(medium_array, keygen).evaluate_rows(
+            helper, np.zeros((3, medium_array.n)))
+        assert outcomes.shape == (3,) and not outcomes.any()
 
 
 class TestLaxReuse:
@@ -167,8 +170,8 @@ class TestLaxReuse:
         except ReconstructionFailure as exc:
             assert "re-used" not in str(exc)
             scalar = False
-        assert evaluator.plan(freqs[None, :]).execute().tolist() == \
-            [scalar]
+        assert BatchOracle(medium_array, keygen).evaluate_rows(
+            helper, np.zeros((1, medium_array.n))).tolist() == [scalar]
 
 
 class TestWrongArity:

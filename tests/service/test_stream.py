@@ -7,13 +7,14 @@ fleet for every combination.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from repro._rng import spawn
 from repro.core import SequentialPairingAttack
-from repro.fleet import Fleet, recovery_summary
+from repro.fleet import Fleet, pool, recovery_summary
 from repro.keygen import SequentialPairingKeyGen
 from repro.puf import ROArrayParams
 from repro.service import (
@@ -136,6 +137,36 @@ class TestStreamingSurface:
                               workers=2)
         next(iter(handle))  # consume one chunk by hand
         np.testing.assert_array_equal(handle.collect(), expected)
+
+    def test_close_after_first_chunk_releases_the_pool(
+            self, population, monkeypatch):
+        # Abandon a stream after one chunk: no worker process is left
+        # and the pool's socket directory is removed.
+        seen = {"dirs": [], "procs": []}
+        make_listener, spawn_workers = pool._make_listener, \
+            pool._Pool.spawn
+
+        def recording_listener(transport, tmpdir):
+            seen["dirs"].append(tmpdir)
+            return make_listener(transport, tmpdir)
+
+        def recording_spawn(self, count):
+            spawn_workers(self, count)
+            seen["procs"].extend(worker.proc for worker in self.workers)
+
+        monkeypatch.setattr(pool, "_make_listener", recording_listener)
+        monkeypatch.setattr(pool._Pool, "spawn", recording_spawn)
+        handle = submit_sweep(population, keygen_factory,
+                              KIND_FAILURE, trials=60, shards=4,
+                              workers=2)
+        first = next(handle)
+        (tmpdir,) = seen["dirs"]
+        assert os.path.isdir(tmpdir)
+        assert any(proc.is_alive() for proc in seen["procs"])
+        handle.close()
+        assert not os.path.exists(tmpdir)
+        assert not any(proc.is_alive() for proc in seen["procs"])
+        assert handle.results == [first]
 
     def test_enrollment_source_marks_fresh_enrollment(
             self, population):

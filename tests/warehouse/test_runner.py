@@ -128,6 +128,23 @@ class TestHardenedCell:
         assert record["perf"]["kernel_calls"] > 0
 
 
+class TestReedMullerMLCell:
+    def test_ml_calibration_on_reed_muller_devices(self):
+        # ML calibration's finished helpers go through the frontier's
+        # lone blocks, over the Reed-Muller provider's codes.  The
+        # quick matrix never runs this cell, so it is pinned here.
+        cell = cell_by_id("sequential[rm5]/ml/baseline")
+        record = run_cell(cell, 2, 0, "c", "h", "quick")
+        assert record["status"] == "ok"
+        security = record["security"]
+        assert security["recovered"] == 2
+        assert security["queries"] == [429, 637]
+        assert security["outcome_fingerprint"] == (
+            "7bd934f6d3a48a82aa1d4e2d82392d2c"
+            "22db6989dcd4459aa7380d36054b16d1")
+        assert record["perf"]["kernel_calls"] > 0
+
+
 class TestReconstructionCells:
     RECON = "fuzzy-extractor[4x10]/reconstruction/baseline"
 
